@@ -180,16 +180,7 @@ GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
             ctx.GlobalWrite(out_row, static_cast<size_t>(c_out) * sizeof(float));
             ctx.Compute(static_cast<uint64_t>(c_in + c_out));
             if (functional) {
-              for (int64_t a = 0; a < c_in; ++a) {
-                float v = in_row[a];
-                if (v == 0.0f) {
-                  continue;
-                }
-                const float* wrow = w.data() + a * c_out;
-                for (int64_t b = 0; b < c_out; ++b) {
-                  out_row[b] += v * wrow[b];
-                }
-              }
+              BlockedGemm(in_row, w.data(), out_row, 1, c_in, c_out);
             }
           }
         });

@@ -1,31 +1,113 @@
 #include "src/gmas/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/util/check.h"
 
 namespace minuet {
 
-void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
-  constexpr int64_t kBlock = 64;
-  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
-    int64_t i1 = std::min(i0 + kBlock, m);
-    for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
-      int64_t p1 = std::min(p0 + kBlock, k);
-      for (int64_t i = i0; i < i1; ++i) {
-        for (int64_t p = p0; p < p1; ++p) {
-          float av = a[i * k + p];
-          if (av == 0.0f) {
-            continue;
-          }
-          const float* brow = b + p * n;
-          float* crow = c + i * n;
-          for (int64_t j = 0; j < n; ++j) {
-            crow[j] += av * brow[j];
-          }
-        }
+namespace {
+
+// Eight float lanes as a GCC/Clang vector type: one AVX register, or two
+// SSE/NEON registers on targets without AVX.
+using Lanes = float __attribute__((vector_size(32)));
+constexpr int64_t kLaneWidth = 8;
+// A micro-tile keeps kTileRows x (kTileVecs * kLaneWidth) of C in registers
+// for the whole k loop, so C is loaded and stored once per tile rather than
+// once per (row, p) pair.
+constexpr int kTileRows = 4;
+constexpr int kTileVecs = 2;
+
+// Every path below computes each C element the same way: it adds the
+// products in ascending p, each one a rounded multiply followed by a rounded
+// add (separate statements, so never contracted into an FMA), and skips p
+// where the A value is zero. Tile shape, column tail and instruction set
+// therefore never change a single output bit.
+
+// C[0, Rows) x [0, Vecs * 8) += A[0, Rows) x B[:, 0, Vecs * 8).
+template <int Rows, int Vecs>
+[[gnu::always_inline]] inline void MicroTile(const float* a, const float* b, float* c,
+                                             int64_t k, int64_t n) {
+  Lanes acc[Rows][Vecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < Rows; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < Vecs; ++v) {
+      std::memcpy(&acc[r][v], c + r * n + v * kLaneWidth, sizeof(Lanes));
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    Lanes bv[Vecs];
+#pragma GCC unroll 8
+    for (int v = 0; v < Vecs; ++v) {
+      std::memcpy(&bv[v], b + p * n + v * kLaneWidth, sizeof(Lanes));
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < Rows; ++r) {
+      const float av = a[r * k + p];
+      if (av == 0.0f) {
+        continue;
+      }
+#pragma GCC unroll 8
+      for (int v = 0; v < Vecs; ++v) {
+        const Lanes prod = av * bv[v];
+        acc[r][v] = acc[r][v] + prod;
       }
     }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < Rows; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < Vecs; ++v) {
+      std::memcpy(c + r * n + v * kLaneWidth, &acc[r][v], sizeof(Lanes));
+    }
+  }
+}
+
+// Rows [0, Rows) of C: full micro-tiles, then one-vector tiles, then the
+// last n % 8 columns one element at a time.
+template <int Rows>
+[[gnu::always_inline]] inline void RowPanel(const float* a, const float* b, float* c, int64_t k,
+                                            int64_t n) {
+  int64_t j = 0;
+  for (; j + kTileVecs * kLaneWidth <= n; j += kTileVecs * kLaneWidth) {
+    MicroTile<Rows, kTileVecs>(a, b + j, c + j, k, n);
+  }
+  for (; j + kLaneWidth <= n; j += kLaneWidth) {
+    MicroTile<Rows, 1>(a, b + j, c + j, k, n);
+  }
+  for (int r = 0; r < Rows; ++r) {
+    for (int64_t jj = j; jj < n; ++jj) {
+      float sum = c[r * n + jj];
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = a[r * k + p];
+        if (av == 0.0f) {
+          continue;
+        }
+        const float prod = av * b[p * n + jj];
+        sum = sum + prod;
+      }
+      c[r * n + jj] = sum;
+    }
+  }
+}
+
+}  // namespace
+
+// x86-64 GCC builds carry an AVX2 clone next to the baseline one, picked once
+// at load time. Both run the same IEEE operations in the same order, so the
+// choice changes speed only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
+  int64_t i = 0;
+  for (; i + kTileRows <= m; i += kTileRows) {
+    RowPanel<kTileRows>(a + i * k, b, c + i * n, k, n);
+  }
+  for (; i < m; ++i) {
+    RowPanel<1>(a + i * k, b, c + i * n, k, n);
   }
 }
 

@@ -16,7 +16,10 @@
 
 namespace minuet {
 
-// C (m x n) += A (m x k) * B (k x n), cache-blocked. Exposed for tests.
+// C (m x n) += A (m x k) * B (k x n), all row-major. Each C element adds its
+// products a[i][p] * b[p][j] in ascending p, one rounded multiply and one
+// rounded add each, skipping p where a[i][p] == 0: the result is bit-identical
+// to that scalar loop for any shape.
 void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n);
 
 // Models a pool of CUDA streams. Concurrent kernels do not multiply device

@@ -1,3 +1,5 @@
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +81,53 @@ TEST(BlockedGemmTest, MatchesNaive) {
   }
   for (size_t i = 0; i < c_naive.size(); ++i) {
     EXPECT_NEAR(c_blocked[i], c_naive[i], 1e-4f);
+  }
+}
+
+// The scalar definition BlockedGemm must reproduce bit for bit: per element,
+// products added in ascending p, zero A entries skipped.
+void ScalarGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      if (av == 0.0f) {
+        continue;
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        const float prod = av * b[p * n + j];
+        c[i * n + j] = c[i * n + j] + prod;
+      }
+    }
+  }
+}
+
+TEST(BlockedGemmTest, BitIdenticalToScalarDefinition) {
+  // Shapes cover full 4-row tiles and row tails, 16- and 8-column tiles and
+  // column tails, and n below one vector.
+  const int64_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},   {4, 16, 16}, {5, 3, 8},
+                               {7, 29, 20}, {9, 64, 33}, {37, 29, 23}, {66, 128, 96}};
+  Pcg32 rng(7);
+  for (const auto& shape : shapes) {
+    const int64_t m = shape[0], k = shape[1], n = shape[2];
+    std::vector<float> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(k * n));
+    std::vector<float> c(static_cast<size_t>(m * n));
+    for (auto& v : a) {
+      v = rng.NextInt(0, 3) == 0 ? 0.0f : static_cast<float>(rng.NextGaussian());
+    }
+    for (auto& v : b) {
+      v = static_cast<float>(rng.NextGaussian());
+    }
+    for (auto& v : c) {
+      v = rng.NextInt(0, 4) == 0 ? -0.0f : static_cast<float>(rng.NextGaussian());
+    }
+    // A skipped p must not touch C even where B holds an infinity.
+    a[0] = 0.0f;
+    b[0] = std::numeric_limits<float>::infinity();
+    std::vector<float> want = c;
+    ScalarGemm(a.data(), b.data(), want.data(), m, k, n);
+    BlockedGemm(a.data(), b.data(), c.data(), m, k, n);
+    EXPECT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)), 0)
+        << "m=" << m << " k=" << k << " n=" << n;
   }
 }
 
