@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <limits>
 
 #include "src/trace/metrics.h"
@@ -12,10 +11,6 @@
 namespace minuet {
 
 namespace {
-
-// Serving loops can re-enable tracing every window; cap the history-derived
-// reserve so one huge offline run does not pin megabytes forever after.
-constexpr size_t kMaxTraceReserve = 65536;
 
 // Leaf span for one simulated launch: the host range covers the simulation
 // of the kernel, the sim range is the kernel's modelled duration (this is
@@ -427,9 +422,6 @@ void Device::Record(KernelId kernel, const KernelStats& stats) {
   }
   aggregate += stats;
   aggregates_view_dirty_ = true;
-  if (trace_enabled_) {
-    trace_.push_back(stats);
-  }
 }
 
 const std::map<std::string, KernelStats>& Device::kernel_aggregates() const {
@@ -450,23 +442,6 @@ void Device::ResetTotals() {
   aggregates_by_id_.clear();
   aggregates_view_.clear();
   aggregates_view_dirty_ = false;
-}
-
-void Device::EnableTrace(bool enabled) {
-  trace_enabled_ = enabled;
-  if (enabled) {
-    const size_t hint =
-        std::min(std::max(trace_reserve_hint_, static_cast<size_t>(totals_.num_launches)),
-                 kMaxTraceReserve);
-    if (hint > trace_.capacity()) {
-      trace_.reserve(hint);
-    }
-  }
-}
-
-void Device::ClearTrace() {
-  trace_reserve_hint_ = std::max(trace_reserve_hint_, trace_.size());
-  trace_.clear();
 }
 
 void Device::PublishMetrics(trace::MetricsRegistry& registry, const std::string& prefix) const {
@@ -504,31 +479,6 @@ void Device::PublishMetrics(trace::MetricsRegistry& registry, const std::string&
       .Set(config_.launch_overhead_cycles);
   registry.GetCounter(prefix + "/config/num_sms").Set(config_.num_sms);
   registry.GetCounter(prefix + "/config/l2_bytes").Set(static_cast<int64_t>(config_.l2_bytes));
-}
-
-bool WriteTraceCsv(const std::vector<KernelStats>& trace, const DeviceConfig& config,
-                   const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(f,
-               "index,name,cycles,millis,blocks,l2_hits,l2_misses,l2_hit_ratio,"
-               "bytes_read,bytes_written,shared_bytes,lane_ops\n");
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const KernelStats& s = trace[i];
-    std::fprintf(f, "%zu,%s,%.1f,%.6f,%lld,%llu,%llu,%.4f,%llu,%llu,%llu,%llu\n", i,
-                 s.name.c_str(), s.cycles, config.CyclesToMillis(s.cycles),
-                 static_cast<long long>(s.num_blocks),
-                 static_cast<unsigned long long>(s.l2_hits),
-                 static_cast<unsigned long long>(s.l2_misses), s.L2HitRatio(),
-                 static_cast<unsigned long long>(s.global_bytes_read),
-                 static_cast<unsigned long long>(s.global_bytes_written),
-                 static_cast<unsigned long long>(s.shared_bytes),
-                 static_cast<unsigned long long>(s.lane_ops));
-  }
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace minuet

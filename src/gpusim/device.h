@@ -237,17 +237,6 @@ class Device {
   void PublishMetrics(trace::MetricsRegistry& registry,
                       const std::string& prefix = "device") const;
 
-  // Kernel tracing: when enabled, every launch's stats are recorded in order
-  // (a poor man's Nsight timeline). Off by default — traces of full network
-  // runs hold thousands of entries. Enabling reserves capacity from launch
-  // history (launches so far, and the size of previously cleared traces),
-  // so steady-state serving loops that ClearTrace() per window do not regrow
-  // the vector one doubling at a time.
-  void EnableTrace(bool enabled);
-  bool trace_enabled() const { return trace_enabled_; }
-  const std::vector<KernelStats>& trace() const { return trace_; }
-  void ClearTrace();
-
   // Distinct 16-byte granules the remap table has seen. A warm serving loop
   // that touches only stable (pooled/cached) buffers stops growing this —
   // the observable test for "no fresh device-visible allocation per run".
@@ -272,15 +261,7 @@ class Device {
   std::vector<KernelStats> aggregates_by_id_;
   mutable std::map<std::string, KernelStats> aggregates_view_;
   mutable bool aggregates_view_dirty_ = false;
-  bool trace_enabled_ = false;
-  std::vector<KernelStats> trace_;
-  size_t trace_reserve_hint_ = 0;
 };
-
-// Writes a recorded trace as CSV (one row per launch) to `path`. Returns
-// false if the file cannot be opened.
-bool WriteTraceCsv(const std::vector<KernelStats>& trace, const DeviceConfig& config,
-                   const std::string& path);
 
 }  // namespace minuet
 

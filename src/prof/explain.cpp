@@ -36,9 +36,7 @@ bool BoolOr(const JsonValue* value, bool fallback) {
   return value != nullptr && value->is_bool() ? value->AsBool() : fallback;
 }
 
-double SafeDiv(double num, double den) { return den != 0.0 ? num / den : 0.0; }
-
-double UsFromNs(int64_t ns) { return static_cast<double>(ns) * 1e-3; }
+double NsToUs(int64_t ns) { return static_cast<double>(ns) * 1e-3; }
 
 // The nine blame phases in causal order (admission is always 0 on the event
 // clock and stays out of the tables; it still participates in the dump's
@@ -91,8 +89,8 @@ GroupBlame BuildGroup(int64_t key, const std::string& name,
       continue;
     }
     ++group.completed;
-    e2e_us.push_back(UsFromNs(r->e2e_ns));
-    exec_us_total += UsFromNs(r->exec_ns);
+    e2e_us.push_back(NsToUs(r->e2e_ns));
+    exec_us_total += NsToUs(r->exec_ns);
   }
   group.tail = static_cast<int64_t>(tail_members.size());
   group.e2e_p50_us = Percentile(e2e_us, 50.0);
@@ -201,7 +199,7 @@ Explain BuildExplain(const RequestDump& dump, const ExplainOptions& options) {
   std::vector<double> e2e_us;
   e2e_us.reserve(completed.size());
   for (const DumpRequest* r : completed) {
-    e2e_us.push_back(UsFromNs(r->e2e_ns));
+    e2e_us.push_back(NsToUs(r->e2e_ns));
   }
   explain.e2e_p50_us = Percentile(e2e_us, 50.0);
   explain.e2e_p95_us = Percentile(e2e_us, 95.0);
@@ -249,7 +247,7 @@ Explain BuildExplain(const RequestDump& dump, const ExplainOptions& options) {
     std::vector<double> phase_us;
     phase_us.reserve(tail.size());
     for (const DumpRequest* r : tail) {
-      phase_us.push_back(UsFromNs(r->*kPhases[p].field));
+      phase_us.push_back(NsToUs(r->*kPhases[p].field));
     }
     blame.p50_us = Percentile(phase_us, 50.0);
     blame.p95_us = Percentile(phase_us, 95.0);
@@ -288,10 +286,10 @@ Explain BuildExplain(const RequestDump& dump, const ExplainOptions& options) {
   for (const DumpRequest* r : completed) {
     if (r->warm) {
       ++explain.warm_count;
-      warm_us += UsFromNs(r->exec_ns);
+      warm_us += NsToUs(r->exec_ns);
     } else {
       ++explain.cold_count;
-      cold_us += UsFromNs(r->exec_ns);
+      cold_us += NsToUs(r->exec_ns);
     }
   }
   explain.warm_exec_mean_us = SafeDiv(warm_us, static_cast<double>(explain.warm_count));

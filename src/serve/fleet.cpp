@@ -37,11 +37,6 @@ double CyclesToUs(const DeviceConfig& config, double cycles) {
   return config.CyclesToMillis(cycles) * 1000.0;
 }
 
-// Every rate/ratio in the summaries goes through this so degenerate runs
-// (all shed, empty trace, zero-duration) report 0 instead of NaN/Inf —
-// JsonWriter would otherwise decay them to null in reports.
-double SafeDiv(double num, double den) { return den != 0.0 ? num / den : 0.0; }
-
 std::tuple<int, int64_t, uint64_t> ShapeKey(const Request& request) {
   return std::make_tuple(static_cast<int>(request.dataset), request.points, request.cloud_seed);
 }
@@ -133,7 +128,21 @@ const PointCloud& FleetScheduler::CloudFor(const Request& request) {
   return it->second;
 }
 
-int FleetScheduler::Route(const Request& request) {
+MemberRun MeasureMember(const StepBreakdown& cycles, const SessionStats& before,
+                        const SessionStats& after) {
+  MemberRun member;
+  member.cycles = cycles;
+  member.warm = after.warm_runs > before.warm_runs;
+  member.plan_hits = after.plan.hits - before.plan.hits;
+  member.plan_misses = after.plan.misses - before.plan.misses;
+  return member;
+}
+
+int FleetScheduler::Route(const Request& request, const ServeHooks& hooks) {
+  if (hooks.route) {
+    const int k = hooks.route(request);
+    return replicas_[static_cast<size_t>(k)]->QueueFull() ? -1 : k;
+  }
   const int n = static_cast<int>(replicas_.size());
   const auto least_loaded = [&]() {
     int best = -1;
@@ -199,27 +208,35 @@ int FleetScheduler::Route(const Request& request) {
   return -1;
 }
 
-FleetResult FleetScheduler::Run(std::vector<Request> trace) {
+FleetResult FleetScheduler::Run(std::vector<Request> trace, const ServeHooks& hooks) {
   std::stable_sort(trace.begin(), trace.end(), [](const Request& a, const Request& b) {
     return a.arrival_us != b.arrival_us ? a.arrival_us < b.arrival_us : a.id < b.id;
   });
-  return RunLoop(std::move(trace), nullptr);
+  return RunLoop(std::move(trace), nullptr, hooks);
 }
 
 FleetResult FleetScheduler::Run(const TraceConfig& trace) {
   if (trace.process != ArrivalProcess::kClosedLoop) {
-    return RunLoop(GenerateArrivalTrace(trace), nullptr);
+    return RunLoop(GenerateArrivalTrace(trace), nullptr, {});
   }
-  return RunLoop({}, &trace);
+  return RunLoop({}, &trace, {});
 }
 
-FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceConfig* closed) {
+FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceConfig* closed,
+                                    const ServeHooks& hooks) {
   trace::Tracer* tracer = trace::Tracer::Get();
   const SchedulerConfig& cfg = config_.scheduler;
   const bool single = replicas_.size() == 1;
   if (telemetry_ != nullptr) {
     telemetry_->BeginRun(static_cast<int>(replicas_.size()), cfg);
   }
+  const Executor execute =
+      hooks.execute ? hooks.execute : [this](int device, const Request& request, double) {
+        RunSession& session = replicas_[static_cast<size_t>(device)]->session_;
+        const SessionStats before = session.stats();
+        const RunResult run = session.Run(CloudFor(request));
+        return MeasureMember(run.total, before, session.stats());
+      };
 
   // Per-request causal tracing is always on: every completed request's phase
   // segments are CHECKed to sum bit-exactly to its e2e latency, every run.
@@ -232,7 +249,6 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
   session_base.reserve(replicas_.size());
   for (auto& replica : replicas_) {
     replica->busy_us_ = 0.0;
-    replica->batches_since_drain_ = 0;
     session_base.push_back(replica->session().stats());
   }
 
@@ -440,7 +456,7 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       // queue is full.
       Request request = pending.top();
       pending.pop();
-      const int dev = Route(request);
+      const int dev = Route(request, hooks);
       if (dev < 0) {
         RequestRecord record;
         record.request = request;
@@ -500,11 +516,41 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       continue;
     }
 
-    // 3. Dispatch: run the picked batch through the replica's session,
+    // 3. Dispatch: run the picked batch through the replica's executor,
     // overlap the members on its stream pool, occupy it until completion.
     MINUET_CHECK_GE(dispatch_dev, 0);
     MINUET_CHECK(!dispatch_batch.empty());
     Replica& replica = *replicas_[static_cast<size_t>(dispatch_dev)];
+
+    // Members too stale to start are shed instead; the batch is re-picked
+    // from what remains at this same instant.
+    std::vector<size_t> stale;
+    for (size_t idx : dispatch_batch) {
+      const Request& request = replica.queue_[idx].request;
+      if (now_us > request.arrival_us + hooks.deadline_us) {
+        stale.push_back(idx);
+      }
+    }
+    if (!stale.empty()) {
+      std::sort(stale.begin(), stale.end());
+      for (size_t idx : stale) {
+        RequestRecord record;
+        record.request = replica.queue_[idx].request;
+        record.shed = true;
+        record.device = dispatch_dev;
+        if (telemetry_ != nullptr) {
+          telemetry_->OnShed(now_us, dispatch_dev, record.request.id);
+        }
+        if (hooks.on_drop) {
+          hooks.on_drop(record.request, now_us);
+        }
+        records.push_back(record);
+      }
+      for (auto it = stale.rbegin(); it != stale.rend(); ++it) {
+        replica.queue_.erase(replica.queue_.begin() + static_cast<int64_t>(*it));
+      }
+      continue;
+    }
     const DeviceConfig& device_config = replica.engine().device().config();
     const int64_t batch_id = static_cast<int64_t>(batches.size());
     int64_t span_id = -1;
@@ -523,30 +569,31 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     member_cycles.reserve(dispatch_batch.size());
     member_exec.reserve(dispatch_batch.size());
     replica.flight_.clear();
-    const SessionStats batch_stats_before = replica.session_.stats();
+    int64_t warm = 0, plan_hits = 0, plan_misses = 0;
     for (size_t idx : dispatch_batch) {
       const Replica::Pending& p = replica.queue_[idx];
-      const SessionStats before = replica.session_.stats();
-      RunResult run = replica.session_.Run(CloudFor(p.request));
-      const SessionStats after = replica.session_.stats();
+      const MemberRun run = execute(dispatch_dev, p.request, now_us);
+      warm += run.warm ? 1 : 0;
+      plan_hits += static_cast<int64_t>(run.plan_hits);
+      plan_misses += static_cast<int64_t>(run.plan_misses);
 
       RequestRecord record;
       record.request = p.request;
-      record.warm = after.warm_runs > before.warm_runs;
+      record.warm = run.warm;
       record.device = dispatch_dev;
       record.batch_id = batch_id;
       record.dispatch_us = now_us;
-      record.service_cycles = run.total.TotalCycles();
+      record.service_cycles = run.cycles.TotalCycles();
       member_cycles.push_back(record.service_cycles);
       // Kernel-span linkage for the blame profiler: the engine's per-step
       // cycle breakdown, bucketed into the PhaseTrace execution phases.
       ExecPhaseCycles exec;
-      exec.map = run.total.MapCycles();
-      exec.map_delta = run.total.map_delta;
-      exec.gather = run.total.gather;
-      exec.gemm = run.total.gemm;
-      exec.scatter = run.total.scatter;
-      exec.other = run.total.metadata + run.total.elementwise;
+      exec.map = run.cycles.MapCycles();
+      exec.map_delta = run.cycles.map_delta;
+      exec.gather = run.cycles.gather;
+      exec.gemm = run.cycles.gemm;
+      exec.scatter = run.cycles.scatter;
+      exec.other = run.cycles.metadata + run.cycles.elementwise;
       member_exec.push_back(exec);
       replica.flight_.push_back(record);
     }
@@ -604,27 +651,9 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     }
 
     if (telemetry_ != nullptr) {
-      int64_t warm = 0;
-      for (const RequestRecord& record : replica.flight_) {
-        warm += record.warm ? 1 : 0;
-      }
-      const SessionStats batch_stats_after = replica.session_.stats();
-      telemetry_->OnDispatch(
-          now_us, dispatch_dev, batch_id, batch.size, warm,
-          static_cast<int64_t>(batch_stats_after.plan.hits - batch_stats_before.plan.hits),
-          static_cast<int64_t>(batch_stats_after.plan.misses -
-                               batch_stats_before.plan.misses),
-          replica.flight_end_us_, static_cast<int64_t>(replica.queue_.size()));
-    }
-
-    // Long-lived serving loops must not accumulate the device's launch trace
-    // without bound: drain it on a fixed batch cadence. Aggregates
-    // (kernel_aggregates, totals) survive a drain; only the per-launch
-    // vector is released.
-    if (cfg.device_trace_drain_batches > 0 &&
-        ++replica.batches_since_drain_ >= cfg.device_trace_drain_batches) {
-      replica.engine().device().ClearTrace();
-      replica.batches_since_drain_ = 0;
+      telemetry_->OnDispatch(now_us, dispatch_dev, batch_id, batch.size, warm, plan_hits,
+                             plan_misses, replica.flight_end_us_,
+                             static_cast<int64_t>(replica.queue_.size()));
     }
   }
 

@@ -40,6 +40,8 @@
 #define SRC_SERVE_FLEET_H_
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -112,6 +114,39 @@ struct FleetSummary {
   double plan_hit_asymmetry = 0.0;
 };
 
+// One batch member's execution on a replica: its per-step device cycles and
+// what its session's plan cache did for it.
+struct MemberRun {
+  StepBreakdown cycles;
+  bool warm = false;  // served from a cached ExecutionPlan
+  uint64_t plan_hits = 0;
+  uint64_t plan_misses = 0;
+};
+
+// The session accounting of one member that ran between two stats snapshots.
+MemberRun MeasureMember(const StepBreakdown& cycles, const SessionStats& before,
+                        const SessionStats& after);
+
+// Runs one batch member on replica `device`, dispatched at serving-clock
+// `now_us`.
+using Executor = std::function<MemberRun(int device, const Request& request, double now_us)>;
+
+// The traffic-source-specific half of the serving loop. The defaults serve
+// ordinary requests: the routing policy picks the replica, the replica's
+// RunSession executes each member on the request's cloud, nothing expires.
+// Video-rate streams (src/serve/stream.h) fill in all three.
+struct ServeHooks {
+  // Replica for `request`, replacing the routing policy (a full queue still
+  // sheds).
+  std::function<int(const Request&)> route;
+  // Replaces the RunSession executor; also the seam for fakes in tests.
+  Executor execute;
+  // A queued request that can no longer start within deadline_us of its
+  // arrival is shed at dispatch instead of run, and on_drop sees it.
+  double deadline_us = std::numeric_limits<double>::infinity();
+  std::function<void(const Request& request, double now_us)> on_drop;
+};
+
 struct FleetResult {
   FleetConfig config;
   std::vector<RequestRecord> requests;  // ordered by request id
@@ -166,7 +201,6 @@ class Replica {
   int64_t flight_batch_ = -1;  // index into the run's batch records
   std::vector<RequestRecord> flight_;
   double busy_us_ = 0.0;
-  int64_t batches_since_drain_ = 0;
 };
 
 // Event-driven fleet scheduler over non-owned, Prepare()d engines (one per
@@ -179,7 +213,7 @@ class FleetScheduler {
   FleetScheduler(std::vector<Engine*> engines, const FleetConfig& config);
 
   // Serves a pre-generated open-loop trace (sorted internally).
-  FleetResult Run(std::vector<Request> trace);
+  FleetResult Run(std::vector<Request> trace, const ServeHooks& hooks = {});
   // Open-loop processes delegate to GenerateArrivalTrace; kClosedLoop drives
   // the client pool against the whole fleet.
   FleetResult Run(const TraceConfig& trace);
@@ -196,10 +230,11 @@ class FleetScheduler {
   void AttachTelemetry(ServeTelemetry* telemetry) { telemetry_ = telemetry; }
 
  private:
-  FleetResult RunLoop(std::vector<Request> arrivals, const TraceConfig* closed);
-  // Picks the replica for `request` under the routing policy, or -1 to shed
-  // (every admissible queue full).
-  int Route(const Request& request);
+  FleetResult RunLoop(std::vector<Request> arrivals, const TraceConfig* closed,
+                      const ServeHooks& hooks);
+  // Picks the replica for `request` under the routing policy (or the hook),
+  // or -1 to shed (every admissible queue full).
+  int Route(const Request& request, const ServeHooks& hooks);
   const PointCloud& CloudFor(const Request& request);
 
   FleetConfig config_;

@@ -12,15 +12,6 @@
 namespace minuet {
 namespace serve {
 
-namespace {
-
-// Every rate/ratio in the summary goes through this so degenerate runs (all
-// shed, empty trace, zero duration) report 0 instead of NaN/Inf — JsonWriter
-// would otherwise decay them to null in reports.
-double SafeDiv(double num, double den) { return den != 0.0 ? num / den : 0.0; }
-
-}  // namespace
-
 std::vector<size_t> PickBatch(const std::vector<QueueEntry>& queue, AdmissionPolicy policy,
                               int64_t max_batch_size) {
   if (queue.empty() || max_batch_size < 1) {

@@ -73,11 +73,6 @@ struct SchedulerConfig {
   double max_queue_delay_us = 2000.0;  // partial-batch dispatch timer
   double slo_us = 50000.0;           // end-to-end target for goodput
   uint64_t seed = 1;                 // closed-loop client randomness
-  // Serving runs can outlive any reasonable per-launch trace: drain the
-  // device's launch-record vector every this many dispatched batches so a
-  // long run holds trace memory flat (kernel aggregates survive the drain).
-  // 0 disables draining — short diagnostic runs keep every launch record.
-  int64_t device_trace_drain_batches = 256;
 };
 
 // Aggregate accounting over one scheduler run. All times are serving-clock

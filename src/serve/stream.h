@@ -67,9 +67,6 @@ struct StreamServeConfig {
   bool incremental = true;
   double rebuild_threshold = 0.5;  // SequenceSessionConfig::rebuild_threshold
   size_t plan_capacity = 8;
-  // Device launch-trace drain cadence in dispatched frames (see
-  // SchedulerConfig::device_trace_drain_batches). 0 keeps every launch.
-  int64_t device_trace_drain_frames = 256;
 };
 
 // Per-stream accounting over one run.

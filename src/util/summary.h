@@ -26,6 +26,11 @@ double MinValue(const std::vector<double>& values);
 inline constexpr double kEmptyPercentile = 0.0;
 double Percentile(std::vector<double> values, double p);
 
+// num / den, or 0 when den is 0: rates and ratios of degenerate runs (all
+// shed, empty trace, zero duration) stay finite instead of NaN/Inf, which
+// JsonWriter would decay to null in reports.
+inline double SafeDiv(double num, double den) { return den != 0.0 ? num / den : 0.0; }
+
 // Fixed-bucket histogram over [lower, upper): `num_buckets` equal-width
 // buckets plus implicit underflow/overflow counts. Bucket edges are fixed at
 // construction so histograms from different runs can be diffed bucket by

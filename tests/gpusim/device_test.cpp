@@ -1,12 +1,12 @@
 #include "src/gpusim/device.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/gpusim/device_config.h"
+#include "src/trace/trace.h"
 
 namespace minuet {
 namespace {
@@ -130,36 +130,28 @@ TEST(DeviceTest, GemmSmallMHasPoorUtilisation) {
 }
 
 TEST(DeviceTest, TraceRecordsLaunchesInOrder) {
+  // The span tracer is the per-launch record: one kernel span per launch, in
+  // launch order, carrying the launch's KernelStats as attributes.
   Device dev(TinyConfig());
   dev.Launch("before", LaunchDims{1, 128, 0}, [](BlockCtx&) {});
-  dev.EnableTrace(true);
+  trace::Tracer tracer;
+  trace::Tracer::Install(&tracer);
   dev.Launch("a", LaunchDims{1, 128, 0}, [](BlockCtx& ctx) { ctx.Compute(10); });
   dev.LaunchGemm("b", 64, 64, 64);
   dev.Launch("c", LaunchDims{2, 128, 0}, [](BlockCtx&) {});
-  ASSERT_EQ(dev.trace().size(), 3u);
-  EXPECT_EQ(dev.trace()[0].name, "a");
-  EXPECT_EQ(dev.trace()[1].name, "b");
-  EXPECT_EQ(dev.trace()[2].name, "c");
-  EXPECT_EQ(dev.trace()[2].num_blocks, 2);
-  dev.ClearTrace();
-  EXPECT_TRUE(dev.trace().empty());
-}
-
-TEST(DeviceTest, TraceCsvRoundTrip) {
-  Device dev(TinyConfig());
-  dev.EnableTrace(true);
-  dev.Launch("csv_kernel", LaunchDims{1, 128, 0}, [](BlockCtx& ctx) { ctx.Compute(64); });
-  std::string path = ::testing::TempDir() + "/minuet_trace_test.csv";
-  ASSERT_TRUE(WriteTraceCsv(dev.trace(), dev.config(), path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char header[256] = {0};
-  char row[256] = {0};
-  ASSERT_NE(std::fgets(header, sizeof(header), f), nullptr);
-  ASSERT_NE(std::fgets(row, sizeof(row), f), nullptr);
-  std::fclose(f);
-  EXPECT_NE(std::string(header).find("name,cycles"), std::string::npos);
-  EXPECT_NE(std::string(row).find("csv_kernel"), std::string::npos);
+  trace::Tracer::Install(nullptr);
+  ASSERT_EQ(tracer.CountCategory("kernel"), 3);
+  const std::vector<trace::SpanRecord>& spans = tracer.spans();
+  EXPECT_EQ(spans[0].name, "a");
+  EXPECT_EQ(spans[1].name, "b");
+  EXPECT_EQ(spans[2].name, "c");
+  int64_t blocks = -1;
+  for (const auto& [key, value] : spans[2].attrs) {
+    if (key == "blocks") {
+      blocks = std::get<int64_t>(value);
+    }
+  }
+  EXPECT_EQ(blocks, 2);
 }
 
 TEST(DeviceTest, SharedTrafficCostsCycles) {

@@ -1,6 +1,6 @@
 // Fleet scheduler: routing policies over heterogeneous pools, merged-event
 // determinism (replays and identical-pool permutations), degenerate-summary
-// hygiene, and the serve-path device-trace drain.
+// hygiene, and busy time defined once.
 #include "src/serve/fleet.h"
 
 #include <cmath>
@@ -348,44 +348,6 @@ TEST(FleetTest, TiersSplitByPriority) {
   EXPECT_EQ(result.summary.tiers[1].offered, 2);
   EXPECT_EQ(result.summary.tiers[1].completed, 2);
   EXPECT_GT(result.summary.tiers[1].latency_p99_us, 0.0);
-}
-
-TEST(FleetTest, ServeLoopDrainsDeviceLaunchTrace) {
-  // A long serving run with device tracing on must hold the launch-record
-  // vector flat; only the aggregates keep growing. Two identical runs, one
-  // with draining disabled, prove the drain is what bounds it.
-  TraceConfig arrival;
-  arrival.process = ArrivalProcess::kPoisson;
-  arrival.rate_rps = 500.0;
-  arrival.num_requests = 48;
-  arrival.seed = 5;
-
-  auto drained = NewEngine(MakeRtx3090());
-  drained->device().EnableTrace(true);
-  const int64_t drained_base = drained->device().totals().num_launches;
-  FleetConfig drain_config;
-  drain_config.scheduler.device_trace_drain_batches = 4;
-  FleetScheduler drain_fleet({drained.get()}, drain_config);
-  drain_fleet.Run(arrival);
-  const size_t drained_size = drained->device().trace().size();
-  const int64_t drained_launches = drained->device().totals().num_launches - drained_base;
-
-  auto undrained = NewEngine(MakeRtx3090());
-  undrained->device().EnableTrace(true);
-  const int64_t undrained_base = undrained->device().totals().num_launches;
-  FleetConfig keep_config;
-  keep_config.scheduler.device_trace_drain_batches = 0;  // never drain
-  FleetScheduler keep_fleet({undrained.get()}, keep_config);
-  keep_fleet.Run(arrival);
-  const size_t undrained_size = undrained->device().trace().size();
-
-  // Same work happened on both devices...
-  EXPECT_EQ(drained_launches, undrained->device().totals().num_launches - undrained_base);
-  EXPECT_GT(undrained_size, 0u);
-  // ...the undrained trace holds every serve-path launch...
-  EXPECT_EQ(static_cast<int64_t>(undrained_size), drained_launches);
-  // ...but the drained run retains at most the last window of launches.
-  EXPECT_LT(drained_size, undrained_size / 4);
 }
 
 }  // namespace

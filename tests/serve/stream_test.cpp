@@ -15,6 +15,7 @@
 #include "src/gpusim/device_config.h"
 #include "src/serve/report.h"
 #include "src/serve/reqtrace.h"
+#include "src/serve/telemetry.h"
 #include "src/trace/metrics.h"
 
 namespace minuet {
@@ -240,6 +241,30 @@ TEST(StreamSchedulerTest, IncrementalOffNeverReusesMaps) {
   EXPECT_EQ(result.summary.frames_rebuilt, result.summary.frames_completed);
   for (const RequestRecord& record : result.requests) {
     EXPECT_EQ(record.trace.map_delta_ns, 0);
+  }
+}
+
+// Ctrl-C in minuet_serve --stream lands here: a stop requested through the
+// attached telemetry drains the run. Requested before the first event, no
+// frame is dispatched and every offered frame is accounted as dropped.
+TEST(StreamSchedulerTest, StopRequestDrainsIntoAValidRun) {
+  Sequence sequence = TestSequence();
+  auto e0 = NewEngine();
+  auto e1 = NewEngine();
+  StreamScheduler scheduler({e0.get(), e1.get()}, LooseConfig(3));
+  ServeTelemetry telemetry(TelemetryConfig{});
+  telemetry.RequestStop();
+  scheduler.AttachTelemetry(&telemetry);
+  StreamServeResult result = scheduler.Run(sequence);
+  scheduler.AttachTelemetry(nullptr);
+
+  const StreamServeSummary& s = result.summary;
+  EXPECT_EQ(s.frames_offered, 3 * static_cast<int64_t>(sequence.frames.size()));
+  EXPECT_EQ(s.frames_completed + s.frames_dropped, s.frames_offered);
+  EXPECT_EQ(s.frames_completed, 0);
+  EXPECT_TRUE(result.batches.empty());
+  for (const RequestRecord& record : result.requests) {
+    EXPECT_TRUE(record.shed) << "request " << record.request.id;
   }
 }
 

@@ -36,7 +36,6 @@ struct Options {
   bool fp16 = false;
   int repeat = 1;      // total inference runs per engine
   bool reuse = false;  // serve repeats through a RunSession (plan cache + pool)
-  std::string trace_csv;   // legacy per-launch CSV; empty: off
   std::string trace_json;  // Chrome trace-event JSON; empty: off
   std::string metrics;     // metrics snapshot JSON; empty: off
 };
@@ -49,13 +48,11 @@ struct Options {
                "                  [--gpu 2070s|2080ti|3090|a100] [--points N]\n"
                "                  [--seed N] [--functional 0|1] [--autotune 0|1] [--layers]\n"
                "                  [--precision fp32|fp16] [--repeat N] [--reuse]\n"
-               "                  [--trace=out.json] [--trace-csv=out.csv]\n"
-               "                  [--metrics=out.json]\n"
+               "                  [--trace=out.json] [--metrics=out.json]\n"
                "\n"
                "  --trace FILE     write a Chrome trace-event JSON (open in Perfetto /\n"
                "                   chrome://tracing): nested run/layer/step/kernel spans\n"
                "                   on a host-clock track and a simulated-device track\n"
-               "  --trace-csv FILE write the flat per-launch kernel CSV (legacy)\n"
                "  --metrics FILE   write a metrics-registry snapshot (device kernel\n"
                "                   aggregates, per-layer padding, session counters)\n"
                "  --repeat N   run each engine N times on the same cloud\n"
@@ -113,8 +110,6 @@ Options Parse(int argc, char** argv) {
       opts.reuse = true;
     } else if (arg == "--trace") {
       opts.trace_json = next();
-    } else if (arg == "--trace-csv") {
-      opts.trace_csv = next();
     } else if (arg == "--metrics") {
       opts.metrics = next();
     } else if (arg == "--precision") {
@@ -195,9 +190,6 @@ bool RunOne(EngineKind kind, const Options& opts, const Network& net, const Poin
   if (opts.autotune && kind == EngineKind::kMinuet) {
     engine.Autotune(sample);
   }
-  if (!opts.trace_csv.empty()) {
-    engine.device().EnableTrace(true);
-  }
   // The span tracer goes in only now, after Autotune, so the trace covers
   // exactly the measured runs (the tuning scratch device stays silent).
   trace::Tracer tracer;
@@ -272,16 +264,6 @@ bool RunOne(EngineKind kind, const Options& opts, const Network& net, const Poin
       std::printf("  metrics snapshot written to %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "  could not write metrics to %s\n", path.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.trace_csv.empty()) {
-    std::string path = PerEnginePath(opts.trace_csv, opts, kind);
-    if (WriteTraceCsv(engine.device().trace(), device, path)) {
-      std::printf("  kernel trace (%zu launches) written to %s\n", engine.device().trace().size(),
-                  path.c_str());
-    } else {
-      std::fprintf(stderr, "  could not write trace to %s\n", path.c_str());
       ok = false;
     }
   }
