@@ -267,41 +267,41 @@ Scenario RunReqTrace(const char* name, bool attached, int64_t requests) {
   double sink = 0.0;
   int64_t finalized = 0;
   WallTimer timer;
-  double now = 0.0;
-  double flight_completion = -1.0;  // <0: no flight outstanding
-  std::vector<std::pair<int64_t, double>> queue;  // (id, arrival_us)
+  int64_t now_ns = 0;
+  int64_t flight_completion_ns = -1;  // <0: no flight outstanding
+  std::vector<std::pair<int64_t, int64_t>> queue;  // (id, arrival_ns)
   for (int64_t i = 0; i < requests; ++i) {
-    now += 130.0;
+    now_ns += 130000;
     // Completions sequence before arrivals, as in the real event loop.
-    if (attached && flight_completion >= 0.0 && flight_completion <= now) {
-      recorder.EndBatch(0, flight_completion);
-      flight_completion = -1.0;
+    if (attached && flight_completion_ns >= 0 && flight_completion_ns <= now_ns) {
+      recorder.EndBatch(0, flight_completion_ns);
+      flight_completion_ns = -1;
     }
     if (attached) {
-      recorder.AdmitRequest(0, i, now);
+      recorder.AdmitRequest(0, i, now_ns);
     }
-    queue.emplace_back(i, now);
+    queue.emplace_back(i, now_ns);
     sink += 300.0 + static_cast<double>(i % 5) * 10.0;  // both variants pay this
     if (queue.size() == 4) {
       // Batch spans 520 us of arrivals, serves in 400: the flight always
       // closes before the next dispatch, members 2-4 arrive mid-flight.
-      const double dispatch_us = now;
-      const double completion_us = now + 400.0;
+      const int64_t dispatch_ns = now_ns;
+      const int64_t completion_ns = now_ns + 400000;
       if (attached) {
-        for (const auto& [id, arrival_us] : queue) {
+        for (const auto& [id, arrival_ns] : queue) {
           serve::ExecPhaseCycles cycles;
           cycles.map = 1.0;
           cycles.gather = 2.0;
           cycles.gemm = 5.0;
           cycles.scatter = 1.5;
           cycles.other = 0.5;
-          const double own_us = 300.0 + static_cast<double>(id % 5) * 10.0;
-          recorder.FinalizeRequest(0, id, arrival_us, dispatch_us, completion_us,
-                                   own_us, cycles);
+          const int64_t own_ns = 300000 + (id % 5) * 10000;
+          recorder.FinalizeRequest(0, id, arrival_ns, dispatch_ns, completion_ns, own_ns,
+                                   cycles);
           ++finalized;
         }
-        recorder.BeginBatch(0, dispatch_us);
-        flight_completion = completion_us;
+        recorder.BeginBatch(0, dispatch_ns);
+        flight_completion_ns = completion_ns;
       }
       queue.clear();
     }

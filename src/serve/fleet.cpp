@@ -20,7 +20,7 @@ namespace serve {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
 
 double Exponential(Pcg32& rng, double mean) {
   return -std::log(1.0 - rng.NextDouble()) * mean;
@@ -28,14 +28,11 @@ double Exponential(Pcg32& rng, double mean) {
 
 // Min-heap order over pending arrivals: earliest first, ids break ties.
 struct ArrivalAfter {
-  bool operator()(const Request& a, const Request& b) const {
-    return a.arrival_us != b.arrival_us ? a.arrival_us > b.arrival_us : a.id > b.id;
+  bool operator()(const RequestRecord& a, const RequestRecord& b) const {
+    return a.arrival_ns != b.arrival_ns ? a.arrival_ns > b.arrival_ns
+                                        : a.request.id > b.request.id;
   }
 };
-
-double CyclesToUs(const DeviceConfig& config, double cycles) {
-  return config.CyclesToMillis(cycles) * 1000.0;
-}
 
 std::tuple<int, int64_t, uint64_t> ShapeKey(const Request& request) {
   return std::make_tuple(static_cast<int>(request.dataset), request.points, request.cloud_seed);
@@ -82,7 +79,7 @@ int64_t Replica::Outstanding() const {
 int64_t Replica::OutstandingPoints() const {
   int64_t points = 0;
   for (const Pending& pending : queue_) {
-    points += pending.request.points;
+    points += pending.record.request.points;
   }
   for (const RequestRecord& record : flight_) {
     points += record.request.points;
@@ -188,7 +185,7 @@ int FleetScheduler::Route(const Request& request, const ServeHooks& hooks) {
     }
     case RoutingPolicy::kSjfSpillover: {
       int best = -1;
-      double best_finish = kInf;
+      double best_finish = std::numeric_limits<double>::infinity();
       for (int k = 0; k < n; ++k) {
         Replica& replica = *replicas_[static_cast<size_t>(k)];
         if (replica.QueueFull()) {
@@ -230,8 +227,11 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
   if (telemetry_ != nullptr) {
     telemetry_->BeginRun(static_cast<int>(replicas_.size()), cfg);
   }
+  // Microsecond inputs enter the integer-ns clock here, once.
+  const int64_t max_queue_delay_ns = NsFromUs(cfg.max_queue_delay_us);
+  const int64_t deadline_ns = hooks.deadline_us < 0.0 ? kNever : NsFromUs(hooks.deadline_us);
   const Executor execute =
-      hooks.execute ? hooks.execute : [this](int device, const Request& request, double) {
+      hooks.execute ? hooks.execute : [this](int device, const Request& request, int64_t) {
         RunSession& session = replicas_[static_cast<size_t>(device)]->session_;
         const SessionStats before = session.stats();
         const RunResult run = session.Run(CloudFor(request));
@@ -243,17 +243,25 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
   ReqTraceRecorder reqtrace;
   reqtrace.Reset(static_cast<int>(replicas_.size()));
 
-  // Per-run replica state and session baselines: sessions persist across
-  // Run() calls (warm redeploys), so per-run cache stats are deltas.
+  // Sessions persist across Run() calls (warm redeploys), so per-run cache
+  // stats are deltas from these baselines.
   std::vector<SessionStats> session_base;
   session_base.reserve(replicas_.size());
   for (auto& replica : replicas_) {
-    replica->busy_us_ = 0.0;
     session_base.push_back(replica->session().stats());
   }
 
-  std::priority_queue<Request, std::vector<Request>, ArrivalAfter> pending(
-      ArrivalAfter{}, std::move(arrivals));
+  // A request's record is born at its arrival, which it carries on the clock.
+  const auto arriving = [](const Request& request, int64_t arrival_ns) {
+    RequestRecord record;
+    record.request = request;
+    record.arrival_ns = arrival_ns;
+    return record;
+  };
+  std::priority_queue<RequestRecord, std::vector<RequestRecord>, ArrivalAfter> pending;
+  for (const Request& request : arrivals) {
+    pending.push(arriving(request, NsFromUs(request.arrival_us)));
+  }
 
   // Closed-loop client pool: seeded issue per client, re-issue on completion
   // or shed after an exponential think time, until num_requests are out. The
@@ -262,30 +270,46 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
   Pcg32 body_rng(closed != nullptr ? closed->seed : 0, /*stream=*/0x5e73bb);
   RequestSampler sampler(closed != nullptr ? *closed : TraceConfig{});
   int64_t issued = 0;
-  auto issue = [&](int client, double not_before_us) {
+  auto issue = [&](int client, int64_t not_before_ns) {
     if (closed == nullptr || issued >= closed->num_requests) {
       return;
     }
     if (telemetry_ != nullptr && telemetry_->stop_requested()) {
       return;  // draining: clients stop re-issuing
     }
-    const double arrival = not_before_us + Exponential(timing_rng, closed->think_time_us);
-    Request request = sampler.Sample(issued++, arrival, body_rng);
+    const int64_t arrival_ns =
+        not_before_ns + NsFromUs(Exponential(timing_rng, closed->think_time_us));
+    Request request = sampler.Sample(issued++, NsToUs(arrival_ns), body_rng);
     request.client = client;
-    pending.push(request);
+    pending.push(arriving(request, arrival_ns));
   };
   if (closed != nullptr) {
     MINUET_CHECK_GT(closed->num_clients, 0);
     MINUET_CHECK_GT(closed->think_time_us, 0.0);
     for (int client = 0; client < closed->num_clients; ++client) {
-      issue(client, 0.0);
+      issue(client, 0);
     }
   }
 
   std::vector<RequestRecord> records;
   std::vector<BatchRecord> batches;
+  const auto shed = [&](RequestRecord record, int device, int64_t t_ns) {
+    record.shed = true;
+    record.device = device;
+    if (telemetry_ != nullptr) {
+      telemetry_->OnShed(NsToUs(t_ns), device, record.request.id);
+    }
+    records.push_back(std::move(record));
+  };
+  // Erases queue entries by index (descending, so the rest stay valid).
+  const auto unqueue = [](Replica& replica, std::vector<size_t> indices) {
+    std::sort(indices.begin(), indices.end());
+    for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
+      replica.queue_.erase(replica.queue_.begin() + static_cast<int64_t>(*it));
+    }
+  };
 
-  double now_us = 0.0;
+  int64_t now_ns = 0;
   bool drained = false;
   for (;;) {
     // Cooperative stop (SIGINT via telemetry): shed everything not yet
@@ -295,24 +319,12 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     // loop invariant and its report is well-formed.
     if (!drained && telemetry_ != nullptr && telemetry_->stop_requested()) {
       drained = true;
-      while (!pending.empty()) {
-        Request request = pending.top();
-        pending.pop();
-        RequestRecord record;
-        record.request = request;
-        record.shed = true;
-        record.device = 0;
-        telemetry_->OnShed(request.arrival_us, 0, request.id);
-        records.push_back(record);
+      for (; !pending.empty(); pending.pop()) {
+        shed(pending.top(), 0, pending.top().arrival_ns);
       }
       for (auto& rp : replicas_) {
         for (const Replica::Pending& p : rp->queue_) {
-          RequestRecord record;
-          record.request = p.request;
-          record.shed = true;
-          record.device = rp->id_;
-          telemetry_->OnShed(now_us, rp->id_, p.request.id);
-          records.push_back(record);
+          shed(p.record, rp->id_, now_ns);
         }
         rp->queue_.clear();
       }
@@ -320,16 +332,16 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
 
     // 1. Earliest batch completion; equal timestamps resolve to the lowest
     // device id (one completion per loop iteration keeps the order total).
-    double completion_t = kInf;
+    int64_t completion_t = kNever;
     int completion_dev = -1;
     for (auto& replica : replicas_) {
-      if (replica->busy_ && replica->flight_end_us_ < completion_t) {
-        completion_t = replica->flight_end_us_;
+      if (replica->busy_ && replica->flight_end_ns_ < completion_t) {
+        completion_t = replica->flight_end_ns_;
         completion_dev = replica->id_;
       }
     }
 
-    const double arrival_t = pending.empty() ? kInf : pending.top().arrival_us;
+    const int64_t arrival_t = pending.empty() ? kNever : pending.top().arrival_ns;
     // A replica may dispatch a partial batch early only when no arrival can
     // ever top it up. In a fleet that is not "the pending heap is empty":
     // closed-loop clients re-issue when some *other* replica completes, so a
@@ -342,7 +354,7 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     // batch is full or nothing can top it up, else at the earliest member's
     // delay-timer expiry. The earliest replica wins; ties go to the lowest
     // device id (strict < below).
-    double dispatch_t = kInf;
+    int64_t dispatch_t = kNever;
     int dispatch_dev = -1;
     std::vector<size_t> dispatch_batch;
     for (auto& rp : replicas_) {
@@ -353,19 +365,19 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       std::vector<QueueEntry> entries;
       entries.reserve(replica.queue_.size());
       for (const Replica::Pending& p : replica.queue_) {
-        entries.push_back({&p.request, p.admit_order});
+        entries.push_back({&p.record.request, p.admit_order});
       }
       std::vector<size_t> batch = PickBatch(entries, cfg.policy, cfg.max_batch_size);
-      double t_k;
+      int64_t t_k;
       if (static_cast<int64_t>(batch.size()) >= cfg.max_batch_size || !more_arrivals_possible) {
-        t_k = now_us;
+        t_k = now_ns;
       } else {
-        double oldest_us = kInf;
+        int64_t oldest_ns = kNever;
         for (size_t idx : batch) {
-          oldest_us = std::min(oldest_us, replica.queue_[idx].request.arrival_us);
+          oldest_ns = std::min(oldest_ns, replica.queue_[idx].record.arrival_ns);
         }
-        const double timer_t = oldest_us + cfg.max_queue_delay_us;
-        if (timer_t <= now_us) {
+        const int64_t timer_t = oldest_ns + max_queue_delay_ns;
+        if (timer_t <= now_ns) {
           // The delay timer fired at or before `now`. Arrivals are sequenced
           // before dispatches at equal timestamps, so a request stamped `now`
           // is already in the queue — but it arrived *after* the timer went
@@ -377,25 +389,27 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
           std::vector<QueueEntry> frozen;
           std::vector<size_t> frozen_to_queue;
           for (size_t qi = 0; qi < replica.queue_.size(); ++qi) {
-            if (replica.queue_[qi].request.arrival_us < now_us) {
-              frozen.push_back({&replica.queue_[qi].request, replica.queue_[qi].admit_order});
+            const Replica::Pending& p = replica.queue_[qi];
+            if (p.record.arrival_ns < now_ns) {
+              frozen.push_back({&p.record.request, p.admit_order});
               frozen_to_queue.push_back(qi);
             }
           }
           std::vector<size_t> frozen_batch = PickBatch(frozen, cfg.policy, cfg.max_batch_size);
           if (!frozen_batch.empty()) {
-            double frozen_oldest_us = kInf;
+            int64_t frozen_oldest_ns = kNever;
             for (size_t fi : frozen_batch) {
-              frozen_oldest_us = std::min(frozen_oldest_us, frozen[fi].request->arrival_us);
+              frozen_oldest_ns = std::min(
+                  frozen_oldest_ns, replica.queue_[frozen_to_queue[fi]].record.arrival_ns);
             }
-            if (frozen_oldest_us + cfg.max_queue_delay_us <= now_us) {
+            if (frozen_oldest_ns + max_queue_delay_ns <= now_ns) {
               batch.clear();
               for (size_t fi : frozen_batch) {
                 batch.push_back(frozen_to_queue[fi]);
               }
             }
           }
-          t_k = now_us;
+          t_k = now_ns;
         } else {
           t_k = timer_t;
         }
@@ -407,11 +421,12 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       }
     }
 
-    const double t = std::min({completion_t, arrival_t, dispatch_t});
-    if (t == kInf) {
+    const int64_t t = std::min({completion_t, arrival_t, dispatch_t});
+    if (t == kNever) {
       break;
     }
-    now_us = t;
+    now_ns = t;
+    const double now_us = NsToUs(now_ns);
     if (telemetry_ != nullptr) {
       // Close every telemetry window the clock just passed *before* the
       // event at t is processed: the event belongs to the window containing
@@ -423,13 +438,11 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       // 1. Batch completion: the whole batch finishes together.
       Replica& replica = *replicas_[static_cast<size_t>(completion_dev)];
       replica.busy_ = false;
-      reqtrace.EndBatch(completion_dev, now_us);
-      batches[static_cast<size_t>(replica.flight_batch_)].completion_us = now_us;
+      reqtrace.EndBatch(completion_dev, now_ns);
       if (tracer != nullptr) {
         tracer->SetServeNow(now_us);
       }
       for (RequestRecord& record : replica.flight_) {
-        record.completion_us = now_us;
         if (tracer != nullptr) {
           // Flow arrow lands on the batch span's end: request causality in
           // Perfetto reads arrival -> dispatch -> completion.
@@ -438,29 +451,24 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
         }
         if (telemetry_ != nullptr) {
           telemetry_->OnCompletion(now_us, completion_dev, record.request.id,
-                                   record.QueueUs(),
-                                   static_cast<double>(record.trace.batch_delay_ns) * 1e-3,
-                                   record.LatencyUs(),
-                                   record.LatencyUs() <= cfg.slo_us);
+                                   record.QueueUs(), NsToUs(record.trace.batch_delay_ns),
+                                   record.LatencyUs(), record.LatencyUs() <= cfg.slo_us);
         }
-        issue(record.request.client, now_us);
-        records.push_back(record);
+        issue(record.request.client, now_ns);
+        records.push_back(std::move(record));
       }
       replica.flight_.clear();
-      replica.flight_batch_ = -1;
       continue;
     }
 
     if (arrival_t <= t) {
       // 2. Request arrival: route to a replica or shed when every admissible
       // queue is full.
-      Request request = pending.top();
+      RequestRecord arrival = pending.top();
       pending.pop();
+      const Request request = arrival.request;
       const int dev = Route(request, hooks);
       if (dev < 0) {
-        RequestRecord record;
-        record.request = request;
-        record.shed = true;
         // No replica took it; attribute the refusal to the least-loaded one
         // (ties to device 0) so per-device shed accounting stays exhaustive
         // and the fleet-of-one reduces to the classic single-device records.
@@ -473,7 +481,6 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
             blame_load = load;
           }
         }
-        record.device = blame;
         if (tracer != nullptr) {
           // Anchor slice for the refused request; no flow arrows — a shed
           // request has no dispatch or completion to link to.
@@ -486,15 +493,12 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
           tracer->SetAttr(req_span, "shed", static_cast<int64_t>(1));
           tracer->CloseSpan(req_span);
         }
-        if (telemetry_ != nullptr) {
-          telemetry_->OnShed(now_us, blame, request.id);
-        }
-        issue(request.client, now_us);
-        records.push_back(record);
+        shed(std::move(arrival), blame, now_ns);
+        issue(request.client, now_ns);
       } else {
         Replica& replica = *replicas_[static_cast<size_t>(dev)];
-        replica.queue_.push_back({request, replica.admit_counter_++});
-        reqtrace.AdmitRequest(dev, request.id, now_us);
+        replica.queue_.push_back({std::move(arrival), replica.admit_counter_++});
+        reqtrace.AdmitRequest(dev, request.id, now_ns);
         if (tracer != nullptr) {
           // Zero-duration arrival slice on the routed replica's track plus
           // the flow start; the dispatch step ("t") and completion finish
@@ -526,31 +530,22 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     // from what remains at this same instant.
     std::vector<size_t> stale;
     for (size_t idx : dispatch_batch) {
-      const Request& request = replica.queue_[idx].request;
-      if (now_us > request.arrival_us + hooks.deadline_us) {
+      if (now_ns - replica.queue_[idx].record.arrival_ns > deadline_ns) {
         stale.push_back(idx);
       }
     }
     if (!stale.empty()) {
       std::sort(stale.begin(), stale.end());
       for (size_t idx : stale) {
-        RequestRecord record;
-        record.request = replica.queue_[idx].request;
-        record.shed = true;
-        record.device = dispatch_dev;
-        if (telemetry_ != nullptr) {
-          telemetry_->OnShed(now_us, dispatch_dev, record.request.id);
-        }
+        shed(replica.queue_[idx].record, dispatch_dev, now_ns);
         if (hooks.on_drop) {
-          hooks.on_drop(record.request, now_us);
+          hooks.on_drop(replica.queue_[idx].record.request, now_ns);
         }
-        records.push_back(record);
       }
-      for (auto it = stale.rbegin(); it != stale.rend(); ++it) {
-        replica.queue_.erase(replica.queue_.begin() + static_cast<int64_t>(*it));
-      }
+      unqueue(replica, std::move(stale));
       continue;
     }
+
     const DeviceConfig& device_config = replica.engine().device().config();
     const int64_t batch_id = static_cast<int64_t>(batches.size());
     int64_t span_id = -1;
@@ -571,18 +566,16 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     replica.flight_.clear();
     int64_t warm = 0, plan_hits = 0, plan_misses = 0;
     for (size_t idx : dispatch_batch) {
-      const Replica::Pending& p = replica.queue_[idx];
-      const MemberRun run = execute(dispatch_dev, p.request, now_us);
+      RequestRecord record = replica.queue_[idx].record;
+      const MemberRun run = execute(dispatch_dev, record.request, now_ns);
       warm += run.warm ? 1 : 0;
       plan_hits += static_cast<int64_t>(run.plan_hits);
       plan_misses += static_cast<int64_t>(run.plan_misses);
 
-      RequestRecord record;
-      record.request = p.request;
       record.warm = run.warm;
       record.device = dispatch_dev;
       record.batch_id = batch_id;
-      record.dispatch_us = now_us;
+      record.dispatch_ns = now_ns;
       record.service_cycles = run.cycles.TotalCycles();
       member_cycles.push_back(record.service_cycles);
       // Kernel-span linkage for the blame profiler: the engine's per-step
@@ -595,7 +588,7 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       exec.scatter = run.cycles.scatter;
       exec.other = run.cycles.metadata + run.cycles.elementwise;
       member_exec.push_back(exec);
-      replica.flight_.push_back(record);
+      replica.flight_.push_back(std::move(record));
     }
 
     BatchRecord batch;
@@ -603,30 +596,26 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     batch.batch_class = replica.flight_.front().request.batch_class;
     batch.device = dispatch_dev;
     batch.size = static_cast<int64_t>(replica.flight_.size());
-    batch.dispatch_us = now_us;
+    batch.dispatch_ns = now_ns;
     batch.service_cycles =
         BatchServiceCycles(member_cycles, replica.engine().config().stream_pool_size);
     batch.serial_cycles = std::accumulate(member_cycles.begin(), member_cycles.end(), 0.0);
-
-    const double service_us = CyclesToUs(device_config, batch.service_cycles);
+    // The virtual clock knows the completion instant at dispatch.
+    batch.completion_ns = now_ns + NsFromCycles(device_config, batch.service_cycles);
     replica.busy_ = true;
-    replica.flight_end_us_ = now_us + service_us;
-    replica.flight_batch_ = batch_id;
-    batch.completion_us = replica.flight_end_us_;  // provisional; rewritten on completion
-    replica.busy_us_ += service_us;
+    replica.flight_end_ns_ = batch.completion_ns;
     batches.push_back(batch);
 
-    // Finalise each member's phase trace now: the deterministic clock already
-    // knows the completion time, and the replica's busy integral is fully
-    // closed (BeginBatch below opens the new flight interval).
+    // Finalise each member's phase trace now: the replica's busy integral is
+    // fully closed (BeginBatch below opens the new flight interval).
     for (size_t m = 0; m < replica.flight_.size(); ++m) {
       RequestRecord& record = replica.flight_[m];
+      record.completion_ns = batch.completion_ns;
       record.trace = reqtrace.FinalizeRequest(
-          dispatch_dev, record.request.id, record.request.arrival_us, now_us,
-          replica.flight_end_us_, CyclesToUs(device_config, member_cycles[m]),
-          member_exec[m]);
+          dispatch_dev, record.request.id, record.arrival_ns, now_ns, batch.completion_ns,
+          NsFromCycles(device_config, member_cycles[m]), member_exec[m]);
     }
-    reqtrace.BeginBatch(dispatch_dev, now_us);
+    reqtrace.BeginBatch(dispatch_dev, now_ns);
 
     if (span_id >= 0) {
       tracer->SetAttr(span_id, "batch_size", batch.size);
@@ -639,20 +628,14 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
         tracer->AddServeFlow("req#" + std::to_string(record.request.id),
                              record.request.id, 't', dispatch_dev);
       }
-      tracer->SetServeNow(replica.flight_end_us_);
+      tracer->SetServeNow(NsToUs(batch.completion_ns));
       tracer->CloseSpan(span_id);
     }
 
-    // Remove dispatched entries (descending index order keeps indices valid).
-    std::vector<size_t> doomed = dispatch_batch;
-    std::sort(doomed.begin(), doomed.end());
-    for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
-      replica.queue_.erase(replica.queue_.begin() + static_cast<int64_t>(*it));
-    }
-
+    unqueue(replica, std::move(dispatch_batch));
     if (telemetry_ != nullptr) {
       telemetry_->OnDispatch(now_us, dispatch_dev, batch_id, batch.size, warm, plan_hits,
-                             plan_misses, replica.flight_end_us_,
+                             plan_misses, NsToUs(batch.completion_ns),
                              static_cast<int64_t>(replica.queue_.size()));
     }
   }
@@ -689,7 +672,6 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       }
     }
     dev.summary = Summarize(dev_requests, dev_batches, cfg);
-    dev.summary.server_busy_us = replica.busy_us_;
     const SessionStats stats = replica.session().stats();
     dev.plan_hits = stats.plan.hits - session_base[k].plan.hits;
     dev.plan_misses = stats.plan.misses - session_base[k].plan.misses;

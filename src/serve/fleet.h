@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -128,8 +127,8 @@ MemberRun MeasureMember(const StepBreakdown& cycles, const SessionStats& before,
                         const SessionStats& after);
 
 // Runs one batch member on replica `device`, dispatched at serving-clock
-// `now_us`.
-using Executor = std::function<MemberRun(int device, const Request& request, double now_us)>;
+// instant `now_ns`.
+using Executor = std::function<MemberRun(int device, const Request& request, int64_t now_ns)>;
 
 // The traffic-source-specific half of the serving loop. The defaults serve
 // ordinary requests: the routing policy picks the replica, the replica's
@@ -141,10 +140,10 @@ struct ServeHooks {
   std::function<int(const Request&)> route;
   // Replaces the RunSession executor; also the seam for fakes in tests.
   Executor execute;
-  // A queued request that can no longer start within deadline_us of its
-  // arrival is shed at dispatch instead of run, and on_drop sees it.
-  double deadline_us = std::numeric_limits<double>::infinity();
-  std::function<void(const Request& request, double now_us)> on_drop;
+  // When >= 0, a queued request that can no longer start within deadline_us
+  // of its arrival is shed at dispatch instead of run, and on_drop sees it.
+  double deadline_us = -1.0;
+  std::function<void(const Request& request, int64_t now_ns)> on_drop;
 };
 
 struct FleetResult {
@@ -186,7 +185,7 @@ class Replica {
   friend class FleetScheduler;
 
   struct Pending {
-    Request request;
+    RequestRecord record;  // born at arrival
     int64_t admit_order = 0;
   };
 
@@ -197,10 +196,8 @@ class Replica {
   std::vector<Pending> queue_;  // admission order
   int64_t admit_counter_ = 0;
   bool busy_ = false;
-  double flight_end_us_ = 0.0;
-  int64_t flight_batch_ = -1;  // index into the run's batch records
+  int64_t flight_end_ns_ = 0;
   std::vector<RequestRecord> flight_;
-  double busy_us_ = 0.0;
 };
 
 // Event-driven fleet scheduler over non-owned, Prepare()d engines (one per

@@ -130,8 +130,8 @@ void WriteBatches(JsonWriter& w, const std::vector<BatchRecord>& batches) {
     w.KV("class", batch.batch_class);
     w.KV("device", static_cast<int64_t>(batch.device));
     w.KV("size", batch.size);
-    w.KV("dispatch_us", batch.dispatch_us);
-    w.KV("service_us", batch.completion_us - batch.dispatch_us);
+    w.KV("dispatch_us", NsToUs(batch.dispatch_ns));
+    w.KV("service_us", NsToUs(batch.completion_ns - batch.dispatch_ns));
     w.KV("service_cycles", batch.service_cycles);
     w.KV("serial_cycles", batch.serial_cycles);
     w.KV("overlap", batch.Overlap());

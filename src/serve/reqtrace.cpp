@@ -11,18 +11,13 @@
 namespace minuet {
 namespace serve {
 
-int64_t Ns(double serve_us) {
-  MINUET_CHECK(std::isfinite(serve_us));
-  return std::llround(serve_us * 1000.0);
-}
-
 void ReqTraceRecorder::Reset(int num_devices) {
   MINUET_CHECK_GE(num_devices, 1);
   devices_.assign(static_cast<size_t>(num_devices), DeviceState{});
   wait_base_ns_.clear();
 }
 
-int64_t ReqTraceRecorder::BusyIntegralNs(int device, int64_t t_ns) const {
+int64_t ReqTraceRecorder::BusyIntegral(int device, int64_t t_ns) const {
   MINUET_CHECK_GE(device, 0);
   MINUET_CHECK_LT(static_cast<size_t>(device), devices_.size());
   const DeviceState& state = devices_[static_cast<size_t>(device)];
@@ -33,40 +28,37 @@ int64_t ReqTraceRecorder::BusyIntegralNs(int device, int64_t t_ns) const {
   return busy;
 }
 
-void ReqTraceRecorder::AdmitRequest(int device, int64_t request_id, double arrival_us) {
+void ReqTraceRecorder::AdmitRequest(int device, int64_t request_id, int64_t arrival_ns) {
   const auto [it, inserted] =
-      wait_base_ns_.emplace(request_id, BusyIntegralNs(device, Ns(arrival_us)));
+      wait_base_ns_.emplace(request_id, BusyIntegral(device, arrival_ns));
   (void)it;
   MINUET_CHECK(inserted) << "request " << request_id << " admitted twice";
 }
 
-void ReqTraceRecorder::BeginBatch(int device, double dispatch_us) {
+void ReqTraceRecorder::BeginBatch(int device, int64_t dispatch_ns) {
   MINUET_CHECK_GE(device, 0);
   MINUET_CHECK_LT(static_cast<size_t>(device), devices_.size());
   DeviceState& state = devices_[static_cast<size_t>(device)];
   MINUET_CHECK(!state.in_flight) << "replica " << device << " dispatched while busy";
   state.in_flight = true;
-  state.flight_dispatch_ns = Ns(dispatch_us);
+  state.flight_dispatch_ns = dispatch_ns;
 }
 
-void ReqTraceRecorder::EndBatch(int device, double completion_us) {
+void ReqTraceRecorder::EndBatch(int device, int64_t completion_ns) {
   MINUET_CHECK_GE(device, 0);
   MINUET_CHECK_LT(static_cast<size_t>(device), devices_.size());
   DeviceState& state = devices_[static_cast<size_t>(device)];
   MINUET_CHECK(state.in_flight) << "replica " << device << " completed while idle";
-  const int64_t flight_ns = Ns(completion_us) - state.flight_dispatch_ns;
+  const int64_t flight_ns = completion_ns - state.flight_dispatch_ns;
   MINUET_CHECK_GE(flight_ns, 0);
   state.busy_closed_ns += flight_ns;
   state.in_flight = false;
 }
 
 PhaseTrace ReqTraceRecorder::FinalizeRequest(int device, int64_t request_id,
-                                             double arrival_us, double dispatch_us,
-                                             double completion_us, double own_exec_us,
+                                             int64_t arrival_ns, int64_t dispatch_ns,
+                                             int64_t completion_ns, int64_t own_exec_ns,
                                              const ExecPhaseCycles& cycles) {
-  const int64_t arrival_ns = Ns(arrival_us);
-  const int64_t dispatch_ns = Ns(dispatch_us);
-  const int64_t completion_ns = Ns(completion_us);
   MINUET_CHECK_GE(dispatch_ns, arrival_ns);
   MINUET_CHECK_GE(completion_ns, dispatch_ns);
 
@@ -85,19 +77,17 @@ PhaseTrace ReqTraceRecorder::FinalizeRequest(int device, int64_t request_id,
       << "request " << request_id << " finalised without admission";
   const int64_t wait_base = it->second;
   wait_base_ns_.erase(it);
-  trace.server_wait_ns = BusyIntegralNs(device, dispatch_ns) - wait_base;
+  trace.server_wait_ns = BusyIntegral(device, dispatch_ns) - wait_base;
   MINUET_CHECK_GE(trace.server_wait_ns, 0);
   MINUET_CHECK_LE(trace.server_wait_ns, trace.queue_ns);
   trace.admission_ns = 0;  // admission is instantaneous on the event clock
   trace.batch_delay_ns = trace.queue_ns - trace.server_wait_ns - trace.admission_ns;
 
   // Service split: the batch's overlapped makespan is >= every member's own
-  // execution (BatchServiceCycles takes a max), so own_exec_us <= the real
-  // service time — but service_ns is a difference of two quantised endpoints
-  // and can round one quantum below Ns(own_exec_us) (a singleton batch has
-  // own == service exactly). Clamp into the interval; the residual stays a
-  // true non-negative ns count.
-  trace.exec_ns = std::min(Ns(own_exec_us), trace.service_ns);
+  // execution (BatchServiceCycles takes a max, and the cycles -> ns
+  // conversion is monotone), so the residual is a true non-negative count.
+  MINUET_CHECK_LE(own_exec_ns, trace.service_ns);
+  trace.exec_ns = own_exec_ns;
   trace.stream_wait_ns = trace.service_ns - trace.exec_ns;
 
   // Execution split by phase cycles: quantise cumulative boundaries, take
@@ -125,7 +115,7 @@ PhaseTrace ReqTraceRecorder::FinalizeRequest(int device, int64_t request_id,
   }
 
   // The hard invariant this whole file exists for.
-  MINUET_CHECK_EQ(trace.SegmentSumNs(), trace.e2e_ns)
+  MINUET_CHECK_EQ(trace.SegmentSum(), trace.e2e_ns)
       << "request " << request_id << ": phase segments do not sum to e2e latency";
   return trace;
 }
@@ -155,8 +145,8 @@ std::string RequestDumpJsonl(const std::vector<RequestRecord>& requests, double 
     w.KV("shed", record.shed);
     w.KV("warm", record.warm);
     w.KV("batch", record.batch_id);
-    w.KV("dispatch_us", record.dispatch_us);
-    w.KV("completion_us", record.completion_us);
+    w.KV("dispatch_us", NsToUs(record.dispatch_ns));
+    w.KV("completion_us", NsToUs(record.completion_ns));
     const PhaseTrace& t = record.trace;
     w.KV("e2e_ns", t.e2e_ns);
     w.KV("queue_ns", t.queue_ns);

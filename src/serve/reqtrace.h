@@ -10,11 +10,10 @@
 //     + map + map_delta + gather + gemm + scatter + exec_other + stream_wait
 //     ==  e2e
 //
-// bit-exactly, CHECK-enforced at record time. To make "bit-exactly" mean
-// something, segments are integer nanoseconds: the serving clock is double
-// microseconds, and IEEE doubles do not telescope (a + (b - a) != b in
-// general), so every boundary timestamp is quantised once via Ns() and all
-// segments are int64 differences of those quanta — which telescope exactly.
+// bit-exactly, CHECK-enforced at record time. Every boundary is a timestamp
+// of the integer-nanosecond serving clock (src/serve/request.h), and every
+// segment is an int64 difference of those boundaries, so they telescope
+// exactly.
 //
 // The segments, in causal order:
 //
@@ -70,15 +69,10 @@ namespace serve {
 
 struct RequestRecord;
 
-// Serving-clock microseconds -> integer nanoseconds, the segment quantum.
-// Quantise every boundary timestamp exactly once; derive segments only as
-// differences of quantised boundaries so they telescope bit-exactly.
-int64_t Ns(double serve_us);
-
 // Per-request device-execution cycles by phase, from the engine's
 // StepBreakdown (map = map_build + map_query, other = metadata +
-// elementwise). Cycles, not time: the recorder converts the request's total
-// execution time and splits it proportionally.
+// elementwise). Cycles, not time: the recorder splits the request's
+// execution time proportionally.
 struct ExecPhaseCycles {
   double map = 0.0;
   double map_delta = 0.0;  // incremental map maintenance (sequence frames)
@@ -111,7 +105,7 @@ struct PhaseTrace {
   int64_t service_ns = 0;
   int64_t e2e_ns = 0;
 
-  int64_t SegmentSumNs() const {
+  int64_t SegmentSum() const {
     return admission_ns + server_wait_ns + batch_delay_ns + map_ns + map_delta_ns + gather_ns +
            gemm_ns + scatter_ns + exec_other_ns + stream_wait_ns;
   }
@@ -134,22 +128,22 @@ class ReqTraceRecorder {
   // `num_devices` replicas, all idle, busy integrals zeroed.
   void Reset(int num_devices);
 
-  void AdmitRequest(int device, int64_t request_id, double arrival_us);
+  void AdmitRequest(int device, int64_t request_id, int64_t arrival_ns);
 
-  // `own_exec_us` is the request's own execution time on the device (its
-  // cycles through the device clock); `cycles` its per-phase breakdown.
-  // Requires: AdmitRequest(device, request_id, ...) happened; the replica is
-  // idle (FinalizeRequest for every member precedes BeginBatch).
-  PhaseTrace FinalizeRequest(int device, int64_t request_id, double arrival_us,
-                             double dispatch_us, double completion_us,
-                             double own_exec_us, const ExecPhaseCycles& cycles);
+  // `own_exec_ns` is the request's own execution time on the device (at most
+  // the batch's service time); `cycles` its per-phase breakdown. Requires:
+  // AdmitRequest(device, request_id, ...) happened; the replica is idle
+  // (FinalizeRequest for every member precedes BeginBatch).
+  PhaseTrace FinalizeRequest(int device, int64_t request_id, int64_t arrival_ns,
+                             int64_t dispatch_ns, int64_t completion_ns,
+                             int64_t own_exec_ns, const ExecPhaseCycles& cycles);
 
-  void BeginBatch(int device, double dispatch_us);
-  void EndBatch(int device, double completion_us);
+  void BeginBatch(int device, int64_t dispatch_ns);
+  void EndBatch(int device, int64_t completion_ns);
 
   // Replica busy-time integral in ns at serving-clock time t_ns: closed
   // flight intervals plus the partial current flight. Exposed for tests.
-  int64_t BusyIntegralNs(int device, int64_t t_ns) const;
+  int64_t BusyIntegral(int device, int64_t t_ns) const;
 
  private:
   struct DeviceState {

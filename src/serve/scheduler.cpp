@@ -112,15 +112,15 @@ ServeSummary Summarize(const std::vector<RequestRecord>& requests,
   s.offered = static_cast<int64_t>(requests.size());
   std::vector<double> queue_us, service_us, latency_us;
   int64_t within_slo = 0;
-  double last_event_us = 0.0;
+  int64_t last_event_ns = 0;
   for (const RequestRecord& record : requests) {
-    last_event_us = std::max(last_event_us, record.request.arrival_us);
+    last_event_ns = std::max(last_event_ns, record.arrival_ns);
     if (record.shed) {
       ++s.shed;
       continue;
     }
     ++s.completed;
-    last_event_us = std::max(last_event_us, record.completion_us);
+    last_event_ns = std::max(last_event_ns, record.completion_ns);
     if (record.warm) {
       ++s.warm_requests;
     }
@@ -133,10 +133,13 @@ ServeSummary Summarize(const std::vector<RequestRecord>& requests,
   }
   s.admitted = s.offered - s.shed;
   s.num_batches = static_cast<int64_t>(batches.size());
-  s.duration_us = last_event_us;
+  s.duration_us = NsToUs(last_event_ns);
+  // The one definition of busy time: the serving clock's batch flights.
+  int64_t busy_ns = 0;
   for (const BatchRecord& batch : batches) {
-    s.server_busy_us += batch.completion_us - batch.dispatch_us;
+    busy_ns += batch.completion_ns - batch.dispatch_ns;
   }
+  s.server_busy_us = NsToUs(busy_ns);
   // All rates through SafeDiv: an all-shed trace has completions = 0 and can
   // even have duration 0 (every arrival stamped t=0), and the summary must
   // stay finite through JSON round-trips either way.

@@ -79,7 +79,7 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
   hooks.route = [&](const Request& request) {
     return streams_[static_cast<size_t>(request.client)].device;
   };
-  hooks.execute = [&](int, const Request& request, double now_us) {
+  hooks.execute = [&](int, const Request& request, int64_t now_ns) {
     const int64_t frame = request.id / num_streams;
     const SequenceFrame& sf = sequence.frames[static_cast<size_t>(frame)];
     SequenceSession& session = *streams_[static_cast<size_t>(request.client)].session;
@@ -93,17 +93,18 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
     ++(fr.incremental ? summary.frames_incremental : summary.frames_rebuilt);
     if (telemetry_ != nullptr) {
       telemetry_->series().Count(
-          fr.incremental ? "stream/frames_incremental" : "stream/frames_rebuilt", now_us, 1.0);
+          fr.incremental ? "stream/frames_incremental" : "stream/frames_rebuilt",
+          NsToUs(now_ns), 1.0);
     }
     return MeasureMember(fr.run.total, before, session.session().stats());
   };
   // A stale frame is dropped, which breaks its stream's incremental chain:
   // the stream's next served frame full-rebuilds.
   hooks.deadline_us = config_.frame_deadline_us;
-  hooks.on_drop = [&](const Request& request, double now_us) {
+  hooks.on_drop = [&](const Request& request, int64_t now_ns) {
     streams_[static_cast<size_t>(request.client)].session->ResetChain();
     if (telemetry_ != nullptr) {
-      telemetry_->series().Count("stream/frames_dropped", now_us, 1.0);
+      telemetry_->series().Count("stream/frames_dropped", NsToUs(now_ns), 1.0);
     }
   };
 
@@ -120,13 +121,6 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
 
   StreamServeSummary& summary = result.summary;
   summary.serve = served.summary.fleet;
-  double busy_us = 0.0;
-  for (const DeviceSummary& dev : served.summary.devices) {
-    busy_us += dev.summary.server_busy_us;
-  }
-  summary.serve.server_busy_us = busy_us;
-  summary.serve.utilization =
-      SafeDiv(busy_us, static_cast<double>(engines_.size()) * summary.serve.duration_us);
 
   std::vector<std::vector<double>> stream_latency(static_cast<size_t>(num_streams));
   for (const RequestRecord& record : result.requests) {

@@ -62,11 +62,13 @@ TEST(FleetTest, FleetOfOneMatchesSingleDeviceAccounting) {
   EXPECT_EQ(result.summary.fleet.completed, 3);
   ASSERT_EQ(result.summary.devices.size(), 1u);
   const DeviceSummary& dev = result.summary.devices[0];
-  // With one replica the device slice IS the fleet.
+  // With one replica the device slice IS the fleet — exactly: busy time has
+  // one definition (batch flights on the integer-ns clock).
   EXPECT_EQ(dev.summary.offered, result.summary.fleet.offered);
   EXPECT_EQ(dev.summary.completed, result.summary.fleet.completed);
   EXPECT_EQ(dev.summary.num_batches, result.summary.fleet.num_batches);
-  EXPECT_DOUBLE_EQ(dev.summary.utilization, result.summary.fleet.utilization);
+  EXPECT_EQ(dev.summary.server_busy_us, result.summary.fleet.server_busy_us);
+  EXPECT_EQ(dev.summary.utilization, result.summary.fleet.utilization);
   for (const RequestRecord& record : result.requests) {
     EXPECT_EQ(record.device, 0);
   }
@@ -130,19 +132,26 @@ TEST(FleetTest, HeterogeneousFleetReplaysBitIdentically) {
     EXPECT_EQ(a.requests[i].shed, b.requests[i].shed);
     EXPECT_EQ(a.requests[i].device, b.requests[i].device);
     EXPECT_EQ(a.requests[i].batch_id, b.requests[i].batch_id);
-    EXPECT_DOUBLE_EQ(a.requests[i].dispatch_us, b.requests[i].dispatch_us);
-    EXPECT_DOUBLE_EQ(a.requests[i].completion_us, b.requests[i].completion_us);
+    EXPECT_EQ(a.requests[i].dispatch_ns, b.requests[i].dispatch_ns);
+    EXPECT_EQ(a.requests[i].completion_ns, b.requests[i].completion_ns);
     EXPECT_DOUBLE_EQ(a.requests[i].service_cycles, b.requests[i].service_cycles);
   }
   ASSERT_EQ(a.batches.size(), b.batches.size());
   for (size_t i = 0; i < a.batches.size(); ++i) {
     EXPECT_EQ(a.batches[i].device, b.batches[i].device);
     EXPECT_EQ(a.batches[i].size, b.batches[i].size);
-    EXPECT_DOUBLE_EQ(a.batches[i].dispatch_us, b.batches[i].dispatch_us);
+    EXPECT_EQ(a.batches[i].dispatch_ns, b.batches[i].dispatch_ns);
     EXPECT_DOUBLE_EQ(a.batches[i].service_cycles, b.batches[i].service_cycles);
   }
   EXPECT_DOUBLE_EQ(a.summary.fleet.latency_p99_us, b.summary.fleet.latency_p99_us);
   EXPECT_DOUBLE_EQ(a.summary.plan_hit_asymmetry, b.summary.plan_hit_asymmetry);
+  // Busy time is defined once: the per-device busy times add up to the
+  // fleet's exactly on the serving clock's integer nanoseconds.
+  int64_t device_busy_ns = 0;
+  for (const DeviceSummary& dev : a.summary.devices) {
+    device_busy_ns += NsFromUs(dev.summary.server_busy_us);
+  }
+  EXPECT_EQ(device_busy_ns, NsFromUs(a.summary.fleet.server_busy_us));
   // A real fleet run: more than one replica actually served work.
   std::set<int> devices_used;
   for (const BatchRecord& batch : a.batches) {
@@ -193,7 +202,7 @@ TEST(FleetTest, PermutingIdenticalPresetsChangesOnlyLabels) {
   for (size_t i = 0; i < a.batches.size(); ++i) {
     EXPECT_EQ(a.batches[i].device, b.batches[i].device);
     EXPECT_EQ(a.batches[i].size, b.batches[i].size);
-    EXPECT_DOUBLE_EQ(a.batches[i].dispatch_us, b.batches[i].dispatch_us);
+    EXPECT_EQ(a.batches[i].dispatch_ns, b.batches[i].dispatch_ns);
   }
   ASSERT_EQ(a.summary.devices.size(), b.summary.devices.size());
   for (size_t k = 0; k < a.summary.devices.size(); ++k) {

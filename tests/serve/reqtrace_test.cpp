@@ -56,7 +56,7 @@ ExecPhaseCycles SomeCycles() {
 // to e2e — the invariant the recorder CHECKs at record time, re-asserted here
 // so a failure reads as a test diff instead of a process abort elsewhere.
 void ExpectCoherent(const PhaseTrace& t) {
-  EXPECT_EQ(t.SegmentSumNs(), t.e2e_ns);
+  EXPECT_EQ(t.SegmentSum(), t.e2e_ns);
   EXPECT_EQ(t.queue_ns, t.admission_ns + t.server_wait_ns + t.batch_delay_ns);
   EXPECT_EQ(t.exec_ns, t.map_ns + t.gather_ns + t.gemm_ns + t.scatter_ns + t.exec_other_ns);
   EXPECT_EQ(t.service_ns, t.exec_ns + t.stream_wait_ns);
@@ -68,41 +68,47 @@ void ExpectCoherent(const PhaseTrace& t) {
   }
 }
 
+// Microsecond inputs enter the serving clock through NsFromUs.
 TEST(ReqTraceNsTest, QuantisesToIntegerNanoseconds) {
-  EXPECT_EQ(Ns(0.0), 0);
-  EXPECT_EQ(Ns(1.5), 1500);
-  EXPECT_EQ(Ns(0.0004), 0);   // rounds, does not truncate
-  EXPECT_EQ(Ns(0.0006), 1);
+  EXPECT_EQ(NsFromUs(0.0), 0);
+  EXPECT_EQ(NsFromUs(1.5), 1500);
+  EXPECT_EQ(NsFromUs(0.0004), 0);   // rounds, does not truncate
+  EXPECT_EQ(NsFromUs(0.0006), 1);
   // Monotone over a jagged ascending sequence: quantised boundaries never
   // reorder events.
   double t = 0.0;
-  int64_t prev = Ns(t);
+  int64_t prev = NsFromUs(t);
   for (int i = 0; i < 1000; ++i) {
     t += 0.0101 * (1 + i % 7);
-    int64_t now = Ns(t);
+    int64_t now = NsFromUs(t);
     EXPECT_GE(now, prev);
     prev = now;
+  }
+  // Reporting edges round-trip: NsToUs loses no nanosecond.
+  for (int64_t ns : {int64_t{0}, int64_t{1}, int64_t{999}, int64_t{771509814},
+                     int64_t{123456789012345}}) {
+    EXPECT_EQ(NsFromUs(NsToUs(ns)), ns);
   }
 }
 
 TEST(ReqTraceRecorderTest, BusyIntegralTracksClosedAndPartialFlights) {
   ReqTraceRecorder rec;
   rec.Reset(2);
-  EXPECT_EQ(rec.BusyIntegralNs(0, Ns(50.0)), 0);
+  EXPECT_EQ(rec.BusyIntegral(0, 50000), 0);
 
-  rec.BeginBatch(0, 100.0);
+  rec.BeginBatch(0, 100000);
   // Mid-flight: the partial interval counts up to the query time.
-  EXPECT_EQ(rec.BusyIntegralNs(0, Ns(150.0)), 50000);
-  rec.EndBatch(0, 200.0);
-  EXPECT_EQ(rec.BusyIntegralNs(0, Ns(300.0)), 100000);
+  EXPECT_EQ(rec.BusyIntegral(0, 150000), 50000);
+  rec.EndBatch(0, 200000);
+  EXPECT_EQ(rec.BusyIntegral(0, 300000), 100000);
 
-  rec.BeginBatch(0, 400.0);
-  EXPECT_EQ(rec.BusyIntegralNs(0, Ns(450.0)), 150000);
-  rec.EndBatch(0, 460.0);
-  EXPECT_EQ(rec.BusyIntegralNs(0, Ns(500.0)), 160000);
+  rec.BeginBatch(0, 400000);
+  EXPECT_EQ(rec.BusyIntegral(0, 450000), 150000);
+  rec.EndBatch(0, 460000);
+  EXPECT_EQ(rec.BusyIntegral(0, 500000), 160000);
 
   // Device 1 never ran anything.
-  EXPECT_EQ(rec.BusyIntegralNs(1, Ns(500.0)), 0);
+  EXPECT_EQ(rec.BusyIntegral(1, 500000), 0);
 }
 
 TEST(ReqTraceRecorderTest, SplitsQueueIntoServerWaitAndBatchDelay) {
@@ -113,12 +119,12 @@ TEST(ReqTraceRecorderTest, SplitsQueueIntoServerWaitAndBatchDelay) {
   ReqTraceRecorder rec;
   rec.Reset(1);
 
-  rec.AdmitRequest(0, 1, 0.0);
-  PhaseTrace a = rec.FinalizeRequest(0, 1, 0.0, 0.0, 100.0, 100.0, SomeCycles());
-  rec.BeginBatch(0, 0.0);
-  rec.AdmitRequest(0, 2, 50.0);
-  rec.EndBatch(0, 100.0);
-  PhaseTrace b = rec.FinalizeRequest(0, 2, 50.0, 150.0, 250.0, 100.0, SomeCycles());
+  rec.AdmitRequest(0, 1, 0);
+  PhaseTrace a = rec.FinalizeRequest(0, 1, 0, 0, 100000, 100000, SomeCycles());
+  rec.BeginBatch(0, 0);
+  rec.AdmitRequest(0, 2, 50000);
+  rec.EndBatch(0, 100000);
+  PhaseTrace b = rec.FinalizeRequest(0, 2, 50000, 150000, 250000, 100000, SomeCycles());
 
   ExpectCoherent(a);
   EXPECT_EQ(a.queue_ns, 0);
@@ -139,10 +145,10 @@ TEST(ReqTraceRecorderTest, SameInstantDispatchHasZeroQueueSegments) {
   // guarantees the busy integral is closed, so every queue segment is 0.
   ReqTraceRecorder rec;
   rec.Reset(1);
-  rec.BeginBatch(0, 0.0);
-  rec.EndBatch(0, 75.0);
-  rec.AdmitRequest(0, 7, 75.0);
-  PhaseTrace t = rec.FinalizeRequest(0, 7, 75.0, 75.0, 135.0, 60.0, SomeCycles());
+  rec.BeginBatch(0, 0);
+  rec.EndBatch(0, 75000);
+  rec.AdmitRequest(0, 7, 75000);
+  PhaseTrace t = rec.FinalizeRequest(0, 7, 75000, 75000, 135000, 60000, SomeCycles());
   ExpectCoherent(t);
   EXPECT_EQ(t.queue_ns, 0);
   EXPECT_EQ(t.server_wait_ns, 0);
@@ -162,8 +168,8 @@ TEST(ReqTraceRecorderTest, ExecSplitSumsExactlyUnderAwkwardRounding) {
   c.gemm = 1.0;
   c.scatter = 1.0;
   c.other = 3.0;
-  rec.AdmitRequest(0, 1, 0.0);
-  PhaseTrace t = rec.FinalizeRequest(0, 1, 0.0, 0.0, 1.000001, 1.000001, c);
+  rec.AdmitRequest(0, 1, 0);
+  PhaseTrace t = rec.FinalizeRequest(0, 1, 0, 0, 1000, 1000, c);
   ExpectCoherent(t);
   EXPECT_EQ(t.map_ns + t.gather_ns + t.gemm_ns + t.scatter_ns + t.exec_other_ns, t.exec_ns);
   // 3/7 of the total lands in "other" — the proportional split is real, not
@@ -174,8 +180,8 @@ TEST(ReqTraceRecorderTest, ExecSplitSumsExactlyUnderAwkwardRounding) {
 TEST(ReqTraceRecorderTest, ZeroCycleBreakdownFallsBackToExecOther) {
   ReqTraceRecorder rec;
   rec.Reset(1);
-  rec.AdmitRequest(0, 1, 0.0);
-  PhaseTrace t = rec.FinalizeRequest(0, 1, 0.0, 0.0, 40.0, 40.0, ExecPhaseCycles{});
+  rec.AdmitRequest(0, 1, 0);
+  PhaseTrace t = rec.FinalizeRequest(0, 1, 0, 0, 40000, 40000, ExecPhaseCycles{});
   ExpectCoherent(t);
   EXPECT_EQ(t.map_ns, 0);
   EXPECT_EQ(t.gather_ns, 0);
@@ -189,8 +195,8 @@ TEST(ReqTraceRecorderTest, StreamWaitAbsorbsBatchMakespanBeyondOwnExecution) {
   // until the batch's makespan ends: the residual is stream wait.
   ReqTraceRecorder rec;
   rec.Reset(1);
-  rec.AdmitRequest(0, 1, 0.0);
-  PhaseTrace t = rec.FinalizeRequest(0, 1, 0.0, 10.0, 210.0, 80.0, SomeCycles());
+  rec.AdmitRequest(0, 1, 0);
+  PhaseTrace t = rec.FinalizeRequest(0, 1, 0, 10000, 210000, 80000, SomeCycles());
   ExpectCoherent(t);
   EXPECT_EQ(t.exec_ns, 80000);
   EXPECT_EQ(t.stream_wait_ns, 120000);
@@ -200,7 +206,7 @@ TEST(ReqTraceRecorderTest, StreamWaitAbsorbsBatchMakespanBeyondOwnExecution) {
 TEST(ReqTraceFleetTest, EveryCompletedRequestObeysTheSegmentSumInvariant) {
   // A saturated 2-replica fleet with tight queues: sheds, multi-member
   // batches, warm and cold plans. Every completed record's segments must sum
-  // to its e2e latency, which in turn must equal the quantised clock span.
+  // to its e2e latency, which in turn must equal the clock span.
   auto e0 = NewEngine(MakeRtx3090());
   auto e1 = NewEngine(MakeA100());
   TraceConfig arrival;
@@ -220,15 +226,15 @@ TEST(ReqTraceFleetTest, EveryCompletedRequestObeysTheSegmentSumInvariant) {
     const PhaseTrace& t = record.trace;
     if (record.shed) {
       ++shed;
-      EXPECT_EQ(t.SegmentSumNs(), 0);
+      EXPECT_EQ(t.SegmentSum(), 0);
       EXPECT_EQ(t.e2e_ns, 0);
       continue;
     }
     ++completed;
     ExpectCoherent(t);
-    EXPECT_EQ(t.e2e_ns, Ns(record.completion_us) - Ns(record.request.arrival_us));
-    EXPECT_EQ(t.queue_ns, Ns(record.dispatch_us) - Ns(record.request.arrival_us));
-    EXPECT_EQ(t.service_ns, Ns(record.completion_us) - Ns(record.dispatch_us));
+    EXPECT_EQ(t.e2e_ns, record.completion_ns - record.arrival_ns);
+    EXPECT_EQ(t.queue_ns, record.dispatch_ns - record.arrival_ns);
+    EXPECT_EQ(t.service_ns, record.completion_ns - record.dispatch_ns);
   }
   // The workload actually exercised both sides of the invariant.
   EXPECT_GT(completed, 0);
@@ -244,7 +250,7 @@ TEST(ReqTraceFleetTest, ZeroCapacityAllShedRunKeepsTracesZero) {
   ASSERT_EQ(result.requests.size(), 3u);
   for (const RequestRecord& record : result.requests) {
     EXPECT_TRUE(record.shed);
-    EXPECT_EQ(record.trace.SegmentSumNs(), 0);
+    EXPECT_EQ(record.trace.SegmentSum(), 0);
     EXPECT_EQ(record.trace.e2e_ns, 0);
   }
   // The dump still renders: a header counting 3 requests, all flagged shed.

@@ -129,11 +129,11 @@ TEST_F(SchedulerTest, SingleRequestDispatchesImmediately) {
   EXPECT_FALSE(record.shed);
   EXPECT_FALSE(record.warm);  // first sight of the cloud records the plan
   // No other arrival can top the batch up, so dispatch is immediate.
-  EXPECT_DOUBLE_EQ(record.QueueUs(), 0.0);
-  EXPECT_GT(record.ServiceUs(), 0.0);
+  EXPECT_EQ(record.dispatch_ns, 0);
+  EXPECT_GT(record.completion_ns, 0);
   EXPECT_EQ(result.summary.completed, 1);
   EXPECT_EQ(result.summary.num_batches, 1);
-  EXPECT_DOUBLE_EQ(result.summary.duration_us, record.completion_us);
+  EXPECT_EQ(result.summary.duration_us, NsToUs(record.completion_ns));
 }
 
 TEST_F(SchedulerTest, BurstBeyondQueueShedsExactlyTheOverflow) {
@@ -184,7 +184,7 @@ TEST_F(SchedulerTest, PartialBatchWaitsOutMaxQueueDelay) {
   // the first request dispatches exactly when its delay timer expires.
   ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 500000.0)});
   ASSERT_EQ(result.requests.size(), 2u);
-  EXPECT_DOUBLE_EQ(result.requests[0].dispatch_us, 2000.0);
+  EXPECT_EQ(result.requests[0].dispatch_ns, 2000000);
   EXPECT_EQ(result.summary.num_batches, 2);
 }
 
@@ -203,12 +203,12 @@ TEST_F(SchedulerTest, ExpiredTimerBatchIsFrozenAgainstSameInstantArrivals) {
   // r1 dispatches early. Golden sequence: r0 alone at 1000, r1 later.
   ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 1000.0), Req(2, 500000.0)});
   ASSERT_EQ(result.requests.size(), 3u);
-  EXPECT_DOUBLE_EQ(result.requests[0].dispatch_us, 1000.0);
+  EXPECT_EQ(result.requests[0].dispatch_ns, 1000000);
   ASSERT_GE(result.batches.size(), 2u);
   EXPECT_EQ(result.batches[0].size, 1);
   EXPECT_NE(result.requests[1].batch_id, result.requests[0].batch_id);
   // r1 waits out its own timer (2000) or until the server frees up.
-  EXPECT_GE(result.requests[1].dispatch_us, 2000.0);
+  EXPECT_GE(result.requests[1].dispatch_ns, 2000000);
   EXPECT_EQ(result.summary.completed, 3);
 }
 
@@ -226,7 +226,7 @@ TEST_F(SchedulerTest, ZeroQueueDelayStillDispatchesSameInstantBatches) {
   EXPECT_EQ(result.summary.completed, 2);
   ASSERT_EQ(result.batches.size(), 1u);
   EXPECT_EQ(result.batches[0].size, 2);
-  EXPECT_DOUBLE_EQ(result.batches[0].dispatch_us, 0.0);
+  EXPECT_EQ(result.batches[0].dispatch_ns, 0);
 }
 
 TEST_F(SchedulerTest, FullBatchOverlapsOnTheStreamPool) {
@@ -251,7 +251,7 @@ TEST_F(SchedulerTest, FullBatchOverlapsOnTheStreamPool) {
     critical = std::max(critical, record.service_cycles);
     EXPECT_EQ(record.batch_id, batch.id);
     // The whole batch completes together.
-    EXPECT_DOUBLE_EQ(record.completion_us, batch.completion_us);
+    EXPECT_EQ(record.completion_ns, batch.completion_ns);
   }
   EXPECT_GE(batch.service_cycles, critical);
 }
@@ -266,10 +266,10 @@ TEST_F(SchedulerTest, PriorityPolicyServesUrgentFirst) {
                                       Req(2, 0.0, 300, 1), Req(3, 0.0, 300, 0)});
   ASSERT_EQ(result.requests.size(), 4u);
   // Priority-0 requests (ids 1, 3) dispatch before every priority-1 request.
-  EXPECT_LT(result.requests[1].dispatch_us, result.requests[0].dispatch_us);
-  EXPECT_LT(result.requests[3].dispatch_us, result.requests[0].dispatch_us);
-  EXPECT_LT(result.requests[1].dispatch_us, result.requests[2].dispatch_us);
-  EXPECT_LT(result.requests[3].dispatch_us, result.requests[2].dispatch_us);
+  EXPECT_LT(result.requests[1].dispatch_ns, result.requests[0].dispatch_ns);
+  EXPECT_LT(result.requests[3].dispatch_ns, result.requests[0].dispatch_ns);
+  EXPECT_LT(result.requests[1].dispatch_ns, result.requests[2].dispatch_ns);
+  EXPECT_LT(result.requests[3].dispatch_ns, result.requests[2].dispatch_ns);
 }
 
 TEST_F(SchedulerTest, SjfPolicyServesSmallRequestsFirst) {
@@ -280,7 +280,7 @@ TEST_F(SchedulerTest, SjfPolicyServesSmallRequestsFirst) {
   ServeScheduler scheduler(*engine, config);
   ServeResult result = scheduler.Run({Req(0, 0.0, 900), Req(1, 0.0, 150)});
   ASSERT_EQ(result.requests.size(), 2u);
-  EXPECT_LT(result.requests[1].dispatch_us, result.requests[0].dispatch_us);
+  EXPECT_LT(result.requests[1].dispatch_ns, result.requests[0].dispatch_ns);
 }
 
 TEST_F(SchedulerTest, RepeatedShapeServedWarm) {
@@ -334,15 +334,15 @@ TEST_F(SchedulerTest, WarmRunsAreBitIdentical) {
     EXPECT_EQ(a.requests[i].request.id, b.requests[i].request.id);
     EXPECT_EQ(a.requests[i].shed, b.requests[i].shed);
     EXPECT_EQ(a.requests[i].batch_id, b.requests[i].batch_id);
-    EXPECT_DOUBLE_EQ(a.requests[i].dispatch_us, b.requests[i].dispatch_us);
-    EXPECT_DOUBLE_EQ(a.requests[i].completion_us, b.requests[i].completion_us);
+    EXPECT_EQ(a.requests[i].dispatch_ns, b.requests[i].dispatch_ns);
+    EXPECT_EQ(a.requests[i].completion_ns, b.requests[i].completion_ns);
     EXPECT_DOUBLE_EQ(a.requests[i].service_cycles, b.requests[i].service_cycles);
   }
   ASSERT_EQ(a.batches.size(), b.batches.size());
   for (size_t i = 0; i < a.batches.size(); ++i) {
     EXPECT_EQ(a.batches[i].size, b.batches[i].size);
     EXPECT_EQ(a.batches[i].batch_class, b.batches[i].batch_class);
-    EXPECT_DOUBLE_EQ(a.batches[i].dispatch_us, b.batches[i].dispatch_us);
+    EXPECT_EQ(a.batches[i].dispatch_ns, b.batches[i].dispatch_ns);
     EXPECT_DOUBLE_EQ(a.batches[i].service_cycles, b.batches[i].service_cycles);
   }
   EXPECT_DOUBLE_EQ(a.summary.latency_p99_us, b.summary.latency_p99_us);
@@ -381,20 +381,22 @@ TEST(SummarizeTest, CountsSloAndRates) {
   std::vector<RequestRecord> records(3);
   // Within SLO.
   records[0].request = Req(0, 0.0);
-  records[0].dispatch_us = 10.0;
-  records[0].completion_us = 60.0;
+  records[0].dispatch_ns = 10000;
+  records[0].completion_ns = 60000;
   // Misses SLO (latency 400 us).
   records[1].request = Req(1, 100.0);
-  records[1].dispatch_us = 300.0;
-  records[1].completion_us = 500.0;
+  records[1].arrival_ns = 100000;
+  records[1].dispatch_ns = 300000;
+  records[1].completion_ns = 500000;
   // Shed.
   records[2].request = Req(2, 200.0);
+  records[2].arrival_ns = 200000;
   records[2].shed = true;
 
   BatchRecord batch;
   batch.size = 2;
-  batch.dispatch_us = 10.0;
-  batch.completion_us = 60.0;
+  batch.dispatch_ns = 10000;
+  batch.completion_ns = 60000;
 
   ServeSummary s = Summarize(records, {batch}, config);
   EXPECT_EQ(s.offered, 3);

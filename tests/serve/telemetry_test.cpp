@@ -195,7 +195,7 @@ TEST(ServeTelemetryTest, TelemetryChangesNoSimulatedStatistics) {
     EXPECT_EQ(ra.device, rb.device);
     EXPECT_EQ(ra.batch_id, rb.batch_id);
     EXPECT_EQ(ra.shed, rb.shed);
-    EXPECT_DOUBLE_EQ(ra.completion_us, rb.completion_us);
+    EXPECT_EQ(ra.completion_ns, rb.completion_ns);
   }
   ASSERT_EQ(with.result.batches.size(), bare.batches.size());
   for (size_t i = 0; i < with.result.batches.size(); ++i) {
