@@ -206,9 +206,6 @@ int FleetScheduler::Route(const Request& request, const ServeHooks& hooks) {
 }
 
 FleetResult FleetScheduler::Run(std::vector<Request> trace, const ServeHooks& hooks) {
-  std::stable_sort(trace.begin(), trace.end(), [](const Request& a, const Request& b) {
-    return a.arrival_us != b.arrival_us ? a.arrival_us < b.arrival_us : a.id < b.id;
-  });
   return RunLoop(std::move(trace), nullptr, hooks);
 }
 

@@ -22,9 +22,10 @@
 //                   whichever (possibly slower) replica will finish them
 //                   first instead of queueing behind big jobs on the big GPU.
 //
-// Determinism across the fleet: the event-driven virtual clock of the
-// single-device scheduler extends to one merged, timestamp-ordered event
-// stream. At equal timestamps the order is fixed — batch completions first
+// Determinism across the fleet: the event-driven virtual clock (integer
+// nanoseconds, src/serve/request.h) of the single-device scheduler extends
+// to one merged, timestamp-ordered event stream. At equal timestamps the
+// order is fixed — batch completions first
 // (ascending device id), then request arrivals (ascending request id), then
 // batch dispatches (ascending device id) — so every run of the same (trace,
 // pool, policy) is bit-identical and bench/byte_compare.sh extends to fleet
@@ -33,9 +34,12 @@
 // already-expired timer is sequenced after that dispatch and cannot ride the
 // departing batch (see DecideDispatch).
 //
-// The single-device ServeScheduler is a fleet of one: scheduler.cpp
-// delegates to this loop, so both paths share one implementation of
-// admission, batching, the delay timer, and SLO accounting.
+// This loop is the only serving event loop. The single-device ServeScheduler
+// is a fleet of one, and the video-rate StreamScheduler (stream.h) is a
+// traffic source on it: ServeHooks carry what differs per source — routing,
+// the per-replica executor, and a dispatch deadline — so every path shares
+// one implementation of admission, batching, the delay timer, tracing,
+// telemetry and SLO accounting.
 #ifndef SRC_SERVE_FLEET_H_
 #define SRC_SERVE_FLEET_H_
 
@@ -209,7 +213,8 @@ class FleetScheduler {
  public:
   FleetScheduler(std::vector<Engine*> engines, const FleetConfig& config);
 
-  // Serves a pre-generated open-loop trace (sorted internally).
+  // Serves a pre-generated open-loop trace, in any order (the loop's arrival
+  // heap orders it by arrival instant, then request id).
   FleetResult Run(std::vector<Request> trace, const ServeHooks& hooks = {});
   // Open-loop processes delegate to GenerateArrivalTrace; kClosedLoop drives
   // the client pool against the whole fleet.

@@ -52,8 +52,8 @@
 // trivially and blame reports count them separately.
 //
 // ReqTraceRecorder is the loop-side recorder: the fleet scheduler owns one
-// per run and drives it from the same branches that build RequestRecords, so
-// the trace can never disagree with the report. Recording is always on — the
+// per run and drives it, in serving-clock nanoseconds, from the same branches
+// that build RequestRecords, so the trace can never disagree with the report. Recording is always on — the
 // invariant is checked on every request of every run; only the JSONL dump
 // (WriteRequestDump) is opt-in.
 #ifndef SRC_SERVE_REQTRACE_H_

@@ -1,9 +1,10 @@
 // Deterministic event-driven request scheduler with dynamic batching,
 // admission control and SLO accounting.
 //
-// The scheduler advances a virtual serving clock (microseconds) over three
-// event kinds, processed in a fixed order at equal timestamps so every run of
-// the same (trace, config, engine) is bit-identical:
+// The scheduler advances a virtual serving clock (integer nanoseconds; see
+// src/serve/request.h) over three event kinds, processed in a fixed order at
+// equal timestamps so every run of the same (trace, config, engine) is
+// bit-identical:
 //
 //   1. batch completion  — the server frees up,
 //   2. request arrival   — admit into the bounded queue or shed on overflow,
@@ -76,7 +77,9 @@ struct SchedulerConfig {
 };
 
 // Aggregate accounting over one scheduler run. All times are serving-clock
-// microseconds; percentiles cover completed requests only. Degenerate runs
+// microseconds; percentiles cover completed requests only. Busy time is the
+// sum of the batch records' flights (completion - dispatch), so per-device
+// busy times add up to the fleet's exactly. Degenerate runs
 // (nothing offered, everything shed, zero duration) report 0 for every rate
 // and percentile — never NaN/Inf, which JSON would decay to null.
 struct ServeSummary {

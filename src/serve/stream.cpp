@@ -54,7 +54,6 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
   scfg.max_batch_size = 1;
   scfg.max_queue_delay_us = 0.0;
   scfg.slo_us = config_.frame_deadline_us;
-  scfg.seed = sequence.config.seed;
 
   // The frames as an ordinary request trace: frame f of stream s arrives at
   // f * frame_period_us as request f * num_streams + s.

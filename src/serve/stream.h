@@ -24,11 +24,15 @@
 // stream id), one frame per dispatch — batching across streams would let a
 // fat batch blow every member's deadline.
 //
-// Determinism: virtual clock, fixed event order at equal timestamps
-// (completions by device, then the frame's arrivals by stream, then
-// dispatches by device), clouds materialised from the seeded sequence. Two
-// runs of one (sequence, config, pool) produce byte-identical reports,
-// request dumps, and telemetry timelines.
+// StreamScheduler is a traffic source, not a second scheduler: Run() turns
+// the frames into an ordinary request trace and serves it on the fleet's
+// event loop (src/serve/fleet.h) with three ServeHooks — pinned routing, an
+// executor that runs SequenceSession::RunFrame, and the frame deadline. The
+// loop's integer-ns clock, tie order (completions by device, then arrivals
+// by request id, then dispatches by device), tracing, telemetry and
+// cooperative stop all apply unchanged: two runs of one (sequence, config,
+// pool) produce byte-identical reports, request dumps and timelines, and a
+// stop request (Ctrl-C in minuet_serve) drains the run.
 //
 // SLO: alongside the usual latency accounting (slo == the frame deadline),
 // the scenario's headline verdict is the frames-dropped SLO — dropped /

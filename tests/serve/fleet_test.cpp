@@ -359,6 +359,49 @@ TEST(FleetTest, TiersSplitByPriority) {
   EXPECT_GT(result.summary.tiers[1].latency_p99_us, 0.0);
 }
 
+// The executor seam: a fake that charges every member a fixed cycle count
+// makes every timestamp computable by hand on the integer-ns clock. A
+// zero-deadline hook then sheds every request that cannot start on arrival.
+TEST(FleetTest, FakeExecutorRunsOnTheIntegerClock) {
+  auto engine = NewEngine(MakeRtx3090());
+  FleetConfig config;
+  config.scheduler.max_batch_size = 1;
+  FleetScheduler fleet({engine.get()}, config);
+  ServeHooks hooks;
+  hooks.execute = [](int, const Request&, int64_t) {
+    MemberRun run;
+    run.cycles.elementwise = 1e6;
+    return run;
+  };
+  const int64_t service_ns = NsFromCycles(engine->device().config(), 1e6);
+  ASSERT_GT(service_ns, 10000);
+  const std::vector<Request> trace = {Req(0, 0.0), Req(1, 0.0), Req(2, 10.0)};
+
+  FleetResult result = fleet.Run(trace, hooks);
+  ASSERT_EQ(result.requests.size(), 3u);
+  for (int64_t i = 0; i < 3; ++i) {
+    const RequestRecord& record = result.requests[static_cast<size_t>(i)];
+    EXPECT_EQ(record.dispatch_ns, i * service_ns);
+    EXPECT_EQ(record.completion_ns, (i + 1) * service_ns);
+    EXPECT_EQ(record.trace.exec_other_ns, service_ns);
+  }
+  EXPECT_EQ(result.summary.fleet.server_busy_us, NsToUs(3 * service_ns));
+  EXPECT_EQ(result.summary.fleet.utilization, 1.0);
+
+  int64_t dropped = 0;
+  hooks.deadline_us = 0.0;
+  hooks.on_drop = [&](const Request&, int64_t now_ns) {
+    EXPECT_EQ(now_ns, service_ns);
+    ++dropped;
+  };
+  result = fleet.Run(trace, hooks);
+  EXPECT_EQ(dropped, 2);
+  EXPECT_EQ(result.summary.fleet.completed, 1);
+  EXPECT_EQ(result.summary.fleet.shed, 2);
+  EXPECT_TRUE(result.requests[1].shed);
+  EXPECT_TRUE(result.requests[2].shed);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace minuet
