@@ -26,7 +26,8 @@ void ThresholdSweep(bench::JsonReport& report) {
   bench::Rule();
   auto coords = GenerateCoords(DatasetKind::kKitti, 60000, 6);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map = CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets);
+  KernelMap map =
+      CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets, nullptr);
   std::vector<int64_t> sizes = map.EntryCounts();
   for (double threshold : {0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0}) {
     GroupingPlan plan = PlanGemmGroups(sizes, GroupingStrategy::kSortedOrder, threshold);
@@ -55,7 +56,8 @@ void StreamPoolSweep(bench::JsonReport& report) {
   bench::Rule();
   auto coords = GenerateCoords(DatasetKind::kS3dis, 60000, 6);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map = CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets);
+  KernelMap map =
+      CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets, nullptr);
   GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder, 0.25);
   for (int s : {1, 2, 4, 8, 16}) {
     Device device(MakeRtx3090());
@@ -79,17 +81,18 @@ void LoadFactorSweep(bench::JsonReport& report) {
   bench::Row("%-10s %-14s %12s %12s %10s", "load", "table", "build(ms)", "query(ms)", "L2 hit");
   bench::Rule();
   auto coords = GenerateCoords(DatasetKind::kRandom, 400000, 6);
-  auto keys = PackCoords(coords);
-  std::vector<uint32_t> results(keys.size());
+  const std::vector<uint64_t> host_keys = PackCoords(coords);
   for (double load : {0.25, 0.5, 0.75}) {
     for (int table_kind = 0; table_kind < 2; ++table_kind) {
+      Device device(MakeRtx3090());
+      const DeviceVector<uint64_t> keys = ToDevice(device.memory(), host_keys);
+      DeviceVector<uint32_t> results(keys.size(), device.memory());
       std::unique_ptr<HashTableBase> table;
       if (table_kind == 0) {
         table = std::make_unique<LinearProbeHashTable>(load);
       } else {
         table = std::make_unique<CuckooHashTable>(load);
       }
-      Device device(MakeRtx3090());
       KernelStats build = table->Build(device, keys);
       KernelStats query = table->Query(device, keys, results);
       bench::Row("%-10.2f %-14s %12.3f %12.3f %9.1f%%", load, table->name(),

@@ -3,11 +3,9 @@
 #
 #   bench/byte_compare.sh BUILD_A [BUILD_B]
 #
-# Runs fig03 + fig12 (both under --deterministic, so cache statistics do not
-# depend on allocator layout or ASLR) and the pinned-arrivals serve smokes —
-# single-device, a 2-replica heterogeneous fleet, an overloaded fleet with
-# streaming telemetry, and a pinned video-rate stream replay with incremental
-# kernel maps (deterministic addressing is the serving default) — out
+# Runs fig03 + fig12 and the pinned-arrivals serve smokes — single-device, a
+# 2-replica heterogeneous fleet, an overloaded fleet with streaming telemetry,
+# and a pinned video-rate stream replay with incremental kernel maps — out
 # of each build tree, then diffs every JSON artifact after stripping
 # host-clock data:
 #   - any object key containing "host" or "wall" (case-insensitive), the same
@@ -23,22 +21,13 @@
 # host state leak into window contents, alert ordering, or request phase
 # segments fails here.
 #
-# With one argument the suite runs twice out of the same build, which catches
-# run-to-run nondeterminism (the serve-smoke CI check, extended to benches).
-# With two arguments it is the host-optimisation gate: a host-side change may
-# make the simulator faster, never change what it simulates.
-#
-# History: fig03/fig12 used to mismatch intermittently (~1 run in 3) in
-# TorchSparse-prefixed keys only. Root cause: deterministic_addressing
-# renumbers 16-byte granules by first touch, which is independent of address
-# *values* but not address *identity* — a fresh allocation landing on a
-# previously-munmap'd range inherits that range's granule ids. glibc serves
-# the TorchSparse path's multi-MB transient buffers (the K^3|Q| query array,
-# cuckoo slabs) via mmap, whose kernel placement shifts with ASLR, so whether
-# ranges were recycled differed per process. Fixed host-side: binaries that
-# byte-compare across processes call PinHostHeapForReplay() (mallopt
-# M_MMAP_MAX=0, src/gpusim/device_config.cpp) so every allocation replays
-# through the brk arena, whose reuse depends only on the request sequence.
+# With one argument the suite runs twice out of the same build, the second
+# time under GLIBC_TUNABLES=glibc.malloc.tcache_count=0, which reshuffles the
+# host heap: simulated statistics must not notice, because the cache model
+# keys on each device's own addresses (src/gpusim/device_memory.h), never on
+# host pointers. With two arguments it is the host-optimisation gate: a
+# host-side change may make the simulator faster, never change what it
+# simulates.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -57,9 +46,9 @@ export MINUET_BENCH_POINTS=${MINUET_BENCH_POINTS:-8000}
 
 run_suite() {
   local build=$1 out=$2
-  "$build/bench/fig03_map_l2_hitratio" --deterministic \
+  "$build/bench/fig03_map_l2_hitratio" \
     --json="$out/fig03.json" --metrics="$out/fig03_metrics.json" > /dev/null
-  "$build/bench/fig12_end_to_end" --deterministic \
+  "$build/bench/fig12_end_to_end" \
     --json="$out/fig12.json" --metrics="$out/fig12_metrics.json" > /dev/null
   "$build/tools/minuet_serve" --process poisson --rate 6000 --requests 80 \
     --seed 29 --dump-arrivals "$out/arrivals.json" > /dev/null
@@ -91,8 +80,13 @@ run_suite() {
 
 echo "byte_compare: running suite from $BUILD_A"
 run_suite "$BUILD_A" "$WORK/a"
-echo "byte_compare: running suite from $BUILD_B"
-run_suite "$BUILD_B" "$WORK/b"
+if [[ $# -eq 1 ]]; then
+  echo "byte_compare: running suite from $BUILD_B with a perturbed host heap"
+  GLIBC_TUNABLES=glibc.malloc.tcache_count=0 run_suite "$BUILD_B" "$WORK/b"
+else
+  echo "byte_compare: running suite from $BUILD_B"
+  run_suite "$BUILD_B" "$WORK/b"
+fi
 
 FILTER="$WORK/filter.py"
 cat > "$FILTER" <<'PY'

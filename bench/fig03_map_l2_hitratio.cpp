@@ -3,9 +3,6 @@
 // as the number of input points grows (RTX 3090 model).
 //
 // Flags beyond the shared --json=FILE:
-//   --deterministic   run the simulator with deterministic_addressing, so the
-//                     emitted statistics are reproducible across builds and
-//                     ASLR (used by bench/byte_compare.sh).
 //   --metrics=FILE    dump every implementation's device counters into one
 //                     metrics-registry snapshot, one prefix per (points, impl).
 #include <cstdio>
@@ -26,22 +23,15 @@
 namespace minuet {
 namespace {
 
-void Run(const std::vector<int64_t>& sizes, bench::JsonReport& report, bool deterministic,
+void Run(const std::vector<int64_t>& sizes, bench::JsonReport& report,
          trace::MetricsRegistry* metrics) {
   auto offsets = MakeWeightOffsets(3, 1);
-  DeviceConfig config = MakeRtx3090();
-  config.deterministic_addressing = deterministic;
+  const DeviceConfig config = MakeRtx3090();
   bench::Row("%-10s %-24s %10s", "points", "implementation", "L2 hit");
   bench::Rule();
   for (int64_t n : sizes) {
     auto coords = GenerateCoords(DatasetKind::kRandom, n, /*seed=*/3);
     auto keys = PackCoords(coords);
-    MapBuildInput input;
-    input.source_keys = keys;
-    input.output_keys = keys;
-    input.offsets = offsets;
-    input.source_sorted = true;
-    input.output_sorted = true;
 
     struct Impl {
       const char* label;
@@ -57,6 +47,13 @@ void Run(const std::vector<int64_t>& sizes, bench::JsonReport& report, bool dete
     impls.push_back({"Minuet(ours)", std::make_unique<MinuetMapBuilder>()});
     for (auto& impl : impls) {
       Device device(config);
+      const DeviceVector<uint64_t> device_keys = ToDevice(device.memory(), keys);
+      MapBuildInput input;
+      input.source_keys = device_keys;
+      input.output_keys = device_keys;
+      input.offsets = offsets;
+      input.source_sorted = true;
+      input.output_sorted = true;
       MapBuildResult result = impl.builder->Build(device, input);
       bench::Row("%-10lld %-24s %9.1f%%", static_cast<long long>(n), impl.label,
                  100.0 * result.lookup_stats.L2HitRatio());
@@ -79,13 +76,10 @@ void Run(const std::vector<int64_t>& sizes, bench::JsonReport& report, bool dete
 int main(int argc, char** argv) {
   using namespace minuet;
   bench::JsonReport report("fig03_map_l2_hitratio", argc, argv);
-  bool deterministic = false;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--deterministic") {
-      deterministic = true;
-    } else if (arg.rfind("--metrics=", 0) == 0) {
+    if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
@@ -95,12 +89,8 @@ int main(int argc, char** argv) {
                     "L2 hit ratio of kernel-map building (lookup kernels), random clouds");
   bench::PrintNote("point counts scaled ~5x down from the paper (1e5..5e6 -> 2e4..1e6)");
   report.Meta("device", std::string("RTX 3090"));
-  if (deterministic) {
-    PinHostHeapForReplay();  // byte-compared across processes (byte_compare.sh)
-    report.Meta("deterministic_addressing", static_cast<int64_t>(1));
-  }
   trace::MetricsRegistry metrics;
-  Run({20000, 50000, 100000, 200000, 500000, 1000000}, report, deterministic,
+  Run({20000, 50000, 100000, 200000, 500000, 1000000}, report,
       metrics_path.empty() ? nullptr : &metrics);
   if (!metrics_path.empty() && !metrics.WriteSnapshot(metrics_path)) {
     std::fprintf(stderr, "could not write %s\n", metrics_path.c_str());

@@ -20,8 +20,8 @@ namespace {
 MetadataTables TablesFor(Device& device, DatasetKind dataset, int64_t points) {
   auto coords = GenerateCoords(dataset, points, /*seed=*/4);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map =
-      CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets);
+  KernelMap map = CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets,
+                                       device.memory());
   GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder);
   return BuildMetadataTables(device, map, plan, static_cast<int64_t>(coords.size()),
                              static_cast<int64_t>(coords.size()), nullptr);
@@ -29,18 +29,23 @@ MetadataTables TablesFor(Device& device, DatasetKind dataset, int64_t points) {
 
 void SweepTiles(const DeviceConfig& config, const MetadataTables& tables, int64_t channels,
                 const char* label, const char* section, bench::JsonReport& report) {
-  FeatureMatrix features(tables.num_inputs, channels);
-  FeatureMatrix buffer(tables.buffer_rows, channels);
   std::printf("%-28s", label);
   double best = 0.0;
   int best_tile = 0;
   std::vector<std::pair<int, double>> rows;
   for (int tile : CandidateTileSizes(channels)) {
+    // A fresh device per tile (cold L2), holding its own copy of the tables.
     Device device(config);
+    MetadataTables on_device = tables;
+    on_device.imt = ToDevice(device.memory(), tables.imt);
+    on_device.omt = ToDevice(device.memory(), tables.omt);
+    FeatureMatrix features(tables.num_inputs, channels, 0.0f, device.memory());
+    FeatureMatrix buffer(tables.buffer_rows, channels, 0.0f, device.memory());
     TileKernelConfig cfg;
     cfg.tile_size = tile;
     cfg.functional = false;
-    double ms = config.CyclesToMillis(GatherKernel(device, tables, features, buffer, cfg).cycles);
+    double ms =
+        config.CyclesToMillis(GatherKernel(device, on_device, features, buffer, cfg).cycles);
     rows.emplace_back(tile, ms);
     if (best == 0.0 || ms < best) {
       best = ms;

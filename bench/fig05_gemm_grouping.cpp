@@ -40,7 +40,7 @@ void Run(bench::JsonReport& report) {
   for (DatasetKind dataset : AllRealDatasets()) {
     auto coords = GenerateCoords(dataset, points, /*seed=*/6);
     KernelMap map =
-        CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets);
+        CompactPositionTable(ReferenceMapPositions(coords, coords, offsets), offsets, nullptr);
     std::vector<int64_t> sizes = map.EntryCounts();
 
     struct Case {

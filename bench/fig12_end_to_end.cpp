@@ -3,9 +3,6 @@
 // model), plus a GPU-architecture sweep on MinkUNet42/kitti.
 //
 // Flags beyond the shared --json=FILE:
-//   --deterministic   run every engine with deterministic_addressing, so the
-//                     emitted statistics are reproducible across builds and
-//                     ASLR (used by bench/byte_compare.sh).
 //   --metrics=FILE    dump each engine run's device counters into one
 //                     metrics-registry snapshot, one prefix per run.
 #include <cstdio>
@@ -23,7 +20,6 @@ namespace minuet {
 namespace {
 
 struct RunOptions {
-  bool deterministic = false;
   trace::MetricsRegistry* metrics = nullptr;
 };
 
@@ -33,10 +29,7 @@ double RunEndToEnd(EngineKind kind, const Network& net, const PointCloud& cloud,
   EngineConfig config;
   config.kind = kind;
   config.functional = false;
-  DeviceConfig device_config = device;
-  device_config.deterministic_addressing =
-      device_config.deterministic_addressing || options.deterministic;
-  Engine engine(config, device_config);
+  Engine engine(config, device);
   engine.Prepare(net, /*seed=*/5);
   if (kind == EngineKind::kMinuet) {
     engine.Autotune(sample);  // excluded from timing, as in the paper
@@ -159,9 +152,7 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--deterministic") {
-      options.deterministic = true;
-    } else if (arg.rfind("--metrics=", 0) == 0) {
+    if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
@@ -170,10 +161,6 @@ int main(int argc, char** argv) {
   bench::PrintTitle("Figure 12", "End-to-end speedup across networks, datasets and GPUs");
   bench::PrintNote("100K-point clouds (MINUET_BENCH_POINTS overrides), timing-only mode;");
   bench::PrintNote("Minuet autotuned per layer beforehand (tuning excluded, as in the paper)");
-  if (options.deterministic) {
-    PinHostHeapForReplay();  // byte-compared across processes (byte_compare.sh)
-    report.Meta("deterministic_addressing", static_cast<int64_t>(1));
-  }
   trace::MetricsRegistry metrics;
   if (!metrics_path.empty()) {
     options.metrics = &metrics;

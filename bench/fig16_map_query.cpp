@@ -32,12 +32,6 @@ void RunSweep(DatasetKind dataset, const std::vector<int64_t>& sizes,
   for (int64_t n : sizes) {
     auto coords = GenerateCoords(dataset, n, /*seed=*/5);
     auto keys = PackCoords(coords);
-    MapBuildInput input;
-    input.source_keys = keys;
-    input.output_keys = keys;
-    input.offsets = offsets;
-    input.source_sorted = true;
-    input.output_sorted = true;
 
     std::vector<EngineRow> rows;
     rows.push_back({"MinkowskiEngine(hash)",
@@ -50,6 +44,13 @@ void RunSweep(DatasetKind dataset, const std::vector<int64_t>& sizes,
     double baseline_ms = 0.0;
     for (auto& row : rows) {
       Device device(MakeRtx3090());
+      const DeviceVector<uint64_t> device_keys = ToDevice(device.memory(), keys);
+      MapBuildInput input;
+      input.source_keys = device_keys;
+      input.output_keys = device_keys;
+      input.offsets = offsets;
+      input.source_sorted = true;
+      input.output_sorted = true;
       MapBuildResult result = row.builder->Build(device, input);
       double ms = device.config().CyclesToMillis(result.query_stats.cycles);
       if (row.label == "MinkowskiEngine(hash)") {

@@ -34,8 +34,8 @@ void RunSweep(DatasetKind dataset, const std::vector<int64_t>& sizes,
     double minuet_ms;
     {
       Device device(MakeRtx3090());
-      std::vector<uint64_t> k = keys;
-      std::vector<uint32_t> v(k.size());
+      DeviceVector<uint64_t> k = ToDevice(device.memory(), keys);
+      DeviceVector<uint32_t> v(k.size(), device.memory());
       std::iota(v.begin(), v.end(), 0u);
       SortStats stats = RadixSortCoordPairs(device, k, v);
       minuet_ms = device.config().CyclesToMillis(stats.kernels.cycles);
@@ -50,7 +50,8 @@ void RunSweep(DatasetKind dataset, const std::vector<int64_t>& sizes,
                                  {"Open3D(hash)", HashTableKind::kSpatial}};
     for (auto& t : tables) {
       Device device(MakeRtx3090());
-      KernelStats stats = BuildEngineHashTable(device, t.kind, keys, nullptr);
+      const DeviceVector<uint64_t> device_keys = ToDevice(device.memory(), keys);
+      KernelStats stats = BuildEngineHashTable(device, t.kind, device_keys, nullptr);
       double ms = device.config().CyclesToMillis(stats.cycles);
       bench::Row("%-10lld %-24s %12.3f %9.2fx", static_cast<long long>(keys.size()), t.label,
                  ms, ms / minuet_ms);

@@ -19,12 +19,6 @@ void Run(bench::JsonReport& report) {
   auto coords = GenerateCoords(DatasetKind::kSem3d, 200000, /*seed=*/12);
   auto keys = PackCoords(coords);
   auto offsets = MakeWeightOffsets(3, 1);
-  MapBuildInput input;
-  input.source_keys = keys;
-  input.output_keys = keys;
-  input.offsets = offsets;
-  input.source_sorted = true;
-  input.output_sorted = true;
 
   for (const DeviceConfig& config :
        {MakeRtx2070Super(), MakeRtx3090(), MakeA100()}) {
@@ -46,6 +40,13 @@ void Run(bench::JsonReport& report) {
         cfg.query_block_size = c;
         MinuetMapBuilder builder(cfg);
         Device device(config);
+        const DeviceVector<uint64_t> device_keys = ToDevice(device.memory(), keys);
+        MapBuildInput input;
+        input.source_keys = device_keys;
+        input.output_keys = device_keys;
+        input.offsets = offsets;
+        input.source_sorted = true;
+        input.output_sorted = true;
         MapBuildResult result = builder.Build(device, input);
         double ms = config.CyclesToMillis(result.query_stats.cycles);
         grid.back().push_back(ms);

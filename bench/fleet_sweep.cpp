@@ -14,9 +14,7 @@
 //   - round-robin is the no-information floor.
 //
 // Deterministic like serve_scheduler: seeded arrivals, the virtual serving
-// clock, deterministic addressing. Rows are exact under an identical heap
-// replay; across process contexts the cycle-derived columns drift by well
-// under a percent (record_baseline.sh samples that drift into the envelope).
+// clock and per-device address spaces make every row exact.
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -89,9 +87,7 @@ void BenchPool(const Pool& pool, const Network& net, bench::JsonReport& report,
   // exactly what the whole pool can drain warm at batch 1.
   double pool_rate_rps = 0.0;
   for (const DeviceConfig& preset : pool.presets) {
-    DeviceConfig device = preset;
-    device.deterministic_addressing = true;
-    pool_rate_rps += 1e6 / CalibrateServiceUs(net, device);
+    pool_rate_rps += 1e6 / CalibrateServiceUs(net, preset);
   }
   std::printf("%s: pooled warm batch-1 saturation %.0f rps\n", pool.label.c_str(),
               pool_rate_rps);
@@ -103,11 +99,9 @@ void BenchPool(const Pool& pool, const Network& net, bench::JsonReport& report,
     std::vector<std::unique_ptr<Engine>> engines;
     std::vector<Engine*> raw;
     for (const DeviceConfig& preset : pool.presets) {
-      DeviceConfig device = preset;
-      device.deterministic_addressing = true;
       EngineConfig config;
       config.functional = false;
-      engines.push_back(std::make_unique<Engine>(config, device));
+      engines.push_back(std::make_unique<Engine>(config, preset));
       engines.back()->Prepare(net, 1);
       raw.push_back(engines.back().get());
     }

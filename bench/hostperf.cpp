@@ -3,26 +3,23 @@
 // Everything else in bench/ measures *simulated* quantities; this binary
 // measures the simulator itself — host wall-clock per scenario and a
 // sim-cycles-per-host-second throughput figure — over the host hot paths the
-// DESIGN.md "Host performance" section describes: deterministic-addressing
-// granule remap, raw line accounting, L2 set lookup, and launch overhead
-// (name interning + callable dispatch).
+// DESIGN.md "Host performance" section describes: line accounting over device
+// addresses, L2 set lookup, and launch overhead (name interning + callable
+// dispatch).
 //
 // All wall-clock-derived keys carry the host_ prefix, so they fall under the
 // established host-time exemption in the perf baseline gate (bench/
 // check_baseline.py strips keys containing "host"/"wall"): host throughput is
 // recorded as an informational signal, never as a bit-exact expectation. The
-// simulated keys (cycles, l2 hits/misses, granules) are deterministic — the
-// scenarios run with deterministic_addressing on a fixed touch order — and do
-// byte-compare.
+// simulated keys (cycles, l2 hits/misses) are deterministic — every buffer is
+// device memory and the touch order is fixed — and do byte-compare.
 //
 // Scenarios:
-//   det_remap_stream    contiguous sweeps over one large buffer; granule remap
-//                       with perfect page locality, the serving-path shape.
-//   det_remap_strided   strided element touches; exercises the per-block
-//                       granule memo (repeated sub-16B touches) and page
-//                       switches.
-//   raw_stream          the same sweep without deterministic addressing; pure
-//                       line-loop + L1 + L2 cost.
+//   stream              contiguous sweeps over one large buffer: the line loop,
+//                       L1 and L2 cost of the serving-path shape.
+//   strided             strided 8-byte element touches, each repeated four
+//                       times (the per-lane metadata shape): per-call overhead
+//                       of sub-line accesses.
 //   cache_pressure      random single-line touches over a footprint larger
 //                       than the L2; every touch reaches the set-lookup path.
 //   launch_churn        many tiny kernels; measures per-launch fixed host cost
@@ -70,11 +67,10 @@ namespace {
 // A synthetic config whose L2 has a power-of-two set count (4 MiB / 16 ways /
 // 128 B lines = 2048 sets), so the CacheSim mask fast path is on the measured
 // path. Everything else mirrors the RTX 3090 model.
-DeviceConfig MakeHostperfConfig(bool deterministic) {
+DeviceConfig MakeHostperfConfig() {
   DeviceConfig config = MakeRtx3090();
   config.name = "hostperf-pow2";
   config.l2_bytes = 4 << 20;
-  config.deterministic_addressing = deterministic;
   return config;
 }
 
@@ -85,15 +81,13 @@ struct Scenario {
   uint64_t l2_hits = 0;
   uint64_t l2_misses = 0;
   int64_t launches = 0;
-  int64_t granules = 0;
 };
 
 // Contiguous read sweeps: each block reads a 64 KiB slice in 128 B chunks,
-// repeated over several passes. In deterministic mode every 16 B granule of
-// the slice goes through GranuleTable::Remap.
-Scenario RunStream(const char* name, bool deterministic, int64_t mib, int passes) {
-  Device device(MakeHostperfConfig(deterministic));
-  std::vector<uint8_t> buffer(static_cast<size_t>(mib) << 20);
+// repeated over several passes.
+Scenario RunStream(const char* name, int64_t mib, int passes) {
+  Device device(MakeHostperfConfig());
+  DeviceVector<uint8_t> buffer(static_cast<size_t>(mib) << 20, device.memory());
   const int64_t slice = 64 << 10;
   const int64_t blocks = static_cast<int64_t>(buffer.size()) / slice;
   Scenario s;
@@ -113,16 +107,15 @@ Scenario RunStream(const char* name, bool deterministic, int64_t mib, int passes
     ++s.launches;
   }
   s.host_ms = timer.ElapsedMillis();
-  s.granules = static_cast<int64_t>(device.granule_count());
   return s;
 }
 
 // Strided 8-byte element touches: each element is read four times in a row
-// (the per-lane metadata shape the BlockCtx granule memo exists for), with a
-// 40-byte stride so lines and granules interleave unevenly.
-Scenario RunStrided(const char* name, bool deterministic, int64_t mib, int passes) {
-  Device device(MakeHostperfConfig(deterministic));
-  std::vector<uint8_t> buffer(static_cast<size_t>(mib) << 20);
+// (the per-lane metadata shape), with a 40-byte stride so elements straddle
+// line boundaries unevenly.
+Scenario RunStrided(const char* name, int64_t mib, int passes) {
+  Device device(MakeHostperfConfig());
+  DeviceVector<uint8_t> buffer(static_cast<size_t>(mib) << 20, device.memory());
   const int64_t slice = 64 << 10;
   const int64_t blocks = static_cast<int64_t>(buffer.size()) / slice;
   Scenario s;
@@ -144,7 +137,6 @@ Scenario RunStrided(const char* name, bool deterministic, int64_t mib, int passe
     ++s.launches;
   }
   s.host_ms = timer.ElapsedMillis();
-  s.granules = static_cast<int64_t>(device.granule_count());
   return s;
 }
 
@@ -152,8 +144,8 @@ Scenario RunStrided(const char* name, bool deterministic, int64_t mib, int passe
 // xorshift walk, so misses and evictions dominate and every access runs the
 // full set lookup + LRU scan.
 Scenario RunCachePressure(const char* name, int64_t touches) {
-  Device device(MakeHostperfConfig(/*deterministic=*/true));
-  std::vector<uint8_t> buffer(16 << 20);
+  Device device(MakeHostperfConfig());
+  DeviceVector<uint8_t> buffer(16 << 20, device.memory());
   const uint64_t lines = buffer.size() / 128;
   Scenario s;
   s.name = name;
@@ -174,15 +166,14 @@ Scenario RunCachePressure(const char* name, int64_t touches) {
   s.l2_misses = stats.l2_misses;
   s.launches = 1;
   s.host_ms = timer.ElapsedMillis();
-  s.granules = static_cast<int64_t>(device.granule_count());
   return s;
 }
 
 // Many tiny launches: per-launch host overhead (name resolution, stats
 // recording, callable dispatch) dominates over the single line touched.
 Scenario RunLaunchChurn(const char* name, int launches) {
-  Device device(MakeHostperfConfig(/*deterministic=*/true));
-  std::vector<uint8_t> buffer(4 << 10);
+  Device device(MakeHostperfConfig());
+  DeviceVector<uint8_t> buffer(4 << 10, device.memory());
   Scenario s;
   s.name = name;
   WallTimer timer;
@@ -198,7 +189,6 @@ Scenario RunLaunchChurn(const char* name, int launches) {
     ++s.launches;
   }
   s.host_ms = timer.ElapsedMillis();
-  s.granules = static_cast<int64_t>(device.granule_count());
   return s;
 }
 
@@ -343,11 +333,12 @@ Scenario RunMapIncremental(const char* name, bool incremental, int64_t points, i
     packed.push_back(std::move(fk));
   }
 
-  Device device(MakeHostperfConfig(/*deterministic=*/true));
+  Device device(MakeHostperfConfig());
   Scenario s;
   s.name = name;
   WallTimer timer;
-  std::vector<uint64_t> retained = packed[0].keys;  // frame 0 arrives sorted
+  // Frame 0 arrives sorted.
+  DeviceVector<uint64_t> retained = ToDevice(device.memory(), packed[0].keys);
   for (size_t f = 1; f < packed.size(); ++f) {
     if (incremental) {
       KernelStats stats = ChargeDeltaMerge(device, retained, packed[f].motion,
@@ -358,8 +349,8 @@ Scenario RunMapIncremental(const char* name, bool incremental, int64_t points, i
       s.l2_misses += stats.l2_misses;
       s.launches += stats.num_launches;
     } else {
-      std::vector<uint64_t> keys = packed[f].keys;
-      std::vector<uint32_t> values(keys.size());
+      DeviceVector<uint64_t> keys = ToDevice(device.memory(), packed[f].keys);
+      DeviceVector<uint32_t> values(keys.size(), device.memory());
       std::iota(values.begin(), values.end(), 0u);
       SortStats stats = RadixSortCoordPairs(device, keys, values);
       s.sim_cycles += stats.kernels.cycles;
@@ -369,16 +360,14 @@ Scenario RunMapIncremental(const char* name, bool incremental, int64_t points, i
     }
   }
   s.host_ms = timer.ElapsedMillis();
-  s.granules = static_cast<int64_t>(device.granule_count());
   return s;
 }
 
 void Report(bench::JsonReport& report, const Scenario& s) {
   const double host_seconds = s.host_ms / 1e3;
   const double cycles_per_host_s = host_seconds > 0.0 ? s.sim_cycles / host_seconds : 0.0;
-  bench::Row("%-18s %10.1f %14.3e %12lld %12lld %10lld", s.name, s.host_ms, cycles_per_host_s,
-             static_cast<long long>(s.l2_hits + s.l2_misses), static_cast<long long>(s.granules),
-             static_cast<long long>(s.launches));
+  bench::Row("%-18s %10.1f %14.3e %12lld %10lld", s.name, s.host_ms, cycles_per_host_s,
+             static_cast<long long>(s.l2_hits + s.l2_misses), static_cast<long long>(s.launches));
   report.AddRow();
   report.Set("scenario", std::string(s.name));
   report.Set("host_ms", s.host_ms);
@@ -386,7 +375,6 @@ void Report(bench::JsonReport& report, const Scenario& s) {
   report.Set("sim_cycles", s.sim_cycles);
   report.Set("l2_hits", static_cast<int64_t>(s.l2_hits));
   report.Set("l2_misses", static_cast<int64_t>(s.l2_misses));
-  report.Set("granules", s.granules);
   report.Set("launches", s.launches);
 }
 
@@ -398,7 +386,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("hostperf", argc, argv);
   bench::PrintTitle("Hostperf", "host wall-clock of the simulator's own hot paths");
   bench::PrintNote("host_* keys are wall-clock (exempt from the baseline gate);");
-  bench::PrintNote("sim_cycles / l2 counters / granules are deterministic and byte-compare");
+  bench::PrintNote("sim_cycles / l2 counters are deterministic and byte-compare");
   const int64_t scale = bench::PointsFromEnv(100000);
   // Map the generic point scale onto buffer sizes / touch counts so
   // MINUET_BENCH_POINTS shrinks this bench like the others. Default: 32 MiB
@@ -412,12 +400,11 @@ int main(int argc, char** argv) {
   report.Meta("churn_launches", static_cast<int64_t>(churn));
   report.Meta("telemetry_requests", telemetry_requests);
 
-  bench::Row("%-18s %10s %14s %12s %12s %10s", "scenario", "host_ms", "cyc/host_s",
-             "l2_touches", "granules", "launches");
+  bench::Row("%-18s %10s %14s %12s %10s", "scenario", "host_ms", "cyc/host_s", "l2_touches",
+             "launches");
   bench::Rule();
-  Report(report, RunStream("det_remap_stream", /*deterministic=*/true, mib, /*passes=*/3));
-  Report(report, RunStrided("det_remap_strided", /*deterministic=*/true, mib, /*passes=*/2));
-  Report(report, RunStream("raw_stream", /*deterministic=*/false, mib, /*passes=*/3));
+  Report(report, RunStream("stream", mib, /*passes=*/3));
+  Report(report, RunStrided("strided", mib, /*passes=*/2));
   Report(report, RunCachePressure("cache_pressure", pressure_touches));
   Report(report, RunLaunchChurn("launch_churn", churn));
   // Telemetry-tax pair: `launches` is the closed-window count for the on row,

@@ -6,18 +6,11 @@
 # `minuet_prof make-baseline`. CI re-runs the same benches at the same scale
 # and gates merges with `minuet_prof check-baseline BENCH_BASELINE.json ...`.
 #
-# The simulator is nearly deterministic: cache simulation keys off real heap
-# addresses, so allocator layout adds run-to-run noise to L2 hit ratios and
-# anything downstream of them — and the layout depends on process context
-# (argv/environ length shifts every later heap chunk). Two runs from the same
-# shell with same-length arguments therefore under-measure the noise CI will
-# see. Each round below pads the output filename differently so the recorded
-# envelope samples distinct heap layouts, not one layout twice. (This applies
-# to serve_scheduler too: deterministic_addressing renumbers granules by first
-# touch, which makes *identical heap replays* exact — the CLI byte-determinism
-# guarantee — but a long-lived bench process recycles heap addresses across
-# its many engines, and which buffer inherits which granule ids drifts with
-# process context.) Host wall-clock keys (anything containing "host" or
+# Simulated statistics are exact: the cache model keys on each device's own
+# addresses (src/gpusim/device_memory.h), so every run of a bench produces
+# the same simulated numbers. The script therefore fails if any simulated key
+# comes out with a non-zero noise envelope — that is a determinism bug, not
+# noise to record. Host wall-clock keys (anything containing "host" or
 # "wall") are machine-dependent and are excluded from the envelope by
 # make-baseline.
 #
@@ -33,8 +26,7 @@ export MINUET_BENCH_POINTS="${MINUET_BENCH_POINTS:-8000}"
 
 # Keep this list in sync with the perf-regression job in .github/workflows/ci.yml.
 # hostperf is informational: its host_* keys are excluded like every other
-# host-time key, and its simulated keys (cycles, l2 counters, granule counts)
-# are deterministic, so the envelope it contributes is exact.
+# host-time key, and its simulated keys (cycles, l2 counters) are exact.
 BENCHES=(fig03_map_l2_hitratio fig05_gemm_grouping fig12_end_to_end serve_warm_loop serve_scheduler fleet_sweep stream_sequence hostperf)
 
 PROF="$BUILD_DIR/tools/minuet_prof"
@@ -53,33 +45,43 @@ for bench in "${BENCHES[@]}"; do
     echo "error: $bin not built" >&2
     exit 2
   fi
-  bin_abs="$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")"
   for run in $(seq 1 "$RUNS"); do
-    # Run-dependent padding: a different argv + environ length per round gives
-    # each run its own heap layout (see header comment). The output-path pads
-    # grow geometrically (0, 16, 48, 112, 240 extra chars) so the sampled
-    # argv strings span several malloc size classes — layout modes flip on
-    # the size class, not the byte count, and CI's own invocation uses a
-    # short relative path ("perf/<bench>.json") that linearly-growing long
-    # temp paths never sample. Run 1 therefore uses the shortest name the
-    # temp dir allows (the CLI runs from $WORK so the argv carries only the
-    # file name), and later runs pad upward from there.
-    pad_len=$(( (2 ** run - 2) * 8 ))
-    if (( pad_len > 200 )); then  # keep the file name under the 255-byte limit
-      pad_len=200
-    fi
-    pad=""
-    if (( pad_len > 0 )); then
-      pad="$(printf 'x%.0s' $(seq 1 "$pad_len"))."
-    fi
-    envpad="$(printf 'y%.0s' $(seq 1 $((run * 173))))"
-    name="$run.$pad$bench.json"
-    out="$WORK/$name"
+    out="$WORK/$run.$bench.json"
     echo "== $bench (run $run/$RUNS, MINUET_BENCH_POINTS=$MINUET_BENCH_POINTS)"
-    (cd "$WORK" && MINUET_BASELINE_LAYOUT_PAD="$envpad" "$bin_abs" --json="$name" > /dev/null)
+    "$bin" --json="$out" > /dev/null
     reports+=("$out")
   done
 done
 
 "$PROF" make-baseline "${reports[@]}" --out "$OUT"
 echo "baseline written to $OUT"
+
+# Every simulated key must be exact across runs.
+python3 - "$OUT" <<'PY'
+import json
+import sys
+
+noisy = []
+
+
+def walk(obj, path):
+    if isinstance(obj, dict):
+        if set(obj) == {"mean", "noise"}:
+            if obj["noise"] != 0:
+                noisy.append(path)
+            return
+        for key, value in obj.items():
+            walk(value, path + "/" + key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            walk(value, path + "[%d]" % i)
+
+
+with open(sys.argv[1]) as f:
+    walk(json.load(f), "")
+if noisy:
+    print("error: %d simulated keys vary across runs:" % len(noisy), file=sys.stderr)
+    for path in noisy[:20]:
+        print("  " + path, file=sys.stderr)
+    sys.exit(1)
+PY

@@ -12,11 +12,8 @@
 //     price of higher p50 (requests wait for their batch to fill).
 //
 // Deterministic end to end: arrivals are seeded, time is the virtual serving
-// clock, and devices run with deterministic_addressing — rows are exactly
-// reproducible under an identical heap replay (same binary, argv, environ).
-// Across different process contexts the later engines see slightly different
-// heap-address recycling and their cycle-derived columns drift by well under
-// a percent; record_baseline.sh samples that drift into the gate's envelope.
+// clock, and the cache model keys on each device's own addresses, so every
+// row is exactly reproducible across processes.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -68,11 +65,8 @@ double CalibrateServiceUs(const Network& net, const DeviceConfig& device) {
 // (max batch 4 at 2.0x load — deep enough into overload that shedding and
 // queue growth show up window by window) for a streaming-telemetry export;
 // the path is cleared after the write so only the first device exports.
-void BenchDevice(const DeviceConfig& preset, const Network& net, bench::JsonReport& report,
+void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonReport& report,
                  std::string* timeline_path) {
-  DeviceConfig device = preset;
-  device.deterministic_addressing = true;
-
   const double service_us = CalibrateServiceUs(net, device);
   const double base_rate_rps = 1e6 / service_us;
   std::printf("%s: warm batch-1 service %.1f us -> saturation %.0f rps\n", device.name.c_str(),

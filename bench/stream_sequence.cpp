@@ -105,8 +105,7 @@ double MapLevelRow(int64_t points, double churn, bench::JsonReport& report) {
 void EngineLevelRow(int64_t points, double churn, bool incremental,
                     bench::JsonReport& report) {
   Sequence sequence = GenerateSequence(MakeSequence(points, churn));
-  DeviceConfig device_config = MakeRtx3090();
-  device_config.deterministic_addressing = true;
+  const DeviceConfig device_config = MakeRtx3090();
 
   EngineConfig config;
   config.kind = EngineKind::kMinuet;

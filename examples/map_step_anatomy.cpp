@@ -24,12 +24,6 @@ int main() {
               static_cast<long long>(keys.size()),
               static_cast<long long>(keys.size() * offsets.size()));
 
-  MapBuildInput input;
-  input.source_keys = keys;
-  input.output_keys = keys;
-  input.offsets = offsets;
-  input.source_sorted = true;
-  input.output_sorted = true;
 
   struct Entry {
     const char* label;
@@ -56,7 +50,15 @@ int main() {
               "GB moved", "L2 hit", "comparisons", "entries");
   int64_t reference_entries = -1;
   for (auto& entry : builders) {
+    // Each builder runs on a fresh device; the keys are copied into its memory.
     Device device(MakeRtx3090());
+    const DeviceVector<uint64_t> device_keys = ToDevice(device.memory(), keys);
+    MapBuildInput input;
+    input.source_keys = device_keys;
+    input.output_keys = device_keys;
+    input.offsets = offsets;
+    input.source_sorted = true;
+    input.output_sorted = true;
     MapBuildResult result = entry.builder->Build(device, input);
     int64_t entries = 0;
     for (uint32_t p : result.table.positions) {

@@ -1,4 +1,6 @@
-// Dense row-major feature storage: one row of C channels per point.
+// Dense row-major feature storage: one row of C channels per point. The
+// storage lives on the host heap unless constructed in a device's memory
+// (kernels read and write only the latter).
 #ifndef SRC_CORE_FEATURE_MATRIX_H_
 #define SRC_CORE_FEATURE_MATRIX_H_
 
@@ -6,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "src/gpusim/device_memory.h"
 #include "src/util/check.h"
 
 namespace minuet {
@@ -13,17 +16,23 @@ namespace minuet {
 class FeatureMatrix {
  public:
   FeatureMatrix() = default;
-  FeatureMatrix(int64_t rows, int64_t cols, float fill = 0.0f)
-      : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows * cols), fill) {
+  FeatureMatrix(int64_t rows, int64_t cols, float fill = 0.0f, DeviceMemory* memory = nullptr)
+      : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows * cols), fill, memory) {
     MINUET_CHECK_GE(rows, 0);
     MINUET_CHECK_GT(cols, 0);
   }
+
+  // A copy of `other` whose storage lives in `memory` (null: the host heap).
+  FeatureMatrix(const FeatureMatrix& other, DeviceMemory* memory)
+      : rows_(other.rows_),
+        cols_(other.cols_),
+        data_(other.data_.begin(), other.data_.end(), memory) {}
 
   // Adopts `storage` as the backing store, resized to rows * cols. When the
   // storage comes from a WorkspacePool with sufficient capacity this performs
   // no allocation; contents beyond what resize value-initializes are whatever
   // the slab held.
-  FeatureMatrix(int64_t rows, int64_t cols, std::vector<float> storage)
+  FeatureMatrix(int64_t rows, int64_t cols, DeviceVector<float> storage)
       : rows_(rows), cols_(cols), data_(std::move(storage)) {
     MINUET_CHECK_GE(rows, 0);
     MINUET_CHECK_GT(cols, 0);
@@ -32,7 +41,7 @@ class FeatureMatrix {
 
   // Releases the backing store (e.g. back to a WorkspacePool); the matrix
   // becomes empty (0x0).
-  std::vector<float> TakeStorage() {
+  DeviceVector<float> TakeStorage() {
     rows_ = 0;
     cols_ = 0;
     return std::move(data_);
@@ -69,7 +78,7 @@ class FeatureMatrix {
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<float> data_;
+  DeviceVector<float> data_;
 };
 
 // Max absolute elementwise difference; the engine-equivalence tests use this.

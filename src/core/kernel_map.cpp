@@ -21,13 +21,20 @@ std::vector<int64_t> KernelMap::EntryCounts() const {
   return counts;
 }
 
-KernelMap CompactPositionTable(const MapPositionTable& table, const std::vector<Coord3>& offsets) {
+KernelMap CompactPositionTable(const MapPositionTable& table, const std::vector<Coord3>& offsets,
+                               DeviceMemory* memory) {
   MINUET_CHECK_EQ(table.num_offsets, static_cast<int64_t>(offsets.size()));
   KernelMap map;
   map.offsets = offsets;
-  map.entries.resize(offsets.size());
+  map.entries.assign(offsets.size(), DeviceVector<MapPair>(memory));
   for (int64_t k = 0; k < table.num_offsets; ++k) {
     auto& list = map.entries[static_cast<size_t>(k)];
+    // Sized exactly up front: one device allocation per offset.
+    int64_t matches = 0;
+    for (int64_t i = 0; i < table.num_outputs; ++i) {
+      matches += table.At(k, i) != kNoMatch ? 1 : 0;
+    }
+    list.reserve(static_cast<size_t>(matches));
     for (int64_t i = 0; i < table.num_outputs; ++i) {
       uint32_t input_index = table.At(k, i);
       if (input_index != kNoMatch) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/coordinate.h"
+#include "src/gpusim/device_memory.h"
 
 namespace minuet {
 
@@ -28,7 +29,7 @@ struct MapPair {
 struct MapPositionTable {
   int64_t num_offsets = 0;
   int64_t num_outputs = 0;
-  std::vector<uint32_t> positions;
+  DeviceVector<uint32_t> positions;
 
   uint32_t At(int64_t offset_index, int64_t output_index) const {
     return positions[static_cast<size_t>(offset_index * num_outputs + output_index)];
@@ -37,7 +38,7 @@ struct MapPositionTable {
 
 struct KernelMap {
   std::vector<Coord3> offsets;          // offset order as built
-  std::vector<std::vector<MapPair>> entries;  // entries[k] for offsets[k]
+  std::vector<DeviceVector<MapPair>> entries;  // entries[k] for offsets[k]
 
   int64_t num_offsets() const { return static_cast<int64_t>(offsets.size()); }
   int64_t TotalEntries() const;
@@ -46,9 +47,11 @@ struct KernelMap {
   std::vector<int64_t> EntryCounts() const;
 };
 
-// Compacts a position table into per-offset pair lists. Pairs within an
-// offset are emitted in ascending output_index order.
-KernelMap CompactPositionTable(const MapPositionTable& table, const std::vector<Coord3>& offsets);
+// Compacts a position table into per-offset pair lists allocated in `memory`
+// (null: the host heap). Pairs within an offset are emitted in ascending
+// output_index order.
+KernelMap CompactPositionTable(const MapPositionTable& table, const std::vector<Coord3>& offsets,
+                               DeviceMemory* memory);
 
 }  // namespace minuet
 

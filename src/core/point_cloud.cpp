@@ -13,7 +13,7 @@ bool HasUniqueCoords(const std::vector<Coord3>& coords) {
   return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
 }
 
-std::vector<uint64_t> PackCoords(const std::vector<Coord3>& coords) {
+std::vector<uint64_t> PackCoords(std::span<const Coord3> coords) {
   std::vector<uint64_t> keys(coords.size());
   for (size_t i = 0; i < coords.size(); ++i) {
     keys[i] = PackCoord(coords[i]);

@@ -3,6 +3,7 @@
 #define SRC_CORE_POINT_CLOUD_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/coordinate.h"
@@ -22,7 +23,7 @@ struct PointCloud {
 bool HasUniqueCoords(const std::vector<Coord3>& coords);
 
 // Packed keys for a coordinate list.
-std::vector<uint64_t> PackCoords(const std::vector<Coord3>& coords);
+std::vector<uint64_t> PackCoords(std::span<const Coord3> coords);
 
 // Output coordinates per Eq. 1: floor(p / step) * step with duplicates
 // removed, where step = tensor_stride * conv_stride. The result is returned

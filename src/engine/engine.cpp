@@ -168,7 +168,7 @@ KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_
   if (n == 0) {
     return stats;
   }
-  std::vector<uint64_t> candidates(static_cast<size_t>(n));
+  DeviceVector<uint64_t> candidates(static_cast<size_t>(n), device.memory());
   for (size_t i = 0; i < candidates.size(); ++i) {
     candidates[i] = input_keys[i % input_keys.size()] + (i / input_keys.size());
   }
@@ -198,12 +198,12 @@ KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_
                       static_cast<size_t>(share) * sizeof(uint64_t));
     });
   } else {
-    std::vector<uint64_t> unique = candidates;
+    DeviceVector<uint64_t> unique = candidates;
     std::sort(unique.begin(), unique.end());
     unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
     std::unique_ptr<HashTableBase> table;
     stats += BuildEngineHashTable(device, HashTableKind::kCuckoo, unique, &table);
-    std::vector<uint32_t> results(candidates.size());
+    DeviceVector<uint32_t> results(candidates.size(), device.memory());
     stats += table->Query(device, candidates, results);
   }
   return stats;
@@ -222,7 +222,7 @@ KernelStats ChargeDownsampleDedup(Device& device, std::span<const uint64_t> inpu
     return stats;
   }
   // Candidate generation: floor-snap every input coordinate.
-  std::vector<uint64_t> candidates(static_cast<size_t>(n));
+  DeviceVector<uint64_t> candidates(static_cast<size_t>(n), device.memory());
   constexpr int64_t kItemsPerBlock = 1024;
   const int64_t blocks = (n + kItemsPerBlock - 1) / kItemsPerBlock;
   static const KernelId kDownsampleCandidates = KernelId::Intern("engine/coords/downsample_candidates");
@@ -260,12 +260,12 @@ KernelStats ChargeDownsampleDedup(Device& device, std::span<const uint64_t> inpu
     // Hash-based dedup: insert every candidate (duplicates probe and bail),
     // then compact the table. Modelled as a build over the unique set plus a
     // probe pass over all candidates.
-    std::vector<uint64_t> unique = candidates;
+    DeviceVector<uint64_t> unique = candidates;
     std::sort(unique.begin(), unique.end());
     unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
     std::unique_ptr<HashTableBase> table;
     stats += BuildEngineHashTable(device, HashTableKind::kCuckoo, unique, &table);
-    std::vector<uint32_t> results(candidates.size());
+    DeviceVector<uint32_t> results(candidates.size(), device.memory());
     stats += table->Query(device, candidates, results);
   }
   return stats;
@@ -367,7 +367,7 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
     // every non-trivial conv layer's Gather and Scatter tiles (Algorithm 2).
     auto root = std::make_shared<CoordLevel>();
     root->tensor_stride = 1;
-    root->keys = PackCoords(sample.coords);
+    root->keys = ToDevice(scratch.memory(), PackCoords(sample.coords));
     std::sort(root->keys.begin(), root->keys.end());
     root->coords.reserve(root->keys.size());
     for (uint64_t k : root->keys) {
@@ -383,7 +383,7 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
         auto pooled = std::make_shared<CoordLevel>();
         pooled->tensor_stride = level->tensor_stride * instr.conv.stride;
         pooled->coords = DownsampleCoords(level->coords, pooled->tensor_stride);
-        pooled->keys = PackCoords(pooled->coords);
+        pooled->keys = ToDevice(scratch.memory(), PackCoords(pooled->coords));
         pooled->parent = level;
         level = pooled;
         continue;
@@ -412,13 +412,13 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
         out_level = std::make_shared<CoordLevel>();
         out_level->tensor_stride = level->tensor_stride;
         out_level->coords = DilateCoords(level->coords, offsets);
-        out_level->keys = PackCoords(out_level->coords);
+        out_level->keys = ToDevice(scratch.memory(), PackCoords(out_level->coords));
         out_level->parent = level;
       } else if (conv.stride > 1) {
         out_level = std::make_shared<CoordLevel>();
         out_level->tensor_stride = level->tensor_stride * conv.stride;
         out_level->coords = DownsampleCoords(level->coords, out_level->tensor_stride);
-        out_level->keys = PackCoords(out_level->coords);
+        out_level->keys = ToDevice(scratch.memory(), PackCoords(out_level->coords));
         out_level->parent = level;
       } else {
         out_level = level;
@@ -431,7 +431,7 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
       in.source_sorted = true;
       in.output_sorted = true;
       MapBuildResult map = builder.Build(scratch, in);
-      KernelMap kernel_map = CompactPositionTable(map.table, query_offsets);
+      KernelMap kernel_map = CompactPositionTable(map.table, query_offsets, scratch.memory());
       GroupingPlan plan =
           PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder,
                          config_.padding_threshold);
@@ -510,7 +510,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
       return FeatureMatrix(rows, cols,
                            pool->Acquire(static_cast<size_t>(rows * cols), /*zero=*/true));
     }
-    return FeatureMatrix(rows, cols, 0.0f);
+    return FeatureMatrix(rows, cols, 0.0f, dev.memory());
   };
   auto recycle = [&](FeatureMatrix& m) {
     if (pool != nullptr && m.rows() * m.cols() > 0) {
@@ -527,29 +527,21 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
   {
     PointCloud sorted = input;
     SortPointCloud(sorted);
-    if (pool != nullptr) {
-      // Move the input features into pooled storage *before* any kernel
-      // touches them: the per-run `sorted` copy lives at whatever address the
-      // heap hands out, and with deterministic_addressing the cache simulator
-      // keys line identity off first-touch order — a fresh address per run
-      // would make warm replays of the same cloud jitter. Pool slabs are
-      // stable across runs, so this keeps warm runs bit-identical (and keeps
-      // every later recycle() paired with a pool Acquire).
-      FeatureMatrix pooled(sorted.features.rows(), sorted.features.cols(),
-                           pool->Acquire(static_cast<size_t>(sorted.features.rows() *
-                                                             sorted.features.cols()),
-                                         /*zero=*/false));
+    {
+      // Copy the caller's features into device memory (pooled when there is
+      // a pool, so every later recycle() pairs with an Acquire).
+      FeatureMatrix on_device = new_matrix(sorted.features.rows(), sorted.features.cols());
       std::copy(sorted.features.data(),
                 sorted.features.data() + sorted.features.rows() * sorted.features.cols(),
-                pooled.data());
-      sorted.features = std::move(pooled);
+                on_device.data());
+      sorted.features = std::move(on_device);
     }
     const bool incremental_root = ctx != nullptr && ctx->incremental_root != nullptr;
     if (use_sorted_map) {
       trace::Span span("engine/input_sort", "step");
       if (plan_replay == nullptr && !incremental_root) {
-        std::vector<uint64_t> keys = PackCoords(input.coords);
-        std::vector<uint32_t> vals(keys.size());
+        DeviceVector<uint64_t> keys = ToDevice(dev.memory(), PackCoords(input.coords));
+        DeviceVector<uint32_t> vals(keys.size(), dev.memory());
         std::iota(vals.begin(), vals.end(), 0u);
         KernelStats sort_stats = RadixSortCoordPairs(dev, keys, vals).kernels;
         AccumulateKernel(result.total, &StepBreakdown::map_build, sort_stats);
@@ -581,7 +573,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
       act.level = std::make_shared<CoordLevel>();
       act.level->tensor_stride = 1;
       act.level->coords = std::move(sorted.coords);
-      act.level->keys = PackCoords(act.level->coords);
+      act.level->keys = ToDevice(dev.memory(), PackCoords(act.level->coords));
       if (plan_record != nullptr) {
         plan_record->root = act.level;
       }
@@ -686,7 +678,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
               out_level = std::make_shared<CoordLevel>();
               out_level->tensor_stride = target->level->tensor_stride;
               out_level->coords = DilateCoords(target->level->coords, offsets);
-              out_level->keys = PackCoords(out_level->coords);
+              out_level->keys = ToDevice(dev.memory(), PackCoords(out_level->coords));
               out_level->parent = target->level;
               // Coordinate generation: K^3 |P| candidates deduplicated.
               trace::Span span("engine/coords_dedup", "step");
@@ -698,7 +690,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
               out_level->tensor_stride = target->level->tensor_stride * conv.stride;
               out_level->coords =
                   DownsampleCoords(target->level->coords, out_level->tensor_stride);
-              out_level->keys = PackCoords(out_level->coords);
+              out_level->keys = ToDevice(dev.memory(), PackCoords(out_level->coords));
               out_level->parent = target->level;
               // Output-coordinate generation must deduplicate (Eq. 1).
               trace::Span span("engine/coords_dedup", "step");
@@ -729,7 +721,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
             MapBuildResult map = map_builder->Build(dev, map_in);
             AccumulateKernel(layer, &StepBreakdown::map_build, map.build_stats);
             AccumulateKernel(layer, &StepBreakdown::map_query, map.query_stats);
-            built_map = CompactPositionTable(map.table, query_offsets);
+            built_map = CompactPositionTable(map.table, query_offsets, dev.memory());
             AccumulateKernel(layer, &StepBreakdown::map_query,
                              ChargeMapCompaction(dev, map.table, built_map.TotalEntries()));
             kernel_map = &built_map;
@@ -865,7 +857,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
             out_level = std::make_shared<CoordLevel>();
             out_level->tensor_stride = act.level->tensor_stride * pool_params.stride;
             out_level->coords = DownsampleCoords(act.level->coords, out_level->tensor_stride);
-            out_level->keys = PackCoords(out_level->coords);
+            out_level->keys = ToDevice(dev.memory(), PackCoords(out_level->coords));
             out_level->parent = act.level;
             AccumulateKernel(result.total, &StepBreakdown::map_build,
                              ChargeDownsampleDedup(dev, act.level->keys,
@@ -967,7 +959,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
         auto pooled_level = std::make_shared<CoordLevel>();
         pooled_level->tensor_stride = act.level->tensor_stride;
         pooled_level->coords = {Coord3{0, 0, 0}};
-        pooled_level->keys = {PackCoord(Coord3{0, 0, 0})};
+        pooled_level->keys = DeviceVector<uint64_t>(1, PackCoord(Coord3{0, 0, 0}), dev.memory());
         act.level = pooled_level;
         break;
       }
@@ -1003,21 +995,15 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
     }
   }
 
-  if (pool != nullptr) {
-    // Detach the result into plain storage so the caller keeping it does not
-    // pin a pooled slab (the next warm run would have to allocate afresh),
-    // and hand every remaining slab back so the pool ends the run balanced.
-    FeatureMatrix detached(act.features.rows(), act.features.cols());
-    std::copy(act.features.data(),
-              act.features.data() + act.features.rows() * act.features.cols(), detached.data());
-    recycle(act.features);
-    for (Activation& slot : slots) {
-      recycle(slot.features);
-    }
-    result.features = std::move(detached);
-  } else {
-    result.features = std::move(act.features);
+  // Copy the result out to host storage: the caller may keep it past this
+  // engine's device memory, and a pooled slab must go back so the next warm
+  // run reuses it. Every remaining slab returns, so the pool ends balanced.
+  FeatureMatrix detached(act.features, /*memory=*/nullptr);
+  recycle(act.features);
+  for (Activation& slot : slots) {
+    recycle(slot.features);
   }
+  result.features = std::move(detached);
   result.coords = act.level->coords;
   if (run_span.active()) {
     run_span.Attr("sim_cycles", result.total.TotalCycles());
@@ -1053,7 +1039,7 @@ uint64_t Engine::PlanConfigFingerprint() const {
 }
 
 RunSession::RunSession(Engine& engine, size_t plan_capacity)
-    : engine_(&engine), cache_(plan_capacity) {}
+    : engine_(&engine), cache_(plan_capacity), pool_(engine.device().memory()) {}
 
 RunResult RunSession::Run(const PointCloud& input) {
   return RunIncremental(input, nullptr, 0.0, 0);

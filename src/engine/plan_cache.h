@@ -37,7 +37,7 @@
 #include "src/core/kernel_map.h"
 #include "src/gmas/grouping.h"
 #include "src/gmas/metadata.h"
-#include "src/util/workspace_pool.h"
+#include "src/gpusim/workspace_pool.h"
 
 namespace minuet {
 
@@ -47,7 +47,7 @@ namespace minuet {
 struct CoordLevel {
   int32_t tensor_stride = 1;
   std::vector<Coord3> coords;
-  std::vector<uint64_t> keys;
+  DeviceVector<uint64_t> keys;  // in the engine's device memory
   std::shared_ptr<CoordLevel> parent;
 
   int64_t size() const { return static_cast<int64_t>(coords.size()); }

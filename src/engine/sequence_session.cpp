@@ -19,7 +19,7 @@ SequenceSession::SequenceSession(Engine& engine, const SequenceSessionConfig& co
 }
 
 void SequenceSession::ResetChain() {
-  keys_.clear();
+  keys_ = DeviceVector<uint64_t>();  // frees the device storage too
   has_chain_ = false;
 }
 
@@ -45,18 +45,10 @@ FrameRunResult SequenceSession::RunFrame(const PointCloud& cloud, const Coord3& 
   }
 
   if (config_.incremental && has_chain_ && result.churn <= config_.rebuild_threshold) {
-    deleted_keys_.clear();
-    for (const Coord3& c : deleted) {
-      deleted_keys_.push_back(PackCoord(c));
-    }
-    inserted_keys_.clear();
-    for (const Coord3& c : inserted) {
-      inserted_keys_.push_back(PackCoord(c));
-    }
-    KernelStats delta =
-        ChargeDeltaMerge(engine_->device(), keys_, PackDelta(motion), deleted_keys_,
-                         inserted_keys_, config_.threads_per_block, &scratch_);
-    MINUET_CHECK(keys_ == expected)
+    KernelStats delta = ChargeDeltaMerge(engine_->device(), keys_, PackDelta(motion),
+                                         PackCoords(deleted), PackCoords(inserted),
+                                         config_.threads_per_block);
+    MINUET_CHECK(std::ranges::equal(keys_, expected))
         << "incremental merge diverged from the frame's key set (was the "
            "delta not derived from the previous RunFrame cloud?)";
     auto root = std::make_shared<CoordLevel>();
@@ -71,9 +63,8 @@ FrameRunResult SequenceSession::RunFrame(const PointCloud& cloud, const Coord3& 
   }
 
   // Full path: the engine charges its own input sort; adopt the frame's keys
-  // as the new chain state. Copy, not move — keys_ must keep its allocation
-  // so later delta kernels read from a stable address (see DeltaMergeScratch).
-  keys_.assign(expected.begin(), expected.end());
+  // as the new chain state.
+  keys_ = ToDevice(engine_->device().memory(), expected);
   has_chain_ = true;
   result.run = session_.Run(cloud);
   ++frames_rebuilt_;

@@ -80,13 +80,7 @@ class SequenceSession {
   Engine* engine_;
   SequenceSessionConfig config_;
   RunSession session_;
-  std::vector<uint64_t> keys_;  // previous frame's sorted key array
-  // Stable-address buffers for the charged delta kernels: the cache sim keys
-  // on host addresses, so per-frame allocations here would change simulated
-  // charges run over run and break warmed byte-identical replays.
-  std::vector<uint64_t> deleted_keys_;
-  std::vector<uint64_t> inserted_keys_;
-  DeltaMergeScratch scratch_;
+  DeviceVector<uint64_t> keys_;  // previous frame's sorted key array
   bool has_chain_ = false;
   int64_t frames_incremental_ = 0;
   int64_t frames_rebuilt_ = 0;

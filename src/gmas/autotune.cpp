@@ -25,33 +25,33 @@ AutotuneOutcome ProfileTiles(int64_t channels, RunTile&& run_tile) {
 
 }  // namespace
 
-AutotuneOutcome AutotuneGatherTile(const Device& device, const MetadataTables& tables,
+AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
                                    int64_t channels, int threads_per_block) {
   MINUET_CHECK_GT(channels, 0);
-  FeatureMatrix features(tables.num_inputs, channels);
-  FeatureMatrix buffer(tables.buffer_rows, channels);
+  FeatureMatrix features(tables.num_inputs, channels, 0.0f, device.memory());
+  FeatureMatrix buffer(tables.buffer_rows, channels, 0.0f, device.memory());
   return ProfileTiles(channels, [&](int tile) {
-    Device scratch(device.config());
+    device.l2().Flush();
     TileKernelConfig cfg;
     cfg.tile_size = tile;
     cfg.threads_per_block = threads_per_block;
     cfg.functional = false;
-    return GatherKernel(scratch, tables, features, buffer, cfg).cycles;
+    return GatherKernel(device, tables, features, buffer, cfg).cycles;
   });
 }
 
-AutotuneOutcome AutotuneScatterTile(const Device& device, const MetadataTables& tables,
+AutotuneOutcome AutotuneScatterTile(Device& device, const MetadataTables& tables,
                                     int64_t channels, int threads_per_block) {
   MINUET_CHECK_GT(channels, 0);
-  FeatureMatrix buffer(tables.buffer_rows, channels);
-  FeatureMatrix output(tables.num_outputs, channels);
+  FeatureMatrix buffer(tables.buffer_rows, channels, 0.0f, device.memory());
+  FeatureMatrix output(tables.num_outputs, channels, 0.0f, device.memory());
   return ProfileTiles(channels, [&](int tile) {
-    Device scratch(device.config());
+    device.l2().Flush();
     TileKernelConfig cfg;
     cfg.tile_size = tile;
     cfg.threads_per_block = threads_per_block;
     cfg.functional = false;
-    return ScatterKernel(scratch, buffer, tables, output, cfg).cycles;
+    return ScatterKernel(device, buffer, tables, output, cfg).cycles;
   });
 }
 

@@ -24,12 +24,14 @@ struct AutotuneOutcome {
 };
 
 // Profiles GatherKernel over all divisors of `channels` using `tables` built
-// from a sampled point cloud. The device is only used for its config; each
-// candidate runs on a fresh scratch device so the L2 state is comparable.
-AutotuneOutcome AutotuneGatherTile(const Device& device, const MetadataTables& tables,
+// from a sampled point cloud. `tables` live in `device`'s memory, and the
+// candidates run on `device` itself, its L2 flushed before each so every tile
+// starts from the same cold cache. The profiling launches count in the
+// device's totals.
+AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
                                    int64_t channels, int threads_per_block = 128);
 
-AutotuneOutcome AutotuneScatterTile(const Device& device, const MetadataTables& tables,
+AutotuneOutcome AutotuneScatterTile(Device& device, const MetadataTables& tables,
                                     int64_t channels, int threads_per_block = 128);
 
 }  // namespace minuet

@@ -38,7 +38,7 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
       return FeatureMatrix(rows, cols,
                            pool->Acquire(static_cast<size_t>(rows * cols), zero));
     }
-    return FeatureMatrix(rows, cols, 0.0f);
+    return FeatureMatrix(rows, cols, 0.0f, device.memory());
   };
 
   GmasResult result;
@@ -142,7 +142,7 @@ GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
   const int64_t c_out = weights[0].cols();
 
   GmasResult result;
-  result.output = FeatureMatrix(num_outputs, c_out, 0.0f);
+  result.output = FeatureMatrix(num_outputs, c_out, 0.0f, device.memory());
   // The fused path still plans (trivially) so padding stats read as zero.
   result.stats.plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kNoBatch, 0.0);
 

@@ -12,7 +12,7 @@
 #include "src/gmas/gemm.h"
 #include "src/gmas/grouping.h"
 #include "src/gpusim/device.h"
-#include "src/util/workspace_pool.h"
+#include "src/gpusim/workspace_pool.h"
 
 namespace minuet {
 
@@ -62,7 +62,7 @@ struct GmasResult {
 // passing nullptr.
 struct GmasScratch {
   // Gather/GEMM buffers and the output matrix draw their storage from this
-  // pool instead of fresh heap allocations (released back before returning,
+  // pool instead of fresh device allocations (released back before returning,
   // except the output, whose storage the caller owns and may recycle).
   WorkspacePool* pool = nullptr;
   // Prebuilt grouping plan + metadata tables (from a PlanCache hit): skips

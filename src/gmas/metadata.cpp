@@ -15,8 +15,10 @@ MetadataTables BuildMetadataTables(Device& device, const KernelMap& map,
   tables.num_inputs = num_inputs;
   tables.num_outputs = num_outputs;
   tables.buffer_rows = plan.buffer_rows;
-  tables.imt.assign(static_cast<size_t>(tables.num_offsets * num_inputs), kNoMatch);
-  tables.omt.assign(static_cast<size_t>(tables.num_offsets * num_outputs), kNoMatch);
+  tables.imt = DeviceVector<uint32_t>(static_cast<size_t>(tables.num_offsets * num_inputs),
+                                      kNoMatch, device.memory());
+  tables.omt = DeviceVector<uint32_t>(static_cast<size_t>(tables.num_offsets * num_outputs),
+                                      kNoMatch, device.memory());
 
   const int64_t total_entries = map.TotalEntries();
   constexpr int64_t kEntriesPerBlock = 1024;

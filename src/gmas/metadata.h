@@ -25,8 +25,8 @@ struct MetadataTables {
   // imt[k * num_inputs + i]: buffer row for input i under offset k, or
   // kNoMatch. omt[k * num_outputs + j]: buffer row holding the partial result
   // for output j under offset k, or kNoMatch.
-  std::vector<uint32_t> imt;
-  std::vector<uint32_t> omt;
+  DeviceVector<uint32_t> imt;
+  DeviceVector<uint32_t> omt;
 
   uint32_t InputSlot(int64_t offset_index, int64_t input_index) const {
     return imt[static_cast<size_t>(offset_index * num_inputs + input_index)];

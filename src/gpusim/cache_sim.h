@@ -1,7 +1,8 @@
 // Set-associative LRU cache simulator used as the device's L2.
 //
-// Addresses are host pointers cast to integers: the mapping from data to sets
-// is as arbitrary as a real allocator's, and only hit/miss behaviour matters.
+// Addresses are device addresses (offsets into the owning Device's memory,
+// see device_memory.h), so which lines share a set is decided by the
+// program's own allocation sequence; only hit/miss behaviour matters.
 #ifndef SRC_GPUSIM_CACHE_SIM_H_
 #define SRC_GPUSIM_CACHE_SIM_H_
 
@@ -20,9 +21,8 @@ class CacheSim {
   bool Access(uint64_t addr) { return AccessLine(addr >> line_shift_); }
 
   // Touches line `line` (= addr >> log2(line_bytes)) directly. The device's
-  // access loops already hold line numbers — deterministic mode derives them
-  // from remapped granule ids — so this skips the round trip through a byte
-  // address. Identical hit/miss behaviour to Access().
+  // access loops already hold line numbers, so this skips the round trip
+  // through a byte address. Identical hit/miss behaviour to Access().
   bool AccessLine(uint64_t line);
 
   // Drops all cached lines and resets hit/miss counters.

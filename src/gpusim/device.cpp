@@ -111,28 +111,21 @@ KernelStats& KernelStats::operator+=(const KernelStats& other) {
   return *this;
 }
 
+// Lines are formed directly over device addresses. The read and write loops
+// are written out separately so the per-line body is straight code — this
+// runs once per simulated line transaction, which is the simulator's
+// innermost loop.
 void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
   if (bytes == 0) {
     return;
   }
-  const uint64_t start = reinterpret_cast<uint64_t>(addr);
-  const uint64_t end = start + bytes - 1;
-  if (device_->config_.deterministic_addressing) {
-    AccessLinesDeterministic(start, end, is_read);
-  } else {
-    AccessLinesRaw(start, end, is_read);
-  }
-}
-
-// Raw mode: lines are formed directly over byte addresses. The read and
-// write loops are written out separately so the per-line body is straight
-// code — this runs once per simulated line transaction, which is the
-// simulator's innermost loop.
-void BlockCtx::AccessLinesRaw(uint64_t start, uint64_t end, bool is_read) {
+  const uint64_t start = reinterpret_cast<uintptr_t>(addr) - device_->memory_.base();
+  MINUET_CHECK(start < DeviceMemory::kReserveBytes && bytes <= DeviceMemory::kReserveBytes - start)
+      << "global access outside device memory";
   CacheSim& l2 = device_->l2_;
   const int line_shift = device_->line_shift_;
   const uint64_t first = start >> line_shift;
-  const uint64_t last = end >> line_shift;
+  const uint64_t last = (start + bytes - 1) >> line_shift;
   if (is_read) {
     for (uint64_t line = first; line <= last; ++line) {
       const size_t slot = static_cast<size_t>(line & (kL1Lines - 1));
@@ -158,53 +151,6 @@ void BlockCtx::AccessLinesRaw(uint64_t start, uint64_t end, bool is_read) {
   }
 }
 
-// Deterministic mode: walk the access in 16-byte malloc granules, renumber
-// each by first touch, and form lines over the renumbered space (see
-// GranuleTable). Contiguously-touched data stays contiguous, so spatial
-// locality survives, but no line id ever depends on a real address.
-//
-// The per-block memo short-circuits the common per-lane shape — many small
-// touches of the same element in a row — and consecutive granules of one
-// range still dedupe into one line touch via prev_line, exactly as before.
-void BlockCtx::AccessLinesDeterministic(uint64_t start, uint64_t end, bool is_read) {
-  GranuleTable& table = device_->granules_;
-  CacheSim& l2 = device_->l2_;
-  const int gpl_shift = device_->granules_per_line_shift_;
-  uint64_t granule = start >> 4;
-  const uint64_t last_granule = end >> 4;
-  uint64_t id = granule == memo_granule_ ? memo_granule_id_ : table.Remap(granule);
-  uint64_t prev_line = ~uint64_t{0};
-  for (;;) {
-    const uint64_t line = id >> gpl_shift;
-    if (line != prev_line) {
-      prev_line = line;
-      if (is_read) {
-        const size_t slot = static_cast<size_t>(line & (kL1Lines - 1));
-        if (l1_tags_[slot] == line) {
-          ++l1_hits_;
-        } else {
-          l1_tags_[slot] = line;
-          if (l2.AccessLine(line)) {
-            ++line_hits_;
-          } else {
-            ++line_misses_;
-          }
-        }
-      } else if (l2.AccessLine(line)) {
-        ++line_hits_;
-      } else {
-        ++line_misses_;
-      }
-    }
-    if (granule == last_granule) {
-      break;
-    }
-    id = table.Remap(++granule);
-  }
-  memo_granule_ = last_granule;
-  memo_granule_id_ = id;
-}
-
 void BlockCtx::GlobalRead(const void* addr, size_t bytes) {
   bytes_read_ += bytes;
   AccessLines(addr, bytes, /*is_read=*/true);
@@ -219,10 +165,6 @@ Device::Device(const DeviceConfig& config)
     : config_(config), l2_(config.l2_bytes, config.l2_ways, config.line_bytes) {
   // CacheSim's constructor already insists line_bytes is a power of two.
   line_shift_ = std::countr_zero(static_cast<unsigned>(config.line_bytes));
-  if (config.deterministic_addressing) {
-    MINUET_CHECK_GE(config.line_bytes, 16);
-  }
-  granules_per_line_shift_ = line_shift_ >= 4 ? line_shift_ - 4 : 0;
 }
 
 int64_t Device::ConcurrentBlocks(const LaunchDims& dims) const {

@@ -1,12 +1,14 @@
 // Functional GPU device simulator.
 //
 // Kernels are written as C++ callables invoked once per thread block. The
-// body computes results directly on host memory and *accounts* its activity
-// through the BlockCtx: global reads/writes become 128-byte line transactions
-// against the simulated L2, shared-memory traffic and lane operations become
-// cycles. The device schedules blocks onto SMs in waves (limited by threads,
-// blocks and shared memory per SM) and charges a fixed launch overhead per
-// kernel — exactly the quantities Minuet's design trades off.
+// body computes results directly on the device's memory (a host-mapped arena,
+// see device_memory.h) and *accounts* its activity through the BlockCtx:
+// global reads/writes become 128-byte line transactions, formed over device
+// addresses, against the simulated L2; shared-memory traffic and lane
+// operations become cycles. The device schedules blocks onto SMs in waves
+// (limited by threads, blocks and shared memory per SM) and charges a fixed
+// launch overhead per kernel — exactly the quantities Minuet's design trades
+// off.
 //
 // Reads are filtered through a small per-block L1 before the shared L2, so
 // the reported L2 hit ratios cover L1 misses only — the same population
@@ -20,10 +22,10 @@
 // trace. The hot path is therefore allocation- and hash-free: kernel names
 // are interned to KernelId once per call site, kernel bodies are passed as
 // non-owning FunctionRef (no std::function allocation per launch), per-kernel
-// aggregates are vector-indexed, and deterministic-addressing remap goes
-// through a dense two-level page table (GranuleTable) instead of a per-touch
-// hash probe. All of it under one invariant: simulated statistics are
-// byte-identical to the straightforward implementations they replaced.
+// aggregates are vector-indexed, and a global access is one subtraction and
+// one range check away from its line numbers. All of it under one invariant:
+// simulated statistics are byte-identical to the straightforward
+// implementations they replaced.
 #ifndef SRC_GPUSIM_DEVICE_H_
 #define SRC_GPUSIM_DEVICE_H_
 
@@ -37,7 +39,7 @@
 
 #include "src/gpusim/cache_sim.h"
 #include "src/gpusim/device_config.h"
-#include "src/gpusim/granule_table.h"
+#include "src/gpusim/device_memory.h"
 #include "src/gpusim/kernel_name.h"
 #include "src/util/function_ref.h"
 
@@ -123,6 +125,7 @@ class BlockCtx {
 
   // Global-memory traffic. A call covers a contiguous byte range (what a warp
   // would coalesce); random per-element accesses should be one call each.
+  // The range must lie in the device's memory (CHECKed).
   // Reads are filtered through a small per-block L1 (GPU L1/tex cache): L1
   // hits cost one cycle and never reach the simulated L2, matching how
   // profilers report L2 hit ratios over L1 misses only. Writes are
@@ -146,8 +149,6 @@ class BlockCtx {
   }
 
   void AccessLines(const void* addr, size_t bytes, bool is_read);
-  void AccessLinesRaw(uint64_t start, uint64_t end, bool is_read);
-  void AccessLinesDeterministic(uint64_t start, uint64_t end, bool is_read);
 
   Device* device_;
   int64_t block_index_;
@@ -157,12 +158,6 @@ class BlockCtx {
   // Direct-mapped per-block L1: 128 lines x 128B = 16 KiB.
   static constexpr size_t kL1Lines = 128;
   std::array<uint64_t, kL1Lines> l1_tags_;
-
-  // Deterministic-mode memo: the last granule this block remapped and its id.
-  // Repeated sub-16-byte touches of one element (per-lane metadata reads are
-  // the common shape) then skip the granule table entirely.
-  uint64_t memo_granule_ = UINT64_MAX;
-  uint64_t memo_granule_id_ = 0;
 
   uint64_t l1_hits_ = 0;
   uint64_t line_hits_ = 0;
@@ -237,10 +232,9 @@ class Device {
   void PublishMetrics(trace::MetricsRegistry& registry,
                       const std::string& prefix = "device") const;
 
-  // Distinct 16-byte granules the remap table has seen. A warm serving loop
-  // that touches only stable (pooled/cached) buffers stops growing this —
-  // the observable test for "no fresh device-visible allocation per run".
-  size_t granule_count() const { return granules_.size(); }
+  // The device's address space. Every buffer a kernel touches is allocated
+  // here (DeviceVector<T>(n, device.memory())).
+  DeviceMemory* memory() { return &memory_; }
 
  private:
   friend class BlockCtx;
@@ -248,13 +242,9 @@ class Device {
   void Record(KernelId kernel, const KernelStats& stats);
 
   DeviceConfig config_;
+  DeviceMemory memory_;
   CacheSim l2_;
-  // First-touch renumbering for deterministic_addressing, at malloc-granule
-  // (16-byte) granularity (see GranuleTable). Persists across ResetTotals()
-  // — it is an address-space identity, not a statistic.
-  GranuleTable granules_;
-  int line_shift_ = 0;           // log2(config.line_bytes)
-  int granules_per_line_shift_ = 0;  // log2(line_bytes / 16)
+  int line_shift_ = 0;  // log2(config.line_bytes)
   KernelStats totals_;
   // Aggregates indexed by KernelId; the name-keyed map is a lazily rebuilt
   // view so the public API (and its iteration order) is unchanged.

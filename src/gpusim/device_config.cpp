@@ -1,9 +1,5 @@
 #include "src/gpusim/device_config.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 namespace minuet {
 
 DeviceConfig MakeRtx2070Super() {
@@ -64,15 +60,6 @@ DeviceConfig MakeA100() {
 
 std::vector<DeviceConfig> AllDeviceConfigs() {
   return {MakeRtx2070Super(), MakeRtx2080Ti(), MakeRtx3090(), MakeA100()};
-}
-
-void PinHostHeapForReplay() {
-#if defined(__GLIBC__)
-  // Keep every allocation in the main (brk) arena: kernel mmap placement is
-  // the one allocator decision that depends on address-space layout rather
-  // than the request sequence (see the header comment).
-  mallopt(M_MMAP_MAX, 0);
-#endif
 }
 
 }  // namespace minuet

@@ -50,18 +50,7 @@ struct DeviceConfig {
   // Fixed cost charged once per kernel launch (CUDA launch + driver).
   double launch_overhead_cycles = 4000.0;
 
-  // Remap global-memory addresses (at 16-byte malloc-granule granularity) to
-  // dense first-touch ids before the L1/L2 lookups. By default the cache
-  // simulators key off real host pointers (as arbitrary as an allocator's
-  // placement — see cache_sim.h), which makes hit ratios drift ~0.1% across
-  // process invocations: ASLR shifts the heap and even the command line's
-  // length moves later chunks by 16-byte steps, changing which accesses
-  // straddle line boundaries. The serving scheduler needs bit-identical
-  // reports across runs, so it turns this on: line identity then derives
-  // purely from the (deterministic) first-touch order, hence so does every
-  // cache decision. Hit ratios differ slightly from the default mode
-  // (line composition and conflict misses follow touch order, not allocator
-  // layout); the two modes must not be compared against each other.
+  // Ignored: every Device has its own address space; the next benchmark change removes it.
   bool deterministic_addressing = false;
 
   // Derived.
@@ -78,28 +67,6 @@ DeviceConfig MakeA100();
 // All four, in the paper's order. RTX 3090 (the default results platform)
 // is index 2.
 std::vector<DeviceConfig> AllDeviceConfigs();
-
-// Pins the host allocator so the heap replay deterministic_addressing depends
-// on is itself reproducible across processes. First-touch renumbering makes
-// line identity independent of address *values*, but not of address
-// *identity*: a new allocation that lands on a previously-freed range reuses
-// that range's granule ids (modelling a device allocator recycling a slab),
-// while a fresh range mints new ids. For arena (brk) memory glibc's reuse
-// decisions depend only on the request sequence, so they replay exactly — but
-// allocations above the mmap threshold are placed by the kernel, and whether
-// a later mmap lands back on an earlier munmap'd range shifts with ASLR.
-// Large transient buffers (multi-MB query arrays, hash-table slabs) cross
-// that threshold, which made ~1e-3 of simulated cache statistics flap across
-// otherwise identical --deterministic runs (observed on fig12's first
-// TorchSparse row; see bench/byte_compare.sh).
-//
-// Calling this before any such allocation routes every malloc through the
-// main arena (mallopt M_MMAP_MAX = 0), whose replay is address-independent.
-// Call it from binaries that byte-compare simulated statistics across
-// processes (benches under --deterministic, minuet_serve). No-op on
-// non-glibc platforms. Must be called before the allocations it is meant to
-// pin — ideally first thing in main().
-void PinHostHeapForReplay();
 
 }  // namespace minuet
 

@@ -1,4 +1,4 @@
-#include "src/util/workspace_pool.h"
+#include "src/gpusim/workspace_pool.h"
 
 #include <algorithm>
 
@@ -16,13 +16,13 @@ int WorkspacePool::SizeClass(size_t count) {
   return cls;
 }
 
-std::vector<float> WorkspacePool::Acquire(size_t count, bool zero) {
+DeviceVector<float> WorkspacePool::Acquire(size_t count, bool zero) {
   if (count == 0) {
     return {};
   }
   const int cls = SizeClass(count);
   auto& list = free_lists_[cls];
-  std::vector<float> slab;
+  DeviceVector<float> slab(memory_);
   uint64_t seq = 0;
   if (!list.empty()) {
     // Oldest slab first (see CachedSlab in the header for why not LIFO).
@@ -53,8 +53,8 @@ std::vector<float> WorkspacePool::Acquire(size_t count, bool zero) {
     stats_.high_water_bytes = std::max<uint64_t>(stats_.high_water_bytes, live_bytes_);
   }
   // Remember the slab's birth order while it is out of our custody. A stale
-  // entry at the same address (a detached slab whose storage the heap has
-  // recycled into this new one) is superseded.
+  // entry at the same address (a detached slab whose storage the device
+  // memory has recycled into this new one) is superseded.
   const float* addr = slab.data();
   auto tag = std::find_if(outstanding_seqs_.begin(), outstanding_seqs_.end(),
                           [addr](const auto& e) { return e.first == addr; });
@@ -67,7 +67,7 @@ std::vector<float> WorkspacePool::Acquire(size_t count, bool zero) {
   return slab;
 }
 
-void WorkspacePool::Release(std::vector<float> slab) {
+void WorkspacePool::Release(DeviceVector<float> slab) {
   if (slab.capacity() == 0) {
     return;
   }

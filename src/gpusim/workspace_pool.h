@@ -1,35 +1,38 @@
-// Arena-style reuse pool for float workspaces (the serving path's answer to
-// per-inference std::vector churn).
+// Reuse pool for float workspaces in device memory (the serving path's
+// answer to per-inference buffer churn).
 //
 // Slabs are handed out by power-of-two size class: Acquire rounds the request
 // up to the next power of two, reuses a cached slab of that class when one is
-// free, and otherwise allocates. Release returns the slab to its class's free
-// list instead of the heap. A warm serving loop therefore reaches a steady
-// state where Acquire never allocates — the Stats counters make that property
-// testable (bench/serve_warm_loop asserts allocations stop after warm-up).
+// free, and otherwise allocates from the pool's DeviceMemory. Release returns
+// the slab to its class's free list instead of the device allocator. A warm
+// serving loop therefore reaches a steady state where Acquire never
+// allocates — the Stats counters make that property testable
+// (bench/serve_warm_loop asserts allocations stop after warm-up).
 //
-// The pool stores raw std::vector<float> storage rather than FeatureMatrix so
-// that src/util stays below src/core in the dependency order; FeatureMatrix
+// The pool stores raw DeviceVector<float> storage rather than FeatureMatrix so
+// that src/gpusim stays below src/core in the dependency order; FeatureMatrix
 // has an adopt-storage constructor and TakeStorage() for the round trip.
 //
 // Not thread-safe: one pool per session / per thread.
-#ifndef SRC_UTIL_WORKSPACE_POOL_H_
-#define SRC_UTIL_WORKSPACE_POOL_H_
+#ifndef SRC_GPUSIM_WORKSPACE_POOL_H_
+#define SRC_GPUSIM_WORKSPACE_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "src/gpusim/device_memory.h"
 
 namespace minuet {
 
 class WorkspacePool {
  public:
   struct Stats {
-    // Slabs allocated from the heap (cache misses).
+    // Slabs allocated from device memory (cache misses).
     uint64_t allocations = 0;
     // Acquisitions served from a free list (cache hits).
     uint64_t reuses = 0;
-    // Total bytes ever heap-allocated through this pool.
+    // Total bytes ever allocated through this pool.
     uint64_t bytes_allocated = 0;
     // Peak bytes simultaneously owned (outstanding + cached), the
     // steady-state footprint a real allocator would reserve.
@@ -38,7 +41,9 @@ class WorkspacePool {
     int64_t outstanding = 0;
   };
 
-  WorkspacePool() = default;
+  // Slabs come from `memory`; null allocates them on the host heap, where
+  // kernels cannot read them.
+  explicit WorkspacePool(DeviceMemory* memory = nullptr) : memory_(memory) {}
   WorkspacePool(const WorkspacePool&) = delete;
   WorkspacePool& operator=(const WorkspacePool&) = delete;
 
@@ -47,11 +52,11 @@ class WorkspacePool {
   // reuse otherwise hands back stale data, so callers that partially write
   // must clear themselves (gather/GEMM buffers are always fully overwritten
   // or explicitly cleared by ClearBuffer).
-  std::vector<float> Acquire(size_t count, bool zero);
+  DeviceVector<float> Acquire(size_t count, bool zero);
 
   // Returns a slab to its size-class free list. Slabs must originate from
   // Acquire on this pool (releasing a moved-from/empty vector is a no-op).
-  void Release(std::vector<float> slab);
+  void Release(DeviceVector<float> slab);
 
   // Drops every cached slab (keeps lifetime counters).
   void Trim();
@@ -70,22 +75,22 @@ class WorkspacePool {
   // oldest free slab of a class rather than the most recently released one: a
   // LIFO would make the slab a request receives depend on the *order* of the
   // previous run's releases, so replaying the same acquire/release sequence
-  // permutes the slab<->kernel assignment every pass and, under the gpusim's
-  // deterministic_addressing, changes the cache access stream run over run.
-  // The birth sequence is pure program history (never a heap address), so the
-  // choice is identical across replays in one process *and* across processes
-  // — exactly the two determinism claims the serving tests and the CI
-  // serve-smoke byte-comparison assert.
+  // would permute the slab<->kernel assignment every pass, and with it the
+  // device addresses — and so the cache access stream — of every warm run.
+  // The birth sequence is pure program history, so the choice is identical
+  // across replays in one process and across processes: the in-process
+  // replay identity the serving tests assert.
   struct CachedSlab {
     uint64_t seq = 0;
-    std::vector<float> storage;
+    DeviceVector<float> storage;
   };
 
+  DeviceMemory* memory_;
   std::vector<CachedSlab> free_lists_[kNumClasses];
   // Birth order of outstanding slabs, keyed by their storage address so
-  // Release can restore the tag (the caller sees a plain vector<float>). An
-  // address is a stable identity while the slab is alive; entries are erased
-  // when Trim destroys the storage, so recycled heap addresses never collide.
+  // Release can restore the tag (the caller sees a plain DeviceVector). An
+  // address is a stable identity while the slab is alive; a detached slab's
+  // stale entry is superseded when its address is handed out again.
   std::vector<std::pair<const float*, uint64_t>> outstanding_seqs_;
   uint64_t next_seq_ = 0;
   size_t live_bytes_ = 0;    // outstanding + cached capacity bytes
@@ -95,4 +100,4 @@ class WorkspacePool {
 
 }  // namespace minuet
 
-#endif  // SRC_UTIL_WORKSPACE_POOL_H_
+#endif  // SRC_GPUSIM_WORKSPACE_POOL_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <climits>
-#include <vector>
 
 #include "src/core/coordinate.h"
 #include "src/util/check.h"
@@ -40,10 +39,10 @@ SortStats RadixSortPairs(Device& device, std::span<uint64_t> keys, std::span<uin
   }
   const int64_t num_blocks = (n + kKeysPerBlock - 1) / kKeysPerBlock;
 
-  std::vector<uint64_t> key_tmp(keys.size());
-  std::vector<uint32_t> val_tmp(values.size());
+  DeviceVector<uint64_t> key_tmp(keys.size(), device.memory());
+  DeviceVector<uint32_t> val_tmp(values.size(), device.memory());
   // block_hist[b * kNumBins + d]: count of digit d in block b's chunk.
-  std::vector<int64_t> block_hist(static_cast<size_t>(num_blocks) * kNumBins);
+  DeviceVector<int64_t> block_hist(static_cast<size_t>(num_blocks) * kNumBins, device.memory());
 
   for (int shift = begin_bit; shift < end_bit; shift += kDigitBits) {
     ++stats.passes_total;
@@ -92,7 +91,7 @@ SortStats RadixSortPairs(Device& device, std::span<uint64_t> keys, std::span<uin
 
     // Kernel 2: exclusive scan over the digit-major (d, b) layout, producing
     // for each (block, digit) the global base offset of its first element.
-    std::vector<int64_t> base(static_cast<size_t>(num_blocks) * kNumBins);
+    DeviceVector<int64_t> base(static_cast<size_t>(num_blocks) * kNumBins, device.memory());
     static const KernelId kScan = KernelId::Intern("sort/radix/scan");
     stats.kernels += device.Launch(
         kScan, LaunchDims{1, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
@@ -222,7 +221,7 @@ SortStats RadixSortCoordPairs(Device& device, std::span<uint64_t> keys,
   MINUET_CHECK_LE(total_bits, 63);
 
   // Kernel B: re-pack each key into the compact layout (order-preserving).
-  std::vector<uint64_t> compact(static_cast<size_t>(n));
+  DeviceVector<uint64_t> compact(static_cast<size_t>(n), device.memory());
   static const KernelId kRepack = KernelId::Intern("sort/coord/repack");
   stats.kernels += device.Launch(
       kRepack, LaunchDims{blocks, kThreads, 0}, [&](BlockCtx& ctx) {

@@ -27,7 +27,8 @@ struct SortStats {
 };
 
 // Sorts `keys` ascending in place. If `values` is non-empty it must have the
-// same length and is permuted alongside the keys (stable).
+// same length and is permuted alongside the keys (stable). Both live in
+// `device`'s memory, like every argument a kernel reads.
 SortStats RadixSortPairs(Device& device, std::span<uint64_t> keys, std::span<uint32_t> values,
                          int begin_bit = 0, int end_bit = 64);
 

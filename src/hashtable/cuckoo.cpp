@@ -18,8 +18,8 @@ CuckooHashTable::CuckooHashTable(double load_factor, int max_evictions)
 KernelStats CuckooHashTable::Build(Device& device, std::span<const uint64_t> keys) {
   uint64_t capacity = NextPow2(
       static_cast<uint64_t>(static_cast<double>(std::max<size_t>(keys.size(), 1)) / load_factor_));
-  slots_.assign(capacity, HashSlot{});
-  stash_.clear();
+  slots_ = DeviceVector<HashSlot>(capacity, HashSlot{}, device.memory());
+  stash_ = DeviceVector<HashSlot>(device.memory());
   mask_ = capacity - 1;
 
   KernelStats memset_stats = ChargeTableMemset(device, slots_.data(), slots_.size() * sizeof(HashSlot));

@@ -37,8 +37,8 @@ class CuckooHashTable : public HashTableBase {
   double load_factor_;
   int max_evictions_;
   uint64_t mask_ = 0;
-  std::vector<HashSlot> slots_;
-  std::vector<HashSlot> stash_;
+  DeviceVector<HashSlot> slots_;
+  DeviceVector<HashSlot> stash_;
 };
 
 }  // namespace minuet

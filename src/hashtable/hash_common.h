@@ -48,7 +48,8 @@ class HashTableBase {
 
   virtual const char* name() const = 0;
 
-  // Builds the table from scratch. Keys must be unique.
+  // Builds the table from scratch in `device`'s memory. Keys must be unique
+  // and, like `queries` and `results` below, live in that memory too.
   virtual KernelStats Build(Device& device, std::span<const uint64_t> keys) = 0;
 
   // results[i] = value of queries[i], or kNoMatch (0xFFFFFFFF) if absent.

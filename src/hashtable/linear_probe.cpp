@@ -15,7 +15,7 @@ LinearProbeHashTable::LinearProbeHashTable(double load_factor) : load_factor_(lo
 KernelStats LinearProbeHashTable::Build(Device& device, std::span<const uint64_t> keys) {
   uint64_t capacity = NextPow2(
       static_cast<uint64_t>(static_cast<double>(std::max<size_t>(keys.size(), 1)) / load_factor_));
-  slots_.assign(capacity, HashSlot{});
+  slots_ = DeviceVector<HashSlot>(capacity, HashSlot{}, device.memory());
   mask_ = capacity - 1;
 
   KernelStats memset_stats = ChargeTableMemset(device, slots_.data(), slots_.size() * sizeof(HashSlot));

@@ -31,7 +31,7 @@ class LinearProbeHashTable : public HashTableBase {
  private:
   double load_factor_;
   uint64_t mask_ = 0;
-  std::vector<HashSlot> slots_;
+  DeviceVector<HashSlot> slots_;
 };
 
 }  // namespace minuet

@@ -15,8 +15,8 @@ KernelStats SpatialHashTable::Build(Device& device, std::span<const uint64_t> ke
   uint64_t want_slots = static_cast<uint64_t>(
       static_cast<double>(std::max<size_t>(keys.size(), 1)) * slots_per_key_);
   num_buckets_ = NextPow2((want_slots + kBucketSlots - 1) / kBucketSlots);
-  keys_.assign(num_buckets_ * kBucketSlots, kEmptySlotKey);
-  values_.assign(num_buckets_ * kBucketSlots, 0);
+  keys_ = DeviceVector<uint64_t>(num_buckets_ * kBucketSlots, kEmptySlotKey, device.memory());
+  values_ = DeviceVector<uint32_t>(num_buckets_ * kBucketSlots, 0, device.memory());
 
   KernelStats memset_stats = ChargeTableMemset(device, keys_.data(), keys_.size() * sizeof(uint64_t));
   const int64_t n = static_cast<int64_t>(keys.size());

@@ -36,8 +36,8 @@ class SpatialHashTable : public HashTableBase {
  private:
   double slots_per_key_;
   uint64_t num_buckets_ = 0;
-  std::vector<uint64_t> keys_;    // num_buckets_ * kBucketSlots
-  std::vector<uint32_t> values_;  // parallel to keys_
+  DeviceVector<uint64_t> keys_;    // num_buckets_ * kBucketSlots
+  DeviceVector<uint32_t> values_;  // parallel to keys_
 };
 
 }  // namespace minuet

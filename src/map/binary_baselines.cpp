@@ -18,8 +18,8 @@ constexpr int kThreads = 128;
 // Sorts the source array (charging the radix sort unless already sorted) and
 // returns spans plus optional original-index values.
 struct SortedSource {
-  std::vector<uint64_t> keys_storage;
-  std::vector<uint32_t> vals_storage;
+  DeviceVector<uint64_t> keys_storage;
+  DeviceVector<uint32_t> vals_storage;
   std::span<const uint64_t> keys;
   const uint32_t* vals = nullptr;  // nullptr: value == position
 };
@@ -30,8 +30,8 @@ SortedSource PrepareSource(Device& device, const MapBuildInput& input, KernelSta
     src.keys = input.source_keys;
     return src;
   }
-  src.keys_storage.assign(input.source_keys.begin(), input.source_keys.end());
-  src.vals_storage.resize(input.source_keys.size());
+  src.keys_storage = ToDevice(device.memory(), input.source_keys);
+  src.vals_storage = DeviceVector<uint32_t>(input.source_keys.size(), device.memory());
   std::iota(src.vals_storage.begin(), src.vals_storage.end(), 0u);
   build_stats += RadixSortPairs(device, src.keys_storage, src.vals_storage, 0, 63).kernels;
   src.keys = src.keys_storage;
@@ -56,7 +56,8 @@ MapBuildResult NaiveBinaryMapBuilder::Build(Device& device, const MapBuildInput&
   MapBuildResult result;
   result.table.num_offsets = n_off;
   result.table.num_outputs = n_out;
-  result.table.positions.assign(static_cast<size_t>(n_off * n_out), kNoMatch);
+  result.table.positions =
+      DeviceVector<uint32_t>(static_cast<size_t>(n_off * n_out), kNoMatch, device.memory());
   if (n_src == 0 || n_out == 0 || n_off == 0) {
     return result;
   }
@@ -65,7 +66,7 @@ MapBuildResult NaiveBinaryMapBuilder::Build(Device& device, const MapBuildInput&
   SortedSource src = PrepareSource(device, input, result.build_stats);
 
   // Query visit order: a deterministic shuffle models unsorted coordinates.
-  std::vector<uint32_t> order(static_cast<size_t>(n_out));
+  DeviceVector<uint32_t> order(static_cast<size_t>(n_out), device.memory());
   std::iota(order.begin(), order.end(), 0u);
   if (shuffle_queries_) {
     Pcg32 rng(0x5eed);
@@ -136,7 +137,8 @@ MapBuildResult FullSortMapBuilder::Build(Device& device, const MapBuildInput& in
   MapBuildResult result;
   result.table.num_offsets = n_off;
   result.table.num_outputs = n_out;
-  result.table.positions.assign(static_cast<size_t>(n_off * n_out), kNoMatch);
+  result.table.positions =
+      DeviceVector<uint32_t>(static_cast<size_t>(n_off * n_out), kNoMatch, device.memory());
   if (n_src == 0 || n_out == 0 || n_off == 0) {
     return result;
   }
@@ -147,8 +149,8 @@ MapBuildResult FullSortMapBuilder::Build(Device& device, const MapBuildInput& in
   // Materialise the full K^3|Q| query array (the memory cost the paper calls
   // out), tagged with (offset, output) so results can be scattered back.
   const int64_t total = n_off * n_out;
-  std::vector<uint64_t> queries(static_cast<size_t>(total));
-  std::vector<uint32_t> tags(static_cast<size_t>(total));
+  DeviceVector<uint64_t> queries(static_cast<size_t>(total), device.memory());
+  DeviceVector<uint32_t> tags(static_cast<size_t>(total), device.memory());
   {
     const int64_t blocks = (total + kItemsPerBlock - 1) / kItemsPerBlock;
     static const KernelId kFullSortMakeQueries = KernelId::Intern("map/query/full_sort_make_queries");
@@ -241,7 +243,8 @@ MapBuildResult MergePathMapBuilder::Build(Device& device, const MapBuildInput& i
   MapBuildResult result;
   result.table.num_offsets = n_off;
   result.table.num_outputs = n_out;
-  result.table.positions.assign(static_cast<size_t>(n_off * n_out), kNoMatch);
+  result.table.positions =
+      DeviceVector<uint32_t>(static_cast<size_t>(n_off * n_out), kNoMatch, device.memory());
   if (n_src == 0 || n_out == 0 || n_off == 0) {
     return result;
   }
@@ -249,8 +252,8 @@ MapBuildResult MergePathMapBuilder::Build(Device& device, const MapBuildInput& i
 
   SortedSource src = PrepareSource(device, input, result.build_stats);
   // Merge path needs sorted queries; sort a copy of the outputs if required.
-  std::vector<uint64_t> out_storage;
-  std::vector<uint32_t> out_perm_storage;
+  DeviceVector<uint64_t> out_storage(device.memory());
+  DeviceVector<uint32_t> out_perm_storage(device.memory());
   std::span<const uint64_t> out_keys = input.output_keys;
   const uint32_t* out_perm = nullptr;
   if (!input.output_sorted) {

@@ -63,7 +63,7 @@ KernelStats BuildEngineHashTable(Device& device, HashTableKind kind,
   } else if (kind == HashTableKind::kCuckoo) {
     // TorchSparse validates the cuckoo build by re-probing every inserted
     // key (insert failures trigger a rebuild with fresh hash functions).
-    std::vector<uint32_t> check(keys.size());
+    DeviceVector<uint32_t> check(keys.size(), device.memory());
     stats += table->Query(device, keys, check);
   }
   if (out_table != nullptr) {
@@ -83,7 +83,8 @@ MapBuildResult HashMapBuilder::Build(Device& device, const MapBuildInput& input)
   MapBuildResult result;
   result.table.num_offsets = n_off;
   result.table.num_outputs = n_out;
-  result.table.positions.assign(static_cast<size_t>(n_off * n_out), kNoMatch);
+  result.table.positions =
+      DeviceVector<uint32_t>(static_cast<size_t>(n_off * n_out), kNoMatch, device.memory());
   if (input.source_keys.empty() || n_out == 0 || n_off == 0) {
     return result;
   }
@@ -97,7 +98,7 @@ MapBuildResult HashMapBuilder::Build(Device& device, const MapBuildInput& input)
   // the device). The result array is exactly the position table: the query
   // for (offset k, output i) sits at k * |Q| + i.
   const int64_t total = n_off * n_out;
-  std::vector<uint64_t> queries(static_cast<size_t>(total));
+  DeviceVector<uint64_t> queries(static_cast<size_t>(total), device.memory());
   {
     const int64_t blocks = (total + kQueriesPerBlock - 1) / kQueriesPerBlock;
     static const KernelId kMakeQueries = KernelId::Intern("map/query/make_queries");

@@ -22,13 +22,10 @@ struct MergeCut {
 
 }  // namespace
 
-KernelStats ChargeDeltaMerge(Device& device, std::vector<uint64_t>& keys, uint64_t motion_delta,
-                             std::span<const uint64_t> deleted,
-                             std::span<const uint64_t> inserted, int threads_per_block,
-                             DeltaMergeScratch* scratch) {
+KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint64_t motion_delta,
+                             std::span<const uint64_t> deleted_host,
+                             std::span<const uint64_t> inserted, int threads_per_block) {
   MINUET_CHECK_GE(threads_per_block, 32);
-  DeltaMergeScratch local;
-  DeltaMergeScratch& buf = scratch != nullptr ? *scratch : local;
   KernelStats stats;
   const int64_t n = static_cast<int64_t>(keys.size());
   const int64_t tpb = threads_per_block;
@@ -54,12 +51,13 @@ KernelStats ChargeDeltaMerge(Device& device, std::vector<uint64_t>& keys, uint64
   }
   MINUET_DCHECK(std::is_sorted(keys.begin(), keys.end()));
 
-  const int64_t d = static_cast<int64_t>(deleted.size());
+  const int64_t d = static_cast<int64_t>(deleted_host.size());
   const int64_t m = static_cast<int64_t>(inserted.size());
   if (d == 0 && m == 0) {
     return stats;
   }
-  MINUET_CHECK(std::is_sorted(deleted.begin(), deleted.end()));
+  MINUET_CHECK(std::is_sorted(deleted_host.begin(), deleted_host.end()));
+  const DeviceVector<uint64_t> deleted = ToDevice(device.memory(), deleted_host);
 
   // The churned-in voxels arrive unordered from the sensor; sorting the small
   // list is charged even though callers happen to hand it sorted already.
@@ -68,8 +66,7 @@ KernelStats ChargeDeltaMerge(Device& device, std::vector<uint64_t>& keys, uint64
   // single launch — not the multi-pass device radix sort, whose per-launch
   // overhead alone would rival the from-scratch coordinate sort this path
   // exists to avoid.
-  std::vector<uint64_t>& ins = buf.inserted;
-  ins.assign(inserted.begin(), inserted.end());
+  DeviceVector<uint64_t> ins = ToDevice(device.memory(), inserted);
   if (!ins.empty()) {
     static const KernelId kSortInserts = KernelId::Intern("map/delta/sort_inserts");
     const uint64_t bytes = ins.size() * sizeof(uint64_t);
@@ -93,8 +90,7 @@ KernelStats ChargeDeltaMerge(Device& device, std::vector<uint64_t>& keys, uint64
   // Single linear merge pass: survivors of `keys` interleaved with `ins`,
   // `deleted` consumed alongside. Cursor snapshots every tpb outputs give the
   // kernel exact per-block read spans.
-  std::vector<uint64_t>& merged = buf.merged;
-  merged.clear();
+  DeviceVector<uint64_t> merged(device.memory());
   merged.reserve(static_cast<size_t>(n - d + m));
   std::vector<MergeCut> cuts;
   cuts.push_back(MergeCut{});
@@ -165,9 +161,7 @@ KernelStats ChargeDeltaMerge(Device& device, std::vector<uint64_t>& keys, uint64
     }
     ctx.Compute(static_cast<uint64_t>((c1.prev - c0.prev) + (c1.del - c0.del) + (c1.ins - c0.ins)));
   });
-  // Copy (not move): `keys` must keep its allocation so the next frame's
-  // rebias/merge kernels read from a stable address (see DeltaMergeScratch).
-  keys.assign(merged.begin(), merged.end());
+  keys = std::move(merged);
   return stats;
 }
 
@@ -178,7 +172,7 @@ IncrementalMapBuilder::IncrementalMapBuilder(const IncrementalMapConfig& config)
 }
 
 void IncrementalMapBuilder::Reset() {
-  keys_.clear();
+  keys_ = DeviceVector<uint64_t>();  // frees the device storage too
   has_state_ = false;
 }
 
@@ -186,9 +180,9 @@ IncrementalBuildResult IncrementalMapBuilder::BuildFull(Device& device,
                                                         std::span<const uint64_t> keys,
                                                         std::span<const Coord3> offsets) {
   IncrementalBuildResult result;
-  keys_.assign(keys.begin(), keys.end());
+  keys_ = ToDevice(device.memory(), keys);
   if (!keys_.empty()) {
-    std::vector<uint32_t> vals(keys_.size());
+    DeviceVector<uint32_t> vals(keys_.size(), device.memory());
     std::iota(vals.begin(), vals.end(), 0u);
     result.delta_stats = RadixSortCoordPairs(device, keys_, vals).kernels;
   }
@@ -221,8 +215,8 @@ IncrementalBuildResult IncrementalMapBuilder::BuildDelta(Device& device, uint64_
   IncrementalBuildResult result;
   result.incremental = true;
   result.churn = churn;
-  result.delta_stats = ChargeDeltaMerge(device, keys_, motion_delta, deleted, inserted,
-                                        config_.threads_per_block, &scratch_);
+  result.delta_stats =
+      ChargeDeltaMerge(device, keys_, motion_delta, deleted, inserted, config_.threads_per_block);
   ++frames_incremental_;
 
   // The correctness invariant: the maintained array IS the frame's sorted key

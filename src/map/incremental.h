@@ -51,18 +51,6 @@ struct IncrementalBuildResult {
   double churn = 0.0;  // max(deleted, inserted) / previous size
 };
 
-// Reusable buffers for ChargeDeltaMerge. The simulated cache derives line
-// identity from host addresses (first-touch renumbered), so the buffers the
-// delta kernels read and write must sit at stable addresses for warmed
-// replays to byte-compare — a fresh allocation per frame would hand the L2
-// a different access stream every pass. Holders that replay (SequenceSession,
-// IncrementalMapBuilder) own one of these; capacities grow monotonically and
-// stop changing once the first pass has seen the largest frame.
-struct DeltaMergeScratch {
-  std::vector<uint64_t> inserted;  // sorted copy of the churned-in keys
-  std::vector<uint64_t> merged;    // merge output, copied back into `keys`
-};
-
 class IncrementalMapBuilder {
  public:
   explicit IncrementalMapBuilder(const IncrementalMapConfig& config = {});
@@ -89,7 +77,7 @@ class IncrementalMapBuilder {
   void Reset();
 
   bool has_state() const { return has_state_; }
-  const std::vector<uint64_t>& keys() const { return keys_; }
+  std::span<const uint64_t> keys() const { return keys_; }
   int64_t frames_incremental() const { return frames_incremental_; }
   int64_t frames_rebuilt() const { return frames_rebuilt_; }
   const IncrementalMapConfig& config() const { return config_; }
@@ -97,8 +85,7 @@ class IncrementalMapBuilder {
  private:
   IncrementalMapConfig config_;
   MinuetMapBuilder inner_;
-  std::vector<uint64_t> keys_;
-  DeltaMergeScratch scratch_;
+  DeviceVector<uint64_t> keys_;
   bool has_state_ = false;
   int64_t frames_incremental_ = 0;
   int64_t frames_rebuilt_ = 0;
@@ -107,13 +94,11 @@ class IncrementalMapBuilder {
 // The delta maintenance kernels alone (no map build): rebias `keys` by
 // `motion_delta`, then merge out `deleted` and in `inserted`. Exposed for the
 // engine's sequence session, which owns its own coordinate levels and only
-// needs the sorted-array maintenance + its simulated cost. `keys` keeps its
-// allocation (the merge result is copied back in). A null `scratch` uses
-// call-local buffers — fine for one-shot builds, not for warmed replays.
-KernelStats ChargeDeltaMerge(Device& device, std::vector<uint64_t>& keys, uint64_t motion_delta,
+// needs the sorted-array maintenance + its simulated cost. `keys` lives in
+// `device`'s memory; the delta lists are copied in.
+KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint64_t motion_delta,
                              std::span<const uint64_t> deleted,
-                             std::span<const uint64_t> inserted, int threads_per_block,
-                             DeltaMergeScratch* scratch = nullptr);
+                             std::span<const uint64_t> inserted, int threads_per_block);
 
 }  // namespace minuet
 

@@ -43,7 +43,8 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
   MapBuildResult result;
   result.table.num_offsets = n_off;
   result.table.num_outputs = n_out;
-  result.table.positions.assign(static_cast<size_t>(n_off * n_out), kNoMatch);
+  result.table.positions =
+      DeviceVector<uint32_t>(static_cast<size_t>(n_off * n_out), kNoMatch, device.memory());
   if (n_src == 0 || n_out == 0 || n_off == 0) {
     return result;
   }
@@ -56,8 +57,8 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
   // --- Build phase: sorted source / output arrays (radix sort via gpusort).
   // When the caller's arrays are already sorted (cross-layer reuse,
   // Section 5.1.1 reasons 3-4), positions are identities and no kernel runs.
-  std::vector<uint64_t> src_keys_storage;
-  std::vector<uint32_t> src_vals_storage;
+  DeviceVector<uint64_t> src_keys_storage(device.memory());
+  DeviceVector<uint32_t> src_vals_storage(device.memory());
   std::span<const uint64_t> src_keys = input.source_keys;
   const uint32_t* src_vals = nullptr;
   if (!input.source_sorted) {
@@ -69,8 +70,8 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
     src_keys = src_keys_storage;
     src_vals = src_vals_storage.data();
   }
-  std::vector<uint64_t> out_keys_storage;
-  std::vector<uint32_t> out_perm_storage;
+  DeviceVector<uint64_t> out_keys_storage(device.memory());
+  DeviceVector<uint32_t> out_perm_storage(device.memory());
   std::span<const uint64_t> out_keys = input.output_keys;
   const uint32_t* out_perm = nullptr;
   if (!input.output_sorted) {
@@ -165,7 +166,8 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
   // --- Backward binary search (Figure 11, steps 1-2): for every source-block
   // pivot and every segment, the first query strictly greater than the pivot.
   const int64_t num_source_blocks = (n_src + block_b - 1) / block_b;
-  std::vector<uint32_t> boundaries(static_cast<size_t>(n_off * num_source_blocks));
+  DeviceVector<uint32_t> boundaries(static_cast<size_t>(n_off * num_source_blocks),
+                                    device.memory());
   {
     const int64_t items = n_off * num_source_blocks;
     const int64_t items_per_block = config_.threads_per_block;
@@ -212,7 +214,7 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
   // source block are adjacent in the grid, so the staged block and the
   // (heavily overlapping) query ranges are re-served from L2 — this ordering
   // is where the paper's >93% hit ratio comes from.
-  std::vector<QueryBlockTask> tasks;
+  DeviceVector<QueryBlockTask> tasks(device.memory());
   for (int64_t s = 0; s < num_source_blocks; ++s) {
     for (int64_t seg = 0; seg < n_off; ++seg) {
       uint32_t k = offset_order[static_cast<size_t>(seg)];

@@ -814,11 +814,16 @@ std::string MakeBaselineJson(const std::vector<JsonValue>& reports, std::string*
         if (env.is_string) {
           w.Value(env.string_value);
         } else {
-          double sum = 0.0;
-          for (double s : env.samples) {
-            sum += s;
+          // Mean as first sample plus the average offset from it, so runs that
+          // agree exactly give that value back and a noise of exactly 0.
+          double mean = 0.0;
+          if (!env.samples.empty()) {
+            double offset_sum = 0.0;
+            for (double s : env.samples) {
+              offset_sum += s - env.samples.front();
+            }
+            mean = env.samples.front() + offset_sum / static_cast<double>(env.samples.size());
           }
-          double mean = env.samples.empty() ? 0.0 : sum / env.samples.size();
           double noise = 0.0;
           for (double s : env.samples) {
             noise = std::max(noise, std::fabs(s - mean));

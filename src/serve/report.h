@@ -28,7 +28,7 @@
 // "summary", so minuet_prof's serve-report loader reads either kind; the
 // "fleet" section is additive. Everything is simulated/serving-clock time —
 // no host wall-clock leaks in, so two runs of the same config produce
-// byte-identical reports (given DeviceConfig::deterministic_addressing).
+// byte-identical reports.
 #ifndef SRC_SERVE_REPORT_H_
 #define SRC_SERVE_REPORT_H_
 

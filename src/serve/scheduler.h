@@ -34,9 +34,9 @@
 // All requests of a batch complete together at dispatch + service.
 //
 // Determinism: the serving clock is virtual, all randomness flows through
-// seeded Pcg32 streams, and the engine should run on a device with
-// DeviceConfig::deterministic_addressing so service times do not inherit the
-// allocator's ASLR noise (see device_config.h).
+// seeded Pcg32 streams, and the cache model keys on the device's own
+// addresses (device_memory.h), so service times inherit nothing from the
+// host heap.
 //
 // ServeScheduler is the single-device deployment. It is implemented as a
 // fleet of one: the event loop, router and accounting live in

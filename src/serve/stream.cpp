@@ -73,6 +73,13 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
     }
   }
 
+  // Every chain restarts with the pass (frame 0 has no predecessor here).
+  // Resetting them all up front releases the retained key arrays before any
+  // frame runs, so each pass starts from the same device memory state.
+  for (Stream& stream : streams_) {
+    stream.session->ResetChain();
+  }
+
   std::vector<StreamSummary> stream_summaries(static_cast<size_t>(num_streams));
   ServeHooks hooks;
   hooks.route = [&](const Request& request) {
@@ -83,8 +90,6 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
     const SequenceFrame& sf = sequence.frames[static_cast<size_t>(frame)];
     SequenceSession& session = *streams_[static_cast<size_t>(request.client)].session;
     const SessionStats before = session.session().stats();
-    // Frame 0 always restarts the chain: on a second pass over the sequence
-    // the retained keys describe the *last* frame, not frame -1 of this one.
     const FrameRunResult fr =
         frame == 0 ? session.RunFrame(sf.cloud)
                    : session.RunFrame(sf.cloud, sf.motion, sf.deleted, sf.inserted);

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/workspace_pool.h"
+#include "src/gpusim/workspace_pool.h"
 
 namespace minuet {
 namespace {
 
 TEST(FeatureMatrixTest, AdoptStorageAvoidsAllocation) {
-  std::vector<float> storage(64, 3.0f);
+  DeviceVector<float> storage(64, 3.0f);
   float* data = storage.data();
   FeatureMatrix m(8, 8, std::move(storage));
   EXPECT_EQ(m.rows(), 8);
@@ -19,16 +19,16 @@ TEST(FeatureMatrixTest, AdoptStorageAvoidsAllocation) {
 
 TEST(FeatureMatrixTest, AdoptStorageResizesToShape) {
   // Oversized storage shrinks; undersized grows (value-initialized tail).
-  FeatureMatrix shrunk(2, 3, std::vector<float>(100, 1.0f));
+  FeatureMatrix shrunk(2, 3, DeviceVector<float>(100, 1.0f));
   EXPECT_EQ(shrunk.rows(), 2);
   EXPECT_EQ(shrunk.At(1, 2), 1.0f);
-  FeatureMatrix grown(4, 4, std::vector<float>{});
+  FeatureMatrix grown(4, 4, DeviceVector<float>{});
   EXPECT_EQ(grown.At(3, 3), 0.0f);
 }
 
 TEST(FeatureMatrixTest, TakeStorageEmptiesMatrix) {
   FeatureMatrix m(4, 4, 2.0f);
-  std::vector<float> storage = m.TakeStorage();
+  DeviceVector<float> storage = m.TakeStorage();
   EXPECT_EQ(storage.size(), 16u);
   EXPECT_EQ(storage[15], 2.0f);
   EXPECT_EQ(m.rows(), 0);

@@ -101,9 +101,9 @@ TEST(FailureInjectionTest, OutOfLatticeQueriesMissGracefully) {
   // Output coordinates at the lattice edge + offsets that would wrap across
   // packed-key fields: builders must neither abort nor alias keys — the
   // wrapping query simply reports no match.
-  std::vector<uint64_t> keys = {PackCoord(Coord3{kCoordMax, 0, 0})};
   std::vector<Coord3> offsets = {{1, 0, 0}, {0, 0, 0}};
   Device dev(MakeRtx3090());
+  const DeviceVector<uint64_t> keys(1, PackCoord(Coord3{kCoordMax, 0, 0}), dev.memory());
   MinuetMapBuilder builder;
   MapBuildInput in;
   in.source_keys = keys;

@@ -83,8 +83,10 @@ TEST(PoolKernelTest, MatchesReferenceMax) {
   auto out_coords = DownsampleCoords(cloud.coords, 2);
   auto offsets = MakeWeightOffsets(2, 1);
   MapPositionTable table = ReferenceMapPositions(cloud.coords, out_coords, offsets);
-  FeatureMatrix out(static_cast<int64_t>(out_coords.size()), 5, 0.0f);
-  SparsePoolKernel(dev, table, cloud.features, out, PoolMode::kMax);
+  table.positions = ToDevice(dev.memory(), table.positions);
+  FeatureMatrix out(static_cast<int64_t>(out_coords.size()), 5, 0.0f, dev.memory());
+  SparsePoolKernel(dev, table, FeatureMatrix(cloud.features, dev.memory()), out,
+                   PoolMode::kMax);
   EXPECT_LT(MaxAbsDiff(out, ReferencePool(cloud, out_coords, offsets, PoolMode::kMax)), 1e-6f);
 }
 
@@ -94,8 +96,10 @@ TEST(PoolKernelTest, MatchesReferenceAverage) {
   auto out_coords = DownsampleCoords(cloud.coords, 2);
   auto offsets = MakeWeightOffsets(2, 1);
   MapPositionTable table = ReferenceMapPositions(cloud.coords, out_coords, offsets);
-  FeatureMatrix out(static_cast<int64_t>(out_coords.size()), 3, 0.0f);
-  SparsePoolKernel(dev, table, cloud.features, out, PoolMode::kAverage);
+  table.positions = ToDevice(dev.memory(), table.positions);
+  FeatureMatrix out(static_cast<int64_t>(out_coords.size()), 3, 0.0f, dev.memory());
+  SparsePoolKernel(dev, table, FeatureMatrix(cloud.features, dev.memory()), out,
+                   PoolMode::kAverage);
   EXPECT_LT(MaxAbsDiff(out, ReferencePool(cloud, out_coords, offsets, PoolMode::kAverage)),
             1e-5f);
 }

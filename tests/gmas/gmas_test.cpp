@@ -53,9 +53,10 @@ std::vector<FeatureMatrix> RandomWeights(size_t count, int64_t c_in, int64_t c_o
   return weights;
 }
 
-KernelMap MakeMap(const PointCloud& cloud, const std::vector<Coord3>& out_coords,
+KernelMap MakeMap(Device& dev, const PointCloud& cloud, const std::vector<Coord3>& out_coords,
                   const std::vector<Coord3>& offsets) {
-  return CompactPositionTable(ReferenceMapPositions(cloud.coords, out_coords, offsets), offsets);
+  return CompactPositionTable(ReferenceMapPositions(cloud.coords, out_coords, offsets), offsets,
+                              dev.memory());
 }
 
 TEST(BlockedGemmTest, MatchesNaive) {
@@ -166,7 +167,7 @@ TEST(MetadataTest, SlotsMatchKernelMapEntries) {
   Device dev(MakeRtx3090());
   PointCloud cloud = RandomCloud(200, 8, 4, 2);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
   GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder);
   MetadataTables tables =
       BuildMetadataTables(dev, map, plan, cloud.num_points(), cloud.num_points(), nullptr);
@@ -209,13 +210,14 @@ TEST_P(GmasPipelineSuite, MatchesReferenceConv) {
   PointCloud cloud = RandomCloud(400, 10, c_in, 3);
   auto offsets = MakeWeightOffsets(3, 1);
   auto weights = RandomWeights(offsets.size(), c_in, c_out, 4);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+  const FeatureMatrix features(cloud.features, dev.memory());
 
   GmasConfig cfg;
   cfg.grouping = param.strategy;
   cfg.gather_tile = param.gather_tile;
   cfg.scatter_tile = param.scatter_tile;
-  GmasResult got = RunGatherGemmScatter(dev, map, cloud.features, weights, cloud.num_points(), cfg);
+  GmasResult got = RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg);
 
   FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
   EXPECT_LT(MaxAbsDiff(got.output, expect), 1e-4f);
@@ -241,9 +243,10 @@ TEST(GmasTest, FusedDataflowMatchesReference) {
   PointCloud cloud = RandomCloud(300, 9, c_in, 5);
   auto offsets = MakeWeightOffsets(3, 1);
   auto weights = RandomWeights(offsets.size(), c_in, c_out, 6);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+  const FeatureMatrix features(cloud.features, dev.memory());
 
-  GmasResult got = RunPerOffsetFused(dev, map, cloud.features, weights, cloud.num_points(), true);
+  GmasResult got = RunPerOffsetFused(dev, map, features, weights, cloud.num_points(), true);
   FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
   EXPECT_LT(MaxAbsDiff(got.output, expect), 1e-4f);
   EXPECT_DOUBLE_EQ(got.stats.plan.PaddingOverhead(), 0.0);
@@ -256,10 +259,11 @@ TEST(GmasTest, StridedConvMatchesReference) {
   auto out_coords = DownsampleCoords(cloud.coords, 2);
   auto offsets = MakeWeightOffsets(2, 1);
   auto weights = RandomWeights(offsets.size(), c_in, c_out, 8);
-  KernelMap map = MakeMap(cloud, out_coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, out_coords, offsets);
+  const FeatureMatrix features(cloud.features, dev.memory());
 
   GmasConfig cfg;
-  GmasResult got = RunGatherGemmScatter(dev, map, cloud.features, weights,
+  GmasResult got = RunGatherGemmScatter(dev, map, features, weights,
                                         static_cast<int64_t>(out_coords.size()), cfg);
   FeatureMatrix expect = ReferenceSparseConv(cloud, out_coords, offsets, weights);
   EXPECT_LT(MaxAbsDiff(got.output, expect), 1e-4f);
@@ -270,21 +274,25 @@ TEST(GmasTest, TimingOnlyModeChargesSameKernels) {
   PointCloud cloud = RandomCloud(300, 10, c_in, 9);
   auto offsets = MakeWeightOffsets(3, 1);
   auto weights = RandomWeights(offsets.size(), c_in, c_out, 10);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
 
   GmasConfig functional;
   GmasConfig timing = functional;
   timing.functional = false;
 
+  // Two devices running the same allocation sequence: every statistic is
+  // exact, since the cache model keys on device addresses.
   Device dev_a(MakeRtx3090());
-  GmasResult a = RunGatherGemmScatter(dev_a, map, cloud.features, weights, cloud.num_points(),
-                                      functional);
+  KernelMap map_a = MakeMap(dev_a, cloud, cloud.coords, offsets);
+  const FeatureMatrix features_a(cloud.features, dev_a.memory());
+  GmasResult a =
+      RunGatherGemmScatter(dev_a, map_a, features_a, weights, cloud.num_points(), functional);
   Device dev_b(MakeRtx3090());
+  KernelMap map_b = MakeMap(dev_b, cloud, cloud.coords, offsets);
+  const FeatureMatrix features_b(cloud.features, dev_b.memory());
   GmasResult b =
-      RunGatherGemmScatter(dev_b, map, cloud.features, weights, cloud.num_points(), timing);
-  // Cycles may differ by a hair: allocations land at different addresses, so
-  // cache-set mapping differs. Launch counts and traffic are exact.
-  EXPECT_NEAR(a.stats.TotalCycles() / b.stats.TotalCycles(), 1.0, 0.02);
+      RunGatherGemmScatter(dev_b, map_b, features_b, weights, cloud.num_points(), timing);
+  EXPECT_EQ(a.stats.TotalCycles(), b.stats.TotalCycles());
+  EXPECT_EQ(a.stats.Combined().l2_hits, b.stats.Combined().l2_hits);
   EXPECT_EQ(a.stats.Combined().num_launches, b.stats.Combined().num_launches);
   EXPECT_EQ(a.stats.Combined().global_bytes_read, b.stats.Combined().global_bytes_read);
   EXPECT_EQ(a.stats.Combined().global_bytes_written, b.stats.Combined().global_bytes_written);
@@ -311,7 +319,7 @@ TEST(AutotuneTest, ReturnsDivisorAndMinimum) {
   Device dev(MakeRtx3090());
   PointCloud cloud = RandomCloud(2000, 20, 32, 12);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
   GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder);
   MetadataTables tables =
       BuildMetadataTables(dev, map, plan, cloud.num_points(), cloud.num_points(), nullptr);
@@ -328,7 +336,7 @@ TEST(AutotuneTest, DeterministicAcrossRuns) {
   Device dev(MakeRtx3090());
   PointCloud cloud = RandomCloud(1000, 15, 16, 13);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
   GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder);
   MetadataTables tables =
       BuildMetadataTables(dev, map, plan, cloud.num_points(), cloud.num_points(), nullptr);
@@ -342,7 +350,7 @@ TEST(AutotuneTest, ScatterProfilesAllDivisors) {
   Device dev(MakeRtx3090());
   PointCloud cloud = RandomCloud(1000, 15, 12, 14);
   auto offsets = MakeWeightOffsets(3, 1);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
   GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder);
   MetadataTables tables =
       BuildMetadataTables(dev, map, plan, cloud.num_points(), cloud.num_points(), nullptr);
@@ -364,18 +372,18 @@ TEST(GmasTest, PaddingStatsFlowThroughResult) {
   PointCloud cloud = RandomCloud(600, 12, c, 15);
   auto offsets = MakeWeightOffsets(3, 1);
   auto weights = RandomWeights(offsets.size(), c, c, 16);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
 
   GmasConfig sorted_cfg;
   sorted_cfg.grouping = GroupingStrategy::kSortedOrder;
   GmasConfig map_cfg;
   map_cfg.grouping = GroupingStrategy::kMapOrder;
 
-  Device dev2(MakeRtx3090());
+  const FeatureMatrix features(cloud.features, dev.memory());
   GmasResult sorted_res =
-      RunGatherGemmScatter(dev, map, cloud.features, weights, cloud.num_points(), sorted_cfg);
+      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), sorted_cfg);
   GmasResult map_res =
-      RunGatherGemmScatter(dev2, map, cloud.features, weights, cloud.num_points(), map_cfg);
+      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), map_cfg);
   EXPECT_LE(sorted_res.stats.plan.PaddingOverhead(), map_res.stats.plan.PaddingOverhead());
   EXPECT_LE(sorted_res.stats.plan.NumKernels(), map_res.stats.plan.NumKernels());
   EXPECT_LT(MaxAbsDiff(sorted_res.output, map_res.output), 1e-4f);
@@ -387,14 +395,15 @@ TEST(GmasScratchTest, PrebuiltPlanAndTablesMatchAndSkipMetadataKernels) {
   PointCloud cloud = RandomCloud(400, 10, c_in, 21);
   auto offsets = MakeWeightOffsets(3, 1);
   auto weights = RandomWeights(offsets.size(), c_in, c_out, 22);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+  const FeatureMatrix features(cloud.features, dev.memory());
   GmasConfig cfg;
 
   // Cold run records its plan + tables.
   GmasScratch cold;
   cold.record_tables = true;
   GmasResult first =
-      RunGatherGemmScatter(dev, map, cloud.features, weights, cloud.num_points(), cfg, &cold);
+      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &cold);
   ASSERT_NE(first.tables, nullptr);
   EXPECT_GT(first.stats.metadata.num_launches, 0);
 
@@ -403,7 +412,7 @@ TEST(GmasScratchTest, PrebuiltPlanAndTablesMatchAndSkipMetadataKernels) {
   warm.plan = &first.stats.plan;
   warm.tables = first.tables.get();
   GmasResult second =
-      RunGatherGemmScatter(dev, map, cloud.features, weights, cloud.num_points(), cfg, &warm);
+      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &warm);
   EXPECT_EQ(second.stats.metadata.num_launches, 0);
   EXPECT_EQ(second.tables, nullptr);  // nothing was built, nothing recorded
   ASSERT_EQ(first.output.rows(), second.output.rows());
@@ -416,16 +425,17 @@ TEST(GmasScratchTest, PooledBuffersStopAllocatingAfterWarmup) {
   PointCloud cloud = RandomCloud(300, 9, c, 23);
   auto offsets = MakeWeightOffsets(3, 1);
   auto weights = RandomWeights(offsets.size(), c, c, 24);
-  KernelMap map = MakeMap(cloud, cloud.coords, offsets);
+  KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+  const FeatureMatrix features(cloud.features, dev.memory());
   GmasConfig cfg;
 
-  WorkspacePool pool;
+  WorkspacePool pool(dev.memory());
   GmasScratch scratch;
   scratch.pool = &pool;
   FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
   for (int iter = 0; iter < 4; ++iter) {
     GmasResult res =
-        RunGatherGemmScatter(dev, map, cloud.features, weights, cloud.num_points(), cfg, &scratch);
+        RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &scratch);
     EXPECT_LT(MaxAbsDiff(res.output, expect), 1e-4f) << "iter " << iter;
     pool.Release(res.output.TakeStorage());
     if (iter == 0) {

@@ -21,7 +21,7 @@ TEST(BandwidthTest, ManyBlocksCannotExceedDramBandwidth) {
   // finish faster than ~46k cycles even though per-block serial cost is low.
   DeviceConfig config = BigConfig();
   Device dev(config);
-  std::vector<char> data(2000 * 100 * 128);
+  DeviceVector<char> data(2000 * 100 * 128, dev.memory());
   KernelStats stats = dev.Launch("stream", LaunchDims{2000, 128, 0}, [&](BlockCtx& ctx) {
     ctx.GlobalRead(data.data() + ctx.block_index() * 100 * 128, 100 * 128);
   });
@@ -34,9 +34,9 @@ TEST(BandwidthTest, LowOccupancyReducesAchievedBandwidth) {
   // The same total traffic split over 4 blocks vs 400 blocks: the tiny grid
   // cannot saturate DRAM, so it takes longer per byte.
   DeviceConfig config = BigConfig();
-  std::vector<char> data(400 * 128 * 128);
   auto run = [&](int64_t blocks) {
     Device dev(config);
+    DeviceVector<char> data(400 * 128 * 128, dev.memory());
     size_t per_block = data.size() / static_cast<size_t>(blocks);
     KernelStats s = dev.Launch("k", LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
       ctx.GlobalRead(data.data() + static_cast<size_t>(ctx.block_index()) * per_block,
@@ -51,10 +51,10 @@ TEST(BandwidthTest, LowOccupancyReducesAchievedBandwidth) {
 
 TEST(L1Test, RepeatedReadsWithinABlockHitL1NotL2) {
   Device dev(BigConfig());
-  alignas(128) static char data[128];
+  DeviceVector<char> data(128, dev.memory());
   KernelStats stats = dev.Launch("k", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
     for (int i = 0; i < 100; ++i) {
-      ctx.GlobalRead(data, 64);  // same line every time
+      ctx.GlobalRead(data.data(), 64);  // same line every time
     }
   });
   // One L2 access (the first), the rest absorbed by the block's L1.
@@ -63,9 +63,9 @@ TEST(L1Test, RepeatedReadsWithinABlockHitL1NotL2) {
 
 TEST(L1Test, L1IsPrivatePerBlock) {
   Device dev(BigConfig());
-  alignas(128) static char data[128];
+  DeviceVector<char> data(128, dev.memory());
   KernelStats stats = dev.Launch("k", LaunchDims{8, 128, 0}, [&](BlockCtx& ctx) {
-    ctx.GlobalRead(data, 64);
+    ctx.GlobalRead(data.data(), 64);
   });
   // Each block's first access misses its own L1 and reaches L2.
   EXPECT_EQ(stats.l2_hits + stats.l2_misses, 8u);
@@ -74,11 +74,11 @@ TEST(L1Test, L1IsPrivatePerBlock) {
 
 TEST(L1Test, WritesBypassL1) {
   Device dev(BigConfig());
-  alignas(128) static char data[128];
+  DeviceVector<char> data(128, dev.memory());
   KernelStats stats = dev.Launch("k", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
-    ctx.GlobalWrite(data, 64);
-    ctx.GlobalWrite(data, 64);
-    ctx.GlobalWrite(data, 64);
+    ctx.GlobalWrite(data.data(), 64);
+    ctx.GlobalWrite(data.data(), 64);
+    ctx.GlobalWrite(data.data(), 64);
   });
   EXPECT_EQ(stats.l2_hits + stats.l2_misses, 3u);
 }
@@ -87,7 +87,7 @@ TEST(L1Test, ConflictingLinesEvict) {
   // Two lines 16 KiB apart map to the same direct-mapped L1 slot: ping-pong
   // reads never hit L1.
   Device dev(BigConfig());
-  std::vector<char> data(2 * 128 * 128 + 128);
+  DeviceVector<char> data(2 * 128 * 128, dev.memory());
   char* a = data.data();
   char* b = data.data() + 128 * 128;  // kL1Lines * line_bytes apart
   KernelStats stats = dev.Launch("k", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
@@ -96,15 +96,15 @@ TEST(L1Test, ConflictingLinesEvict) {
       ctx.GlobalRead(b, 8);
     }
   });
-  // Alignment may shift lines by one slot; allow either full conflict (20
-  // L2 accesses) or no conflict (2), but the sum of L1+L2 is always 20.
-  EXPECT_TRUE(stats.l2_hits + stats.l2_misses == 20u || stats.l2_hits + stats.l2_misses == 2u);
+  // Device buffers are line-aligned, so a and b share an L1 slot exactly:
+  // every one of the 20 reads reaches the L2.
+  EXPECT_EQ(stats.l2_hits + stats.l2_misses, 20u);
 }
 
 TEST(BandwidthTest, L2HitsBoundedByL2Bandwidth) {
   DeviceConfig config = BigConfig();
   Device dev(config);
-  std::vector<char> data(512 * 1024);  // fits L2
+  DeviceVector<char> data(512 * 1024, dev.memory());  // fits L2
   // Warm the L2.
   dev.Launch("warm", LaunchDims{512, 128, 0}, [&](BlockCtx& ctx) {
     ctx.GlobalRead(data.data() + ctx.block_index() * 1024, 1024);

@@ -75,14 +75,13 @@ TEST(DeviceTest, BlocksWithinOneWaveRunInParallel) {
 
 TEST(DeviceTest, GlobalReadsGoThroughL2) {
   Device dev(TinyConfig());
-  std::vector<char> data(4096);
+  DeviceVector<char> data(4096, dev.memory());
   KernelStats cold = dev.Launch("read", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
     ctx.GlobalRead(data.data(), data.size());
   });
   EXPECT_EQ(cold.l2_hits, 0u);
-  // 4096 bytes span 32 lines, plus one more when the buffer is unaligned.
-  EXPECT_GE(cold.l2_misses, 32u);
-  EXPECT_LE(cold.l2_misses, 33u);
+  // Device buffers are line-aligned: 4096 bytes span exactly 32 lines.
+  EXPECT_EQ(cold.l2_misses, 32u);
   KernelStats warm = dev.Launch("read", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
     ctx.GlobalRead(data.data(), data.size());
   });
@@ -93,9 +92,9 @@ TEST(DeviceTest, GlobalReadsGoThroughL2) {
 
 TEST(DeviceTest, UnalignedRangeTouchesBothLines) {
   Device dev(TinyConfig());
-  alignas(128) static char data[256];
+  DeviceVector<char> data(256, dev.memory());
   KernelStats s = dev.Launch("read", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
-    ctx.GlobalRead(data + 120, 16);  // straddles the 128B boundary
+    ctx.GlobalRead(data.data() + 120, 16);  // straddles the 128B boundary
   });
   EXPECT_EQ(s.l2_hits + s.l2_misses, 2u);
 }

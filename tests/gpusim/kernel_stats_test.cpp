@@ -127,8 +127,9 @@ TEST(KernelStatsTest, DramBandwidthUtilizationMatchesConfigPeak) {
 
 TEST(KernelStatsTest, LaunchAttributionSumsToTotalCycles) {
   Device dev(TinyConfig());
-  KernelStats s = dev.Launch("attr_sum", LaunchDims{64, 128, 0}, [](BlockCtx& ctx) {
-    const char* base = reinterpret_cast<const char*>(uintptr_t{1} << 20);
+  const DeviceVector<char> buffer(64 * 4096, dev.memory());
+  KernelStats s = dev.Launch("attr_sum", LaunchDims{64, 128, 0}, [&](BlockCtx& ctx) {
+    const char* base = buffer.data();
     for (int i = 0; i < 32; ++i) {
       ctx.GlobalRead(base + static_cast<ptrdiff_t>(ctx.block_index()) * 4096 + i * 128, 128);
     }
@@ -162,8 +163,9 @@ TEST(KernelStatsTest, GemmLaunchCarriesRooflineInputs) {
 // class, each consistent with the DeviceConfig peaks it was derived from.
 TEST(KernelStatsTest, PublishedAggregatesCarryConsistentDerivedMetrics) {
   Device dev(TinyConfig());
-  dev.Launch("mem_kernel", LaunchDims{32, 128, 0}, [](BlockCtx& ctx) {
-    const char* base = reinterpret_cast<const char*>(uintptr_t{1} << 24);
+  const DeviceVector<char> buffer(32 * 8192, dev.memory());
+  dev.Launch("mem_kernel", LaunchDims{32, 128, 0}, [&](BlockCtx& ctx) {
+    const char* base = buffer.data();
     for (int i = 0; i < 64; ++i) {
       ctx.GlobalRead(base + static_cast<ptrdiff_t>(ctx.block_index()) * 8192 + i * 128, 128);
     }

@@ -1,4 +1,4 @@
-#include "src/util/workspace_pool.h"
+#include "src/gpusim/workspace_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ TEST(WorkspacePoolTest, ZeroCountAndEmptyReleaseAreNoOps) {
   EXPECT_EQ(pool.stats().allocations, 0u);
   EXPECT_EQ(pool.stats().outstanding, 0);
   pool.Release(std::move(empty));
-  pool.Release(std::vector<float>{});
+  pool.Release(DeviceVector<float>{});
   EXPECT_EQ(pool.stats().outstanding, 0);
 }
 

@@ -13,9 +13,10 @@
 namespace minuet {
 namespace {
 
-std::vector<uint64_t> RandomKeys(size_t n, uint64_t limit, uint64_t seed) {
+// Sort inputs live in the device's memory, like every buffer a kernel reads.
+DeviceVector<uint64_t> RandomKeys(Device& dev, size_t n, uint64_t limit, uint64_t seed) {
   Pcg32 rng(seed);
-  std::vector<uint64_t> keys(n);
+  DeviceVector<uint64_t> keys(n, dev.memory());
   for (auto& k : keys) {
     k = (static_cast<uint64_t>(rng.Next()) << 32 | rng.Next()) % limit;
   }
@@ -24,7 +25,7 @@ std::vector<uint64_t> RandomKeys(size_t n, uint64_t limit, uint64_t seed) {
 
 TEST(RadixSortTest, SortsRandomKeys) {
   Device dev(MakeRtx3090());
-  auto keys = RandomKeys(10000, UINT64_MAX, 1);
+  auto keys = RandomKeys(dev, 10000, UINT64_MAX, 1);
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
   RadixSortKeys(dev, keys);
@@ -33,16 +34,16 @@ TEST(RadixSortTest, SortsRandomKeys) {
 
 TEST(RadixSortTest, EmptyAndSingleton) {
   Device dev(MakeRtx3090());
-  std::vector<uint64_t> empty;
+  DeviceVector<uint64_t> empty(dev.memory());
   EXPECT_EQ(RadixSortKeys(dev, empty).passes_total, 0);
-  std::vector<uint64_t> one = {42};
+  DeviceVector<uint64_t> one(1, 42, dev.memory());
   EXPECT_EQ(RadixSortKeys(dev, one).passes_total, 0);
   EXPECT_EQ(one[0], 42u);
 }
 
 TEST(RadixSortTest, AlreadySorted) {
   Device dev(MakeRtx3090());
-  std::vector<uint64_t> keys(5000);
+  DeviceVector<uint64_t> keys(5000, dev.memory());
   std::iota(keys.begin(), keys.end(), 0u);
   auto expect = keys;
   RadixSortKeys(dev, keys);
@@ -51,7 +52,7 @@ TEST(RadixSortTest, AlreadySorted) {
 
 TEST(RadixSortTest, AllEqualKeysSkipAllScatters) {
   Device dev(MakeRtx3090());
-  std::vector<uint64_t> keys(5000, 7u);
+  DeviceVector<uint64_t> keys(5000, 7u, dev.memory());
   SortStats stats = RadixSortKeys(dev, keys);
   EXPECT_EQ(stats.passes_scattered, 0);
   EXPECT_EQ(keys[0], 7u);
@@ -59,7 +60,7 @@ TEST(RadixSortTest, AllEqualKeysSkipAllScatters) {
 
 TEST(RadixSortTest, NarrowKeysSkipHighDigitScatters) {
   Device dev(MakeRtx3090());
-  auto keys = RandomKeys(20000, 1 << 16, 3);  // only low 16 bits vary
+  auto keys = RandomKeys(dev, 20000, 1 << 16, 3);  // only low 16 bits vary
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
   SortStats stats = RadixSortKeys(dev, keys);
@@ -70,7 +71,7 @@ TEST(RadixSortTest, NarrowKeysSkipHighDigitScatters) {
 
 TEST(RadixSortTest, BitRangeRestrictionSortsOnlyThoseBits) {
   Device dev(MakeRtx3090());
-  auto keys = RandomKeys(10000, 1 << 20, 4);
+  auto keys = RandomKeys(dev, 10000, 1 << 20, 4);
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
   SortStats stats = RadixSortPairs(dev, keys, {}, 0, 24);
@@ -80,8 +81,8 @@ TEST(RadixSortTest, BitRangeRestrictionSortsOnlyThoseBits) {
 
 TEST(RadixSortTest, PairsPermuteValuesWithKeys) {
   Device dev(MakeRtx3090());
-  auto keys = RandomKeys(8000, UINT64_MAX, 5);
-  std::vector<uint32_t> values(keys.size());
+  auto keys = RandomKeys(dev, 8000, UINT64_MAX, 5);
+  DeviceVector<uint32_t> values(keys.size(), dev.memory());
   std::iota(values.begin(), values.end(), 0u);
   auto original = keys;
   RadixSortPairs(dev, keys, values);
@@ -93,8 +94,8 @@ TEST(RadixSortTest, PairsPermuteValuesWithKeys) {
 
 TEST(RadixSortTest, StableForDuplicateKeys) {
   Device dev(MakeRtx3090());
-  std::vector<uint64_t> keys;
-  std::vector<uint32_t> values;
+  DeviceVector<uint64_t> keys(dev.memory());
+  DeviceVector<uint32_t> values(dev.memory());
   Pcg32 rng(6);
   for (uint32_t i = 0; i < 9000; ++i) {
     keys.push_back(rng.NextBounded(64));  // many duplicates
@@ -111,7 +112,7 @@ TEST(RadixSortTest, StableForDuplicateKeys) {
 
 TEST(RadixSortTest, SortingChargesKernelLaunches) {
   Device dev(MakeRtx3090());
-  auto keys = RandomKeys(100000, UINT64_MAX, 7);
+  auto keys = RandomKeys(dev, 100000, UINT64_MAX, 7);
   SortStats stats = RadixSortKeys(dev, keys);
   EXPECT_EQ(stats.passes_scattered, 8);
   // 8 histograms + 8 scans + 8 scatters.
@@ -123,7 +124,7 @@ TEST(RadixSortTest, SortingChargesKernelLaunches) {
 TEST(RadixSortTest, SortsPackedCoordinateKeys) {
   Device dev(MakeRtx3090());
   Pcg32 rng(8);
-  std::vector<uint64_t> keys;
+  DeviceVector<uint64_t> keys(dev.memory());
   for (int i = 0; i < 30000; ++i) {
     keys.push_back(PackCoord(
         Coord3{rng.NextInt(-200, 200), rng.NextInt(-200, 200), rng.NextInt(-200, 200)}));
@@ -137,12 +138,12 @@ TEST(RadixSortTest, SortsPackedCoordinateKeys) {
 TEST(RadixSortCoordTest, CompactCoordSortMatchesPlainSort) {
   Device dev(MakeRtx3090());
   Pcg32 rng(21);
-  std::vector<uint64_t> keys;
+  DeviceVector<uint64_t> keys(dev.memory());
   for (int i = 0; i < 40000; ++i) {
     keys.push_back(PackCoord(
         Coord3{rng.NextInt(-700, 300), rng.NextInt(-100, 900), rng.NextInt(-512, 511)}));
   }
-  std::vector<uint32_t> values(keys.size());
+  DeviceVector<uint32_t> values(keys.size(), dev.memory());
   std::iota(values.begin(), values.end(), 0u);
   auto original = keys;
   SortStats stats = RadixSortCoordPairs(dev, keys, values);
@@ -164,22 +165,24 @@ TEST(RadixSortCoordTest, CompactSortCheaperThanPlainSort) {
   }
   std::vector<uint32_t> values(keys.size());
   std::iota(values.begin(), values.end(), 0u);
-  auto keys2 = keys;
-  auto values2 = values;
   Device dev_a(MakeRtx3090());
-  SortStats compact = RadixSortCoordPairs(dev_a, keys, values);
+  DeviceVector<uint64_t> keys_a = ToDevice(dev_a.memory(), keys);
+  DeviceVector<uint32_t> values_a = ToDevice(dev_a.memory(), values);
+  SortStats compact = RadixSortCoordPairs(dev_a, keys_a, values_a);
   Device dev_b(MakeRtx3090());
-  SortStats plain = RadixSortPairs(dev_b, keys2, values2, 0, 63);
-  EXPECT_EQ(keys, keys2);
+  DeviceVector<uint64_t> keys_b = ToDevice(dev_b.memory(), keys);
+  DeviceVector<uint32_t> values_b = ToDevice(dev_b.memory(), values);
+  SortStats plain = RadixSortPairs(dev_b, keys_b, values_b, 0, 63);
+  EXPECT_EQ(keys_a, keys_b);
   EXPECT_LT(compact.kernels.cycles, plain.kernels.cycles);
 }
 
 TEST(RadixSortCoordTest, TinyInputs) {
   Device dev(MakeRtx3090());
-  std::vector<uint64_t> empty;
+  DeviceVector<uint64_t> empty(dev.memory());
   EXPECT_EQ(RadixSortCoordPairs(dev, empty, {}).passes_total, 0);
-  std::vector<uint64_t> one = {PackCoord(Coord3{1, 2, 3})};
-  std::vector<uint32_t> one_v = {0};
+  DeviceVector<uint64_t> one(1, PackCoord(Coord3{1, 2, 3}), dev.memory());
+  DeviceVector<uint32_t> one_v(1, 0, dev.memory());
   RadixSortCoordPairs(dev, one, one_v);
   EXPECT_EQ(one[0], PackCoord(Coord3{1, 2, 3}));
 }
@@ -188,7 +191,7 @@ class RadixSortSizeSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RadixSortSizeSweep, MatchesStdSort) {
   Device dev(MakeRtx3090());
-  auto keys = RandomKeys(GetParam(), UINT64_MAX, 100 + GetParam());
+  auto keys = RandomKeys(dev, GetParam(), UINT64_MAX, 100 + GetParam());
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
   RadixSortKeys(dev, keys);

@@ -14,9 +14,11 @@
 namespace minuet {
 namespace {
 
-std::vector<uint64_t> UniqueRandomKeys(size_t n, uint64_t seed) {
+// Keys, probes and results live in the device's memory, like every buffer a
+// kernel reads or writes.
+DeviceVector<uint64_t> UniqueRandomKeys(Device& dev, size_t n, uint64_t seed) {
   Pcg32 rng(seed);
-  std::vector<uint64_t> keys;
+  DeviceVector<uint64_t> keys(dev.memory());
   keys.reserve(n);
   while (keys.size() < n) {
     uint64_t k = (static_cast<uint64_t>(rng.Next()) << 32 | rng.Next()) >> 1;  // < 2^63
@@ -49,9 +51,9 @@ class HashTableSuite : public ::testing::TestWithParam<TableKind> {};
 TEST_P(HashTableSuite, FindsEveryInsertedKey) {
   Device dev(MakeRtx3090());
   auto table = MakeTable(GetParam());
-  auto keys = UniqueRandomKeys(20000, 1);
+  auto keys = UniqueRandomKeys(dev, 20000, 1);
   table->Build(dev, keys);
-  std::vector<uint32_t> results(keys.size(), 0);
+  DeviceVector<uint32_t> results(keys.size(), 0, dev.memory());
   table->Query(dev, keys, results);
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(results[i], static_cast<uint32_t>(i)) << table->name() << " key " << i;
@@ -61,13 +63,13 @@ TEST_P(HashTableSuite, FindsEveryInsertedKey) {
 TEST_P(HashTableSuite, MissingKeysReturnNoMatch) {
   Device dev(MakeRtx3090());
   auto table = MakeTable(GetParam());
-  auto keys = UniqueRandomKeys(10000, 2);
+  auto keys = UniqueRandomKeys(dev, 10000, 2);
   table->Build(dev, keys);
   // Probe keys disjoint from the built set (different seed, then filter).
-  auto probes = UniqueRandomKeys(5000, 3);
-  std::vector<uint32_t> results(probes.size(), 0);
+  auto probes = UniqueRandomKeys(dev, 5000, 3);
+  DeviceVector<uint32_t> results(probes.size(), 0, dev.memory());
   table->Query(dev, probes, results);
-  std::vector<uint64_t> sorted_keys = keys;
+  std::vector<uint64_t> sorted_keys(keys.begin(), keys.end());
   std::sort(sorted_keys.begin(), sorted_keys.end());
   for (size_t i = 0; i < probes.size(); ++i) {
     bool present = std::binary_search(sorted_keys.begin(), sorted_keys.end(), probes[i]);
@@ -80,9 +82,9 @@ TEST_P(HashTableSuite, MissingKeysReturnNoMatch) {
 TEST_P(HashTableSuite, MixedHitsAndMisses) {
   Device dev(MakeRtx3090());
   auto table = MakeTable(GetParam());
-  auto keys = UniqueRandomKeys(5000, 4);
+  auto keys = UniqueRandomKeys(dev, 5000, 4);
   table->Build(dev, keys);
-  std::vector<uint64_t> probes;
+  DeviceVector<uint64_t> probes(dev.memory());
   std::vector<bool> expect_hit;
   for (size_t i = 0; i < keys.size(); i += 2) {
     probes.push_back(keys[i]);
@@ -90,9 +92,9 @@ TEST_P(HashTableSuite, MixedHitsAndMisses) {
     probes.push_back(keys[i] ^ 0x1);  // likely absent
     expect_hit.push_back(false);
   }
-  std::vector<uint64_t> sorted_keys = keys;
+  std::vector<uint64_t> sorted_keys(keys.begin(), keys.end());
   std::sort(sorted_keys.begin(), sorted_keys.end());
-  std::vector<uint32_t> results(probes.size());
+  DeviceVector<uint32_t> results(probes.size(), dev.memory());
   table->Query(dev, probes, results);
   for (size_t i = 0; i < probes.size(); ++i) {
     bool present = std::binary_search(sorted_keys.begin(), sorted_keys.end(), probes[i]);
@@ -103,11 +105,11 @@ TEST_P(HashTableSuite, MixedHitsAndMisses) {
 TEST_P(HashTableSuite, RebuildReplacesContents) {
   Device dev(MakeRtx3090());
   auto table = MakeTable(GetParam());
-  auto first = UniqueRandomKeys(1000, 5);
+  auto first = UniqueRandomKeys(dev, 1000, 5);
   table->Build(dev, first);
-  auto second = UniqueRandomKeys(1000, 6);
+  auto second = UniqueRandomKeys(dev, 1000, 6);
   table->Build(dev, second);
-  std::vector<uint32_t> results(second.size());
+  DeviceVector<uint32_t> results(second.size(), dev.memory());
   table->Query(dev, second, results);
   for (size_t i = 0; i < second.size(); ++i) {
     EXPECT_EQ(results[i], static_cast<uint32_t>(i));
@@ -118,8 +120,8 @@ TEST_P(HashTableSuite, EmptyBuildAnswersAllMisses) {
   Device dev(MakeRtx3090());
   auto table = MakeTable(GetParam());
   table->Build(dev, {});
-  std::vector<uint64_t> probes = {1, 2, 3};
-  std::vector<uint32_t> results(probes.size());
+  const DeviceVector<uint64_t> probes = ToDevice(dev.memory(), std::vector<uint64_t>{1, 2, 3});
+  DeviceVector<uint32_t> results(probes.size(), dev.memory());
   table->Query(dev, probes, results);
   for (uint32_t r : results) {
     EXPECT_EQ(r, kNoMatch);
@@ -129,9 +131,9 @@ TEST_P(HashTableSuite, EmptyBuildAnswersAllMisses) {
 TEST_P(HashTableSuite, QueryChargesDeviceWork) {
   Device dev(MakeRtx3090());
   auto table = MakeTable(GetParam());
-  auto keys = UniqueRandomKeys(30000, 7);
+  auto keys = UniqueRandomKeys(dev, 30000, 7);
   table->Build(dev, keys);
-  std::vector<uint32_t> results(keys.size());
+  DeviceVector<uint32_t> results(keys.size(), dev.memory());
   KernelStats stats = table->Query(dev, keys, results);
   EXPECT_EQ(stats.num_launches, 1);
   EXPECT_GT(stats.cycles, 0.0);
@@ -157,9 +159,9 @@ INSTANTIATE_TEST_SUITE_P(AllTables, HashTableSuite,
 TEST(CuckooTest, HighLoadFactorSpillsToStashButStaysCorrect) {
   Device dev(MakeRtx3090());
   CuckooHashTable table(/*load_factor=*/0.9, /*max_evictions=*/16);
-  auto keys = UniqueRandomKeys(20000, 8);
+  auto keys = UniqueRandomKeys(dev, 20000, 8);
   table.Build(dev, keys);
-  std::vector<uint32_t> results(keys.size());
+  DeviceVector<uint32_t> results(keys.size(), dev.memory());
   table.Query(dev, keys, results);
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(results[i], static_cast<uint32_t>(i));
@@ -173,7 +175,7 @@ TEST(SpatialTest, KeyBucketsAreLineSized) {
 TEST(LinearProbeTest, CapacityRespectsLoadFactor) {
   Device dev(MakeRtx3090());
   LinearProbeHashTable table(0.25);
-  auto keys = UniqueRandomKeys(1000, 9);
+  auto keys = UniqueRandomKeys(dev, 1000, 9);
   table.Build(dev, keys);
   EXPECT_GE(table.capacity(), 4000u);
 }

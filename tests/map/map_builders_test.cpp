@@ -70,7 +70,7 @@ TEST_P(MapBuilderSuite, MatchesReferenceStride1) {
   Device dev(MakeRtx3090());
   auto coords = RandomUniqueCoords(800, 12, 1);  // dense-ish: many matches
   auto offsets = MakeWeightOffsets(3, 1);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
 
   MapBuildInput in;
   in.source_keys = keys;
@@ -91,8 +91,8 @@ TEST_P(MapBuilderSuite, MatchesReferenceStrided) {
   auto in_coords = RandomUniqueCoords(600, 20, 2);
   auto out_coords = DownsampleCoords(in_coords, 2);
   auto offsets = MakeWeightOffsets(2, 1);  // K=2 downsampling conv
-  auto src_keys = PackCoords(in_coords);
-  auto out_keys = PackCoords(out_coords);
+  auto src_keys = ToDevice(dev.memory(), PackCoords(in_coords));
+  auto out_keys = ToDevice(dev.memory(), PackCoords(out_coords));
 
   MapBuildInput in;
   in.source_keys = src_keys;
@@ -117,7 +117,7 @@ TEST_P(MapBuilderSuite, MatchesReferenceWithUnsortedInputs) {
     std::swap(shuffled[i - 1], shuffled[rng.NextBounded(static_cast<uint32_t>(i))]);
   }
   auto offsets = MakeWeightOffsets(3, 1);
-  auto keys = PackCoords(shuffled);
+  auto keys = ToDevice(dev.memory(), PackCoords(shuffled));
 
   MapBuildInput in;
   in.source_keys = keys;
@@ -136,7 +136,7 @@ TEST_P(MapBuilderSuite, SparseCloudFewMatches) {
   Device dev(MakeRtx3090());
   auto coords = RandomUniqueCoords(300, 400, 4);  // very sparse: mostly misses
   auto offsets = MakeWeightOffsets(3, 1);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
 
   MapBuildInput in;
   in.source_keys = keys;
@@ -166,7 +166,7 @@ TEST_P(MapBuilderSuite, LargerKernelSize5) {
   Device dev(MakeRtx3090());
   auto coords = RandomUniqueCoords(300, 10, 5);
   auto offsets = MakeWeightOffsets(5, 1);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
   MapBuildInput in;
   in.source_keys = keys;
   in.output_keys = keys;
@@ -187,7 +187,7 @@ TEST_P(MapBuilderSuite, TensorStride2Offsets) {
     coords.push_back(Coord3{c.x * 2, c.y * 2, c.z * 2});
   }
   auto offsets = MakeWeightOffsets(3, 2);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
   MapBuildInput in;
   in.source_keys = keys;
   in.output_keys = keys;
@@ -222,10 +222,11 @@ TEST_P(MapBuilderSuite, BoundaryCloudMatchesReference) {
     coords.push_back(UnpackCoord(k));
   }
   auto offsets = MakeWeightOffsets(3, 1);
+  const DeviceVector<uint64_t> device_keys = ToDevice(dev.memory(), keys);
 
   MapBuildInput in;
-  in.source_keys = keys;
-  in.output_keys = keys;
+  in.source_keys = device_keys;
+  in.output_keys = device_keys;
   in.offsets = offsets;
   in.source_sorted = true;
   in.output_sorted = true;
@@ -243,7 +244,7 @@ TEST(MinuetMapTest, StatsSeparateBuildFromQuery) {
   Device dev(MakeRtx3090());
   MinuetMapBuilder builder;
   auto coords = RandomUniqueCoords(3000, 40, 7);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
   auto offsets = MakeWeightOffsets(3, 1);
 
   MapBuildInput unsorted;
@@ -264,7 +265,7 @@ TEST(MinuetMapTest, StatsSeparateBuildFromQuery) {
 TEST(MinuetMapTest, DoubleTraversalReducesComparisons) {
   Device dev(MakeRtx3090());
   auto coords = RandomUniqueCoords(20000, 60, 8);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
   auto offsets = MakeWeightOffsets(3, 1);
   MapBuildInput in;
   in.source_keys = keys;
@@ -291,24 +292,29 @@ TEST(MinuetMapTest, LookupHitRatioBeatsHashAtScale) {
   auto coords = RandomUniqueCoords(150000, 300, 9);
   auto keys = PackCoords(coords);
   auto offsets = MakeWeightOffsets(3, 1);
-  MapBuildInput in;
-  in.source_keys = keys;
-  in.output_keys = keys;
-  in.offsets = offsets;
-  in.source_sorted = true;
-  in.output_sorted = true;
+  auto input_on = [&](const DeviceVector<uint64_t>& device_keys) {
+    MapBuildInput in;
+    in.source_keys = device_keys;
+    in.output_keys = device_keys;
+    in.offsets = offsets;
+    in.source_sorted = true;
+    in.output_sorted = true;
+    return in;
+  };
 
   // Shrink L2 so the working set exceeds it even at test sizes.
   DeviceConfig cfg = MakeRtx3090();
   cfg.l2_bytes = 512 << 10;
 
   Device dev_minuet(cfg);
+  const DeviceVector<uint64_t> minuet_keys = ToDevice(dev_minuet.memory(), keys);
   MinuetMapBuilder minuet_builder;
-  MapBuildResult minuet_result = minuet_builder.Build(dev_minuet, in);
+  MapBuildResult minuet_result = minuet_builder.Build(dev_minuet, input_on(minuet_keys));
 
   Device dev_hash(cfg);
+  const DeviceVector<uint64_t> hash_keys = ToDevice(dev_hash.memory(), keys);
   HashMapBuilder hash_builder(HashTableKind::kCuckoo);
-  MapBuildResult hash_result = hash_builder.Build(dev_hash, in);
+  MapBuildResult hash_result = hash_builder.Build(dev_hash, input_on(hash_keys));
 
   EXPECT_EQ(minuet_result.table.positions, hash_result.table.positions);
   EXPECT_GT(minuet_result.lookup_stats.L2HitRatio(), 0.90);
@@ -318,7 +324,7 @@ TEST(MinuetMapTest, LookupHitRatioBeatsHashAtScale) {
 TEST(MinuetMapTest, BlockSizeExtremesStayCorrect) {
   Device dev(MakeRtx3090());
   auto coords = RandomUniqueCoords(1000, 18, 10);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
   auto offsets = MakeWeightOffsets(3, 1);
   MapBuildInput in;
   in.source_keys = keys;
@@ -344,7 +350,7 @@ TEST(NaiveBinaryTest, OrderedVariantAlsoCorrect) {
   Device dev(MakeRtx3090());
   NaiveBinaryMapBuilder builder(/*shuffle_queries=*/false);
   auto coords = RandomUniqueCoords(500, 15, 11);
-  auto keys = PackCoords(coords);
+  auto keys = ToDevice(dev.memory(), PackCoords(coords));
   auto offsets = MakeWeightOffsets(3, 1);
   MapBuildInput in;
   in.source_keys = keys;

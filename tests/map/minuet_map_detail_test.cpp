@@ -44,7 +44,7 @@ TEST(MinuetMapDetailTest, ComparisonCountIsNearLogLog) {
   // forward search does <= log2(B) = 8 comparisons per query; the backward
   // search adds K^3 * ceil(|P|/B) * log2(|Q|).
   Device dev(MakeRtx3090());
-  auto keys = RandomSortedKeys(50000, 120, 2);
+  auto keys = ToDevice(dev.memory(), RandomSortedKeys(50000, 120, 2));
   auto offsets = MakeWeightOffsets(3, 1);
   MapBuildInput in;
   in.source_keys = keys;
@@ -65,7 +65,7 @@ TEST(MinuetMapDetailTest, ComparisonCountIsNearLogLog) {
 
 TEST(MinuetMapDetailTest, ResultIndependentOfHyperparameters) {
   Device dev(MakeRtx3090());
-  auto keys = RandomSortedKeys(3000, 25, 3);
+  auto keys = ToDevice(dev.memory(), RandomSortedKeys(3000, 25, 3));
   auto offsets = MakeWeightOffsets(3, 1);
   MapBuildInput in;
   in.source_keys = keys;
@@ -91,7 +91,7 @@ TEST(MinuetMapDetailTest, DisjointSourceAndOutputLattices) {
   // Strided layers query a coarser lattice against a finer source; no match
   // can exist outside the sub-lattice relation.
   Device dev(MakeRtx3090());
-  auto keys = RandomSortedKeys(2000, 30, 5);
+  auto keys = ToDevice(dev.memory(), RandomSortedKeys(2000, 30, 5));
   std::vector<Coord3> outs;
   for (uint64_t k : keys) {
     Coord3 c = UnpackCoord(k);
@@ -99,7 +99,7 @@ TEST(MinuetMapDetailTest, DisjointSourceAndOutputLattices) {
   }
   std::sort(outs.begin(), outs.end());
   outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
-  auto out_keys = PackCoords(outs);
+  auto out_keys = ToDevice(dev.memory(), PackCoords(outs));
   auto offsets = MakeWeightOffsets(3, 2);
 
   MapBuildInput in;
@@ -120,7 +120,7 @@ TEST(MinuetMapDetailTest, DisjointSourceAndOutputLattices) {
 
 TEST(MinuetMapDetailTest, LookupStatsAreSubsetOfQueryStats) {
   Device dev(MakeRtx3090());
-  auto keys = RandomSortedKeys(10000, 60, 6);
+  auto keys = ToDevice(dev.memory(), RandomSortedKeys(10000, 60, 6));
   auto offsets = MakeWeightOffsets(3, 1);
   MapBuildInput in;
   in.source_keys = keys;
@@ -137,8 +137,8 @@ TEST(MinuetMapDetailTest, LookupStatsAreSubsetOfQueryStats) {
 
 TEST(MinuetMapDetailTest, SingleSourceKeyAndSingleQuery) {
   Device dev(MakeRtx3090());
-  std::vector<uint64_t> src = {PackCoord(Coord3{1, 2, 3})};
-  std::vector<uint64_t> out = {PackCoord(Coord3{0, 2, 3})};
+  const DeviceVector<uint64_t> src(1, PackCoord(Coord3{1, 2, 3}), dev.memory());
+  const DeviceVector<uint64_t> out(1, PackCoord(Coord3{0, 2, 3}), dev.memory());
   std::vector<Coord3> offsets = {{1, 0, 0}, {0, 0, 0}, {-1, 0, 0}};
   MapBuildInput in;
   in.source_keys = src;
@@ -157,7 +157,7 @@ TEST(MinuetMapDetailTest, KernelSize2StrideOffsets) {
   // The K=2 downsampling conv: offsets {0, t}^3 with sources on a finer
   // lattice than outputs.
   Device dev(MakeRtx3090());
-  auto keys = RandomSortedKeys(1500, 20, 7);
+  auto keys = ToDevice(dev.memory(), RandomSortedKeys(1500, 20, 7));
   std::vector<Coord3> in_coords;
   for (uint64_t k : keys) {
     in_coords.push_back(UnpackCoord(k));
@@ -166,7 +166,7 @@ TEST(MinuetMapDetailTest, KernelSize2StrideOffsets) {
   auto offsets = MakeWeightOffsets(2, 1);
   MapBuildInput in;
   in.source_keys = keys;
-  auto out_keys = PackCoords(outs);
+  auto out_keys = ToDevice(dev.memory(), PackCoords(outs));
   in.output_keys = out_keys;
   in.offsets = offsets;
   in.source_sorted = true;
@@ -190,7 +190,8 @@ class MinuetMapDensitySweep : public ::testing::TestWithParam<int> {};
 TEST_P(MinuetMapDensitySweep, MatchesReferenceAcrossDensities) {
   Device dev(MakeRtx3090());
   int span = GetParam();
-  auto keys = RandomSortedKeys(1200, span, 100 + static_cast<uint64_t>(span));
+  auto keys =
+      ToDevice(dev.memory(), RandomSortedKeys(1200, span, 100 + static_cast<uint64_t>(span)));
   std::vector<Coord3> coords;
   for (uint64_t k : keys) {
     coords.push_back(UnpackCoord(k));

@@ -287,6 +287,23 @@ TEST(BaselineTest, RoundTripAndEnvelopeCheck) {
   EXPECT_FALSE(CheckBaseline(baseline, other, options, &violations, &error));
 }
 
+TEST(BaselineTest, IdenticalRunsRecordTheirValueWithZeroNoise) {
+  // Five copies of this value sum to a double whose fifth is one ulp off:
+  // a plain sum / n mean would record a spurious noise.
+  std::vector<JsonValue> runs;
+  for (int i = 0; i < 5; ++i) {
+    runs.push_back(Parse(R"({"bench": "b", "rows": [{"x": 0.031046013482473853}]})"));
+  }
+  std::string error;
+  std::string baseline_json = MakeBaselineJson(runs, &error);
+  ASSERT_FALSE(baseline_json.empty()) << error;
+  JsonValue baseline = Parse(baseline_json);
+  const JsonValue* row = baseline.FindPath("benches/b/rows");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->at(0).FindPath("x/mean")->AsDouble(), 0.031046013482473853);
+  EXPECT_EQ(row->at(0).FindPath("x/noise")->AsDouble(), 0.0);
+}
+
 TEST(BaselineTest, RowCountMismatchAcrossRunsIsAnError) {
   std::vector<JsonValue> runs;
   runs.push_back(Parse(R"({"bench": "b", "rows": [{"x": 1.0}]})"));

@@ -31,8 +31,7 @@ Request Req(int64_t id, double arrival_us, int64_t points = 300, uint64_t cloud_
   return r;
 }
 
-std::unique_ptr<Engine> NewEngine(DeviceConfig device) {
-  device.deterministic_addressing = true;
+std::unique_ptr<Engine> NewEngine(const DeviceConfig& device) {
   EngineConfig config;
   config.functional = false;
   auto engine = std::make_unique<Engine>(config, device);
@@ -165,10 +164,8 @@ TEST(FleetTest, PermutingIdenticalPresetsChangesOnlyLabels) {
   // must make the same scheduling decisions: device order is a labelling
   // choice, not a behaviour. Bursts are spaced so every batch drains before
   // the next burst — decisions then depend only on the merged-event order,
-  // never on simulated service times. (Exact service *timing* equality
-  // between fresh engines holds across processes, not within one — the heap
-  // hands a second in-process engine different reuse patterns; the CI fleet
-  // byte-comparison of minuet_serve outputs covers that half.)
+  // never on simulated service times. (Exact service timing between fresh
+  // engines is SchedulerTest.FreshEnginesInOneProcessServeIdentically.)
   std::vector<Request> trace;
   int64_t id = 0;
   for (int burst = 0; burst < 3; ++burst) {

@@ -21,8 +21,7 @@ namespace minuet {
 namespace serve {
 namespace {
 
-std::unique_ptr<Engine> NewEngine(DeviceConfig device) {
-  device.deterministic_addressing = true;
+std::unique_ptr<Engine> NewEngine(const DeviceConfig& device) {
   EngineConfig config;
   config.functional = false;
   auto engine = std::make_unique<Engine>(config, device);

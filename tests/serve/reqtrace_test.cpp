@@ -33,8 +33,7 @@ Request Req(int64_t id, double arrival_us, int64_t points = 300, uint64_t cloud_
   return r;
 }
 
-std::unique_ptr<Engine> NewEngine(DeviceConfig device) {
-  device.deterministic_addressing = true;
+std::unique_ptr<Engine> NewEngine(const DeviceConfig& device) {
   EngineConfig config;
   config.functional = false;
   auto engine = std::make_unique<Engine>(config, device);

@@ -98,11 +98,9 @@ TEST(BatchServiceCyclesTest, OverlapModel) {
 class SchedulerTest : public ::testing::Test {
  protected:
   std::unique_ptr<Engine> NewEngine() {
-    DeviceConfig device = MakeRtx3090();
-    device.deterministic_addressing = true;
     EngineConfig config;
     config.functional = false;
-    auto engine = std::make_unique<Engine>(config, device);
+    auto engine = std::make_unique<Engine>(config, MakeRtx3090());
     engine->Prepare(MakeTinyUNet(4), 1);
     return engine;
   }
@@ -296,39 +294,8 @@ TEST_F(SchedulerTest, RepeatedShapeServedWarm) {
   EXPECT_LT(result.requests[1].service_cycles, result.requests[0].service_cycles);
 }
 
-TEST_F(SchedulerTest, WarmRunsAreBitIdentical) {
-  TraceConfig arrival;
-  arrival.process = ArrivalProcess::kPoisson;
-  arrival.rate_rps = 20000.0;  // well past saturation: queueing + batching
-  arrival.num_requests = 30;
-  arrival.seed = 13;
-
-  SchedulerConfig config;
-  config.queue_capacity = 8;
-  config.max_batch_size = 4;
-
-  // One long-lived deployment replaying the same trace: after the first pass
-  // absorbs the cold plan recordings (and populates the workspace pool),
-  // every replay is bit-identical — per-request latencies, shed decisions and
-  // batch compositions. Three properties conspire to make this exact rather
-  // than approximate: plans cache the metadata tables, the workspace pool
-  // hands the same request the same slab every replay (oldest-first slab
-  // selection by birth order), and deterministic addressing renumbers granules by
-  // first touch, so the cache simulator sees an identical access stream each
-  // pass. (Two runs on *fresh* engines in one process are still only
-  // approximately equal — the heap hands the second engine different reuse
-  // patterns; cross-process identity for fresh engines is covered by the CI
-  // serve-smoke byte-comparison of minuet_serve outputs.)
-  auto engine = NewEngine();
-  ServeScheduler scheduler(*engine, config);
-  scheduler.Run(arrival);  // warm-up pass: record plans, populate the pool
-  const size_t warm_granules = engine->device().granule_count();
-  ServeResult a = scheduler.Run(arrival);
-  ServeResult b = scheduler.Run(arrival);
-  // Warm replays touch no device-visible address the warm-up didn't: the
-  // remap table stops growing, which is exactly why the replays can be exact.
-  EXPECT_EQ(engine->device().granule_count(), warm_granules);
-
+// Every per-request and per-batch record of two serve runs, compared exactly.
+void ExpectIdenticalRecords(const ServeResult& a, const ServeResult& b) {
   ASSERT_EQ(a.requests.size(), b.requests.size());
   for (size_t i = 0; i < a.requests.size(); ++i) {
     EXPECT_EQ(a.requests[i].request.id, b.requests[i].request.id);
@@ -336,17 +303,67 @@ TEST_F(SchedulerTest, WarmRunsAreBitIdentical) {
     EXPECT_EQ(a.requests[i].batch_id, b.requests[i].batch_id);
     EXPECT_EQ(a.requests[i].dispatch_ns, b.requests[i].dispatch_ns);
     EXPECT_EQ(a.requests[i].completion_ns, b.requests[i].completion_ns);
-    EXPECT_DOUBLE_EQ(a.requests[i].service_cycles, b.requests[i].service_cycles);
+    EXPECT_EQ(a.requests[i].service_cycles, b.requests[i].service_cycles);
   }
   ASSERT_EQ(a.batches.size(), b.batches.size());
   for (size_t i = 0; i < a.batches.size(); ++i) {
     EXPECT_EQ(a.batches[i].size, b.batches[i].size);
     EXPECT_EQ(a.batches[i].batch_class, b.batches[i].batch_class);
     EXPECT_EQ(a.batches[i].dispatch_ns, b.batches[i].dispatch_ns);
-    EXPECT_DOUBLE_EQ(a.batches[i].service_cycles, b.batches[i].service_cycles);
+    EXPECT_EQ(a.batches[i].service_cycles, b.batches[i].service_cycles);
   }
-  EXPECT_DOUBLE_EQ(a.summary.latency_p99_us, b.summary.latency_p99_us);
-  EXPECT_DOUBLE_EQ(a.summary.goodput_rps, b.summary.goodput_rps);
+  EXPECT_EQ(a.summary.latency_p99_us, b.summary.latency_p99_us);
+  EXPECT_EQ(a.summary.goodput_rps, b.summary.goodput_rps);
+}
+
+TraceConfig SaturatingTrace() {
+  TraceConfig arrival;
+  arrival.process = ArrivalProcess::kPoisson;
+  arrival.rate_rps = 20000.0;  // well past saturation: queueing + batching
+  arrival.num_requests = 30;
+  arrival.seed = 13;
+  return arrival;
+}
+
+TEST_F(SchedulerTest, WarmRunsAreBitIdentical) {
+  SchedulerConfig config;
+  config.queue_capacity = 8;
+  config.max_batch_size = 4;
+
+  // One long-lived deployment replaying the same trace: after the first pass
+  // absorbs the cold plan recordings (and populates the workspace pool),
+  // every replay is bit-identical — per-request latencies, shed decisions and
+  // batch compositions. Plans cache the metadata tables and the workspace
+  // pool hands the same request the same slab every replay (oldest-first slab
+  // selection by birth order), so the cache simulator sees the same device
+  // addresses, and the same access stream, each pass.
+  auto engine = NewEngine();
+  ServeScheduler scheduler(*engine, config);
+  scheduler.Run(SaturatingTrace());  // warm-up pass: record plans, populate the pool
+  const uint64_t warm_footprint = engine->device().memory()->high_water();
+  ServeResult a = scheduler.Run(SaturatingTrace());
+  ServeResult b = scheduler.Run(SaturatingTrace());
+  // Warm replays place nothing beyond the warm-up's device footprint.
+  EXPECT_EQ(engine->device().memory()->high_water(), warm_footprint);
+  ExpectIdenticalRecords(a, b);
+}
+
+TEST_F(SchedulerTest, FreshEnginesInOneProcessServeIdentically) {
+  // Each engine's device has its own address space, so two fresh engines
+  // serving the same trace see identical device addresses — whatever the host
+  // heap did in between — and produce identical records, cold runs included.
+  SchedulerConfig config;
+  config.queue_capacity = 8;
+  config.max_batch_size = 4;
+  auto first = NewEngine();
+  ServeResult a = ServeScheduler(*first, config).Run(SaturatingTrace());
+  std::vector<std::unique_ptr<char[]>> ballast;
+  for (size_t bytes : {16, 3000, 70000}) {
+    ballast.push_back(std::make_unique<char[]>(bytes));
+  }
+  auto second = NewEngine();
+  ServeResult b = ServeScheduler(*second, config).Run(SaturatingTrace());
+  ExpectIdenticalRecords(a, b);
 }
 
 TEST_F(SchedulerTest, ClosedLoopIssuesFromClients) {

@@ -34,11 +34,9 @@ Sequence TestSequence(int64_t frames = 6, double churn = 0.05) {
 }
 
 std::unique_ptr<Engine> NewEngine() {
-  DeviceConfig device = MakeRtx3090();
-  device.deterministic_addressing = true;
   EngineConfig config;
   config.functional = false;
-  auto engine = std::make_unique<Engine>(config, device);
+  auto engine = std::make_unique<Engine>(config, MakeRtx3090());
   engine->Prepare(MakeTinyUNet(4), 11);
   return engine;
 }
@@ -87,10 +85,8 @@ TEST(StreamSchedulerTest, CompletesEveryFrameOnALooseClock) {
 }
 
 // Two fresh schedulers over the same sequence agree on every scheduling
-// decision and counter. (Cycle-derived values are only heap-layout
-// independent once sessions are warm — see the warmed replay below and the
-// cross-process byte-comparison of minuet_serve outputs in CI, which
-// together cover the byte-identical half.)
+// decision, counter and simulated time: each engine's device has its own
+// address space, so cold runs replay exactly too.
 TEST(StreamSchedulerTest, FreshSchedulersAgreeOnSchedulingDecisions) {
   Sequence sequence = TestSequence();
   StreamServeResult results[2];
@@ -116,6 +112,8 @@ TEST(StreamSchedulerTest, FreshSchedulersAgreeOnSchedulingDecisions) {
     EXPECT_EQ(x.batch_id, y.batch_id);
     EXPECT_EQ(x.shed, y.shed);
     EXPECT_EQ(x.warm, y.warm);
+    EXPECT_EQ(x.completion_ns, y.completion_ns);
+    EXPECT_EQ(x.service_cycles, y.service_cycles);
   }
   ASSERT_EQ(results[0].streams.size(), results[1].streams.size());
   for (size_t s = 0; s < results[0].streams.size(); ++s) {
@@ -127,7 +125,7 @@ TEST(StreamSchedulerTest, FreshSchedulersAgreeOnSchedulingDecisions) {
 
 // Sums the counters that must stop moving before replays can byte-compare:
 // plan-cache misses (new plans) and workspace-pool slab allocations (fresh
-// heap memory, whose layout the cache simulation would inherit).
+// device memory, which moves every later device allocation).
 std::pair<uint64_t, uint64_t> SessionChurn(StreamScheduler& scheduler) {
   uint64_t misses = 0;
   uint64_t allocations = 0;
@@ -141,8 +139,8 @@ std::pair<uint64_t, uint64_t> SessionChurn(StreamScheduler& scheduler) {
 
 // The CI-gated property: a warmed 2-replica scheduler replays the sequence
 // byte-identically. Warm until a whole pass records no new plans and no new
-// slabs (the fleet_test replay recipe) — only then are cycle-derived values
-// independent of host heap layout.
+// slabs (the fleet_test replay recipe) — only then does every pass start from
+// the same device memory state.
 TEST(StreamSchedulerTest, WarmedTwoReplicaReplayIsByteIdentical) {
   Sequence sequence = TestSequence();
   auto e0 = NewEngine();

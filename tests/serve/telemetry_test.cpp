@@ -33,8 +33,7 @@ Request Req(int64_t id, double arrival_us, int64_t points = 300) {
   return r;
 }
 
-std::unique_ptr<Engine> NewEngine(DeviceConfig device) {
-  device.deterministic_addressing = true;
+std::unique_ptr<Engine> NewEngine(const DeviceConfig& device) {
   EngineConfig config;
   config.functional = false;
   auto engine = std::make_unique<Engine>(config, device);
@@ -64,8 +63,8 @@ FleetConfig OverloadConfig() {
 }
 
 // Warm the fleet until a whole pass records no new plans and allocates no new
-// slabs (the fleet_test replay recipe): only then are cycle-derived values
-// independent of host heap layout, so replays byte-compare.
+// slabs (the fleet_test replay recipe): only then does every pass start from
+// the same device memory state, so replays byte-compare.
 void WarmUntilConverged(FleetScheduler& fleet, const std::vector<Request>& trace) {
   bool converged = false;
   for (int pass = 0; pass < 8 && !converged; ++pass) {

@@ -20,11 +20,9 @@
 // frames-dropped SLO (src/serve/stream.h).
 //
 // Everything downstream of the flags is deterministic: arrivals come from
-// seeded RNG streams, time is the virtual serving clock, and the device runs
-// with deterministic_addressing, so the --json report is byte-identical
-// across invocations of the same command line (output file names may differ;
-// enabling/disabling other sinks like --trace changes the host allocation
-// interleaving and with it the last ~0.1% of simulated cache behaviour).
+// seeded RNG streams, time is the virtual serving clock, and the cache model
+// keys on each device's own addresses, so the --json report is byte-identical
+// across invocations of the same command line, whatever other sinks are on.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -386,9 +384,7 @@ int FleetMain(Options opts) {
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<Engine*> engine_ptrs;
   for (const std::string& preset : presets) {
-    DeviceConfig device = ParseGpu(preset);
-    device.deterministic_addressing = true;  // byte-stable fleet reports
-    devices.push_back(device);
+    devices.push_back(ParseGpu(preset));
     engines.push_back(std::make_unique<Engine>(config, devices.back()));
     engines.back()->Prepare(net, opts.arrival.seed);
     if (opts.autotune && config.kind == EngineKind::kMinuet) {
@@ -535,9 +531,7 @@ int StreamMain(Options opts) {
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<Engine*> engine_ptrs;
   for (const std::string& preset : presets) {
-    DeviceConfig device = ParseGpu(preset);
-    device.deterministic_addressing = true;  // byte-stable stream reports
-    devices.push_back(device);
+    devices.push_back(ParseGpu(preset));
     engines.push_back(std::make_unique<Engine>(config, devices.back()));
     engines.back()->Prepare(net, sequence.config.seed);
     engine_ptrs.push_back(engines.back().get());
@@ -627,9 +621,6 @@ int StreamMain(Options opts) {
 }
 
 int Main(int argc, char** argv) {
-  // Serving always runs with deterministic_addressing and its reports are
-  // byte-compared across processes (CI serve smoke, bench/byte_compare.sh).
-  PinHostHeapForReplay();
   Options opts = Parse(argc, argv);
 
   if (!opts.stream_in.empty()) {
@@ -654,9 +645,6 @@ int Main(int argc, char** argv) {
   }
 
   DeviceConfig device = ParseGpu(opts.gpu);
-  // The serving report must be byte-stable across processes; keep the cache
-  // model off the allocator's addresses (see DeviceConfig).
-  device.deterministic_addressing = true;
   Network net = ParseNetwork(opts.network);
 
   EngineConfig config;
