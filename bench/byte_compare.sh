@@ -3,9 +3,10 @@
 #
 #   bench/byte_compare.sh BUILD_A [BUILD_B]
 #
-# Runs fig03 + fig12 and the pinned-arrivals serve smokes — single-device, a
+# Runs fig03 + fig12, the pinned-arrivals serve smokes — single-device, a
 # 2-replica heterogeneous fleet, an overloaded fleet with streaming telemetry,
-# and a pinned video-rate stream replay with incremental kernel maps — out
+# and a pinned video-rate stream replay with incremental kernel maps — and a
+# functional SparseResNet21 run of all three engines with session reuse, out
 # of each build tree, then diffs every JSON artifact after stripping
 # host-clock data:
 #   - any object key containing "host" or "wall" (case-insensitive), the same
@@ -76,6 +77,12 @@ run_suite() {
     --pool 3090,3090 --streams 3 --frame-period-us 4000 \
     --json "$out/stream.json" --metrics "$out/stream_metrics.json" \
     --dump-requests "$out/stream_requests.jsonl" > /dev/null
+  # Functional engine leg: all three engines with real arithmetic, the session
+  # record/replay path (--reuse) and SparseResNet21's linear head. Writes one
+  # metrics snapshot per engine.
+  "$build/tools/minuet_run" --network resnet21 --dataset s3dis --points 4000 \
+    --engine all --functional 1 --reuse --repeat 2 \
+    --metrics "$out/engines.json" > /dev/null
 }
 
 echo "byte_compare: running suite from $BUILD_A"
@@ -131,7 +138,8 @@ done
 for name in fig03.json fig03_metrics.json fig12.json fig12_metrics.json \
             serve.json serve_trace.json serve_metrics.json \
             fleet.json fleet_trace.json fleet_metrics.json overload.json \
-            stream_metrics.json; do
+            stream_metrics.json engines.json.Minuet engines.json.TorchSparse \
+            engines.json.MinkowskiEngine; do
   python3 "$FILTER" "$WORK/a/$name" "$WORK/a/$name.filtered"
   python3 "$FILTER" "$WORK/b/$name" "$WORK/b/$name.filtered"
   if cmp -s "$WORK/a/$name.filtered" "$WORK/b/$name.filtered"; then

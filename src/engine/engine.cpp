@@ -26,13 +26,6 @@ namespace minuet {
 
 namespace {
 
-// CoordLevel/LevelPtr live in plan_cache.h now, shared with ExecutionPlan.
-
-struct Activation {
-  LevelPtr level;
-  FeatureMatrix features;
-};
-
 void AccumulateKernel(StepBreakdown& breakdown, double StepBreakdown::*field,
                       const KernelStats& stats) {
   breakdown.*field += stats.cycles;
@@ -157,39 +150,24 @@ void RoundFeaturesToHalf(FeatureMatrix& features) {
   }
 }
 
-// Charges coordinate generation of a generative conv: K^3 |P| dilated
-// candidates deduplicated (sorted engines: one big sort + unique; hash
-// engines: insert-with-duplicate-checks). Approximated as the sorted-engine
-// sort over the candidate count or a hash pass of the same volume.
-KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_keys,
-                                size_t num_offsets, int64_t num_unique, bool sorted_engine) {
-  KernelStats stats;
-  const int64_t n = static_cast<int64_t>(input_keys.size() * num_offsets);
-  if (n == 0) {
-    return stats;
-  }
-  DeviceVector<uint64_t> candidates(static_cast<size_t>(n), device.memory());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    candidates[i] = input_keys[i % input_keys.size()] + (i / input_keys.size());
-  }
-  constexpr int64_t kItemsPerBlock = 1024;
-  const int64_t blocks = (n + kItemsPerBlock - 1) / kItemsPerBlock;
-  static const KernelId kDilateCandidates = KernelId::Intern("engine/coords/dilate_candidates");
-  stats += device.Launch(kDilateCandidates, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-    int64_t begin = ctx.block_index() * kItemsPerBlock;
-    int64_t end = std::min(begin + kItemsPerBlock, n);
-    ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
-                   static_cast<size_t>(end - begin) * sizeof(uint64_t));
-    ctx.Compute(static_cast<uint64_t>(end - begin) * 4);
-    ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
-                    static_cast<size_t>(end - begin) * sizeof(uint64_t));
-  });
+constexpr int64_t kDedupItemsPerBlock = 1024;
+
+int64_t DedupBlocks(int64_t n) { return (n + kDedupItemsPerBlock - 1) / kDedupItemsPerBlock; }
+
+// The shared tail of the two dedup charges below: compacts the `candidates`
+// down to their `num_unique` distinct keys, adding the kernels to `stats`.
+// Sorted engines sort and compact adjacent runs (`unique_kernel`); hash
+// engines insert every candidate into a fresh table (duplicates probe and
+// bail) and compact it, modelled as a build over the unique set plus a probe
+// pass over all candidates.
+void ChargeDedupCompaction(Device& device, DeviceVector<uint64_t>& candidates, int64_t num_unique,
+                           bool sorted_engine, KernelId unique_kernel, KernelStats& stats) {
+  const int64_t n = static_cast<int64_t>(candidates.size());
   if (sorted_engine) {
     stats += RadixSortCoordPairs(device, candidates, {}).kernels;
-    static const KernelId kDilateUnique = KernelId::Intern("engine/coords/dilate_unique");
-    stats += device.Launch(kDilateUnique, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-      int64_t begin = ctx.block_index() * kItemsPerBlock;
-      int64_t end = std::min(begin + kItemsPerBlock, n);
+    stats += device.Launch(unique_kernel, LaunchDims{DedupBlocks(n), 128, 0}, [&](BlockCtx& ctx) {
+      int64_t begin = ctx.block_index() * kDedupItemsPerBlock;
+      int64_t end = std::min(begin + kDedupItemsPerBlock, n);
       ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
                      static_cast<size_t>(end - begin) * sizeof(uint64_t));
       ctx.Compute(static_cast<uint64_t>(end - begin));
@@ -206,14 +184,41 @@ KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_
     DeviceVector<uint32_t> results(candidates.size(), device.memory());
     stats += table->Query(device, candidates, results);
   }
+}
+
+// Charges coordinate generation of a generative conv: K^3 |P| dilated
+// candidates deduplicated. Approximated as the sorted-engine sort over the
+// candidate count or a hash pass of the same volume.
+KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_keys,
+                                size_t num_offsets, int64_t num_unique, bool sorted_engine) {
+  KernelStats stats;
+  const int64_t n = static_cast<int64_t>(input_keys.size() * num_offsets);
+  if (n == 0) {
+    return stats;
+  }
+  DeviceVector<uint64_t> candidates(static_cast<size_t>(n), device.memory());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i] = input_keys[i % input_keys.size()] + (i / input_keys.size());
+  }
+  static const KernelId kDilateCandidates = KernelId::Intern("engine/coords/dilate_candidates");
+  static const KernelId kDilateUnique = KernelId::Intern("engine/coords/dilate_unique");
+  stats += device.Launch(kDilateCandidates, LaunchDims{DedupBlocks(n), 128, 0}, [&](BlockCtx& ctx) {
+    int64_t begin = ctx.block_index() * kDedupItemsPerBlock;
+    int64_t end = std::min(begin + kDedupItemsPerBlock, n);
+    ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
+                   static_cast<size_t>(end - begin) * sizeof(uint64_t));
+    ctx.Compute(static_cast<uint64_t>(end - begin) * 4);
+    ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
+                    static_cast<size_t>(end - begin) * sizeof(uint64_t));
+  });
+  ChargeDedupCompaction(device, candidates, num_unique, sorted_engine, kDilateUnique, stats);
   return stats;
 }
 
 // Charges the coordinate-deduplication work that a strided layer's output
-// generation costs (Eq. 1 removes duplicates). Minuet sorts the |P|
-// downsampled candidates and compacts runs; hash engines insert the
-// candidates into a fresh table and compact it. The functional result comes
-// from DownsampleCoords; this accounts for the kernels behind it.
+// generation costs (Eq. 1 removes duplicates): floor-snap every input
+// coordinate, then compact. The functional result comes from
+// DownsampleCoords; this accounts for the kernels behind it.
 KernelStats ChargeDownsampleDedup(Device& device, std::span<const uint64_t> input_keys,
                                   int32_t step, int64_t num_unique, bool sorted_engine) {
   KernelStats stats;
@@ -221,14 +226,13 @@ KernelStats ChargeDownsampleDedup(Device& device, std::span<const uint64_t> inpu
   if (n == 0) {
     return stats;
   }
-  // Candidate generation: floor-snap every input coordinate.
   DeviceVector<uint64_t> candidates(static_cast<size_t>(n), device.memory());
-  constexpr int64_t kItemsPerBlock = 1024;
-  const int64_t blocks = (n + kItemsPerBlock - 1) / kItemsPerBlock;
   static const KernelId kDownsampleCandidates = KernelId::Intern("engine/coords/downsample_candidates");
-  stats += device.Launch(kDownsampleCandidates, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-    int64_t begin = ctx.block_index() * kItemsPerBlock;
-    int64_t end = std::min(begin + kItemsPerBlock, n);
+  static const KernelId kDownsampleUnique = KernelId::Intern("engine/coords/downsample_unique");
+  const LaunchDims dims{DedupBlocks(n), 128, 0};
+  stats += device.Launch(kDownsampleCandidates, dims, [&](BlockCtx& ctx) {
+    int64_t begin = ctx.block_index() * kDedupItemsPerBlock;
+    int64_t end = std::min(begin + kDedupItemsPerBlock, n);
     ctx.GlobalRead(&input_keys[static_cast<size_t>(begin)],
                    static_cast<size_t>(end - begin) * sizeof(uint64_t));
     for (int64_t i = begin; i < end; ++i) {
@@ -241,34 +245,114 @@ KernelStats ChargeDownsampleDedup(Device& device, std::span<const uint64_t> inpu
     ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
                     static_cast<size_t>(end - begin) * sizeof(uint64_t));
   });
-
-  if (sorted_engine) {
-    // Sort + adjacent-unique compaction.
-    stats += RadixSortCoordPairs(device, candidates, {}).kernels;
-    static const KernelId kDownsampleUnique = KernelId::Intern("engine/coords/downsample_unique");
-    stats += device.Launch(kDownsampleUnique, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-      int64_t begin = ctx.block_index() * kItemsPerBlock;
-      int64_t end = std::min(begin + kItemsPerBlock, n);
-      ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
-                     static_cast<size_t>(end - begin) * sizeof(uint64_t));
-      ctx.Compute(static_cast<uint64_t>(end - begin));
-      int64_t share = num_unique * (end - begin) / n;
-      ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
-                      static_cast<size_t>(share) * sizeof(uint64_t));
-    });
-  } else {
-    // Hash-based dedup: insert every candidate (duplicates probe and bail),
-    // then compact the table. Modelled as a build over the unique set plus a
-    // probe pass over all candidates.
-    DeviceVector<uint64_t> unique = candidates;
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-    std::unique_ptr<HashTableBase> table;
-    stats += BuildEngineHashTable(device, HashTableKind::kCuckoo, unique, &table);
-    DeviceVector<uint32_t> results(candidates.size(), device.memory());
-    stats += table->Query(device, candidates, results);
-  }
+  ChargeDedupCompaction(device, candidates, num_unique, sorted_engine, kDownsampleUnique, stats);
   return stats;
+}
+
+// A coordinate level derived from `parent` (null for a root); keys in `memory`.
+LevelPtr NewLevel(LevelPtr parent, int32_t tensor_stride, std::vector<Coord3> coords,
+                  DeviceMemory* memory) {
+  auto level = std::make_shared<CoordLevel>();
+  level->tensor_stride = tensor_stride;
+  level->coords = std::move(coords);
+  level->keys = ToDevice(memory, PackCoords(level->coords));
+  level->parent = std::move(parent);
+  return level;
+}
+
+// Where a conv or pooling window over some level writes, and the offsets its
+// kernel map queries (map rows keep the weight order).
+struct OutLevel {
+  LevelPtr level;
+  std::vector<Coord3> query_offsets;
+  // Dilated or downsampled here: the caller charges the coordinate dedup.
+  bool generated = false;
+};
+
+// The one derivation of the coordinate flow, shared by the conv and pooling
+// executors and Autotune. Strided windows downsample, generative convs
+// dilate, transposed convs return to the encoder level they came from, and
+// everything else keeps `level`. New keys go to `memory`.
+OutLevel ResolveOutLevel(const LevelPtr& level, const ConvParams& conv, DeviceMemory* memory) {
+  // Check the parent before deriving offsets: a transposed conv with no
+  // encoder level would otherwise die on tensor_stride / stride == 0 with an
+  // unrelated message.
+  if (conv.transposed) {
+    MINUET_CHECK(level->parent != nullptr) << "transposed conv without a matching encoder level";
+  }
+  OutLevel out;
+  out.query_offsets = MakeWeightOffsets(
+      conv.kernel_size,
+      conv.transposed ? level->tensor_stride / conv.stride : level->tensor_stride);
+  if (conv.transposed) {
+    // Transposed map: entry (p, q, d) when q = p + d, i.e. the normal builder
+    // with mirrored offsets.
+    out.level = level->parent;
+    for (Coord3& d : out.query_offsets) {
+      d = Coord3{-d.x, -d.y, -d.z};
+    }
+  } else if (conv.generative) {
+    MINUET_CHECK_EQ(conv.stride, 1) << "generative convs must have stride 1";
+    out.level = NewLevel(level, level->tensor_stride,
+                         DilateCoords(level->coords, out.query_offsets), memory);
+    out.generated = true;
+  } else if (conv.stride > 1) {
+    const int32_t tensor_stride = level->tensor_stride * conv.stride;
+    out.level = NewLevel(level, tensor_stride, DownsampleCoords(level->coords, tensor_stride),
+                         memory);
+    out.generated = true;
+  } else {
+    out.level = level;
+  }
+  return out;
+}
+
+MapBuildResult BuildMap(MapBuilderBase& builder, Device& device, const CoordLevel& source,
+                        const OutLevel& out) {
+  MapBuildInput in;
+  in.source_keys = source.keys;
+  in.output_keys = out.level->keys;
+  in.offsets = out.query_offsets;
+  in.source_sorted = true;
+  in.output_sorted = true;
+  return builder.Build(device, in);
+}
+
+// 1x1 stride-1 conv == one GEMM over the feature matrix: no map, no tiles.
+bool IsPlainGemm(const ConvParams& conv) {
+  return conv.kernel_size == 1 && conv.stride == 1 && !conv.transposed;
+}
+
+FeatureMatrix GaussianMatrix(Pcg32& rng, int64_t rows, int64_t cols, float scale) {
+  FeatureMatrix w(rows, cols);
+  for (int64_t a = 0; a < rows; ++a) {
+    for (int64_t b = 0; b < cols; ++b) {
+      w.At(a, b) = static_cast<float>(rng.NextGaussian()) * scale;
+    }
+  }
+  return w;
+}
+
+// One plan-backed instruction (a sparse conv or a pooling): warm replay takes
+// the next cached step, anything else derives it; `execute` then runs the
+// data-dependent kernels over it (filling in what they build), and a cold
+// session appends the step to the plan it records. Steps are taken and
+// recorded per instruction, in program order.
+template <typename Step, typename Derive, typename Execute>
+void RunPlanStep(SessionCtx& ctx, std::vector<Step> ExecutionPlan::*steps,
+                 size_t SessionCtx::*cursor, Derive derive, Execute execute) {
+  Step step;
+  if (ctx.replay != nullptr) {
+    const std::vector<Step>& cached = ctx.replay->*steps;
+    MINUET_CHECK_LT(ctx.*cursor, cached.size()) << "replayed plan does not match the network";
+    step = cached[(ctx.*cursor)++];
+  } else {
+    step = derive();
+  }
+  execute(step);
+  if (ctx.record != nullptr) {
+    (ctx.record->*steps).push_back(std::move(step));
+  }
 }
 
 }  // namespace
@@ -304,7 +388,28 @@ StepBreakdown& StepBreakdown::operator+=(const StepBreakdown& other) {
 Engine::Engine(const EngineConfig& config, const DeviceConfig& device_config)
     : config_(config),
       device_config_(device_config),
-      device_(std::make_unique<Device>(device_config)) {}
+      device_(std::make_unique<Device>(device_config)) {
+  const bool is_minuet = config_.kind == EngineKind::kMinuet;
+  strategy_.sorted_coords = is_minuet && config_.features.segmented_sorting;
+  if (strategy_.sorted_coords) {
+    MinuetMapConfig map_cfg;
+    map_cfg.source_block_size = config_.map_source_block;
+    map_cfg.query_block_size = config_.map_query_block;
+    map_cfg.double_traversal = config_.features.double_traversal;
+    strategy_.map_builder = std::make_unique<MinuetMapBuilder>(map_cfg);
+  } else {
+    strategy_.map_builder = std::make_unique<HashMapBuilder>(
+        config_.kind == EngineKind::kMinkowski ? HashTableKind::kLinearProbe
+                                               : HashTableKind::kCuckoo);
+  }
+  strategy_.per_offset_fused = config_.kind == EngineKind::kMinkowski;
+  const bool sorted_grouping = is_minuet && config_.features.sorted_grouping;
+  strategy_.grouping =
+      sorted_grouping ? GroupingStrategy::kSortedOrder : GroupingStrategy::kMapOrder;
+  // The CUDA-stream pool (s = 4) ships with Minuet's GEMM grouping
+  // (Section 5.2.2); TorchSparse issues its GEMMs on one stream.
+  strategy_.stream_pool_size = sorted_grouping ? config_.stream_pool_size : 1;
+}
 
 void Engine::Prepare(const Network& network, uint64_t seed) {
   network_ = network;
@@ -314,33 +419,52 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
   linear_weights_.clear();
   layer_tiles_.clear();
 
+  // The channel flow is walked alongside: every conv's c_in is checked here,
+  // and each head learns its c_in, before any run.
+  int64_t channels = network_.in_channels;
+  std::vector<int64_t> slot_channels(static_cast<size_t>(network_.NumSlots()), 0);
+  auto slot = [&](const Instr& instr) -> int64_t& {
+    MINUET_CHECK_GE(instr.slot, 0);
+    return slot_channels[static_cast<size_t>(instr.slot)];
+  };
   uint64_t state = seed;
   for (const Instr& instr : network_.instrs) {
-    if (instr.op == Instr::Op::kConv) {
-      Pcg32 rng(SplitMix64(state), 17);
-      ConvWeights weights;
-      const int64_t n_off = instr.conv.NumOffsets();
-      // He-style scale keeps activations in range through deep networks.
-      float scale =
-          std::sqrt(2.0f / static_cast<float>(instr.conv.c_in * std::max<int64_t>(n_off, 1)));
-      for (int64_t k = 0; k < n_off; ++k) {
-        FeatureMatrix w(instr.conv.c_in, instr.conv.c_out);
-        for (int64_t a = 0; a < instr.conv.c_in; ++a) {
-          for (int64_t b = 0; b < instr.conv.c_out; ++b) {
-            w.At(a, b) = static_cast<float>(rng.NextGaussian()) * scale;
-          }
+    switch (instr.op) {
+      case Instr::Op::kConv: {
+        const ConvParams& conv = instr.conv;
+        int64_t& c = instr.slot >= 0 ? slot(instr) : channels;
+        MINUET_CHECK_EQ(c, conv.c_in) << "conv" << conv_weights_.size() << " input channels";
+        c = conv.c_out;
+        Pcg32 rng(SplitMix64(state), 17);
+        const int64_t n_off = conv.NumOffsets();
+        // He-style scale keeps activations in range through deep networks.
+        const float scale =
+            std::sqrt(2.0f / static_cast<float>(conv.c_in * std::max<int64_t>(n_off, 1)));
+        ConvWeights weights;
+        for (int64_t k = 0; k < n_off; ++k) {
+          weights.per_offset.push_back(GaussianMatrix(rng, conv.c_in, conv.c_out, scale));
         }
-        weights.per_offset.push_back(std::move(w));
+        conv_weights_.push_back(std::move(weights));
+        layer_tiles_.emplace_back(config_.fixed_tile, config_.fixed_tile);
+        break;
       }
-      conv_weights_.push_back(std::move(weights));
-      layer_tiles_.emplace_back(config_.fixed_tile, config_.fixed_tile);
-    } else if (instr.op == Instr::Op::kLinear) {
-      Pcg32 rng(SplitMix64(state), 19);
-      // Shape resolved at Prepare time from the preceding conv channels is
-      // not tracked here; the linear head infers c_in at Run time, so store
-      // the RNG seed material instead via a 0x0 placeholder replaced lazily.
-      linear_weights_.emplace_back();
-      (void)rng;
+      case Instr::Op::kResidualSave:
+      case Instr::Op::kSkipSave:
+        slot(instr) = channels;
+        break;
+      case Instr::Op::kConcatSkip:
+        channels += slot(instr);
+        break;
+      case Instr::Op::kLinear: {
+        SplitMix64(state);  // the head's draw: keeps later layers' seeds in place
+        Pcg32 rng(0x11ead + linear_weights_.size(), 23);
+        linear_weights_.push_back(GaussianMatrix(rng, channels, instr.linear_out,
+                                                 std::sqrt(2.0f / static_cast<float>(channels))));
+        channels = instr.linear_out;
+        break;
+      }
+      default:
+        break;
     }
   }
 }
@@ -357,96 +481,47 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
   std::vector<std::map<int, double>> gather_profiles(conv_weights_.size());
   std::vector<std::map<int, double>> scatter_profiles(conv_weights_.size());
 
-  MinuetMapConfig map_cfg;
-  map_cfg.source_block_size = config_.map_source_block;
-  map_cfg.query_block_size = config_.map_query_block;
-  MinuetMapBuilder builder(map_cfg);
-
   for (const PointCloud& sample : samples) {
     // Trace the coordinate flow of the network on the sample and profile
     // every non-trivial conv layer's Gather and Scatter tiles (Algorithm 2).
+    // Only the tiles matter here, so no dedup or compaction is charged.
     auto root = std::make_shared<CoordLevel>();
-    root->tensor_stride = 1;
     root->keys = ToDevice(scratch.memory(), PackCoords(sample.coords));
     std::sort(root->keys.begin(), root->keys.end());
-    root->coords.reserve(root->keys.size());
     for (uint64_t k : root->keys) {
       root->coords.push_back(UnpackCoord(k));
     }
-
     LevelPtr level = root;
     int conv_index = 0;
     for (const Instr& instr : network_.instrs) {
-      // Pooling reshapes the coordinate flow but has no tiles to tune.
-      if ((instr.op == Instr::Op::kMaxPool || instr.op == Instr::Op::kAvgPool) &&
-          instr.conv.stride > 1) {
-        auto pooled = std::make_shared<CoordLevel>();
-        pooled->tensor_stride = level->tensor_stride * instr.conv.stride;
-        pooled->coords = DownsampleCoords(level->coords, pooled->tensor_stride);
-        pooled->keys = ToDevice(scratch.memory(), PackCoords(pooled->coords));
-        pooled->parent = level;
-        level = pooled;
-        continue;
-      }
-      if (instr.op != Instr::Op::kConv) {
+      const bool pool = instr.op == Instr::Op::kMaxPool || instr.op == Instr::Op::kAvgPool;
+      if (instr.op != Instr::Op::kConv && !pool) {
         continue;
       }
       const ConvParams& conv = instr.conv;
-      if (conv.kernel_size == 1 && conv.stride == 1 && !conv.transposed) {
-        ++conv_index;  // 1x1 convs are plain GEMMs; no tiles to tune
+      if (!pool && IsPlainGemm(conv)) {
+        ++conv_index;  // no tiles to tune
         continue;
       }
-      LevelPtr out_level;
-      std::vector<Coord3> offsets =
-          MakeWeightOffsets(conv.kernel_size,
-                            conv.transposed ? level->tensor_stride / conv.stride
-                                            : level->tensor_stride);
-      std::vector<Coord3> query_offsets = offsets;
-      if (conv.transposed) {
-        MINUET_CHECK(level->parent != nullptr) << "transposed conv without a parent level";
-        out_level = level->parent;
-        for (Coord3& d : query_offsets) {
-          d = Coord3{-d.x, -d.y, -d.z};
+      OutLevel out = ResolveOutLevel(level, conv, scratch.memory());
+      if (!pool) {
+        MapBuildResult map = BuildMap(*strategy_.map_builder, scratch, *level, out);
+        KernelMap kernel_map = CompactPositionTable(map.table, out.query_offsets, scratch.memory());
+        GroupingPlan plan = PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder,
+                                           config_.padding_threshold);
+        MetadataTables tables = BuildMetadataTables(scratch, kernel_map, plan, level->size(),
+                                                    out.level->size(), nullptr);
+        AutotuneOutcome gather = AutotuneGatherTile(scratch, tables, conv.c_in);
+        AutotuneOutcome scatter = AutotuneScatterTile(scratch, tables, conv.c_out);
+        for (const auto& [tile, cycles] : gather.profile) {
+          gather_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
         }
-      } else if (conv.generative) {
-        out_level = std::make_shared<CoordLevel>();
-        out_level->tensor_stride = level->tensor_stride;
-        out_level->coords = DilateCoords(level->coords, offsets);
-        out_level->keys = ToDevice(scratch.memory(), PackCoords(out_level->coords));
-        out_level->parent = level;
-      } else if (conv.stride > 1) {
-        out_level = std::make_shared<CoordLevel>();
-        out_level->tensor_stride = level->tensor_stride * conv.stride;
-        out_level->coords = DownsampleCoords(level->coords, out_level->tensor_stride);
-        out_level->keys = ToDevice(scratch.memory(), PackCoords(out_level->coords));
-        out_level->parent = level;
-      } else {
-        out_level = level;
+        for (const auto& [tile, cycles] : scatter.profile) {
+          scatter_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
+        }
+        ++conv_index;
       }
-
-      MapBuildInput in;
-      in.source_keys = level->keys;
-      in.output_keys = out_level->keys;
-      in.offsets = query_offsets;
-      in.source_sorted = true;
-      in.output_sorted = true;
-      MapBuildResult map = builder.Build(scratch, in);
-      KernelMap kernel_map = CompactPositionTable(map.table, query_offsets, scratch.memory());
-      GroupingPlan plan =
-          PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder,
-                         config_.padding_threshold);
-      MetadataTables tables = BuildMetadataTables(scratch, kernel_map, plan, level->size(),
-                                                  out_level->size(), nullptr);
-      AutotuneOutcome gather = AutotuneGatherTile(scratch, tables, conv.c_in);
-      AutotuneOutcome scatter = AutotuneScatterTile(scratch, tables, conv.c_out);
-      for (const auto& [tile, cycles] : gather.profile) {
-        gather_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
-      }
-      for (const auto& [tile, cycles] : scatter.profile) {
-        scatter_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
-      }
-      ++conv_index;
-      level = out_level;
+      level = out.level;
     }
   }
 
@@ -473,546 +548,439 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
   return timer.ElapsedMillis();
 }
 
-RunResult Engine::Run(const PointCloud& input) { return RunImpl(input, nullptr); }
+// One run's state, threaded through the per-op executors. The session context
+// is always there: Run() passes a default one, which behaves statelessly.
+struct Engine::RunState {
+  struct Activation {
+    LevelPtr level;
+    FeatureMatrix features;
+  };
 
-RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
+  RunState(const Engine& e, SessionCtx& c)
+      : engine(e), dev(*e.device_), ctx(c), slots(static_cast<size_t>(e.network_.NumSlots())) {}
+
+  const Engine& engine;
+  Device& dev;
+  SessionCtx& ctx;
+  RunResult result;
+  Activation act;
+  std::vector<Activation> slots;
+  // Stream-pool GEMM overlap makes a layer's reported simulated time smaller
+  // than the sum of its kernels' cycles; accumulated here so the run span can
+  // reconcile its children the same way the layer spans do.
+  double overlap_saved = 0.0;
+  int conv_index = 0;
+  size_t linear_index = 0;
+
+  // Activation matrices come from the session's pool when there is one
+  // (zero-filled, matching the fresh-allocation semantics) and go back to it
+  // when replaced, so a warmed-up session allocates nothing per run.
+  FeatureMatrix NewMatrix(int64_t rows, int64_t cols) {
+    if (ctx.pool != nullptr) {
+      return FeatureMatrix(rows, cols,
+                           ctx.pool->Acquire(static_cast<size_t>(rows * cols), /*zero=*/true));
+    }
+    return FeatureMatrix(rows, cols, 0.0f, dev.memory());
+  }
+  void Recycle(FeatureMatrix& m) {
+    if (ctx.pool != nullptr && m.rows() * m.cols() > 0) {
+      ctx.pool->Release(m.TakeStorage());
+    }
+  }
+  void Replace(FeatureMatrix& features, FeatureMatrix next) {
+    Recycle(features);
+    features = std::move(next);
+  }
+  bool functional() const { return engine.config_.functional; }
+  void RoundIfHalf(FeatureMatrix& features) const {
+    if (functional() && engine.config_.precision == Precision::kFp16) {
+      RoundFeaturesToHalf(features);
+    }
+  }
+
+  void LoadInput(const PointCloud& input);
+  void Conv(const Instr& instr);
+  ConvStep MapConv(const ConvParams& conv, const LevelPtr& in, StepBreakdown& layer);
+  FeatureMatrix Gmas(const ConvParams& conv, const FeatureMatrix& in, ConvStep& step,
+                     LayerRecord& record, double& layer_overlap_saved);
+  void Pool(const Instr& instr);
+  void Elementwise(const Instr& instr);
+  void Linear(const Instr& instr);
+};
+
+// All engines consume the canonical (key-sorted) coordinate order so that
+// outputs are comparable. Minuet is the engine that *needs* sorted arrays, so
+// it alone pays for the input sort (Figure 9's one-time sort). A warm session
+// run reuses the cached sorted level, so the coordinate radix sort drops out;
+// the feature permutation is per-run work and stays.
+void Engine::RunState::LoadInput(const PointCloud& input) {
+  PointCloud sorted = input;
+  SortPointCloud(sorted);
+  {
+    // Copy the caller's features into device memory (pooled when there is a
+    // pool, so every later Recycle() pairs with an Acquire).
+    FeatureMatrix on_device = NewMatrix(sorted.features.rows(), sorted.features.cols());
+    std::copy(sorted.features.data(),
+              sorted.features.data() + sorted.features.rows() * sorted.features.cols(),
+              on_device.data());
+    sorted.features = std::move(on_device);
+  }
+  const bool warm = ctx.replay != nullptr;
+  const bool incremental = ctx.incremental_root != nullptr;
+  if (engine.strategy_.sorted_coords) {
+    trace::Span span("engine/input_sort", "step");
+    if (!warm && !incremental) {
+      DeviceVector<uint64_t> keys = ToDevice(dev.memory(), PackCoords(input.coords));
+      DeviceVector<uint32_t> vals(keys.size(), dev.memory());
+      std::iota(vals.begin(), vals.end(), 0u);
+      AccumulateKernel(result.total, &StepBreakdown::map_build,
+                       RadixSortCoordPairs(dev, keys, vals).kernels);
+    }
+    // Features are permuted into sorted order alongside.
+    AccumulateKernel(result.total, &StepBreakdown::map_build,
+                     CopyColumns(dev, sorted.features, sorted.features, 0, false));
+  }
+  if (incremental) {
+    // The caller maintained the sorted root across frames (delta merge
+    // instead of a re-sort); its already-launched cost is attributed here
+    // even on a warm replay — the kernels ran either way.
+    result.total.map_delta += ctx.incremental_cycles;
+    result.total.launches += ctx.incremental_launches;
+  }
+  if (warm) {
+    act.level = ctx.replay->root;
+    MINUET_CHECK(act.level != nullptr) << "replayed plan has no root level";
+  } else if (incremental) {
+    act.level = ctx.incremental_root;
+    // The invariant the whole incremental path rests on: the maintained
+    // level IS the sorted input, coordinate for coordinate.
+    MINUET_CHECK(act.level->tensor_stride == 1 && act.level->coords == sorted.coords)
+        << "incremental root diverged from the frame's sorted coordinates";
+  } else {
+    act.level = NewLevel(nullptr, 1, std::move(sorted.coords), dev.memory());
+  }
+  if (ctx.record != nullptr) {
+    ctx.record->root = act.level;
+  }
+  act.features = std::move(sorted.features);  // pool-owned when pooled above
+}
+
+void Engine::RunState::Conv(const Instr& instr) {
+  const ConvParams& conv = instr.conv;
+  Activation& target = instr.slot >= 0 ? slots[static_cast<size_t>(instr.slot)] : act;
+  MINUET_CHECK_EQ(target.features.cols(), conv.c_in);
+
+  LayerRecord record;
+  record.conv_index = conv_index;
+  record.params = conv;
+  record.num_inputs = target.level->size();
+  StepBreakdown& layer = record.cycles;
+  trace::Span layer_span;
+  if (trace::Span::Enabled()) {
+    layer_span = trace::Span("conv" + std::to_string(conv_index), "layer");
+  }
+  double layer_overlap_saved = 0.0;
+
+  if (IsPlainGemm(conv)) {
+    trace::Span span("engine/conv1x1", "step");
+    FeatureMatrix out = NewMatrix(target.features.rows(), conv.c_out);
+    static const KernelId kConv1x1 = KernelId::Intern("engine/gemm/conv1x1");
+    AccumulateKernel(layer, &StepBreakdown::gemm,
+                     dev.LaunchGemm(kConv1x1, target.features.rows(), conv.c_out, conv.c_in));
+    layer.gemm_kernels += 1;
+    if (functional()) {
+      BlockedGemm(target.features.data(),
+                  engine.conv_weights_[static_cast<size_t>(conv_index)].per_offset[0].data(),
+                  out.data(), target.features.rows(), conv.c_in, conv.c_out);
+    }
+    Replace(target.features, std::move(out));
+    record.num_outputs = target.level->size();
+  } else {
+    RunPlanStep(
+        ctx, &ExecutionPlan::conv_steps, &SessionCtx::conv_cursor,
+        [&] { return MapConv(conv, target.level, layer); },
+        [&](ConvStep& step) {
+          record.num_outputs = step.out_level->size();
+          Replace(target.features, Gmas(conv, target.features, step, record, layer_overlap_saved));
+          target.level = step.out_level;
+        });
+  }
+
+  RoundIfHalf(target.features);
+  if (layer_span.active()) {
+    layer_span.Attr("conv_index", int64_t{conv_index});
+    layer_span.Attr("c_in", conv.c_in);
+    layer_span.Attr("c_out", conv.c_out);
+    layer_span.Attr("kernel_size", int64_t{conv.kernel_size});
+    layer_span.Attr("stride", int64_t{conv.stride});
+    layer_span.Attr("num_inputs", record.num_inputs);
+    layer_span.Attr("num_outputs", record.num_outputs);
+    layer_span.Attr("sim_cycles", layer.TotalCycles());
+    layer_span.Attr("overlap_saved_cycles", layer_overlap_saved);
+    layer_span.Attr("padding_ratio", layer.PaddingOverhead());
+    layer_span.Attr("launches", layer.launches);
+    layer_span.Attr("gemm_kernels", layer.gemm_kernels);
+  }
+  overlap_saved += layer_overlap_saved;
+  result.total += layer;
+  result.layers.push_back(std::move(record));
+  ++conv_index;
+}
+
+// The cold Map step of a sparse conv — output-coordinate generation, map
+// build, queries, compaction — a pure function of the coordinate set, which
+// is why warm runs replay it from the plan.
+ConvStep Engine::RunState::MapConv(const ConvParams& conv, const LevelPtr& in,
+                                   StepBreakdown& layer) {
+  OutLevel out = ResolveOutLevel(in, conv, dev.memory());
+  const bool sorted = engine.strategy_.sorted_coords;
+  if (out.generated) {
+    trace::Span span("engine/coords_dedup", "step");
+    AccumulateKernel(layer, &StepBreakdown::map_build,
+                     conv.generative
+                         ? ChargeDilationDedup(dev, in->keys, out.query_offsets.size(),
+                                               out.level->size(), sorted)
+                         : ChargeDownsampleDedup(dev, in->keys, out.level->tensor_stride,
+                                                 out.level->size(), sorted));
+  }
+  trace::Span map_span("engine/map", "step");
+  MapBuildResult map = BuildMap(*engine.strategy_.map_builder, dev, *in, out);
+  AccumulateKernel(layer, &StepBreakdown::map_build, map.build_stats);
+  AccumulateKernel(layer, &StepBreakdown::map_query, map.query_stats);
+  ConvStep step;
+  step.out_level = out.level;
+  step.kernel_map = std::make_shared<KernelMap>(
+      CompactPositionTable(map.table, out.query_offsets, dev.memory()));
+  AccumulateKernel(layer, &StepBreakdown::map_query,
+                   ChargeMapCompaction(dev, map.table, step.kernel_map->TotalEntries()));
+  return step;
+}
+
+// The GMaS step of a sparse conv over `step`'s kernel map, in the engine's
+// dataflow. A cold session also records the grouping plan and metadata
+// tables into `step`; a warm one replays them from it.
+FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix& in,
+                                     ConvStep& step, LayerRecord& record,
+                                     double& layer_overlap_saved) {
+  const Strategy& strategy = engine.strategy_;
+  const std::vector<FeatureMatrix>& weights =
+      engine.conv_weights_[static_cast<size_t>(conv_index)].per_offset;
+  const int64_t num_outputs = step.out_level->size();
+  StepBreakdown& layer = record.cycles;
+  if (strategy.per_offset_fused) {
+    GmasResult gmas =
+        RunPerOffsetFused(dev, *step.kernel_map, in, weights, num_outputs, functional());
+    AccumulateKernel(layer, &StepBreakdown::gather, gmas.stats.gather);
+    AccumulateKernel(layer, &StepBreakdown::gemm, gmas.stats.gemm);
+    layer.gemm_kernels += gmas.stats.plan.NumKernels();
+    layer.actual_rows += gmas.stats.plan.actual_rows;
+    if (ctx.pool == nullptr) {
+      return std::move(gmas.output);
+    }
+    // The fused path allocates its own output; move it into pooled storage so
+    // the recycle chain stays pool-owned throughout.
+    FeatureMatrix out = NewMatrix(gmas.output.rows(), gmas.output.cols());
+    std::copy(gmas.output.data(), gmas.output.data() + gmas.output.rows() * gmas.output.cols(),
+              out.data());
+    return out;
+  }
+
+  const auto& tiles = ctx.replay != nullptr ? ctx.replay->tiles : engine.layer_tiles_;
+  auto [gather_tile, scatter_tile] = tiles[static_cast<size_t>(conv_index)];
+  // Tiles must divide the channel counts; the fixed default may not.
+  while (conv.c_in % gather_tile != 0) {
+    --gather_tile;
+  }
+  while (conv.c_out % scatter_tile != 0) {
+    --scatter_tile;
+  }
+  record.gather_tile = gather_tile;
+  record.scatter_tile = scatter_tile;
+  GmasConfig gmas_cfg;
+  gmas_cfg.grouping = strategy.grouping;
+  gmas_cfg.padding_threshold = engine.config_.padding_threshold;
+  gmas_cfg.gather_tile = gather_tile;
+  gmas_cfg.scatter_tile = scatter_tile;
+  gmas_cfg.stream_pool_size = strategy.stream_pool_size;
+  gmas_cfg.functional = functional();
+  gmas_cfg.precision = engine.config_.precision;
+  GmasScratch scratch;
+  scratch.pool = ctx.pool;
+  scratch.plan = step.grouping.get();  // set only on a warm replay
+  scratch.tables = step.tables.get();
+  scratch.record_tables = ctx.record != nullptr;
+  GmasResult gmas = RunGatherGemmScatter(dev, *step.kernel_map, in, weights, num_outputs,
+                                         gmas_cfg, &scratch);
+  AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.metadata);
+  AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.buffer_setup);
+  AccumulateKernel(layer, &StepBreakdown::gather, gmas.stats.gather);
+  layer.gemm += gmas.stats.gemm_stream_cycles;
+  layer.launches += gmas.stats.gemm.num_launches;
+  layer_overlap_saved = gmas.stats.gemm.cycles - gmas.stats.gemm_stream_cycles;
+  AccumulateKernel(layer, &StepBreakdown::scatter, gmas.stats.scatter);
+  layer.gemm_kernels += gmas.stats.plan.NumKernels();
+  layer.padded_rows += gmas.stats.plan.padded_rows();
+  layer.actual_rows += gmas.stats.plan.actual_rows;
+  if (ctx.record != nullptr) {
+    step.grouping = std::make_shared<GroupingPlan>(gmas.stats.plan);
+    step.tables = gmas.tables;  // may be null for an empty map
+  }
+  return std::move(gmas.output);
+}
+
+void Engine::RunState::Pool(const Instr& instr) {
+  trace::Span step_span("engine/pool", "step");
+  const ConvParams& window = instr.conv;
+  MINUET_CHECK(!window.transposed && !window.generative);
+  RunPlanStep(
+      ctx, &ExecutionPlan::pool_steps, &SessionCtx::pool_cursor,
+      [&] {
+        OutLevel out = ResolveOutLevel(act.level, window, dev.memory());
+        if (out.generated) {
+          AccumulateKernel(result.total, &StepBreakdown::map_build,
+                           ChargeDownsampleDedup(dev, act.level->keys, out.level->tensor_stride,
+                                                 out.level->size(),
+                                                 engine.strategy_.sorted_coords));
+        }
+        MapBuildResult map = BuildMap(*engine.strategy_.map_builder, dev, *act.level, out);
+        AccumulateKernel(result.total, &StepBreakdown::map_build, map.build_stats);
+        AccumulateKernel(result.total, &StepBreakdown::map_query, map.query_stats);
+        return PoolStep{out.level, std::make_shared<MapPositionTable>(std::move(map.table))};
+      },
+      [&](PoolStep& step) {
+        FeatureMatrix pooled = NewMatrix(step.out_level->size(), act.features.cols());
+        AccumulateKernel(
+            result.total, &StepBreakdown::elementwise,
+            SparsePoolKernel(dev, *step.table, act.features, pooled,
+                             instr.op == Instr::Op::kMaxPool ? PoolMode::kMax : PoolMode::kAverage,
+                             functional()));
+        Replace(act.features, std::move(pooled));
+        act.level = step.out_level;
+      });
+}
+
+// bn_relu, slot saves, residual add, concat and global average pooling.
+void Engine::RunState::Elementwise(const Instr& instr) {
+  trace::Span step_span("engine/elementwise", "step");
+  if (instr.op == Instr::Op::kBnRelu) {
+    AccumulateKernel(result.total, &StepBreakdown::elementwise,
+                     ApplyBnRelu(dev, act.features, functional()));
+    RoundIfHalf(act.features);
+    return;
+  }
+  if (instr.op == Instr::Op::kGlobalAvgPool) {
+    FeatureMatrix pooled = NewMatrix(1, act.features.cols());
+    AccumulateKernel(result.total, &StepBreakdown::elementwise,
+                     GlobalAvgPool(dev, act.features, pooled, functional()));
+    Replace(act.features, std::move(pooled));
+    act.level = NewLevel(nullptr, act.level->tensor_stride, {Coord3{0, 0, 0}}, dev.memory());
+    return;
+  }
+  MINUET_CHECK_GE(instr.slot, 0);
+  Activation& slot = slots[static_cast<size_t>(instr.slot)];
+  switch (instr.op) {
+    case Instr::Op::kResidualSave:
+    case Instr::Op::kSkipSave:
+      slot.level = act.level;
+      Recycle(slot.features);  // a re-used slot returns its old slab first
+      slot.features = NewMatrix(act.features.rows(), act.features.cols());
+      AccumulateKernel(result.total, &StepBreakdown::elementwise,
+                       CopyColumns(dev, act.features, slot.features, 0, functional()));
+      break;
+    case Instr::Op::kResidualAdd:
+      MINUET_CHECK(slot.level == act.level) << "residual add across coordinate levels";
+      AccumulateKernel(result.total, &StepBreakdown::elementwise,
+                       AddInto(dev, act.features, slot.features, functional()));
+      break;
+    case Instr::Op::kConcatSkip: {
+      MINUET_CHECK(slot.level == act.level) << "concat across coordinate levels";
+      FeatureMatrix merged =
+          NewMatrix(act.features.rows(), act.features.cols() + slot.features.cols());
+      AccumulateKernel(result.total, &StepBreakdown::elementwise,
+                       CopyColumns(dev, act.features, merged, 0, functional()));
+      AccumulateKernel(result.total, &StepBreakdown::elementwise,
+                       CopyColumns(dev, slot.features, merged, act.features.cols(), functional()));
+      Replace(act.features, std::move(merged));
+      break;
+    }
+    default:
+      MINUET_CHECK(false) << "not an elementwise op";
+  }
+}
+
+void Engine::RunState::Linear(const Instr& instr) {
+  trace::Span step_span("engine/head", "step");
+  const FeatureMatrix& w = engine.linear_weights_[linear_index++];
+  const int64_t rows = act.features.rows();
+  const int64_t c_in = act.features.cols();
+  MINUET_CHECK_EQ(w.rows(), c_in);
+  FeatureMatrix out = NewMatrix(rows, instr.linear_out);
+  static const KernelId kLinearHead = KernelId::Intern("engine/gemm/linear_head");
+  AccumulateKernel(result.total, &StepBreakdown::gemm,
+                   dev.LaunchGemm(kLinearHead, rows, instr.linear_out, c_in));
+  if (functional()) {
+    BlockedGemm(act.features.data(), w.data(), out.data(), rows, c_in, instr.linear_out);
+  }
+  Replace(act.features, std::move(out));
+}
+
+RunResult Engine::Run(const PointCloud& input) {
+  SessionCtx stateless;
+  return RunImpl(input, stateless);
+}
+
+RunResult Engine::RunImpl(const PointCloud& input, SessionCtx& ctx) {
   MINUET_CHECK(prepared_) << "Prepare() must run before Run()";
   MINUET_CHECK_EQ(input.channels(), network_.in_channels);
-  Device& dev = *device_;
-  RunResult result;
+  RunState run(*this, ctx);
 
   trace::Span run_span("run", "run");
   if (run_span.active()) {
     run_span.Attr("engine", EngineKindName(config_.kind));
     run_span.Attr("num_points", input.num_points());
-    run_span.Attr("warm", int64_t{ctx != nullptr && ctx->replay != nullptr});
+    run_span.Attr("warm", int64_t{ctx.replay != nullptr});
   }
-  // Stream-pool GEMM overlap makes a layer's reported simulated time smaller
-  // than the sum of its kernels' cycles; accumulated here so the run span can
-  // reconcile its children the same way the layer spans do.
-  double run_overlap_saved = 0.0;
-
-  const bool functional = config_.functional;
-  const bool is_minuet = config_.kind == EngineKind::kMinuet;
-  const bool use_sorted_map = is_minuet && config_.features.segmented_sorting;
-
-  WorkspacePool* pool = ctx != nullptr ? ctx->pool : nullptr;
-  ExecutionPlan* plan_record = ctx != nullptr ? ctx->record : nullptr;
-  const ExecutionPlan* plan_replay = ctx != nullptr ? ctx->replay : nullptr;
-  if (plan_record != nullptr) {
-    plan_record->tiles = layer_tiles_;
+  if (ctx.record != nullptr) {
+    ctx.record->tiles = layer_tiles_;
   }
-  // All activation matrices produced below come from the pool (zero-filled,
-  // matching the fresh-allocation semantics) and go back to it when replaced,
-  // so a warmed-up session allocates nothing per run.
-  auto new_matrix = [&](int64_t rows, int64_t cols) {
-    if (pool != nullptr) {
-      return FeatureMatrix(rows, cols,
-                           pool->Acquire(static_cast<size_t>(rows * cols), /*zero=*/true));
-    }
-    return FeatureMatrix(rows, cols, 0.0f, dev.memory());
-  };
-  auto recycle = [&](FeatureMatrix& m) {
-    if (pool != nullptr && m.rows() * m.cols() > 0) {
-      pool->Release(m.TakeStorage());
-    }
-  };
-
-  // All engines consume the canonical (key-sorted) coordinate order so that
-  // outputs are comparable. Minuet is the engine that *needs* sorted arrays,
-  // so it alone pays for the input sort (Figure 9's one-time sort). A warm
-  // session run reuses the cached sorted level, so the coordinate radix sort
-  // drops out; the feature permutation is per-run work and stays.
-  Activation act;
-  {
-    PointCloud sorted = input;
-    SortPointCloud(sorted);
-    {
-      // Copy the caller's features into device memory (pooled when there is
-      // a pool, so every later recycle() pairs with an Acquire).
-      FeatureMatrix on_device = new_matrix(sorted.features.rows(), sorted.features.cols());
-      std::copy(sorted.features.data(),
-                sorted.features.data() + sorted.features.rows() * sorted.features.cols(),
-                on_device.data());
-      sorted.features = std::move(on_device);
-    }
-    const bool incremental_root = ctx != nullptr && ctx->incremental_root != nullptr;
-    if (use_sorted_map) {
-      trace::Span span("engine/input_sort", "step");
-      if (plan_replay == nullptr && !incremental_root) {
-        DeviceVector<uint64_t> keys = ToDevice(dev.memory(), PackCoords(input.coords));
-        DeviceVector<uint32_t> vals(keys.size(), dev.memory());
-        std::iota(vals.begin(), vals.end(), 0u);
-        KernelStats sort_stats = RadixSortCoordPairs(dev, keys, vals).kernels;
-        AccumulateKernel(result.total, &StepBreakdown::map_build, sort_stats);
-      }
-      // Features are permuted into sorted order alongside.
-      AccumulateKernel(result.total, &StepBreakdown::map_build,
-                       CopyColumns(dev, sorted.features, sorted.features, 0, false));
-    }
-    if (incremental_root) {
-      // The caller maintained the sorted root across frames (delta merge
-      // instead of a re-sort); its already-launched cost is attributed here
-      // even on a warm replay — the kernels ran either way.
-      result.total.map_delta += ctx->incremental_cycles;
-      result.total.launches += ctx->incremental_launches;
-    }
-    if (plan_replay != nullptr) {
-      act.level = plan_replay->root;
-      MINUET_CHECK(act.level != nullptr) << "replayed plan has no root level";
-    } else if (incremental_root) {
-      act.level = ctx->incremental_root;
-      // The invariant the whole incremental path rests on: the maintained
-      // level IS the sorted input, coordinate for coordinate.
-      MINUET_CHECK(act.level->tensor_stride == 1 && act.level->coords == sorted.coords)
-          << "incremental root diverged from the frame's sorted coordinates";
-      if (plan_record != nullptr) {
-        plan_record->root = act.level;
-      }
-    } else {
-      act.level = std::make_shared<CoordLevel>();
-      act.level->tensor_stride = 1;
-      act.level->coords = std::move(sorted.coords);
-      act.level->keys = ToDevice(dev.memory(), PackCoords(act.level->coords));
-      if (plan_record != nullptr) {
-        plan_record->root = act.level;
-      }
-    }
-    act.features = std::move(sorted.features);  // pool-owned when pooled above
-  }
-
-  std::vector<Activation> slots(static_cast<size_t>(network_.NumSlots()));
-  int conv_index = 0;
-  size_t linear_index = 0;
-
-  // Map builders are stateless; construct once.
-  MinuetMapConfig map_cfg;
-  map_cfg.source_block_size = config_.map_source_block;
-  map_cfg.query_block_size = config_.map_query_block;
-  map_cfg.double_traversal = config_.features.double_traversal;
-  MinuetMapBuilder minuet_builder(map_cfg);
-  HashMapBuilder cuckoo_builder(HashTableKind::kCuckoo);
-  HashMapBuilder linear_builder(HashTableKind::kLinearProbe);
-
+  run.LoadInput(input);
   for (const Instr& instr : network_.instrs) {
     switch (instr.op) {
-      case Instr::Op::kConv: {
-        const ConvParams& conv = instr.conv;
-        const ConvWeights& weights = conv_weights_[static_cast<size_t>(conv_index)];
-        Activation* target = instr.slot >= 0 ? &slots[static_cast<size_t>(instr.slot)] : &act;
-        MINUET_CHECK_EQ(target->features.cols(), conv.c_in);
-
-        LayerRecord record;
-        record.conv_index = conv_index;
-        record.params = conv;
-        record.num_inputs = target->level->size();
-        StepBreakdown layer;
-        trace::Span layer_span;
-        if (trace::Span::Enabled()) {
-          layer_span = trace::Span("conv" + std::to_string(conv_index), "layer");
-        }
-        double layer_overlap_saved = 0.0;
-
-        if (conv.kernel_size == 1 && conv.stride == 1 && !conv.transposed) {
-          // 1x1 stride-1 conv == one GEMM over the feature matrix.
-          trace::Span span("engine/conv1x1", "step");
-          FeatureMatrix out = new_matrix(target->features.rows(), conv.c_out);
-          static const KernelId kConv1x1 = KernelId::Intern("engine/gemm/conv1x1");
-          KernelStats gemm = dev.LaunchGemm(kConv1x1, target->features.rows(), conv.c_out,
-                                            conv.c_in);
-          AccumulateKernel(layer, &StepBreakdown::gemm, gemm);
-          layer.gemm_kernels += 1;
-          if (functional) {
-            BlockedGemm(target->features.data(), weights.per_offset[0].data(), out.data(),
-                        target->features.rows(), conv.c_in, conv.c_out);
-          }
-          recycle(target->features);
-          target->features = std::move(out);
-          record.num_outputs = target->level->size();
-        } else {
-          // Warm replay consumes the next cached conv step; cold sessions
-          // append one. Both are per-instruction and in program order.
-          const ConvStep* cached = nullptr;
-          if (plan_replay != nullptr) {
-            MINUET_CHECK_LT(ctx->conv_cursor, plan_replay->conv_steps.size())
-                << "replayed plan does not match the network";
-            cached = &plan_replay->conv_steps[ctx->conv_cursor++];
-          }
-          ConvStep* step = nullptr;
-          if (plan_record != nullptr) {
-            plan_record->conv_steps.emplace_back();
-            step = &plan_record->conv_steps.back();
-          }
-
-          LevelPtr out_level;
-          KernelMap built_map;             // cold path only
-          const KernelMap* kernel_map;     // what GMaS executes
-          if (cached != nullptr) {
-            // The entire Map step — output-coordinate generation, map build,
-            // queries, compaction — is a pure function of the coordinate set
-            // and is replayed from the plan.
-            out_level = cached->out_level;
-            kernel_map = cached->kernel_map.get();
-          } else {
-            // Resolve the output coordinate level. Check the parent before
-            // deriving offsets: a transposed conv with no encoder level would
-            // otherwise die on tensor_stride / stride == 0 with an unrelated
-            // message.
-            if (conv.transposed) {
-              MINUET_CHECK(target->level->parent != nullptr)
-                  << "transposed conv without a matching encoder level";
-            }
-            std::vector<Coord3> offsets = MakeWeightOffsets(
-                conv.kernel_size, conv.transposed ? target->level->tensor_stride / conv.stride
-                                                  : target->level->tensor_stride);
-            std::vector<Coord3> query_offsets = offsets;
-            if (conv.transposed) {
-              out_level = target->level->parent;
-              // Transposed map: entry (p, q, d) when q = p + d, i.e. the normal
-              // builder with mirrored offsets; rows keep the weight order.
-              for (Coord3& d : query_offsets) {
-                d = Coord3{-d.x, -d.y, -d.z};
-              }
-            } else if (conv.generative) {
-              MINUET_CHECK_EQ(conv.stride, 1) << "generative convs must have stride 1";
-              out_level = std::make_shared<CoordLevel>();
-              out_level->tensor_stride = target->level->tensor_stride;
-              out_level->coords = DilateCoords(target->level->coords, offsets);
-              out_level->keys = ToDevice(dev.memory(), PackCoords(out_level->coords));
-              out_level->parent = target->level;
-              // Coordinate generation: K^3 |P| candidates deduplicated.
-              trace::Span span("engine/coords_dedup", "step");
-              AccumulateKernel(layer, &StepBreakdown::map_build,
-                               ChargeDilationDedup(dev, target->level->keys, offsets.size(),
-                                                   out_level->size(), use_sorted_map));
-            } else if (conv.stride > 1) {
-              out_level = std::make_shared<CoordLevel>();
-              out_level->tensor_stride = target->level->tensor_stride * conv.stride;
-              out_level->coords =
-                  DownsampleCoords(target->level->coords, out_level->tensor_stride);
-              out_level->keys = ToDevice(dev.memory(), PackCoords(out_level->coords));
-              out_level->parent = target->level;
-              // Output-coordinate generation must deduplicate (Eq. 1).
-              trace::Span span("engine/coords_dedup", "step");
-              AccumulateKernel(layer, &StepBreakdown::map_build,
-                               ChargeDownsampleDedup(dev, target->level->keys,
-                                                     out_level->tensor_stride, out_level->size(),
-                                                     use_sorted_map));
-            } else {
-              out_level = target->level;
-            }
-
-            // --- Map step.
-            trace::Span map_span("engine/map", "step");
-            MapBuildInput map_in;
-            map_in.source_keys = target->level->keys;
-            map_in.output_keys = out_level->keys;
-            map_in.offsets = query_offsets;
-            map_in.source_sorted = true;
-            map_in.output_sorted = true;
-            MapBuilderBase* map_builder;
-            if (use_sorted_map) {
-              map_builder = &minuet_builder;
-            } else if (config_.kind == EngineKind::kMinkowski) {
-              map_builder = &linear_builder;
-            } else {
-              map_builder = &cuckoo_builder;
-            }
-            MapBuildResult map = map_builder->Build(dev, map_in);
-            AccumulateKernel(layer, &StepBreakdown::map_build, map.build_stats);
-            AccumulateKernel(layer, &StepBreakdown::map_query, map.query_stats);
-            built_map = CompactPositionTable(map.table, query_offsets, dev.memory());
-            AccumulateKernel(layer, &StepBreakdown::map_query,
-                             ChargeMapCompaction(dev, map.table, built_map.TotalEntries()));
-            kernel_map = &built_map;
-          }
-          record.num_outputs = out_level->size();
-
-          // --- GMaS step.
-          FeatureMatrix out;
-          if (config_.kind == EngineKind::kMinkowski) {
-            GmasResult gmas = RunPerOffsetFused(dev, *kernel_map, target->features,
-                                                weights.per_offset, out_level->size(), functional);
-            AccumulateKernel(layer, &StepBreakdown::gather, gmas.stats.gather);
-            AccumulateKernel(layer, &StepBreakdown::gemm, gmas.stats.gemm);
-            layer.gemm_kernels += gmas.stats.plan.NumKernels();
-            layer.actual_rows += gmas.stats.plan.actual_rows;
-            if (pool != nullptr) {
-              // The fused path allocates its own output; move it into pooled
-              // storage so the recycle chain stays pool-owned throughout.
-              out = new_matrix(gmas.output.rows(), gmas.output.cols());
-              std::copy(gmas.output.data(),
-                        gmas.output.data() + gmas.output.rows() * gmas.output.cols(), out.data());
-            } else {
-              out = std::move(gmas.output);
-            }
-          } else {
-            GmasConfig gmas_cfg;
-            bool sorted_grouping = is_minuet && config_.features.sorted_grouping;
-            gmas_cfg.grouping = sorted_grouping ? GroupingStrategy::kSortedOrder
-                                                : GroupingStrategy::kMapOrder;
-            gmas_cfg.padding_threshold = config_.padding_threshold;
-            auto [gather_tile, scatter_tile] =
-                (plan_replay != nullptr ? plan_replay->tiles
-                                        : layer_tiles_)[static_cast<size_t>(conv_index)];
-            // Tiles must divide the channel counts; the fixed default may not.
-            while (conv.c_in % gather_tile != 0) {
-              --gather_tile;
-            }
-            while (conv.c_out % scatter_tile != 0) {
-              --scatter_tile;
-            }
-            gmas_cfg.gather_tile = gather_tile;
-            gmas_cfg.scatter_tile = scatter_tile;
-            // The CUDA-stream pool (s = 4) ships with Minuet's GEMM grouping
-            // (Section 5.2.2); TorchSparse issues its GEMMs on one stream.
-            gmas_cfg.stream_pool_size = sorted_grouping ? config_.stream_pool_size : 1;
-            gmas_cfg.functional = functional;
-            gmas_cfg.precision = config_.precision;
-            record.gather_tile = gather_tile;
-            record.scatter_tile = scatter_tile;
-            GmasScratch scratch;
-            GmasScratch* scratch_ptr = nullptr;
-            if (ctx != nullptr) {
-              scratch.pool = pool;
-              if (cached != nullptr && cached->grouping != nullptr) {
-                scratch.plan = cached->grouping.get();
-                scratch.tables = cached->tables.get();
-              } else if (step != nullptr) {
-                scratch.record_tables = true;
-              }
-              scratch_ptr = &scratch;
-            }
-            GmasResult gmas =
-                RunGatherGemmScatter(dev, *kernel_map, target->features, weights.per_offset,
-                                     out_level->size(), gmas_cfg, scratch_ptr);
-            AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.metadata);
-            AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.buffer_setup);
-            AccumulateKernel(layer, &StepBreakdown::gather, gmas.stats.gather);
-            layer.gemm += gmas.stats.gemm_stream_cycles;
-            layer.launches += gmas.stats.gemm.num_launches;
-            layer_overlap_saved = gmas.stats.gemm.cycles - gmas.stats.gemm_stream_cycles;
-            AccumulateKernel(layer, &StepBreakdown::scatter, gmas.stats.scatter);
-            layer.gemm_kernels += gmas.stats.plan.NumKernels();
-            layer.padded_rows += gmas.stats.plan.padded_rows();
-            layer.actual_rows += gmas.stats.plan.actual_rows;
-            if (step != nullptr) {
-              step->grouping = std::make_shared<GroupingPlan>(gmas.stats.plan);
-              step->tables = gmas.tables;  // may be null for an empty map
-            }
-            out = std::move(gmas.output);
-          }
-          if (step != nullptr) {
-            step->out_level = out_level;
-            step->kernel_map = std::make_shared<KernelMap>(std::move(built_map));
-          }
-          recycle(target->features);
-          target->features = std::move(out);
-          target->level = out_level;
-        }
-
-        if (functional && config_.precision == Precision::kFp16) {
-          RoundFeaturesToHalf(target->features);
-        }
-        if (layer_span.active()) {
-          layer_span.Attr("conv_index", int64_t{conv_index});
-          layer_span.Attr("c_in", conv.c_in);
-          layer_span.Attr("c_out", conv.c_out);
-          layer_span.Attr("kernel_size", int64_t{conv.kernel_size});
-          layer_span.Attr("stride", int64_t{conv.stride});
-          layer_span.Attr("num_inputs", record.num_inputs);
-          layer_span.Attr("num_outputs", record.num_outputs);
-          layer_span.Attr("sim_cycles", layer.TotalCycles());
-          layer_span.Attr("overlap_saved_cycles", layer_overlap_saved);
-          layer_span.Attr("padding_ratio", layer.PaddingOverhead());
-          layer_span.Attr("launches", layer.launches);
-          layer_span.Attr("gemm_kernels", layer.gemm_kernels);
-        }
-        run_overlap_saved += layer_overlap_saved;
-        record.cycles = layer;
-        result.total += layer;
-        result.layers.push_back(std::move(record));
-        ++conv_index;
+      case Instr::Op::kConv:
+        run.Conv(instr);
         break;
-      }
       case Instr::Op::kMaxPool:
-      case Instr::Op::kAvgPool: {
-        trace::Span step_span("engine/pool", "step");
-        const ConvParams& pool_params = instr.conv;
-        MINUET_CHECK(!pool_params.transposed && !pool_params.generative);
-        const PoolStep* cached = nullptr;
-        if (plan_replay != nullptr) {
-          MINUET_CHECK_LT(ctx->pool_cursor, plan_replay->pool_steps.size())
-              << "replayed plan does not match the network";
-          cached = &plan_replay->pool_steps[ctx->pool_cursor++];
-        }
-        LevelPtr out_level;
-        MapBuildResult map;               // cold path only
-        const MapPositionTable* table;    // what the pool kernel reads
-        if (cached != nullptr) {
-          out_level = cached->out_level;
-          table = cached->table.get();
-        } else {
-          if (pool_params.stride > 1) {
-            out_level = std::make_shared<CoordLevel>();
-            out_level->tensor_stride = act.level->tensor_stride * pool_params.stride;
-            out_level->coords = DownsampleCoords(act.level->coords, out_level->tensor_stride);
-            out_level->keys = ToDevice(dev.memory(), PackCoords(out_level->coords));
-            out_level->parent = act.level;
-            AccumulateKernel(result.total, &StepBreakdown::map_build,
-                             ChargeDownsampleDedup(dev, act.level->keys,
-                                                   out_level->tensor_stride, out_level->size(),
-                                                   use_sorted_map));
-          } else {
-            out_level = act.level;
-          }
-          std::vector<Coord3> offsets =
-              MakeWeightOffsets(pool_params.kernel_size, act.level->tensor_stride);
-          MapBuildInput map_in;
-          map_in.source_keys = act.level->keys;
-          map_in.output_keys = out_level->keys;
-          map_in.offsets = offsets;
-          map_in.source_sorted = true;
-          map_in.output_sorted = true;
-          MapBuilderBase* map_builder;
-          if (use_sorted_map) {
-            map_builder = &minuet_builder;
-          } else if (config_.kind == EngineKind::kMinkowski) {
-            map_builder = &linear_builder;
-          } else {
-            map_builder = &cuckoo_builder;
-          }
-          map = map_builder->Build(dev, map_in);
-          AccumulateKernel(result.total, &StepBreakdown::map_build, map.build_stats);
-          AccumulateKernel(result.total, &StepBreakdown::map_query, map.query_stats);
-          table = &map.table;
-        }
-        FeatureMatrix pooled = new_matrix(out_level->size(), act.features.cols());
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         SparsePoolKernel(dev, *table, act.features, pooled,
-                                          instr.op == Instr::Op::kMaxPool ? PoolMode::kMax
-                                                                          : PoolMode::kAverage,
-                                          functional));
-        if (plan_record != nullptr) {
-          PoolStep step;
-          step.out_level = out_level;
-          step.table = std::make_shared<MapPositionTable>(std::move(map.table));
-          plan_record->pool_steps.push_back(std::move(step));
-        }
-        recycle(act.features);
-        act.features = std::move(pooled);
-        act.level = out_level;
+      case Instr::Op::kAvgPool:
+        run.Pool(instr);
         break;
-      }
-      case Instr::Op::kBnRelu: {
-        trace::Span step_span("engine/elementwise", "step");
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         ApplyBnRelu(dev, act.features, functional));
-        if (functional && config_.precision == Precision::kFp16) {
-          RoundFeaturesToHalf(act.features);
-        }
+      case Instr::Op::kLinear:
+        run.Linear(instr);
         break;
-      }
-      case Instr::Op::kResidualSave:
-      case Instr::Op::kSkipSave: {
-        trace::Span step_span("engine/elementwise", "step");
-        MINUET_CHECK_GE(instr.slot, 0);
-        Activation& slot = slots[static_cast<size_t>(instr.slot)];
-        slot.level = act.level;
-        recycle(slot.features);  // a re-used slot returns its old slab first
-        slot.features = new_matrix(act.features.rows(), act.features.cols());
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         CopyColumns(dev, act.features, slot.features, 0, functional));
+      default:
+        run.Elementwise(instr);
         break;
-      }
-      case Instr::Op::kResidualAdd: {
-        trace::Span step_span("engine/elementwise", "step");
-        MINUET_CHECK_GE(instr.slot, 0);
-        Activation& slot = slots[static_cast<size_t>(instr.slot)];
-        MINUET_CHECK(slot.level == act.level) << "residual add across coordinate levels";
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         AddInto(dev, act.features, slot.features, functional));
-        break;
-      }
-      case Instr::Op::kConcatSkip: {
-        trace::Span step_span("engine/elementwise", "step");
-        MINUET_CHECK_GE(instr.slot, 0);
-        Activation& slot = slots[static_cast<size_t>(instr.slot)];
-        MINUET_CHECK(slot.level == act.level) << "concat across coordinate levels";
-        FeatureMatrix merged =
-            new_matrix(act.features.rows(), act.features.cols() + slot.features.cols());
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         CopyColumns(dev, act.features, merged, 0, functional));
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         CopyColumns(dev, slot.features, merged, act.features.cols(), functional));
-        recycle(act.features);
-        act.features = std::move(merged);
-        break;
-      }
-      case Instr::Op::kGlobalAvgPool: {
-        trace::Span step_span("engine/elementwise", "step");
-        FeatureMatrix pooled = new_matrix(1, act.features.cols());
-        AccumulateKernel(result.total, &StepBreakdown::elementwise,
-                         GlobalAvgPool(dev, act.features, pooled, functional));
-        recycle(act.features);
-        act.features = std::move(pooled);
-        auto pooled_level = std::make_shared<CoordLevel>();
-        pooled_level->tensor_stride = act.level->tensor_stride;
-        pooled_level->coords = {Coord3{0, 0, 0}};
-        pooled_level->keys = DeviceVector<uint64_t>(1, PackCoord(Coord3{0, 0, 0}), dev.memory());
-        act.level = pooled_level;
-        break;
-      }
-      case Instr::Op::kLinear: {
-        trace::Span step_span("engine/head", "step");
-        const int64_t c_in = act.features.cols();
-        FeatureMatrix& w = linear_weights_[linear_index];
-        if (w.rows() != c_in || w.cols() != instr.linear_out) {
-          // Lazily materialise the head weights now that c_in is known.
-          Pcg32 rng(0x11ead + linear_index, 23);
-          w = FeatureMatrix(c_in, instr.linear_out);
-          float scale = std::sqrt(2.0f / static_cast<float>(c_in));
-          for (int64_t a = 0; a < c_in; ++a) {
-            for (int64_t b = 0; b < instr.linear_out; ++b) {
-              w.At(a, b) = static_cast<float>(rng.NextGaussian()) * scale;
-            }
-          }
-        }
-        FeatureMatrix out = new_matrix(act.features.rows(), instr.linear_out);
-        static const KernelId kLinearHead = KernelId::Intern("engine/gemm/linear_head");
-        KernelStats gemm =
-            dev.LaunchGemm(kLinearHead, act.features.rows(), instr.linear_out, c_in);
-        AccumulateKernel(result.total, &StepBreakdown::gemm, gemm);
-        if (functional) {
-          BlockedGemm(act.features.data(), w.data(), out.data(), act.features.rows(), c_in,
-                      instr.linear_out);
-        }
-        recycle(act.features);
-        act.features = std::move(out);
-        ++linear_index;
-        break;
-      }
     }
   }
 
   // Copy the result out to host storage: the caller may keep it past this
   // engine's device memory, and a pooled slab must go back so the next warm
   // run reuses it. Every remaining slab returns, so the pool ends balanced.
-  FeatureMatrix detached(act.features, /*memory=*/nullptr);
-  recycle(act.features);
-  for (Activation& slot : slots) {
-    recycle(slot.features);
+  RunResult& result = run.result;
+  result.features = FeatureMatrix(run.act.features, /*memory=*/nullptr);
+  run.Recycle(run.act.features);
+  for (RunState::Activation& slot : run.slots) {
+    run.Recycle(slot.features);
   }
-  result.features = std::move(detached);
-  result.coords = act.level->coords;
+  result.coords = run.act.level->coords;
   if (run_span.active()) {
     run_span.Attr("sim_cycles", result.total.TotalCycles());
-    run_span.Attr("overlap_saved_cycles", run_overlap_saved);
+    run_span.Attr("overlap_saved_cycles", run.overlap_saved);
     run_span.Attr("launches", result.total.launches);
     run_span.Attr("sim_ms", device_config_.CyclesToMillis(result.total.TotalCycles()));
   }
-  return result;
+  return std::move(result);
 }
+
 
 uint64_t Engine::PlanConfigFingerprint() const {
   auto mix = [](uint64_t h, uint64_t v) {
@@ -1060,12 +1028,12 @@ RunResult RunSession::RunIncremental(const PointCloud& input, LevelPtr root, dou
   if (std::shared_ptr<const ExecutionPlan> plan = cache_.Lookup(key)) {
     ctx.replay = plan.get();
     ++warm_runs_;
-    return engine_->RunImpl(input, &ctx);
+    return engine_->RunImpl(input, ctx);
   }
   auto recorded = std::make_shared<ExecutionPlan>();
   ctx.record = recorded.get();
   ++cold_runs_;
-  RunResult result = engine_->RunImpl(input, &ctx);
+  RunResult result = engine_->RunImpl(input, ctx);
   cache_.Insert(key, std::move(recorded));
   return result;
 }
@@ -1178,8 +1146,10 @@ std::vector<RunResult> Engine::RunBatch(std::span<const PointCloud> batch) {
   for (size_t b = 0; b < batch.size(); ++b) {
     results[b].features = FeatureMatrix(counts[b], fused_result.features.cols());
     results[b].coords.reserve(static_cast<size_t>(counts[b]));
-    // Batch-level stats are shared: attribute proportionally by output rows.
+    // Batch-level stats are not split: every cloud's result carries the fused
+    // run's totals and per-layer records.
     results[b].total = fused_result.total;
+    results[b].layers = fused_result.layers;
   }
   std::vector<int64_t> cursor(batch.size(), 0);
   for (size_t i = 0; i < fused_result.coords.size(); ++i) {

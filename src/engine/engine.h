@@ -112,7 +112,10 @@ class Engine {
  public:
   Engine(const EngineConfig& config, const DeviceConfig& device_config);
 
-  // Instantiates the network with deterministic weights derived from `seed`.
+  // Instantiates the network: conv weights are deterministic draws from
+  // `seed`; each linear head's weights come from a fixed per-head seed, with
+  // c_in learned by walking the network's channel flow. Dies if a conv's
+  // c_in does not match the channels reaching it.
   void Prepare(const Network& network, uint64_t seed);
 
   // Algorithm 2: profiles Gather/Scatter tiles per conv layer over a few
@@ -152,12 +155,29 @@ class Engine {
     std::vector<FeatureMatrix> per_offset;  // K^3 matrices of c_in x c_out
   };
 
-  // The one inference path. `ctx == nullptr` is the stateless Run(); with a
-  // SessionCtx it additionally draws storage from the session's workspace
-  // pool and records (cold) or replays (warm) an ExecutionPlan. Warm replay
-  // produces bit-identical features while skipping the input radix sort, the
+  // The engine strategy as plain data, resolved once from config_ by the
+  // constructor.
+  struct Strategy {
+    std::unique_ptr<MapBuilderBase> map_builder;
+    // Sorted-array engine: pays the input sort and deduplicates generated
+    // coordinates by sort + unique; hash engines deduplicate by hashing.
+    bool sorted_coords = false;
+    // Per-offset fused gather-GEMM-scatter instead of the batched dataflow.
+    bool per_offset_fused = false;
+    GroupingStrategy grouping = GroupingStrategy::kMapOrder;
+    int stream_pool_size = 1;
+  };
+
+  // One run's state; its methods are the per-op executors (engine.cpp).
+  struct RunState;
+
+  // The one inference path: a dispatch loop over the network's instructions,
+  // one RunState executor per op kind. Run() passes a default SessionCtx; a
+  // session's additionally draws storage from its workspace pool and records
+  // (cold) or replays (warm) an ExecutionPlan. Warm replay produces
+  // bit-identical features while skipping the input radix sort, the
   // coordinate dedup charges, the Map step, and the GMaS metadata kernels.
-  RunResult RunImpl(const PointCloud& input, SessionCtx* ctx);
+  RunResult RunImpl(const PointCloud& input, SessionCtx& ctx);
 
   // Fingerprint of everything besides the coordinates that a cached plan
   // depends on: engine config plus the Prepare()/Autotune() generation (so
@@ -167,6 +187,7 @@ class Engine {
   EngineConfig config_;
   DeviceConfig device_config_;
   std::unique_ptr<Device> device_;
+  Strategy strategy_;
   Network network_;
   bool prepared_ = false;
   uint64_t plan_generation_ = 0;  // bumped by Prepare() and Autotune()

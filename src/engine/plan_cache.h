@@ -129,9 +129,9 @@ class PlanCache {
   Stats stats_;
 };
 
-// Optional per-run session state threaded through Engine::RunImpl. All
-// borrowed. A null SessionCtx (or a default one) reproduces the stateless
-// Run() behaviour exactly.
+// Per-run session state threaded through Engine::RunImpl. All borrowed. A
+// default SessionCtx, which is what Engine::Run passes, reproduces the
+// stateless behaviour exactly.
 struct SessionCtx {
   // Activation and GMaS buffer storage comes from here instead of the heap.
   WorkspacePool* pool = nullptr;

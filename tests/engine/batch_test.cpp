@@ -77,15 +77,22 @@ TEST(BatchTest, BatchAmortisesLaunches) {
 
   Engine fused(config, MakeRtx3090());
   fused.Prepare(net, 3);
-  int64_t batched_launches = fused.RunBatch(batch)[0].total.launches;
+  std::vector<RunResult> batched = fused.RunBatch(batch);
 
   int64_t solo_launches = 0;
+  size_t solo_layers = 0;
   for (const PointCloud& cloud : batch) {
     Engine solo(config, MakeRtx3090());
     solo.Prepare(net, 3);
-    solo_launches += solo.Run(cloud).total.launches;
+    RunResult result = solo.Run(cloud);
+    solo_launches += result.total.launches;
+    solo_layers = result.layers.size();
   }
-  EXPECT_LT(batched_launches, solo_launches / 2);
+  EXPECT_LT(batched[0].total.launches, solo_launches / 2);
+  // Every per-cloud result carries the fused run's per-layer records.
+  for (const RunResult& result : batched) {
+    EXPECT_EQ(result.layers.size(), solo_layers);
+  }
 }
 
 TEST(BatchTest, PoolingHeadsAreRejected) {

@@ -49,6 +49,7 @@ TEST(FailureInjectionTest, TransposedConvWithoutParentDies) {
   engine.Prepare(net, 1);
   PointCloud cloud = TinyCloud(4);
   EXPECT_DEATH(engine.Run(cloud), "parent|encoder");
+  EXPECT_DEATH(engine.Autotune(cloud), "parent|encoder");
 }
 
 TEST(FailureInjectionTest, GenerativeStridedConvDies) {
@@ -64,6 +65,24 @@ TEST(FailureInjectionTest, GenerativeStridedConvDies) {
   engine.Prepare(net, 1);
   PointCloud cloud = TinyCloud(4);
   EXPECT_DEATH(engine.Run(cloud), "stride");
+  EXPECT_DEATH(engine.Autotune(cloud), "stride");
+}
+
+TEST(FailureInjectionTest, ConvChannelMismatchDiesInPrepare) {
+  // The second conv expects 8 channels but receives the first one's 6.
+  Network net;
+  net.name = "bad";
+  net.in_channels = 4;
+  Instr first;
+  first.op = Instr::Op::kConv;
+  first.conv = ConvParams{3, 1, false, 4, 6};
+  net.instrs.push_back(first);
+  Instr second = first;
+  second.conv = ConvParams{3, 1, false, 8, 8};
+  net.instrs.push_back(second);
+  EngineConfig config;
+  Engine engine(config, MakeRtx3090());
+  EXPECT_DEATH(engine.Prepare(net, 1), "channels");
 }
 
 TEST(FailureInjectionTest, ResidualAddAcrossLevelsDies) {
