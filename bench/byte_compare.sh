@@ -15,6 +15,11 @@
 # Everything that remains — simulated cycles, cache hits/misses, queue/SLO
 # accounting, per-kernel aggregates — must match byte for byte.
 #
+# The functional engine leg also runs timing-only (--functional 0) out of the
+# same build, and each engine's two snapshots are diffed after the same
+# stripping: the functional flag moves payload work only, never the simulated
+# program.
+#
 # The telemetry sinks (overload_timeline.jsonl, overload_incident.json) and
 # the per-request causal-trace dump (overload_requests.jsonl) carry only
 # simulated-clock data, so they byte-compare directly with cmp — no
@@ -83,6 +88,10 @@ run_suite() {
   "$build/tools/minuet_run" --network resnet21 --dataset s3dis --points 4000 \
     --engine all --functional 1 --reuse --repeat 2 \
     --metrics "$out/engines.json" > /dev/null
+  # The same leg timing-only, for the functional-vs-timing diff below.
+  "$build/tools/minuet_run" --network resnet21 --dataset s3dis --points 4000 \
+    --engine all --functional 0 --reuse --repeat 2 \
+    --metrics "$out/engines_timing.json" > /dev/null
 }
 
 echo "byte_compare: running suite from $BUILD_A"
@@ -139,7 +148,8 @@ for name in fig03.json fig03_metrics.json fig12.json fig12_metrics.json \
             serve.json serve_trace.json serve_metrics.json \
             fleet.json fleet_trace.json fleet_metrics.json overload.json \
             stream_metrics.json engines.json.Minuet engines.json.TorchSparse \
-            engines.json.MinkowskiEngine; do
+            engines.json.MinkowskiEngine engines_timing.json.Minuet \
+            engines_timing.json.TorchSparse engines_timing.json.MinkowskiEngine; do
   python3 "$FILTER" "$WORK/a/$name" "$WORK/a/$name.filtered"
   python3 "$FILTER" "$WORK/b/$name" "$WORK/b/$name.filtered"
   if cmp -s "$WORK/a/$name.filtered" "$WORK/b/$name.filtered"; then
@@ -149,6 +159,22 @@ for name in fig03.json fig03_metrics.json fig12.json fig12_metrics.json \
     diff -u "$WORK/a/$name.filtered" "$WORK/b/$name.filtered" | head -40 >&2 || true
     STATUS=1
   fi
+done
+
+# Timing-only against functional, within each build's run (the .filtered
+# files written above).
+for side in a b; do
+  for engine in Minuet TorchSparse MinkowskiEngine; do
+    functional="$WORK/$side/engines.json.$engine.filtered"
+    timing="$WORK/$side/engines_timing.json.$engine.filtered"
+    if cmp -s "$functional" "$timing"; then
+      echo "byte_compare: $side timing-only $engine OK"
+    else
+      echo "byte_compare: $side timing-only $engine MISMATCH" >&2
+      diff -u "$functional" "$timing" | head -40 >&2 || true
+      STATUS=1
+    fi
+  done
 done
 
 if [[ $STATUS -ne 0 ]]; then

@@ -64,9 +64,10 @@
 namespace minuet {
 namespace {
 
-// A synthetic config whose L2 has a power-of-two set count (4 MiB / 16 ways /
-// 128 B lines = 2048 sets), so the CacheSim mask fast path is on the measured
-// path. Everything else mirrors the RTX 3090 model.
+// A synthetic config with the RTX 2070 Super's L2 geometry (4 MiB / 16 ways /
+// 128 B lines = 2048 sets, a power of two), so the CacheSim mask path is the
+// one measured; the other presets take the modulo. Everything else mirrors
+// the RTX 3090 model.
 DeviceConfig MakeHostperfConfig() {
   DeviceConfig config = MakeRtx3090();
   config.name = "hostperf-pow2";
@@ -141,8 +142,8 @@ Scenario RunStrided(const char* name, int64_t mib, int passes) {
 }
 
 // Random-order line touches over a footprint ~4x the L2: a deterministic
-// xorshift walk, so misses and evictions dominate and every access runs the
-// full set lookup + LRU scan.
+// xorshift walk, so misses and evictions dominate and most accesses scan and
+// shift their whole set.
 Scenario RunCachePressure(const char* name, int64_t touches) {
   Device device(MakeHostperfConfig());
   DeviceVector<uint8_t> buffer(16 << 20, device.memory());

@@ -39,6 +39,15 @@ class FeatureMatrix {
     data_.resize(static_cast<size_t>(rows * cols));
   }
 
+  // A rows x cols matrix in `memory` whose contents are indeterminate until
+  // written: for scratch buffers every element of which is defined before it
+  // is read (ClearBuffer defines the GMaS staging buffers). Skips the zero
+  // fill, and arena pages nothing writes are never committed.
+  static FeatureMatrix Uninitialized(int64_t rows, int64_t cols, DeviceMemory* memory) {
+    return FeatureMatrix(rows, cols,
+                         DeviceVector<float>(DeviceAllocator<float>::Uninitialized(memory)));
+  }
+
   // Releases the backing store (e.g. back to a WorkspacePool); the matrix
   // becomes empty (0x0).
   DeviceVector<float> TakeStorage() {

@@ -427,6 +427,10 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
     MINUET_CHECK_GE(instr.slot, 0);
     return slot_channels[static_cast<size_t>(instr.slot)];
   };
+  // Timing-only runs read no weight: they get zero matrices of the right
+  // shape and draw nothing. The per-layer SplitMix64 chain is derived the
+  // same way in both modes, so functional weights stay bit-identical.
+  const bool functional = config_.functional;
   uint64_t state = seed;
   for (const Instr& instr : network_.instrs) {
     switch (instr.op) {
@@ -442,7 +446,9 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
             std::sqrt(2.0f / static_cast<float>(conv.c_in * std::max<int64_t>(n_off, 1)));
         ConvWeights weights;
         for (int64_t k = 0; k < n_off; ++k) {
-          weights.per_offset.push_back(GaussianMatrix(rng, conv.c_in, conv.c_out, scale));
+          weights.per_offset.push_back(functional
+                                           ? GaussianMatrix(rng, conv.c_in, conv.c_out, scale)
+                                           : FeatureMatrix(conv.c_in, conv.c_out));
         }
         conv_weights_.push_back(std::move(weights));
         layer_tiles_.emplace_back(config_.fixed_tile, config_.fixed_tile);
@@ -458,8 +464,10 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
       case Instr::Op::kLinear: {
         SplitMix64(state);  // the head's draw: keeps later layers' seeds in place
         Pcg32 rng(0x11ead + linear_weights_.size(), 23);
-        linear_weights_.push_back(GaussianMatrix(rng, channels, instr.linear_out,
-                                                 std::sqrt(2.0f / static_cast<float>(channels))));
+        linear_weights_.push_back(
+            functional ? GaussianMatrix(rng, channels, instr.linear_out,
+                                        std::sqrt(2.0f / static_cast<float>(channels)))
+                       : FeatureMatrix(channels, instr.linear_out));
         channels = instr.linear_out;
         break;
       }

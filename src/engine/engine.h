@@ -52,7 +52,10 @@ struct EngineConfig {
   double padding_threshold = 0.25;
   int fixed_tile = 4;  // prior works' fixed tile size (Section 6.5)
   int stream_pool_size = 4;
-  bool functional = true;  // false: timing-only (skip the arithmetic)
+  // false: timing-only. Every kernel is charged as in functional mode, but no
+  // payload work is done: no arithmetic, no weight draws (Prepare keeps zero
+  // weights), no staging-buffer fills. Result features are all zero.
+  bool functional = true;
 };
 
 // Cycle breakdown across the two SC steps plus everything else.
@@ -114,7 +117,8 @@ class Engine {
 
   // Instantiates the network: conv weights are deterministic draws from
   // `seed`; each linear head's weights come from a fixed per-head seed, with
-  // c_in learned by walking the network's channel flow. Dies if a conv's
+  // c_in learned by walking the network's channel flow. Timing-only engines
+  // get zero weights of the same shapes and draw nothing. Dies if a conv's
   // c_in does not match the channels reaching it.
   void Prepare(const Network& network, uint64_t seed);
 

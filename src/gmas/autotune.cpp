@@ -28,8 +28,11 @@ AutotuneOutcome ProfileTiles(int64_t channels, RunTile&& run_tile) {
 AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
                                    int64_t channels, int threads_per_block) {
   MINUET_CHECK_GT(channels, 0);
-  FeatureMatrix features(tables.num_inputs, channels, 0.0f, device.memory());
-  FeatureMatrix buffer(tables.buffer_rows, channels, 0.0f, device.memory());
+  // Timing-only probes read no payload, so the operands stay unwritten.
+  FeatureMatrix features = FeatureMatrix::Uninitialized(tables.num_inputs, channels,
+                                                        device.memory());
+  FeatureMatrix buffer = FeatureMatrix::Uninitialized(tables.buffer_rows, channels,
+                                                      device.memory());
   return ProfileTiles(channels, [&](int tile) {
     device.l2().Flush();
     TileKernelConfig cfg;
@@ -43,8 +46,10 @@ AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
 AutotuneOutcome AutotuneScatterTile(Device& device, const MetadataTables& tables,
                                     int64_t channels, int threads_per_block) {
   MINUET_CHECK_GT(channels, 0);
-  FeatureMatrix buffer(tables.buffer_rows, channels, 0.0f, device.memory());
-  FeatureMatrix output(tables.num_outputs, channels, 0.0f, device.memory());
+  FeatureMatrix buffer = FeatureMatrix::Uninitialized(tables.buffer_rows, channels,
+                                                      device.memory());
+  FeatureMatrix output = FeatureMatrix::Uninitialized(tables.num_outputs, channels,
+                                                      device.memory());
   return ProfileTiles(channels, [&](int tile) {
     device.l2().Flush();
     TileKernelConfig cfg;

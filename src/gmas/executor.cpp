@@ -38,7 +38,8 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
       return FeatureMatrix(rows, cols,
                            pool->Acquire(static_cast<size_t>(rows * cols), zero));
     }
-    return FeatureMatrix(rows, cols, 0.0f, device.memory());
+    return zero ? FeatureMatrix(rows, cols, 0.0f, device.memory())
+                : FeatureMatrix::Uninitialized(rows, cols, device.memory());
   };
 
   GmasResult result;
@@ -78,13 +79,17 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   const int element_bytes = config.precision == Precision::kFp16 ? 2 : 4;
   const double gemm_rate = config.precision == Precision::kFp16 ? 2.0 : 1.0;
 
-  // ClearBuffer memsets unconditionally, so pooled (stale) storage is safe.
+  // The staging buffers start indeterminate in both modes. Functional runs
+  // get ClearBuffer's zeroes; timing-only runs read no payload, so nothing
+  // needs defining and untouched arena pages stay uncommitted.
   FeatureMatrix in_buffer = make_matrix(plan.buffer_rows, c_in, /*zero=*/false);
   FeatureMatrix out_buffer = make_matrix(plan.buffer_rows, c_out, /*zero=*/false);
   {
     trace::Span span("gmas/buffer", "step");
-    result.stats.buffer_setup += ClearBuffer(device, in_buffer, element_bytes);
-    result.stats.buffer_setup += ClearBuffer(device, out_buffer, element_bytes);
+    result.stats.buffer_setup +=
+        ClearBuffer(device, in_buffer, element_bytes, config.functional);
+    result.stats.buffer_setup +=
+        ClearBuffer(device, out_buffer, element_bytes, config.functional);
   }
 
   TileKernelConfig gather_cfg;

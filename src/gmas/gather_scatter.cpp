@@ -45,7 +45,8 @@ std::vector<int> CandidateTileSizes(int64_t channels) {
   return tiles;
 }
 
-KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes) {
+KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes,
+                        bool functional) {
   constexpr int64_t kRowsPerBlock = 256;
   const int64_t rows = buffer.rows();
   const int64_t blocks = std::max<int64_t>(1, (rows + kRowsPerBlock - 1) / kRowsPerBlock);
@@ -58,8 +59,10 @@ KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes
       return;
     }
     float* dst = buffer.data() + begin * buffer.cols();
-    std::memset(dst, 0,
-                static_cast<size_t>((end - begin) * buffer.cols()) * sizeof(float));
+    if (functional) {
+      std::memset(dst, 0,
+                  static_cast<size_t>((end - begin) * buffer.cols()) * sizeof(float));
+    }
     size_t device_bytes = static_cast<size_t>((end - begin) * row_bytes);
     ctx.GlobalWrite(dst, device_bytes);
     ctx.Compute(device_bytes / 16);

@@ -25,8 +25,10 @@ struct TileKernelConfig {
 };
 
 // Zero-fills `buffer` (rows x cols floats) and charges it as a memset launch
-// of rows x cols x element_bytes device bytes.
-KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes = 4);
+// of rows x cols x element_bytes device bytes. Timing-only (`functional`
+// false) charges the same launch and leaves the host data untouched.
+KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes = 4,
+                        bool functional = true);
 
 // features (|P| x C_in) -> buffer (buffer_rows x C_in) via tables.imt.
 KernelStats GatherKernel(Device& device, const MetadataTables& tables,

@@ -1,5 +1,6 @@
 #include "src/gpusim/cache_sim.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/check.h"
@@ -19,42 +20,36 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   if (std::has_single_bit(num_sets_)) {
     set_mask_ = num_sets_ - 1;
   }
-  ways_storage_.assign(num_sets_ * static_cast<size_t>(ways_), Way{});
+  tags_.assign(num_sets_ * static_cast<size_t>(ways_), kEmpty);
 }
 
 bool CacheSim::AccessLine(uint64_t line) {
+  MINUET_DCHECK(line < kEmpty);
   // Cheap tag-bit mix so that allocator-aligned structures do not all land in
   // set 0; sets need not be a power of two (power-of-two counts take the
   // equivalent mask path, skipping the modulo).
   uint64_t mixed = line * 0x9e3779b97f4a7c15ULL;
   size_t set = set_mask_ != 0 ? static_cast<size_t>(mixed & set_mask_)
                               : static_cast<size_t>(mixed % num_sets_);
-  Way* base = &ways_storage_[set * static_cast<size_t>(ways_)];
-  ++clock_;
+  uint32_t* tags = &tags_[set * static_cast<size_t>(ways_)];
+  const uint32_t tag = static_cast<uint32_t>(line);
 
-  int victim = 0;
-  uint64_t oldest = UINT64_MAX;
-  for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == line) {
-      base[w].stamp = clock_;
-      ++hits_;
-      return true;
-    }
-    uint64_t stamp = base[w].valid ? base[w].stamp : 0;
-    if (stamp < oldest) {
-      oldest = stamp;
-      victim = w;
-    }
+  // The tag's way on a hit, the last (least recent) way on a miss. Either
+  // way, the ways in front of it move down one and the tag goes first.
+  uint32_t* way = std::find(tags, tags + ways_ - 1, tag);
+  const bool hit = *way == tag;
+  std::copy_backward(tags, way, way + 1);
+  tags[0] = tag;
+  if (hit) {
+    ++hits_;
+  } else {
+    ++misses_;
   }
-  base[victim] = Way{line, clock_, true};
-  ++misses_;
-  return false;
+  return hit;
 }
 
 void CacheSim::Flush() {
-  for (Way& w : ways_storage_) {
-    w = Way{};
-  }
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   ResetCounters();
 }
 

@@ -3,6 +3,14 @@
 // Addresses are device addresses (offsets into the owning Device's memory,
 // see device_memory.h), so which lines share a set is decided by the
 // program's own allocation sequence; only hit/miss behaviour matters.
+//
+// Each set is `ways` 32-bit line tags ordered by recency, most recent first,
+// with kEmpty in unfilled ways: a hit moves its tag to the front, a miss
+// shifts the set down one way (dropping the last, least recently used tag)
+// and inserts at the front. That is exact LRU with no per-way stamp, valid
+// flag or clock, and a 16-way set is one 64-byte host cache line. Line
+// numbers must stay below kEmpty; Device CHECKs that its whole address space
+// does once, at construction.
 #ifndef SRC_GPUSIM_CACHE_SIM_H_
 #define SRC_GPUSIM_CACHE_SIM_H_
 
@@ -14,15 +22,19 @@ namespace minuet {
 
 class CacheSim {
  public:
+  // The tag of an unfilled way; no line number may equal it.
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
   // capacity_bytes must be a multiple of line_bytes * ways.
   CacheSim(size_t capacity_bytes, int ways, int line_bytes);
 
   // Touches the line containing byte address `addr`. Returns true on hit.
   bool Access(uint64_t addr) { return AccessLine(addr >> line_shift_); }
 
-  // Touches line `line` (= addr >> log2(line_bytes)) directly. The device's
-  // access loops already hold line numbers, so this skips the round trip
-  // through a byte address. Identical hit/miss behaviour to Access().
+  // Touches line `line` (= addr >> log2(line_bytes), below kEmpty) directly.
+  // The device's access loops already hold line numbers, so this skips the
+  // round trip through a byte address. Identical hit/miss behaviour to
+  // Access().
   bool AccessLine(uint64_t line);
 
   // Drops all cached lines and resets hit/miss counters.
@@ -38,12 +50,6 @@ class CacheSim {
   int ways() const { return ways_; }
 
  private:
-  struct Way {
-    uint64_t tag = 0;
-    uint64_t stamp = 0;
-    bool valid = false;
-  };
-
   size_t num_sets_;
   // num_sets_ - 1 when the set count is a power of two, else 0. The mixed
   // tag's set index is then a mask instead of a 64-bit modulo — same value,
@@ -53,8 +59,7 @@ class CacheSim {
   int ways_;
   int line_bytes_;
   int line_shift_;
-  std::vector<Way> ways_storage_;  // num_sets_ x ways_, row-major
-  uint64_t clock_ = 0;
+  std::vector<uint32_t> tags_;  // num_sets_ x ways_, row-major, MRU first
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -165,6 +165,12 @@ Device::Device(const DeviceConfig& config)
     : config_(config), l2_(config.l2_bytes, config.l2_ways, config.line_bytes) {
   // CacheSim's constructor already insists line_bytes is a power of two.
   line_shift_ = std::countr_zero(static_cast<unsigned>(config.line_bytes));
+  // The L2 stores 32-bit line tags with UINT32_MAX as its empty marker, so
+  // every line of the address space must number below it. AccessLines
+  // range-CHECKs each access against the arena, which makes this one check
+  // cover them all.
+  MINUET_CHECK_LE(DeviceMemory::kReserveBytes >> line_shift_, uint64_t{CacheSim::kEmpty})
+      << "line_bytes " << config.line_bytes << " gives more lines than 32-bit L2 tags hold";
 }
 
 int64_t Device::ConcurrentBlocks(const LaunchDims& dims) const {

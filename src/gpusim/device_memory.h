@@ -19,6 +19,14 @@
 // (BlockCtx::GlobalRead CHECK-fails outside the arena). ToDevice() copies
 // host data in.
 //
+// Like std::allocator, DeviceAllocator value-initialises (zeroes, for
+// arithmetic T) the elements a container creates without a value:
+// vector(n), resize(n). DeviceAllocator::Uninitialized(memory) makes an
+// allocator whose containers skip that zero fill, for scratch buffers whose
+// every element is defined before it is read; untouched arena pages then cost
+// no host memory either. Elements given a value (vector(n, v), assign,
+// copies) are written either way.
+//
 // Every allocation must be freed before its DeviceMemory is destroyed; the
 // destructor CHECKs it. Not thread-safe: one device, one thread.
 #ifndef SRC_GPUSIM_DEVICE_MEMORY_H_
@@ -87,7 +95,14 @@ class DeviceAllocator {
   // Implicit, like std::pmr::polymorphic_allocator's: DeviceVector<T>(n, device.memory()).
   DeviceAllocator(DeviceMemory* memory) : memory_(memory) {}  // NOLINT(google-explicit-constructor)
   template <typename U>
-  DeviceAllocator(const DeviceAllocator<U>& other) : memory_(other.memory()) {}
+  DeviceAllocator(const DeviceAllocator<U>& other)
+      : memory_(other.memory()), uninitialized_(other.uninitialized()) {}
+
+  static DeviceAllocator Uninitialized(DeviceMemory* memory) {
+    DeviceAllocator allocator(memory);
+    allocator.uninitialized_ = true;
+    return allocator;
+  }
 
   T* allocate(size_t n) {
     if (memory_ == nullptr) {
@@ -103,8 +118,22 @@ class DeviceAllocator {
     }
   }
 
+  template <typename U>
+  void construct(U* ptr) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    if (uninitialized_) {
+      ::new (static_cast<void*>(ptr)) U;
+    } else {
+      ::new (static_cast<void*>(ptr)) U();
+    }
+  }
+  template <typename U, typename... Args>
+  void construct(U* ptr, Args&&... args) noexcept(std::is_nothrow_constructible_v<U, Args...>) {
+    ::new (static_cast<void*>(ptr)) U(std::forward<Args>(args)...);
+  }
+
   // Null for host-heap storage.
   DeviceMemory* memory() const { return memory_; }
+  bool uninitialized() const { return uninitialized_; }
 
   template <typename U>
   friend bool operator==(const DeviceAllocator& a, const DeviceAllocator<U>& b) {
@@ -113,6 +142,7 @@ class DeviceAllocator {
 
  private:
   DeviceMemory* memory_ = nullptr;
+  bool uninitialized_ = false;
 };
 
 template <typename T>

@@ -39,13 +39,18 @@ DeviceVector<float> WorkspacePool::Acquire(size_t count, bool zero) {
       slab.assign(count, 0.0f);
     } else {
       // Capacity covers the whole class, so this never reallocates; only the
-      // grown tail (if any) gets value-initialized.
+      // grown tail (if any) is constructed, per the slab's allocator.
       slab.resize(count);
     }
   } else {
     const size_t cap = size_t{1} << cls;
+    // A slab born for a no-zero request skips the fill; the flag stays with
+    // its storage, so later no-zero reuses leave a grown tail unwritten too.
+    if (!zero) {
+      slab = DeviceVector<float>(DeviceAllocator<float>::Uninitialized(memory_));
+    }
     slab.reserve(cap);
-    slab.resize(count);  // vectors zero-initialize; `zero` is free here
+    slab.resize(count);
     seq = next_seq_++;
     ++stats_.allocations;
     stats_.bytes_allocated += cap * sizeof(float);

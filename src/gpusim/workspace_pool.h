@@ -48,10 +48,11 @@ class WorkspacePool {
   WorkspacePool& operator=(const WorkspacePool&) = delete;
 
   // Returns storage with size() == count (capacity: count rounded up to a
-  // power of two). Contents are zero-filled only when `zero` is set; pooled
-  // reuse otherwise hands back stale data, so callers that partially write
-  // must clear themselves (gather/GEMM buffers are always fully overwritten
-  // or explicitly cleared by ClearBuffer).
+  // power of two). Contents are zero-filled only when `zero` is set;
+  // otherwise they are indeterminate (a reused slab's stale data, or a fresh
+  // slab's unwritten memory), so the caller must define every element it
+  // reads. The GMaS staging buffers are: ClearBuffer zeroes them in
+  // functional mode, and timing-only mode reads no payload.
   DeviceVector<float> Acquire(size_t count, bool zero);
 
   // Returns a slab to its size-class free list. Slabs must originate from

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/core/dense_reference.h"
 #include "src/core/weight_offsets.h"
 #include "src/data/generators.h"
@@ -192,22 +194,96 @@ TEST(EngineTest, TransposedConvMatchesReference) {
   EXPECT_EQ(got.coords, cloud.coords);
 }
 
+// Every simulated field of two KernelStats, compared exactly.
+void ExpectSameSimulatedStats(const KernelStats& a, const KernelStats& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.millis, b.millis);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.l2_misses, b.l2_misses);
+  EXPECT_EQ(a.global_bytes_read, b.global_bytes_read);
+  EXPECT_EQ(a.global_bytes_written, b.global_bytes_written);
+  EXPECT_EQ(a.shared_bytes, b.shared_bytes);
+  EXPECT_EQ(a.lane_ops, b.lane_ops);
+  EXPECT_EQ(a.num_blocks, b.num_blocks);
+  EXPECT_EQ(a.num_launches, b.num_launches);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.num_waves, b.num_waves);
+  EXPECT_EQ(a.block_slots, b.block_slots);
+  EXPECT_EQ(a.launch_cycles, b.launch_cycles);
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_EQ(a.dram_cycles, b.dram_cycles);
+  EXPECT_EQ(a.l2_cycles, b.l2_cycles);
+}
+
 TEST(EngineTest, TimingOnlyModeSkipsMathSameLaunches) {
+  // The functional flag moves payload only: the simulated program, down to
+  // every per-kernel counter, is the same in both modes.
   Network net = MakeTinyUNet(4);
   PointCloud cloud = SmallCloud(500, 10, 4, 9);
 
-  EngineConfig functional = ConfigFor(EngineKind::kMinuet);
-  EngineConfig timing = functional;
-  timing.functional = false;
+  for (EngineKind kind :
+       {EngineKind::kMinuet, EngineKind::kTorchSparse, EngineKind::kMinkowski}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    EngineConfig functional = ConfigFor(kind);
+    EngineConfig timing = functional;
+    timing.functional = false;
 
-  Engine a(functional, MakeRtx3090());
-  a.Prepare(net, 11);
-  RunResult ra = a.Run(cloud);
-  Engine b(timing, MakeRtx3090());
-  b.Prepare(net, 11);
-  RunResult rb = b.Run(cloud);
-  EXPECT_EQ(ra.total.launches, rb.total.launches);
-  EXPECT_NEAR(ra.total.TotalCycles() / rb.total.TotalCycles(), 1.0, 0.02);
+    Engine a(functional, MakeRtx3090());
+    a.Prepare(net, 11);
+    RunResult ra = a.Run(cloud);
+    Engine b(timing, MakeRtx3090());
+    b.Prepare(net, 11);
+    RunResult rb = b.Run(cloud);
+    EXPECT_EQ(ra.total.launches, rb.total.launches);
+    EXPECT_EQ(ra.total.TotalCycles(), rb.total.TotalCycles());
+
+    ExpectSameSimulatedStats(a.device().totals(), b.device().totals());
+    const auto& kernels_a = a.device().kernel_aggregates();
+    const auto& kernels_b = b.device().kernel_aggregates();
+    ASSERT_EQ(kernels_a.size(), kernels_b.size());
+    for (auto it_a = kernels_a.begin(), it_b = kernels_b.begin(); it_a != kernels_a.end();
+         ++it_a, ++it_b) {
+      SCOPED_TRACE(it_a->first);
+      EXPECT_EQ(it_a->first, it_b->first);
+      ExpectSameSimulatedStats(it_a->second, it_b->second);
+    }
+  }
+}
+
+TEST(EngineTest, TimingOnlyRunReturnsZerosOnDirtyDeviceMemory) {
+  // Timing-only staging buffers are never written, so a run on recycled
+  // device pages sees whatever they held. Dirty them with NaN first (an
+  // anchor allocation keeps the arena from emptying, which would drop the
+  // pages) and check that none of it reaches the caller's features.
+  PointCloud cloud = SmallCloud(800, 20, 4, 4);
+  for (const Network& net : {MakeTinyUNet(4), MakeSparseResNet21(4, 20)}) {
+    for (EngineKind kind :
+         {EngineKind::kMinuet, EngineKind::kTorchSparse, EngineKind::kMinkowski}) {
+      SCOPED_TRACE(testing::Message() << net.name << " on " << EngineKindName(kind));
+      Engine functional(ConfigFor(kind), MakeRtx3090());
+      functional.Prepare(net, 5);
+      const RunResult shape = functional.Run(cloud);
+
+      EngineConfig config = ConfigFor(kind);
+      config.functional = false;
+      Engine engine(config, MakeRtx3090());
+      engine.Prepare(net, 5);
+      const FeatureMatrix anchor(1, 1, 0.0f, engine.device().memory());
+      {
+        FeatureMatrix nan(int64_t{1} << 22, 1, std::numeric_limits<float>::quiet_NaN(),
+                          engine.device().memory());
+      }
+      RunResult got = engine.Run(cloud);
+      ASSERT_EQ(got.features.rows(), shape.features.rows());
+      ASSERT_EQ(got.features.cols(), shape.features.cols());
+      for (int64_t i = 0; i < got.features.rows(); ++i) {
+        for (int64_t j = 0; j < got.features.cols(); ++j) {
+          ASSERT_EQ(got.features.At(i, j), 0.0f) << "(" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineTest, AutotunePicksDivisorsAndAffectsTiles) {

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -299,6 +300,60 @@ TEST(GmasTest, TimingOnlyModeChargesSameKernels) {
   // Timing-only output is all zeros.
   FeatureMatrix zeros(b.output.rows(), b.output.cols(), 0.0f);
   EXPECT_EQ(MaxAbsDiff(b.output, zeros), 0.0f);
+}
+
+// |a - b| <= tol everywhere; unlike MaxAbsDiff, a NaN anywhere fails.
+bool AllClose(const FeatureMatrix& a, const FeatureMatrix& b, float tol) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return false;
+  }
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < a.cols(); ++j) {
+      if (!(std::fabs(a.At(i, j) - b.At(i, j)) <= tol)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(GmasTest, StagingBufferGarbageNeverReachesOutput) {
+  // The staging buffers start indeterminate. On NaN-dirtied device memory a
+  // functional run must still match the reference (ClearBuffer defines them)
+  // and a timing-only run must still return zeros, pooled or not.
+  const int64_t c_in = 8, c_out = 8;
+  PointCloud cloud = RandomCloud(300, 10, c_in, 9);
+  auto offsets = MakeWeightOffsets(3, 1);
+  auto weights = RandomWeights(offsets.size(), c_in, c_out, 10);
+  const FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
+  const FeatureMatrix zeros(cloud.num_points(), c_out);
+  // Covers both staging buffers at full padding, the output and the tables.
+  const int64_t dirty_floats =
+      4 * static_cast<int64_t>(offsets.size()) * cloud.num_points() * (c_in + c_out);
+
+  for (bool pooled : {false, true}) {
+    for (bool functional : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "pooled " << pooled << ", functional " << functional);
+      Device dev(MakeRtx3090());
+      WorkspacePool pool(dev.memory());
+      KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+      const FeatureMatrix features(cloud.features, dev.memory());
+      {
+        // Freed NaN pages stay dirty while the map and features keep the
+        // arena from emptying; the run's buffers land on them.
+        FeatureMatrix nan(dirty_floats, 1, std::numeric_limits<float>::quiet_NaN(),
+                          dev.memory());
+      }
+
+      GmasConfig cfg;
+      cfg.functional = functional;
+      GmasScratch scratch;
+      scratch.pool = pooled ? &pool : nullptr;
+      GmasResult got =
+          RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &scratch);
+      EXPECT_TRUE(AllClose(got.output, functional ? expect : zeros, functional ? 1e-4f : 0.0f));
+    }
+  }
 }
 
 TEST(GmasTest, EmptyKernelMap) {

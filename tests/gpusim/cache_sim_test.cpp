@@ -2,16 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
+
+#include "src/gpusim/device.h"
+#include "src/gpusim/device_config.h"
 
 namespace minuet {
 namespace {
 
 // Straight-line reference for the golden-sequence tests below: the documented
 // model (multiplicative tag mix, modulo set selection, LRU by stamp) with no
-// fast paths. CacheSim's power-of-two mask path must reproduce its hit/miss
-// decisions access for access.
+// fast paths. CacheSim's recency-ordered sets and its power-of-two mask path
+// must reproduce its hit/miss decisions access for access.
 class ReferenceLru {
  public:
   ReferenceLru(size_t capacity_bytes, int ways, int line_bytes)
@@ -41,6 +45,8 @@ class ReferenceLru {
     base[victim] = Way{line, clock_, true};
     return false;
   }
+
+  void Flush() { std::fill(storage_.begin(), storage_.end(), Way{}); }
 
  private:
   struct Way {
@@ -75,6 +81,22 @@ std::vector<uint64_t> RecordedLineSequence(size_t count, uint64_t line_space) {
     lines.push_back(line);
   }
   return lines;
+}
+
+// Replays `lines` through both models, asserting identical hit/miss
+// decisions; with `flush_at` < lines.size() both are flushed before that
+// access.
+void ExpectMatchesReference(CacheSim& cache, ReferenceLru& ref,
+                            const std::vector<uint64_t>& lines,
+                            size_t flush_at = SIZE_MAX) {
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (i == flush_at) {
+      cache.Flush();
+      ref.Flush();
+    }
+    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
+        << "diverged at access " << i << " (line " << lines[i] << ")";
+  }
 }
 
 TEST(CacheSimTest, FirstAccessMissesSecondHits) {
@@ -145,36 +167,63 @@ TEST(CacheSimTest, FlushClearsEverything) {
   EXPECT_FALSE(cache.Access(0));
 }
 
-TEST(CacheSimTest, MaskFastPathMatchesModuloReferenceSequence) {
-  // 4 MiB / 16 ways / 128 B lines = 2048 sets: a power of two, so CacheSim
-  // takes the mask path. The reference always computes the modulo. Every
-  // individual hit/miss decision must agree — the golden-sequence guarantee
-  // the host-performance work rests on.
-  CacheSim cache(4 << 20, 16, 128);
-  ASSERT_EQ(cache.num_sets(), 2048u);
-  ReferenceLru ref(4 << 20, 16, 128);
-  const std::vector<uint64_t> lines = RecordedLineSequence(200000, 100000);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
-        << "diverged at access " << i << " (line " << lines[i] << ")";
-  }
+// Golden sequence for a preset's L2 geometry. The line space is twice the
+// cache's capacity, so sets overflow and LRU picks victims.
+void ExpectPresetMatchesReference(const DeviceConfig& config, size_t expected_sets) {
+  SCOPED_TRACE(config.name);
+  CacheSim cache(config.l2_bytes, config.l2_ways, config.line_bytes);
+  ASSERT_EQ(cache.num_sets(), expected_sets);
+  ReferenceLru ref(config.l2_bytes, config.l2_ways, config.line_bytes);
+  const size_t capacity_lines = expected_sets * static_cast<size_t>(config.l2_ways);
+  ExpectMatchesReference(cache, ref,
+                         RecordedLineSequence(4 * capacity_lines, 2 * capacity_lines));
   EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
+  EXPECT_GT(cache.misses(), capacity_lines);  // more misses than ways: evictions
+}
+
+TEST(CacheSimTest, MaskFastPathMatchesModuloReferenceSequence) {
+  // The RTX 2070 Super's 4 MiB / 16 ways / 128 B lines = 2048 sets: a power
+  // of two, so CacheSim takes the mask path. The reference always computes
+  // the modulo. Every individual hit/miss decision must agree — the
+  // golden-sequence guarantee the host-performance work rests on.
+  ExpectPresetMatchesReference(MakeRtx2070Super(), 2048);
 }
 
 TEST(CacheSimTest, ModuloPathMatchesReferenceSequence) {
-  // The RTX 3090 geometry (6 MiB -> 3072 sets) is not a power of two and
-  // stays on the modulo path; it must agree with the reference as well.
-  CacheSim cache(6 << 20, 16, 128);
-  ASSERT_EQ(cache.num_sets(), 3072u);
-  ReferenceLru ref(6 << 20, 16, 128);
-  const std::vector<uint64_t> lines = RecordedLineSequence(200000, 150000);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
-        << "diverged at access " << i << " (line " << lines[i] << ")";
+  // The other presets' set counts are not powers of two and stay on the
+  // modulo path; they must agree with the reference as well.
+  ExpectPresetMatchesReference(MakeRtx2080Ti(), 2816);
+  ExpectPresetMatchesReference(MakeRtx3090(), 3072);
+  ExpectPresetMatchesReference(MakeA100(), 20480);
+}
+
+TEST(CacheSimTest, LowAssociativityWithFlushMatchesReferenceSequence) {
+  // 2-, 4- and 8-way sets over a power-of-two (64 KiB) and a modulo (48 KiB)
+  // set count, flushed halfway: the recency order restarts from empty ways
+  // exactly as the stamp model's valid bits do.
+  for (size_t capacity : {size_t{64} << 10, size_t{48} << 10}) {
+    for (int ways : {2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << capacity << " bytes, " << ways << " ways");
+      CacheSim cache(capacity, ways, 128);
+      ReferenceLru ref(capacity, ways, 128);
+      const std::vector<uint64_t> lines = RecordedLineSequence(40000, 2000);
+      ExpectMatchesReference(cache, ref, lines, /*flush_at=*/lines.size() / 2);
+      EXPECT_GT(cache.hits(), 0u);
+      EXPECT_GT(cache.misses(), capacity / 128);
+    }
   }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
+}
+
+TEST(CacheSimDeathTest, DeviceRejectsLinesBeyondThirtyTwoBitTags) {
+  // 16-byte lines split the 64 GiB arena into 2^32 lines, so the last line
+  // number would equal the empty-way tag.
+  DeviceConfig config = MakeRtx3090();
+  config.line_bytes = 16;
+  EXPECT_DEATH(Device device(config), "32-bit L2 tags");
+  // 32-byte lines (2^31) still fit.
+  config.line_bytes = 32;
+  Device device(config);
+  EXPECT_EQ(device.l2().line_bytes(), 32);
 }
 
 TEST(CacheSimTest, ResetCountersKeepsContents) {
