@@ -116,15 +116,7 @@ class JsonReport {
     }
     w.EndArray();
     w.EndObject();
-    const std::string json = w.TakeString();
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "could not open %s for writing\n", path_.c_str());
-      return false;
-    }
-    size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    bool ok = written == json.size();
-    ok = std::fclose(f) == 0 && ok;
+    const bool ok = WriteTextFile(path_, w.TakeString());
     if (ok) {
       std::printf("json report written to %s\n", path_.c_str());
     } else {

@@ -24,7 +24,7 @@
 #include "src/engine/engine.h"
 #include "src/gpusim/device_config.h"
 #include "src/serve/arrival.h"
-#include "src/serve/scheduler.h"
+#include "src/serve/fleet.h"
 #include "src/serve/telemetry.h"
 #include "src/util/summary.h"
 
@@ -89,7 +89,9 @@ void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonRepo
     // curve: sub-saturation batches would all wait out the full timer).
     sched.max_queue_delay_us = 0.5 * service_us;
     sched.slo_us = 20.0 * service_us;
-    serve::ServeScheduler scheduler(engine, sched);
+    serve::FleetConfig fleet_config;
+    fleet_config.scheduler = sched;
+    serve::FleetScheduler scheduler({&engine}, fleet_config);
 
     // Pre-warm the deployment: record each shape's plan before the sweep so
     // every load level measures the warm steady state. Otherwise the first
@@ -100,7 +102,7 @@ void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonRepo
       gen.target_points = shape.points;
       gen.channels = net.in_channels;
       gen.seed = shape.cloud_seed;
-      scheduler.session().Run(GenerateCloud(shape.dataset, gen));
+      scheduler.replica(0).session().Run(GenerateCloud(shape.dataset, gen));
     }
 
     for (double load : kLoads) {
@@ -119,7 +121,7 @@ void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonRepo
         telemetry = std::make_unique<serve::ServeTelemetry>(tcfg);
         scheduler.AttachTelemetry(telemetry.get());
       }
-      serve::ServeResult result = scheduler.Run(arrival);
+      serve::FleetResult result = scheduler.Run(arrival);
       if (telemetry != nullptr) {
         scheduler.AttachTelemetry(nullptr);
         if (telemetry->series().WriteTimeline(*timeline_path)) {
@@ -129,7 +131,7 @@ void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonRepo
         }
         timeline_path->clear();
       }
-      const serve::ServeSummary& s = result.summary;
+      const serve::ServeSummary& s = result.summary.fleet;
 
       bench::Row("%-10s %6lld %5.1fx %9.0f %7.1f%% %10.1f %10.1f %9.0f %7.1f%% %6.2f",
                  device.name.c_str(), static_cast<long long>(max_batch), load, arrival.rate_rps,

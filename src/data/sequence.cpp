@@ -334,15 +334,7 @@ std::string SequenceTraceJson(const Sequence& sequence) {
 }
 
 bool WriteSequenceTrace(const Sequence& sequence, const std::string& path) {
-  const std::string json = SequenceTraceJson(sequence);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, SequenceTraceJson(sequence));
 }
 
 bool ParseSequenceTrace(const JsonValue& doc, Sequence* out, std::string* error) {

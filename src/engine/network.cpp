@@ -164,4 +164,17 @@ Network MakeTinyUNet(int64_t in_channels) {
   return net;
 }
 
+bool NetworkForPreset(const std::string& preset, Network* out) {
+  if (preset == "unet42") {
+    *out = MakeMinkUNet42(4);
+  } else if (preset == "resnet21") {
+    *out = MakeSparseResNet21(4, 20);
+  } else if (preset == "tiny") {
+    *out = MakeTinyUNet(4);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace minuet

@@ -71,6 +71,11 @@ Network MakeSparseResNet21(int64_t in_channels = 4, int64_t num_classes = 20);
 // channels; used by tests and the quickstart example.
 Network MakeTinyUNet(int64_t in_channels = 4);
 
+// The command-line preset table, 4 input channels each: "unet42"
+// (MinkUNet42), "resnet21" (SparseResNet21, 20 classes), "tiny" (TinyUNet).
+// Returns false (and leaves `*out` alone) for any other name.
+bool NetworkForPreset(const std::string& preset, Network* out);
+
 }  // namespace minuet
 
 #endif  // SRC_ENGINE_NETWORK_H_

@@ -62,4 +62,19 @@ std::vector<DeviceConfig> AllDeviceConfigs() {
   return {MakeRtx2070Super(), MakeRtx2080Ti(), MakeRtx3090(), MakeA100()};
 }
 
+bool DeviceConfigForPreset(const std::string& preset, DeviceConfig* out) {
+  if (preset == "2070s") {
+    *out = MakeRtx2070Super();
+  } else if (preset == "2080ti") {
+    *out = MakeRtx2080Ti();
+  } else if (preset == "3090") {
+    *out = MakeRtx3090();
+  } else if (preset == "a100") {
+    *out = MakeA100();
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace minuet

@@ -68,6 +68,10 @@ DeviceConfig MakeA100();
 // is index 2.
 std::vector<DeviceConfig> AllDeviceConfigs();
 
+// The command-line preset table: "2070s", "2080ti", "3090", "a100". Returns
+// false (and leaves `*out` alone) for any other name.
+bool DeviceConfigForPreset(const std::string& preset, DeviceConfig* out);
+
 }  // namespace minuet
 
 #endif  // SRC_GPUSIM_DEVICE_CONFIG_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 
@@ -12,29 +11,6 @@ namespace minuet {
 namespace prof {
 
 namespace {
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-double NumberOr(const JsonValue* value, double fallback) {
-  return value != nullptr && value->is_number() ? value->AsDouble() : fallback;
-}
-
-int64_t IntOr(const JsonValue* value, int64_t fallback) {
-  return value != nullptr && value->is_number()
-             ? static_cast<int64_t>(value->AsDouble())
-             : fallback;
-}
-
-bool BoolOr(const JsonValue* value, bool fallback) {
-  return value != nullptr && value->is_bool() ? value->AsBool() : fallback;
-}
 
 double NsToUs(int64_t ns) { return static_cast<double>(ns) * 1e-3; }
 
@@ -133,7 +109,7 @@ bool LoadRequestDump(const std::vector<JsonValue>& lines, RequestDump* out,
     }
     return false;
   }
-  out->slo_us = NumberOr(header.Find("slo_us"), 0.0);
+  out->slo_us = NumberOr(&header, "slo_us", 0.0);
   for (size_t i = 1; i < lines.size(); ++i) {
     const JsonValue& line = lines[i];
     if (!line.is_object()) {
@@ -143,31 +119,31 @@ bool LoadRequestDump(const std::vector<JsonValue>& lines, RequestDump* out,
       return false;
     }
     DumpRequest r;
-    r.id = IntOr(line.Find("id"), 0);
-    r.arrival_us = NumberOr(line.Find("arrival_us"), 0.0);
-    r.priority = IntOr(line.Find("priority"), 0);
-    r.batch_class = IntOr(line.Find("batch_class"), 0);
-    r.points = IntOr(line.Find("points"), 0);
-    r.device = IntOr(line.Find("device"), 0);
-    r.shed = BoolOr(line.Find("shed"), false);
-    r.warm = BoolOr(line.Find("warm"), false);
-    r.batch = IntOr(line.Find("batch"), -1);
-    r.dispatch_us = NumberOr(line.Find("dispatch_us"), 0.0);
-    r.completion_us = NumberOr(line.Find("completion_us"), 0.0);
-    r.e2e_ns = IntOr(line.Find("e2e_ns"), 0);
-    r.queue_ns = IntOr(line.Find("queue_ns"), 0);
-    r.service_ns = IntOr(line.Find("service_ns"), 0);
-    r.exec_ns = IntOr(line.Find("exec_ns"), 0);
-    r.admission_ns = IntOr(line.Find("admission_ns"), 0);
-    r.server_wait_ns = IntOr(line.Find("server_wait_ns"), 0);
-    r.batch_delay_ns = IntOr(line.Find("batch_delay_ns"), 0);
-    r.map_ns = IntOr(line.Find("map_ns"), 0);
-    r.map_delta_ns = IntOr(line.Find("map_delta_ns"), 0);
-    r.gather_ns = IntOr(line.Find("gather_ns"), 0);
-    r.gemm_ns = IntOr(line.Find("gemm_ns"), 0);
-    r.scatter_ns = IntOr(line.Find("scatter_ns"), 0);
-    r.exec_other_ns = IntOr(line.Find("exec_other_ns"), 0);
-    r.stream_wait_ns = IntOr(line.Find("stream_wait_ns"), 0);
+    r.id = IntOr(&line, "id", 0);
+    r.arrival_us = NumberOr(&line, "arrival_us", 0.0);
+    r.priority = IntOr(&line, "priority", 0);
+    r.batch_class = IntOr(&line, "batch_class", 0);
+    r.points = IntOr(&line, "points", 0);
+    r.device = IntOr(&line, "device", 0);
+    r.shed = BoolOr(&line, "shed", false);
+    r.warm = BoolOr(&line, "warm", false);
+    r.batch = IntOr(&line, "batch", -1);
+    r.dispatch_us = NumberOr(&line, "dispatch_us", 0.0);
+    r.completion_us = NumberOr(&line, "completion_us", 0.0);
+    r.e2e_ns = IntOr(&line, "e2e_ns", 0);
+    r.queue_ns = IntOr(&line, "queue_ns", 0);
+    r.service_ns = IntOr(&line, "service_ns", 0);
+    r.exec_ns = IntOr(&line, "exec_ns", 0);
+    r.admission_ns = IntOr(&line, "admission_ns", 0);
+    r.server_wait_ns = IntOr(&line, "server_wait_ns", 0);
+    r.batch_delay_ns = IntOr(&line, "batch_delay_ns", 0);
+    r.map_ns = IntOr(&line, "map_ns", 0);
+    r.map_delta_ns = IntOr(&line, "map_delta_ns", 0);
+    r.gather_ns = IntOr(&line, "gather_ns", 0);
+    r.gemm_ns = IntOr(&line, "gemm_ns", 0);
+    r.scatter_ns = IntOr(&line, "scatter_ns", 0);
+    r.exec_other_ns = IntOr(&line, "exec_other_ns", 0);
+    r.stream_wait_ns = IntOr(&line, "stream_wait_ns", 0);
     out->requests.push_back(r);
   }
   return true;

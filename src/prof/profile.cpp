@@ -97,31 +97,12 @@ bool LoadFromMetrics(const JsonValue& doc, RunProfile* out, std::string* error) 
     *error = "metrics snapshot has no gauges object";
     return false;
   }
-  auto gauge = [&](const std::string& name, double fallback) {
-    const JsonValue* v = gauges->Find(name);
-    return v == nullptr ? fallback : v->DoubleOr(fallback);
-  };
-  auto counter = [&](const std::string& name) {
-    if (counters == nullptr) {
-      return int64_t{0};
-    }
-    const JsonValue* v = counters->Find(name);
-    return v == nullptr ? int64_t{0} : static_cast<int64_t>(v->DoubleOr(0.0));
-  };
-  auto label = [&](const std::string& name) {
-    if (labels == nullptr) {
-      return std::string();
-    }
-    const JsonValue* v = labels->Find(name);
-    return v == nullptr ? std::string() : v->StringOr("");
-  };
-
   out->source = "metrics";
-  out->device = label("device/config/name");
-  out->total_ms = gauge("device/total/millis", 0.0);
-  out->total_occupancy = gauge("device/total/occupancy", 0.0);
-  out->total_dram_bw_util = gauge("device/total/dram_bw_util", 0.0);
-  out->total_roofline = label("device/total/roofline");
+  out->device = StringOr(labels, "device/config/name");
+  out->total_ms = NumberOr(gauges, "device/total/millis", 0.0);
+  out->total_occupancy = NumberOr(gauges, "device/total/occupancy", 0.0);
+  out->total_dram_bw_util = NumberOr(gauges, "device/total/dram_bw_util", 0.0);
+  out->total_roofline = StringOr(labels, "device/total/roofline");
 
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   for (const auto& [key, value] : gauges->AsObject()) {
@@ -134,15 +115,15 @@ bool LoadFromMetrics(const JsonValue& doc, RunProfile* out, std::string* error) 
     KernelProfile k;
     k.name = std::move(name);
     k.millis = value.DoubleOr(0.0);
-    k.cycles = gauge(prefix + "/cycles", 0.0);
-    k.launches = counter(prefix + "/launches");
-    k.blocks = counter(prefix + "/blocks");
-    k.waves = counter(prefix + "/waves");
-    k.occupancy = gauge(prefix + "/occupancy", 0.0);
-    k.dram_bw_util = gauge(prefix + "/dram_bw_util", 0.0);
-    k.arith_intensity = gauge(prefix + "/arith_intensity", kNan);
-    k.l2_hit_ratio = gauge(prefix + "/l2_hit_ratio", 0.0);
-    k.roofline = label(prefix + "/roofline");
+    k.cycles = NumberOr(gauges, prefix + "/cycles", 0.0);
+    k.launches = IntOr(counters, prefix + "/launches", 0);
+    k.blocks = IntOr(counters, prefix + "/blocks", 0);
+    k.waves = IntOr(counters, prefix + "/waves", 0);
+    k.occupancy = NumberOr(gauges, prefix + "/occupancy", 0.0);
+    k.dram_bw_util = NumberOr(gauges, prefix + "/dram_bw_util", 0.0);
+    k.arith_intensity = NumberOr(gauges, prefix + "/arith_intensity", kNan);
+    k.l2_hit_ratio = NumberOr(gauges, prefix + "/l2_hit_ratio", 0.0);
+    k.roofline = StringOr(labels, prefix + "/roofline");
     out->kernels.push_back(std::move(k));
   }
 
@@ -162,9 +143,9 @@ bool LoadFromMetrics(const JsonValue& doc, RunProfile* out, std::string* error) 
     LayerProfile layer;
     layer.conv_index = std::stoll(index_str);
     layer.sim_ms = value.DoubleOr(0.0);
-    layer.padding_ratio = gauge(prefix + "/padding_ratio", 0.0);
-    layer.launches = gauge(prefix + "/launches", 0.0);
-    layer.gemm_kernels = gauge(prefix + "/gemm_kernels", 0.0);
+    layer.padding_ratio = NumberOr(gauges, prefix + "/padding_ratio", 0.0);
+    layer.launches = NumberOr(gauges, prefix + "/launches", 0.0);
+    layer.gemm_kernels = NumberOr(gauges, prefix + "/gemm_kernels", 0.0);
     out->layers.push_back(layer);
   }
   return true;
@@ -221,7 +202,7 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
     }
     const std::string cat = cat_v->StringOr("");
     const std::string name = name_v->StringOr("");
-    const double dur = event.Find("dur") != nullptr ? event.Find("dur")->DoubleOr(0.0) : 0.0;
+    const double dur = NumberOr(&event, "dur", 0.0);
     if (tid_num == 0.0) {
       // Host wall-clock track: only durations matter here.
       if (dur > 0.0) {
@@ -235,44 +216,30 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
       }
       continue;
     }
-    auto arg_num = [&](const char* key, double fallback) {
-      if (args == nullptr) {
-        return fallback;
-      }
-      const JsonValue* v = args->Find(key);
-      return v == nullptr ? fallback : v->DoubleOr(fallback);
-    };
-    auto arg_str = [&](const char* key) {
-      if (args == nullptr) {
-        return std::string();
-      }
-      const JsonValue* v = args->Find(key);
-      return v == nullptr ? std::string() : v->StringOr("");
-    };
     if (cat == "kernel") {
       TraceKernelAccum& acc = kernels[name];
       acc.dur_us += dur;
       acc.launches += 1;
-      acc.cycles += arg_num("cycles", 0.0);
-      acc.blocks += static_cast<int64_t>(arg_num("blocks", 0.0));
-      acc.waves += static_cast<int64_t>(arg_num("waves", 0.0));
-      acc.lane_ops += arg_num("lane_ops", 0.0);
-      acc.dram_bytes += arg_num("dram_bytes", 0.0);
-      acc.l2_hits += arg_num("l2_hits", 0.0);
-      acc.l2_misses += arg_num("l2_misses", 0.0);
-      acc.occupancy_weighted += arg_num("occupancy", 0.0) * dur;
-      acc.bw_util_weighted += arg_num("dram_bw_util", 0.0) * dur;
-      std::string roofline = arg_str("roofline");
+      acc.cycles += NumberOr(args, "cycles", 0.0);
+      acc.blocks += IntOr(args, "blocks", 0);
+      acc.waves += IntOr(args, "waves", 0);
+      acc.lane_ops += NumberOr(args, "lane_ops", 0.0);
+      acc.dram_bytes += NumberOr(args, "dram_bytes", 0.0);
+      acc.l2_hits += NumberOr(args, "l2_hits", 0.0);
+      acc.l2_misses += NumberOr(args, "l2_misses", 0.0);
+      acc.occupancy_weighted += NumberOr(args, "occupancy", 0.0) * dur;
+      acc.bw_util_weighted += NumberOr(args, "dram_bw_util", 0.0) * dur;
+      std::string roofline = StringOr(args, "roofline");
       if (!roofline.empty()) {
         acc.roofline_dur[roofline] += dur;
       }
     } else if (cat == "layer") {
       LayerProfile layer;
-      layer.conv_index = static_cast<int64_t>(arg_num("conv_index", 0.0));
+      layer.conv_index = IntOr(args, "conv_index", 0);
       layer.sim_ms = dur / 1e3;
-      layer.padding_ratio = arg_num("padding_ratio", 0.0);
-      layer.launches = arg_num("launches", 0.0);
-      layer.gemm_kernels = arg_num("gemm_kernels", 0.0);
+      layer.padding_ratio = NumberOr(args, "padding_ratio", 0.0);
+      layer.launches = NumberOr(args, "launches", 0.0);
+      layer.gemm_kernels = NumberOr(args, "gemm_kernels", 0.0);
       out->layers.push_back(layer);
     } else if (cat == "run") {
       out->total_ms += dur / 1e3;
@@ -555,26 +522,6 @@ std::string FormatDiff(const DiffResult& diff, double threshold, double min_ms) 
 
 // --- serve report ---------------------------------------------------------
 
-namespace {
-
-double NumField(const JsonValue* obj, const char* key, double fallback) {
-  if (obj == nullptr) {
-    return fallback;
-  }
-  const JsonValue* v = obj->Find(key);
-  return v == nullptr ? fallback : v->DoubleOr(fallback);
-}
-
-std::string StrField(const JsonValue* obj, const char* key) {
-  if (obj == nullptr) {
-    return std::string();
-  }
-  const JsonValue* v = obj->Find(key);
-  return v == nullptr ? std::string() : v->StringOr("");
-}
-
-}  // namespace
-
 bool IsServeReport(const JsonValue& doc) { return doc.Find("serve_report") != nullptr; }
 
 bool LoadServeProfile(const JsonValue& doc, ServeProfile* out, std::string* error) {
@@ -588,39 +535,39 @@ bool LoadServeProfile(const JsonValue& doc, ServeProfile* out, std::string* erro
   const JsonValue* arrival = doc.Find("arrival");
   const JsonValue* config = doc.Find("config");
 
-  out->device = StrField(context, "device");
-  out->network = StrField(context, "network");
-  out->engine = StrField(context, "engine");
-  out->process = StrField(arrival, "process");
-  out->rate_rps = NumField(arrival, "rate_rps", 0.0);
-  out->policy = StrField(config, "policy");
-  out->queue_capacity = static_cast<int64_t>(NumField(config, "queue_capacity", 0.0));
-  out->max_batch_size = static_cast<int64_t>(NumField(config, "max_batch_size", 0.0));
-  out->max_queue_delay_us = NumField(config, "max_queue_delay_us", 0.0);
-  out->slo_us = NumField(config, "slo_us", 0.0);
+  out->device = StringOr(context, "device");
+  out->network = StringOr(context, "network");
+  out->engine = StringOr(context, "engine");
+  out->process = StringOr(arrival, "process");
+  out->rate_rps = NumberOr(arrival, "rate_rps", 0.0);
+  out->policy = StringOr(config, "policy");
+  out->queue_capacity = IntOr(config, "queue_capacity", 0);
+  out->max_batch_size = IntOr(config, "max_batch_size", 0);
+  out->max_queue_delay_us = NumberOr(config, "max_queue_delay_us", 0.0);
+  out->slo_us = NumberOr(config, "slo_us", 0.0);
 
-  out->offered = static_cast<int64_t>(NumField(summary, "offered", 0.0));
-  out->admitted = static_cast<int64_t>(NumField(summary, "admitted", 0.0));
-  out->shed = static_cast<int64_t>(NumField(summary, "shed", 0.0));
-  out->completed = static_cast<int64_t>(NumField(summary, "completed", 0.0));
-  out->num_batches = static_cast<int64_t>(NumField(summary, "num_batches", 0.0));
-  out->warm_requests = static_cast<int64_t>(NumField(summary, "warm_requests", 0.0));
-  out->duration_us = NumField(summary, "duration_us", 0.0);
-  out->utilization = NumField(summary, "utilization", 0.0);
-  out->throughput_rps = NumField(summary, "throughput_rps", 0.0);
-  out->goodput_rps = NumField(summary, "goodput_rps", 0.0);
-  out->shed_rate = NumField(summary, "shed_rate", 0.0);
-  out->slo_attainment = NumField(summary, "slo_attainment", 0.0);
-  out->mean_batch_size = NumField(summary, "mean_batch_size", 0.0);
-  out->queue_p50_us = NumField(summary, "queue_p50_us", 0.0);
-  out->queue_p95_us = NumField(summary, "queue_p95_us", 0.0);
-  out->queue_p99_us = NumField(summary, "queue_p99_us", 0.0);
-  out->service_p50_us = NumField(summary, "service_p50_us", 0.0);
-  out->service_p95_us = NumField(summary, "service_p95_us", 0.0);
-  out->service_p99_us = NumField(summary, "service_p99_us", 0.0);
-  out->latency_p50_us = NumField(summary, "latency_p50_us", 0.0);
-  out->latency_p95_us = NumField(summary, "latency_p95_us", 0.0);
-  out->latency_p99_us = NumField(summary, "latency_p99_us", 0.0);
+  out->offered = IntOr(summary, "offered", 0);
+  out->admitted = IntOr(summary, "admitted", 0);
+  out->shed = IntOr(summary, "shed", 0);
+  out->completed = IntOr(summary, "completed", 0);
+  out->num_batches = IntOr(summary, "num_batches", 0);
+  out->warm_requests = IntOr(summary, "warm_requests", 0);
+  out->duration_us = NumberOr(summary, "duration_us", 0.0);
+  out->utilization = NumberOr(summary, "utilization", 0.0);
+  out->throughput_rps = NumberOr(summary, "throughput_rps", 0.0);
+  out->goodput_rps = NumberOr(summary, "goodput_rps", 0.0);
+  out->shed_rate = NumberOr(summary, "shed_rate", 0.0);
+  out->slo_attainment = NumberOr(summary, "slo_attainment", 0.0);
+  out->mean_batch_size = NumberOr(summary, "mean_batch_size", 0.0);
+  out->queue_p50_us = NumberOr(summary, "queue_p50_us", 0.0);
+  out->queue_p95_us = NumberOr(summary, "queue_p95_us", 0.0);
+  out->queue_p99_us = NumberOr(summary, "queue_p99_us", 0.0);
+  out->service_p50_us = NumberOr(summary, "service_p50_us", 0.0);
+  out->service_p95_us = NumberOr(summary, "service_p95_us", 0.0);
+  out->service_p99_us = NumberOr(summary, "service_p99_us", 0.0);
+  out->latency_p50_us = NumberOr(summary, "latency_p50_us", 0.0);
+  out->latency_p95_us = NumberOr(summary, "latency_p95_us", 0.0);
+  out->latency_p99_us = NumberOr(summary, "latency_p99_us", 0.0);
 
   const JsonValue* metrics = doc.Find("device_metrics");
   if (metrics != nullptr && metrics->is_object()) {

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <set>
+
+#include "src/util/summary.h"
 
 namespace minuet {
 namespace prof {
@@ -22,19 +23,6 @@ char SparkChar(double value, double max_value) {
   int level = 1 + static_cast<int>((value / max_value) * (kRampLevels - 1) + 0.5);
   level = std::min(level, kRampLevels);
   return kRamp[level];
-}
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-double NumberOr(const JsonValue* value, double fallback) {
-  return value != nullptr && value->is_number() ? value->AsDouble() : fallback;
 }
 
 // Compact value spelling for tables: integers print bare, everything else
@@ -67,7 +55,7 @@ bool LoadTimeline(const std::vector<JsonValue>& lines, Timeline* out, std::strin
     }
     return false;
   }
-  out->interval_us = NumberOr(header.Find("interval_us"), 0.0);
+  out->interval_us = NumberOr(&header, "interval_us", 0.0);
   for (size_t i = 1; i < lines.size(); ++i) {
     const JsonValue& line = lines[i];
     if (!line.is_object()) {
@@ -77,9 +65,9 @@ bool LoadTimeline(const std::vector<JsonValue>& lines, Timeline* out, std::strin
       return false;
     }
     TimelineWindow window;
-    window.index = static_cast<int64_t>(NumberOr(line.Find("window"), 0.0));
-    window.start_us = NumberOr(line.Find("start_us"), 0.0);
-    window.end_us = NumberOr(line.Find("end_us"), 0.0);
+    window.index = static_cast<int64_t>(NumberOr(&line, "window", 0.0));
+    window.start_us = NumberOr(&line, "start_us", 0.0);
+    window.end_us = NumberOr(&line, "end_us", 0.0);
     if (const JsonValue* counters = line.Find("counters"); counters != nullptr) {
       for (const auto& [name, value] : counters->AsObject()) {
         window.counters[name] = value.AsDouble();
@@ -88,23 +76,23 @@ bool LoadTimeline(const std::vector<JsonValue>& lines, Timeline* out, std::strin
     if (const JsonValue* gauges = line.Find("gauges"); gauges != nullptr) {
       for (const auto& [name, value] : gauges->AsObject()) {
         TimelineGauge gauge;
-        gauge.last = NumberOr(value.Find("last"), 0.0);
-        gauge.min = NumberOr(value.Find("min"), 0.0);
-        gauge.max = NumberOr(value.Find("max"), 0.0);
-        gauge.samples = static_cast<int64_t>(NumberOr(value.Find("samples"), 0.0));
+        gauge.last = NumberOr(&value, "last", 0.0);
+        gauge.min = NumberOr(&value, "min", 0.0);
+        gauge.max = NumberOr(&value, "max", 0.0);
+        gauge.samples = static_cast<int64_t>(NumberOr(&value, "samples", 0.0));
         window.gauges[name] = gauge;
       }
     }
     if (const JsonValue* dists = line.Find("dists"); dists != nullptr) {
       for (const auto& [name, value] : dists->AsObject()) {
         TimelineDist dist;
-        dist.count = NumberOr(value.Find("count"), 0.0);
-        dist.sum = NumberOr(value.Find("sum"), 0.0);
-        dist.min = NumberOr(value.Find("min"), 0.0);
-        dist.max = NumberOr(value.Find("max"), 0.0);
-        dist.p50 = NumberOr(value.Find("p50"), 0.0);
-        dist.p95 = NumberOr(value.Find("p95"), 0.0);
-        dist.p99 = NumberOr(value.Find("p99"), 0.0);
+        dist.count = NumberOr(&value, "count", 0.0);
+        dist.sum = NumberOr(&value, "sum", 0.0);
+        dist.min = NumberOr(&value, "min", 0.0);
+        dist.max = NumberOr(&value, "max", 0.0);
+        dist.p50 = NumberOr(&value, "p50", 0.0);
+        dist.p95 = NumberOr(&value, "p95", 0.0);
+        dist.p99 = NumberOr(&value, "p99", 0.0);
         window.dists[name] = dist;
       }
     }

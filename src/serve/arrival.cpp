@@ -125,7 +125,7 @@ Request RequestSampler::Sample(int64_t id, double arrival_us, Pcg32& rng) const 
 std::vector<Request> GenerateArrivalTrace(const TraceConfig& config) {
   MINUET_CHECK(config.process != ArrivalProcess::kClosedLoop)
       << "closed-loop arrivals depend on completions; pass the TraceConfig to "
-         "ServeScheduler::Run instead";
+         "FleetScheduler::Run instead";
   MINUET_CHECK_GT(config.rate_rps, 0.0);
   MINUET_CHECK_GE(config.num_requests, 0);
 
@@ -198,15 +198,7 @@ std::string ArrivalTraceJson(const std::vector<Request>& trace) {
 }
 
 bool WriteArrivalTrace(const std::vector<Request>& trace, const std::string& path) {
-  const std::string json = ArrivalTraceJson(trace);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, ArrivalTraceJson(trace));
 }
 
 bool ParseArrivalTrace(const JsonValue& doc, std::vector<Request>* out, std::string* error) {

@@ -751,14 +751,7 @@ FleetSummary SummarizeFleet(const std::vector<RequestRecord>& requests,
 }
 
 void PublishFleetMetrics(const FleetResult& result, trace::MetricsRegistry& registry) {
-  // The aggregate reuses the single-device surface verbatim, so dashboards
-  // built on "serve/..." keep working against fleet runs.
-  ServeResult aggregate;
-  aggregate.config = result.config.scheduler;
-  aggregate.requests = result.requests;
-  aggregate.batches = result.batches;
-  aggregate.summary = result.summary.fleet;
-  PublishServeMetrics(aggregate, registry);
+  PublishServeMetrics(result.config.scheduler, result.requests, result.summary.fleet, registry);
 
   registry.GetCounter("serve/fleet/devices").Set(static_cast<int64_t>(result.summary.devices.size()));
   registry.GetLabel("serve/fleet/routing").Set(RoutingPolicyName(result.config.routing));
@@ -779,6 +772,20 @@ void PublishFleetMetrics(const FleetResult& result, trace::MetricsRegistry& regi
     registry.GetGauge(prefix + "plan_hit_rate").Set(dev.plan_hit_rate);
     registry.GetGauge(prefix + "utilization").Set(dev.summary.utilization);
     registry.GetGauge(prefix + "latency_p99_us").Set(dev.summary.latency_p99_us);
+  }
+}
+
+void PublishDeviceMetrics(const std::vector<Engine*>& engines, const RunSession* session,
+                          trace::MetricsRegistry& registry) {
+  if (engines.size() == 1) {
+    engines[0]->device().PublishMetrics(registry);
+    if (session != nullptr) {
+      session->PublishMetrics(registry);
+    }
+    return;
+  }
+  for (size_t k = 0; k < engines.size(); ++k) {
+    engines[k]->device().PublishMetrics(registry, "dev" + std::to_string(k));
   }
 }
 

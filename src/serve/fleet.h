@@ -1,5 +1,5 @@
-// Fleet scheduler: the single-device request scheduler generalised to an
-// N-replica heterogeneous device pool.
+// Fleet scheduler: the serving deployment — an N-replica, possibly
+// heterogeneous device pool behind a router. One device is N = 1.
 //
 // Every replica is a full deployment of its own — an engine bound to one
 // simulated device preset (2070S / 2080 Ti / 3090 / A100 class), a
@@ -23,23 +23,22 @@
 //                   first instead of queueing behind big jobs on the big GPU.
 //
 // Determinism across the fleet: the event-driven virtual clock (integer
-// nanoseconds, src/serve/request.h) of the single-device scheduler extends
-// to one merged, timestamp-ordered event stream. At equal timestamps the
-// order is fixed — batch completions first
-// (ascending device id), then request arrivals (ascending request id), then
-// batch dispatches (ascending device id) — so every run of the same (trace,
-// pool, policy) is bit-identical and bench/byte_compare.sh extends to fleet
-// runs unchanged. The partial-batch delay timer freezes its batch at the
-// instant it fires: an arrival carrying the *same* timestamp as an
-// already-expired timer is sequenced after that dispatch and cannot ride the
-// departing batch (see DecideDispatch).
+// nanoseconds, src/serve/request.h) runs one merged, timestamp-ordered event
+// stream over every replica. At equal timestamps the order is fixed — batch
+// completions first (ascending device id), then request arrivals (ascending
+// request id), then batch dispatches (ascending device id) — so every run of
+// the same (trace, pool, policy) is bit-identical and bench/byte_compare.sh
+// extends to fleet runs unchanged. The partial-batch delay timer freezes its
+// batch at the instant it fires: an arrival carrying the *same* timestamp as
+// an already-expired timer is sequenced after that dispatch and cannot ride
+// the departing batch (see DecideDispatch).
 //
-// This loop is the only serving event loop. The single-device ServeScheduler
-// is a fleet of one, and the video-rate StreamScheduler (stream.h) is a
-// traffic source on it: ServeHooks carry what differs per source — routing,
-// the per-replica executor, and a dispatch deadline — so every path shares
-// one implementation of admission, batching, the delay timer, tracing,
-// telemetry and SLO accounting.
+// This loop is the only serving event loop and the only deployment: a single
+// device is a FleetScheduler over one engine, and the video-rate
+// StreamScheduler (stream.h) is a traffic source on it. ServeHooks carry what
+// differs per source — routing, the per-replica executor, and a dispatch
+// deadline — so every path shares one implementation of admission, batching,
+// the delay timer, tracing, telemetry and SLO accounting.
 #ifndef SRC_SERVE_FLEET_H_
 #define SRC_SERVE_FLEET_H_
 
@@ -207,8 +206,8 @@ class Replica {
 // Event-driven fleet scheduler over non-owned, Prepare()d engines (one per
 // replica; all must share a network input-channel count so request clouds
 // can be shared). Replica state — sessions, queues — persists across Run()
-// calls, so a second pass over the same trace replays warm, exactly like the
-// single-device ServeScheduler.
+// calls, so a second pass over the same trace replays warm (a long-lived
+// deployment).
 class FleetScheduler {
  public:
   FleetScheduler(std::vector<Engine*> engines, const FleetConfig& config);
@@ -257,10 +256,18 @@ FleetSummary SummarizeFleet(const std::vector<RequestRecord>& requests,
                             const FleetConfig& config,
                             const std::vector<DeviceSummary>& devices);
 
-// Publishes the aggregate under "serve/..." (same names as the single-device
-// path) plus per-device metrics under "serve/dev<k>/..." and fleet-level
+// Publishes the aggregate under "serve/..." (PublishServeMetrics) plus
+// per-device metrics under "serve/dev<k>/..." and fleet-level
 // routing/asymmetry gauges under "serve/fleet/...".
 void PublishFleetMetrics(const FleetResult& result, trace::MetricsRegistry& registry);
+
+// The one naming rule for a deployment's device-side metrics. A single
+// replica is "the device": it publishes under "device/..." plus, when
+// `session` (its RunSession) is given, the "session/", "plan_cache/" and
+// "workspace_pool/" counters. More replicas publish each device under
+// "dev<k>/..." and ignore `session`.
+void PublishDeviceMetrics(const std::vector<Engine*>& engines, const RunSession* session,
+                          trace::MetricsRegistry& registry);
 
 }  // namespace serve
 }  // namespace minuet

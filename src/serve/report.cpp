@@ -1,7 +1,5 @@
 #include "src/serve/report.h"
 
-#include <cstdio>
-
 #include "src/trace/metrics.h"
 #include "src/util/json_writer.h"
 
@@ -293,25 +291,6 @@ std::string StreamReportJson(const StreamServeResult& result,
   return w.TakeString();
 }
 
-std::string ServeReportJson(const ServeResult& result, const TraceConfig& arrival,
-                            const ServeReportContext& context,
-                            const trace::MetricsRegistry* registry) {
-  JsonWriter w;
-  w.BeginObject();
-  w.KV("serve_report", 1);
-  WriteContext(w, context);
-  WriteArrival(w, arrival);
-  WriteConfig(w, result.config);
-  WriteSummary(w, result.summary);
-  WriteRequests(w, result.requests);
-  WriteBatches(w, result.batches);
-  WriteBlame(w, result.requests);
-  WriteAlerts(w, result.alerts);
-  WriteDeviceMetrics(w, registry);
-  w.EndObject();
-  return w.TakeString();
-}
-
 std::string FleetReportJson(const FleetResult& result, const TraceConfig& arrival,
                             const ServeReportContext& context,
                             const trace::MetricsRegistry* registry) {
@@ -371,17 +350,6 @@ std::string FleetReportJson(const FleetResult& result, const TraceConfig& arriva
   WriteDeviceMetrics(w, registry);
   w.EndObject();
   return w.TakeString();
-}
-
-bool WriteServeReport(const std::string& json, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
 }
 
 }  // namespace serve

@@ -18,16 +18,16 @@
 //                  "service_us":..,"overlap":..}, ...],
 //    "blame":    {"completed":..,"e2e_total_ns":..,
 //                 "<phase>_ns":.., "<phase>_share":.., ...},
-//    "fleet":    {"routing":.., "plan_hit_asymmetry":..,                (fleet
-//                 "devices":[{"device":..,"name":..,"plan_hits":..,     runs
-//                             "summary":{..}}, ...],                    only)
+//    "alerts":   {"count":.., "firing":.., "events":[..]},
+//    "fleet":    {"routing":.., "num_devices":.., "plan_hit_asymmetry":..,
+//                 "devices":[{"device":..,"name":..,"plan_hits":..,
+//                             "summary":{..}}, ...],
 //                 "tiers":[{"priority":..,"offered":..,...}, ...]},
 //    "device_metrics": {<MetricsRegistry snapshot>}}        (optional)
 //
-// Fleet runs keep the same top-level version key and the same aggregate
-// "summary", so minuet_prof's serve-report loader reads either kind; the
-// "fleet" section is additive. Everything is simulated/serving-clock time —
-// no host wall-clock leaks in, so two runs of the same config produce
+// Every deployment is a fleet — a single device is a fleet of one — so every
+// report carries the "fleet" section. Everything is simulated/serving-clock
+// time — no host wall-clock leaks in, so two runs of the same config produce
 // byte-identical reports.
 #ifndef SRC_SERVE_REPORT_H_
 #define SRC_SERVE_REPORT_H_
@@ -36,7 +36,6 @@
 
 #include "src/serve/arrival.h"
 #include "src/serve/fleet.h"
-#include "src/serve/scheduler.h"
 #include "src/serve/stream.h"
 
 namespace minuet {
@@ -47,9 +46,9 @@ class MetricsRegistry;
 
 namespace serve {
 
-// Identity of the deployment the report describes. For a fleet report,
-// `device` names the pool (e.g. "rtx3090,a100"); per-replica device names
-// live in the fleet section.
+// Identity of the deployment the report describes. `device` is the
+// DeviceConfig name for a single replica and names the pool (e.g.
+// "3090,a100") for more; per-replica device names live in the fleet section.
 struct ServeReportContext {
   std::string device;     // DeviceConfig name
   std::string network;    // Network name
@@ -57,15 +56,12 @@ struct ServeReportContext {
   std::string precision;  // "fp32" | "fp16"
 };
 
-// `registry` may be null (no device_metrics section). When present, its
-// snapshot is embedded verbatim so one file carries both the serving view and
-// the per-kernel device view.
-std::string ServeReportJson(const ServeResult& result, const TraceConfig& arrival,
-                            const ServeReportContext& context,
-                            const trace::MetricsRegistry* registry);
-
-// The fleet flavour: same envelope plus the "fleet" section (routing policy,
-// per-device summaries and cache stats, per-priority tiers, hit asymmetry).
+// The serving report: context, arrival, config, the aggregate summary, the
+// request/batch records, blame, alerts, and the "fleet" section (routing
+// policy, per-device summaries and cache stats, per-priority tiers, hit
+// asymmetry). A single device is a fleet of one. `registry` may be null (no
+// device_metrics section); when present, its snapshot is embedded verbatim
+// so one file carries both the serving view and the per-kernel device view.
 std::string FleetReportJson(const FleetResult& result, const TraceConfig& arrival,
                             const ServeReportContext& context,
                             const trace::MetricsRegistry* registry);
@@ -77,8 +73,6 @@ std::string FleetReportJson(const FleetResult& result, const TraceConfig& arriva
 std::string StreamReportJson(const StreamServeResult& result,
                              const ServeReportContext& context,
                              const trace::MetricsRegistry* registry);
-
-bool WriteServeReport(const std::string& json, const std::string& path);
 
 }  // namespace serve
 }  // namespace minuet

@@ -171,15 +171,7 @@ std::string RequestDumpJsonl(const std::vector<RequestRecord>& requests, double 
 
 bool WriteRequestDump(const std::vector<RequestRecord>& requests, double slo_us,
                       const std::string& path) {
-  const std::string text = RequestDumpJsonl(requests, slo_us);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  bool ok = written == text.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, RequestDumpJsonl(requests, slo_us));
 }
 
 }  // namespace serve

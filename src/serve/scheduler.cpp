@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
-#include "src/serve/fleet.h"
 #include "src/trace/metrics.h"
 #include "src/util/check.h"
 #include "src/util/summary.h"
@@ -66,43 +64,6 @@ double BatchServiceCycles(const std::vector<double>& request_cycles, int stream_
   const double ways = static_cast<double>(
       std::min<int64_t>(static_cast<int64_t>(request_cycles.size()), streams));
   return std::max(critical, serial / ways);
-}
-
-ServeScheduler::ServeScheduler(Engine& engine, const SchedulerConfig& config) : config_(config) {
-  FleetConfig fleet_config;
-  fleet_config.scheduler = config;
-  fleet_config.routing = RoutingPolicy::kLeastLoaded;  // degenerate with one replica
-  fleet_ = std::make_unique<FleetScheduler>(std::vector<Engine*>{&engine}, fleet_config);
-}
-
-ServeScheduler::~ServeScheduler() = default;
-
-RunSession& ServeScheduler::session() { return fleet_->replica(0).session(); }
-
-void ServeScheduler::AttachTelemetry(ServeTelemetry* telemetry) {
-  fleet_->AttachTelemetry(telemetry);
-}
-
-namespace {
-
-ServeResult ToServeResult(FleetResult fleet, const SchedulerConfig& config) {
-  ServeResult result;
-  result.config = config;
-  result.requests = std::move(fleet.requests);
-  result.batches = std::move(fleet.batches);
-  result.summary = fleet.summary.fleet;
-  result.alerts = std::move(fleet.alerts);
-  return result;
-}
-
-}  // namespace
-
-ServeResult ServeScheduler::Run(std::vector<Request> trace) {
-  return ToServeResult(fleet_->Run(std::move(trace)), config_);
-}
-
-ServeResult ServeScheduler::Run(const TraceConfig& trace) {
-  return ToServeResult(fleet_->Run(trace), config_);
 }
 
 ServeSummary Summarize(const std::vector<RequestRecord>& requests,
@@ -167,15 +128,15 @@ ServeSummary Summarize(const std::vector<RequestRecord>& requests,
   return s;
 }
 
-void PublishServeMetrics(const ServeResult& result, trace::MetricsRegistry& registry) {
-  const ServeSummary& s = result.summary;
+void PublishServeMetrics(const SchedulerConfig& config, const std::vector<RequestRecord>& requests,
+                         const ServeSummary& s, trace::MetricsRegistry& registry) {
   registry.GetCounter("serve/offered").Set(s.offered);
   registry.GetCounter("serve/admitted").Set(s.admitted);
   registry.GetCounter("serve/shed").Set(s.shed);
   registry.GetCounter("serve/completed").Set(s.completed);
   registry.GetCounter("serve/batches").Set(s.num_batches);
   registry.GetCounter("serve/warm_requests").Set(s.warm_requests);
-  registry.GetLabel("serve/policy").Set(AdmissionPolicyName(result.config.policy));
+  registry.GetLabel("serve/policy").Set(AdmissionPolicyName(config.policy));
   registry.GetGauge("serve/duration_us").Set(s.duration_us);
   registry.GetGauge("serve/offered_rps").Set(s.offered_rps);
   registry.GetGauge("serve/throughput_rps").Set(s.throughput_rps);
@@ -191,7 +152,7 @@ void PublishServeMetrics(const ServeResult& result, trace::MetricsRegistry& regi
   // Fixed layout (0..100ms in 2ms buckets) so snapshots diff across configs.
   FixedHistogram& queue_hist = registry.GetHistogram("serve/queue_us", 0.0, 100000.0, 50);
   FixedHistogram& latency_hist = registry.GetHistogram("serve/latency_us", 0.0, 100000.0, 50);
-  for (const RequestRecord& record : result.requests) {
+  for (const RequestRecord& record : requests) {
     if (record.shed) {
       continue;
     }

@@ -38,20 +38,16 @@
 // addresses (device_memory.h), so service times inherit nothing from the
 // host heap.
 //
-// ServeScheduler is the single-device deployment. It is implemented as a
-// fleet of one: the event loop, router and accounting live in
-// src/serve/fleet.h, which generalises the same machinery to a heterogeneous
-// device pool.
+// This header holds the per-replica policy pieces: the config, the batcher,
+// the overlap model and the summary. The event loop that drives them lives
+// in src/serve/fleet.h, and it is the only deployment: a single device is
+// served as a FleetScheduler over one engine.
 #ifndef SRC_SERVE_SCHEDULER_H_
 #define SRC_SERVE_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/engine/engine.h"
-#include "src/serve/arrival.h"
-#include "src/serve/health.h"
 #include "src/serve/request.h"
 
 namespace minuet {
@@ -61,9 +57,6 @@ class MetricsRegistry;
 }  // namespace trace
 
 namespace serve {
-
-class FleetScheduler;
-class ServeTelemetry;
 
 struct SchedulerConfig {
   AdmissionPolicy policy = AdmissionPolicy::kFifo;
@@ -103,15 +96,6 @@ struct ServeSummary {
   double latency_p50_us = 0.0, latency_p95_us = 0.0, latency_p99_us = 0.0;
 };
 
-struct ServeResult {
-  SchedulerConfig config;
-  std::vector<RequestRecord> requests;  // ordered by request id
-  std::vector<BatchRecord> batches;     // in dispatch order
-  ServeSummary summary;
-  // Alert edges in firing order (empty without attached telemetry).
-  std::vector<AlertEvent> alerts;
-};
-
 ServeSummary Summarize(const std::vector<RequestRecord>& requests,
                        const std::vector<BatchRecord>& batches,
                        const SchedulerConfig& config);
@@ -129,41 +113,11 @@ std::vector<size_t> PickBatch(const std::vector<QueueEntry>& queue, AdmissionPol
 // The stream-pool overlap model (see file comment).
 double BatchServiceCycles(const std::vector<double>& request_cycles, int stream_pool_size);
 
-// One scheduler bound to one engine. The engine must be Prepare()d; the
-// scheduler owns a RunSession over it, so consecutive Run() calls keep their
-// warm plans (a long-lived deployment), and stats accumulate in the session.
-//
-// A thin facade over a single-replica FleetScheduler — every behaviour here
-// is the fleet machinery with N = 1.
-class ServeScheduler {
- public:
-  ServeScheduler(Engine& engine, const SchedulerConfig& config);
-  ~ServeScheduler();
-
-  // Serves a pre-generated open-loop trace (sorted by arrival; see
-  // GenerateArrivalTrace / ReadArrivalTraceFile).
-  ServeResult Run(std::vector<Request> trace);
-
-  // Generates arrivals from `trace` and serves them. Open-loop processes
-  // delegate to GenerateArrivalTrace; kClosedLoop simulates the client pool
-  // (each client re-issues an exponential think time after its request
-  // completes or is shed, until num_requests have been issued).
-  ServeResult Run(const TraceConfig& trace);
-
-  RunSession& session();
-
-  // Streams loop events into `telemetry` for the next Run() (see
-  // FleetScheduler::AttachTelemetry).
-  void AttachTelemetry(ServeTelemetry* telemetry);
-
- private:
-  SchedulerConfig config_;
-  std::unique_ptr<FleetScheduler> fleet_;
-};
-
 // Copies a run's serve counters and latency aggregates into `registry` under
-// "serve/..." (counters, gauges, and queue/latency histograms).
-void PublishServeMetrics(const ServeResult& result, trace::MetricsRegistry& registry);
+// "serve/..." (counters, gauges, and queue/latency histograms over the
+// completed `requests`).
+void PublishServeMetrics(const SchedulerConfig& config, const std::vector<RequestRecord>& requests,
+                         const ServeSummary& summary, trace::MetricsRegistry& registry);
 
 }  // namespace serve
 }  // namespace minuet

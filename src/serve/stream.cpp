@@ -159,14 +159,9 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
 }
 
 void PublishStreamMetrics(const StreamServeResult& result, trace::MetricsRegistry& registry) {
-  // The aggregate reuses the single-device serving surface, so dashboards
-  // built on "serve/..." read video-rate runs unchanged.
-  ServeResult aggregate;
-  aggregate.config.slo_us = result.config.frame_deadline_us;
-  aggregate.requests = result.requests;
-  aggregate.batches = result.batches;
-  aggregate.summary = result.summary.serve;
-  PublishServeMetrics(aggregate, registry);
+  // The aggregate reuses the standard serving surface, so dashboards built
+  // on "serve/..." read video-rate runs unchanged (frames queue FIFO).
+  PublishServeMetrics(SchedulerConfig{}, result.requests, result.summary.serve, registry);
 
   const StreamServeSummary& s = result.summary;
   registry.GetCounter("serve/stream/streams").Set(result.config.num_streams);

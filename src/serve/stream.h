@@ -48,6 +48,7 @@
 
 #include "src/data/sequence.h"
 #include "src/engine/sequence_session.h"
+#include "src/serve/health.h"
 #include "src/serve/request.h"
 #include "src/serve/scheduler.h"
 

@@ -92,15 +92,7 @@ std::string MetricsRegistry::SnapshotJson() const {
 }
 
 bool MetricsRegistry::WriteSnapshot(const std::string& path) const {
-  std::string json = SnapshotJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, SnapshotJson());
 }
 
 }  // namespace trace

@@ -289,15 +289,7 @@ std::string TimeSeriesRegistry::TimelineJsonl() const {
 }
 
 bool TimeSeriesRegistry::WriteTimeline(const std::string& path) const {
-  const std::string jsonl = TimelineJsonl();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  bool ok = written == jsonl.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, TimelineJsonl());
 }
 
 }  // namespace trace

@@ -213,15 +213,7 @@ std::string ChromeTraceJson(const Tracer& tracer) {
 }
 
 bool WriteChromeTrace(const Tracer& tracer, const std::string& path) {
-  std::string json = ChromeTraceJson(tracer);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, ChromeTraceJson(tracer));
 }
 
 }  // namespace trace

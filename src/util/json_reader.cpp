@@ -70,6 +70,34 @@ size_t JsonValue::size() const {
 
 namespace {
 
+const JsonValue* Member(const JsonValue* obj, const std::string& key) {
+  return obj == nullptr ? nullptr : obj->Find(key);
+}
+
+}  // namespace
+
+double NumberOr(const JsonValue* obj, const std::string& key, double fallback) {
+  const JsonValue* v = Member(obj, key);
+  return v != nullptr && v->is_number() ? v->AsDouble() : fallback;
+}
+
+int64_t IntOr(const JsonValue* obj, const std::string& key, int64_t fallback) {
+  const JsonValue* v = Member(obj, key);
+  return v != nullptr && v->is_number() ? static_cast<int64_t>(v->AsDouble()) : fallback;
+}
+
+bool BoolOr(const JsonValue* obj, const std::string& key, bool fallback) {
+  const JsonValue* v = Member(obj, key);
+  return v != nullptr && v->is_bool() ? v->AsBool() : fallback;
+}
+
+std::string StringOr(const JsonValue* obj, const std::string& key, std::string fallback) {
+  const JsonValue* v = Member(obj, key);
+  return v != nullptr && v->is_string() ? v->AsString() : std::move(fallback);
+}
+
+namespace {
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

@@ -18,6 +18,7 @@
 #define SRC_UTIL_JSON_READER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -71,6 +72,14 @@ class JsonValue {
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
+
+// Find-key-or-fallback: member `key` of `obj` read as the named type, or
+// `fallback` when `obj` is null or not an object, or the member is absent or
+// of another type (JSON null included). IntOr truncates the number toward 0.
+double NumberOr(const JsonValue* obj, const std::string& key, double fallback);
+int64_t IntOr(const JsonValue* obj, const std::string& key, int64_t fallback);
+bool BoolOr(const JsonValue* obj, const std::string& key, bool fallback);
+std::string StringOr(const JsonValue* obj, const std::string& key, std::string fallback = "");
 
 // Parses `text` into `*out`. On failure returns false and, when `error` is
 // non-null, stores a message with the byte offset of the problem. Trailing

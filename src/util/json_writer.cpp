@@ -128,4 +128,15 @@ void JsonWriter::Value(double value) {
   out_ += buf;
 }
 
+bool WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  bool ok = written == text.size();
+  ok = std::fclose(f) == 0 && ok;
+  return ok;
+}
+
 }  // namespace minuet

@@ -77,6 +77,11 @@ class JsonWriter {
   bool started_ = false;
 };
 
+// Writes `text` to `path`, replacing the file. False when the file cannot be
+// opened, or when any byte fails to reach it (a full disk surfaces at fwrite
+// or at fclose, so both are checked). Every artifact writer goes through here.
+bool WriteTextFile(const std::string& path, std::string_view text);
+
 }  // namespace minuet
 
 #endif  // SRC_UTIL_JSON_WRITER_H_

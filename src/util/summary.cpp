@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 
@@ -108,6 +109,15 @@ std::string HumanCount(uint64_t count) {
     std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(count));
   }
   return buf;
+}
+
+void Appendf(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  out += buf;
 }
 
 }  // namespace minuet

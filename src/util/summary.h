@@ -74,6 +74,10 @@ class FixedHistogram {
 // "12.3K", "4.56M" style humanisation for point counts in bench tables.
 std::string HumanCount(uint64_t count);
 
+// printf-style append to `out` (one formatted line of a text report; output
+// past 511 bytes per call is truncated).
+void Appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
 }  // namespace minuet
 
 #endif  // SRC_UTIL_SUMMARY_H_

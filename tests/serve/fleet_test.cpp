@@ -16,6 +16,7 @@
 #include "src/serve/arrival.h"
 #include "src/serve/request.h"
 #include "src/serve/scheduler.h"
+#include "src/trace/metrics.h"
 
 namespace minuet {
 namespace serve {
@@ -397,6 +398,44 @@ TEST(FleetTest, FakeExecutorRunsOnTheIntegerClock) {
   EXPECT_EQ(result.summary.fleet.shed, 2);
   EXPECT_TRUE(result.requests[1].shed);
   EXPECT_TRUE(result.requests[2].shed);
+}
+
+// Every metric name in `registry` that starts with `prefix`.
+int CountPrefixed(const trace::MetricsRegistry& registry, const std::string& prefix) {
+  int n = 0;
+  auto count = [&](const auto& metrics) {
+    for (const auto& entry : metrics) {
+      n += entry.first.rfind(prefix, 0) == 0 ? 1 : 0;
+    }
+  };
+  count(registry.counters());
+  count(registry.gauges());
+  count(registry.labels());
+  count(registry.histograms());
+  return n;
+}
+
+// The deployment naming rule for device metrics: one replica is "the device"
+// (device/... plus its session counters), more replicas are dev<k>/....
+TEST(FleetTest, DeviceMetricsNamingRule) {
+  auto e0 = NewEngine(MakeRtx3090());
+  FleetScheduler one({e0.get()}, FleetConfig{});
+  one.Run({Req(0, 0.0)});
+  trace::MetricsRegistry single;
+  PublishDeviceMetrics({e0.get()}, &one.replica(0).session(), single);
+  EXPECT_EQ(single.gauges().count("device/total/millis"), 1u);
+  EXPECT_EQ(single.counters().count("session/warm_runs"), 1u);
+  EXPECT_EQ(CountPrefixed(single, "dev0/"), 0);
+
+  auto e1 = NewEngine(MakeA100());
+  FleetScheduler two({e0.get(), e1.get()}, FleetConfig{});
+  two.Run({Req(0, 0.0), Req(1, 0.0)});
+  trace::MetricsRegistry pool;
+  PublishDeviceMetrics({e0.get(), e1.get()}, &two.replica(0).session(), pool);
+  EXPECT_GT(CountPrefixed(pool, "dev0/"), 0);
+  EXPECT_GT(CountPrefixed(pool, "dev1/"), 0);
+  EXPECT_EQ(CountPrefixed(pool, "device/"), 0);
+  EXPECT_EQ(CountPrefixed(pool, "session/"), 0);
 }
 
 }  // namespace

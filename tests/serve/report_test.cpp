@@ -14,7 +14,6 @@
 #include "src/gpusim/device_config.h"
 #include "src/serve/arrival.h"
 #include "src/serve/fleet.h"
-#include "src/serve/scheduler.h"
 #include "src/util/json_reader.h"
 
 namespace minuet {
@@ -54,19 +53,26 @@ void ExpectNoNulls(const JsonValue& value, const std::string& path) {
   }
 }
 
+// A single-device deployment: a fleet of one replica.
+FleetConfig OneDevice(const SchedulerConfig& config) {
+  FleetConfig fleet;
+  fleet.scheduler = config;
+  return fleet;
+}
+
 TEST(ServeReportTest, AllShedAtTimeZeroRoundTripsWithoutNulls) {
   auto engine = NewEngine(MakeRtx3090());
   SchedulerConfig config;
   config.queue_capacity = 0;  // shed everything
-  ServeScheduler scheduler(*engine, config);
-  ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 0.0), Req(2, 0.0)});
-  ASSERT_EQ(result.summary.shed, 3);
-  ASSERT_DOUBLE_EQ(result.summary.duration_us, 0.0);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
+  FleetResult result = scheduler.Run({Req(0, 0.0), Req(1, 0.0), Req(2, 0.0)});
+  ASSERT_EQ(result.summary.fleet.shed, 3);
+  ASSERT_DOUBLE_EQ(result.summary.fleet.duration_us, 0.0);
 
   TraceConfig arrival;
   arrival.num_requests = 3;
   ServeReportContext context{"RTX 3090", "TinyUNet", "Minuet", "fp32"};
-  const std::string json = ServeReportJson(result, arrival, context, nullptr);
+  const std::string json = FleetReportJson(result, arrival, context, nullptr);
 
   JsonValue doc;
   std::string error;
@@ -82,12 +88,12 @@ TEST(ServeReportTest, AllShedAtTimeZeroRoundTripsWithoutNulls) {
 
 TEST(ServeReportTest, EmptyTraceRoundTripsWithoutNulls) {
   auto engine = NewEngine(MakeRtx3090());
-  ServeScheduler scheduler(*engine, SchedulerConfig{});
-  ServeResult result = scheduler.Run(std::vector<Request>{});
+  FleetScheduler scheduler({engine.get()}, OneDevice(SchedulerConfig{}));
+  FleetResult result = scheduler.Run(std::vector<Request>{});
   TraceConfig arrival;
   arrival.num_requests = 0;
   ServeReportContext context{"RTX 3090", "TinyUNet", "Minuet", "fp32"};
-  const std::string json = ServeReportJson(result, arrival, context, nullptr);
+  const std::string json = FleetReportJson(result, arrival, context, nullptr);
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(json, &doc, &error)) << error;

@@ -1,6 +1,7 @@
 // Serving scheduler: batcher and overlap-model units, admission edge cases
 // (empty trace, burst shedding, zero capacity), policy ordering, dynamic
-// batching, closed-loop clients, and two-run bit-determinism.
+// batching, closed-loop clients, and two-run bit-determinism — on a
+// single-device deployment, which is a FleetScheduler of one replica.
 #include "src/serve/scheduler.h"
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include "src/engine/engine.h"
 #include "src/gpusim/device_config.h"
 #include "src/serve/arrival.h"
+#include "src/serve/fleet.h"
 #include "src/serve/request.h"
 
 namespace minuet {
@@ -106,22 +108,29 @@ class SchedulerTest : public ::testing::Test {
   }
 };
 
+// A single-device deployment: a fleet of one replica.
+FleetConfig OneDevice(const SchedulerConfig& config) {
+  FleetConfig fleet;
+  fleet.scheduler = config;
+  return fleet;
+}
+
 TEST_F(SchedulerTest, EmptyTrace) {
   auto engine = NewEngine();
-  ServeScheduler scheduler(*engine, SchedulerConfig{});
-  ServeResult result = scheduler.Run(std::vector<Request>{});
-  EXPECT_EQ(result.summary.offered, 0);
-  EXPECT_EQ(result.summary.completed, 0);
-  EXPECT_EQ(result.summary.shed, 0);
+  FleetScheduler scheduler({engine.get()}, OneDevice(SchedulerConfig{}));
+  FleetResult result = scheduler.Run(std::vector<Request>{});
+  EXPECT_EQ(result.summary.fleet.offered, 0);
+  EXPECT_EQ(result.summary.fleet.completed, 0);
+  EXPECT_EQ(result.summary.fleet.shed, 0);
   EXPECT_TRUE(result.requests.empty());
   EXPECT_TRUE(result.batches.empty());
-  EXPECT_DOUBLE_EQ(result.summary.duration_us, 0.0);
+  EXPECT_DOUBLE_EQ(result.summary.fleet.duration_us, 0.0);
 }
 
 TEST_F(SchedulerTest, SingleRequestDispatchesImmediately) {
   auto engine = NewEngine();
-  ServeScheduler scheduler(*engine, SchedulerConfig{});
-  ServeResult result = scheduler.Run({Req(0, 0.0)});
+  FleetScheduler scheduler({engine.get()}, OneDevice(SchedulerConfig{}));
+  FleetResult result = scheduler.Run({Req(0, 0.0)});
   ASSERT_EQ(result.requests.size(), 1u);
   const RequestRecord& record = result.requests[0];
   EXPECT_FALSE(record.shed);
@@ -129,9 +138,9 @@ TEST_F(SchedulerTest, SingleRequestDispatchesImmediately) {
   // No other arrival can top the batch up, so dispatch is immediate.
   EXPECT_EQ(record.dispatch_ns, 0);
   EXPECT_GT(record.completion_ns, 0);
-  EXPECT_EQ(result.summary.completed, 1);
-  EXPECT_EQ(result.summary.num_batches, 1);
-  EXPECT_EQ(result.summary.duration_us, NsToUs(record.completion_ns));
+  EXPECT_EQ(result.summary.fleet.completed, 1);
+  EXPECT_EQ(result.summary.fleet.num_batches, 1);
+  EXPECT_EQ(result.summary.fleet.duration_us, NsToUs(record.completion_ns));
 }
 
 TEST_F(SchedulerTest, BurstBeyondQueueShedsExactlyTheOverflow) {
@@ -140,19 +149,19 @@ TEST_F(SchedulerTest, BurstBeyondQueueShedsExactlyTheOverflow) {
   auto engine = NewEngine();
   SchedulerConfig config;
   config.queue_capacity = capacity;
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
   // All n arrive at the same instant; arrivals drain before any dispatch, so
   // the queue holds exactly `capacity` and sheds the rest.
   std::vector<Request> burst;
   for (int64_t i = 0; i < n; ++i) {
     burst.push_back(Req(i, 0.0));
   }
-  ServeResult result = scheduler.Run(burst);
-  EXPECT_EQ(result.summary.offered, n);
-  EXPECT_EQ(result.summary.shed, n - capacity);
-  EXPECT_EQ(result.summary.admitted, capacity);
-  EXPECT_EQ(result.summary.completed, capacity);
-  EXPECT_DOUBLE_EQ(result.summary.shed_rate,
+  FleetResult result = scheduler.Run(burst);
+  EXPECT_EQ(result.summary.fleet.offered, n);
+  EXPECT_EQ(result.summary.fleet.shed, n - capacity);
+  EXPECT_EQ(result.summary.fleet.admitted, capacity);
+  EXPECT_EQ(result.summary.fleet.completed, capacity);
+  EXPECT_DOUBLE_EQ(result.summary.fleet.shed_rate,
                    static_cast<double>(n - capacity) / static_cast<double>(n));
 }
 
@@ -160,13 +169,13 @@ TEST_F(SchedulerTest, ZeroCapacityShedsEverything) {
   auto engine = NewEngine();
   SchedulerConfig config;
   config.queue_capacity = 0;
-  ServeScheduler scheduler(*engine, config);
-  ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 10.0), Req(2, 20.0)});
-  EXPECT_EQ(result.summary.offered, 3);
-  EXPECT_EQ(result.summary.shed, 3);
-  EXPECT_EQ(result.summary.completed, 0);
-  EXPECT_EQ(result.summary.num_batches, 0);
-  EXPECT_DOUBLE_EQ(result.summary.shed_rate, 1.0);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
+  FleetResult result = scheduler.Run({Req(0, 0.0), Req(1, 10.0), Req(2, 20.0)});
+  EXPECT_EQ(result.summary.fleet.offered, 3);
+  EXPECT_EQ(result.summary.fleet.shed, 3);
+  EXPECT_EQ(result.summary.fleet.completed, 0);
+  EXPECT_EQ(result.summary.fleet.num_batches, 0);
+  EXPECT_DOUBLE_EQ(result.summary.fleet.shed_rate, 1.0);
   for (const RequestRecord& record : result.requests) {
     EXPECT_TRUE(record.shed);
   }
@@ -177,13 +186,13 @@ TEST_F(SchedulerTest, PartialBatchWaitsOutMaxQueueDelay) {
   SchedulerConfig config;
   config.max_batch_size = 4;
   config.max_queue_delay_us = 2000.0;
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
   // A second arrival far in the future keeps the batch-fill hope alive, so
   // the first request dispatches exactly when its delay timer expires.
-  ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 500000.0)});
+  FleetResult result = scheduler.Run({Req(0, 0.0), Req(1, 500000.0)});
   ASSERT_EQ(result.requests.size(), 2u);
   EXPECT_EQ(result.requests[0].dispatch_ns, 2000000);
-  EXPECT_EQ(result.summary.num_batches, 2);
+  EXPECT_EQ(result.summary.fleet.num_batches, 2);
 }
 
 TEST_F(SchedulerTest, ExpiredTimerBatchIsFrozenAgainstSameInstantArrivals) {
@@ -191,7 +200,7 @@ TEST_F(SchedulerTest, ExpiredTimerBatchIsFrozenAgainstSameInstantArrivals) {
   SchedulerConfig config;
   config.max_batch_size = 4;
   config.max_queue_delay_us = 1000.0;
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
   // r0's delay timer expires at exactly t=1000 — the same instant r1 arrives.
   // Event order at equal timestamps is completions, then arrivals, then
   // dispatches: r1 is admitted before the dispatch fires, but the expired
@@ -199,7 +208,7 @@ TEST_F(SchedulerTest, ExpiredTimerBatchIsFrozenAgainstSameInstantArrivals) {
   // departing batch (it would retroactively ride a batch whose timer already
   // ran out). The far-future r2 keeps batch-fill hope alive so neither r0 nor
   // r1 dispatches early. Golden sequence: r0 alone at 1000, r1 later.
-  ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 1000.0), Req(2, 500000.0)});
+  FleetResult result = scheduler.Run({Req(0, 0.0), Req(1, 1000.0), Req(2, 500000.0)});
   ASSERT_EQ(result.requests.size(), 3u);
   EXPECT_EQ(result.requests[0].dispatch_ns, 1000000);
   ASSERT_GE(result.batches.size(), 2u);
@@ -207,7 +216,7 @@ TEST_F(SchedulerTest, ExpiredTimerBatchIsFrozenAgainstSameInstantArrivals) {
   EXPECT_NE(result.requests[1].batch_id, result.requests[0].batch_id);
   // r1 waits out its own timer (2000) or until the server frees up.
   EXPECT_GE(result.requests[1].dispatch_ns, 2000000);
-  EXPECT_EQ(result.summary.completed, 3);
+  EXPECT_EQ(result.summary.fleet.completed, 3);
 }
 
 TEST_F(SchedulerTest, ZeroQueueDelayStillDispatchesSameInstantBatches) {
@@ -215,13 +224,13 @@ TEST_F(SchedulerTest, ZeroQueueDelayStillDispatchesSameInstantBatches) {
   SchedulerConfig config;
   config.max_batch_size = 4;
   config.max_queue_delay_us = 0.0;  // timer expires the instant work queues
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
   // With zero delay the timer "fires" at the oldest arrival itself; the
   // frozen-batch rule must fall back to the unfiltered queue (nothing arrived
   // strictly before t=0), not dispatch an empty batch or stall forever.
-  ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 0.0)});
+  FleetResult result = scheduler.Run({Req(0, 0.0), Req(1, 0.0)});
   ASSERT_EQ(result.requests.size(), 2u);
-  EXPECT_EQ(result.summary.completed, 2);
+  EXPECT_EQ(result.summary.fleet.completed, 2);
   ASSERT_EQ(result.batches.size(), 1u);
   EXPECT_EQ(result.batches[0].size, 2);
   EXPECT_EQ(result.batches[0].dispatch_ns, 0);
@@ -231,12 +240,12 @@ TEST_F(SchedulerTest, FullBatchOverlapsOnTheStreamPool) {
   auto engine = NewEngine();
   SchedulerConfig config;
   config.max_batch_size = 4;
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
   std::vector<Request> burst;
   for (int64_t i = 0; i < 4; ++i) {
     burst.push_back(Req(i, 0.0));
   }
-  ServeResult result = scheduler.Run(burst);
+  FleetResult result = scheduler.Run(burst);
   ASSERT_EQ(result.batches.size(), 1u);
   const BatchRecord& batch = result.batches[0];
   EXPECT_EQ(batch.size, 4);
@@ -259,8 +268,8 @@ TEST_F(SchedulerTest, PriorityPolicyServesUrgentFirst) {
   SchedulerConfig config;
   config.policy = AdmissionPolicy::kPriority;
   config.max_batch_size = 1;
-  ServeScheduler scheduler(*engine, config);
-  ServeResult result = scheduler.Run({Req(0, 0.0, 300, /*priority=*/1), Req(1, 0.0, 300, 0),
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
+  FleetResult result = scheduler.Run({Req(0, 0.0, 300, /*priority=*/1), Req(1, 0.0, 300, 0),
                                       Req(2, 0.0, 300, 1), Req(3, 0.0, 300, 0)});
   ASSERT_EQ(result.requests.size(), 4u);
   // Priority-0 requests (ids 1, 3) dispatch before every priority-1 request.
@@ -275,27 +284,27 @@ TEST_F(SchedulerTest, SjfPolicyServesSmallRequestsFirst) {
   SchedulerConfig config;
   config.policy = AdmissionPolicy::kSjf;
   config.max_batch_size = 1;
-  ServeScheduler scheduler(*engine, config);
-  ServeResult result = scheduler.Run({Req(0, 0.0, 900), Req(1, 0.0, 150)});
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
+  FleetResult result = scheduler.Run({Req(0, 0.0, 900), Req(1, 0.0, 150)});
   ASSERT_EQ(result.requests.size(), 2u);
   EXPECT_LT(result.requests[1].dispatch_ns, result.requests[0].dispatch_ns);
 }
 
 TEST_F(SchedulerTest, RepeatedShapeServedWarm) {
   auto engine = NewEngine();
-  ServeScheduler scheduler(*engine, SchedulerConfig{});
+  FleetScheduler scheduler({engine.get()}, OneDevice(SchedulerConfig{}));
   // Far enough apart that the second request cannot batch with the first.
-  ServeResult result = scheduler.Run({Req(0, 0.0), Req(1, 1e6)});
+  FleetResult result = scheduler.Run({Req(0, 0.0), Req(1, 1e6)});
   ASSERT_EQ(result.requests.size(), 2u);
   EXPECT_FALSE(result.requests[0].warm);
   EXPECT_TRUE(result.requests[1].warm);
-  EXPECT_EQ(result.summary.warm_requests, 1);
+  EXPECT_EQ(result.summary.fleet.warm_requests, 1);
   // Warm replay skips the Map step, so it is strictly cheaper.
   EXPECT_LT(result.requests[1].service_cycles, result.requests[0].service_cycles);
 }
 
 // Every per-request and per-batch record of two serve runs, compared exactly.
-void ExpectIdenticalRecords(const ServeResult& a, const ServeResult& b) {
+void ExpectIdenticalRecords(const FleetResult& a, const FleetResult& b) {
   ASSERT_EQ(a.requests.size(), b.requests.size());
   for (size_t i = 0; i < a.requests.size(); ++i) {
     EXPECT_EQ(a.requests[i].request.id, b.requests[i].request.id);
@@ -312,8 +321,8 @@ void ExpectIdenticalRecords(const ServeResult& a, const ServeResult& b) {
     EXPECT_EQ(a.batches[i].dispatch_ns, b.batches[i].dispatch_ns);
     EXPECT_EQ(a.batches[i].service_cycles, b.batches[i].service_cycles);
   }
-  EXPECT_EQ(a.summary.latency_p99_us, b.summary.latency_p99_us);
-  EXPECT_EQ(a.summary.goodput_rps, b.summary.goodput_rps);
+  EXPECT_EQ(a.summary.fleet.latency_p99_us, b.summary.fleet.latency_p99_us);
+  EXPECT_EQ(a.summary.fleet.goodput_rps, b.summary.fleet.goodput_rps);
 }
 
 TraceConfig SaturatingTrace() {
@@ -338,11 +347,11 @@ TEST_F(SchedulerTest, WarmRunsAreBitIdentical) {
   // selection by birth order), so the cache simulator sees the same device
   // addresses, and the same access stream, each pass.
   auto engine = NewEngine();
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
   scheduler.Run(SaturatingTrace());  // warm-up pass: record plans, populate the pool
   const uint64_t warm_footprint = engine->device().memory()->high_water();
-  ServeResult a = scheduler.Run(SaturatingTrace());
-  ServeResult b = scheduler.Run(SaturatingTrace());
+  FleetResult a = scheduler.Run(SaturatingTrace());
+  FleetResult b = scheduler.Run(SaturatingTrace());
   // Warm replays place nothing beyond the warm-up's device footprint.
   EXPECT_EQ(engine->device().memory()->high_water(), warm_footprint);
   ExpectIdenticalRecords(a, b);
@@ -356,13 +365,13 @@ TEST_F(SchedulerTest, FreshEnginesInOneProcessServeIdentically) {
   config.queue_capacity = 8;
   config.max_batch_size = 4;
   auto first = NewEngine();
-  ServeResult a = ServeScheduler(*first, config).Run(SaturatingTrace());
+  FleetResult a = FleetScheduler({first.get()}, OneDevice(config)).Run(SaturatingTrace());
   std::vector<std::unique_ptr<char[]>> ballast;
   for (size_t bytes : {16, 3000, 70000}) {
     ballast.push_back(std::make_unique<char[]>(bytes));
   }
   auto second = NewEngine();
-  ServeResult b = ServeScheduler(*second, config).Run(SaturatingTrace());
+  FleetResult b = FleetScheduler({second.get()}, OneDevice(config)).Run(SaturatingTrace());
   ExpectIdenticalRecords(a, b);
 }
 
@@ -370,20 +379,20 @@ TEST_F(SchedulerTest, ClosedLoopIssuesFromClients) {
   auto engine = NewEngine();
   SchedulerConfig config;
   config.seed = 3;
-  ServeScheduler scheduler(*engine, config);
+  FleetScheduler scheduler({engine.get()}, OneDevice(config));
 
   TraceConfig closed;
   closed.process = ArrivalProcess::kClosedLoop;
   closed.num_requests = 12;
   closed.num_clients = 3;
   closed.think_time_us = 500.0;
-  ServeResult result = scheduler.Run(closed);
+  FleetResult result = scheduler.Run(closed);
 
-  EXPECT_EQ(result.summary.offered, 12);
+  EXPECT_EQ(result.summary.fleet.offered, 12);
   // Closed loops self-limit to num_clients outstanding: nothing sheds under
   // the default queue capacity.
-  EXPECT_EQ(result.summary.shed, 0);
-  EXPECT_EQ(result.summary.completed, 12);
+  EXPECT_EQ(result.summary.fleet.shed, 0);
+  EXPECT_EQ(result.summary.fleet.completed, 12);
   for (const RequestRecord& record : result.requests) {
     EXPECT_GE(record.request.client, 0);
     EXPECT_LT(record.request.client, 3);

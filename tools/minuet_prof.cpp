@@ -52,11 +52,13 @@
 #include "src/prof/profile.h"
 #include "src/prof/timeline.h"
 #include "src/util/json_reader.h"
+#include "src/util/json_writer.h"
 
 namespace {
 
 using minuet::JsonValue;
 using minuet::ReadJsonFile;
+using minuet::WriteTextFile;
 namespace prof = minuet::prof;
 
 int Usage() {
@@ -245,14 +247,10 @@ int RunMakeBaseline(const Args& args) {
     std::fputc('\n', stdout);
     return 0;
   }
-  std::FILE* f = std::fopen(args.out_path.c_str(), "w");
-  if (f == nullptr) {
+  if (!WriteTextFile(args.out_path, baseline + "\n")) {
     std::fprintf(stderr, "minuet_prof: could not write %s\n", args.out_path.c_str());
     return 2;
   }
-  std::fputs(baseline.c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
   std::fprintf(stdout, "wrote baseline for %zu report(s) to %s\n", args.files.size(),
                args.out_path.c_str());
   return 0;

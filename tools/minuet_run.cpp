@@ -140,34 +140,21 @@ DatasetKind ParseDataset(const std::string& name) {
 }
 
 DeviceConfig ParseGpu(const std::string& name) {
-  if (name == "2070s") {
-    return MakeRtx2070Super();
+  DeviceConfig device;
+  if (!DeviceConfigForPreset(name, &device)) {
+    std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
+    Usage();
   }
-  if (name == "2080ti") {
-    return MakeRtx2080Ti();
-  }
-  if (name == "3090") {
-    return MakeRtx3090();
-  }
-  if (name == "a100") {
-    return MakeA100();
-  }
-  std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
-  Usage();
+  return device;
 }
 
 Network ParseNetwork(const std::string& name) {
-  if (name == "unet42") {
-    return MakeMinkUNet42(4);
+  Network net;
+  if (!NetworkForPreset(name, &net)) {
+    std::fprintf(stderr, "unknown network: %s\n", name.c_str());
+    Usage();
   }
-  if (name == "resnet21") {
-    return MakeSparseResNet21(4, 20);
-  }
-  if (name == "tiny") {
-    return MakeTinyUNet(4);
-  }
-  std::fprintf(stderr, "unknown network: %s\n", name.c_str());
-  Usage();
+  return net;
 }
 
 // Suffixes `path` with the engine name when several engines share one flag

@@ -1,18 +1,21 @@
-// minuet_serve: serving-scheduler driver — replays or generates a request
-// arrival trace against one engine deployment (or a heterogeneous pool of
-// them) and reports SLO accounting.
+// minuet_serve: serving driver — replays or generates a request arrival
+// trace against a deployment of one or more simulated devices and reports
+// SLO accounting.
 //
-//   minuet_serve [--gpu 3090] [--network tiny] [--engine minuet]
-//                [--pool 3090,a100,2080ti] [--routing least-loaded]
+//   minuet_serve [--gpu 3090 | --pool 3090,a100,2080ti] [--routing least-loaded]
+//                [--network tiny] [--engine minuet]
 //                [--process poisson|mmpp|closed] [--rate RPS] [--requests N]
 //                [--policy fifo|sjf|priority] [--queue-capacity N]
 //                [--max-batch N] [--max-delay-us D] [--slo-us S] [--seed N]
 //                [--arrivals in.json] [--dump-arrivals out.json]
 //                [--json report.json] [--trace trace.json] [--metrics m.json]
 //
-// --pool serves the trace on an N-replica fleet (one engine per listed
-// device preset; --gpu is ignored) routed by --routing; the report gains a
-// "fleet" section and the Chrome trace one serving-clock track per replica.
+// Every deployment is a fleet (src/serve/fleet.h): --pool lists one device
+// preset per replica, routed by --routing, and --gpu X is the one-replica
+// pool --pool X. The report carries a "fleet" section and the Chrome trace
+// one serving-clock track per replica. Device metrics follow one naming rule
+// (serve::PublishDeviceMetrics): a single replica publishes under "device/"
+// with its session counters, more replicas under "dev<k>/".
 //
 // --stream switches to the video-rate mode: a recorded LiDAR-style sequence
 // trace (minuet_dataset sequence) replayed as N closed-loop frame streams on
@@ -40,12 +43,12 @@
 #include "src/serve/fleet.h"
 #include "src/serve/report.h"
 #include "src/serve/reqtrace.h"
-#include "src/serve/scheduler.h"
 #include "src/serve/stream.h"
 #include "src/serve/telemetry.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
+#include "src/util/json_writer.h"
 
 namespace minuet {
 namespace {
@@ -100,37 +103,6 @@ std::unique_ptr<serve::ServeTelemetry> MakeTelemetry(const Options& opts) {
   return telemetry;
 }
 
-// Writes the timeline and incident sinks and prints the alert tally.
-bool WriteTelemetrySinks(const Options& opts, const serve::ServeTelemetry& telemetry) {
-  bool ok = true;
-  if (!opts.timeline_jsonl.empty() &&
-      !telemetry.series().WriteTimeline(opts.timeline_jsonl)) {
-    std::fprintf(stderr, "could not write timeline to %s\n", opts.timeline_jsonl.c_str());
-    ok = false;
-  }
-  if (!opts.incident_json.empty()) {
-    // Prefer the incident frozen at the first firing alert; fall back to a
-    // synthetic end-of-run (or SIGINT) capture so the flag always delivers.
-    std::string incident = telemetry.incident_json();
-    if (incident.empty()) {
-      incident = telemetry.CaptureIncident(telemetry.stop_requested() ? "sigint" : "run_end");
-    }
-    if (!serve::WriteServeReport(incident, opts.incident_json)) {
-      std::fprintf(stderr, "could not write incident to %s\n", opts.incident_json.c_str());
-      ok = false;
-    }
-  }
-  int64_t firing = 0;
-  for (const serve::AlertEvent& alert : telemetry.alerts()) {
-    firing += alert.firing ? 1 : 0;
-  }
-  std::printf("telemetry: %zu windows (%.0f us each) | alerts %zu (%lld firing)%s\n",
-              telemetry.series().closed().size(), telemetry.config().interval_us,
-              telemetry.alerts().size(), static_cast<long long>(firing),
-              telemetry.stop_requested() ? " | interrupted (drained)" : "");
-  return ok;
-}
-
 [[noreturn]] void Usage() {
   std::fprintf(
       stderr,
@@ -164,7 +136,9 @@ bool WriteTelemetrySinks(const Options& opts, const serve::ServeTelemetry& telem
       "  --drop-slo F          frames-dropped SLO as a fraction (default 0.01)\n"
       "  --incremental 0|1     0 = full rebuild every frame (ablation; default 1)\n"
       "  --rebuild-threshold F churn fraction above which a frame full-rebuilds\n"
-      "  --pool LIST           serve on a fleet of replicas (one per preset; see --routing)\n"
+      "  --gpu PRESET          serve on one device: the one-replica pool --pool PRESET\n"
+      "  --pool LIST           serve on a fleet of replicas, one per preset (overrides\n"
+      "                        --gpu; see --routing)\n"
       "  --routing POLICY      fleet router; default least-loaded\n"
       "  --arrivals FILE       replay a recorded arrival trace (overrides --process)\n"
       "  --dump-arrivals FILE  write the generated arrival trace and exit\n"
@@ -307,34 +281,21 @@ Options Parse(int argc, char** argv) {
 }
 
 DeviceConfig ParseGpu(const std::string& name) {
-  if (name == "2070s") {
-    return MakeRtx2070Super();
+  DeviceConfig device;
+  if (!DeviceConfigForPreset(name, &device)) {
+    std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
+    Usage();
   }
-  if (name == "2080ti") {
-    return MakeRtx2080Ti();
-  }
-  if (name == "3090") {
-    return MakeRtx3090();
-  }
-  if (name == "a100") {
-    return MakeA100();
-  }
-  std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
-  Usage();
+  return device;
 }
 
 Network ParseNetwork(const std::string& name) {
-  if (name == "unet42") {
-    return MakeMinkUNet42(4);
+  Network net;
+  if (!NetworkForPreset(name, &net)) {
+    std::fprintf(stderr, "unknown network: %s\n", name.c_str());
+    Usage();
   }
-  if (name == "resnet21") {
-    return MakeSparseResNet21(4, 20);
-  }
-  if (name == "tiny") {
-    return MakeTinyUNet(4);
-  }
-  std::fprintf(stderr, "unknown network: %s\n", name.c_str());
-  Usage();
+  return net;
 }
 
 EngineKind ParseEngine(const std::string& name) {
@@ -367,36 +328,110 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
   return parts;
 }
 
-int FleetMain(Options opts) {
-  const std::vector<std::string> presets = SplitCommaList(opts.pool);
+// The engines a run serves on: one Prepare()d engine per device preset of
+// --pool, or of --gpu when --pool is absent (a one-replica pool).
+struct Deployment {
+  serve::ServeReportContext context;  // context.device labels the deployment
+  std::vector<std::unique_ptr<Engine>> engines;
+  std::vector<Engine*> raw;
+};
+
+Deployment BuildEngines(const Options& opts, const Network& net, EngineKind kind,
+                        uint64_t seed, bool autotune) {
+  const std::vector<std::string> presets =
+      opts.pool.empty() ? std::vector<std::string>{opts.gpu} : SplitCommaList(opts.pool);
   if (presets.empty()) {
     std::fprintf(stderr, "--pool needs at least one device preset\n");
     Usage();
   }
-
-  Network net = ParseNetwork(opts.network);
   EngineConfig config;
-  config.kind = ParseEngine(opts.engine);
+  config.kind = kind;
   config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
   config.functional = false;  // serving measures time; skip the arithmetic
 
-  std::vector<DeviceConfig> devices;
-  std::vector<std::unique_ptr<Engine>> engines;
-  std::vector<Engine*> engine_ptrs;
+  Deployment d;
   for (const std::string& preset : presets) {
-    devices.push_back(ParseGpu(preset));
-    engines.push_back(std::make_unique<Engine>(config, devices.back()));
-    engines.back()->Prepare(net, opts.arrival.seed);
-    if (opts.autotune && config.kind == EngineKind::kMinuet) {
+    d.engines.push_back(std::make_unique<Engine>(config, ParseGpu(preset)));
+    Engine& engine = *d.engines.back();
+    engine.Prepare(net, seed);
+    if (autotune && kind == EngineKind::kMinuet) {
       GeneratorConfig gen;
       gen.target_points = 2000;
       gen.channels = net.in_channels;
-      gen.seed = opts.arrival.seed + 1;
-      PointCloud sample = GenerateCloud(DatasetKind::kRandom, gen);
-      engines.back()->Autotune(sample);
+      gen.seed = seed + 1;
+      engine.Autotune(GenerateCloud(DatasetKind::kRandom, gen));
     }
-    engine_ptrs.push_back(engines.back().get());
+    d.raw.push_back(&engine);
   }
+  // A lone replica is "the device" and goes by its DeviceConfig name.
+  d.context.device = presets.size() == 1 ? d.engines[0]->device().config().name : opts.pool;
+  d.context.network = net.name;
+  d.context.engine = EngineKindName(kind);
+  d.context.precision = opts.fp16 ? "fp16" : "fp32";
+  return d;
+}
+
+// Writes every sink the flags ask for: Chrome trace, metrics snapshot,
+// report, per-request dump, and the telemetry timeline and incident (when
+// telemetry ran, also prints its alert tally). False when any write failed.
+bool WriteSinks(const Options& opts, const trace::Tracer& tracer,
+                const trace::MetricsRegistry& registry, const std::string& report,
+                const std::vector<serve::RequestRecord>& requests, double slo_us,
+                const serve::ServeTelemetry* telemetry) {
+  bool ok = true;
+  auto check = [&ok](bool written, const char* what, const std::string& path) {
+    if (!written) {
+      std::fprintf(stderr, "could not write %s to %s\n", what, path.c_str());
+      ok = false;
+    }
+  };
+  if (!opts.trace_json.empty()) {
+    trace::Tracer::Install(nullptr);
+    check(WriteChromeTrace(tracer, opts.trace_json), "trace", opts.trace_json);
+  }
+  if (!opts.metrics_json.empty()) {
+    check(registry.WriteSnapshot(opts.metrics_json), "metrics", opts.metrics_json);
+  }
+  if (!opts.report_json.empty()) {
+    check(WriteTextFile(opts.report_json, report), "report", opts.report_json);
+  }
+  if (!opts.dump_requests.empty()) {
+    check(serve::WriteRequestDump(requests, slo_us, opts.dump_requests), "request dump",
+          opts.dump_requests);
+  }
+  if (telemetry == nullptr) {
+    return ok;
+  }
+  if (!opts.timeline_jsonl.empty()) {
+    check(telemetry->series().WriteTimeline(opts.timeline_jsonl), "timeline",
+          opts.timeline_jsonl);
+  }
+  if (!opts.incident_json.empty()) {
+    // Prefer the incident frozen at the first firing alert; fall back to a
+    // synthetic end-of-run (or SIGINT) capture so the flag always delivers.
+    std::string incident = telemetry->incident_json();
+    if (incident.empty()) {
+      incident = telemetry->CaptureIncident(telemetry->stop_requested() ? "sigint" : "run_end");
+    }
+    check(WriteTextFile(opts.incident_json, incident), "incident", opts.incident_json);
+  }
+  int64_t firing = 0;
+  for (const serve::AlertEvent& alert : telemetry->alerts()) {
+    firing += alert.firing ? 1 : 0;
+  }
+  std::printf("telemetry: %zu windows (%.0f us each) | alerts %zu (%lld firing)%s\n",
+              telemetry->series().closed().size(), telemetry->config().interval_us,
+              telemetry->alerts().size(), static_cast<long long>(firing),
+              telemetry->stop_requested() ? " | interrupted (drained)" : "");
+  g_stop_target = nullptr;
+  return ok;
+}
+
+// Request mode: serve a generated or replayed arrival trace on the fleet.
+int FleetMain(Options opts) {
+  const Network net = ParseNetwork(opts.network);
+  Deployment d =
+      BuildEngines(opts, net, ParseEngine(opts.engine), opts.arrival.seed, opts.autotune);
 
   trace::Tracer tracer;
   if (!opts.trace_json.empty()) {
@@ -406,7 +441,7 @@ int FleetMain(Options opts) {
   serve::FleetConfig fleet_config;
   fleet_config.routing = opts.routing;
   fleet_config.scheduler = opts.scheduler;
-  serve::FleetScheduler fleet(engine_ptrs, fleet_config);
+  serve::FleetScheduler fleet(d.raw, fleet_config);
   std::unique_ptr<serve::ServeTelemetry> telemetry = MakeTelemetry(opts);
   fleet.AttachTelemetry(telemetry.get());
   serve::FleetResult result;
@@ -425,49 +460,19 @@ int FleetMain(Options opts) {
 
   trace::MetricsRegistry registry;
   serve::PublishFleetMetrics(result, registry);
-  for (size_t k = 0; k < engines.size(); ++k) {
-    engines[k]->device().PublishMetrics(registry, "dev" + std::to_string(k));
-  }
-
-  bool ok = true;
-  if (!opts.trace_json.empty()) {
-    trace::Tracer::Install(nullptr);
-    if (!WriteChromeTrace(tracer, opts.trace_json)) {
-      std::fprintf(stderr, "could not write trace to %s\n", opts.trace_json.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.metrics_json.empty() && !registry.WriteSnapshot(opts.metrics_json)) {
-    std::fprintf(stderr, "could not write metrics to %s\n", opts.metrics_json.c_str());
-    ok = false;
-  }
-  if (!opts.report_json.empty()) {
-    serve::ServeReportContext context;
-    context.device = opts.pool;
-    context.network = net.name;
-    context.engine = EngineKindName(config.kind);
-    context.precision = opts.fp16 ? "fp16" : "fp32";
-    std::string json = serve::FleetReportJson(result, opts.arrival, context, &registry);
-    if (!serve::WriteServeReport(json, opts.report_json)) {
-      std::fprintf(stderr, "could not write report to %s\n", opts.report_json.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.dump_requests.empty() &&
-      !serve::WriteRequestDump(result.requests, opts.scheduler.slo_us, opts.dump_requests)) {
-    std::fprintf(stderr, "could not write request dump to %s\n", opts.dump_requests.c_str());
-    ok = false;
-  }
-  if (telemetry != nullptr) {
-    ok = WriteTelemetrySinks(opts, *telemetry) && ok;
-    g_stop_target = nullptr;
-  }
+  serve::PublishDeviceMetrics(d.raw, &fleet.replica(0).session(), registry);
+  const std::string report =
+      opts.report_json.empty()
+          ? std::string()
+          : serve::FleetReportJson(result, opts.arrival, d.context, &registry);
+  const bool ok = WriteSinks(opts, tracer, registry, report, result.requests,
+                             opts.scheduler.slo_us, telemetry.get());
 
   const serve::ServeSummary& s = result.summary.fleet;
   std::printf(
       "fleet %s | %s | %s | %s | routing %s | policy %s, queue %lld, batch %lld, delay %.0f us\n",
-      opts.pool.c_str(), net.name.c_str(), EngineKindName(config.kind),
-      opts.fp16 ? "fp16" : "fp32", serve::RoutingPolicyName(result.config.routing),
+      d.context.device.c_str(), net.name.c_str(), d.context.engine.c_str(),
+      d.context.precision.c_str(), serve::RoutingPolicyName(result.config.routing),
       serve::AdmissionPolicyName(opts.scheduler.policy),
       static_cast<long long>(opts.scheduler.queue_capacity),
       static_cast<long long>(opts.scheduler.max_batch_size),
@@ -498,103 +503,54 @@ int FleetMain(Options opts) {
 }
 
 // Video-rate stream mode: replay a sequence trace as N closed-loop frame
-// streams over one replica (--gpu) or a pool (--pool). The Minuet sorted-map
-// engine is required — the incremental path maintains sorted key arrays.
-int StreamMain(Options opts) {
+// streams over the fleet. The Minuet sorted-map engine is required — the
+// incremental path maintains sorted key arrays.
+int StreamMain(const Options& opts) {
   Sequence sequence;
   std::string error;
   if (!ReadSequenceTraceFile(opts.stream_in, &sequence, &error)) {
     std::fprintf(stderr, "could not read %s: %s\n", opts.stream_in.c_str(), error.c_str());
     return 1;
   }
-
-  const std::vector<std::string> presets =
-      opts.pool.empty() ? std::vector<std::string>{opts.gpu} : SplitCommaList(opts.pool);
   if (opts.engine != "minuet") {
     std::fprintf(stderr, "--stream requires --engine minuet (incremental kernel maps)\n");
     return 2;
   }
-
-  Network net = ParseNetwork(opts.network);
+  const Network net = ParseNetwork(opts.network);
   if (net.in_channels != sequence.config.channels) {
-    std::fprintf(stderr, "network %s expects %d input channels; sequence has %lld\n",
-                 net.name.c_str(), net.in_channels,
+    std::fprintf(stderr, "network %s expects %lld input channels; sequence has %lld\n",
+                 net.name.c_str(), static_cast<long long>(net.in_channels),
                  static_cast<long long>(sequence.config.channels));
     return 2;
   }
-  EngineConfig config;
-  config.kind = EngineKind::kMinuet;
-  config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
-  config.functional = false;  // serving measures time; skip the arithmetic
-
-  std::vector<DeviceConfig> devices;
-  std::vector<std::unique_ptr<Engine>> engines;
-  std::vector<Engine*> engine_ptrs;
-  for (const std::string& preset : presets) {
-    devices.push_back(ParseGpu(preset));
-    engines.push_back(std::make_unique<Engine>(config, devices.back()));
-    engines.back()->Prepare(net, sequence.config.seed);
-    engine_ptrs.push_back(engines.back().get());
-  }
+  Deployment d =
+      BuildEngines(opts, net, EngineKind::kMinuet, sequence.config.seed, /*autotune=*/false);
 
   trace::Tracer tracer;
   if (!opts.trace_json.empty()) {
     trace::Tracer::Install(&tracer);
   }
 
-  serve::StreamScheduler scheduler(engine_ptrs, opts.stream);
+  serve::StreamScheduler scheduler(d.raw, opts.stream);
   std::unique_ptr<serve::ServeTelemetry> telemetry = MakeTelemetry(opts);
   scheduler.AttachTelemetry(telemetry.get());
   serve::StreamServeResult result = scheduler.Run(sequence);
 
   trace::MetricsRegistry registry;
   serve::PublishStreamMetrics(result, registry);
-  for (size_t k = 0; k < engines.size(); ++k) {
-    engines[k]->device().PublishMetrics(
-        registry, engines.size() == 1 ? "device" : "dev" + std::to_string(k));
-  }
-
-  bool ok = true;
-  if (!opts.trace_json.empty()) {
-    trace::Tracer::Install(nullptr);
-    if (!WriteChromeTrace(tracer, opts.trace_json)) {
-      std::fprintf(stderr, "could not write trace to %s\n", opts.trace_json.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.metrics_json.empty() && !registry.WriteSnapshot(opts.metrics_json)) {
-    std::fprintf(stderr, "could not write metrics to %s\n", opts.metrics_json.c_str());
-    ok = false;
-  }
-  if (!opts.report_json.empty()) {
-    serve::ServeReportContext context;
-    context.device = opts.pool.empty() ? devices[0].name : opts.pool;
-    context.network = net.name;
-    context.engine = EngineKindName(config.kind);
-    context.precision = opts.fp16 ? "fp16" : "fp32";
-    std::string json = serve::StreamReportJson(result, context, &registry);
-    if (!serve::WriteServeReport(json, opts.report_json)) {
-      std::fprintf(stderr, "could not write report to %s\n", opts.report_json.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.dump_requests.empty() &&
-      !serve::WriteRequestDump(result.requests, opts.stream.frame_deadline_us,
-                               opts.dump_requests)) {
-    std::fprintf(stderr, "could not write request dump to %s\n", opts.dump_requests.c_str());
-    ok = false;
-  }
-  if (telemetry != nullptr) {
-    ok = WriteTelemetrySinks(opts, *telemetry) && ok;
-    g_stop_target = nullptr;
-  }
+  serve::PublishDeviceMetrics(d.raw, /*session=*/nullptr, registry);
+  const std::string report = opts.report_json.empty()
+                                 ? std::string()
+                                 : serve::StreamReportJson(result, d.context, &registry);
+  const bool ok = WriteSinks(opts, tracer, registry, report, result.requests,
+                             opts.stream.frame_deadline_us, telemetry.get());
 
   const serve::StreamServeSummary& s = result.summary;
   std::printf(
       "stream %s | %s | %s | %lld stream(s) x %lld frames @ %.0f us period "
       "(deadline %.0f us) | %s maps\n",
-      opts.pool.empty() ? devices[0].name.c_str() : opts.pool.c_str(), net.name.c_str(),
-      opts.fp16 ? "fp16" : "fp32", static_cast<long long>(result.config.num_streams),
+      d.context.device.c_str(), net.name.c_str(), d.context.precision.c_str(),
+      static_cast<long long>(result.config.num_streams),
       static_cast<long long>(result.sequence.num_frames), result.config.frame_period_us,
       result.config.frame_deadline_us,
       result.config.incremental ? "incremental" : "full-rebuild");
@@ -622,15 +578,9 @@ int StreamMain(Options opts) {
 
 int Main(int argc, char** argv) {
   Options opts = Parse(argc, argv);
-
   if (!opts.stream_in.empty()) {
-    return StreamMain(std::move(opts));
+    return StreamMain(opts);
   }
-
-  if (!opts.pool.empty() && opts.dump_arrivals.empty()) {
-    return FleetMain(std::move(opts));
-  }
-
   if (!opts.dump_arrivals.empty()) {
     std::vector<serve::Request> trace = serve::GenerateArrivalTrace(opts.arrival);
     if (!serve::WriteArrivalTrace(trace, opts.dump_arrivals)) {
@@ -643,108 +593,7 @@ int Main(int argc, char** argv) {
                 opts.dump_arrivals.c_str());
     return 0;
   }
-
-  DeviceConfig device = ParseGpu(opts.gpu);
-  Network net = ParseNetwork(opts.network);
-
-  EngineConfig config;
-  config.kind = ParseEngine(opts.engine);
-  config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
-  config.functional = false;  // serving measures time; skip the arithmetic
-  Engine engine(config, device);
-  engine.Prepare(net, opts.arrival.seed);
-  if (opts.autotune && config.kind == EngineKind::kMinuet) {
-    GeneratorConfig gen;
-    gen.target_points = 2000;
-    gen.channels = net.in_channels;
-    gen.seed = opts.arrival.seed + 1;
-    PointCloud sample = GenerateCloud(DatasetKind::kRandom, gen);
-    engine.Autotune(sample);
-  }
-
-  trace::Tracer tracer;
-  if (!opts.trace_json.empty()) {
-    trace::Tracer::Install(&tracer);
-  }
-
-  serve::ServeScheduler scheduler(engine, opts.scheduler);
-  std::unique_ptr<serve::ServeTelemetry> telemetry = MakeTelemetry(opts);
-  scheduler.AttachTelemetry(telemetry.get());
-  serve::ServeResult result;
-  if (!opts.arrivals_in.empty()) {
-    std::vector<serve::Request> trace;
-    std::string error;
-    if (!serve::ReadArrivalTraceFile(opts.arrivals_in, &trace, &error)) {
-      std::fprintf(stderr, "could not read %s: %s\n", opts.arrivals_in.c_str(), error.c_str());
-      return 1;
-    }
-    opts.arrival.num_requests = static_cast<int64_t>(trace.size());
-    result = scheduler.Run(std::move(trace));
-  } else {
-    result = scheduler.Run(opts.arrival);
-  }
-
-  trace::MetricsRegistry registry;
-  serve::PublishServeMetrics(result, registry);
-  engine.device().PublishMetrics(registry);
-  scheduler.session().PublishMetrics(registry);
-
-  bool ok = true;
-  if (!opts.trace_json.empty()) {
-    trace::Tracer::Install(nullptr);
-    if (!WriteChromeTrace(tracer, opts.trace_json)) {
-      std::fprintf(stderr, "could not write trace to %s\n", opts.trace_json.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.metrics_json.empty() && !registry.WriteSnapshot(opts.metrics_json)) {
-    std::fprintf(stderr, "could not write metrics to %s\n", opts.metrics_json.c_str());
-    ok = false;
-  }
-  if (!opts.report_json.empty()) {
-    serve::ServeReportContext context;
-    context.device = device.name;
-    context.network = net.name;
-    context.engine = EngineKindName(config.kind);
-    context.precision = opts.fp16 ? "fp16" : "fp32";
-    std::string json = serve::ServeReportJson(result, opts.arrival, context, &registry);
-    if (!serve::WriteServeReport(json, opts.report_json)) {
-      std::fprintf(stderr, "could not write report to %s\n", opts.report_json.c_str());
-      ok = false;
-    }
-  }
-  if (!opts.dump_requests.empty() &&
-      !serve::WriteRequestDump(result.requests, opts.scheduler.slo_us, opts.dump_requests)) {
-    std::fprintf(stderr, "could not write request dump to %s\n", opts.dump_requests.c_str());
-    ok = false;
-  }
-  if (telemetry != nullptr) {
-    ok = WriteTelemetrySinks(opts, *telemetry) && ok;
-    g_stop_target = nullptr;
-  }
-
-  const serve::ServeSummary& s = result.summary;
-  std::printf("deployment %s | %s | %s | %s | policy %s, queue %lld, batch %lld, delay %.0f us\n",
-              net.name.c_str(), EngineKindName(config.kind), device.name.c_str(),
-              opts.fp16 ? "fp16" : "fp32", serve::AdmissionPolicyName(result.config.policy),
-              static_cast<long long>(result.config.queue_capacity),
-              static_cast<long long>(result.config.max_batch_size),
-              result.config.max_queue_delay_us);
-  std::printf("offered %lld (%.0f rps) | completed %lld | shed %lld (%.1f%%) | "
-              "batches %lld (mean %.2f) | warm %lld\n",
-              static_cast<long long>(s.offered), s.offered_rps,
-              static_cast<long long>(s.completed), static_cast<long long>(s.shed),
-              100.0 * s.shed_rate, static_cast<long long>(s.num_batches), s.mean_batch_size,
-              static_cast<long long>(s.warm_requests));
-  std::printf("latency p50/p95/p99 %8.1f /%8.1f /%8.1f us | queue p99 %8.1f us | "
-              "service p99 %8.1f us\n",
-              s.latency_p50_us, s.latency_p95_us, s.latency_p99_us, s.queue_p99_us,
-              s.service_p99_us);
-  std::printf("goodput %.1f rps (SLO %.0f us, attainment %.1f%%) | throughput %.1f rps | "
-              "utilization %.1f%%\n",
-              s.goodput_rps, result.config.slo_us, 100.0 * s.slo_attainment, s.throughput_rps,
-              100.0 * s.utilization);
-  return ok ? 0 : 1;
+  return FleetMain(std::move(opts));
 }
 
 }  // namespace
