@@ -483,7 +483,9 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
     return 0.0;
   }
   WallTimer timer;
+  trace::Span span("engine/autotune", "step");
   Device scratch(device_config_);
+  int64_t candidates = 0;
 
   // Per conv layer: accumulated (tile -> cycles) profiles across samples.
   std::vector<std::map<int, double>> gather_profiles(conv_weights_.size());
@@ -521,6 +523,7 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
                                                     out.level->size(), nullptr);
         AutotuneOutcome gather = AutotuneGatherTile(scratch, tables, conv.c_in);
         AutotuneOutcome scatter = AutotuneScatterTile(scratch, tables, conv.c_out);
+        candidates += static_cast<int64_t>(gather.profile.size() + scatter.profile.size());
         for (const auto& [tile, cycles] : gather.profile) {
           gather_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
         }
@@ -546,12 +549,16 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
     }
     return best;
   };
+  int64_t layers = 0;
   for (size_t i = 0; i < conv_weights_.size(); ++i) {
     if (!gather_profiles[i].empty()) {
       layer_tiles_[i] = {pick_best(gather_profiles[i], layer_tiles_[i].first),
                          pick_best(scatter_profiles[i], layer_tiles_[i].second)};
+      ++layers;
     }
   }
+  span.Attr("layers", layers);
+  span.Attr("candidates", candidates);
   ++plan_generation_;  // re-tuned tiles: cached plans are stale
   return timer.ElapsedMillis();
 }

@@ -4,6 +4,13 @@
 // channel count on a scratch device and returns the fastest tile. Runs once
 // per (layer, dataset, device) before inference; the paper reports the whole
 // process under two minutes, and the simulator equivalent is milliseconds.
+//
+// The candidates are independent: each starts from a flushed L2 and reads
+// the same tables at the same device addresses. They are therefore spread
+// over ParallelWorkers(candidates) threads (src/util/parallel.h), the
+// calling thread on the device itself and each other worker on a
+// Device::Fork() of it, and every candidate's cycles equal those of a serial
+// `l2().Flush(); GatherKernel(device, ...)` loop.
 #ifndef SRC_GMAS_AUTOTUNE_H_
 #define SRC_GMAS_AUTOTUNE_H_
 
@@ -24,10 +31,13 @@ struct AutotuneOutcome {
 };
 
 // Profiles GatherKernel over all divisors of `channels` using `tables` built
-// from a sampled point cloud. `tables` live in `device`'s memory, and the
-// candidates run on `device` itself, its L2 flushed before each so every tile
-// starts from the same cold cache. The profiling launches count in the
-// device's totals.
+// from a sampled point cloud. `tables` live in `device`'s memory, where the
+// probe operands are allocated too. Every tile starts from a cold L2, and the
+// call leaves `device`'s L2 flushed. Only the candidates the calling thread
+// profiled count in `device`'s totals (forks' launches are not added), so
+// the totals after a call depend on scheduling: the caller should discard
+// them, as Engine::Autotune discards its scratch device. The launches reach
+// no tracer.
 AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
                                    int64_t channels, int threads_per_block = 128);
 

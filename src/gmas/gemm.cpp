@@ -97,8 +97,11 @@ template <int Rows>
 
 // x86-64 GCC builds carry an AVX2 clone next to the baseline one, picked once
 // at load time. Both run the same IEEE operations in the same order, so the
-// choice changes speed only.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// choice changes speed only. ThreadSanitizer builds keep only the baseline:
+// the clone's ifunc resolver runs before the TSan runtime is up and crashes
+// the process at load.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("avx2", "default")))
 #endif
 void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {

@@ -119,7 +119,7 @@ void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
   if (bytes == 0) {
     return;
   }
-  const uint64_t start = reinterpret_cast<uintptr_t>(addr) - device_->memory_.base();
+  const uint64_t start = reinterpret_cast<uintptr_t>(addr) - device_->arena_base_;
   MINUET_CHECK(start < DeviceMemory::kReserveBytes && bytes <= DeviceMemory::kReserveBytes - start)
       << "global access outside device memory";
   CacheSim& l2 = device_->l2_;
@@ -161,8 +161,15 @@ void BlockCtx::GlobalWrite(const void* addr, size_t bytes) {
   AccessLines(addr, bytes, /*is_read=*/false);
 }
 
-Device::Device(const DeviceConfig& config)
-    : config_(config), l2_(config.l2_bytes, config.l2_ways, config.line_bytes) {
+Device::Device(const DeviceConfig& config) : Device(config, /*arena_base=*/0) {
+  memory_ = std::make_unique<DeviceMemory>();
+  arena_base_ = memory_->base();
+}
+
+Device::Device(const DeviceConfig& config, uintptr_t arena_base)
+    : config_(config),
+      arena_base_(arena_base),
+      l2_(config.l2_bytes, config.l2_ways, config.line_bytes) {
   // CacheSim's constructor already insists line_bytes is a power of two.
   line_shift_ = std::countr_zero(static_cast<unsigned>(config.line_bytes));
   // The L2 stores 32-bit line tags with UINT32_MAX as its empty marker, so
@@ -171,6 +178,13 @@ Device::Device(const DeviceConfig& config)
   // cover them all.
   MINUET_CHECK_LE(DeviceMemory::kReserveBytes >> line_shift_, uint64_t{CacheSim::kEmpty})
       << "line_bytes " << config.line_bytes << " gives more lines than 32-bit L2 tags hold";
+}
+
+Device Device::Fork() const { return Device(config_, arena_base_); }
+
+DeviceMemory* Device::memory() {
+  MINUET_CHECK(memory_ != nullptr) << "a forked device owns no memory to allocate from";
+  return memory_.get();
 }
 
 int64_t Device::ConcurrentBlocks(const LaunchDims& dims) const {

@@ -17,15 +17,16 @@
 // and bank conflicts. See DESIGN.md for why the paper's comparisons survive
 // these simplifications.
 //
-// Host performance (DESIGN.md "Host performance"): the simulator itself runs
-// on one CPU, and its host loop is the bound on every bench and serving
+// Host performance (DESIGN.md "Host performance"): a device runs on one
+// thread at a time, and its host loop is the bound on every bench and serving
 // trace. The hot path is therefore allocation- and hash-free: kernel names
 // are interned to KernelId once per call site, kernel bodies are passed as
 // non-owning FunctionRef (no std::function allocation per launch), per-kernel
 // aggregates are vector-indexed, and a global access is one subtraction and
 // one range check away from its line numbers. All of it under one invariant:
 // simulated statistics are byte-identical to the straightforward
-// implementations they replaced.
+// implementations they replaced. Independent probes over one device's tables
+// (Autotune's candidates) run on forks of it (Fork()), one per worker thread.
 #ifndef SRC_GPUSIM_DEVICE_H_
 #define SRC_GPUSIM_DEVICE_H_
 
@@ -33,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -178,6 +180,16 @@ class Device {
  public:
   explicit Device(const DeviceConfig& config);
 
+  // A device for running kernels over this device's memory on another
+  // thread: the same config, an empty L2 and zero totals. A fork owns no
+  // arena (memory() CHECK-fails) and reads this one, so its kernels form the
+  // same device addresses, and therefore charge the same cycles, as they
+  // would here from a flushed L2. It shares no mutable state with this
+  // device, and its launches never reach this device's totals. This device
+  // must outlive the fork and keep what the fork's kernels read allocated
+  // and unwritten while they run.
+  Device Fork() const;
+
   const DeviceConfig& config() const { return config_; }
 
   // Runs `body(ctx)` for each block and returns the kernel's simulated stats.
@@ -233,16 +245,20 @@ class Device {
                       const std::string& prefix = "device") const;
 
   // The device's address space. Every buffer a kernel touches is allocated
-  // here (DeviceVector<T>(n, device.memory())).
-  DeviceMemory* memory() { return &memory_; }
+  // here (DeviceVector<T>(n, device.memory())). CHECK-fails on a fork.
+  DeviceMemory* memory();
 
  private:
   friend class BlockCtx;
 
+  // A device reading the arena at `arena_base`, owning none.
+  Device(const DeviceConfig& config, uintptr_t arena_base);
+
   void Record(KernelId kernel, const KernelStats& stats);
 
   DeviceConfig config_;
-  DeviceMemory memory_;
+  std::unique_ptr<DeviceMemory> memory_;  // null on a fork
+  uintptr_t arena_base_ = 0;              // base of the arena kernels read
   CacheSim l2_;
   int line_shift_ = 0;  // log2(config.line_bytes)
   KernelStats totals_;

@@ -1,6 +1,7 @@
 #include "src/gpusim/kernel_name.h"
 
 #include <deque>
+#include <mutex>
 #include <unordered_map>
 
 #include "src/util/check.h"
@@ -9,6 +10,7 @@ namespace minuet {
 namespace {
 
 struct Registry {
+  std::mutex mutex;  // guards names and index
   // deque: grow without moving, so string_view keys into the stored names
   // (and name() references handed out) stay valid forever.
   std::deque<std::string> names;
@@ -24,6 +26,7 @@ Registry& GetRegistry() {
 
 KernelId KernelId::Intern(std::string_view name) {
   Registry& registry = GetRegistry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
   auto it = registry.index.find(name);
   if (it != registry.index.end()) {
     return KernelId(it->second);
@@ -35,8 +38,18 @@ KernelId KernelId::Intern(std::string_view name) {
   return KernelId(id);
 }
 
-size_t KernelId::Count() { return GetRegistry().names.size(); }
+size_t KernelId::Count() {
+  Registry& registry = GetRegistry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  return registry.names.size();
+}
 
-const std::string& KernelId::name() const { return GetRegistry().names[index_]; }
+const std::string& KernelId::name() const {
+  // The string never changes once stored; the lock covers the deque's block
+  // map, which a concurrent Intern may reallocate.
+  Registry& registry = GetRegistry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  return registry.names[index_];
+}
 
 }  // namespace minuet

@@ -11,7 +11,11 @@
 // The registry is append-only and process-wide (ids are shared across
 // Devices, which is what lets a call site cache one id and launch on any
 // device). Interned names are stored with stable addresses, so name() stays
-// valid forever. Single-threaded by design, like the rest of the simulator.
+// valid forever. Intern, name() and Count() take one mutex, so devices on
+// different threads (Autotune's forks) may launch and intern concurrently;
+// the lock is uncontended in practice because call sites cache their ids.
+// Ids then depend on which thread interned first, so no output may be
+// ordered by id.
 #ifndef SRC_GPUSIM_KERNEL_NAME_H_
 #define SRC_GPUSIM_KERNEL_NAME_H_
 

@@ -9,8 +9,6 @@
 namespace minuet {
 namespace trace {
 
-Tracer* Tracer::installed_ = nullptr;
-
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 double Tracer::HostNowUs() const {

@@ -8,11 +8,11 @@
 // AdvanceSim(); engine/step spans sample it at open and close, so children
 // always nest inside parents on both timelines.
 //
-// Tracing is opt-in and near-zero cost when off: a single global pointer is
-// consulted (`Tracer::Get()`), and every instrumentation site no-ops when it
-// is null. Nothing is allocated, formatted or timed unless a tracer has been
-// installed with `Tracer::Install()`. Benches therefore report identical
-// numbers with and without the subsystem compiled in.
+// Tracing is opt-in and near-zero cost when off: a single thread-local
+// pointer is consulted (`Tracer::Get()`), and every instrumentation site
+// no-ops when it is null. Nothing is allocated, formatted or timed unless a
+// tracer has been installed with `Tracer::Install()`. Benches therefore
+// report identical numbers with and without the subsystem compiled in.
 //
 // Export: WriteChromeTrace() emits Chrome trace-event JSON ("X" complete
 // events) loadable in Perfetto / chrome://tracing. The two clock domains
@@ -20,8 +20,9 @@
 // simulated device time. Span attributes (KernelStats payloads, per-layer
 // cycle totals) become event `args`.
 //
-// Single-threaded by design, like the engine and the device simulator: one
-// tracer per serving thread; Install() swaps a plain pointer.
+// A tracer is confined to the thread that installed it: Install() sets a
+// thread-local pointer, so kernels that worker threads launch (Autotune's
+// forked devices) never reach it, and a Tracer itself needs no lock.
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
@@ -82,7 +83,7 @@ class Tracer {
  public:
   Tracer();
 
-  // Global installation point. Get() is the one branch every disabled
+  // Per-thread installation point. Get() is the one branch every disabled
   // instrumentation site pays. Install(nullptr) uninstalls.
   static Tracer* Get() { return installed_; }
   static void Install(Tracer* tracer) { installed_ = tracer; }
@@ -130,7 +131,7 @@ class Tracer {
   int64_t CountCategory(const std::string& category) const;
 
  private:
-  static Tracer* installed_;
+  static inline thread_local Tracer* installed_ = nullptr;
 
   std::chrono::steady_clock::time_point epoch_;
   double sim_now_us_ = 0.0;

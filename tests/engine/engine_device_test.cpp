@@ -5,6 +5,7 @@
 #include "src/data/generators.h"
 #include "src/engine/engine.h"
 #include "src/gpusim/device_config.h"
+#include "src/trace/trace.h"
 #include "src/util/rng.h"
 
 namespace minuet {
@@ -87,6 +88,82 @@ TEST(EngineDeviceTest, MultiSampleAutotuneUsesAllSamples) {
   untuned.Prepare(net, 3);
   RunResult plain = untuned.Run(cloud);
   EXPECT_LT(MaxAbsDiff(tuned.features, plain.features), 1e-4f);
+}
+
+TEST(EngineDeviceTest, AutotunePicksRecordedMinkUNet42Tiles) {
+  // Golden: the (gather, scatter) tiles the serial autotuner picked, one
+  // pair per conv layer. Profiling candidates on worker threads must not
+  // move any of them. The 2080 Ti row also moves if the probe operands land
+  // at other device addresses.
+  const std::vector<std::pair<DeviceConfig, std::vector<std::pair<int, int>>>> kRecorded = {
+      {MakeRtx3090(),
+       {{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {4, 4},
+        {1, 1}, {1, 1}, {1, 1}, {1, 2}, {2, 2}, {4, 4}, {2, 2}, {2, 2}, {1, 1}, {1, 1}, {1, 1},
+        {4, 4}, {1, 1}, {1, 1}, {1, 2}, {2, 4}, {4, 4}, {4, 4}, {1, 1}, {3, 1}, {1, 1}, {4, 4},
+        {1, 1}, {1, 2}, {2, 2}, {4, 4}, {1, 1}, {4, 2}, {2, 2}, {4, 4}, {4, 4}}},
+      {MakeRtx2080Ti(),
+       {{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 2}, {2, 2}, {4, 4},
+        {2, 2}, {2, 2}, {1, 2}, {2, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 2}, {2, 1}, {1, 1},
+        {4, 4}, {1, 1}, {1, 1}, {1, 1}, {4, 8}, {8, 8}, {4, 4}, {8, 4}, {6, 4}, {4, 4}, {4, 4},
+        {2, 1}, {2, 3}, {1, 3}, {4, 4}, {1, 3}, {2, 3}, {3, 3}, {4, 4}, {4, 4}}}};
+  GeneratorConfig gen;
+  gen.target_points = 2000;
+  gen.channels = 4;
+  gen.seed = 7;
+  const PointCloud sample = GenerateCloud(DatasetKind::kKitti, gen);
+  for (const auto& [device, tiles] : kRecorded) {
+    EngineConfig config;
+    config.kind = EngineKind::kMinuet;
+    config.functional = false;
+    Engine engine(config, device);
+    engine.Prepare(MakeMinkUNet42(4), 5);
+    engine.Autotune(sample);
+    EXPECT_EQ(engine.layer_tiles(), tiles) << device.name;
+  }
+}
+
+TEST(EngineDeviceTest, AutotuneTracesOneDeterministicStepSpan) {
+  Network net = MakeTinyUNet(4);
+  PointCloud sample = MakeCloud(2000, 10);
+  auto traced_names = [&] {
+    EngineConfig config;
+    config.kind = EngineKind::kMinuet;
+    Engine engine(config, MakeRtx3090());
+    engine.Prepare(net, 3);
+    trace::Tracer tracer;
+    trace::Tracer::Install(&tracer);
+    engine.Autotune(sample);
+    trace::Tracer::Install(nullptr);
+    EXPECT_TRUE(tracer.Balanced());
+    std::vector<std::string> names;
+    int autotune_spans = 0;
+    for (const trace::SpanRecord& span : tracer.spans()) {
+      names.push_back(span.name);
+      // Candidate launches stay out of the trace on every thread.
+      EXPECT_NE(span.name, "gmas/gather/tile_copy");
+      EXPECT_NE(span.name, "gmas/scatter/tile_reduce");
+      if (span.name != "engine/autotune") {
+        continue;
+      }
+      ++autotune_spans;
+      EXPECT_EQ(span.category, "step");
+      EXPECT_EQ(span.parent, -1);
+      int64_t layers = 0;
+      int64_t candidates = 0;
+      for (const auto& [key, value] : span.attrs) {
+        if (key == "layers") {
+          layers = std::get<int64_t>(value);
+        } else if (key == "candidates") {
+          candidates = std::get<int64_t>(value);
+        }
+      }
+      EXPECT_GT(layers, 0);
+      EXPECT_GT(candidates, 2 * layers);
+    }
+    EXPECT_EQ(autotune_spans, 1);
+    return names;
+  };
+  EXPECT_EQ(traced_names(), traced_names());
 }
 
 TEST(EngineDeviceTest, EmptySampleListIsNoOp) {

@@ -415,6 +415,57 @@ TEST(AutotuneTest, ScatterProfilesAllDivisors) {
   EXPECT_EQ(12 % outcome.best_tile, 0);
 }
 
+TEST(AutotuneTest, ForkedCandidatesMatchSerialColdRuns) {
+  // Candidates run on forks across worker threads; each must charge exactly
+  // what a serial run on the parent charges from a flushed L2. The 2070
+  // Super's L2 takes the set-mask path, the 3090's and A100's the modulo
+  // path. 48 channels give 10 candidates, more than there are workers.
+  constexpr int64_t kChannels = 48;
+  for (const DeviceConfig& config : {MakeRtx2070Super(), MakeRtx3090(), MakeA100()}) {
+    SCOPED_TRACE(config.name);
+    Device dev(config);
+    PointCloud cloud = RandomCloud(3000, 20, kChannels, 15);
+    auto offsets = MakeWeightOffsets(3, 1);
+    KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+    GroupingPlan plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kSortedOrder);
+    MetadataTables tables =
+        BuildMetadataTables(dev, map, plan, cloud.num_points(), cloud.num_points(), nullptr);
+    AutotuneOutcome gather = AutotuneGatherTile(dev, tables, kChannels);
+    AutotuneOutcome scatter = AutotuneScatterTile(dev, tables, kChannels);
+    ASSERT_EQ(gather.profile.size(), CandidateTileSizes(kChannels).size());
+    ASSERT_EQ(scatter.profile.size(), CandidateTileSizes(kChannels).size());
+
+    // The autotuner freed its operands, so allocating the same shapes in the
+    // same order from the same arena state puts them at its addresses.
+    auto probe = [](int tile) {
+      TileKernelConfig cfg;
+      cfg.tile_size = tile;
+      cfg.functional = false;
+      return cfg;
+    };
+    {
+      FeatureMatrix features =
+          FeatureMatrix::Uninitialized(tables.num_inputs, kChannels, dev.memory());
+      FeatureMatrix buffer =
+          FeatureMatrix::Uninitialized(tables.buffer_rows, kChannels, dev.memory());
+      for (const auto& [tile, cycles] : gather.profile) {
+        dev.l2().Flush();
+        EXPECT_EQ(cycles, GatherKernel(dev, tables, features, buffer, probe(tile)).cycles)
+            << "gather tile " << tile;
+      }
+    }
+    FeatureMatrix buffer = FeatureMatrix::Uninitialized(tables.buffer_rows, kChannels,
+                                                        dev.memory());
+    FeatureMatrix output = FeatureMatrix::Uninitialized(tables.num_outputs, kChannels,
+                                                        dev.memory());
+    for (const auto& [tile, cycles] : scatter.profile) {
+      dev.l2().Flush();
+      EXPECT_EQ(cycles, ScatterKernel(dev, buffer, tables, output, probe(tile)).cycles)
+          << "scatter tile " << tile;
+    }
+  }
+}
+
 TEST(CandidateTileSizesTest, DivisorsOnly) {
   EXPECT_EQ(CandidateTileSizes(1), (std::vector<int>{1}));
   EXPECT_EQ(CandidateTileSizes(12), (std::vector<int>{1, 2, 3, 4, 6, 12}));

@@ -1,12 +1,14 @@
 #include "src/gpusim/device.h"
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/gpusim/device_config.h"
 #include "src/trace/trace.h"
+#include "src/util/rng.h"
 
 namespace minuet {
 namespace {
@@ -151,6 +153,54 @@ TEST(DeviceTest, TraceRecordsLaunchesInOrder) {
     }
   }
   EXPECT_EQ(blocks, 2);
+}
+
+TEST(DeviceTest, ForkSharesAddressesWithColdL2) {
+  // A small L2 (8 sets of 16 ways) and a scattered read pattern make the
+  // hit count depend on which set each line lands in, i.e. on the device
+  // addresses the fork forms over its parent's arena.
+  DeviceConfig config = TinyConfig();
+  config.l2_bytes = 16 << 10;
+  Device dev(config);
+  DeviceVector<float> data(1 << 15, dev.memory());
+  std::vector<size_t> reads;
+  Pcg32 rng(3);
+  for (int i = 0; i < 4096; ++i) {
+    reads.push_back(rng.NextBounded(static_cast<uint32_t>(data.size())));
+  }
+  auto body = [&](BlockCtx& ctx) {
+    for (size_t i : reads) {
+      ctx.GlobalRead(&data[i], sizeof(float));
+    }
+  };
+  const LaunchDims dims{2, 128, 0};
+  dev.Launch("warm", dims, body);
+
+  // The fork launches on another thread while its parent launches here; it
+  // starts from an empty L2 although the parent's is warm.
+  Device fork = dev.Fork();
+  EXPECT_EQ(fork.config().name, config.name);
+  KernelStats forked;
+  std::thread worker([&] { forked = fork.Launch("read", dims, body); });
+  dev.Launch("warm", dims, body);
+  worker.join();
+
+  dev.l2().Flush();
+  KernelStats cold = dev.Launch("read", dims, body);
+  EXPECT_GT(cold.l2_hits, 0u);
+  EXPECT_GT(cold.l2_misses, 0u);
+  EXPECT_EQ(forked.l2_hits, cold.l2_hits);
+  EXPECT_EQ(forked.l2_misses, cold.l2_misses);
+  EXPECT_EQ(forked.cycles, cold.cycles);
+  // Each device keeps its own totals.
+  EXPECT_EQ(fork.totals().num_launches, 1);
+  EXPECT_EQ(dev.totals().num_launches, 3);
+}
+
+TEST(DeviceDeathTest, AllocatingThroughForkDies) {
+  Device dev(TinyConfig());
+  Device fork = dev.Fork();
+  EXPECT_DEATH(DeviceVector<int>(4, fork.memory()), "forked device owns no memory");
 }
 
 TEST(DeviceTest, SharedTrafficCostsCycles) {
