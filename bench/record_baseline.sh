@@ -1,31 +1,36 @@
 #!/usr/bin/env bash
-# Record the committed performance baseline (BENCH_BASELINE.json).
+# Record or check the committed performance baseline (BENCH_BASELINE.json).
 #
-# Runs each baseline bench RUNS times with --json output at a fixed workload
-# scale, then folds the runs into per-metric {mean, noise} envelopes with
-# `minuet_prof make-baseline`. CI re-runs the same benches at the same scale
-# and gates merges with `minuet_prof check-baseline BENCH_BASELINE.json ...`.
+# The baseline holds one --json report per bench below, run at a fixed
+# workload scale, with host wall-clock keys (anything containing "host" or
+# "wall") left out: they measure the machine, not the simulator. Simulated
+# statistics are exact, because the cache model keys on each device's own
+# addresses (src/gpusim/device_memory.h), so `minuet_prof check-baseline`
+# compares them for equality and any difference is a violation.
 #
-# Simulated statistics are exact: the cache model keys on each device's own
-# addresses (src/gpusim/device_memory.h), so every run of a bench produces
-# the same simulated numbers. The script therefore fails if any simulated key
-# comes out with a non-zero noise envelope — that is a determinism bug, not
-# noise to record. Host wall-clock keys (anything containing "host" or
-# "wall") are machine-dependent and are excluded from the envelope by
-# make-baseline.
-#
-# Usage: bench/record_baseline.sh [BUILD_DIR [OUT_FILE]]
-#   RUNS=N                 rounds per bench (default 5)
-#   MINUET_BENCH_POINTS=N  workload scale (default 8000; must match CI)
+# Usage:
+#   bench/record_baseline.sh [BUILD_DIR [OUT_FILE]]
+#       Runs every bench once and writes the baseline to OUT_FILE, then runs
+#       every bench again and checks that second run against it: a simulated
+#       value that varies between runs is a determinism bug, not something
+#       to record.
+#   bench/record_baseline.sh check BUILD_DIR [BASELINE]
+#       Runs every bench once and checks the reports against BASELINE. This
+#       is CI's perf-regression gate.
+# BUILD_DIR defaults to build, OUT_FILE and BASELINE to BENCH_BASELINE.json.
+# Reports are kept in BUILD_DIR/baseline_reports/{record,check}/BENCH.json.
 set -euo pipefail
 
-BUILD_DIR="${1:-build}"
-OUT="${2:-BENCH_BASELINE.json}"
-RUNS="${RUNS:-5}"
-export MINUET_BENCH_POINTS="${MINUET_BENCH_POINTS:-8000}"
+if [[ "${1:-}" == check ]]; then
+  BUILD_DIR="${2:?usage: $0 check BUILD_DIR [BASELINE]}"
+  BASELINE="${3:-BENCH_BASELINE.json}"
+else
+  BUILD_DIR="${1:-build}"
+  BASELINE="${2:-BENCH_BASELINE.json}"
+fi
+export MINUET_BENCH_POINTS=8000
 
-# Keep this list in sync with the perf-regression job in .github/workflows/ci.yml.
-# hostperf is informational: its host_* keys are excluded like every other
+# hostperf is informational: its host_* keys are left out like every other
 # host-time key, and its simulated keys (cycles, l2 counters) are exact.
 BENCHES=(fig03_map_l2_hitratio fig05_gemm_grouping fig12_end_to_end serve_warm_loop serve_scheduler fleet_sweep stream_sequence hostperf)
 
@@ -35,53 +40,27 @@ if [[ ! -x "$PROF" ]]; then
   exit 2
 fi
 
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
-
+# run_benches DIR: one report per bench, DIR/BENCH.json.
 reports=()
-for bench in "${BENCHES[@]}"; do
-  bin="$BUILD_DIR/bench/$bench"
-  if [[ ! -x "$bin" ]]; then
-    echo "error: $bin not built" >&2
-    exit 2
-  fi
-  for run in $(seq 1 "$RUNS"); do
-    out="$WORK/$run.$bench.json"
-    echo "== $bench (run $run/$RUNS, MINUET_BENCH_POINTS=$MINUET_BENCH_POINTS)"
-    "$bin" --json="$out" > /dev/null
-    reports+=("$out")
+run_benches() {
+  local dir="$BUILD_DIR/baseline_reports/$1" bench bin
+  mkdir -p "$dir"
+  reports=()
+  for bench in "${BENCHES[@]}"; do
+    bin="$BUILD_DIR/bench/$bench"
+    if [[ ! -x "$bin" ]]; then
+      echo "error: $bin not built" >&2
+      exit 2
+    fi
+    echo "== $bench ($1, MINUET_BENCH_POINTS=$MINUET_BENCH_POINTS)"
+    "$bin" --json="$dir/$bench.json" > /dev/null
+    reports+=("$dir/$bench.json")
   done
-done
+}
 
-"$PROF" make-baseline "${reports[@]}" --out "$OUT"
-echo "baseline written to $OUT"
-
-# Every simulated key must be exact across runs.
-python3 - "$OUT" <<'PY'
-import json
-import sys
-
-noisy = []
-
-
-def walk(obj, path):
-    if isinstance(obj, dict):
-        if set(obj) == {"mean", "noise"}:
-            if obj["noise"] != 0:
-                noisy.append(path)
-            return
-        for key, value in obj.items():
-            walk(value, path + "/" + key)
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            walk(value, path + "[%d]" % i)
-
-
-with open(sys.argv[1]) as f:
-    walk(json.load(f), "")
-if noisy:
-    print("error: %d simulated keys vary across runs:" % len(noisy), file=sys.stderr)
-    for path in noisy[:20]:
-        print("  " + path, file=sys.stderr)
-    sys.exit(1)
-PY
+if [[ "${1:-}" != check ]]; then
+  run_benches record
+  "$PROF" make-baseline "${reports[@]}" --out "$BASELINE"
+fi
+run_benches check
+"$PROF" check-baseline "$BASELINE" "${reports[@]}"

@@ -24,7 +24,7 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 }
 
 // Wall-clock metrics measure the machine the bench ran on, not the simulator;
-// they never belong in a regression envelope.
+// they never belong in the baseline.
 bool IsHostTimeKey(std::string_view key) {
   return key.find("host") != std::string_view::npos ||
          key.find("wall") != std::string_view::npos;
@@ -658,73 +658,73 @@ void WriteJsonValue(JsonWriter* w, const JsonValue& v) {
   }
 }
 
-struct MetricEnvelope {
-  bool is_string = false;
-  std::string string_value;
-  std::vector<double> samples;
-};
+// `obj` (an object) with its host keys dropped.
+void WriteWithoutHostKeys(JsonWriter* w, const JsonValue& obj) {
+  w->BeginObject();
+  for (const auto& [key, value] : obj.AsObject()) {
+    if (!IsHostTimeKey(key)) {
+      w->Key(key);
+      WriteJsonValue(w, value);
+    }
+  }
+  w->EndObject();
+}
 
-struct BenchAccum {
-  int runs = 0;
-  const JsonValue* meta = nullptr;
-  // rows[i][key] -> envelope
-  std::vector<std::map<std::string, MetricEnvelope>> rows;
-};
+std::string ToJson(const JsonValue& v) {
+  JsonWriter w;
+  WriteJsonValue(&w, v);
+  return w.TakeString();
+}
+
+// True when `rows` is an array of objects, as a report's or baseline's rows are.
+bool IsRowArray(const JsonValue* rows) {
+  return rows != nullptr && rows->is_array() &&
+         std::all_of(rows->AsArray().begin(), rows->AsArray().end(),
+                     [](const JsonValue& row) { return row.is_object(); });
+}
+
+// Indexes bench reports (`<bench> --json` output) by bench name; false +
+// *error on a malformed report or a second report for the same bench.
+bool IndexReports(const std::vector<JsonValue>& reports,
+                  std::map<std::string, const JsonValue*>* by_bench, std::string* error) {
+  for (const JsonValue& report : reports) {
+    const JsonValue* name = report.Find("bench");
+    const JsonValue* rows = report.Find("rows");
+    const JsonValue* meta = report.Find("meta");
+    if (name == nullptr || !name->is_string() || !IsRowArray(rows) ||
+        (meta != nullptr && !meta->is_object())) {
+      *error = "report is not a bench report (needs a \"bench\" name and \"rows\" objects)";
+      return false;
+    }
+    if (!by_bench->emplace(name->AsString(), &report).second) {
+      *error = "two reports for bench \"" + name->AsString() + "\"";
+      return false;
+    }
+  }
+  return true;
+}
+
+// One violation per key of `expected` that `actual` lacks or holds a
+// different value for.
+void CompareExact(const std::string& bench, int row, const std::string& key_prefix,
+                  const JsonValue& expected, const JsonValue* actual,
+                  std::vector<BaselineViolation>* violations) {
+  for (const auto& [key, value] : expected.AsObject()) {
+    const JsonValue* got = actual != nullptr ? actual->Find(key) : nullptr;
+    if (got == nullptr || *got != value) {
+      violations->push_back({bench, row, key_prefix + key,
+                             "baseline " + ToJson(value) + ", report " +
+                                 (got != nullptr ? ToJson(*got) : "<missing>")});
+    }
+  }
+}
 
 }  // namespace
 
 std::string MakeBaselineJson(const std::vector<JsonValue>& reports, std::string* error) {
-  std::map<std::string, BenchAccum> benches;
-  for (const JsonValue& report : reports) {
-    const JsonValue* bench_name = report.Find("bench");
-    const JsonValue* rows = report.Find("rows");
-    if (bench_name == nullptr || !bench_name->is_string() || rows == nullptr ||
-        !rows->is_array()) {
-      *error = "report is not a bench report (missing \"bench\" or \"rows\")";
-      return "";
-    }
-    BenchAccum& acc = benches[bench_name->AsString()];
-    if (acc.runs == 0) {
-      acc.meta = report.Find("meta");
-      acc.rows.resize(rows->size());
-    } else if (acc.rows.size() != rows->size()) {
-      *error = "bench " + bench_name->AsString() + ": row count differs between runs (" +
-               std::to_string(acc.rows.size()) + " vs " + std::to_string(rows->size()) + ")";
-      return "";
-    }
-    acc.runs += 1;
-    for (size_t i = 0; i < rows->size(); ++i) {
-      const JsonValue& row = rows->at(i);
-      if (!row.is_object()) {
-        *error = "bench " + bench_name->AsString() + ": row " + std::to_string(i) +
-                 " is not an object";
-        return "";
-      }
-      for (const auto& [key, value] : row.AsObject()) {
-        if (IsHostTimeKey(key)) {
-          continue;
-        }
-        MetricEnvelope& env = acc.rows[i][key];
-        if (value.is_string()) {
-          if (!env.samples.empty() ||
-              (env.is_string && env.string_value != value.AsString())) {
-            *error = "bench " + bench_name->AsString() + " row " + std::to_string(i) +
-                     " key " + key + ": inconsistent values across runs";
-            return "";
-          }
-          env.is_string = true;
-          env.string_value = value.AsString();
-        } else if (value.is_number()) {
-          if (env.is_string) {
-            *error = "bench " + bench_name->AsString() + " row " + std::to_string(i) +
-                     " key " + key + ": inconsistent types across runs";
-            return "";
-          }
-          env.samples.push_back(value.AsDouble());
-        }
-        // null (non-finite) metrics are skipped: no stable envelope exists.
-      }
-    }
+  std::map<std::string, const JsonValue*> benches;
+  if (!IndexReports(reports, &benches, error)) {
+    return "";
   }
   if (benches.empty()) {
     *error = "no bench reports given";
@@ -733,55 +733,19 @@ std::string MakeBaselineJson(const std::vector<JsonValue>& reports, std::string*
 
   JsonWriter w;
   w.BeginObject();
-  w.KV("baseline_version", int64_t{1});
+  w.KV("baseline_version", int64_t{2});
   w.Key("benches");
   w.BeginObject();
-  for (const auto& [name, acc] : benches) {
+  for (const auto& [name, report] : benches) {
     w.Key(name);
     w.BeginObject();
-    w.KV("runs", int64_t{acc.runs});
-    if (acc.meta != nullptr && acc.meta->is_object()) {
-      w.Key("meta");
-      w.BeginObject();
-      for (const auto& [key, value] : acc.meta->AsObject()) {
-        if (IsHostTimeKey(key)) {
-          continue;
-        }
-        w.Key(key);
-        WriteJsonValue(&w, value);
-      }
-      w.EndObject();
-    }
+    const JsonValue* meta = report->Find("meta");
+    w.Key("meta");
+    WriteWithoutHostKeys(&w, meta != nullptr ? *meta : JsonValue(JsonValue::Object{}));
     w.Key("rows");
     w.BeginArray();
-    for (const auto& row : acc.rows) {
-      w.BeginObject();
-      for (const auto& [key, env] : row) {
-        w.Key(key);
-        if (env.is_string) {
-          w.Value(env.string_value);
-        } else {
-          // Mean as first sample plus the average offset from it, so runs that
-          // agree exactly give that value back and a noise of exactly 0.
-          double mean = 0.0;
-          if (!env.samples.empty()) {
-            double offset_sum = 0.0;
-            for (double s : env.samples) {
-              offset_sum += s - env.samples.front();
-            }
-            mean = env.samples.front() + offset_sum / static_cast<double>(env.samples.size());
-          }
-          double noise = 0.0;
-          for (double s : env.samples) {
-            noise = std::max(noise, std::fabs(s - mean));
-          }
-          w.BeginObject();
-          w.KV("mean", mean);
-          w.KV("noise", noise);
-          w.EndObject();
-        }
-      }
-      w.EndObject();
+    for (const JsonValue& row : report->Find("rows")->AsArray()) {
+      WriteWithoutHostKeys(&w, row);
     }
     w.EndArray();
     w.EndObject();
@@ -791,111 +755,52 @@ std::string MakeBaselineJson(const std::vector<JsonValue>& reports, std::string*
   return w.TakeString();
 }
 
-bool CheckBaseline(const JsonValue& baseline, const JsonValue& report,
-                   const BaselineCheckOptions& options,
+bool CheckBaseline(const JsonValue& baseline, const std::vector<JsonValue>& reports,
                    std::vector<BaselineViolation>* violations, std::string* error) {
-  const JsonValue* bench_name_v = report.Find("bench");
-  const JsonValue* rows = report.Find("rows");
-  if (bench_name_v == nullptr || !bench_name_v->is_string() || rows == nullptr ||
-      !rows->is_array()) {
-    *error = "report is not a bench report (missing \"bench\" or \"rows\")";
+  const JsonValue* benches = baseline.Find("benches");
+  if (NumberOr(&baseline, "baseline_version", 0.0) != 2.0 || benches == nullptr ||
+      !benches->is_object()) {
+    *error = "baseline is not a version 2 baseline (re-record it with bench/record_baseline.sh)";
     return false;
   }
-  const std::string bench = bench_name_v->AsString();
-  const JsonValue* entry = baseline.FindPath("benches/" + bench);
-  if (entry == nullptr) {
-    *error = "baseline has no entry for bench \"" + bench + "\"";
+  std::map<std::string, const JsonValue*> by_bench;
+  if (!IndexReports(reports, &by_bench, error)) {
     return false;
   }
-  const JsonValue* base_rows = entry->Find("rows");
-  if (base_rows == nullptr || !base_rows->is_array()) {
-    *error = "baseline entry for \"" + bench + "\" has no rows";
-    return false;
-  }
-
-  // Meta drift (different point counts, different config) makes every numeric
-  // comparison meaningless — report it as a violation rather than an error so
-  // the gate prints all problems in one pass.
-  const JsonValue* base_meta = entry->Find("meta");
-  const JsonValue* report_meta = report.Find("meta");
-  if (base_meta != nullptr && base_meta->is_object()) {
-    for (const auto& [key, value] : base_meta->AsObject()) {
-      const JsonValue* actual =
-          report_meta != nullptr ? report_meta->Find(key) : nullptr;
-      if (value.is_number()) {
-        if (actual == nullptr || !actual->is_number() ||
-            actual->AsDouble() != value.AsDouble()) {
-          violations->push_back(
-              {bench, -1, "meta/" + key,
-               "meta mismatch: baseline " + Format("%g", value.AsDouble()) + ", report " +
-                   (actual != nullptr && actual->is_number()
-                        ? Format("%g", actual->AsDouble())
-                        : std::string("<missing>"))});
-        }
-      } else if (value.is_string()) {
-        if (actual == nullptr || !actual->is_string() ||
-            actual->AsString() != value.AsString()) {
-          violations->push_back({bench, -1, "meta/" + key,
-                                 "meta mismatch: baseline \"" + value.AsString() +
-                                     "\", report \"" +
-                                     (actual != nullptr ? actual->StringOr("<missing>")
-                                                        : std::string("<missing>")) +
-                                     "\""});
-        }
-      }
+  for (const auto& [bench, report] : by_bench) {
+    if (benches->Find(bench) == nullptr) {
+      *error = "baseline has no entry for bench \"" + bench + "\"";
+      return false;
     }
   }
 
-  if (base_rows->size() != rows->size()) {
-    violations->push_back({bench, -1, "rows",
-                           "row count mismatch: baseline " +
-                               std::to_string(base_rows->size()) + ", report " +
-                               std::to_string(rows->size())});
-    return true;
-  }
-
-  for (size_t i = 0; i < base_rows->size(); ++i) {
-    const JsonValue& base_row = base_rows->at(i);
-    const JsonValue& row = rows->at(i);
-    if (!base_row.is_object() || !row.is_object()) {
+  for (const auto& [bench, entry] : benches->AsObject()) {
+    const JsonValue* base_meta = entry.Find("meta");
+    const JsonValue* base_rows = entry.Find("rows");
+    if (base_meta == nullptr || !base_meta->is_object() || !IsRowArray(base_rows)) {
+      *error = "baseline entry for \"" + bench + "\" is malformed";
+      return false;
+    }
+    auto it = by_bench.find(bench);
+    if (it == by_bench.end()) {
+      violations->push_back({bench, -1, "report", "no report for this bench"});
       continue;
     }
-    for (const auto& [key, env] : base_row.AsObject()) {
-      const JsonValue* actual = row.Find(key);
-      if (env.is_string()) {
-        if (actual == nullptr || !actual->is_string() ||
-            actual->AsString() != env.AsString()) {
-          violations->push_back(
-              {bench, static_cast<int>(i), key,
-               "expected \"" + env.AsString() + "\", got \"" +
-                   (actual != nullptr ? actual->StringOr("<missing>")
-                                      : std::string("<missing>")) +
-                   "\""});
-        }
-        continue;
-      }
-      const JsonValue* mean_v = env.Find("mean");
-      const JsonValue* noise_v = env.Find("noise");
-      if (mean_v == nullptr || !mean_v->is_number()) {
-        continue;
-      }
-      double mean = mean_v->AsDouble();
-      double noise = noise_v != nullptr ? noise_v->DoubleOr(0.0) : 0.0;
-      double tol = noise * options.noise_mult +
-                   std::max(std::fabs(mean) * options.rel_tol, options.abs_tol);
-      if (actual == nullptr || !actual->is_number()) {
-        violations->push_back({bench, static_cast<int>(i), key,
-                               "metric missing from report (baseline mean " +
-                                   Format("%g", mean) + ")"});
-        continue;
-      }
-      double value = actual->AsDouble();
-      if (std::fabs(value - mean) > tol) {
-        violations->push_back(
-            {bench, static_cast<int>(i), key,
-             "value " + Format("%g", value) + " outside baseline " + Format("%g", mean) +
-                 " +/- " + Format("%g", tol) + " (noise " + Format("%g", noise) + ")"});
-      }
+    const JsonValue& report = *it->second;
+    // Meta drift (different point counts, different config) is reported as
+    // a violation rather than an error so the gate prints all problems in
+    // one pass.
+    CompareExact(bench, -1, "meta/", *base_meta, report.Find("meta"), violations);
+    const JsonValue::Array& rows = report.Find("rows")->AsArray();
+    if (base_rows->size() != rows.size()) {
+      violations->push_back({bench, -1, "rows",
+                             "row count mismatch: baseline " +
+                                 std::to_string(base_rows->size()) + ", report " +
+                                 std::to_string(rows.size())});
+      continue;
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      CompareExact(bench, static_cast<int>(i), "", base_rows->at(i), &rows[i], violations);
     }
   }
   return true;

@@ -10,9 +10,9 @@
 // user kept around.
 //
 // The baseline half of this header implements the bench regression gate:
-// MakeBaselineJson folds repeated `--json` bench reports into per-metric
-// {mean, noise} envelopes, and CheckBaseline replays a fresh report against a
-// committed baseline, reporting every metric that escapes its envelope.
+// MakeBaselineJson records one `--json` report per bench, and CheckBaseline
+// compares fresh reports against a committed baseline for exact equality,
+// reporting every value that differs.
 #ifndef SRC_PROF_PROFILE_H_
 #define SRC_PROF_PROFILE_H_
 
@@ -164,39 +164,33 @@ std::string FormatServeReport(const ServeProfile& profile, int top_n);
 // --- bench baseline -------------------------------------------------------
 //
 // Baseline schema (versioned, committed as BENCH_BASELINE.json):
-//   {"baseline_version": 1,
-//    "benches": {
-//      "<bench>": {"runs": N,
-//                  "meta": {...verbatim from the first run, host keys dropped},
-//                  "rows": [ {"<metric>": {"mean": m, "noise": d} | "<string>"} ]}}}
-// Rows are matched by index; string-valued fields (labels) must match
-// exactly. Metrics whose key mentions host/wall time are excluded — they
-// measure the machine, not the simulator.
-
-struct BaselineCheckOptions {
-  // Allowed deviation: noise * noise_mult + max(|mean| * rel_tol, abs_tol).
-  double noise_mult = 3.0;
-  double rel_tol = 0.02;
-  double abs_tol = 1e-9;
-};
+//   {"baseline_version": 2,
+//    "benches": {"<bench>": {"meta": {...}, "rows": [{...}]}}}
+// `meta` and `rows` are the bench report's own JSON values minus host keys:
+// any key mentioning host or wall time measures the machine, not the
+// simulator. Every simulated value is exact, so the check is equality: each
+// baseline key must be in the report with an equal value (numbers compare
+// with ==; the writer's %.17g round-trips every double). Rows are matched by
+// index.
 
 struct BaselineViolation {
   std::string bench;
-  int row = -1;          // -1 for bench-level problems (row count, meta)
+  int row = -1;          // -1 for bench-level problems (missing report, row count, meta)
   std::string key;
   std::string message;   // human-readable, includes expected vs actual
 };
 
-// Folds repeated bench reports (each the parsed output of `<bench> --json`)
-// into a baseline document. Reports for the same bench must agree on row
-// count and string fields. Returns empty string + *error on failure.
+// Records bench reports (each the parsed output of `<bench> --json`), one per
+// bench, into a baseline document. Returns empty string + *error on failure,
+// including a second report for the same bench.
 std::string MakeBaselineJson(const std::vector<JsonValue>& reports, std::string* error);
 
-// Checks one fresh bench report against the baseline. Appends a violation for
-// every metric outside its envelope; returns false only on structural errors
-// (unknown bench, malformed documents) with *error set.
-bool CheckBaseline(const JsonValue& baseline, const JsonValue& report,
-                   const BaselineCheckOptions& options,
+// Checks fresh bench reports, one per bench, against the baseline. Appends a
+// violation for every baseline value the reports do not reproduce exactly and
+// for every baseline bench without a report; returns false only on structural
+// errors (baseline not version 2, unknown or duplicate bench, malformed
+// documents) with *error set.
+bool CheckBaseline(const JsonValue& baseline, const std::vector<JsonValue>& reports,
                    std::vector<BaselineViolation>* violations, std::string* error);
 
 }  // namespace prof

@@ -60,6 +60,9 @@ class JsonValue {
     return is_string() ? AsString() : std::move(fallback);
   }
 
+  // Deep equality: same type and equal contents; numbers compare with ==.
+  bool operator==(const JsonValue& other) const { return value_ == other.value_; }
+
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
   // Slash-separated nested lookup: Find("meta") then Find("points").

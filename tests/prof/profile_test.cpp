@@ -1,6 +1,7 @@
 #include "src/prof/profile.h"
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -221,96 +222,120 @@ TEST(DiffTest, FlagsRegressionsBeyondThresholdAndFloor) {
   EXPECT_TRUE(Regressions(DiffProfiles(before, before), 0.05, 0.001).empty());
 }
 
-TEST(BaselineTest, RoundTripAndEnvelopeCheck) {
-  auto report = [](double ms, double ratio) {
-    return Parse(std::string(R"({"bench": "fig_x", "meta": {"points": 1000, "device": "RTX"},
-      "rows": [{"engine": "minuet", "total_ms": )") +
-                 std::to_string(ms) + R"(, "l2_hit_ratio": )" + std::to_string(ratio) +
-                 R"(, "host_ms": 123.0}]})");
-  };
-  std::vector<JsonValue> runs;
-  runs.push_back(report(10.0, 0.90));
-  runs.push_back(report(10.2, 0.90));
-  runs.push_back(report(9.8, 0.90));
+// A one-row bench report; `ms` is written with every significant digit.
+JsonValue BenchReport(double ms, const std::string& engine = "minuet", int points = 1000) {
+  char ms_text[32];
+  std::snprintf(ms_text, sizeof(ms_text), "%.17g", ms);
+  return Parse(R"({"bench": "fig_x", "meta": {"points": )" + std::to_string(points) +
+               R"(, "device": "RTX", "host_s": 4.2},
+      "rows": [{"engine": ")" + engine + R"(", "total_ms": )" + ms_text +
+               R"(, "l2_hit_ratio": 0.9, "host_ms": 123.0}]})");
+}
 
+JsonValue RecordBaseline(const std::vector<JsonValue>& reports) {
   std::string error;
-  std::string baseline_json = MakeBaselineJson(runs, &error);
-  ASSERT_FALSE(baseline_json.empty()) << error;
-  JsonValue baseline = Parse(baseline_json);
+  std::string baseline_json = MakeBaselineJson(reports, &error);
+  EXPECT_FALSE(baseline_json.empty()) << error;
+  return Parse(baseline_json);
+}
 
-  // Envelope recorded: mean 10.0, noise 0.2; host_ms excluded entirely.
-  const JsonValue* row = baseline.FindPath("benches/fig_x/rows");
-  ASSERT_NE(row, nullptr);
-  EXPECT_NEAR(row->at(0).FindPath("total_ms/mean")->AsDouble(), 10.0, 1e-9);
-  EXPECT_NEAR(row->at(0).FindPath("total_ms/noise")->AsDouble(), 0.2, 1e-9);
-  EXPECT_EQ(row->at(0).Find("host_ms"), nullptr);
-  EXPECT_EQ(row->at(0).Find("engine")->AsString(), "minuet");
+TEST(BaselineTest, RoundTripAndExactCheck) {
+  JsonValue baseline = RecordBaseline({BenchReport(10.0)});
 
-  BaselineCheckOptions options;
-  options.noise_mult = 2.0;
-  options.rel_tol = 0.0;
-  options.abs_tol = 1e-9;
+  // Each value is recorded once, as itself; host keys are dropped.
+  EXPECT_EQ(baseline.Find("baseline_version")->AsDouble(), 2.0);
+  const JsonValue* rows = baseline.FindPath("benches/fig_x/rows");
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(rows->at(0).Find("total_ms")->AsDouble(), 10.0);
+  EXPECT_EQ(rows->at(0).Find("engine")->AsString(), "minuet");
+  EXPECT_EQ(rows->at(0).Find("host_ms"), nullptr);
+  EXPECT_EQ(baseline.FindPath("benches/fig_x/meta/host_s"), nullptr);
+  EXPECT_EQ(baseline.FindPath("benches/fig_x/runs"), nullptr);
 
-  // In-envelope report passes (host_ms may drift freely).
+  // The same simulated values pass, whatever the host keys say.
+  std::string error;
   std::vector<BaselineViolation> violations;
-  ASSERT_TRUE(CheckBaseline(baseline, report(10.3, 0.90), options, &violations, &error))
-      << error;
+  JsonValue rerun = Parse(R"({"bench": "fig_x", "meta": {"points": 1000, "device": "RTX"},
+    "rows": [{"engine": "minuet", "total_ms": 10, "l2_hit_ratio": 0.9, "host_ms": 999.0}]})");
+  ASSERT_TRUE(CheckBaseline(baseline, {rerun}, &violations, &error)) << error;
   EXPECT_TRUE(violations.empty());
 
-  // A slow run escapes the envelope and names bench, row and metric.
-  violations.clear();
-  ASSERT_TRUE(CheckBaseline(baseline, report(11.5, 0.90), options, &violations, &error));
+  // A changed number names bench, row and metric.
+  ASSERT_TRUE(CheckBaseline(baseline, {BenchReport(10.5)}, &violations, &error));
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].bench, "fig_x");
   EXPECT_EQ(violations[0].row, 0);
   EXPECT_EQ(violations[0].key, "total_ms");
 
-  // A changed string field is always a violation.
+  // A changed string field is a violation.
   violations.clear();
-  JsonValue renamed = Parse(R"({"bench": "fig_x", "meta": {"points": 1000, "device": "RTX"},
-    "rows": [{"engine": "other", "total_ms": 10.0, "l2_hit_ratio": 0.90}]})");
-  ASSERT_TRUE(CheckBaseline(baseline, renamed, options, &violations, &error));
+  ASSERT_TRUE(CheckBaseline(baseline, {BenchReport(10.0, "other")}, &violations, &error));
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].key, "engine");
 
   // Meta drift (different scale) is reported, not silently compared.
   violations.clear();
-  JsonValue rescaled = Parse(R"({"bench": "fig_x", "meta": {"points": 2000, "device": "RTX"},
-    "rows": [{"engine": "minuet", "total_ms": 10.0, "l2_hit_ratio": 0.90}]})");
-  ASSERT_TRUE(CheckBaseline(baseline, rescaled, options, &violations, &error));
+  ASSERT_TRUE(CheckBaseline(baseline, {BenchReport(10.0, "minuet", 2000)}, &violations,
+                            &error));
   ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].row, -1);
   EXPECT_EQ(violations[0].key, "meta/points");
 
   // Unknown bench is a structural error.
   violations.clear();
   JsonValue other = Parse(R"({"bench": "nope", "rows": []})");
-  EXPECT_FALSE(CheckBaseline(baseline, other, options, &violations, &error));
+  EXPECT_FALSE(CheckBaseline(baseline, {other}, &violations, &error));
+  EXPECT_NE(error.find("nope"), std::string::npos);
 }
 
-TEST(BaselineTest, IdenticalRunsRecordTheirValueWithZeroNoise) {
-  // Five copies of this value sum to a double whose fifth is one ulp off:
-  // a plain sum / n mean would record a spurious noise.
-  std::vector<JsonValue> runs;
-  for (int i = 0; i < 5; ++i) {
-    runs.push_back(Parse(R"({"bench": "b", "rows": [{"x": 0.031046013482473853}]})"));
-  }
+TEST(BaselineTest, OneUlpDriftIsAViolation) {
+  JsonValue baseline = RecordBaseline({BenchReport(10.0)});
+  std::vector<BaselineViolation> violations;
   std::string error;
-  std::string baseline_json = MakeBaselineJson(runs, &error);
-  ASSERT_FALSE(baseline_json.empty()) << error;
-  JsonValue baseline = Parse(baseline_json);
-  const JsonValue* row = baseline.FindPath("benches/b/rows");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->at(0).FindPath("x/mean")->AsDouble(), 0.031046013482473853);
-  EXPECT_EQ(row->at(0).FindPath("x/noise")->AsDouble(), 0.0);
+  ASSERT_TRUE(CheckBaseline(baseline, {BenchReport(std::nextafter(10.0, 11.0))}, &violations,
+                            &error))
+      << error;
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].key, "total_ms");
+  EXPECT_NE(violations[0].message.find("10.000000000000002"), std::string::npos)
+      << violations[0].message;
 }
 
-TEST(BaselineTest, RowCountMismatchAcrossRunsIsAnError) {
-  std::vector<JsonValue> runs;
-  runs.push_back(Parse(R"({"bench": "b", "rows": [{"x": 1.0}]})"));
-  runs.push_back(Parse(R"({"bench": "b", "rows": [{"x": 1.0}, {"x": 2.0}]})"));
+TEST(BaselineTest, BenchWithoutReportIsAViolation) {
+  JsonValue second = Parse(R"({"bench": "fig_y", "meta": {}, "rows": [{"x": 1}]})");
+  JsonValue baseline = RecordBaseline({BenchReport(10.0), second});
+  std::vector<BaselineViolation> violations;
   std::string error;
-  EXPECT_TRUE(MakeBaselineJson(runs, &error).empty());
-  EXPECT_NE(error.find("row count"), std::string::npos);
+  ASSERT_TRUE(CheckBaseline(baseline, {BenchReport(10.0)}, &violations, &error)) << error;
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].bench, "fig_y");
+  EXPECT_EQ(violations[0].row, -1);
+  EXPECT_EQ(violations[0].key, "report");
+}
+
+TEST(BaselineTest, DuplicateBenchReportIsAnError) {
+  std::string error;
+  EXPECT_TRUE(MakeBaselineJson({BenchReport(10.0), BenchReport(10.0)}, &error).empty());
+  EXPECT_NE(error.find("fig_x"), std::string::npos);
+
+  JsonValue baseline = RecordBaseline({BenchReport(10.0)});
+  std::vector<BaselineViolation> violations;
+  error.clear();
+  EXPECT_FALSE(CheckBaseline(baseline, {BenchReport(10.0), BenchReport(10.0)}, &violations,
+                             &error));
+  EXPECT_NE(error.find("fig_x"), std::string::npos);
+}
+
+TEST(BaselineTest, VersionOneBaselineIsRejected) {
+  JsonValue v1 = Parse(R"({"baseline_version": 1, "benches": {"fig_x": {"runs": 5,
+    "meta": {"points": 1000, "device": "RTX"},
+    "rows": [{"engine": "minuet", "total_ms": {"mean": 10.0, "noise": 0.0},
+              "l2_hit_ratio": {"mean": 0.9, "noise": 0.0}}]}}})");
+  std::vector<BaselineViolation> violations;
+  std::string error;
+  EXPECT_FALSE(CheckBaseline(v1, {BenchReport(10.0)}, &violations, &error));
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
+  EXPECT_TRUE(violations.empty());
 }
 
 TEST(ServeProfileTest, DetectsLoadsAndFormatsServeReports) {

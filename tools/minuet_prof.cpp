@@ -15,14 +15,13 @@
 //       (default 0.0005 simulated ms).
 //
 //   minuet_prof make-baseline [--out FILE] REPORT.json...
-//       Folds repeated bench --json reports into a baseline document with a
-//       per-metric mean and noise bound (host wall-clock metrics excluded).
+//       Records bench --json reports, one per bench, as a baseline document
+//       (host wall-clock metrics excluded).
 //
 //   minuet_prof check-baseline BASELINE.json REPORT.json...
-//   minuet_prof --check-baseline BASELINE.json REPORT.json...
-//       Checks fresh bench reports against a committed baseline. Exits 1
-//       when any metric escapes its envelope
-//       (noise * --noise-mult + max(|mean| * --rel-tol, --abs-tol)).
+//       Checks fresh bench reports, one per baseline bench, against a
+//       committed baseline. Exits 1 when any value differs from the
+//       recorded one, however slightly, or a baseline bench has no report.
 //
 //   minuet_prof timeline RUN.jsonl [OTHER.jsonl]
 //       Renders a streaming-telemetry timeline (minuet_serve --timeline):
@@ -42,6 +41,7 @@
 //
 // Bare forms: `minuet_prof RUN.json` = report, `minuet_prof A.json B.json`
 // = diff. Exit codes: 0 ok, 1 regression/violation, 2 usage or input error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,7 +67,6 @@ int Usage() {
                "       minuet_prof diff BEFORE.json AFTER.json [--threshold F] [--min-ms M]\n"
                "       minuet_prof make-baseline [--out FILE] REPORT.json...\n"
                "       minuet_prof check-baseline BASELINE.json REPORT.json...\n"
-               "                   [--noise-mult K] [--rel-tol F] [--abs-tol A]\n"
                "       minuet_prof timeline RUN.jsonl [OTHER.jsonl]\n"
                "       minuet_prof explain DUMP.jsonl [OTHER.jsonl] [--worst N] [--slo-us S]\n"
                "       minuet_prof RUN.json            (report)\n"
@@ -91,7 +90,6 @@ struct Args {
   double threshold = 0.05;
   double min_ms = 0.0005;
   std::string out_path;
-  prof::BaselineCheckOptions check;
   prof::ExplainOptions explain;
 };
 
@@ -106,9 +104,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       *out = std::atof(raw[++i].c_str());
       return true;
     };
-    if (arg == "--check-baseline") {
-      args->command = "check-baseline";
-    } else if (arg == "--top") {
+    if (arg == "--top") {
       double v;
       if (!next(&v)) {
         return false;
@@ -126,21 +122,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (ParseDoubleFlag(arg, "--min-ms", &args->min_ms)) {
-    } else if (arg == "--noise-mult") {
-      if (!next(&args->check.noise_mult)) {
-        return false;
-      }
-    } else if (ParseDoubleFlag(arg, "--noise-mult", &args->check.noise_mult)) {
-    } else if (arg == "--rel-tol") {
-      if (!next(&args->check.rel_tol)) {
-        return false;
-      }
-    } else if (ParseDoubleFlag(arg, "--rel-tol", &args->check.rel_tol)) {
-    } else if (arg == "--abs-tol") {
-      if (!next(&args->check.abs_tol)) {
-        return false;
-      }
-    } else if (ParseDoubleFlag(arg, "--abs-tol", &args->check.abs_tol)) {
     } else if (arg == "--worst") {
       double v;
       if (!next(&v)) {
@@ -228,15 +209,25 @@ int RunDiff(const Args& args) {
   return prof::Regressions(diff, args.threshold, args.min_ms).empty() ? 0 : 1;
 }
 
-int RunMakeBaseline(const Args& args) {
-  std::vector<JsonValue> reports(args.files.size());
-  std::string error;
-  for (size_t i = 0; i < args.files.size(); ++i) {
-    if (!ReadJsonFile(args.files[i], &reports[i], &error)) {
+// Parses every file in `paths`; prints the first error and returns false.
+bool ReadJsonFiles(const std::vector<std::string>& paths, std::vector<JsonValue>* docs) {
+  docs->resize(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    std::string error;
+    if (!ReadJsonFile(paths[i], &(*docs)[i], &error)) {
       std::fprintf(stderr, "minuet_prof: %s\n", error.c_str());
-      return 2;
+      return false;
     }
   }
+  return true;
+}
+
+int RunMakeBaseline(const Args& args) {
+  std::vector<JsonValue> reports;
+  if (!ReadJsonFiles(args.files, &reports)) {
+    return 2;
+  }
+  std::string error;
   std::string baseline = prof::MakeBaselineJson(reports, &error);
   if (baseline.empty()) {
     std::fprintf(stderr, "minuet_prof: %s\n", error.c_str());
@@ -260,31 +251,25 @@ int RunCheckBaseline(const Args& args) {
   if (args.files.size() < 2) {
     return Usage();
   }
-  JsonValue baseline;
+  std::vector<JsonValue> docs;
+  if (!ReadJsonFiles(args.files, &docs)) {
+    return 2;
+  }
+  const JsonValue& baseline = docs[0];
+  const std::vector<JsonValue> reports(docs.begin() + 1, docs.end());
+  std::vector<prof::BaselineViolation> violations;
   std::string error;
-  if (!ReadJsonFile(args.files[0], &baseline, &error)) {
+  if (!prof::CheckBaseline(baseline, reports, &violations, &error)) {
     std::fprintf(stderr, "minuet_prof: %s\n", error.c_str());
     return 2;
   }
-  std::vector<prof::BaselineViolation> violations;
-  int checked = 0;
-  for (size_t i = 1; i < args.files.size(); ++i) {
-    JsonValue report;
-    if (!ReadJsonFile(args.files[i], &report, &error)) {
-      std::fprintf(stderr, "minuet_prof: %s\n", error.c_str());
-      return 2;
-    }
-    size_t before = violations.size();
-    if (!prof::CheckBaseline(baseline, report, args.check, &violations, &error)) {
-      std::fprintf(stderr, "minuet_prof: %s: %s\n", args.files[i].c_str(), error.c_str());
-      return 2;
-    }
-    ++checked;
-    const JsonValue* name = report.Find("bench");
-    std::fprintf(stdout, "%s: %s (%zu violation(s))\n",
-                 name != nullptr ? name->StringOr("?").c_str() : args.files[i].c_str(),
-                 violations.size() == before ? "OK" : "FAIL",
-                 violations.size() - before);
+  for (const JsonValue& report : reports) {
+    const std::string name = minuet::StringOr(&report, "bench");
+    const auto failed =
+        std::count_if(violations.begin(), violations.end(),
+                      [&](const prof::BaselineViolation& v) { return v.bench == name; });
+    std::fprintf(stdout, "%s: %s (%td violation(s))\n", name.c_str(), failed == 0 ? "OK" : "FAIL",
+                 failed);
   }
   for (const prof::BaselineViolation& v : violations) {
     if (v.row >= 0) {
@@ -295,7 +280,7 @@ int RunCheckBaseline(const Args& args) {
                    v.message.c_str());
     }
   }
-  std::fprintf(stdout, "checked %d report(s) against %s: %zu violation(s)\n", checked,
+  std::fprintf(stdout, "checked %zu report(s) against %s: %zu violation(s)\n", reports.size(),
                args.files[0].c_str(), violations.size());
   return violations.empty() ? 0 : 1;
 }
