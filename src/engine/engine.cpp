@@ -700,14 +700,18 @@ void Engine::RunState::Conv(const Instr& instr) {
     trace::Span span("engine/conv1x1", "step");
     FeatureMatrix out = NewMatrix(target.features.rows(), conv.c_out);
     static const KernelId kConv1x1 = KernelId::Intern("engine/gemm/conv1x1");
+    auto multiply = [&] {
+      if (functional()) {
+        BlockedGemm(target.features.data(),
+                    engine.conv_weights_[static_cast<size_t>(conv_index)].per_offset[0].data(),
+                    out.data(), target.features.rows(), conv.c_in, conv.c_out);
+      }
+    };
     AccumulateKernel(layer, &StepBreakdown::gemm,
-                     dev.LaunchGemm(kConv1x1, target.features.rows(), conv.c_out, conv.c_in));
+                     dev.LaunchGemm(kConv1x1, target.features.rows(), conv.c_out, conv.c_in,
+                                    /*batch=*/1, /*efficiency=*/1.0, /*bytes_per_element=*/4.0,
+                                    multiply));
     layer.gemm_kernels += 1;
-    if (functional()) {
-      BlockedGemm(target.features.data(),
-                  engine.conv_weights_[static_cast<size_t>(conv_index)].per_offset[0].data(),
-                  out.data(), target.features.rows(), conv.c_in, conv.c_out);
-    }
     Replace(target.features, std::move(out));
     record.num_outputs = target.level->size();
   } else {
@@ -931,11 +935,14 @@ void Engine::RunState::Linear(const Instr& instr) {
   MINUET_CHECK_EQ(w.rows(), c_in);
   FeatureMatrix out = NewMatrix(rows, instr.linear_out);
   static const KernelId kLinearHead = KernelId::Intern("engine/gemm/linear_head");
+  auto multiply = [&] {
+    if (functional()) {
+      BlockedGemm(act.features.data(), w.data(), out.data(), rows, c_in, instr.linear_out);
+    }
+  };
   AccumulateKernel(result.total, &StepBreakdown::gemm,
-                   dev.LaunchGemm(kLinearHead, rows, instr.linear_out, c_in));
-  if (functional()) {
-    BlockedGemm(act.features.data(), w.data(), out.data(), rows, c_in, instr.linear_out);
-  }
+                   dev.LaunchGemm(kLinearHead, rows, instr.linear_out, c_in, /*batch=*/1,
+                                  /*efficiency=*/1.0, /*bytes_per_element=*/4.0, multiply));
   Replace(act.features, std::move(out));
 }
 

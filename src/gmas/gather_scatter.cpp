@@ -103,10 +103,8 @@ KernelStats GatherKernel(Device& device, const MetadataTables& tables,
             // warp's 32 copies broadcast into one transaction, so the
             // indexing cost is one transaction per warp per (point, offset)
             // plus the issue slots — this is what makes small tiles pay.
-            for (int64_t w = 0; w < span_tiles; w += 32) {
-              ctx.GlobalRead(&tables.imt[static_cast<size_t>(k * tables.num_inputs + i)],
-                             sizeof(uint32_t));
-            }
+            ctx.GlobalReadRepeated(&tables.imt[static_cast<size_t>(k * tables.num_inputs + i)],
+                                   sizeof(uint32_t), (span_tiles + 31) / 32);
             ctx.Compute(static_cast<uint64_t>(span_tiles) * 4);
             uint32_t slot = tables.InputSlot(k, i);
             if (slot == kNoMatch) {
@@ -155,10 +153,8 @@ KernelStats ScatterKernel(Device& device, const FeatureMatrix& buffer,
                         static_cast<size_t>(span_tiles * config.tile_size) * sizeof(float));
           }
           for (int64_t k = 0; k < tables.num_offsets; ++k) {
-            for (int64_t w = 0; w < span_tiles; w += 32) {
-              ctx.GlobalRead(&tables.omt[static_cast<size_t>(k * tables.num_outputs + j)],
-                             sizeof(uint32_t));
-            }
+            ctx.GlobalReadRepeated(&tables.omt[static_cast<size_t>(k * tables.num_outputs + j)],
+                                   sizeof(uint32_t), (span_tiles + 31) / 32);
             ctx.Compute(static_cast<uint64_t>(span_tiles) * 4);
             uint32_t slot = tables.OutputSlot(k, j);
             if (slot == kNoMatch) {

@@ -147,14 +147,12 @@ BatchedGemmResult ExecuteGroupedGemms(Device& device, const GroupingPlan& plan,
   BatchedGemmResult result;
   StreamPool pool(num_streams, device.config().launch_overhead_cycles);
   for (const GemmGroup& group : plan.groups) {
-    static const KernelId kGroupedBatch = KernelId::Intern("gmas/gemm/grouped_batch");
-    KernelStats stats = device.LaunchGemm(
-        kGroupedBatch, group.rows_per_gemm, c_out, c_in,
-        static_cast<int64_t>(group.offset_indices.size()), efficiency,
-        static_cast<double>(element_bytes));
-    pool.Submit(stats.cycles);
-    result.stats += stats;
-    if (functional) {
+    // The functional arithmetic runs inside the launch's span, so the span's
+    // host time covers it.
+    auto multiply = [&] {
+      if (!functional) {
+        return;
+      }
       for (uint32_t k : group.offset_indices) {
         const FeatureMatrix& w = weights[k];
         MINUET_CHECK_EQ(w.rows(), c_in);
@@ -162,12 +160,19 @@ BatchedGemmResult ExecuteGroupedGemms(Device& device, const GroupingPlan& plan,
         int64_t base = plan.buffer_base[k];
         MINUET_CHECK_GE(base, 0);
         // Padding rows are zero; multiplying them is pure waste, so the
-        // functional path computes only the real rows (the cost model above
-        // already charged for the padded height).
+        // functional path computes only the real rows (the launch below
+        // charges for the padded height).
         BlockedGemm(in_buffer.data() + base * c_in, w.data(), out_buffer.data() + base * c_out,
                     sizes[k], c_in, c_out);
       }
-    }
+    };
+    static const KernelId kGroupedBatch = KernelId::Intern("gmas/gemm/grouped_batch");
+    KernelStats stats = device.LaunchGemm(
+        kGroupedBatch, group.rows_per_gemm, c_out, c_in,
+        static_cast<int64_t>(group.offset_indices.size()), efficiency,
+        static_cast<double>(element_bytes), multiply);
+    pool.Submit(stats.cycles);
+    result.stats += stats;
   }
   result.stream_cycles = pool.ElapsedCycles();
   return result;

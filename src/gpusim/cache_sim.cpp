@@ -2,10 +2,41 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "src/util/check.h"
 
 namespace minuet {
+
+namespace {
+
+// Four ways compared at once as a GCC/Clang vector type: one SSE2 register
+// on x86-64, one NEON register on aarch64.
+using TagLanes = uint32_t __attribute__((vector_size(16)));
+using TagHalves = uint64_t __attribute__((vector_size(16)));
+
+// The first way in [0, ways) holding `tag`, or ways - 1 (the least recent)
+// when none does; ways is a multiple of 4. Groups are scanned most recent
+// first, so a hit on a recent way costs one compare. A tag sits in at most
+// one way of its set, so each group's matches, masked to (lane + 1), OR down
+// to that lane + 1, or to 0 on no match.
+int FindWayVector(const uint32_t* tags, int ways, uint32_t tag) {
+  const TagLanes needle = TagLanes{} + tag;
+  for (int group = 0; group < ways; group += 4) {
+    TagLanes lanes;
+    std::memcpy(&lanes, tags + group, sizeof(lanes));
+    const TagLanes matches = reinterpret_cast<TagLanes>(lanes == needle);
+    const TagHalves halves = reinterpret_cast<TagHalves>(matches & TagLanes{1, 2, 3, 4});
+    const uint64_t either = halves[0] | halves[1];
+    const uint32_t lane_plus_one = static_cast<uint32_t>(either | (either >> 32));
+    if (lane_plus_one != 0) {
+      return group + static_cast<int>(lane_plus_one) - 1;
+    }
+  }
+  return ways - 1;
+}
+
+}  // namespace
 
 CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
     : ways_(ways), line_bytes_(line_bytes) {
@@ -20,7 +51,10 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   if (std::has_single_bit(num_sets_)) {
     set_mask_ = num_sets_ - 1;
   }
-  tags_.assign(num_sets_ * static_cast<size_t>(ways_), kEmpty);
+  constexpr size_t kHostLineTags = 64 / sizeof(uint32_t);
+  storage_.assign(num_sets_ * static_cast<size_t>(ways_) + kHostLineTags - 1, kEmpty);
+  const size_t misalignment = reinterpret_cast<uintptr_t>(storage_.data()) % 64;
+  tags_ = storage_.data() + (misalignment == 0 ? 0 : (64 - misalignment) / sizeof(uint32_t));
 }
 
 bool CacheSim::AccessLine(uint64_t line) {
@@ -36,7 +70,8 @@ bool CacheSim::AccessLine(uint64_t line) {
 
   // The tag's way on a hit, the last (least recent) way on a miss. Either
   // way, the ways in front of it move down one and the tag goes first.
-  uint32_t* way = std::find(tags, tags + ways_ - 1, tag);
+  uint32_t* way = ways_ % 4 == 0 ? tags + FindWayVector(tags, ways_, tag)
+                                 : std::find(tags, tags + ways_ - 1, tag);
   const bool hit = *way == tag;
   std::copy_backward(tags, way, way + 1);
   tags[0] = tag;
@@ -49,7 +84,7 @@ bool CacheSim::AccessLine(uint64_t line) {
 }
 
 void CacheSim::Flush() {
-  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  std::fill(storage_.begin(), storage_.end(), kEmpty);
   ResetCounters();
 }
 

@@ -113,19 +113,18 @@ KernelStats& KernelStats::operator+=(const KernelStats& other) {
 
 // Lines are formed directly over device addresses. The read and write loops
 // are written out separately so the per-line body is straight code — this
-// runs once per simulated line transaction, which is the simulator's
-// innermost loop.
+// runs once per simulated line transaction that the inline GlobalRead path
+// (device.h) did not resolve as a one-line L1 hit.
 void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
   if (bytes == 0) {
     return;
   }
-  const uint64_t start = reinterpret_cast<uintptr_t>(addr) - device_->arena_base_;
+  const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
   MINUET_CHECK(start < DeviceMemory::kReserveBytes && bytes <= DeviceMemory::kReserveBytes - start)
       << "global access outside device memory";
   CacheSim& l2 = device_->l2_;
-  const int line_shift = device_->line_shift_;
-  const uint64_t first = start >> line_shift;
-  const uint64_t last = (start + bytes - 1) >> line_shift;
+  const uint64_t first = start >> line_shift_;
+  const uint64_t last = (start + bytes - 1) >> line_shift_;
   if (is_read) {
     for (uint64_t line = first; line <= last; ++line) {
       const size_t slot = static_cast<size_t>(line & (kL1Lines - 1));
@@ -151,14 +150,13 @@ void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
   }
 }
 
-void BlockCtx::GlobalRead(const void* addr, size_t bytes) {
-  bytes_read_ += bytes;
-  AccessLines(addr, bytes, /*is_read=*/true);
-}
-
-void BlockCtx::GlobalWrite(const void* addr, size_t bytes) {
-  bytes_written_ += bytes;
-  AccessLines(addr, bytes, /*is_read=*/false);
+void BlockCtx::CountRepeatedL1Hits(const void* addr, size_t bytes, uint64_t repeats) {
+  // The first read CHECKed the range, so this cannot overflow.
+  const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
+  const uint64_t lines = ((start + bytes - 1) >> line_shift_) - (start >> line_shift_) + 1;
+  MINUET_CHECK_LE(lines, kL1Lines) << "a repeated read must fit the L1";
+  bytes_read_ += repeats * bytes;
+  l1_hits_ += repeats * lines;
 }
 
 Device::Device(const DeviceConfig& config) : Device(config, /*arena_base=*/0) {
@@ -310,7 +308,8 @@ KernelStats Device::Launch(KernelId kernel, const LaunchDims& dims,
 }
 
 KernelStats Device::LaunchGemm(KernelId kernel, int64_t m, int64_t n, int64_t k,
-                               int64_t batch, double efficiency, double bytes_per_element) {
+                               int64_t batch, double efficiency, double bytes_per_element,
+                               FunctionRef<void()> payload) {
   MINUET_CHECK_GE(m, 0);
   MINUET_CHECK_GE(n, 0);
   MINUET_CHECK_GE(k, 0);
@@ -364,6 +363,7 @@ KernelStats Device::LaunchGemm(KernelId kernel, int64_t m, int64_t n, int64_t k,
       std::max<int64_t>(batch, static_cast<int64_t>(static_cast<double>(batch) / util));
   totals_ += stats;
   Record(kernel, stats);
+  payload();
   if (tracer != nullptr) {
     EmitKernelSpan(tracer, span_id, stats, config_);
   }

@@ -22,8 +22,9 @@
 // trace. The hot path is therefore allocation- and hash-free: kernel names
 // are interned to KernelId once per call site, kernel bodies are passed as
 // non-owning FunctionRef (no std::function allocation per launch), per-kernel
-// aggregates are vector-indexed, and a global access is one subtraction and
-// one range check away from its line numbers. All of it under one invariant:
+// aggregates are vector-indexed, a global access is one subtraction and one
+// range check away from its line numbers, and a read that hits the block's
+// L1 on one line never leaves the header. All of it under one invariant:
 // simulated statistics are byte-identical to the straightforward
 // implementations they replaced. Independent probes over one device's tables
 // (Autotune's candidates) run on forks of it (Fork()), one per worker thread.
@@ -132,8 +133,42 @@ class BlockCtx {
   // hits cost one cycle and never reach the simulated L2, matching how
   // profilers report L2 hit ratios over L1 misses only. Writes are
   // write-through, no-allocate.
-  void GlobalRead(const void* addr, size_t bytes);
-  void GlobalWrite(const void* addr, size_t bytes);
+  //
+  // Most reads are L1 hits on one line, so that case is resolved here,
+  // inline: it counts exactly what AccessLines would (the bytes and one L1
+  // hit). A line can only be in the L1 if AccessLines range-CHECKed it, and
+  // the fast path also requires start < kReserveBytes; every other read takes
+  // the out-of-line path and its CHECK.
+  void GlobalRead(const void* addr, size_t bytes) {
+    const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
+    const uint64_t line = start >> line_shift_;
+    bytes_read_ += bytes;
+    // bytes - 1 wraps for a zero-byte read, which therefore falls through.
+    if (start < DeviceMemory::kReserveBytes && bytes - 1 <= line_mask_ - (start & line_mask_) &&
+        l1_tags_[line & (kL1Lines - 1)] == line) {
+      ++l1_hits_;
+      return;
+    }
+    AccessLines(addr, bytes, /*is_read=*/true);
+  }
+  void GlobalWrite(const void* addr, size_t bytes) {
+    bytes_written_ += bytes;
+    AccessLines(addr, bytes, /*is_read=*/false);
+  }
+
+  // `count` back-to-back reads of the same range, as when every warp of a
+  // thread's span issues the same broadcast lookup. Only the first can miss:
+  // it leaves all of the range's lines (at most the L1's 128, CHECKed) in the
+  // block's L1, and nothing runs in between, so each repeat is an L1 hit on
+  // every line. Counts exactly what `count` GlobalRead calls would.
+  void GlobalReadRepeated(const void* addr, size_t bytes, int64_t count) {
+    if (count > 0) {
+      GlobalRead(addr, bytes);
+    }
+    if (count > 1 && bytes != 0) {
+      CountRepeatedL1Hits(addr, bytes, static_cast<uint64_t>(count - 1));
+    }
+  }
 
   // On-chip traffic and arithmetic.
   void SharedRead(size_t bytes) { shared_bytes_ += bytes; }
@@ -142,20 +177,21 @@ class BlockCtx {
 
  private:
   friend class Device;
-  BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block)
-      : device_(device),
-        block_index_(block_index),
-        num_blocks_(num_blocks),
-        threads_per_block_(threads_per_block) {
-    l1_tags_.fill(UINT64_MAX);
-  }
+  friend struct BlockCtxPeer;  // tests: the out-of-line read path on its own
+  BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block);
 
   void AccessLines(const void* addr, size_t bytes, bool is_read);
+  // GlobalReadRepeated's repeats of a range that was just read.
+  void CountRepeatedL1Hits(const void* addr, size_t bytes, uint64_t repeats);
 
   Device* device_;
   int64_t block_index_;
   int64_t num_blocks_;
   int threads_per_block_;
+  // The device's arena base and line geometry, copied for the inline path.
+  uintptr_t arena_base_;
+  int line_shift_;
+  uint64_t line_mask_;  // line_bytes - 1
 
   // Direct-mapped per-block L1: 128 lines x 128B = 16 KiB.
   static constexpr size_t kL1Lines = 128;
@@ -208,14 +244,19 @@ class Device {
   // and moving the operands once. Does not touch the L2 sim. `efficiency`
   // scales the achievable FLOP rate; engines that cannot use the vendor GEMM
   // library (e.g. MinkowskiEngine's fused small-channel dataflow) pass < 1.
+  // `payload` is the launch's host arithmetic (functional mode's real GEMM).
+  // It runs once inside the kernel's span, so the span's host duration covers
+  // it; it cannot change the simulated stats.
   KernelStats LaunchGemm(KernelId kernel, int64_t m, int64_t n, int64_t k,
                          int64_t batch = 1, double efficiency = 1.0,
-                         double bytes_per_element = 4.0);
+                         double bytes_per_element = 4.0,
+                         FunctionRef<void()> payload = [] {});
   KernelStats LaunchGemm(std::string_view name, int64_t m, int64_t n, int64_t k,
                          int64_t batch = 1, double efficiency = 1.0,
-                         double bytes_per_element = 4.0) {
+                         double bytes_per_element = 4.0,
+                         FunctionRef<void()> payload = [] {}) {
     return LaunchGemm(KernelId::Intern(name), m, n, k, batch, efficiency,
-                      bytes_per_element);
+                      bytes_per_element, payload);
   }
 
   // Blocks co-resident across the device for a given block shape.
@@ -268,6 +309,18 @@ class Device {
   mutable std::map<std::string, KernelStats> aggregates_view_;
   mutable bool aggregates_view_dirty_ = false;
 };
+
+inline BlockCtx::BlockCtx(Device* device, int64_t block_index, int64_t num_blocks,
+                          int threads_per_block)
+    : device_(device),
+      block_index_(block_index),
+      num_blocks_(num_blocks),
+      threads_per_block_(threads_per_block),
+      arena_base_(device->arena_base_),
+      line_shift_(device->line_shift_),
+      line_mask_((uint64_t{1} << device->line_shift_) - 1) {
+  l1_tags_.fill(UINT64_MAX);
+}
 
 }  // namespace minuet
 

@@ -194,11 +194,10 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
               int64_t mid = lo + (hi - lo) / 2;
               ctx.GlobalRead(&out_keys[static_cast<size_t>(mid)], sizeof(uint64_t));
               ++comparisons;
-              if (query_key(out_keys[static_cast<size_t>(mid)], k, nullptr) > pivot) {
-                hi = mid;
-              } else {
-                lo = mid + 1;
-              }
+              // Both bounds as selects: the step has no data-dependent branch.
+              const bool above = query_key(out_keys[static_cast<size_t>(mid)], k, nullptr) > pivot;
+              hi = above ? mid : hi;
+              lo = above ? lo : mid + 1;
             }
             boundaries[static_cast<size_t>(seg * num_source_blocks + s)] =
                 static_cast<uint32_t>(lo);
@@ -280,11 +279,10 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
             int64_t mid = lo + (hi - lo) / 2;
             ctx.SharedRead(sizeof(uint64_t));
             ++comparisons;
-            if (src_keys[static_cast<size_t>(mid)] < query) {
-              lo = mid + 1;
-            } else {
-              hi = mid;
-            }
+            // Both bounds as selects: the step has no data-dependent branch.
+            const bool below = src_keys[static_cast<size_t>(mid)] < query;
+            lo = below ? mid + 1 : lo;
+            hi = below ? hi : mid;
           }
           ctx.Compute(16);
           if (valid && lo < se && src_keys[static_cast<size_t>(lo)] == query) {

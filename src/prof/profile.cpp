@@ -178,6 +178,9 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
   out->source = "trace";
 
   std::map<std::string, TraceKernelAccum> kernels;
+  // Host durations of each conv index's layer spans, in trace order; the
+  // n-th host twin pairs with the n-th simulated span of that index.
+  std::map<int64_t, std::vector<double>> layer_host_us;
   for (const JsonValue& event : events->AsArray()) {
     if (!event.is_object()) {
       continue;
@@ -208,6 +211,9 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
       if (dur > 0.0) {
         if (cat == "kernel") {
           kernels[name].host_us += dur;
+          out->has_host_time = true;
+        } else if (cat == "layer") {
+          layer_host_us[IntOr(args, "conv_index", 0)].push_back(dur);
           out->has_host_time = true;
         } else if (cat == "run") {
           out->total_host_ms += dur / 1e3;
@@ -243,6 +249,15 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
       out->layers.push_back(layer);
     } else if (cat == "run") {
       out->total_ms += dur / 1e3;
+    }
+  }
+
+  std::map<int64_t, size_t> layer_host_used;
+  for (LayerProfile& layer : out->layers) {
+    const std::vector<double>& host_us = layer_host_us[layer.conv_index];
+    size_t& used = layer_host_used[layer.conv_index];
+    if (used < host_us.size()) {
+      layer.host_ms = host_us[used++] / 1e3;
     }
   }
 
@@ -403,16 +418,30 @@ std::string FormatReport(const RunProfile& profile, int top_n) {
       return a->sim_ms > b->sim_ms;
     });
     std::vector<std::vector<std::string>> layer_rows;
-    layer_rows.push_back({"layer", "sim_ms", "%run", "padding", "launches", "gemms"});
+    {
+      std::vector<std::string> header = {"layer", "sim_ms"};
+      if (host) {
+        header.insert(header.end(), {"host_ms", "sim/host"});
+      }
+      header.insert(header.end(), {"%run", "padding", "launches", "gemms"});
+      layer_rows.push_back(std::move(header));
+    }
     for (const LayerProfile* layer : by_cost) {
       double pct = profile.total_ms > 0 ? 100.0 * layer->sim_ms / profile.total_ms : 0.0;
-      layer_rows.push_back({"conv" + std::to_string(layer->conv_index),
-                            Format("%.4f", layer->sim_ms), Format("%.1f", pct),
-                            Format("%.3f", layer->padding_ratio),
-                            Format("%.0f", layer->launches),
-                            Format("%.0f", layer->gemm_kernels)});
+      std::vector<std::string> row = {"conv" + std::to_string(layer->conv_index),
+                                      Format("%.4f", layer->sim_ms)};
+      if (host) {
+        row.push_back(Format("%.2f", layer->host_ms));
+        row.push_back(layer->host_ms > 0 ? Format("%.3f", layer->sim_ms / layer->host_ms) : "-");
+      }
+      row.insert(row.end(), {Format("%.1f", pct), Format("%.3f", layer->padding_ratio),
+                             Format("%.0f", layer->launches),
+                             Format("%.0f", layer->gemm_kernels)});
+      layer_rows.push_back(std::move(row));
     }
-    AppendTable(&out, layer_rows, {false, true, true, true, true, true});
+    std::vector<bool> layer_right(layer_rows[0].size(), true);
+    layer_right[0] = false;
+    AppendTable(&out, layer_rows, layer_right);
   }
   return out;
 }

@@ -47,6 +47,9 @@ struct KernelProfile {
 struct LayerProfile {
   int64_t conv_index = 0;
   double sim_ms = 0.0;
+  // Host wall-clock of the layer span, from its host-track (tid 0) twin. 0
+  // when the artifact has no host durations.
+  double host_ms = 0.0;
   double padding_ratio = 0.0;
   double launches = 0.0;
   double gemm_kernels = 0.0;
@@ -58,8 +61,9 @@ struct RunProfile {
   double total_ms = 0.0;
   // Host wall-clock view, present only when the artifact carries host span
   // durations (a Chrome trace's tid-0 track). FormatReport then adds a
-  // host_ms and sim/host column: how much simulated time each host
-  // millisecond buys, the simulator's own throughput.
+  // host_ms and sim/host column to the kernel and layer tables: how much
+  // simulated time each host millisecond buys, the simulator's own
+  // throughput.
   bool has_host_time = false;
   double total_host_ms = 0.0;
   double total_occupancy = 0.0;

@@ -14,8 +14,9 @@ namespace {
 
 // Straight-line reference for the golden-sequence tests below: the documented
 // model (multiplicative tag mix, modulo set selection, LRU by stamp) with no
-// fast paths. CacheSim's recency-ordered sets and its power-of-two mask path
-// must reproduce its hit/miss decisions access for access.
+// fast paths. CacheSim's recency-ordered sets, its power-of-two mask path and
+// its vector set compare must reproduce its hit/miss decisions access for
+// access.
 class ReferenceLru {
  public:
   ReferenceLru(size_t capacity_bytes, int ways, int line_bytes)
@@ -210,6 +211,27 @@ TEST(CacheSimTest, LowAssociativityWithFlushMatchesReferenceSequence) {
       ExpectMatchesReference(cache, ref, lines, /*flush_at=*/lines.size() / 2);
       EXPECT_GT(cache.hits(), 0u);
       EXPECT_GT(cache.misses(), capacity / 128);
+    }
+  }
+}
+
+TEST(CacheSimTest, EveryAssociativityMatchesReferenceSequence) {
+  // The vector set compare (ways a multiple of 4) and the scalar find (the
+  // rest), over mask-path (64) and modulo-path (48, 44) set counts, flushed
+  // halfway.
+  for (size_t sets : {size_t{64}, size_t{48}, size_t{44}}) {
+    for (int ways : {1, 2, 4, 6, 8, 12, 16, 32}) {
+      SCOPED_TRACE(testing::Message() << sets << " sets, " << ways << " ways");
+      const size_t capacity = sets * static_cast<size_t>(ways) * 128;
+      CacheSim cache(capacity, ways, 128);
+      ASSERT_EQ(cache.num_sets(), sets);
+      ReferenceLru ref(capacity, ways, 128);
+      const size_t capacity_lines = sets * static_cast<size_t>(ways);
+      const std::vector<uint64_t> lines =
+          RecordedLineSequence(8 * capacity_lines + 4000, 2 * capacity_lines + 64);
+      ExpectMatchesReference(cache, ref, lines, /*flush_at=*/lines.size() / 2);
+      EXPECT_GT(cache.hits(), 0u);
+      EXPECT_GT(cache.misses(), capacity_lines / 2);
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "src/gpusim/device.h"
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +12,16 @@
 #include "src/util/rng.h"
 
 namespace minuet {
+
+// The read path GlobalRead had before its inline L1-hit case: every read
+// through AccessLines. The reference the inline path must reproduce.
+struct BlockCtxPeer {
+  static void OutOfLineRead(BlockCtx& ctx, const void* addr, size_t bytes) {
+    ctx.bytes_read_ += bytes;
+    ctx.AccessLines(addr, bytes, /*is_read=*/true);
+  }
+};
+
 namespace {
 
 DeviceConfig TinyConfig() {
@@ -99,6 +110,143 @@ TEST(DeviceTest, UnalignedRangeTouchesBothLines) {
     ctx.GlobalRead(data.data() + 120, 16);  // straddles the 128B boundary
   });
   EXPECT_EQ(s.l2_hits + s.l2_misses, 2u);
+}
+
+void ExpectSameStats(const KernelStats& a, const KernelStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.millis, b.millis);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.l2_misses, b.l2_misses);
+  EXPECT_EQ(a.global_bytes_read, b.global_bytes_read);
+  EXPECT_EQ(a.global_bytes_written, b.global_bytes_written);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.num_waves, b.num_waves);
+  EXPECT_EQ(a.launch_cycles, b.launch_cycles);
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_EQ(a.dram_cycles, b.dram_cycles);
+  EXPECT_EQ(a.l2_cycles, b.l2_cycles);
+}
+
+// One read of (offset, bytes) into a 1 KiB device buffer.
+struct Read {
+  size_t offset;
+  size_t bytes;
+};
+
+// Runs `reads` as one block on a fresh device, each either through GlobalRead
+// or through the out-of-line reference path.
+KernelStats RunReads(const std::vector<Read>& reads, bool inline_path) {
+  Device dev(TinyConfig());
+  DeviceVector<char> data(1024, dev.memory());
+  return dev.Launch("reads", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
+    for (const Read& r : reads) {
+      if (inline_path) {
+        ctx.GlobalRead(data.data() + r.offset, r.bytes);
+      } else {
+        BlockCtxPeer::OutOfLineRead(ctx, data.data() + r.offset, r.bytes);
+      }
+    }
+  });
+}
+
+TEST(DeviceTest, InlineReadPathMatchesOutOfLinePath) {
+  // Single-line reads that hit and miss the L1, line-straddling reads, a
+  // whole-line read, zero-byte reads and repeats: the inline L1-hit path must
+  // count exactly what AccessLines counts.
+  const std::vector<Read> reads = {
+      {0, 4},   {4, 4},    {0, 4},    {124, 8},  {128, 4},   {120, 16}, {256, 128},
+      {256, 1}, {383, 1},  {384, 0},  {0, 0},    {1000, 24}, {900, 100}, {900, 4},
+      {64, 64}, {127, 2},  {127, 1},  {0, 1024}, {512, 4},  {513, 4},  {640, 0}};
+  ExpectSameStats(RunReads(reads, /*inline_path=*/true), RunReads(reads, false));
+  // Each case on its own, from a cold L1, and repeated.
+  for (const Read& r : reads) {
+    SCOPED_TRACE(testing::Message() << "offset " << r.offset << ", " << r.bytes << " bytes");
+    const std::vector<Read> repeated(3, r);
+    ExpectSameStats(RunReads(repeated, true), RunReads(repeated, false));
+  }
+}
+
+TEST(DeviceTest, RepeatedReadMatchesLoopOfReads) {
+  // The warp-broadcast call against the loop it replaced, for single-line,
+  // line-straddling, multi-line and zero-byte ranges and several counts,
+  // with an L1-resident and a cold first read.
+  for (const Read& r : std::vector<Read>{{8, 4}, {126, 4}, {0, 128}, {100, 500}, {40, 0}}) {
+    for (int64_t count : {0, 1, 2, 3, 8}) {
+      for (bool warm : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "offset " << r.offset << ", " << r.bytes
+                                        << " bytes, count " << count << ", warm " << warm);
+        KernelStats stats[2];
+        for (int repeated = 0; repeated < 2; ++repeated) {
+          Device dev(TinyConfig());
+          DeviceVector<char> data(1024, dev.memory());
+          stats[repeated] = dev.Launch("reads", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
+            if (warm) {
+              ctx.GlobalRead(data.data(), data.size());
+            }
+            if (repeated == 1) {
+              ctx.GlobalReadRepeated(data.data() + r.offset, r.bytes, count);
+            } else {
+              for (int64_t i = 0; i < count; ++i) {
+                ctx.GlobalRead(data.data() + r.offset, r.bytes);
+              }
+            }
+          });
+        }
+        ExpectSameStats(stats[0], stats[1]);
+      }
+    }
+  }
+}
+
+TEST(DeviceDeathTest, ReadsOutsideTheArenaStillFail) {
+  Device dev(TinyConfig());
+  const uintptr_t base = dev.memory()->base();
+  const auto at = [](uintptr_t address) { return reinterpret_cast<const void*>(address); };
+  const uintptr_t last_line = base + DeviceMemory::kReserveBytes - 128;
+  // Below the arena: the device address wraps to far beyond it.
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalRead(at(base - 4), 4); }),
+               "outside device memory");
+  // Off the arena's end from an L1-resident last line: the read starts on
+  // that line, so only the one-line condition keeps it off the inline path.
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) {
+                            ctx.GlobalRead(at(last_line), 4);
+                            ctx.GlobalRead(at(last_line + 124), 8);
+                          }),
+               "outside device memory");
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalReadRepeated(at(base - 4), 4, 2); }),
+               "outside device memory");
+  // A repeated range the L1 cannot hold has no exact shortcut.
+  DeviceVector<char> big(129 * 128, dev.memory());
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalReadRepeated(big.data(), big.size(), 2); }),
+               "must fit the L1");
+}
+
+TEST(DeviceTest, GemmPayloadRunsInsideTheKernelSpan) {
+  // The functional arithmetic handed to LaunchGemm runs once, inside the
+  // kernel span, so the span's host duration covers it. The simulated stats
+  // are those of a launch without a payload.
+  Device plain(TinyConfig());
+  const KernelStats expected = plain.LaunchGemm("g", 256, 64, 64, /*batch=*/2);
+
+  Device dev(TinyConfig());
+  trace::Tracer tracer;
+  trace::Tracer::Install(&tracer);
+  int runs = 0;
+  const KernelStats stats =
+      dev.LaunchGemm("g", 256, 64, 64, /*batch=*/2, /*efficiency=*/1.0,
+                     /*bytes_per_element=*/4.0, [&] {
+                       ++runs;
+                       std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     });
+  trace::Tracer::Install(nullptr);
+  EXPECT_EQ(runs, 1);
+  ExpectSameStats(stats, expected);
+  ASSERT_EQ(tracer.CountCategory("kernel"), 1);
+  EXPECT_GE(tracer.spans()[0].HostDurationUs(), 20000.0);
 }
 
 TEST(DeviceTest, TotalsAccumulateAcrossLaunches) {

@@ -160,6 +160,50 @@ TEST(ProfileLoadTest, LoadsChromeTraceAndAggregatesLaunches) {
   EXPECT_NE(text.find("0.051"), std::string::npos) << text;  // 0.4 / 7.777
 }
 
+TEST(ProfileLoadTest, LayerHostTimeComesFromItsHostTrackTwin) {
+  // Two passes over conv0 and one over conv1: each simulated layer span (tid
+  // 1) pairs with its own host-track twin (tid 0), the n-th with the n-th.
+  // conv1 has no host twin, so its host_ms stays 0.
+  const std::string trace = R"({"traceEvents": [
+    {"name": "conv0", "cat": "layer", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 4000,
+     "args": {"conv_index": 0}},
+    {"name": "conv0", "cat": "layer", "ph": "X", "pid": 0, "tid": 1, "ts": 0, "dur": 600,
+     "args": {"conv_index": 0, "launches": 5}},
+    {"name": "conv1", "cat": "layer", "ph": "X", "pid": 0, "tid": 1, "ts": 600, "dur": 300,
+     "args": {"conv_index": 1, "launches": 2}},
+    {"name": "conv0", "cat": "layer", "ph": "X", "pid": 0, "tid": 0, "ts": 5000, "dur": 2000,
+     "args": {"conv_index": 0}},
+    {"name": "conv0", "cat": "layer", "ph": "X", "pid": 0, "tid": 1, "ts": 900, "dur": 500,
+     "args": {"conv_index": 0, "launches": 5}}
+  ]})";
+  RunProfile profile;
+  std::string error;
+  ASSERT_TRUE(LoadRunProfile(Parse(trace), &profile, &error)) << error;
+  EXPECT_TRUE(profile.has_host_time);
+  ASSERT_EQ(profile.layers.size(), 3u);
+  // Sorted by conv index, in no fixed order within one index, so the conv0
+  // passes are told apart by their simulated time.
+  for (const LayerProfile& layer : profile.layers) {
+    if (layer.conv_index == 1) {
+      EXPECT_DOUBLE_EQ(layer.host_ms, 0.0);
+    } else if (layer.sim_ms == 0.6) {
+      EXPECT_DOUBLE_EQ(layer.host_ms, 4.0);
+    } else {
+      EXPECT_DOUBLE_EQ(layer.sim_ms, 0.5);
+      EXPECT_DOUBLE_EQ(layer.host_ms, 2.0);
+    }
+  }
+  const std::string text = FormatReport(profile, 0);
+  const size_t table = text.find("per-layer hot path:");
+  ASSERT_NE(table, std::string::npos) << text;
+  const std::string layers = text.substr(table);
+  EXPECT_NE(layers.find("host_ms"), std::string::npos) << text;
+  EXPECT_NE(layers.find("sim/host"), std::string::npos) << text;
+  EXPECT_NE(layers.find("4.00"), std::string::npos) << text;   // conv0's first pass
+  EXPECT_NE(layers.find("0.150"), std::string::npos) << text;  // 0.6 / 4.0
+  EXPECT_NE(layers.find("0.250"), std::string::npos) << text;  // 0.5 / 2.0
+}
+
 TEST(ProfileLoadTest, MetricsSnapshotReportHasNoHostColumns) {
   // Metrics snapshots carry no host span durations, so the report must keep
   // its classic shape (the host view would be all zeros — noise).
