@@ -40,9 +40,11 @@ class FeatureMatrix {
   }
 
   // A rows x cols matrix in `memory` whose contents are indeterminate until
-  // written: for scratch buffers every element of which is defined before it
-  // is read (ClearBuffer defines the GMaS staging buffers). Skips the zero
-  // fill, and arena pages nothing writes are never committed.
+  // written: for buffers every element of which is defined before it is read
+  // (in functional mode ClearBuffer defines the GMaS staging buffers and
+  // Scatter the outputs), and for every payload of a timing-only run, which
+  // reads none. Skips the zero fill, and arena pages nothing writes are never
+  // committed.
   static FeatureMatrix Uninitialized(int64_t rows, int64_t cols, DeviceMemory* memory) {
     return FeatureMatrix(rows, cols,
                          DeviceVector<float>(DeviceAllocator<float>::Uninitialized(memory)));

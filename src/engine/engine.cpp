@@ -427,9 +427,9 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
     MINUET_CHECK_GE(instr.slot, 0);
     return slot_channels[static_cast<size_t>(instr.slot)];
   };
-  // Timing-only runs read no weight: they get zero matrices of the right
-  // shape and draw nothing. The per-layer SplitMix64 chain is derived the
-  // same way in both modes, so functional weights stay bit-identical.
+  // Timing-only runs read no weight, so they store and draw none. The
+  // per-layer SplitMix64 chain is derived the same way in both modes, so
+  // functional weights stay bit-identical.
   const bool functional = config_.functional;
   uint64_t state = seed;
   for (const Instr& instr : network_.instrs) {
@@ -439,16 +439,17 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
         int64_t& c = instr.slot >= 0 ? slot(instr) : channels;
         MINUET_CHECK_EQ(c, conv.c_in) << "conv" << conv_weights_.size() << " input channels";
         c = conv.c_out;
-        Pcg32 rng(SplitMix64(state), 17);
-        const int64_t n_off = conv.NumOffsets();
-        // He-style scale keeps activations in range through deep networks.
-        const float scale =
-            std::sqrt(2.0f / static_cast<float>(conv.c_in * std::max<int64_t>(n_off, 1)));
+        const uint64_t layer_seed = SplitMix64(state);
         ConvWeights weights;
-        for (int64_t k = 0; k < n_off; ++k) {
-          weights.per_offset.push_back(functional
-                                           ? GaussianMatrix(rng, conv.c_in, conv.c_out, scale)
-                                           : FeatureMatrix(conv.c_in, conv.c_out));
+        if (functional) {
+          Pcg32 rng(layer_seed, 17);
+          const int64_t n_off = conv.NumOffsets();
+          // He-style scale keeps activations in range through deep networks.
+          const float scale =
+              std::sqrt(2.0f / static_cast<float>(conv.c_in * std::max<int64_t>(n_off, 1)));
+          for (int64_t k = 0; k < n_off; ++k) {
+            weights.per_offset.push_back(GaussianMatrix(rng, conv.c_in, conv.c_out, scale));
+          }
         }
         conv_weights_.push_back(std::move(weights));
         layer_tiles_.emplace_back(config_.fixed_tile, config_.fixed_tile);
@@ -463,11 +464,11 @@ void Engine::Prepare(const Network& network, uint64_t seed) {
         break;
       case Instr::Op::kLinear: {
         SplitMix64(state);  // the head's draw: keeps later layers' seeds in place
-        Pcg32 rng(0x11ead + linear_weights_.size(), 23);
-        linear_weights_.push_back(
-            functional ? GaussianMatrix(rng, channels, instr.linear_out,
-                                        std::sqrt(2.0f / static_cast<float>(channels)))
-                       : FeatureMatrix(channels, instr.linear_out));
+        if (functional) {
+          Pcg32 rng(0x11ead + linear_weights_.size(), 23);
+          linear_weights_.push_back(GaussianMatrix(rng, channels, instr.linear_out,
+                                                   std::sqrt(2.0f / static_cast<float>(channels))));
+        }
         channels = instr.linear_out;
         break;
       }
@@ -587,15 +588,18 @@ struct Engine::RunState {
   int conv_index = 0;
   size_t linear_index = 0;
 
-  // Activation matrices come from the session's pool when there is one
-  // (zero-filled, matching the fresh-allocation semantics) and go back to it
-  // when replaced, so a warmed-up session allocates nothing per run.
+  // Activation matrices come from the session's pool when there is one and
+  // go back to it when replaced, so a warmed-up session allocates nothing per
+  // run. Functional runs get them zero-filled. Timing-only runs read and write
+  // no payload, so theirs stay indeterminate and untouched; the device
+  // allocation sequence is the same in both modes.
   FeatureMatrix NewMatrix(int64_t rows, int64_t cols) {
     if (ctx.pool != nullptr) {
       return FeatureMatrix(rows, cols,
-                           ctx.pool->Acquire(static_cast<size_t>(rows * cols), /*zero=*/true));
+                           ctx.pool->Acquire(static_cast<size_t>(rows * cols), functional()));
     }
-    return FeatureMatrix(rows, cols, 0.0f, dev.memory());
+    return functional() ? FeatureMatrix(rows, cols, 0.0f, dev.memory())
+                        : FeatureMatrix::Uninitialized(rows, cols, dev.memory());
   }
   void Recycle(FeatureMatrix& m) {
     if (ctx.pool != nullptr && m.rows() * m.cols() > 0) {
@@ -633,11 +637,14 @@ void Engine::RunState::LoadInput(const PointCloud& input) {
   SortPointCloud(sorted);
   {
     // Copy the caller's features into device memory (pooled when there is a
-    // pool, so every later Recycle() pairs with an Acquire).
+    // pool, so every later Recycle() pairs with an Acquire). Timing-only runs
+    // read no payload, so they only reserve the range.
     FeatureMatrix on_device = NewMatrix(sorted.features.rows(), sorted.features.cols());
-    std::copy(sorted.features.data(),
-              sorted.features.data() + sorted.features.rows() * sorted.features.cols(),
-              on_device.data());
+    if (functional()) {
+      std::copy(sorted.features.data(),
+                sorted.features.data() + sorted.features.rows() * sorted.features.cols(),
+                on_device.data());
+    }
     sorted.features = std::move(on_device);
   }
   const bool warm = ctx.replay != nullptr;
@@ -787,20 +794,24 @@ FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix
   const int64_t num_outputs = step.out_level->size();
   StepBreakdown& layer = record.cycles;
   if (strategy.per_offset_fused) {
-    GmasResult gmas =
-        RunPerOffsetFused(dev, *step.kernel_map, in, weights, num_outputs, functional());
+    // The fused kernel writes an unpooled device range even in a session: a
+    // pool slab sits elsewhere in the arena, and moving the kernel's output
+    // there would move its accesses and so its simulated L2 statistics.
+    FeatureMatrix fused = FeatureMatrix::Uninitialized(num_outputs, conv.c_out, dev.memory());
+    GmasResult gmas = RunPerOffsetFused(dev, *step.kernel_map, in, weights, fused, functional());
     AccumulateKernel(layer, &StepBreakdown::gather, gmas.stats.gather);
     AccumulateKernel(layer, &StepBreakdown::gemm, gmas.stats.gemm);
     layer.gemm_kernels += gmas.stats.plan.NumKernels();
     layer.actual_rows += gmas.stats.plan.actual_rows;
     if (ctx.pool == nullptr) {
-      return std::move(gmas.output);
+      return fused;
     }
-    // The fused path allocates its own output; move it into pooled storage so
-    // the recycle chain stays pool-owned throughout.
-    FeatureMatrix out = NewMatrix(gmas.output.rows(), gmas.output.cols());
-    std::copy(gmas.output.data(), gmas.output.data() + gmas.output.rows() * gmas.output.cols(),
-              out.data());
+    // Move the result into pooled storage so the recycle chain stays
+    // pool-owned throughout.
+    FeatureMatrix out = NewMatrix(num_outputs, conv.c_out);
+    if (functional()) {
+      std::copy(fused.data(), fused.data() + num_outputs * conv.c_out, out.data());
+    }
     return out;
   }
 
@@ -828,8 +839,9 @@ FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix
   scratch.plan = step.grouping.get();  // set only on a warm replay
   scratch.tables = step.tables.get();
   scratch.record_tables = ctx.record != nullptr;
-  GmasResult gmas = RunGatherGemmScatter(dev, *step.kernel_map, in, weights, num_outputs,
-                                         gmas_cfg, &scratch);
+  FeatureMatrix out = NewMatrix(num_outputs, conv.c_out);
+  GmasResult gmas =
+      RunGatherGemmScatter(dev, *step.kernel_map, in, weights, out, gmas_cfg, &scratch);
   AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.metadata);
   AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.buffer_setup);
   AccumulateKernel(layer, &StepBreakdown::gather, gmas.stats.gather);
@@ -844,7 +856,7 @@ FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix
     step.grouping = std::make_shared<GroupingPlan>(gmas.stats.plan);
     step.tables = gmas.tables;  // may be null for an empty map
   }
-  return std::move(gmas.output);
+  return out;
 }
 
 void Engine::RunState::Pool(const Instr& instr) {
@@ -929,15 +941,19 @@ void Engine::RunState::Elementwise(const Instr& instr) {
 
 void Engine::RunState::Linear(const Instr& instr) {
   trace::Span step_span("engine/head", "step");
-  const FeatureMatrix& w = engine.linear_weights_[linear_index++];
   const int64_t rows = act.features.rows();
   const int64_t c_in = act.features.cols();
-  MINUET_CHECK_EQ(w.rows(), c_in);
+  const FeatureMatrix* w = nullptr;  // timing-only engines store no weights
+  if (functional()) {
+    w = &engine.linear_weights_[linear_index++];
+    MINUET_CHECK_EQ(w->rows(), c_in);
+    MINUET_CHECK_EQ(w->cols(), instr.linear_out);
+  }
   FeatureMatrix out = NewMatrix(rows, instr.linear_out);
   static const KernelId kLinearHead = KernelId::Intern("engine/gemm/linear_head");
   auto multiply = [&] {
     if (functional()) {
-      BlockedGemm(act.features.data(), w.data(), out.data(), rows, c_in, instr.linear_out);
+      BlockedGemm(act.features.data(), w->data(), out.data(), rows, c_in, instr.linear_out);
     }
   };
   AccumulateKernel(result.total, &StepBreakdown::gemm,
@@ -987,8 +1003,13 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx& ctx) {
   // Copy the result out to host storage: the caller may keep it past this
   // engine's device memory, and a pooled slab must go back so the next warm
   // run reuses it. Every remaining slab returns, so the pool ends balanced.
+  // A timing-only run's device features are indeterminate; its caller gets
+  // host zeros of their shape.
   RunResult& result = run.result;
-  result.features = FeatureMatrix(run.act.features, /*memory=*/nullptr);
+  const FeatureMatrix& final_features = run.act.features;
+  result.features = config_.functional
+                        ? FeatureMatrix(final_features, /*memory=*/nullptr)
+                        : FeatureMatrix(final_features.rows(), final_features.cols());
   run.Recycle(run.act.features);
   for (RunState::Activation& slot : run.slots) {
     run.Recycle(slot.features);

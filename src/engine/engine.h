@@ -52,9 +52,11 @@ struct EngineConfig {
   double padding_threshold = 0.25;
   int fixed_tile = 4;  // prior works' fixed tile size (Section 6.5)
   int stream_pool_size = 4;
-  // false: timing-only. Every kernel is charged as in functional mode, but no
-  // payload work is done: no arithmetic, no weight draws (Prepare keeps zero
-  // weights), no staging-buffer fills. Result features are all zero.
+  // false: timing-only. Every kernel is charged as in functional mode, at the
+  // same device addresses, but no payload is read or written: Prepare stores
+  // and draws no weights, and every device activation and buffer is left
+  // indeterminate (never filled, so its pages cost no host memory). Only the
+  // results a caller receives are defined: their features are all zero.
   bool functional = true;
 };
 
@@ -118,8 +120,8 @@ class Engine {
   // Instantiates the network: conv weights are deterministic draws from
   // `seed`; each linear head's weights come from a fixed per-head seed, with
   // c_in learned by walking the network's channel flow. Timing-only engines
-  // get zero weights of the same shapes and draw nothing. Dies if a conv's
-  // c_in does not match the channels reaching it.
+  // store and draw no weights. Dies if a conv's c_in does not match the
+  // channels reaching it.
   void Prepare(const Network& network, uint64_t seed);
 
   // Algorithm 2: profiles Gather/Scatter tiles per conv layer over a few
@@ -148,6 +150,7 @@ class Engine {
   const std::vector<std::pair<int, int>>& layer_tiles() const { return layer_tiles_; }
 
   // The deterministic per-offset weights of a conv layer (test oracle hook).
+  // Empty in timing-only mode, which stores no weights.
   const std::vector<FeatureMatrix>& conv_weights(int conv_index) const {
     return conv_weights_[static_cast<size_t>(conv_index)].per_offset;
   }
@@ -156,7 +159,7 @@ class Engine {
   friend class RunSession;
 
   struct ConvWeights {
-    std::vector<FeatureMatrix> per_offset;  // K^3 matrices of c_in x c_out
+    std::vector<FeatureMatrix> per_offset;  // K^3 matrices of c_in x c_out; none if timing-only
   };
 
   // The engine strategy as plain data, resolved once from config_ by the
@@ -196,7 +199,7 @@ class Engine {
   bool prepared_ = false;
   uint64_t plan_generation_ = 0;  // bumped by Prepare() and Autotune()
   std::vector<ConvWeights> conv_weights_;       // indexed by conv layer
-  std::vector<FeatureMatrix> linear_weights_;   // indexed by linear instr order
+  std::vector<FeatureMatrix> linear_weights_;   // by linear instr order; none if timing-only
   std::vector<std::pair<int, int>> layer_tiles_;  // (gather, scatter) per conv
 };
 

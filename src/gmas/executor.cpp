@@ -25,26 +25,28 @@ KernelStats GmasStepStats::Combined() const {
 
 GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
                                 const FeatureMatrix& input_features,
-                                const std::vector<FeatureMatrix>& weights, int64_t num_outputs,
+                                const std::vector<FeatureMatrix>& weights, FeatureMatrix& output,
                                 const GmasConfig& config, GmasScratch* scratch) {
-  MINUET_CHECK_EQ(map.num_offsets(), static_cast<int64_t>(weights.size()));
+  if (config.functional) {
+    MINUET_CHECK_EQ(map.num_offsets(), static_cast<int64_t>(weights.size()));
+  }
+  const int64_t num_outputs = output.rows();
   const int64_t c_in = input_features.cols();
-  MINUET_CHECK(!weights.empty());
-  const int64_t c_out = weights[0].cols();
+  const int64_t c_out = output.cols();
 
   WorkspacePool* pool = scratch != nullptr ? scratch->pool : nullptr;
-  auto make_matrix = [&](int64_t rows, int64_t cols, bool zero) {
+  // The staging buffers start indeterminate in both modes. Functional runs
+  // get ClearBuffer's zeroes; timing-only runs read no payload, so nothing
+  // needs defining and untouched arena pages stay uncommitted.
+  auto make_buffer = [&](int64_t rows, int64_t cols) {
     if (pool != nullptr) {
       return FeatureMatrix(rows, cols,
-                           pool->Acquire(static_cast<size_t>(rows * cols), zero));
+                           pool->Acquire(static_cast<size_t>(rows * cols), /*zero=*/false));
     }
-    return zero ? FeatureMatrix(rows, cols, 0.0f, device.memory())
-                : FeatureMatrix::Uninitialized(rows, cols, device.memory());
+    return FeatureMatrix::Uninitialized(rows, cols, device.memory());
   };
 
   GmasResult result;
-  result.output = make_matrix(num_outputs, c_out, /*zero=*/true);
-
   // GEMM reordering sorts K^3 sizes on the host — negligible (<4% of layer
   // time in the paper; nanoseconds here) but part of the plan. A prebuilt
   // plan (PlanCache hit) skips it.
@@ -56,6 +58,9 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   }
   const GroupingPlan& plan = result.stats.plan;
   if (plan.buffer_rows == 0 || num_outputs == 0) {
+    if (config.functional) {
+      output.Fill(0.0f);  // no offset contributes to any output
+    }
     return result;
   }
 
@@ -79,11 +84,8 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   const int element_bytes = config.precision == Precision::kFp16 ? 2 : 4;
   const double gemm_rate = config.precision == Precision::kFp16 ? 2.0 : 1.0;
 
-  // The staging buffers start indeterminate in both modes. Functional runs
-  // get ClearBuffer's zeroes; timing-only runs read no payload, so nothing
-  // needs defining and untouched arena pages stay uncommitted.
-  FeatureMatrix in_buffer = make_matrix(plan.buffer_rows, c_in, /*zero=*/false);
-  FeatureMatrix out_buffer = make_matrix(plan.buffer_rows, c_out, /*zero=*/false);
+  FeatureMatrix in_buffer = make_buffer(plan.buffer_rows, c_in);
+  FeatureMatrix out_buffer = make_buffer(plan.buffer_rows, c_out);
   {
     trace::Span span("gmas/buffer", "step");
     result.stats.buffer_setup +=
@@ -127,7 +129,8 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   scatter_cfg.element_bytes = element_bytes;
   {
     trace::Span span("gmas/scatter", "step");
-    result.stats.scatter = ScatterKernel(device, out_buffer, *tables, result.output, scatter_cfg);
+    // Scatter overwrites every output row in functional mode.
+    result.stats.scatter = ScatterKernel(device, out_buffer, *tables, output, scatter_cfg);
   }
 
   if (pool != nullptr) {
@@ -139,15 +142,16 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
 
 GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
                              const FeatureMatrix& input_features,
-                             const std::vector<FeatureMatrix>& weights, int64_t num_outputs,
+                             const std::vector<FeatureMatrix>& weights, FeatureMatrix& output,
                              bool functional) {
-  MINUET_CHECK_EQ(map.num_offsets(), static_cast<int64_t>(weights.size()));
   const int64_t c_in = input_features.cols();
-  MINUET_CHECK(!weights.empty());
-  const int64_t c_out = weights[0].cols();
+  const int64_t c_out = output.cols();
+  if (functional) {
+    MINUET_CHECK_EQ(map.num_offsets(), static_cast<int64_t>(weights.size()));
+    output.Fill(0.0f);  // the per-offset GEMMs accumulate into it
+  }
 
   GmasResult result;
-  result.output = FeatureMatrix(num_outputs, c_out, 0.0f, device.memory());
   // The fused path still plans (trivially) so padding stats read as zero.
   result.stats.plan = PlanGemmGroups(map.EntryCounts(), GroupingStrategy::kNoBatch, 0.0);
 
@@ -160,9 +164,13 @@ GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
     if (entries.empty()) {
       continue;
     }
-    const FeatureMatrix& w = weights[static_cast<size_t>(k)];
-    MINUET_CHECK_EQ(w.rows(), c_in);
-    MINUET_CHECK_EQ(w.cols(), c_out);
+    const float* w = nullptr;
+    if (functional) {
+      const FeatureMatrix& weight = weights[static_cast<size_t>(k)];
+      MINUET_CHECK_EQ(weight.rows(), c_in);
+      MINUET_CHECK_EQ(weight.cols(), c_out);
+      w = weight.data();
+    }
 
     // Traffic half of the fused kernel: stream the map entries, read the
     // input rows they name, read-modify-write the output rows.
@@ -179,13 +187,13 @@ GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
           for (int64_t e = begin; e < end; ++e) {
             const MapPair& pair = entries[static_cast<size_t>(e)];
             const float* in_row = input_features.data() + int64_t{pair.input_index} * c_in;
-            float* out_row = result.output.data() + int64_t{pair.output_index} * c_out;
+            float* out_row = output.data() + int64_t{pair.output_index} * c_out;
             ctx.GlobalRead(in_row, static_cast<size_t>(c_in) * sizeof(float));
             ctx.GlobalRead(out_row, static_cast<size_t>(c_out) * sizeof(float));
             ctx.GlobalWrite(out_row, static_cast<size_t>(c_out) * sizeof(float));
             ctx.Compute(static_cast<uint64_t>(c_in + c_out));
             if (functional) {
-              BlockedGemm(in_row, w.data(), out_row, 1, c_in, c_out);
+              BlockedGemm(in_row, w, out_row, 1, c_in, c_out);
             }
           }
         });

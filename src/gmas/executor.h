@@ -25,7 +25,7 @@ struct GmasConfig {
   int scatter_tile = 4;
   int threads_per_block = 128;
   int stream_pool_size = 4;
-  // false: charge every kernel but skip the arithmetic (timing-only mode).
+  // false: charge every kernel but read and write no payload (timing-only mode).
   bool functional = true;
   // fp16 halves feature/buffer traffic and doubles the GEMM rate; host math
   // stays float (the engine rounds activations through binary16).
@@ -50,7 +50,6 @@ struct GmasStepStats {
 };
 
 struct GmasResult {
-  FeatureMatrix output;  // |Q| x C_out (zero-filled in timing-only mode)
   GmasStepStats stats;
   // Metadata tables built during this run, exported only when
   // GmasScratch::record_tables was set (so a session can cache them).
@@ -61,9 +60,8 @@ struct GmasResult {
 // borrowed, nothing is required: a default GmasScratch behaves exactly like
 // passing nullptr.
 struct GmasScratch {
-  // Gather/GEMM buffers and the output matrix draw their storage from this
-  // pool instead of fresh device allocations (released back before returning,
-  // except the output, whose storage the caller owns and may recycle).
+  // The gather and GEMM staging buffers draw their storage from this pool
+  // instead of fresh device allocations, and go back to it before returning.
   WorkspacePool* pool = nullptr;
   // Prebuilt grouping plan + metadata tables (from a PlanCache hit): skips
   // PlanGemmGroups and the charged BuildMetadataTables kernels entirely.
@@ -75,11 +73,18 @@ struct GmasScratch {
   bool record_tables = false;
 };
 
+// Both dataflows write into a caller-allocated `output` (|Q| x C_out in device
+// memory; the number of outputs and C_out come from its shape). A functional
+// run defines every element of it and reads `weights` (K^3 matrices of
+// C_in x C_out). A timing-only run touches neither: the output may be
+// indeterminate storage (FeatureMatrix::Uninitialized, or a pool slab
+// acquired without zeroing) and stays as it was, and `weights` may be empty.
+
 // The batched dataflow (TorchSparse / Minuet): one Gather over all offsets,
 // grouped batched GEMMs on padded buffers, one reducing Scatter.
 GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
                                 const FeatureMatrix& input_features,
-                                const std::vector<FeatureMatrix>& weights, int64_t num_outputs,
+                                const std::vector<FeatureMatrix>& weights, FeatureMatrix& output,
                                 const GmasConfig& config, GmasScratch* scratch = nullptr);
 
 // The per-offset fused dataflow (MinkowskiEngine): no buffers, no padding,
@@ -87,7 +92,7 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
 // Wins at small channel counts, loses at large ones (Figures 15/19).
 GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
                              const FeatureMatrix& input_features,
-                             const std::vector<FeatureMatrix>& weights, int64_t num_outputs,
+                             const std::vector<FeatureMatrix>& weights, FeatureMatrix& output,
                              bool functional);
 
 // GEMM efficiency of the fused dataflow relative to the vendor library.

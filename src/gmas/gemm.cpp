@@ -138,7 +138,9 @@ BatchedGemmResult ExecuteGroupedGemms(Device& device, const GroupingPlan& plan,
                                       const std::vector<FeatureMatrix>& weights,
                                       FeatureMatrix& out_buffer, int num_streams,
                                       bool functional, double efficiency, int element_bytes) {
-  MINUET_CHECK_EQ(sizes.size(), weights.size());
+  if (functional) {
+    MINUET_CHECK_EQ(sizes.size(), weights.size());
+  }
   MINUET_CHECK_EQ(in_buffer.rows(), plan.buffer_rows);
   MINUET_CHECK_EQ(out_buffer.rows(), plan.buffer_rows);
   const int64_t c_in = in_buffer.cols();

@@ -51,7 +51,8 @@ struct BatchedGemmResult {
 // Executes one GEMM kernel launch per group: for every offset k in a group,
 // out_buffer[base_k .. base_k+n_k) += in_buffer[rows] * weights[k].
 // weights[k] is C_in x C_out. If `functional` is false only the cost model
-// runs. `efficiency` is forwarded to the device GEMM model.
+// runs: no buffer or weight is touched, and `weights` may be empty.
+// `efficiency` is forwarded to the device GEMM model.
 BatchedGemmResult ExecuteGroupedGemms(Device& device, const GroupingPlan& plan,
                                       const std::vector<int64_t>& sizes,
                                       const FeatureMatrix& in_buffer,

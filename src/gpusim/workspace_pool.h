@@ -51,8 +51,9 @@ class WorkspacePool {
   // power of two). Contents are zero-filled only when `zero` is set;
   // otherwise they are indeterminate (a reused slab's stale data, or a fresh
   // slab's unwritten memory), so the caller must define every element it
-  // reads. The GMaS staging buffers are: ClearBuffer zeroes them in
-  // functional mode, and timing-only mode reads no payload.
+  // reads. Timing-only runs acquire every slab this way: they read and write
+  // no payload, so their slabs stay untouched, and only the results handed
+  // to a caller are defined (as host zeros).
   DeviceVector<float> Acquire(size_t count, bool zero);
 
   // Returns a slab to its size-class free list. Slabs must originate from

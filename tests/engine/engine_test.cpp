@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
+#include <string>
 
 #include "src/core/dense_reference.h"
 #include "src/core/weight_offsets.h"
@@ -283,6 +285,83 @@ TEST(EngineTest, TimingOnlyRunReturnsZerosOnDirtyDeviceMemory) {
         }
       }
     }
+  }
+}
+
+// `got` is all zeros and shaped like `shape`.
+void ExpectZerosShapedLike(const FeatureMatrix& got, const FeatureMatrix& shape) {
+  ASSERT_EQ(got.rows(), shape.rows());
+  ASSERT_EQ(got.cols(), shape.cols());
+  for (int64_t i = 0; i < got.rows(); ++i) {
+    for (int64_t j = 0; j < got.cols(); ++j) {
+      ASSERT_EQ(got.At(i, j), 0.0f) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(EngineTest, TimingOnlyBatchAndSessionResultsAreZeros) {
+  // RunBatch and RunSession hand out timing-only results too: zeros of the
+  // functional shapes, on NaN-dirtied device memory, cold and warm.
+  const Network net = MakeTinyUNet(4);
+  const std::vector<PointCloud> clouds = {SmallCloud(600, 16, 4, 21), SmallCloud(500, 12, 4, 22)};
+  for (EngineKind kind :
+       {EngineKind::kMinuet, EngineKind::kTorchSparse, EngineKind::kMinkowski}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    Engine functional(ConfigFor(kind), MakeRtx3090());
+    functional.Prepare(net, 5);
+    const std::vector<RunResult> batch_shape = functional.RunBatch(clouds);
+    const RunResult run_shape = functional.Run(clouds[0]);
+
+    EngineConfig config = ConfigFor(kind);
+    config.functional = false;
+    Engine engine(config, MakeRtx3090());
+    engine.Prepare(net, 5);
+    const FeatureMatrix anchor(1, 1, 0.0f, engine.device().memory());
+    {
+      FeatureMatrix nan(int64_t{1} << 22, 1, std::numeric_limits<float>::quiet_NaN(),
+                        engine.device().memory());
+    }
+    const std::vector<RunResult> batch = engine.RunBatch(clouds);
+    ASSERT_EQ(batch.size(), batch_shape.size());
+    for (size_t b = 0; b < batch.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "batch cloud " << b);
+      ExpectZerosShapedLike(batch[b].features, batch_shape[b].features);
+    }
+    RunSession session(engine);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      SCOPED_TRACE(repeat == 0 ? "cold session run" : "warm session run");
+      ExpectZerosShapedLike(session.Run(clouds[0]).features, run_shape.features);
+    }
+    EXPECT_EQ(session.stats().warm_runs, 1u);
+  }
+}
+
+// Resident set size of this process, in bytes.
+int64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoll(line.substr(6)) * 1024;  // reported in kB
+    }
+  }
+  ADD_FAILURE() << "no VmRSS in /proc/self/status";
+  return 0;
+}
+
+TEST(EngineTest, TimingOnlyPrepareStoresNoWeights) {
+  // MinkUNet42's weights take about 64 MB as floats; a timing-only engine
+  // reads none, so preparing one must not grow the process by them.
+  EngineConfig config = ConfigFor(EngineKind::kMinuet);
+  config.functional = false;
+  Engine engine(config, MakeRtx3090());
+  const Network net = MakeMinkUNet42(4);
+  const int64_t before = ResidentBytes();
+  engine.Prepare(net, 1);
+  const int64_t grown = ResidentBytes() - before;
+  EXPECT_LT(grown, int64_t{4} << 20) << grown << " bytes";
+  for (int i = 0; i < net.NumConvLayers(); ++i) {
+    EXPECT_TRUE(engine.conv_weights(i).empty()) << "conv " << i;
   }
 }
 

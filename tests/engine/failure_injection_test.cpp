@@ -145,8 +145,9 @@ TEST(FailureInjectionTest, MismatchedWeightShapesDie) {
   FeatureMatrix input(1, 4);
   std::vector<FeatureMatrix> weights;
   weights.emplace_back(6, 8);  // wrong c_in: 6 != 4
+  FeatureMatrix output(1, 8);
   GmasConfig config;
-  EXPECT_DEATH(RunGatherGemmScatter(dev, map, input, weights, 1, config), "");
+  EXPECT_DEATH(RunGatherGemmScatter(dev, map, input, weights, output, config), "");
 }
 
 TEST(FailureInjectionTest, NegativeGroupSizesDie) {

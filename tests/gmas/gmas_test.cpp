@@ -218,10 +218,11 @@ TEST_P(GmasPipelineSuite, MatchesReferenceConv) {
   cfg.grouping = param.strategy;
   cfg.gather_tile = param.gather_tile;
   cfg.scatter_tile = param.scatter_tile;
-  GmasResult got = RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg);
+  FeatureMatrix got(cloud.num_points(), c_out, 0.0f, dev.memory());
+  RunGatherGemmScatter(dev, map, features, weights, got, cfg);
 
   FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
-  EXPECT_LT(MaxAbsDiff(got.output, expect), 1e-4f);
+  EXPECT_LT(MaxAbsDiff(got, expect), 1e-4f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -247,9 +248,10 @@ TEST(GmasTest, FusedDataflowMatchesReference) {
   KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
   const FeatureMatrix features(cloud.features, dev.memory());
 
-  GmasResult got = RunPerOffsetFused(dev, map, features, weights, cloud.num_points(), true);
+  FeatureMatrix out(cloud.num_points(), c_out, 0.0f, dev.memory());
+  GmasResult got = RunPerOffsetFused(dev, map, features, weights, out, true);
   FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
-  EXPECT_LT(MaxAbsDiff(got.output, expect), 1e-4f);
+  EXPECT_LT(MaxAbsDiff(out, expect), 1e-4f);
   EXPECT_DOUBLE_EQ(got.stats.plan.PaddingOverhead(), 0.0);
 }
 
@@ -264,10 +266,10 @@ TEST(GmasTest, StridedConvMatchesReference) {
   const FeatureMatrix features(cloud.features, dev.memory());
 
   GmasConfig cfg;
-  GmasResult got = RunGatherGemmScatter(dev, map, features, weights,
-                                        static_cast<int64_t>(out_coords.size()), cfg);
+  FeatureMatrix got(static_cast<int64_t>(out_coords.size()), c_out, 0.0f, dev.memory());
+  RunGatherGemmScatter(dev, map, features, weights, got, cfg);
   FeatureMatrix expect = ReferenceSparseConv(cloud, out_coords, offsets, weights);
-  EXPECT_LT(MaxAbsDiff(got.output, expect), 1e-4f);
+  EXPECT_LT(MaxAbsDiff(got, expect), 1e-4f);
 }
 
 TEST(GmasTest, TimingOnlyModeChargesSameKernels) {
@@ -285,21 +287,21 @@ TEST(GmasTest, TimingOnlyModeChargesSameKernels) {
   Device dev_a(MakeRtx3090());
   KernelMap map_a = MakeMap(dev_a, cloud, cloud.coords, offsets);
   const FeatureMatrix features_a(cloud.features, dev_a.memory());
-  GmasResult a =
-      RunGatherGemmScatter(dev_a, map_a, features_a, weights, cloud.num_points(), functional);
+  FeatureMatrix out_a(cloud.num_points(), c_out, 0.0f, dev_a.memory());
+  GmasResult a = RunGatherGemmScatter(dev_a, map_a, features_a, weights, out_a, functional);
   Device dev_b(MakeRtx3090());
   KernelMap map_b = MakeMap(dev_b, cloud, cloud.coords, offsets);
   const FeatureMatrix features_b(cloud.features, dev_b.memory());
-  GmasResult b =
-      RunGatherGemmScatter(dev_b, map_b, features_b, weights, cloud.num_points(), timing);
+  FeatureMatrix out_b(cloud.num_points(), c_out, 0.0f, dev_b.memory());
+  GmasResult b = RunGatherGemmScatter(dev_b, map_b, features_b, weights, out_b, timing);
   EXPECT_EQ(a.stats.TotalCycles(), b.stats.TotalCycles());
   EXPECT_EQ(a.stats.Combined().l2_hits, b.stats.Combined().l2_hits);
   EXPECT_EQ(a.stats.Combined().num_launches, b.stats.Combined().num_launches);
   EXPECT_EQ(a.stats.Combined().global_bytes_read, b.stats.Combined().global_bytes_read);
   EXPECT_EQ(a.stats.Combined().global_bytes_written, b.stats.Combined().global_bytes_written);
   // Timing-only output is all zeros.
-  FeatureMatrix zeros(b.output.rows(), b.output.cols(), 0.0f);
-  EXPECT_EQ(MaxAbsDiff(b.output, zeros), 0.0f);
+  FeatureMatrix zeros(out_b.rows(), out_b.cols(), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(out_b, zeros), 0.0f);
 }
 
 // |a - b| <= tol everywhere; unlike MaxAbsDiff, a NaN anywhere fails.
@@ -349,9 +351,109 @@ TEST(GmasTest, StagingBufferGarbageNeverReachesOutput) {
       cfg.functional = functional;
       GmasScratch scratch;
       scratch.pool = pooled ? &pool : nullptr;
-      GmasResult got =
-          RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &scratch);
-      EXPECT_TRUE(AllClose(got.output, functional ? expect : zeros, functional ? 1e-4f : 0.0f));
+      const size_t out_floats = static_cast<size_t>(cloud.num_points() * c_out);
+      FeatureMatrix got =
+          pooled ? FeatureMatrix(cloud.num_points(), c_out, pool.Acquire(out_floats, true))
+                 : FeatureMatrix(cloud.num_points(), c_out, 0.0f, dev.memory());
+      RunGatherGemmScatter(dev, map, features, weights, got, cfg, &scratch);
+      EXPECT_TRUE(AllClose(got, functional ? expect : zeros, functional ? 1e-4f : 0.0f));
+    }
+  }
+}
+
+// The three ways to run a sparse conv's GMaS step.
+struct Dataflow {
+  const char* name;
+  bool fused;   // RunPerOffsetFused instead of RunGatherGemmScatter
+  bool pooled;  // staging buffers and output from a WorkspacePool
+};
+constexpr Dataflow kDataflows[] = {
+    {"batched", false, false}, {"batched, pooled", false, true}, {"fused", true, false}};
+
+void RunDataflow(const Dataflow& dataflow, Device& dev, WorkspacePool& pool,
+                 const KernelMap& map, const FeatureMatrix& features,
+                 const std::vector<FeatureMatrix>& weights, FeatureMatrix& output,
+                 bool functional) {
+  if (dataflow.fused) {
+    RunPerOffsetFused(dev, map, features, weights, output, functional);
+    return;
+  }
+  GmasConfig cfg;
+  cfg.functional = functional;
+  GmasScratch scratch;
+  scratch.pool = dataflow.pooled ? &pool : nullptr;
+  RunGatherGemmScatter(dev, map, features, weights, output, cfg, &scratch);
+}
+
+// A NaN-filled output: a pool slab for a pooled dataflow, a fresh device
+// range otherwise.
+FeatureMatrix NanOutput(const Dataflow& dataflow, Device& dev, WorkspacePool& pool, int64_t rows,
+                        int64_t cols) {
+  FeatureMatrix output =
+      dataflow.pooled
+          ? FeatureMatrix(rows, cols, pool.Acquire(static_cast<size_t>(rows * cols), false))
+          : FeatureMatrix::Uninitialized(rows, cols, dev.memory());
+  output.Fill(std::numeric_limits<float>::quiet_NaN());
+  return output;
+}
+
+TEST(GmasTest, TimingOnlyRunsLeaveTheCallersOutputUntouched) {
+  // Timing-only mode reads and writes no payload: a NaN-filled output comes
+  // back bit for bit as it went in, and no weights are needed.
+  const int64_t c_in = 8, c_out = 12;
+  PointCloud cloud = RandomCloud(300, 10, c_in, 31);
+  auto offsets = MakeWeightOffsets(3, 1);
+  for (const Dataflow& dataflow : kDataflows) {
+    SCOPED_TRACE(dataflow.name);
+    Device dev(MakeRtx3090());
+    WorkspacePool pool(dev.memory());
+    KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+    const FeatureMatrix features(cloud.features, dev.memory());
+    {
+      FeatureMatrix nan(int64_t{1} << 20, 1, std::numeric_limits<float>::quiet_NaN(),
+                        dev.memory());
+    }
+    FeatureMatrix output = NanOutput(dataflow, dev, pool, cloud.num_points(), c_out);
+    const std::vector<float> before(output.data(), output.data() + output.rows() * c_out);
+
+    RunDataflow(dataflow, dev, pool, map, features, /*weights=*/{}, output, false);
+    EXPECT_GT(dev.totals().num_launches, 0);
+    ASSERT_EQ(output.rows(), cloud.num_points());
+    ASSERT_EQ(output.cols(), c_out);
+    EXPECT_EQ(std::memcmp(output.data(), before.data(), before.size() * sizeof(float)), 0);
+  }
+}
+
+TEST(GmasTest, FunctionalRunsDefineEveryOutputElement) {
+  // A functional run defines its whole output itself: started from NaN-filled
+  // storage it still matches the reference, also when no offset has an entry.
+  const int64_t c_in = 8, c_out = 12;
+  PointCloud cloud = RandomCloud(300, 10, c_in, 32);
+  auto offsets = MakeWeightOffsets(3, 1);
+  auto weights = RandomWeights(offsets.size(), c_in, c_out, 33);
+  for (bool empty_map : {false, true}) {
+    for (const Dataflow& dataflow : kDataflows) {
+      SCOPED_TRACE(testing::Message() << dataflow.name << ", empty map " << empty_map);
+      Device dev(MakeRtx3090());
+      WorkspacePool pool(dev.memory());
+      KernelMap map = MakeMap(dev, cloud, cloud.coords, offsets);
+      if (empty_map) {
+        for (auto& entries : map.entries) {
+          entries.clear();
+        }
+      }
+      const FeatureMatrix features(cloud.features, dev.memory());
+      {
+        FeatureMatrix nan(int64_t{1} << 20, 1, std::numeric_limits<float>::quiet_NaN(),
+                          dev.memory());
+      }
+      FeatureMatrix output = NanOutput(dataflow, dev, pool, cloud.num_points(), c_out);
+
+      RunDataflow(dataflow, dev, pool, map, features, weights, output, true);
+      const FeatureMatrix expect =
+          empty_map ? FeatureMatrix(cloud.num_points(), c_out)
+                    : ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
+      EXPECT_TRUE(AllClose(output, expect, 1e-4f));
     }
   }
 }
@@ -364,10 +466,11 @@ TEST(GmasTest, EmptyKernelMap) {
   FeatureMatrix input(10, 4);
   auto weights = RandomWeights(map.offsets.size(), 4, 4, 11);
   GmasConfig cfg;
-  GmasResult got = RunGatherGemmScatter(dev, map, input, weights, 10, cfg);
-  EXPECT_EQ(got.output.rows(), 10);
+  FeatureMatrix got(10, 4);
+  RunGatherGemmScatter(dev, map, input, weights, got, cfg);
+  EXPECT_EQ(got.rows(), 10);
   FeatureMatrix zeros(10, 4, 0.0f);
-  EXPECT_EQ(MaxAbsDiff(got.output, zeros), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(got, zeros), 0.0f);
 }
 
 TEST(AutotuneTest, ReturnsDivisorAndMinimum) {
@@ -486,13 +589,14 @@ TEST(GmasTest, PaddingStatsFlowThroughResult) {
   map_cfg.grouping = GroupingStrategy::kMapOrder;
 
   const FeatureMatrix features(cloud.features, dev.memory());
+  FeatureMatrix sorted_out(cloud.num_points(), c, 0.0f, dev.memory());
   GmasResult sorted_res =
-      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), sorted_cfg);
-  GmasResult map_res =
-      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), map_cfg);
+      RunGatherGemmScatter(dev, map, features, weights, sorted_out, sorted_cfg);
+  FeatureMatrix map_out(cloud.num_points(), c, 0.0f, dev.memory());
+  GmasResult map_res = RunGatherGemmScatter(dev, map, features, weights, map_out, map_cfg);
   EXPECT_LE(sorted_res.stats.plan.PaddingOverhead(), map_res.stats.plan.PaddingOverhead());
   EXPECT_LE(sorted_res.stats.plan.NumKernels(), map_res.stats.plan.NumKernels());
-  EXPECT_LT(MaxAbsDiff(sorted_res.output, map_res.output), 1e-4f);
+  EXPECT_LT(MaxAbsDiff(sorted_out, map_out), 1e-4f);
 }
 
 TEST(GmasScratchTest, PrebuiltPlanAndTablesMatchAndSkipMetadataKernels) {
@@ -508,8 +612,8 @@ TEST(GmasScratchTest, PrebuiltPlanAndTablesMatchAndSkipMetadataKernels) {
   // Cold run records its plan + tables.
   GmasScratch cold;
   cold.record_tables = true;
-  GmasResult first =
-      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &cold);
+  FeatureMatrix first_out(cloud.num_points(), c_out, 0.0f, dev.memory());
+  GmasResult first = RunGatherGemmScatter(dev, map, features, weights, first_out, cfg, &cold);
   ASSERT_NE(first.tables, nullptr);
   EXPECT_GT(first.stats.metadata.num_launches, 0);
 
@@ -517,12 +621,12 @@ TEST(GmasScratchTest, PrebuiltPlanAndTablesMatchAndSkipMetadataKernels) {
   GmasScratch warm;
   warm.plan = &first.stats.plan;
   warm.tables = first.tables.get();
-  GmasResult second =
-      RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &warm);
+  FeatureMatrix second_out(cloud.num_points(), c_out, 0.0f, dev.memory());
+  GmasResult second = RunGatherGemmScatter(dev, map, features, weights, second_out, cfg, &warm);
   EXPECT_EQ(second.stats.metadata.num_launches, 0);
   EXPECT_EQ(second.tables, nullptr);  // nothing was built, nothing recorded
-  ASSERT_EQ(first.output.rows(), second.output.rows());
-  EXPECT_EQ(MaxAbsDiff(first.output, second.output), 0.0f);  // bit-identical
+  ASSERT_EQ(first_out.rows(), second_out.rows());
+  EXPECT_EQ(MaxAbsDiff(first_out, second_out), 0.0f);  // bit-identical
 }
 
 TEST(GmasScratchTest, PooledBuffersStopAllocatingAfterWarmup) {
@@ -540,10 +644,12 @@ TEST(GmasScratchTest, PooledBuffersStopAllocatingAfterWarmup) {
   scratch.pool = &pool;
   FeatureMatrix expect = ReferenceSparseConv(cloud, cloud.coords, offsets, weights);
   for (int iter = 0; iter < 4; ++iter) {
-    GmasResult res =
-        RunGatherGemmScatter(dev, map, features, weights, cloud.num_points(), cfg, &scratch);
-    EXPECT_LT(MaxAbsDiff(res.output, expect), 1e-4f) << "iter " << iter;
-    pool.Release(res.output.TakeStorage());
+    // The caller owns the output; a serving caller draws it from the same pool.
+    FeatureMatrix out(cloud.num_points(), c,
+                      pool.Acquire(static_cast<size_t>(cloud.num_points() * c), false));
+    RunGatherGemmScatter(dev, map, features, weights, out, cfg, &scratch);
+    EXPECT_LT(MaxAbsDiff(out, expect), 1e-4f) << "iter " << iter;
+    pool.Release(out.TakeStorage());
     if (iter == 0) {
       pool.ResetStats();  // warm-up paid; steady state must not allocate
     }
