@@ -24,10 +24,11 @@
 // non-owning FunctionRef (no std::function allocation per launch), per-kernel
 // aggregates are vector-indexed, a global access is one subtraction and one
 // range check away from its line numbers, and a read that hits the block's
-// L1 on one line never leaves the header. All of it under one invariant:
-// simulated statistics are byte-identical to the straightforward
-// implementations they replaced. Independent probes over one device's tables
-// (Autotune's candidates) run on forks of it (Fork()), one per worker thread.
+// L1 on one line, or a write to one line, never leaves the header. All of it
+// under one invariant: simulated statistics are byte-identical to the
+// straightforward implementations they replaced. Independent probes over one
+// device's tables (Autotune's candidates) run on forks of it (Fork()), one per
+// worker thread.
 #ifndef SRC_GPUSIM_DEVICE_H_
 #define SRC_GPUSIM_DEVICE_H_
 
@@ -151,8 +152,23 @@ class BlockCtx {
     }
     AccessLines(addr, bytes, /*is_read=*/true);
   }
+
+  // A write that fits one line is resolved inline too: it adds its bytes and
+  // makes the one L2 access AccessLines would. start < kReserveBytes is the
+  // whole range check there, since the arena is a whole number of lines.
+  // Every other write takes the out-of-line path and its CHECK.
   void GlobalWrite(const void* addr, size_t bytes) {
+    const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
     bytes_written_ += bytes;
+    // bytes - 1 wraps for a zero-byte write, which therefore falls through.
+    if (start < DeviceMemory::kReserveBytes && bytes - 1 <= line_mask_ - (start & line_mask_)) {
+      if (l2_->AccessLine(start >> line_shift_)) {
+        ++line_hits_;
+      } else {
+        ++line_misses_;
+      }
+      return;
+    }
     AccessLines(addr, bytes, /*is_read=*/false);
   }
 
@@ -177,7 +193,7 @@ class BlockCtx {
 
  private:
   friend class Device;
-  friend struct BlockCtxPeer;  // tests: the out-of-line read path on its own
+  friend struct BlockCtxPeer;  // tests: the out-of-line access path on its own
   BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block);
 
   void AccessLines(const void* addr, size_t bytes, bool is_read);
@@ -188,7 +204,9 @@ class BlockCtx {
   int64_t block_index_;
   int64_t num_blocks_;
   int threads_per_block_;
-  // The device's arena base and line geometry, copied for the inline path.
+  // The device's L2, arena base and line geometry, copied for the inline
+  // paths.
+  CacheSim* l2_;
   uintptr_t arena_base_;
   int line_shift_;
   uint64_t line_mask_;  // line_bytes - 1
@@ -316,6 +334,7 @@ inline BlockCtx::BlockCtx(Device* device, int64_t block_index, int64_t num_block
       block_index_(block_index),
       num_blocks_(num_blocks),
       threads_per_block_(threads_per_block),
+      l2_(&device->l2_),
       arena_base_(device->arena_base_),
       line_shift_(device->line_shift_),
       line_mask_((uint64_t{1} << device->line_shift_) - 1) {

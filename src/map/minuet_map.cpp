@@ -23,6 +23,23 @@ struct QueryBlockTask {
 
 }  // namespace
 
+int LowerBoundSteps(int64_t n, int64_t r) {
+  MINUET_DCHECK(0 <= r && r <= n);
+  int steps = 0;
+  int64_t lo = 0;
+  int64_t hi = n;
+  while (lo < hi) {
+    int64_t mid = lo + (hi - lo) / 2;
+    if (mid < r) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+    ++steps;
+  }
+  return steps;
+}
+
 MinuetMapBuilder::MinuetMapBuilder(const MinuetMapConfig& config) : config_(config) {
   MINUET_CHECK_GE(config.source_block_size, 2);
   MINUET_CHECK_GE(config.query_block_size, 1);
@@ -253,6 +270,20 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
 
   // --- Forward binary search (Figure 11, steps 4-5): one thread block per
   // balanced query block; the source block is staged in scratchpad memory.
+  // Each query's binary search over its block is charged from its answer: the
+  // step count is LowerBoundSteps(block length, answer offset), tabulated for
+  // the full block length B and for the tail block's.
+  const int64_t tail_length = n_src - (num_source_blocks - 1) * block_b;
+  auto step_table = [](int64_t n) {
+    std::vector<uint8_t> table(static_cast<size_t>(n) + 1);
+    for (int64_t r = 0; r <= n; ++r) {
+      table[static_cast<size_t>(r)] = static_cast<uint8_t>(LowerBoundSteps(n, r));
+    }
+    return table;
+  };
+  const std::vector<uint8_t> full_steps = step_table(block_b);
+  const std::vector<uint8_t> tail_steps =
+      tail_length == block_b ? full_steps : step_table(tail_length);
   const size_t shared_bytes = static_cast<size_t>(block_b) * sizeof(uint64_t);
   static const KernelId kForwardSearch = KernelId::Intern("map/query/forward_search");
   KernelStats forward = device.Launch(
@@ -263,6 +294,7 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
         ctx.GlobalRead(&tasks[static_cast<size_t>(ctx.block_index())], sizeof(QueryBlockTask));
         int64_t sb = static_cast<int64_t>(task.source_block) * block_b;
         int64_t se = std::min<int64_t>(sb + block_b, n_src);
+        const uint8_t* steps = se - sb == block_b ? full_steps.data() : tail_steps.data();
         // Stage the source block into shared memory.
         ctx.GlobalRead(&src_keys[static_cast<size_t>(sb)],
                        static_cast<size_t>(se - sb) * sizeof(uint64_t));
@@ -270,21 +302,18 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
         // Stream the query block (coalesced).
         ctx.GlobalRead(&out_keys[task.query_begin],
                        static_cast<size_t>(task.query_end - task.query_begin) * sizeof(uint64_t));
+        // The task's queries are nondecreasing (sorted outputs plus one
+        // offset, clamped monotonically), so one cursor that only moves
+        // forward finds every lower bound in O(queries + B).
+        int64_t lo = sb;
+        uint64_t block_steps = 0;
         for (uint32_t i = task.query_begin; i < task.query_end; ++i) {
           bool valid = true;
           uint64_t query = query_key(out_keys[i], task.offset_index, &valid);
-          int64_t lo = sb;
-          int64_t hi = se;
-          while (lo < hi) {
-            int64_t mid = lo + (hi - lo) / 2;
-            ctx.SharedRead(sizeof(uint64_t));
-            ++comparisons;
-            // Both bounds as selects: the step has no data-dependent branch.
-            const bool below = src_keys[static_cast<size_t>(mid)] < query;
-            lo = below ? mid + 1 : lo;
-            hi = below ? hi : mid;
+          while (lo < se && src_keys[static_cast<size_t>(lo)] < query) {
+            ++lo;
           }
-          ctx.Compute(16);
+          block_steps += steps[lo - sb];
           if (valid && lo < se && src_keys[static_cast<size_t>(lo)] == query) {
             uint32_t value =
                 src_vals ? src_vals[static_cast<size_t>(lo)] : static_cast<uint32_t>(lo);
@@ -300,6 +329,10 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
                             sizeof(uint32_t));
           }
         }
+        // Charged once per block: the counters are additive.
+        ctx.SharedRead(block_steps * sizeof(uint64_t));
+        comparisons += block_steps;
+        ctx.Compute(16 * static_cast<uint64_t>(task.query_end - task.query_begin));
       });
   result.query_stats += forward;
   result.lookup_stats = forward;

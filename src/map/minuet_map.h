@@ -26,6 +26,12 @@ struct MinuetMapConfig {
   bool double_traversal = true;
 };
 
+// Iterations of the lower-bound loop `while (lo < hi) { mid = lo + (hi - lo)
+// / 2; ... }` over n sorted keys whose lower bound lies at offset r
+// (0 <= r <= n). The step at mid goes right exactly when key[mid] < query,
+// that is when mid < r, so the count is a function of (n, r) alone.
+int LowerBoundSteps(int64_t n, int64_t r);
+
 class MinuetMapBuilder : public MapBuilderBase {
  public:
   explicit MinuetMapBuilder(const MinuetMapConfig& config = {});

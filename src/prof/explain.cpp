@@ -72,7 +72,6 @@ GroupBlame BuildGroup(int64_t key, const std::string& name,
   group.e2e_p50_us = Percentile(e2e_us, 50.0);
   group.e2e_p99_us = Percentile(e2e_us, 99.0);
   group.mean_exec_us = SafeDiv(exec_us_total, static_cast<double>(group.completed));
-  group.top_phase = "-";
   if (!tail_members.empty()) {
     int64_t totals[kNumPhases];
     int64_t e2e_total = 0;

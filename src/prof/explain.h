@@ -98,8 +98,10 @@ struct GroupBlame {
   double e2e_p50_us = 0.0;   // over the group's completed requests
   double e2e_p99_us = 0.0;
   double mean_exec_us = 0.0; // device heterogeneity signal (completed)
-  std::string top_phase;     // largest blame share over the group's tail; "-"
-  double top_share = 0.0;    //   when the group has no tail members
+  // Largest blame share over the group's tail; "-" when it has no tail
+  // members.
+  std::string top_phase = "-";
+  double top_share = 0.0;
 };
 
 struct Explain {

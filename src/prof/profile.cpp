@@ -123,6 +123,8 @@ bool LoadFromMetrics(const JsonValue& doc, RunProfile* out, std::string* error) 
     k.dram_bw_util = NumberOr(gauges, prefix + "/dram_bw_util", 0.0);
     k.arith_intensity = NumberOr(gauges, prefix + "/arith_intensity", kNan);
     k.l2_hit_ratio = NumberOr(gauges, prefix + "/l2_hit_ratio", 0.0);
+    k.l2_lookups =
+        IntOr(counters, prefix + "/l2_hits", 0) + IntOr(counters, prefix + "/l2_misses", 0);
     k.roofline = StringOr(labels, prefix + "/roofline");
     out->kernels.push_back(std::move(k));
   }
@@ -276,6 +278,7 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
     k.l2_hit_ratio = (acc.l2_hits + acc.l2_misses) > 0
                          ? acc.l2_hits / (acc.l2_hits + acc.l2_misses)
                          : 0.0;
+    k.l2_lookups = static_cast<int64_t>(acc.l2_hits + acc.l2_misses);
     k.occupancy = acc.dur_us > 0 ? acc.occupancy_weighted / acc.dur_us : 0.0;
     k.dram_bw_util = acc.dur_us > 0 ? acc.bw_util_weighted / acc.dur_us : 0.0;
     if (acc.dram_bytes > 0) {
@@ -372,13 +375,15 @@ std::string FormatReport(const RunProfile& profile, int top_n) {
                             : std::min(profile.kernels.size(), static_cast<size_t>(top_n));
   // The host columns appear only when the artifact carried host span
   // durations (a trace's tid-0 track): host_ms is wall-clock spent simulating
-  // the kernel, sim/host how much simulated time a host millisecond buys.
+  // the kernel, sim/host how much simulated time a host millisecond buys, and
+  // host_ns/L2 the host nanoseconds per L2 lookup. A kernel far above the L2
+  // model's own cost per lookup is bound by its host loop, not by the L2.
   const bool host = profile.has_host_time;
   std::vector<std::vector<std::string>> rows;
   {
     std::vector<std::string> header = {"#", "kernel", "sim_ms"};
     if (host) {
-      header.insert(header.end(), {"host_ms", "sim/host"});
+      header.insert(header.end(), {"host_ms", "sim/host", "l2_lookups", "host_ns/L2"});
     }
     header.insert(header.end(),
                   {"%run", "launches", "occ", "bw_util", "arith_int", "l2_hit", "roofline"});
@@ -391,6 +396,10 @@ std::string FormatReport(const RunProfile& profile, int top_n) {
     if (host) {
       row.push_back(Format("%.2f", k.host_ms));
       row.push_back(k.host_ms > 0 ? Format("%.3f", k.millis / k.host_ms) : "-");
+      row.push_back(std::to_string(k.l2_lookups));
+      row.push_back(k.l2_lookups > 0
+                        ? Format("%.1f", k.host_ms * 1e6 / static_cast<double>(k.l2_lookups))
+                        : "-");
     }
     row.insert(row.end(),
                {Format("%.1f", pct), std::to_string(k.launches), Format("%.2f", k.occupancy),
@@ -400,7 +409,7 @@ std::string FormatReport(const RunProfile& profile, int top_n) {
   }
   std::vector<bool> right = {true, false, true};
   if (host) {
-    right.insert(right.end(), {true, true});
+    right.insert(right.end(), {true, true, true, true});
   }
   right.insert(right.end(), {true, true, true, true, true, true, false});
   AppendTable(&out, rows, right);

@@ -41,7 +41,8 @@ struct KernelProfile {
   // intensity, serialised as null by the writer).
   double arith_intensity = 0.0;
   double l2_hit_ratio = 0.0;
-  std::string roofline;  // launch_bound | compute_bound | dram_bound | l2_bound
+  int64_t l2_lookups = 0;  // L2 hits + misses
+  std::string roofline = {};  // launch_bound | compute_bound | dram_bound | l2_bound
 };
 
 struct LayerProfile {

@@ -13,12 +13,16 @@
 
 namespace minuet {
 
-// The read path GlobalRead had before its inline L1-hit case: every read
-// through AccessLines. The reference the inline path must reproduce.
+// The paths GlobalRead and GlobalWrite had before their inline cases: every
+// access through AccessLines. The reference the inline paths must reproduce.
 struct BlockCtxPeer {
   static void OutOfLineRead(BlockCtx& ctx, const void* addr, size_t bytes) {
     ctx.bytes_read_ += bytes;
     ctx.AccessLines(addr, bytes, /*is_read=*/true);
+  }
+  static void OutOfLineWrite(BlockCtx& ctx, const void* addr, size_t bytes) {
+    ctx.bytes_written_ += bytes;
+    ctx.AccessLines(addr, bytes, /*is_read=*/false);
   }
 };
 
@@ -166,6 +170,42 @@ TEST(DeviceTest, InlineReadPathMatchesOutOfLinePath) {
   }
 }
 
+// Runs `writes` as one block on a fresh device, each either through
+// GlobalWrite or through the out-of-line reference path. A read of the
+// buffer's first half leaves its lines in the L2, so writes both hit and miss.
+KernelStats RunWrites(const std::vector<Read>& writes, bool inline_path) {
+  Device dev(TinyConfig());
+  DeviceVector<char> data(2048, dev.memory());
+  return dev.Launch("writes", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
+    ctx.GlobalRead(data.data(), 1024);
+    for (const Read& w : writes) {
+      if (inline_path) {
+        ctx.GlobalWrite(data.data() + w.offset, w.bytes);
+      } else {
+        BlockCtxPeer::OutOfLineWrite(ctx, data.data() + w.offset, w.bytes);
+      }
+    }
+  });
+}
+
+TEST(DeviceTest, InlineWritePathMatchesOutOfLinePath) {
+  // Single-line writes that hit and miss the L2, line-straddling writes,
+  // whole-line writes and zero-byte writes: the inline one-line path must
+  // count exactly what AccessLines counts.
+  const std::vector<Read> writes = {
+      {0, 4},     {4, 4},    {0, 4},    {124, 8},  {128, 4},   {120, 16},  {256, 128},
+      {256, 1},   {383, 1},  {384, 0},  {0, 0},    {1000, 24}, {900, 100}, {1500, 4},
+      {1408, 128}, {1535, 2}, {1535, 1}, {0, 2048}, {1100, 4}, {1101, 4}, {2047, 1},
+      {2048, 0}};
+  ExpectSameStats(RunWrites(writes, /*inline_path=*/true), RunWrites(writes, false));
+  // Each case on its own, and repeated.
+  for (const Read& w : writes) {
+    SCOPED_TRACE(testing::Message() << "offset " << w.offset << ", " << w.bytes << " bytes");
+    const std::vector<Read> repeated(3, w);
+    ExpectSameStats(RunWrites(repeated, true), RunWrites(repeated, false));
+  }
+}
+
 TEST(DeviceTest, RepeatedReadMatchesLoopOfReads) {
   // The warp-broadcast call against the loop it replaced, for single-line,
   // line-straddling, multi-line and zero-byte ranges and several counts,
@@ -223,6 +263,30 @@ TEST(DeviceDeathTest, ReadsOutsideTheArenaStillFail) {
   EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
                           [&](BlockCtx& ctx) { ctx.GlobalReadRepeated(big.data(), big.size(), 2); }),
                "must fit the L1");
+}
+
+TEST(DeviceDeathTest, WritesOutsideTheArenaStillFail) {
+  Device dev(TinyConfig());
+  const uintptr_t base = dev.memory()->base();
+  const auto at = [](uintptr_t address) { return reinterpret_cast<void*>(address); };
+  const uintptr_t end = base + DeviceMemory::kReserveBytes;
+  // Below the arena, on one line and straddling into it: the device address
+  // wraps to far beyond the arena.
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalWrite(at(base - 4), 4); }),
+               "outside device memory");
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalWrite(at(base - 4), 8); }),
+               "outside device memory");
+  // Past the arena's end: at it on one line, and straddling it from the last
+  // line, where only the one-line condition keeps the write off the inline
+  // path.
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalWrite(at(end), 4); }),
+               "outside device memory");
+  EXPECT_DEATH(dev.Launch("k", LaunchDims{1, 128, 0},
+                          [&](BlockCtx& ctx) { ctx.GlobalWrite(at(end - 4), 8); }),
+               "outside device memory");
 }
 
 TEST(DeviceTest, GemmPayloadRunsInsideTheKernelSpan) {

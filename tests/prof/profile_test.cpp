@@ -134,6 +134,7 @@ TEST(ProfileLoadTest, LoadsChromeTraceAndAggregatesLaunches) {
   EXPECT_EQ(a.blocks, 16);
   EXPECT_EQ(a.waves, 3);
   EXPECT_DOUBLE_EQ(a.l2_hit_ratio, 40.0 / 100.0);
+  EXPECT_EQ(a.l2_lookups, 100);  // hits + misses over both launches
   // Duration-weighted averages: (0.5*300 + 0.1*100) / 400.
   EXPECT_NEAR(a.occupancy, 0.4, 1e-12);
   EXPECT_NEAR(a.dram_bw_util, 0.2, 1e-12);
@@ -144,6 +145,7 @@ TEST(ProfileLoadTest, LoadsChromeTraceAndAggregatesLaunches) {
   const KernelProfile& b = profile.kernels[1];
   EXPECT_EQ(b.name, "k/b");
   EXPECT_DOUBLE_EQ(b.host_ms, 0.0);  // no host span recorded for k/b
+  EXPECT_EQ(b.l2_lookups, 0);
   EXPECT_TRUE(std::isinf(b.arith_intensity));  // lane ops, zero DRAM traffic
 
   ASSERT_EQ(profile.layers.size(), 1u);
@@ -151,13 +153,25 @@ TEST(ProfileLoadTest, LoadsChromeTraceAndAggregatesLaunches) {
   EXPECT_DOUBLE_EQ(profile.layers[0].padding_ratio, 0.2);
 
   // The report grows host columns only because this artifact carries host
-  // durations: host_ms per kernel and sim/host (simulated ms bought per host
-  // ms — 0.4 / 7.777 for k/a).
+  // durations: host_ms per kernel, sim/host (simulated ms bought per host
+  // ms — 0.4 / 7.777 for k/a), the L2 lookups and the host ns per lookup
+  // (7.777 ms / 100 lookups for k/a; "-" for k/b, which made none).
   std::string text = FormatReport(profile, 0);
   EXPECT_NE(text.find("host_ms"), std::string::npos) << text;
   EXPECT_NE(text.find("sim/host"), std::string::npos) << text;
   EXPECT_NE(text.find("100.00 host ms"), std::string::npos) << text;  // 99.999 at %.2f
   EXPECT_NE(text.find("0.051"), std::string::npos) << text;  // 0.4 / 7.777
+  EXPECT_NE(text.find("l2_lookups"), std::string::npos) << text;
+  EXPECT_NE(text.find("host_ns/L2"), std::string::npos) << text;
+  const size_t row_a = text.find("k/a");
+  const size_t row_b = text.find("k/b");
+  ASSERT_NE(row_a, std::string::npos) << text;
+  ASSERT_NE(row_b, std::string::npos) << text;
+  const std::string line_a = text.substr(row_a, text.find('\n', row_a) - row_a);
+  const std::string line_b = text.substr(row_b, text.find('\n', row_b) - row_b);
+  EXPECT_NE(line_a.find(" 100 "), std::string::npos) << line_a;
+  EXPECT_NE(line_a.find("77770.0"), std::string::npos) << line_a;
+  EXPECT_NE(line_b.find(" - "), std::string::npos) << line_b;
 }
 
 TEST(ProfileLoadTest, LayerHostTimeComesFromItsHostTrackTwin) {
@@ -207,18 +221,30 @@ TEST(ProfileLoadTest, LayerHostTimeComesFromItsHostTrackTwin) {
 TEST(ProfileLoadTest, MetricsSnapshotReportHasNoHostColumns) {
   // Metrics snapshots carry no host span durations, so the report must keep
   // its classic shape (the host view would be all zeros — noise).
+  // The L2 lookup count still loads (from the kernel's hit and miss
+  // counters), but without host time the report shows neither it nor the
+  // host cost per lookup.
   Device dev(TinyConfig());
-  dev.Launch("map/query", LaunchDims{32, 128, 0},
-             [](BlockCtx& ctx) { ctx.Compute(5000); });
+  DeviceVector<char> data(4096, dev.memory());
+  dev.Launch("map/query", LaunchDims{32, 128, 0}, [&](BlockCtx& ctx) {
+    ctx.Compute(5000);
+    ctx.GlobalRead(data.data(), data.size());
+  });
   trace::MetricsRegistry registry;
   dev.PublishMetrics(registry);
 
   RunProfile profile;
   ASSERT_TRUE(LoadRunProfile(Parse(registry.SnapshotJson()), &profile, nullptr));
   EXPECT_FALSE(profile.has_host_time);
+  ASSERT_EQ(profile.kernels.size(), 1u);
+  const KernelStats& stats = dev.kernel_aggregates().at("map/query");
+  EXPECT_EQ(profile.kernels[0].l2_lookups, static_cast<int64_t>(stats.l2_hits + stats.l2_misses));
+  EXPECT_EQ(profile.kernels[0].l2_lookups, 32 * 32);  // 32 blocks x 32 lines
   std::string text = FormatReport(profile, 0);
   EXPECT_EQ(text.find("host_ms"), std::string::npos) << text;
   EXPECT_EQ(text.find("sim/host"), std::string::npos) << text;
+  EXPECT_EQ(text.find("l2_lookups"), std::string::npos) << text;
+  EXPECT_EQ(text.find("host_ns/L2"), std::string::npos) << text;
 }
 
 RunProfile MakeProfile(std::vector<KernelProfile> kernels) {

@@ -212,7 +212,7 @@ TEST(TimerTest, MeasuresElapsedTime) {
   WallTimer timer;
   volatile double x = 0.0;
   for (int i = 0; i < 100000; ++i) {
-    x += std::sqrt(static_cast<double>(i));
+    x = x + std::sqrt(static_cast<double>(i));
   }
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
   double first = timer.ElapsedMillis();
