@@ -148,7 +148,8 @@ void PrecisionSweep(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("abl_design_choices", argc, argv);
+  const bench::Flags flags("abl_design_choices", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Ablations", "design-choice sweeps of this reproduction");
   report.Meta("device", std::string("RTX 3090"));
   ThresholdSweep(report);

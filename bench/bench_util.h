@@ -8,10 +8,13 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <array>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <variant>
@@ -43,11 +46,113 @@ inline void Rule() {
   std::printf("----------------------------------------------------------------\n");
 }
 
+// Command-line flags a bench binary may declare. Each takes one value, given
+// as `--flag=V` or `--flag V`.
+enum class Flag { kJson, kMetrics, kTrace, kTimeline, kWarmup };
+
+struct FlagInfo {
+  const char* name;   // without the leading "--"
+  const char* value;  // placeholder in the usage text
+  bool count;         // the value must be a non-negative integer
+  const char* help;
+};
+
+// Indexed by Flag.
+inline constexpr FlagInfo kFlagTable[] = {
+    {"json", "FILE", false, "mirror the printed table as a JSON report"},
+    {"metrics", "FILE", false, "write a metrics-registry snapshot"},
+    {"trace", "FILE", false, "write a Chrome span trace"},
+    {"timeline", "FILE", false, "write the representative sweep cell's telemetry JSONL"},
+    {"warmup", "N", true, "unmeasured warm runs before the measured loop"},
+};
+
+// A bench's command line, checked against the flags the bench declares before
+// it does any work: `--help` prints usage and exits 0; an unknown flag, a flag
+// without a value, or a count that is not a non-negative integer prints usage
+// to stderr and exits 2.
+class Flags {
+ public:
+  Flags(std::string bench, std::initializer_list<Flag> declared, int argc, char** argv)
+      : bench_(std::move(bench)), declared_(declared) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help") {
+        PrintUsage(stdout);
+        std::exit(0);
+      }
+      const size_t eq = arg.find('=');
+      const Flag* flag = Find(arg.substr(0, eq));
+      if (flag == nullptr) {
+        Fail("unknown flag " + arg);
+      }
+      const FlagInfo& info = Info(*flag);
+      std::string value;
+      if (eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+      } else if (i + 1 < argc) {
+        value = argv[++i];
+      }
+      if (value.empty() || value.rfind("--", 0) == 0) {
+        Fail(std::string("--") + info.name + " needs a value");
+      }
+      if (info.count &&
+          (value.size() > 9 || value.find_first_not_of("0123456789") != std::string::npos)) {
+        Fail(std::string("--") + info.name + " takes a non-negative integer, not " + value);
+      }
+      values_[static_cast<size_t>(*flag)] = value;
+    }
+  }
+
+  const std::string& bench() const { return bench_; }
+
+  // The flag's value; empty when it was not given.
+  const std::string& Get(Flag flag) const { return values_[static_cast<size_t>(flag)]; }
+
+  // A count flag's value, or `fallback` when it was not given.
+  int Count(Flag flag, int fallback) const {
+    const std::string& value = Get(flag);
+    return value.empty() ? fallback : std::atoi(value.c_str());
+  }
+
+ private:
+  static const FlagInfo& Info(Flag flag) { return kFlagTable[static_cast<size_t>(flag)]; }
+
+  const Flag* Find(const std::string& arg) const {
+    for (const Flag& flag : declared_) {
+      if (arg == std::string("--") + Info(flag).name) {
+        return &flag;
+      }
+    }
+    return nullptr;
+  }
+
+  void PrintUsage(std::FILE* out) const {
+    std::fprintf(out, "usage: %s", bench_.c_str());
+    for (Flag flag : declared_) {
+      std::fprintf(out, " [--%s=%s]", Info(flag).name, Info(flag).value);
+    }
+    std::fprintf(out, "\n");
+    for (Flag flag : declared_) {
+      const std::string spelled = std::string("--") + Info(flag).name + "=" + Info(flag).value;
+      std::fprintf(out, "  %-16s %s\n", spelled.c_str(), Info(flag).help);
+    }
+  }
+
+  [[noreturn]] void Fail(const std::string& message) const {
+    std::fprintf(stderr, "%s: %s\n", bench_.c_str(), message.c_str());
+    PrintUsage(stderr);
+    std::exit(2);
+  }
+
+  std::string bench_;
+  std::vector<Flag> declared_;
+  std::array<std::string, std::size(kFlagTable)> values_;
+};
+
 // Machine-readable twin of the printed table. A bench constructs one report,
 // mirrors every printed row into it (AddRow + Value), and calls Write() at
 // the end. Inactive — all calls no-ops, Write() returns true — unless the
-// binary was invoked with `--json=FILE` (or `--json FILE`), so the text
-// output never changes.
+// bench was given `--json=FILE`, so the text output never changes.
 //
 // Schema:
 //   {"bench": "<name>",
@@ -57,17 +162,8 @@ class JsonReport {
  public:
   using Value = std::variant<int64_t, double, std::string>;
 
-  JsonReport(std::string bench_name, int argc, char** argv)
-      : bench_name_(std::move(bench_name)) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--json=", 0) == 0) {
-        path_ = arg.substr(7);
-      } else if (arg == "--json" && i + 1 < argc) {
-        path_ = argv[++i];
-      }
-    }
-  }
+  explicit JsonReport(const Flags& flags)
+      : bench_name_(flags.bench()), path_(flags.Get(Flag::kJson)) {}
 
   bool active() const { return !path_.empty(); }
 
@@ -144,24 +240,6 @@ class JsonReport {
   Fields meta_;
   std::vector<Fields> rows_;
 };
-
-// `--timeline=FILE` (or `--timeline FILE`): where a serving bench writes the
-// streaming-telemetry JSONL of its designated representative sweep cell
-// (telemetry is one-instance-per-run, so a sweep exports one cell, not all).
-// Empty when the flag is absent — telemetry stays detached and the bench is
-// byte-identical to a run without the flag.
-inline std::string TimelineFromArgs(int argc, char** argv) {
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--timeline=", 0) == 0) {
-      path = arg.substr(11);
-    } else if (arg == "--timeline" && i + 1 < argc) {
-      path = argv[++i];
-    }
-  }
-  return path;
-}
 
 // Benches read their point-count scale from MINUET_BENCH_POINTS when set, so
 // the full suite can be re-run quickly at reduced scale.

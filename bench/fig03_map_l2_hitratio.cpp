@@ -75,16 +75,11 @@ void Run(const std::vector<int64_t>& sizes, bench::JsonReport& report,
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig03_map_l2_hitratio", argc, argv);
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = arg.substr(10);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    }
-  }
+  const bench::Flags flags("fig03_map_l2_hitratio",
+                           {bench::Flag::kJson, bench::Flag::kMetrics},
+                           argc, argv);
+  bench::JsonReport report(flags);
+  const std::string& metrics_path = flags.Get(bench::Flag::kMetrics);
   bench::PrintTitle("Figure 3",
                     "L2 hit ratio of kernel-map building (lookup kernels), random clouds");
   bench::PrintNote("point counts scaled ~5x down from the paper (1e5..5e6 -> 2e4..1e6)");

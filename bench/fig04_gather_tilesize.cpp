@@ -78,7 +78,8 @@ void PrintTileHeader(int64_t channels) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig04_gather_tilesize", argc, argv);
+  const bench::Flags flags("fig04_gather_tilesize", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 4", "Gather latency (ms) vs tile size; '*' marks the best tile");
   bench::PrintNote("80K-point clouds, K=3; latencies are simulated device time");
   report.Meta("points", int64_t{80000});

@@ -101,7 +101,8 @@ void Run(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig05_gemm_grouping", argc, argv);
+  const bench::Flags flags("fig05_gemm_grouping", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 5 / Table (Sec. 3)",
                     "GEMM grouping: padding overhead, kernel count, simulated GEMM time");
   bench::PrintNote("60K-point clouds, K=3, C_in=C_out=64, threshold 0.25, 4-stream pool");

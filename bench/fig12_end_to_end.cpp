@@ -147,17 +147,12 @@ void Run(bench::JsonReport& report, const RunOptions& options) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig12_end_to_end", argc, argv);
+  const bench::Flags flags("fig12_end_to_end",
+                           {bench::Flag::kJson, bench::Flag::kMetrics},
+                           argc, argv);
+  bench::JsonReport report(flags);
   RunOptions options;
-  std::string metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = arg.substr(10);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    }
-  }
+  const std::string& metrics_path = flags.Get(bench::Flag::kMetrics);
   bench::PrintTitle("Figure 12", "End-to-end speedup across networks, datasets and GPUs");
   bench::PrintNote("100K-point clouds (MINUET_BENCH_POINTS overrides), timing-only mode;");
   bench::PrintNote("Minuet autotuned per layer beforehand (tuning excluded, as in the paper)");

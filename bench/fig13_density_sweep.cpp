@@ -76,7 +76,8 @@ void Run(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig13_density_sweep", argc, argv);
+  const bench::Flags flags("fig13_density_sweep", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 13", "End-to-end speedup vs point-cloud density (400^3 volume)");
   bench::PrintNote("MinkUNet42, RTX 3090, timing-only; paper sweeps 1e4..1e6 points");
   report.Meta("device", std::string("RTX 3090"));

@@ -79,7 +79,8 @@ void Run(DatasetKind dataset, bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig14_ablation", argc, argv);
+  const bench::Flags flags("fig14_ablation", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 14", "Speedup breakdown of Minuet's four key ideas (cumulative)");
   bench::PrintNote("MinkUNet42, RTX 3090, timing-only; 100K points (MINUET_BENCH_POINTS "
                    "overrides)");

@@ -74,7 +74,8 @@ void Run(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig15_layerwise", argc, argv);
+  const bench::Flags flags("fig15_layerwise", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 15",
                     "Layerwise speedup over MinkowskiEngine (geomean over datasets)");
   bench::PrintNote("150K-point clouds (MINUET_BENCH_POINTS overrides), K=3 stride 1, RTX 3090; Minuet autotuned per layer");

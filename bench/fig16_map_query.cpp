@@ -78,7 +78,8 @@ void RunSweep(DatasetKind dataset, const std::vector<int64_t>& sizes,
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig16_map_query", argc, argv);
+  const bench::Flags flags("fig16_map_query", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 16", "Map-step query: speedup and L2 hit ratio vs point count");
   bench::PrintNote("point counts scaled ~10x down from the paper (simulator on 1 CPU core);");
   bench::PrintNote("K=3, stride 1, RTX 3090 device model; speedup is vs MinkowskiEngine's hash");

@@ -117,7 +117,8 @@ void RunSweep(DatasetKind dataset, const std::vector<int64_t>& sizes,
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig17_map_build", argc, argv);
+  const bench::Flags flags("fig17_map_build", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 17", "Map-step build: hash-table build vs Minuet's radix sort");
   bench::PrintNote("point counts scaled ~10x down from the paper; RTX 3090 device model");
   report.Meta("device", std::string("RTX 3090"));

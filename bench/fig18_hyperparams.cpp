@@ -80,7 +80,8 @@ void Run(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig18_hyperparams", argc, argv);
+  const bench::Flags flags("fig18_hyperparams", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 18", "Query time vs hyper-parameters B and C on three GPUs");
   bench::PrintNote("sem3d-like cloud, 200K points, K=3");
   report.Meta("points", int64_t{200000});

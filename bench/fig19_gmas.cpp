@@ -84,7 +84,8 @@ void Run(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig19_gmas", argc, argv);
+  const bench::Flags flags("fig19_gmas", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 19", "GMaS-step speedup over MinkowskiEngine (geomean over datasets)");
   bench::PrintNote("150K-point clouds (MINUET_BENCH_POINTS overrides), K=3 stride 1, RTX 3090; Minuet autotuned per layer");
   report.Meta("points", bench::PointsFromEnv(150000));

@@ -56,7 +56,8 @@ void PrintTiles(const char* label, const char* section,
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("fig20_best_tile", argc, argv);
+  const bench::Flags flags("fig20_best_tile", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Figure 20",
                     "Best-performing tile sizes per MinkUNet42 conv layer (42 layers)");
   const int64_t points = bench::PointsFromEnv(60000);

@@ -178,7 +178,8 @@ void BenchPool(const Pool& pool, const Network& net, bench::JsonReport& report,
 }
 
 int Main(int argc, char** argv) {
-  bench::JsonReport report("fleet_sweep", argc, argv);
+  const bench::Flags flags("fleet_sweep", {bench::Flag::kJson, bench::Flag::kTimeline}, argc, argv);
+  bench::JsonReport report(flags);
 
   bench::PrintTitle("fleet_sweep",
                     "heterogeneous fleet serving under pool x load x routing policy");
@@ -203,7 +204,7 @@ int Main(int argc, char** argv) {
   bench::Row("%-22s %-13s %6s %9s %8s %10s %9s %8s %7s", "pool", "routing", "load", "rps",
              "shed", "p99(us)", "goodput", "util", "asym");
   bench::Rule();
-  std::string timeline_path = bench::TimelineFromArgs(argc, argv);
+  std::string timeline_path = flags.Get(bench::Flag::kTimeline);
   for (const Pool& pool : pools) {
     BenchPool(pool, net, report, &timeline_path);
     bench::Rule();

@@ -384,7 +384,8 @@ void Report(bench::JsonReport& report, const Scenario& s) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  bench::JsonReport report("hostperf", argc, argv);
+  const bench::Flags flags("hostperf", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("Hostperf", "host wall-clock of the simulator's own hot paths");
   bench::PrintNote("host_* keys are wall-clock (exempt from the baseline gate);");
   bench::PrintNote("sim_cycles / l2 counters are deterministic and byte-compare");

@@ -159,7 +159,10 @@ void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonRepo
 }
 
 int Main(int argc, char** argv) {
-  bench::JsonReport report("serve_scheduler", argc, argv);
+  const bench::Flags flags("serve_scheduler",
+                           {bench::Flag::kJson, bench::Flag::kTimeline},
+                           argc, argv);
+  bench::JsonReport report(flags);
 
   bench::PrintTitle("serve_scheduler",
                     "request scheduler under offered load x max batch x device");
@@ -178,7 +181,7 @@ int Main(int argc, char** argv) {
   bench::Row("%-10s %6s %6s %9s %8s %10s %10s %9s %8s %6s", "device", "batch", "load", "rps",
              "shed", "p50(us)", "p99(us)", "goodput", "util", "mBatch");
   bench::Rule();
-  std::string timeline_path = bench::TimelineFromArgs(argc, argv);
+  std::string timeline_path = flags.Get(bench::Flag::kTimeline);
   for (const DeviceConfig& preset : {MakeRtx3090(), MakeA100()}) {
     BenchDevice(preset, net, report, &timeline_path);
     bench::Rule();

@@ -16,7 +16,6 @@
 // (default 2) inserts N unmeasured warm runs before the measured loop so the
 // host percentiles exclude first-iteration effects.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -173,22 +172,15 @@ bool BenchEngine(EngineKind kind, const Network& net, const PointCloud& cloud,
 }
 
 int Main(int argc, char** argv) {
+  const bench::Flags flags(
+      "serve_warm_loop",
+      {bench::Flag::kJson, bench::Flag::kMetrics, bench::Flag::kTrace, bench::Flag::kWarmup},
+      argc, argv);
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--metrics=", 0) == 0) {
-      opts.metrics = arg.substr(10);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      opts.trace = arg.substr(8);
-    } else if (arg.rfind("--warmup=", 0) == 0) {
-      opts.warmup = std::atoi(arg.c_str() + 9);
-    } else if (arg == "--warmup" && i + 1 < argc) {
-      opts.warmup = std::atoi(argv[++i]);
-    }
-    // --json is consumed by JsonReport below; unknown flags are ignored so
-    // the bench stays runnable from the plain CI loop.
-  }
-  bench::JsonReport report("serve_warm_loop", argc, argv);
+  opts.metrics = flags.Get(bench::Flag::kMetrics);
+  opts.trace = flags.Get(bench::Flag::kTrace);
+  opts.warmup = flags.Count(bench::Flag::kWarmup, opts.warmup);
+  bench::JsonReport report(flags);
 
   bench::PrintTitle("serve_warm_loop",
                     "repeated inference through RunSession (plan cache + workspace pool)");

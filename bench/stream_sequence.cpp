@@ -153,7 +153,8 @@ void EngineLevelRow(int64_t points, double churn, bool incremental,
 }
 
 int Main(int argc, char** argv) {
-  bench::JsonReport report("stream_sequence", argc, argv);
+  const bench::Flags flags("stream_sequence", {bench::Flag::kJson}, argc, argv);
+  bench::JsonReport report(flags);
   bench::PrintTitle("stream_sequence",
                     "incremental kernel maps on a temporally coherent frame stream");
   const int64_t points = bench::PointsFromEnv(100000);

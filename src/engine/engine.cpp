@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -369,6 +368,19 @@ const char* EngineKindName(EngineKind kind) {
   return "unknown";
 }
 
+bool EngineKindForPreset(const std::string& preset, EngineKind* out) {
+  if (preset == "minuet") {
+    *out = EngineKind::kMinuet;
+  } else if (preset == "torchsparse") {
+    *out = EngineKind::kTorchSparse;
+  } else if (preset == "minkowski") {
+    *out = EngineKind::kMinkowski;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 StepBreakdown& StepBreakdown::operator+=(const StepBreakdown& other) {
   map_build += other.map_build;
   map_query += other.map_query;
@@ -393,8 +405,6 @@ Engine::Engine(const EngineConfig& config, const DeviceConfig& device_config)
   strategy_.sorted_coords = is_minuet && config_.features.segmented_sorting;
   if (strategy_.sorted_coords) {
     MinuetMapConfig map_cfg;
-    map_cfg.source_block_size = config_.map_source_block;
-    map_cfg.query_block_size = config_.map_query_block;
     map_cfg.double_traversal = config_.features.double_traversal;
     strategy_.map_builder = std::make_unique<MinuetMapBuilder>(map_cfg);
   } else {
@@ -406,9 +416,8 @@ Engine::Engine(const EngineConfig& config, const DeviceConfig& device_config)
   const bool sorted_grouping = is_minuet && config_.features.sorted_grouping;
   strategy_.grouping =
       sorted_grouping ? GroupingStrategy::kSortedOrder : GroupingStrategy::kMapOrder;
-  // The CUDA-stream pool (s = 4) ships with Minuet's GEMM grouping
-  // (Section 5.2.2); TorchSparse issues its GEMMs on one stream.
-  strategy_.stream_pool_size = sorted_grouping ? config_.stream_pool_size : 1;
+  // TorchSparse issues its GEMMs on one stream.
+  strategy_.stream_pool_size = sorted_grouping ? kStreamPoolSize : 1;
 }
 
 void Engine::Prepare(const Network& network, uint64_t seed) {
@@ -518,8 +527,8 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
       if (!pool) {
         MapBuildResult map = BuildMap(*strategy_.map_builder, scratch, *level, out);
         KernelMap kernel_map = CompactPositionTable(map.table, out.query_offsets, scratch.memory());
-        GroupingPlan plan = PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder,
-                                           config_.padding_threshold);
+        GroupingPlan plan =
+            PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder);
         MetadataTables tables = BuildMetadataTables(scratch, kernel_map, plan, level->size(),
                                                     out.level->size(), nullptr);
         AutotuneOutcome gather = AutotuneGatherTile(scratch, tables, conv.c_in);
@@ -828,7 +837,6 @@ FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix
   record.scatter_tile = scatter_tile;
   GmasConfig gmas_cfg;
   gmas_cfg.grouping = strategy.grouping;
-  gmas_cfg.padding_threshold = engine.config_.padding_threshold;
   gmas_cfg.gather_tile = gather_tile;
   gmas_cfg.scatter_tile = scatter_tile;
   gmas_cfg.stream_pool_size = strategy.stream_pool_size;
@@ -1037,14 +1045,7 @@ uint64_t Engine::PlanConfigFingerprint() const {
                  static_cast<uint64_t>(config_.features.autotuned_tiles) << 2 |
                  static_cast<uint64_t>(config_.features.sorted_grouping) << 3);
   h = mix(h, static_cast<uint64_t>(config_.precision));
-  h = mix(h, static_cast<uint64_t>(config_.map_source_block));
-  h = mix(h, static_cast<uint64_t>(config_.map_query_block));
-  uint64_t threshold_bits;
-  static_assert(sizeof(threshold_bits) == sizeof(config_.padding_threshold));
-  std::memcpy(&threshold_bits, &config_.padding_threshold, sizeof(threshold_bits));
-  h = mix(h, threshold_bits);
   h = mix(h, static_cast<uint64_t>(config_.fixed_tile));
-  h = mix(h, static_cast<uint64_t>(config_.stream_pool_size));
   h = mix(h, static_cast<uint64_t>(config_.functional));
   return h;
 }
@@ -1123,88 +1124,6 @@ void PublishRunMetrics(const RunResult& result, const DeviceConfig& device_confi
   registry.GetGauge("engine/run/launches").Set(static_cast<double>(result.total.launches));
   registry.GetGauge("engine/run/sim_ms")
       .Set(device_config.CyclesToMillis(result.total.TotalCycles()));
-}
-
-std::vector<RunResult> Engine::RunBatch(std::span<const PointCloud> batch) {
-  MINUET_CHECK(!batch.empty());
-  for (const Instr& instr : network_.instrs) {
-    MINUET_CHECK(instr.op != Instr::Op::kGlobalAvgPool && instr.op != Instr::Op::kLinear)
-        << "RunBatch does not support pooling heads (they would mix clouds)";
-  }
-
-  // Spacing: larger than any coordinate extent plus the deepest kernel reach,
-  // so no window can cross cloud boundaries. Downsampling only coarsens the
-  // lattice, never moves points past their cloud's span.
-  int32_t max_extent = 1;
-  const int64_t c = batch[0].channels();
-  int64_t total_points = 0;
-  for (const PointCloud& cloud : batch) {
-    MINUET_CHECK_EQ(cloud.channels(), c);
-    total_points += cloud.num_points();
-    for (const Coord3& p : cloud.coords) {
-      max_extent = std::max({max_extent, std::abs(p.x), std::abs(p.y), std::abs(p.z)});
-    }
-  }
-  // Round the pitch to a large power of two so downsampled cloud origins stay
-  // on their own pitch multiples at every stride level.
-  int64_t pitch64 = 1;
-  while (pitch64 < static_cast<int64_t>(max_extent) * 2 + 4096) {
-    pitch64 *= 2;
-  }
-  MINUET_CHECK_LT(pitch64 * static_cast<int64_t>(batch.size()), int64_t{kCoordMax})
-      << "batch too large for the coordinate lattice";
-  const int32_t pitch = static_cast<int32_t>(pitch64);
-
-  PointCloud fused;
-  fused.coords.reserve(static_cast<size_t>(total_points));
-  fused.features = FeatureMatrix(total_points, c);
-  int64_t row = 0;
-  for (size_t b = 0; b < batch.size(); ++b) {
-    int32_t shift = static_cast<int32_t>(b) * pitch;
-    for (const Coord3& p : batch[b].coords) {
-      fused.coords.push_back(Coord3{p.x + shift, p.y, p.z});
-    }
-    for (int64_t i = 0; i < batch[b].num_points(); ++i, ++row) {
-      auto src = batch[b].features.Row(i);
-      auto dst = fused.features.Row(row);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-
-  RunResult fused_result = Run(fused);
-
-  // Split outputs back per cloud by x-range and undo the shift. Outputs are
-  // key-sorted, so each cloud's rows are contiguous.
-  std::vector<RunResult> results(batch.size());
-  std::vector<int64_t> counts(batch.size(), 0);
-  auto cloud_of = [&](const Coord3& q) {
-    int32_t b = FloorDiv(q.x + pitch / 2, pitch);
-    MINUET_CHECK(b >= 0 && b < static_cast<int32_t>(batch.size()))
-        << "output coordinate outside every batch slot";
-    return static_cast<size_t>(b);
-  };
-  for (const Coord3& q : fused_result.coords) {
-    ++counts[cloud_of(q)];
-  }
-  for (size_t b = 0; b < batch.size(); ++b) {
-    results[b].features = FeatureMatrix(counts[b], fused_result.features.cols());
-    results[b].coords.reserve(static_cast<size_t>(counts[b]));
-    // Batch-level stats are not split: every cloud's result carries the fused
-    // run's totals and per-layer records.
-    results[b].total = fused_result.total;
-    results[b].layers = fused_result.layers;
-  }
-  std::vector<int64_t> cursor(batch.size(), 0);
-  for (size_t i = 0; i < fused_result.coords.size(); ++i) {
-    Coord3 q = fused_result.coords[i];
-    size_t b = cloud_of(q);
-    results[b].coords.push_back(
-        Coord3{q.x - static_cast<int32_t>(b) * pitch, q.y, q.z});
-    auto src = fused_result.features.Row(static_cast<int64_t>(i));
-    auto dst = results[b].features.Row(cursor[b]++);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return results;
 }
 
 }  // namespace minuet

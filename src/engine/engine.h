@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/point_cloud.h"
@@ -34,6 +35,10 @@ enum class EngineKind { kMinuet, kTorchSparse, kMinkowski };
 
 const char* EngineKindName(EngineKind kind);
 
+// The command-line engine table: "minuet", "torchsparse", "minkowski".
+// Returns false (and leaves `*out` alone) for any other name.
+bool EngineKindForPreset(const std::string& preset, EngineKind* out);
+
 struct EngineFeatures {
   bool segmented_sorting = true;  // SS
   bool double_traversal = true;   // DTBS
@@ -41,17 +46,18 @@ struct EngineFeatures {
   bool sorted_grouping = true;    // PG
 };
 
+// The CUDA-stream pool that ships with Minuet's GEMM grouping (s = 4,
+// Section 5.2.2). The Map step's B and C and the grouping's padding threshold
+// are the MinuetMapConfig and PlanGemmGroups defaults.
+constexpr int kStreamPoolSize = 4;
+
 struct EngineConfig {
   EngineKind kind = EngineKind::kMinuet;
   EngineFeatures features;
   // fp16 inference: halves device feature traffic, doubles the GEMM rate, and
   // rounds every layer's activations through binary16 (host math is float).
   Precision precision = Precision::kFp32;
-  int64_t map_source_block = 256;  // Minuet's B
-  int64_t map_query_block = 512;   // Minuet's C
-  double padding_threshold = 0.25;
   int fixed_tile = 4;  // prior works' fixed tile size (Section 6.5)
-  int stream_pool_size = 4;
   // false: timing-only. Every kernel is charged as in functional mode, at the
   // same device addresses, but no payload is read or written: Prepare stores
   // and draws no weights, and every device activation and buffer is left
@@ -132,15 +138,6 @@ class Engine {
   double Autotune(const PointCloud& sample) { return Autotune({&sample, 1}); }
 
   RunResult Run(const PointCloud& input);
-
-  // Batched inference: fuses several clouds into one run (one kernel map, one
-  // GMaS pass over the whole batch) by placing them at disjoint x-offsets
-  // spaced beyond any kernel reach, then splits the outputs back per cloud.
-  // Equivalent to running each cloud alone, but amortises launches the way
-  // real engines' batch dimension does. All clouds must share the channel
-  // count. Not supported for networks with a kGlobalAvgPool/kLinear head
-  // (pooling would mix clouds).
-  std::vector<RunResult> RunBatch(std::span<const PointCloud> batch);
 
   const EngineConfig& config() const { return config_; }
   Device& device() { return *device_; }

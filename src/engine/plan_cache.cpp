@@ -66,18 +66,4 @@ void PlanCache::Insert(const PlanKey& key, std::shared_ptr<const ExecutionPlan> 
   index_.emplace(key, lru_.begin());
 }
 
-void PlanCache::Invalidate(const PlanKey& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    return;
-  }
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
-void PlanCache::Clear() {
-  lru_.clear();
-  index_.clear();
-}
-
 }  // namespace minuet

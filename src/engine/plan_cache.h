@@ -18,9 +18,9 @@
 // different order still map to the same sorted root, so this is conservative
 // (never wrong, occasionally a redundant cold run).
 //
-// Eviction: bounded LRU. Invalidation: explicit (Invalidate/Clear), plus the
-// engine bumps its plan generation on Prepare()/Autotune() so stale plans can
-// never be replayed against new weights or tiles.
+// Eviction: bounded LRU. Invalidation: the engine bumps its plan generation
+// on Prepare()/Autotune(), which changes the config fingerprint, so stale
+// plans can never be replayed against new weights or tiles.
 #ifndef SRC_ENGINE_PLAN_CACHE_H_
 #define SRC_ENGINE_PLAN_CACHE_H_
 
@@ -112,9 +112,6 @@ class PlanCache {
   // Inserts (or replaces) the plan for `key`, evicting the least recently
   // used entry if the cache is at capacity.
   void Insert(const PlanKey& key, std::shared_ptr<const ExecutionPlan> plan);
-
-  void Invalidate(const PlanKey& key);
-  void Clear();
 
   const Stats& stats() const { return stats_; }
   size_t size() const { return lru_.size(); }

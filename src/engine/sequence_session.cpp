@@ -9,7 +9,7 @@
 namespace minuet {
 
 SequenceSession::SequenceSession(Engine& engine, const SequenceSessionConfig& config)
-    : engine_(&engine), config_(config), session_(engine, config.plan_capacity) {
+    : engine_(&engine), config_(config), session_(engine) {
   MINUET_CHECK(engine.config().kind == EngineKind::kMinuet &&
                engine.config().features.segmented_sorting)
       << "SequenceSession requires the sorted-map engine (incremental maps "

@@ -34,7 +34,6 @@
 namespace minuet {
 
 struct SequenceSessionConfig {
-  size_t plan_capacity = 8;
   // false: every frame pays the full input sort (the comparison baseline —
   // identical results, different charges).
   bool incremental = true;

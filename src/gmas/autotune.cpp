@@ -68,10 +68,9 @@ AutotuneOutcome ProfileTiles(Device& device, int64_t channels, RunTile&& run_til
   return outcome;
 }
 
-TileKernelConfig ProbeConfig(int tile, int threads_per_block) {
+TileKernelConfig ProbeConfig(int tile) {
   TileKernelConfig cfg;
   cfg.tile_size = tile;
-  cfg.threads_per_block = threads_per_block;
   cfg.functional = false;
   return cfg;
 }
@@ -79,7 +78,7 @@ TileKernelConfig ProbeConfig(int tile, int threads_per_block) {
 }  // namespace
 
 AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
-                                   int64_t channels, int threads_per_block) {
+                                   int64_t channels) {
   MINUET_CHECK_GT(channels, 0);
   // Timing-only probes read and write no payload, so the operands stay
   // unwritten, and the workers may share them.
@@ -88,21 +87,19 @@ AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
   FeatureMatrix buffer = FeatureMatrix::Uninitialized(tables.buffer_rows, channels,
                                                       device.memory());
   return ProfileTiles(device, channels, [&](Device& dev, int tile) {
-    return GatherKernel(dev, tables, features, buffer, ProbeConfig(tile, threads_per_block))
-        .cycles;
+    return GatherKernel(dev, tables, features, buffer, ProbeConfig(tile)).cycles;
   });
 }
 
 AutotuneOutcome AutotuneScatterTile(Device& device, const MetadataTables& tables,
-                                    int64_t channels, int threads_per_block) {
+                                    int64_t channels) {
   MINUET_CHECK_GT(channels, 0);
   FeatureMatrix buffer = FeatureMatrix::Uninitialized(tables.buffer_rows, channels,
                                                       device.memory());
   FeatureMatrix output = FeatureMatrix::Uninitialized(tables.num_outputs, channels,
                                                       device.memory());
   return ProfileTiles(device, channels, [&](Device& dev, int tile) {
-    return ScatterKernel(dev, buffer, tables, output, ProbeConfig(tile, threads_per_block))
-        .cycles;
+    return ScatterKernel(dev, buffer, tables, output, ProbeConfig(tile)).cycles;
   });
 }
 

@@ -39,10 +39,10 @@ struct AutotuneOutcome {
 // them, as Engine::Autotune discards its scratch device. The launches reach
 // no tracer.
 AutotuneOutcome AutotuneGatherTile(Device& device, const MetadataTables& tables,
-                                   int64_t channels, int threads_per_block = 128);
+                                   int64_t channels);
 
 AutotuneOutcome AutotuneScatterTile(Device& device, const MetadataTables& tables,
-                                    int64_t channels, int threads_per_block = 128);
+                                    int64_t channels);
 
 }  // namespace minuet
 

@@ -53,8 +53,7 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   if (scratch != nullptr && scratch->plan != nullptr) {
     result.stats.plan = *scratch->plan;
   } else {
-    result.stats.plan = PlanGemmGroups(map.EntryCounts(), config.grouping,
-                                       config.padding_threshold);
+    result.stats.plan = PlanGemmGroups(map.EntryCounts(), config.grouping);
   }
   const GroupingPlan& plan = result.stats.plan;
   if (plan.buffer_rows == 0 || num_outputs == 0) {
@@ -96,7 +95,6 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
 
   TileKernelConfig gather_cfg;
   gather_cfg.tile_size = config.gather_tile;
-  gather_cfg.threads_per_block = config.threads_per_block;
   gather_cfg.functional = config.functional;
   gather_cfg.element_bytes = element_bytes;
   {
@@ -124,7 +122,6 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
 
   TileKernelConfig scatter_cfg;
   scatter_cfg.tile_size = config.scatter_tile;
-  scatter_cfg.threads_per_block = config.threads_per_block;
   scatter_cfg.functional = config.functional;
   scatter_cfg.element_bytes = element_bytes;
   {

@@ -20,10 +20,8 @@ enum class Precision { kFp32, kFp16 };
 
 struct GmasConfig {
   GroupingStrategy grouping = GroupingStrategy::kSortedOrder;
-  double padding_threshold = 0.25;
   int gather_tile = 4;
   int scatter_tile = 4;
-  int threads_per_block = 128;
   int stream_pool_size = 4;
   // false: charge every kernel but read and write no payload (timing-only mode).
   bool functional = true;

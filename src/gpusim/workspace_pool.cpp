@@ -107,14 +107,4 @@ void WorkspacePool::Release(DeviceVector<float> slab) {
   free_lists_[cls].push_back(CachedSlab{seq, std::move(slab)});
 }
 
-void WorkspacePool::Trim() {
-  for (auto& list : free_lists_) {
-    for (auto& cached : list) {
-      live_bytes_ -= std::min(live_bytes_, cached.storage.capacity() * sizeof(float));
-    }
-    list.clear();
-  }
-  cached_bytes_ = 0;
-}
-
 }  // namespace minuet

@@ -60,9 +60,6 @@ class WorkspacePool {
   // Acquire on this pool (releasing a moved-from/empty vector is a no-op).
   void Release(DeviceVector<float> slab);
 
-  // Drops every cached slab (keeps lifetime counters).
-  void Trim();
-
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }
 

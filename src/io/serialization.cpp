@@ -8,9 +8,7 @@ namespace minuet {
 
 namespace {
 
-constexpr uint32_t kCloudMagic = 0x4350'4E4Du;   // "MNPC"
-constexpr uint32_t kMatrixMagic = 0x4D46'4E4Du;  // "MNFM"
-constexpr uint32_t kNetMagic = 0x544E'4E4Du;     // "MNNT"
+constexpr uint32_t kCloudMagic = 0x4350'4E4Du;  // "MNPC"
 constexpr uint32_t kVersion = 1;
 
 struct FileCloser {
@@ -53,6 +51,22 @@ bool CheckHeader(std::FILE* f, uint32_t magic) {
          got_version == kVersion;
 }
 
+// Bytes between the read position and the end of the file; -1 if the stream
+// cannot seek. Header counts are checked against it before anything is
+// allocated, so a corrupt or hostile count cannot ask for more memory than
+// the file could fill.
+int64_t RemainingBytes(std::FILE* f) {
+  const long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    return -1;
+  }
+  const long end = std::ftell(f);
+  if (end < pos || std::fseek(f, pos, SEEK_SET) != 0) {
+    return -1;
+  }
+  return end - pos;
+}
+
 bool WriteMatrixBody(std::FILE* f, const FeatureMatrix& matrix) {
   int64_t rows = matrix.rows();
   int64_t cols = matrix.cols();
@@ -64,6 +78,10 @@ bool ReadMatrixBody(std::FILE* f, FeatureMatrix* matrix) {
   int64_t rows = 0;
   int64_t cols = 0;
   if (!ReadOne(f, &rows) || !ReadOne(f, &cols) || rows < 0 || cols <= 0) {
+    return false;
+  }
+  const int64_t floats = RemainingBytes(f) / static_cast<int64_t>(sizeof(float));
+  if (rows > 0 && (cols > floats || rows > floats / cols)) {
     return false;
   }
   *matrix = FeatureMatrix(rows, cols);
@@ -89,7 +107,8 @@ bool LoadPointCloud(const std::string& path, PointCloud* cloud) {
     return false;
   }
   int64_t n = 0;
-  if (!ReadOne(f.get(), &n) || n < 0) {
+  if (!ReadOne(f.get(), &n) || n < 0 ||
+      n > RemainingBytes(f.get()) / static_cast<int64_t>(sizeof(Coord3))) {
     return false;
   }
   cloud->coords.resize(static_cast<size_t>(n));
@@ -98,81 +117,6 @@ bool LoadPointCloud(const std::string& path, PointCloud* cloud) {
     return false;
   }
   return cloud->features.rows() == n;
-}
-
-bool SaveFeatureMatrix(const FeatureMatrix& matrix, const std::string& path) {
-  File f(std::fopen(path.c_str(), "wb"));
-  return f != nullptr && WriteHeader(f.get(), kMatrixMagic) && WriteMatrixBody(f.get(), matrix);
-}
-
-bool LoadFeatureMatrix(const std::string& path, FeatureMatrix* matrix) {
-  File f(std::fopen(path.c_str(), "rb"));
-  return f != nullptr && CheckHeader(f.get(), kMatrixMagic) && ReadMatrixBody(f.get(), matrix);
-}
-
-bool SaveNetwork(const Network& network, const std::string& path) {
-  File f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr || !WriteHeader(f.get(), kNetMagic)) {
-    return false;
-  }
-  uint32_t name_len = static_cast<uint32_t>(network.name.size());
-  int64_t num_instrs = static_cast<int64_t>(network.instrs.size());
-  if (!WriteOne(f.get(), name_len) ||
-      !WriteMany(f.get(), network.name.data(), network.name.size()) ||
-      !WriteOne(f.get(), network.in_channels) || !WriteOne(f.get(), num_instrs)) {
-    return false;
-  }
-  for (const Instr& instr : network.instrs) {
-    int32_t op = static_cast<int32_t>(instr.op);
-    uint8_t transposed = instr.conv.transposed ? 1 : 0;
-    uint8_t generative = instr.conv.generative ? 1 : 0;
-    if (!WriteOne(f.get(), op) || !WriteOne(f.get(), instr.conv.kernel_size) ||
-        !WriteOne(f.get(), instr.conv.stride) || !WriteOne(f.get(), transposed) ||
-        !WriteOne(f.get(), generative) || !WriteOne(f.get(), instr.conv.c_in) ||
-        !WriteOne(f.get(), instr.conv.c_out) || !WriteOne(f.get(), instr.slot) ||
-        !WriteOne(f.get(), instr.linear_out)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool LoadNetwork(const std::string& path, Network* network) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr || !CheckHeader(f.get(), kNetMagic)) {
-    return false;
-  }
-  uint32_t name_len = 0;
-  int64_t num_instrs = 0;
-  if (!ReadOne(f.get(), &name_len) || name_len > 4096) {
-    return false;
-  }
-  network->name.resize(name_len);
-  if (!ReadMany(f.get(), network->name.data(), name_len) ||
-      !ReadOne(f.get(), &network->in_channels) || !ReadOne(f.get(), &num_instrs) ||
-      num_instrs < 0 || num_instrs > (1 << 20)) {
-    return false;
-  }
-  network->instrs.clear();
-  network->instrs.reserve(static_cast<size_t>(num_instrs));
-  for (int64_t i = 0; i < num_instrs; ++i) {
-    Instr instr;
-    int32_t op = 0;
-    uint8_t transposed = 0;
-    uint8_t generative = 0;
-    if (!ReadOne(f.get(), &op) || !ReadOne(f.get(), &instr.conv.kernel_size) ||
-        !ReadOne(f.get(), &instr.conv.stride) || !ReadOne(f.get(), &transposed) ||
-        !ReadOne(f.get(), &generative) || !ReadOne(f.get(), &instr.conv.c_in) ||
-        !ReadOne(f.get(), &instr.conv.c_out) || !ReadOne(f.get(), &instr.slot) ||
-        !ReadOne(f.get(), &instr.linear_out)) {
-      return false;
-    }
-    instr.op = static_cast<Instr::Op>(op);
-    instr.conv.transposed = transposed != 0;
-    instr.conv.generative = generative != 0;
-    network->instrs.push_back(instr);
-  }
-  return true;
 }
 
 }  // namespace minuet

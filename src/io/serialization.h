@@ -1,30 +1,22 @@
-// Binary serialization for point clouds, networks and feature matrices.
+// Binary serialization for point clouds.
 //
 // A tiny tagged little-endian format (magic + version per record) so sample
-// clouds and trained-weight bundles can be saved once and reloaded by tools,
-// examples and tests. Not an interchange format; layout may change between
-// versions of this library.
+// clouds can be saved once and reloaded by tools and tests. Not an
+// interchange format; layout may change between versions of this library.
 #ifndef SRC_IO_SERIALIZATION_H_
 #define SRC_IO_SERIALIZATION_H_
 
 #include <string>
 
 #include "src/core/point_cloud.h"
-#include "src/engine/network.h"
 
 namespace minuet {
 
-// Point clouds: coordinates + feature rows.
+// Point clouds: coordinates + feature rows. LoadPointCloud returns false on a
+// missing, truncated or foreign file, and on a header whose counts overflow
+// or need more bytes than the file holds (checked before allocating).
 bool SavePointCloud(const PointCloud& cloud, const std::string& path);
 bool LoadPointCloud(const std::string& path, PointCloud* cloud);
-
-// Feature matrices (weight tensors etc.).
-bool SaveFeatureMatrix(const FeatureMatrix& matrix, const std::string& path);
-bool LoadFeatureMatrix(const std::string& path, FeatureMatrix* matrix);
-
-// Network architectures (instruction lists; weights are separate).
-bool SaveNetwork(const Network& network, const std::string& path);
-bool LoadNetwork(const std::string& path, Network* network);
 
 }  // namespace minuet
 

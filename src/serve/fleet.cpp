@@ -594,8 +594,7 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     batch.device = dispatch_dev;
     batch.size = static_cast<int64_t>(replica.flight_.size());
     batch.dispatch_ns = now_ns;
-    batch.service_cycles =
-        BatchServiceCycles(member_cycles, replica.engine().config().stream_pool_size);
+    batch.service_cycles = BatchServiceCycles(member_cycles, kStreamPoolSize);
     batch.serial_cycles = std::accumulate(member_cycles.begin(), member_cycles.end(), 0.0);
     // The virtual clock knows the completion instant at dispatch.
     batch.completion_ns = now_ns + NsFromCycles(device_config, batch.service_cycles);

@@ -7,25 +7,16 @@
 namespace minuet {
 namespace serve {
 
-FlightRecorder::FlightRecorder(size_t event_capacity, size_t window_capacity)
-    : event_capacity_(event_capacity), window_capacity_(window_capacity) {}
-
 void FlightRecorder::RecordEvent(FlightEvent event) {
-  if (event_capacity_ == 0) {
-    return;
-  }
   events_.push_back(std::move(event));
-  while (events_.size() > event_capacity_) {
+  while (events_.size() > kEventCapacity) {
     events_.pop_front();
   }
 }
 
 void FlightRecorder::RecordWindow(const trace::TimeWindow& window) {
-  if (window_capacity_ == 0) {
-    return;
-  }
   windows_.push_back(window);
-  while (windows_.size() > window_capacity_) {
+  while (windows_.size() > kWindowCapacity) {
     windows_.pop_front();
   }
 }

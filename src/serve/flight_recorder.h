@@ -39,7 +39,8 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   // Capacities bound the rings; older entries fall off the front.
-  FlightRecorder(size_t event_capacity, size_t window_capacity);
+  static constexpr size_t kEventCapacity = 256;
+  static constexpr size_t kWindowCapacity = 64;
 
   void RecordEvent(FlightEvent event);
   void RecordWindow(const trace::TimeWindow& window);
@@ -56,8 +57,6 @@ class FlightRecorder {
   std::string IncidentJson(const AlertEvent& trigger, const std::string& config_json) const;
 
  private:
-  size_t event_capacity_;
-  size_t window_capacity_;
   std::deque<FlightEvent> events_;
   std::deque<trace::TimeWindow> windows_;
 };

@@ -29,8 +29,9 @@
 //
 //   service_cycles = max(max_i cycles_i, (sum_i cycles_i) / min(B, S))
 //
-// with S = EngineConfig::stream_pool_size — the batch can never finish before
-// its critical request, and B-way concurrency is capped by the stream pool.
+// with S = kStreamPoolSize (4, for every engine kind) — the batch can never
+// finish before its critical request, and B-way concurrency is capped by the
+// stream pool.
 // All requests of a batch complete together at dispatch + service.
 //
 // Determinism: the serving clock is virtual, all randomness flows through

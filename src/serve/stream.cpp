@@ -25,7 +25,6 @@ StreamScheduler::StreamScheduler(std::vector<Engine*> engines,
         << "stream replicas must share an input-channel count";
   }
   SequenceSessionConfig session_config;
-  session_config.plan_capacity = config.plan_capacity;
   session_config.incremental = config.incremental;
   session_config.rebuild_threshold = config.rebuild_threshold;
   for (int64_t s = 0; s < config.num_streams; ++s) {

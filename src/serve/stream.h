@@ -71,7 +71,6 @@ struct StreamServeConfig {
   // identical simulated results and different charges.
   bool incremental = true;
   double rebuild_threshold = 0.5;  // SequenceSessionConfig::rebuild_threshold
-  size_t plan_capacity = 8;
 };
 
 // Per-stream accounting over one run.

@@ -19,9 +19,7 @@ std::string DevPrefix(int device) { return "dev" + std::to_string(device) + "/";
 }  // namespace
 
 ServeTelemetry::ServeTelemetry(const TelemetryConfig& config)
-    : config_(config),
-      series_(config.interval_us),
-      recorder_(config.recorder_events, config.recorder_windows) {}
+    : config_(config), series_(config.interval_us) {}
 
 void ServeTelemetry::BeginRun(int num_devices, const SchedulerConfig& scheduler) {
   MINUET_CHECK(health_ == nullptr)

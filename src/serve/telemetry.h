@@ -50,8 +50,6 @@ struct SchedulerConfig;
 struct TelemetryConfig {
   double interval_us = 10000.0;  // time-series window width
   HealthConfig health;
-  size_t recorder_events = 256;  // flight-ring capacities
-  size_t recorder_windows = 64;
   bool dump_on_alert = true;     // freeze incident_json at the first firing alert
 };
 

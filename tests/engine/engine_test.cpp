@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "src/core/dense_reference.h"
 #include "src/core/weight_offsets.h"
@@ -119,6 +122,32 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineKindSuite,
                          [](const ::testing::TestParamInfo<EngineKind>& info) {
                            return EngineKindName(info.param);
                          });
+
+TEST(EngineTest, EngineKindPresetsRoundTrip) {
+  // Every kind has a command-line name that leads back to it and starts its
+  // display name (kind -> EngineKindName -> lowercase prefix -> same kind).
+  const std::pair<const char*, EngineKind> presets[] = {
+      {"minuet", EngineKind::kMinuet},
+      {"torchsparse", EngineKind::kTorchSparse},
+      {"minkowski", EngineKind::kMinkowski},
+  };
+  for (const auto& [preset, kind] : presets) {
+    SCOPED_TRACE(preset);
+    std::string name = EngineKindName(kind);
+    std::transform(name.begin(), name.end(), name.begin(),
+                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+    EXPECT_EQ(name.rfind(preset, 0), 0u) << EngineKindName(kind);
+    EngineKind got = kind == EngineKind::kMinuet ? EngineKind::kMinkowski : EngineKind::kMinuet;
+    ASSERT_TRUE(EngineKindForPreset(preset, &got));
+    EXPECT_EQ(got, kind);
+  }
+  // "all" is minuet_run's own word, not an engine.
+  for (const char* unknown : {"all", "Minuet", "", "minuet "}) {
+    EngineKind untouched = EngineKind::kTorchSparse;
+    EXPECT_FALSE(EngineKindForPreset(unknown, &untouched)) << unknown;
+    EXPECT_EQ(untouched, EngineKind::kTorchSparse);
+  }
+}
 
 TEST(EngineEquivalenceTest, AllEnginesAgreeOnTinyUNet) {
   Network net = MakeTinyUNet(4);
@@ -299,18 +328,17 @@ void ExpectZerosShapedLike(const FeatureMatrix& got, const FeatureMatrix& shape)
   }
 }
 
-TEST(EngineTest, TimingOnlyBatchAndSessionResultsAreZeros) {
-  // RunBatch and RunSession hand out timing-only results too: zeros of the
-  // functional shapes, on NaN-dirtied device memory, cold and warm.
+TEST(EngineTest, TimingOnlySessionResultsAreZeros) {
+  // RunSession hands out timing-only results too: zeros of the functional
+  // shapes, on NaN-dirtied device memory, cold and warm.
   const Network net = MakeTinyUNet(4);
-  const std::vector<PointCloud> clouds = {SmallCloud(600, 16, 4, 21), SmallCloud(500, 12, 4, 22)};
+  const PointCloud cloud = SmallCloud(600, 16, 4, 21);
   for (EngineKind kind :
        {EngineKind::kMinuet, EngineKind::kTorchSparse, EngineKind::kMinkowski}) {
     SCOPED_TRACE(EngineKindName(kind));
     Engine functional(ConfigFor(kind), MakeRtx3090());
     functional.Prepare(net, 5);
-    const std::vector<RunResult> batch_shape = functional.RunBatch(clouds);
-    const RunResult run_shape = functional.Run(clouds[0]);
+    const RunResult run_shape = functional.Run(cloud);
 
     EngineConfig config = ConfigFor(kind);
     config.functional = false;
@@ -321,16 +349,10 @@ TEST(EngineTest, TimingOnlyBatchAndSessionResultsAreZeros) {
       FeatureMatrix nan(int64_t{1} << 22, 1, std::numeric_limits<float>::quiet_NaN(),
                         engine.device().memory());
     }
-    const std::vector<RunResult> batch = engine.RunBatch(clouds);
-    ASSERT_EQ(batch.size(), batch_shape.size());
-    for (size_t b = 0; b < batch.size(); ++b) {
-      SCOPED_TRACE(testing::Message() << "batch cloud " << b);
-      ExpectZerosShapedLike(batch[b].features, batch_shape[b].features);
-    }
     RunSession session(engine);
     for (int repeat = 0; repeat < 2; ++repeat) {
       SCOPED_TRACE(repeat == 0 ? "cold session run" : "warm session run");
-      ExpectZerosShapedLike(session.Run(clouds[0]).features, run_shape.features);
+      ExpectZerosShapedLike(session.Run(cloud).features, run_shape.features);
     }
     EXPECT_EQ(session.stats().warm_runs, 1u);
   }

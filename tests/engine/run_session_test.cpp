@@ -49,7 +49,7 @@ PlanKey KeyOf(uint64_t coord_fp) {
   return key;
 }
 
-TEST(PlanCacheTest, InsertLookupInvalidate) {
+TEST(PlanCacheTest, InsertThenLookupHits) {
   PlanCache cache(4);
   EXPECT_EQ(cache.Lookup(KeyOf(1)), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -58,10 +58,6 @@ TEST(PlanCacheTest, InsertLookupInvalidate) {
   ASSERT_NE(cache.Lookup(KeyOf(1)), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.size(), 1u);
-
-  cache.Invalidate(KeyOf(1));
-  EXPECT_EQ(cache.Lookup(KeyOf(1)), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {

@@ -88,17 +88,6 @@ TEST(WorkspacePoolTest, HighWaterTracksPeakNotTotal) {
   pool.Release(std::move(d));
 }
 
-TEST(WorkspacePoolTest, TrimDropsCachedSlabs) {
-  WorkspacePool pool;
-  pool.Release(pool.Acquire(512, false));
-  EXPECT_GT(pool.cached_bytes(), 0u);
-  pool.Trim();
-  EXPECT_EQ(pool.cached_bytes(), 0u);
-  // Next acquire allocates again.
-  auto slab = pool.Acquire(512, false);
-  EXPECT_EQ(pool.stats().allocations, 2u);
-}
-
 TEST(WorkspacePoolTest, ZeroCountAndEmptyReleaseAreNoOps) {
   WorkspacePool pool;
   auto empty = pool.Acquire(0, true);

@@ -2,6 +2,11 @@
 
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/data/generators.h"
@@ -37,61 +42,59 @@ TEST(SerializationTest, EmptyPointCloudRoundTrip) {
   EXPECT_EQ(loaded.features.cols(), 3);
 }
 
-TEST(SerializationTest, FeatureMatrixRoundTrip) {
-  FeatureMatrix m(7, 4);
-  for (int64_t i = 0; i < 7; ++i) {
-    for (int64_t j = 0; j < 4; ++j) {
-      m.At(i, j) = static_cast<float>(i * 10 + j);
-    }
-  }
-  std::string path = TempPath("matrix.mnfm");
-  ASSERT_TRUE(SaveFeatureMatrix(m, path));
-  FeatureMatrix loaded;
-  ASSERT_TRUE(LoadFeatureMatrix(path, &loaded));
-  EXPECT_EQ(MaxAbsDiff(loaded, m), 0.0f);
-}
-
-TEST(SerializationTest, NetworkRoundTrip) {
-  Network original = MakeMinkUNet42(4);
-  std::string path = TempPath("net.mnnt");
-  ASSERT_TRUE(SaveNetwork(original, path));
-  Network loaded;
-  ASSERT_TRUE(LoadNetwork(path, &loaded));
-  EXPECT_EQ(loaded.name, original.name);
-  EXPECT_EQ(loaded.in_channels, original.in_channels);
-  ASSERT_EQ(loaded.instrs.size(), original.instrs.size());
-  for (size_t i = 0; i < original.instrs.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(loaded.instrs[i].op), static_cast<int>(original.instrs[i].op));
-    EXPECT_EQ(loaded.instrs[i].conv.kernel_size, original.instrs[i].conv.kernel_size);
-    EXPECT_EQ(loaded.instrs[i].conv.stride, original.instrs[i].conv.stride);
-    EXPECT_EQ(loaded.instrs[i].conv.transposed, original.instrs[i].conv.transposed);
-    EXPECT_EQ(loaded.instrs[i].conv.generative, original.instrs[i].conv.generative);
-    EXPECT_EQ(loaded.instrs[i].conv.c_in, original.instrs[i].conv.c_in);
-    EXPECT_EQ(loaded.instrs[i].conv.c_out, original.instrs[i].conv.c_out);
-    EXPECT_EQ(loaded.instrs[i].slot, original.instrs[i].slot);
-    EXPECT_EQ(loaded.instrs[i].linear_out, original.instrs[i].linear_out);
-  }
-  EXPECT_EQ(loaded.NumConvLayers(), 42);
-}
-
 TEST(SerializationTest, MissingFileFails) {
   PointCloud cloud;
   EXPECT_FALSE(LoadPointCloud(TempPath("does_not_exist.mnpc"), &cloud));
-  Network net;
-  EXPECT_FALSE(LoadNetwork(TempPath("does_not_exist.mnnt"), &net));
 }
 
+// Writes `words` as the raw bytes of a file and returns its path.
+std::string WriteRaw(const char* name, std::initializer_list<uint64_t> words) {
+  std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  for (uint64_t w : words) {
+    std::fwrite(&w, sizeof(w), 1, f);
+  }
+  std::fclose(f);
+  return path;
+}
+
+// Header word: magic in the low half, version 1 in the high half.
+constexpr uint64_t kCloudHeader = 0x4350'4E4Dull | (uint64_t{1} << 32);  // "MNPC", v1
+
 TEST(SerializationTest, WrongMagicFails) {
-  // A cloud file is not a network file.
   GeneratorConfig gen;
   gen.target_points = 100;
   PointCloud cloud = GenerateCloud(DatasetKind::kRandom, gen);
   std::string path = TempPath("mixed.mnpc");
   ASSERT_TRUE(SavePointCloud(cloud, path));
-  Network net;
-  EXPECT_FALSE(LoadNetwork(path, &net));
-  FeatureMatrix m;
-  EXPECT_FALSE(LoadFeatureMatrix(path, &m));
+  PointCloud loaded;
+  ASSERT_TRUE(LoadPointCloud(path, &loaded));
+  // The same file with another record's magic ("MNFM") is not a cloud.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const uint32_t other_magic = 0x4D46'4E4Du;
+  ASSERT_EQ(std::fwrite(&other_magic, sizeof(other_magic), 1, f), 1u);
+  std::fclose(f);
+  EXPECT_FALSE(LoadPointCloud(path, &loaded));
+}
+
+TEST(SerializationTest, HeaderCountsBeyondTheFileFail) {
+  // Each count is rejected before it sizes an allocation: n = 2^62 would
+  // throw std::length_error, n = 2^34 would ask for 192 GB.
+  PointCloud loaded;
+  EXPECT_FALSE(LoadPointCloud(WriteRaw("huge_n.mnpc", {kCloudHeader, uint64_t{1} << 62}), &loaded));
+  EXPECT_FALSE(LoadPointCloud(WriteRaw("big_n.mnpc", {kCloudHeader, uint64_t{1} << 34}), &loaded));
+  // An empty cloud whose matrix claims rows * cols beyond the file, and one
+  // whose product overflows int64.
+  EXPECT_FALSE(LoadPointCloud(WriteRaw("huge_rows.mnpc", {kCloudHeader, 0, uint64_t{1} << 61, 2}),
+                              &loaded));
+  EXPECT_FALSE(LoadPointCloud(
+      WriteRaw("overflow.mnpc", {kCloudHeader, 0, uint64_t{1} << 33, uint64_t{1} << 33}), &loaded));
+  // The control: a valid empty cloud written the same way loads.
+  EXPECT_TRUE(LoadPointCloud(WriteRaw("empty_raw.mnpc", {kCloudHeader, 0, 0, 3}), &loaded));
+  EXPECT_EQ(loaded.num_points(), 0);
+  EXPECT_EQ(loaded.features.cols(), 3);
 }
 
 TEST(SerializationTest, TruncatedFileFails) {

@@ -304,17 +304,14 @@ int Main(int argc, char** argv) {
               device.name.c_str(), opts.functional ? "functional" : "timing-only");
 
   bool ok = true;
+  EngineKind kind = EngineKind::kMinuet;
   if (opts.engine == "all") {
-    for (EngineKind kind :
+    for (EngineKind each :
          {EngineKind::kMinkowski, EngineKind::kTorchSparse, EngineKind::kMinuet}) {
-      ok = RunOne(kind, opts, net, cloud, sample, device) && ok;
+      ok = RunOne(each, opts, net, cloud, sample, device) && ok;
     }
-  } else if (opts.engine == "minuet") {
-    ok = RunOne(EngineKind::kMinuet, opts, net, cloud, sample, device);
-  } else if (opts.engine == "torchsparse") {
-    ok = RunOne(EngineKind::kTorchSparse, opts, net, cloud, sample, device);
-  } else if (opts.engine == "minkowski") {
-    ok = RunOne(EngineKind::kMinkowski, opts, net, cloud, sample, device);
+  } else if (EngineKindForPreset(opts.engine, &kind)) {
+    ok = RunOne(kind, opts, net, cloud, sample, device);
   } else {
     Usage();
   }

@@ -299,17 +299,12 @@ Network ParseNetwork(const std::string& name) {
 }
 
 EngineKind ParseEngine(const std::string& name) {
-  if (name == "minuet") {
-    return EngineKind::kMinuet;
+  EngineKind kind = EngineKind::kMinuet;
+  if (!EngineKindForPreset(name, &kind)) {
+    std::fprintf(stderr, "unknown engine: %s\n", name.c_str());
+    Usage();
   }
-  if (name == "torchsparse") {
-    return EngineKind::kTorchSparse;
-  }
-  if (name == "minkowski") {
-    return EngineKind::kMinkowski;
-  }
-  std::fprintf(stderr, "unknown engine: %s\n", name.c_str());
-  Usage();
+  return kind;
 }
 
 std::vector<std::string> SplitCommaList(const std::string& list) {
