@@ -15,7 +15,6 @@ SequenceSession::SequenceSession(Engine& engine, const SequenceSessionConfig& co
       << "SequenceSession requires the sorted-map engine (incremental maps "
          "maintain the sorted coordinate array)";
   MINUET_CHECK_GE(config.rebuild_threshold, 0.0);
-  MINUET_CHECK_GE(config.threads_per_block, 32);
 }
 
 void SequenceSession::ResetChain() {
@@ -46,8 +45,7 @@ FrameRunResult SequenceSession::RunFrame(const PointCloud& cloud, const Coord3& 
 
   if (config_.incremental && has_chain_ && result.churn <= config_.rebuild_threshold) {
     KernelStats delta = ChargeDeltaMerge(engine_->device(), keys_, PackDelta(motion),
-                                         PackCoords(deleted), PackCoords(inserted),
-                                         config_.threads_per_block);
+                                         PackCoords(deleted), PackCoords(inserted));
     MINUET_CHECK(std::ranges::equal(keys_, expected))
         << "incremental merge diverged from the frame's key set (was the "
            "delta not derived from the previous RunFrame cloud?)";

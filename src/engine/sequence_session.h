@@ -40,7 +40,6 @@ struct SequenceSessionConfig {
   // Churn fraction max(deleted, inserted) / previous size above which the
   // frame takes the full path.
   double rebuild_threshold = 0.5;
-  int threads_per_block = 128;
 };
 
 struct FrameRunResult {

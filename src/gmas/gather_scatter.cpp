@@ -82,14 +82,14 @@ KernelStats GatherKernel(Device& device, const MetadataTables& tables,
   const int64_t tiles_per_row = c / config.tile_size;
   const int64_t total_threads = tiles_per_row * tables.num_inputs;
   const int64_t blocks =
-      std::max<int64_t>(1, (total_threads + config.threads_per_block - 1) / config.threads_per_block);
+      std::max<int64_t>(1, (total_threads + kThreadsPerBlock - 1) / kThreadsPerBlock);
   const int64_t tile_bytes = config.tile_size * static_cast<int64_t>(config.element_bytes);
 
   static const KernelId kTileCopy = KernelId::Intern("gmas/gather/tile_copy");
   return device.Launch(
-      kTileCopy, LaunchDims{blocks, config.threads_per_block, 0}, [&](BlockCtx& ctx) {
-        int64_t begin = ctx.block_index() * config.threads_per_block;
-        int64_t end = std::min(begin + config.threads_per_block, total_threads);
+      kTileCopy, LaunchDims{blocks, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
+        int64_t begin = ctx.block_index() * kThreadsPerBlock;
+        int64_t end = std::min(begin + kThreadsPerBlock, total_threads);
         ForEachPointSpan(begin, end, tiles_per_row, [&](const ThreadSpan& span) {
           const int64_t i = span.point;
           const int64_t span_tiles = span.tile_end - span.tile_begin;
@@ -135,14 +135,14 @@ KernelStats ScatterKernel(Device& device, const FeatureMatrix& buffer,
   const int64_t tiles_per_row = c / config.tile_size;
   const int64_t total_threads = tiles_per_row * tables.num_outputs;
   const int64_t blocks =
-      std::max<int64_t>(1, (total_threads + config.threads_per_block - 1) / config.threads_per_block);
+      std::max<int64_t>(1, (total_threads + kThreadsPerBlock - 1) / kThreadsPerBlock);
   const int64_t tile_bytes = config.tile_size * static_cast<int64_t>(config.element_bytes);
 
   static const KernelId kTileReduce = KernelId::Intern("gmas/scatter/tile_reduce");
   return device.Launch(
-      kTileReduce, LaunchDims{blocks, config.threads_per_block, 0}, [&](BlockCtx& ctx) {
-        int64_t begin = ctx.block_index() * config.threads_per_block;
-        int64_t end = std::min(begin + config.threads_per_block, total_threads);
+      kTileReduce, LaunchDims{blocks, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
+        int64_t begin = ctx.block_index() * kThreadsPerBlock;
+        int64_t end = std::min(begin + kThreadsPerBlock, total_threads);
         ForEachPointSpan(begin, end, tiles_per_row, [&](const ThreadSpan& span) {
           const int64_t j = span.point;
           const int64_t span_tiles = span.tile_end - span.tile_begin;

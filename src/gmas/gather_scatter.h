@@ -16,7 +16,6 @@ namespace minuet {
 
 struct TileKernelConfig {
   int tile_size = 4;  // channels per tile; must divide the channel count
-  int threads_per_block = 128;
   // false = charge the kernel without doing the copies (timing-only mode).
   bool functional = true;
   // Bytes per feature element as the device sees them (4 = fp32, 2 = fp16).

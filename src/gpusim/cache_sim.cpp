@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "src/gpusim/walk_pool.h"
 #include "src/util/check.h"
 
 namespace minuet {
@@ -51,6 +52,7 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   if (std::has_single_bit(num_sets_)) {
     set_mask_ = num_sets_ - 1;
   }
+  shard_bits_ = std::min(std::countr_zero(num_sets_), 16);
   constexpr size_t kHostLineTags = 64 / sizeof(uint32_t);
   storage_.assign(num_sets_ * static_cast<size_t>(ways_) + kHostLineTags - 1, kEmpty);
   const size_t misalignment = reinterpret_cast<uintptr_t>(storage_.data()) % 64;
@@ -59,15 +61,13 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
 
 bool CacheSim::AccessLine(uint64_t line) {
   MINUET_DCHECK(line < kEmpty);
-  // Cheap tag-bit mix so that allocator-aligned structures do not all land in
-  // set 0; sets need not be a power of two (power-of-two counts take the
-  // equivalent mask path, skipping the modulo).
-  uint64_t mixed = line * 0x9e3779b97f4a7c15ULL;
-  size_t set = set_mask_ != 0 ? static_cast<size_t>(mixed & set_mask_)
-                              : static_cast<size_t>(mixed % num_sets_);
-  uint32_t* tags = &tags_[set * static_cast<size_t>(ways_)];
-  const uint32_t tag = static_cast<uint32_t>(line);
+  const bool hit = TouchSet(SetOf(line), static_cast<uint32_t>(line));
+  ++(hit ? hits_ : misses_);
+  return hit;
+}
 
+bool CacheSim::TouchSet(size_t set, uint32_t tag) {
+  uint32_t* tags = &tags_[set * static_cast<size_t>(ways_)];
   // The tag's way on a hit, the last (least recent) way on a miss. Either
   // way, the ways in front of it move down one and the tag goes first.
   uint32_t* way = ways_ % 4 == 0 ? tags + FindWayVector(tags, ways_, tag)
@@ -75,12 +75,69 @@ bool CacheSim::AccessLine(uint64_t line) {
   const bool hit = *way == tag;
   std::copy_backward(tags, way, way + 1);
   tags[0] = tag;
-  if (hit) {
-    ++hits_;
-  } else {
-    ++misses_;
-  }
   return hit;
+}
+
+void CacheSim::AccessLines(std::span<const uint32_t> lines, std::span<const uint32_t> run_ends,
+                           std::span<uint64_t> run_hits, WalkPool* pool, int width) {
+  MINUET_CHECK_EQ(run_ends.size(), run_hits.size());
+  MINUET_CHECK_EQ(run_ends.empty() ? size_t{0} : size_t{run_ends.back()}, lines.size())
+      << "the last run must end at the last line";
+  if (pool == nullptr) {
+    uint64_t hits = 0;
+    size_t i = 0;
+    for (size_t r = 0; r < run_ends.size(); ++r) {
+      uint64_t run = 0;
+      for (; i < run_ends[r]; ++i) {
+        run += TouchSet(SetOf(lines[i]), lines[i]);
+      }
+      run_hits[r] = run;
+      hits += run;
+    }
+    CountWalk(hits, lines.size() - hits);
+    return;
+  }
+  std::vector<LineCounts> counts(run_ends.size());
+  pool->Begin(*this, width, counts.data());
+  size_t i = 0;
+  for (size_t r = 0; r < run_ends.size(); ++r) {
+    pool->filling().StartBlock(static_cast<uint32_t>(r));
+    for (; i < run_ends[r]; ++i) {
+      if (pool->filling().Push(lines[i])) {
+        pool->ChunkFull();
+      }
+    }
+  }
+  pool->Drain();
+  for (size_t r = 0; r < run_ends.size(); ++r) {
+    run_hits[r] = counts[r].hits;
+  }
+}
+
+bool CacheSim::WalkShard(const uint32_t* lines, const uint32_t* run_ends, size_t stride,
+                         size_t runs, uint32_t* shard_hits, ShardProgress& at, size_t budget) {
+  size_t i = at.line;
+  size_t r = at.run;
+  uint32_t run = at.run_hits;
+  const size_t stop = i + budget;
+  for (; r < runs; ++r) {
+    const size_t end = run_ends[r * stride];
+    for (const size_t limit = std::min(end, stop); i < limit; ++i) {
+      run += TouchSet(SetOf(lines[i]), lines[i]);
+    }
+    if (i < end) {
+      break;
+    }
+    shard_hits[r] = run;
+    run = 0;
+  }
+  at = ShardProgress{i, r, run};
+  return r == runs;
+}
+
+void CacheSim::CountWalk(uint64_t hits, uint64_t misses) {
+  hits_ += hits;
+  misses_ += misses;
 }
 
 void CacheSim::Flush() {

@@ -14,7 +14,7 @@ namespace {
 constexpr int kDigitBits = 8;
 constexpr int kNumBins = 1 << kDigitBits;
 constexpr int64_t kKeysPerBlock = 4096;
-constexpr int kThreadsPerBlock = 256;
+constexpr int kSortThreadsPerBlock = 256;
 
 int DigitOf(uint64_t key, int shift) {
   return static_cast<int>((key >> shift) & (kNumBins - 1));
@@ -51,7 +51,7 @@ SortStats RadixSortPairs(Device& device, std::span<uint64_t> keys, std::span<uin
     std::fill(block_hist.begin(), block_hist.end(), 0);
     static const KernelId kHistogram = KernelId::Intern("sort/radix/histogram");
     stats.kernels += device.Launch(
-        kHistogram, LaunchDims{num_blocks, kThreadsPerBlock, kNumBins * sizeof(uint32_t)},
+        kHistogram, LaunchDims{num_blocks, kSortThreadsPerBlock, kNumBins * sizeof(uint32_t)},
         [&](BlockCtx& ctx) {
           int64_t begin = ctx.block_index() * kKeysPerBlock;
           int64_t end = std::min<int64_t>(begin + kKeysPerBlock, n);
@@ -94,7 +94,7 @@ SortStats RadixSortPairs(Device& device, std::span<uint64_t> keys, std::span<uin
     DeviceVector<int64_t> base(static_cast<size_t>(num_blocks) * kNumBins, device.memory());
     static const KernelId kScan = KernelId::Intern("sort/radix/scan");
     stats.kernels += device.Launch(
-        kScan, LaunchDims{1, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
+        kScan, LaunchDims{1, kSortThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
           ctx.GlobalRead(block_hist.data(), block_hist.size() * sizeof(uint32_t));
           int64_t running = 0;
           for (int d = 0; d < kNumBins; ++d) {
@@ -115,7 +115,7 @@ SortStats RadixSortPairs(Device& device, std::span<uint64_t> keys, std::span<uin
     static const KernelId kScatter = KernelId::Intern("sort/radix/scatter");
     stats.kernels += device.Launch(
         kScatter,
-        LaunchDims{num_blocks, kThreadsPerBlock,
+        LaunchDims{num_blocks, kSortThreadsPerBlock,
                    kKeysPerBlock * (sizeof(uint64_t) + sizeof(uint32_t))},
         [&](BlockCtx& ctx) {
           int64_t begin = ctx.block_index() * kKeysPerBlock;

@@ -24,11 +24,10 @@ struct MergeCut {
 
 KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint64_t motion_delta,
                              std::span<const uint64_t> deleted_host,
-                             std::span<const uint64_t> inserted, int threads_per_block) {
-  MINUET_CHECK_GE(threads_per_block, 32);
+                             std::span<const uint64_t> inserted) {
   KernelStats stats;
   const int64_t n = static_cast<int64_t>(keys.size());
-  const int64_t tpb = threads_per_block;
+  const int64_t tpb = kThreadsPerBlock;
 
   // Rebias: the rigid motion is one constant added to every key (the
   // order-preserving packing at work), so the array stays sorted. Skipped
@@ -36,7 +35,7 @@ KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint6
   if (motion_delta != 0 && n > 0) {
     static const KernelId kRebias = KernelId::Intern("map/delta/rebias");
     const int64_t blocks = (n + tpb - 1) / tpb;
-    stats += device.Launch(kRebias, LaunchDims{blocks, threads_per_block, 0}, [&](BlockCtx& ctx) {
+    stats += device.Launch(kRebias, LaunchDims{blocks, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
       const int64_t begin = ctx.block_index() * tpb;
       const int64_t end = std::min<int64_t>(begin + tpb, n);
       ctx.GlobalRead(&keys[static_cast<size_t>(begin)],
@@ -76,7 +75,7 @@ KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint6
     }
     // Bitonic comparator count: (m/2) * stages, stages = bits*(bits+1)/2.
     const uint64_t comparators = (static_cast<uint64_t>(ins.size()) / 2 + 1) * bits * (bits + 1) / 2;
-    stats += device.Launch(kSortInserts, LaunchDims{1, threads_per_block, 0}, [&](BlockCtx& ctx) {
+    stats += device.Launch(kSortInserts, LaunchDims{1, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
       ctx.GlobalRead(ins.data(), bytes);
       std::sort(ins.begin(), ins.end());
       ctx.SharedRead(bytes);
@@ -138,7 +137,7 @@ KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint6
   const int64_t out_n = static_cast<int64_t>(merged.size());
   const int64_t num_chunks = static_cast<int64_t>(cuts.size()) - 1;
   static const KernelId kMerge = KernelId::Intern("map/delta/merge");
-  stats += device.Launch(kMerge, LaunchDims{num_chunks, threads_per_block, 0}, [&](BlockCtx& ctx) {
+  stats += device.Launch(kMerge, LaunchDims{num_chunks, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
     const MergeCut& c0 = cuts[static_cast<size_t>(ctx.block_index())];
     const MergeCut& c1 = cuts[static_cast<size_t>(ctx.block_index() + 1)];
     if (c1.prev > c0.prev) {
@@ -168,7 +167,6 @@ KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint6
 IncrementalMapBuilder::IncrementalMapBuilder(const IncrementalMapConfig& config)
     : config_(config), inner_(config.map) {
   MINUET_CHECK_GE(config.rebuild_threshold, 0.0);
-  MINUET_CHECK_GE(config.threads_per_block, 32);
 }
 
 void IncrementalMapBuilder::Reset() {
@@ -216,7 +214,7 @@ IncrementalBuildResult IncrementalMapBuilder::BuildDelta(Device& device, uint64_
   result.incremental = true;
   result.churn = churn;
   result.delta_stats =
-      ChargeDeltaMerge(device, keys_, motion_delta, deleted, inserted, config_.threads_per_block);
+      ChargeDeltaMerge(device, keys_, motion_delta, deleted, inserted);
   ++frames_incremental_;
 
   // The correctness invariant: the maintained array IS the frame's sorted key

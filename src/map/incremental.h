@@ -37,7 +37,6 @@ struct IncrementalMapConfig {
   // Churn fraction max(deleted, inserted) / previous size above which the
   // delta merge is abandoned for a full re-sort.
   double rebuild_threshold = 0.5;
-  int threads_per_block = 128;
 };
 
 struct IncrementalBuildResult {
@@ -98,7 +97,7 @@ class IncrementalMapBuilder {
 // `device`'s memory; the delta lists are copied in.
 KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint64_t motion_delta,
                              std::span<const uint64_t> deleted,
-                             std::span<const uint64_t> inserted, int threads_per_block);
+                             std::span<const uint64_t> inserted);
 
 }  // namespace minuet
 

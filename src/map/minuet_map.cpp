@@ -43,7 +43,6 @@ int LowerBoundSteps(int64_t n, int64_t r) {
 MinuetMapBuilder::MinuetMapBuilder(const MinuetMapConfig& config) : config_(config) {
   MINUET_CHECK_GE(config.source_block_size, 2);
   MINUET_CHECK_GE(config.query_block_size, 1);
-  MINUET_CHECK_GE(config.threads_per_block, 32);
 }
 
 std::string MinuetMapBuilder::name() const {
@@ -134,7 +133,7 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
     const int64_t total_blocks = n_off * chunks_per_segment;
     static const KernelId kSsSearch = KernelId::Intern("map/query/ss_search");
     KernelStats lookup = device.Launch(
-        kSsSearch, LaunchDims{total_blocks, config_.threads_per_block, 0},
+        kSsSearch, LaunchDims{total_blocks, kThreadsPerBlock, 0},
         [&](BlockCtx& ctx) {
           int64_t seg = ctx.block_index() / chunks_per_segment;
           int64_t piece = ctx.block_index() % chunks_per_segment;
@@ -187,11 +186,11 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
                                     device.memory());
   {
     const int64_t items = n_off * num_source_blocks;
-    const int64_t items_per_block = config_.threads_per_block;
+    const int64_t items_per_block = kThreadsPerBlock;
     const int64_t blocks = (items + items_per_block - 1) / items_per_block;
     static const KernelId kBackwardSearch = KernelId::Intern("map/query/backward_search");
     result.query_stats += device.Launch(
-        kBackwardSearch, LaunchDims{blocks, config_.threads_per_block, 0},
+        kBackwardSearch, LaunchDims{blocks, kThreadsPerBlock, 0},
         [&](BlockCtx& ctx) {
           int64_t begin = ctx.block_index() * items_per_block;
           int64_t end = std::min<int64_t>(begin + items_per_block, items);
@@ -247,13 +246,13 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
   {
     // Charge the balancing pass (a scan + compact over the boundary array).
     const int64_t items = n_off * num_source_blocks;
-    const int64_t blocks = (items + config_.threads_per_block - 1) / config_.threads_per_block;
+    const int64_t blocks = (items + kThreadsPerBlock - 1) / kThreadsPerBlock;
     static const KernelId kBalance = KernelId::Intern("map/query/balance");
     result.query_stats += device.Launch(
-        kBalance, LaunchDims{std::max<int64_t>(blocks, 1), config_.threads_per_block, 0},
+        kBalance, LaunchDims{std::max<int64_t>(blocks, 1), kThreadsPerBlock, 0},
         [&](BlockCtx& ctx) {
-          int64_t begin = ctx.block_index() * config_.threads_per_block;
-          int64_t end = std::min<int64_t>(begin + config_.threads_per_block, items);
+          int64_t begin = ctx.block_index() * kThreadsPerBlock;
+          int64_t end = std::min<int64_t>(begin + kThreadsPerBlock, items);
           if (begin >= end) {
             return;
           }
@@ -288,7 +287,7 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
   static const KernelId kForwardSearch = KernelId::Intern("map/query/forward_search");
   KernelStats forward = device.Launch(
       kForwardSearch,
-      LaunchDims{static_cast<int64_t>(tasks.size()), config_.threads_per_block, shared_bytes},
+      LaunchDims{static_cast<int64_t>(tasks.size()), kThreadsPerBlock, shared_bytes},
       [&](BlockCtx& ctx) {
         const QueryBlockTask& task = tasks[static_cast<size_t>(ctx.block_index())];
         ctx.GlobalRead(&tasks[static_cast<size_t>(ctx.block_index())], sizeof(QueryBlockTask));

@@ -19,8 +19,6 @@ struct MinuetMapConfig {
   int64_t source_block_size = 256;
   // Hyper-parameter C: max queries per balanced query block.
   int64_t query_block_size = 512;
-  // CUDA thread-block size for the forward kernel.
-  int threads_per_block = 128;
   // Disable to run segmented sorting with a plain whole-array binary search
   // (the "SS without DTBS" ablation point of Figure 14).
   bool double_traversal = true;
