@@ -48,7 +48,7 @@ inline void Rule() {
 
 // Command-line flags a bench binary may declare. Each takes one value, given
 // as `--flag=V` or `--flag V`.
-enum class Flag { kJson, kMetrics, kTrace, kTimeline, kWarmup, kWalkLines };
+enum class Flag { kJson, kMetrics, kTrace, kTimeline, kWarmup };
 
 struct FlagInfo {
   const char* name;   // without the leading "--"
@@ -64,7 +64,6 @@ inline constexpr FlagInfo kFlagTable[] = {
     {"trace", "FILE", false, "write a Chrome span trace"},
     {"timeline", "FILE", false, "write the representative sweep cell's telemetry JSONL"},
     {"warmup", "N", true, "unmeasured warm runs before the measured loop"},
-    {"walk-lines", "N", true, "also walk an N-line L2 stream serially and sharded"},
 };
 
 // A bench's command line, checked against the flags the bench declares before

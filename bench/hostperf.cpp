@@ -41,13 +41,6 @@
 //                       side of the streaming map path; sim_cycles also
 //                       shrinks on the `on` row (that is the point of the
 //                       feature, bench/stream_sequence quantifies it).
-//   l2_walk_*           only with --walk-lines=N: one N-line L2 stream walked
-//                       in launch-sized chunks by CacheSim::AccessLines,
-//                       `serial` on the calling thread and `sharded` by set
-//                       across the walk pool (src/gpusim/walk_pool.h). The
-//                       pair gives host ns per line; its simulated keys must
-//                       be equal. Off by default, so the baseline's rows are
-//                       unchanged.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -61,7 +54,6 @@
 #include "src/data/sequence.h"
 #include "src/gpusim/device.h"
 #include "src/gpusim/device_config.h"
-#include "src/gpusim/walk_pool.h"
 #include "src/gpusort/radix_sort.h"
 #include "src/map/incremental.h"
 #include "src/serve/reqtrace.h"
@@ -90,7 +82,6 @@ struct Scenario {
   uint64_t l2_hits = 0;
   uint64_t l2_misses = 0;
   int64_t launches = 0;
-  int64_t lines = 0;  // walked L2 lines, for host_ns_per_line; 0 elsewhere
 };
 
 // Contiguous read sweeps: each block reads a 64 KiB slice in 128 B chunks,
@@ -372,54 +363,6 @@ Scenario RunMapIncremental(const char* name, bool incremental, int64_t points, i
   return s;
 }
 
-// A kernel-like L2 stream: blocks of 512 lines, three of four near a window
-// that moves every 64 lines, the rest anywhere in a footprint four times the
-// RTX 3090's L2, so hits, misses and evictions all occur in quantity.
-std::vector<uint32_t> L2WalkStream(int64_t count, uint64_t footprint_lines) {
-  std::vector<uint32_t> lines(static_cast<size_t>(count));
-  uint64_t state = 0x2545F4914F6CDD1Dull;
-  uint64_t window = 0;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    if (i % 64 == 0) {
-      window = state % footprint_lines;
-    }
-    const uint64_t line = (state & 3) != 0 ? (window + state % 97) % footprint_lines
-                                           : state % footprint_lines;
-    lines[i] = static_cast<uint32_t>(line);
-  }
-  return lines;
-}
-
-// The stream as 512-line runs (blocks), through an RTX 3090 L2 (3072 sets,
-// the modulo path): on the calling thread, as a launch below
-// Device::kSerialLines does, or through the walk pool's chunks at its width,
-// as a launch above it does.
-Scenario RunL2Walk(const char* name, bool sharded, const std::vector<uint32_t>& stream) {
-  const DeviceConfig config = MakeRtx3090();
-  CacheSim l2(config.l2_bytes, config.l2_ways, config.line_bytes);
-  constexpr size_t kRunLines = 512;
-  std::vector<uint32_t> run_ends;
-  for (size_t end = kRunLines; end < stream.size() + kRunLines; end += kRunLines) {
-    run_ends.push_back(static_cast<uint32_t>(std::min(end, stream.size())));
-  }
-  std::vector<uint64_t> run_hits(run_ends.size());
-  WalkPoolLease lease(sharded ? WalkPool::TryAcquire() : nullptr);
-  const int width = lease.get() != nullptr ? lease.get()->width() : 1;
-  Scenario s;
-  s.name = name;
-  WallTimer timer;
-  l2.AccessLines(stream, run_ends, run_hits, lease.get(), width);
-  s.host_ms = timer.ElapsedMillis();
-  s.l2_hits = l2.hits();
-  s.l2_misses = l2.misses();
-  s.launches = 1;
-  s.lines = static_cast<int64_t>(stream.size());
-  return s;
-}
-
 void Report(bench::JsonReport& report, const Scenario& s) {
   const double host_seconds = s.host_ms / 1e3;
   const double cycles_per_host_s = host_seconds > 0.0 ? s.sim_cycles / host_seconds : 0.0;
@@ -433,11 +376,6 @@ void Report(bench::JsonReport& report, const Scenario& s) {
   report.Set("l2_hits", static_cast<int64_t>(s.l2_hits));
   report.Set("l2_misses", static_cast<int64_t>(s.l2_misses));
   report.Set("launches", s.launches);
-  if (s.lines > 0) {
-    const double ns_per_line = s.host_ms * 1e6 / static_cast<double>(s.lines);
-    bench::Row("%-18s %10.2f host ns/line", "", ns_per_line);
-    report.Set("host_ns_per_line", ns_per_line);
-  }
 }
 
 }  // namespace
@@ -445,7 +383,7 @@ void Report(bench::JsonReport& report, const Scenario& s) {
 
 int main(int argc, char** argv) {
   using namespace minuet;
-  const bench::Flags flags("hostperf", {bench::Flag::kJson, bench::Flag::kWalkLines}, argc, argv);
+  const bench::Flags flags("hostperf", {bench::Flag::kJson}, argc, argv);
   bench::JsonReport report(flags);
   bench::PrintTitle("Hostperf", "host wall-clock of the simulator's own hot paths");
   bench::PrintNote("host_* keys are wall-clock (exempt from the baseline gate);");
@@ -490,20 +428,6 @@ int main(int argc, char** argv) {
                                    /*frames=*/8));
   Report(report, RunMapIncremental("map_incremental_on", /*incremental=*/true, seq_points,
                                    /*frames=*/8));
-  if (const int walk_lines = flags.Count(bench::Flag::kWalkLines, 0); walk_lines > 0) {
-    const DeviceConfig config = MakeRtx3090();
-    const std::vector<uint32_t> stream =
-        L2WalkStream(walk_lines, 4 * config.l2_bytes / static_cast<size_t>(config.line_bytes));
-    report.Meta("walk_lines", static_cast<int64_t>(walk_lines));
-    const Scenario serial = RunL2Walk("l2_walk_serial", /*sharded=*/false, stream);
-    const Scenario sharded = RunL2Walk("l2_walk_sharded", /*sharded=*/true, stream);
-    Report(report, serial);
-    Report(report, sharded);
-    if (sharded.l2_hits != serial.l2_hits || sharded.l2_misses != serial.l2_misses) {
-      std::fprintf(stderr, "hostperf: the sharded walk counted other hits or misses\n");
-      return 1;
-    }
-  }
   bench::Rule();
   return report.Write() ? 0 : 1;
 }

@@ -4,7 +4,11 @@
 #include <bit>
 #include <cstring>
 
-#include "src/gpusim/walk_pool.h"
+#if defined(__x86_64__) && defined(__GNUC__)
+#define MINUET_CACHE_SIM_AVX2 1
+#include <immintrin.h>
+#endif
+
 #include "src/util/check.h"
 
 namespace minuet {
@@ -37,6 +41,30 @@ int FindWayVector(const uint32_t* tags, int ways, uint32_t tag) {
   return ways - 1;
 }
 
+// The LRU update of one set of `ways` for `tag`; true on a hit. Out of line,
+// so that AccessLine's AVX2 dispatch saves no registers.
+__attribute__((noinline)) bool TouchSet(uint32_t* tags, int ways, uint32_t tag) {
+  // The tag's way on a hit, the last (least recent) way on a miss. Either
+  // way, the ways in front of it move down one and the tag goes first.
+  uint32_t* way = ways % 4 == 0 ? tags + FindWayVector(tags, ways, tag)
+                                : std::find(tags, tags + ways - 1, tag);
+  const bool hit = *way == tag;
+  std::copy_backward(tags, way, way + 1);
+  tags[0] = tag;
+  return hit;
+}
+
+// Whether AccessLineSixteenWaysAvx2 can run here: checked once per cache, without
+// an ifunc resolver, which ThreadSanitizer builds cannot run.
+bool HostHasAvx2() {
+#if MINUET_CACHE_SIM_AVX2
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
@@ -52,7 +80,7 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   if (std::has_single_bit(num_sets_)) {
     set_mask_ = num_sets_ - 1;
   }
-  shard_bits_ = std::min(std::countr_zero(num_sets_), 16);
+  sixteen_way_avx2_ = ways_ == 16 && HostHasAvx2();
   constexpr size_t kHostLineTags = 64 / sizeof(uint32_t);
   storage_.assign(num_sets_ * static_cast<size_t>(ways_) + kHostLineTags - 1, kEmpty);
   const size_t misalignment = reinterpret_cast<uintptr_t>(storage_.data()) % 64;
@@ -61,84 +89,51 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
 
 bool CacheSim::AccessLine(uint64_t line) {
   MINUET_DCHECK(line < kEmpty);
-  const bool hit = TouchSet(SetOf(line), static_cast<uint32_t>(line));
-  ++(hit ? hits_ : misses_);
+#if MINUET_CACHE_SIM_AVX2
+  if (sixteen_way_avx2_) {
+    return AccessLineSixteenWaysAvx2(line);
+  }
+#endif
+  const bool hit = TouchSet(&tags_[SetOf(line) * static_cast<size_t>(ways_)], ways_,
+                            static_cast<uint32_t>(line));
+  Count(hit);
   return hit;
 }
 
-bool CacheSim::TouchSet(size_t set, uint32_t tag) {
-  uint32_t* tags = &tags_[set * static_cast<size_t>(ways_)];
-  // The tag's way on a hit, the last (least recent) way on a miss. Either
-  // way, the ways in front of it move down one and the tag goes first.
-  uint32_t* way = ways_ % 4 == 0 ? tags + FindWayVector(tags, ways_, tag)
-                                 : std::find(tags, tags + ways_ - 1, tag);
-  const bool hit = *way == tag;
-  std::copy_backward(tags, way, way + 1);
-  tags[0] = tag;
+#if MINUET_CACHE_SIM_AVX2
+// AccessLine for a 16-way set (every preset's L2), without a branch, in two
+// AVX2 registers: the set is one 64-byte host line. The tag's way is the
+// lowest of the 16 lane matches, or way 15 (the least recent) on a miss.
+// Ways [0, way] then take the tag of the way in front of them (way 0 takes
+// the new tag) and the ways behind keep theirs: the generic path's
+// shift-and-insert. Ways 1-7's front neighbours are a lane permute of ways
+// 0-7; ways 8-15's are an unaligned load one tag back, still inside the set.
+__attribute__((target("avx2"))) bool CacheSim::AccessLineSixteenWaysAvx2(uint64_t line) {
+  uint32_t* tags = &tags_[SetOf(line) * 16];
+  auto* const front_ways = reinterpret_cast<__m256i*>(tags);
+  auto* const back_ways = reinterpret_cast<__m256i*>(tags + 8);
+  const __m256i front = _mm256_load_si256(front_ways);
+  const __m256i back = _mm256_load_si256(back_ways);
+  const __m256i needle = _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(line)));
+  const unsigned front_matches = static_cast<unsigned>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(front, needle))));
+  const unsigned back_matches = static_cast<unsigned>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(back, needle))));
+  const unsigned matches = front_matches | back_matches << 8;
+  const __m256i way = _mm256_set1_epi32(std::countr_zero(matches | 0x8000u));
+  const __m256i front_shifted = _mm256_blend_epi32(
+      _mm256_permutevar8x32_epi32(front, _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6)), needle, 1);
+  const __m256i back_shifted = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + 7));
+  const __m256i keep_front = _mm256_cmpgt_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), way);
+  const __m256i keep_back =
+      _mm256_cmpgt_epi32(_mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15), way);
+  _mm256_store_si256(front_ways, _mm256_blendv_epi8(front_shifted, front, keep_front));
+  _mm256_store_si256(back_ways, _mm256_blendv_epi8(back_shifted, back, keep_back));
+  const bool hit = matches != 0;
+  Count(hit);
   return hit;
 }
-
-void CacheSim::AccessLines(std::span<const uint32_t> lines, std::span<const uint32_t> run_ends,
-                           std::span<uint64_t> run_hits, WalkPool* pool, int width) {
-  MINUET_CHECK_EQ(run_ends.size(), run_hits.size());
-  MINUET_CHECK_EQ(run_ends.empty() ? size_t{0} : size_t{run_ends.back()}, lines.size())
-      << "the last run must end at the last line";
-  if (pool == nullptr) {
-    uint64_t hits = 0;
-    size_t i = 0;
-    for (size_t r = 0; r < run_ends.size(); ++r) {
-      uint64_t run = 0;
-      for (; i < run_ends[r]; ++i) {
-        run += TouchSet(SetOf(lines[i]), lines[i]);
-      }
-      run_hits[r] = run;
-      hits += run;
-    }
-    CountWalk(hits, lines.size() - hits);
-    return;
-  }
-  std::vector<LineCounts> counts(run_ends.size());
-  pool->Begin(*this, width, counts.data());
-  size_t i = 0;
-  for (size_t r = 0; r < run_ends.size(); ++r) {
-    pool->filling().StartBlock(static_cast<uint32_t>(r));
-    for (; i < run_ends[r]; ++i) {
-      if (pool->filling().Push(lines[i])) {
-        pool->ChunkFull();
-      }
-    }
-  }
-  pool->Drain();
-  for (size_t r = 0; r < run_ends.size(); ++r) {
-    run_hits[r] = counts[r].hits;
-  }
-}
-
-bool CacheSim::WalkShard(const uint32_t* lines, const uint32_t* run_ends, size_t stride,
-                         size_t runs, uint32_t* shard_hits, ShardProgress& at, size_t budget) {
-  size_t i = at.line;
-  size_t r = at.run;
-  uint32_t run = at.run_hits;
-  const size_t stop = i + budget;
-  for (; r < runs; ++r) {
-    const size_t end = run_ends[r * stride];
-    for (const size_t limit = std::min(end, stop); i < limit; ++i) {
-      run += TouchSet(SetOf(lines[i]), lines[i]);
-    }
-    if (i < end) {
-      break;
-    }
-    shard_hits[r] = run;
-    run = 0;
-  }
-  at = ShardProgress{i, r, run};
-  return r == runs;
-}
-
-void CacheSim::CountWalk(uint64_t hits, uint64_t misses) {
-  hits_ += hits;
-  misses_ += misses;
-}
+#endif
 
 void CacheSim::Flush() {
   std::fill(storage_.begin(), storage_.end(), kEmpty);

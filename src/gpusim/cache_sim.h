@@ -17,12 +17,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace minuet {
-
-class WalkPool;
 
 class CacheSim {
  public:
@@ -46,43 +43,6 @@ class CacheSim {
   // Access().
   bool AccessLine(uint64_t line);
 
-  // Touches every line of `lines` in order, making exactly the set updates
-  // AccessLine would make one line at a time. The lines form runs: run r is
-  // [run_ends[r - 1], run_ends[r]), the last run ends at lines.size(), and
-  // run_hits[r] receives run r's hits. With a held `pool` the lines go
-  // through its chunks in `width` shards by set (walk_pool.h), which the
-  // calling thread and the pool's threads walk at once. Every set still
-  // sees its lines in order, so the hits, misses and final tags are those
-  // of the serial walk.
-  void AccessLines(std::span<const uint32_t> lines, std::span<const uint32_t> run_ends,
-                   std::span<uint64_t> run_hits, WalkPool* pool = nullptr, int width = 1);
-
-  // Shard s of n owns the sets whose low shard_bits() bits b have
-  // b * n >> shard_bits() == s, where 2^shard_bits() is the largest power of
-  // two dividing num_sets() (at most 2^16). Those bits are the low bits of
-  // Mix(line), so a line's shard costs a multiply and a mask, and a shard's
-  // sets are blocks of consecutive sets on host cache lines of their own.
-  // With an odd set count, shard 0 owns every set.
-  static uint64_t Mix(uint64_t line) { return line * 0x9e3779b97f4a7c15ULL; }
-  int shard_bits() const { return shard_bits_; }
-
-  // Where a walk of one shard's lines stands: the next line, its run, and
-  // that run's hits so far.
-  struct ShardProgress {
-    size_t line = 0;
-    size_t run = 0;
-    uint32_t run_hits = 0;
-  };
-  // Walks up to `budget` more of one shard's lines, in order, from `at`. The
-  // lines form runs: run r ends at lines[run_ends[r * stride]], and
-  // shard_hits[r] receives its hits once it is walked. Returns true when all
-  // `runs` runs are. Walks of different shards touch different sets, so they
-  // may run on different threads at once. Counts nothing in hits() or
-  // misses(); CountWalk adds a whole walk's.
-  bool WalkShard(const uint32_t* lines, const uint32_t* run_ends, size_t stride, size_t runs,
-                 uint32_t* shard_hits, ShardProgress& at, size_t budget);
-  void CountWalk(uint64_t hits, uint64_t misses);
-
   // Drops all cached lines and resets hit/miss counters.
   void Flush();
   void ResetCounters();
@@ -96,18 +56,26 @@ class CacheSim {
   int ways() const { return ways_; }
 
  private:
-  friend struct CacheSimPeer;  // tests: the final tags
+  friend struct CacheSimPeer;  // tests: the 16-way update on either path
 
-  // The mix is a cheap tag-bit hash so that allocator-aligned structures do
-  // not all land in set 0. Sets need not be a power of two (power-of-two
-  // counts take the equivalent mask path, skipping the modulo).
+  // Cheap tag-bit mix so that allocator-aligned structures do not all land
+  // in set 0; sets need not be a power of two (power-of-two counts take the
+  // equivalent mask path, skipping the modulo).
   size_t SetOf(uint64_t line) const {
-    const uint64_t mixed = Mix(line);
+    const uint64_t mixed = line * 0x9e3779b97f4a7c15ULL;
     return set_mask_ != 0 ? static_cast<size_t>(mixed & set_mask_)
                           : static_cast<size_t>(mixed % num_sets_);
   }
-  // The LRU update of one set for `tag`; true on a hit. Counts nothing.
-  bool TouchSet(size_t set, uint32_t tag);
+  // Adds one lookup to the counters without a branch on it: whether a line
+  // hits is as unpredictable as the stream, and a mispredict costs more than
+  // the set update.
+  void Count(bool hit) {
+    const uint64_t hit_count = hit;
+    hits_ += hit_count;
+    misses_ += 1 - hit_count;
+  }
+  // AccessLine when sixteen_way_avx2_ is set; compiled for AVX2.
+  bool AccessLineSixteenWaysAvx2(uint64_t line);
 
   size_t num_sets_;
   // num_sets_ - 1 when the set count is a power of two, else 0. The mixed
@@ -115,7 +83,11 @@ class CacheSim {
   // since x % 2^k == x & (2^k - 1) for unsigned x — which matters because
   // set selection runs once per simulated line transaction.
   size_t set_mask_ = 0;
-  int shard_bits_ = 0;
+  // A 16-way set is updated with AVX2 compares and blends when the host has
+  // them, without a branch on where the tag sits; otherwise, and for any
+  // other associativity, by the way search and a shift. Both make the same
+  // update.
+  bool sixteen_way_avx2_ = false;
   int ways_;
   int line_bytes_;
   int line_shift_;

@@ -122,6 +122,7 @@ void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
   const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
   MINUET_CHECK(start < DeviceMemory::kReserveBytes && bytes <= DeviceMemory::kReserveBytes - start)
       << "global access outside device memory";
+  CacheSim& l2 = device_->l2_;
   const uint64_t first = start >> line_shift_;
   const uint64_t last = (start + bytes - 1) >> line_shift_;
   if (is_read) {
@@ -132,11 +133,11 @@ void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
         continue;
       }
       l1_tags_[slot] = line;
-      L2Line(line);
+      CountL2(l2.AccessLine(line));
     }
   } else {
     for (uint64_t line = first; line <= last; ++line) {
-      L2Line(line);
+      CountL2(l2.AccessLine(line));
     }
   }
 }
@@ -169,11 +170,7 @@ Device::Device(const DeviceConfig& config, uintptr_t arena_base)
       << "line_bytes " << config.line_bytes << " gives more lines than 32-bit L2 tags hold";
 }
 
-Device Device::Fork() const {
-  Device fork(config_, arena_base_);
-  fork.serial_lines_ = UINT64_MAX;
-  return fork;
-}
+Device Device::Fork() const { return Device(config_, arena_base_); }
 
 DeviceMemory* Device::memory() {
   MINUET_CHECK(memory_ != nullptr) << "a forked device owns no memory to allocate from";
@@ -256,83 +253,41 @@ KernelStats Device::Launch(KernelId kernel, const LaunchDims& dims,
     in_wave = 0;
   };
 
-  // Blocks run serially. A launch past serial_lines_ L2 lookups takes the
-  // walk pool if it is free, and from then on its blocks buffer their
-  // post-L1 lines in the pool's chunk instead of looking them up at once.
-  // The chunk is walked when it fills and at each wave's end, so close_wave
-  // still reads every block's final counts, in block order.
-  const size_t wave_capacity = static_cast<size_t>(std::min(concurrent, dims.num_blocks));
-  if (wave_blocks_.size() < wave_capacity) {
-    wave_blocks_.resize(wave_capacity);
-    wave_counts_.resize(wave_capacity);
-  }
-  WalkPoolLease lease;
-  uint64_t launch_lines = 0;  // looked up serially so far
-  bool tried_pool = false;
-  auto finish_wave = [&] {
-    if (walk_ != nullptr) {
-      walk_->Drain();
-    }
-    for (int64_t slot = 0; slot < in_wave; ++slot) {
-      const WaveBlock& block = wave_blocks_[static_cast<size_t>(slot)];
-      const LineCounts& counts = wave_counts_[static_cast<size_t>(slot)];
-      double block_memory =
-          static_cast<double>(block.l1_hits) * 1.0 +
-          static_cast<double>(counts.hits) * config_.l2_hit_cycles_per_line +
-          static_cast<double>(counts.misses) * config_.l2_miss_cycles_per_line;
-      double block_cycles = block.compute + block_memory;
-      if (block_cycles > wave_max) {
-        wave_max = block_cycles;
-        wave_max_compute = block.compute;
-        wave_max_memory = block_memory;
-      }
-      wave_hits += counts.hits;
-      wave_misses += counts.misses;
-    }
-    stats.l2_hits += wave_hits;
-    stats.l2_misses += wave_misses;
-    stats.dram_bytes += wave_misses * static_cast<uint64_t>(config_.line_bytes);
-    close_wave();
-  };
-
   for (int64_t b = 0; b < dims.num_blocks; ++b) {
-    if (!tried_pool && launch_lines >= serial_lines_) {
-      // One try per launch: a busy pool leaves the launch serial.
-      tried_pool = true;
-      lease.Reset(WalkPool::TryAcquire());
-      walk_ = lease.get();
-      if (walk_ != nullptr) {
-        walk_->Begin(l2_, walk_->width(), wave_counts_.data());
-      }
-    }
-    WaveBlock& block = wave_blocks_[static_cast<size_t>(in_wave)];
-    LineCounts& counts = wave_counts_[static_cast<size_t>(in_wave)];
-    counts = LineCounts{};
     BlockCtx ctx(this, b, dims.num_blocks, dims.threads_per_block);
-    if (walk_ != nullptr) {
-      ctx.chunk_ = &walk_->filling();
-      ctx.chunk_->StartBlock(static_cast<uint32_t>(in_wave));
-    }
     body(ctx);
 
-    block.compute = static_cast<double>(ctx.lane_ops_) / config_.lane_ops_per_cycle +
-                    static_cast<double>(ctx.shared_bytes_) / config_.shared_bytes_per_cycle;
-    block.l1_hits = ctx.l1_hits_;
-    counts.hits += ctx.line_hits_;
-    counts.misses += ctx.line_misses_;
-    launch_lines += ctx.line_hits_ + ctx.line_misses_;
+    double block_compute =
+        static_cast<double>(ctx.lane_ops_) / config_.lane_ops_per_cycle +
+        static_cast<double>(ctx.shared_bytes_) / config_.shared_bytes_per_cycle;
+    double block_memory =
+        static_cast<double>(ctx.l1_hits_) * 1.0 +
+        static_cast<double>(ctx.line_hits_) * config_.l2_hit_cycles_per_line +
+        static_cast<double>(ctx.line_misses_) * config_.l2_miss_cycles_per_line;
+    double block_cycles = block_compute + block_memory;
+    if (block_cycles > wave_max) {
+      wave_max = block_cycles;
+      wave_max_compute = block_compute;
+      wave_max_memory = block_memory;
+    }
+    wave_hits += ctx.line_hits_;
+    wave_misses += ctx.line_misses_;
+    if (++in_wave == concurrent) {
+      close_wave();
+    }
+
+    stats.l2_hits += ctx.line_hits_;
+    stats.l2_misses += ctx.line_misses_;
     stats.global_bytes_read += ctx.bytes_read_;
     stats.global_bytes_written += ctx.bytes_written_;
     stats.shared_bytes += ctx.shared_bytes_;
     stats.lane_ops += ctx.lane_ops_;
-    if (++in_wave == concurrent) {
-      finish_wave();
-    }
+    stats.dram_bytes +=
+        ctx.line_misses_ * static_cast<uint64_t>(config_.line_bytes);
   }
   if (in_wave > 0) {
-    finish_wave();
+    close_wave();
   }
-  walk_ = nullptr;
 
   stats.cycles = total_cycles;
   stats.millis = config_.CyclesToMillis(total_cycles);

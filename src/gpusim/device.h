@@ -17,21 +17,18 @@
 // and bank conflicts. See DESIGN.md for why the paper's comparisons survive
 // these simplifications.
 //
-// Host performance (DESIGN.md "Host performance"): a device's launches are
-// called from one thread at a time, and its host loop is the bound on every
-// bench and serving trace. The hot path is therefore allocation- and
-// hash-free: kernel names are interned to KernelId once per call site, kernel
-// bodies are passed as non-owning FunctionRef (no std::function allocation
-// per launch), per-kernel aggregates are vector-indexed, a global access is
-// one subtraction and one range check away from its line numbers, and a read
-// that hits the block's L1 on one line, or a write to one line, never leaves
-// the header. Block bodies run serially on the calling thread; a large
-// launch hands its post-L1 L2 lines to the process's walk pool
-// (walk_pool.h), whose threads walk them sharded by set while the bodies
-// run on. All of it under one invariant: simulated statistics are
-// byte-identical to the straightforward implementations they replaced.
-// Independent probes over one device's tables (Autotune's candidates) run on
-// forks of it (Fork()), one per worker thread.
+// Host performance (DESIGN.md "Host performance"): a device runs on one
+// thread at a time, and its host loop is the bound on every bench and serving
+// trace. The hot path is therefore allocation- and hash-free: kernel names
+// are interned to KernelId once per call site, kernel bodies are passed as
+// non-owning FunctionRef (no std::function allocation per launch), per-kernel
+// aggregates are vector-indexed, a global access is one subtraction and one
+// range check away from its line numbers, and a read that hits the block's
+// L1 on one line, or a write to one line, never leaves the header. All of it
+// under one invariant: simulated statistics are byte-identical to the
+// straightforward implementations they replaced. Independent probes over one
+// device's tables (Autotune's candidates) run on forks of it (Fork()), one per
+// worker thread.
 #ifndef SRC_GPUSIM_DEVICE_H_
 #define SRC_GPUSIM_DEVICE_H_
 
@@ -48,7 +45,6 @@
 #include "src/gpusim/device_config.h"
 #include "src/gpusim/device_memory.h"
 #include "src/gpusim/kernel_name.h"
-#include "src/gpusim/walk_pool.h"
 #include "src/util/function_ref.h"
 
 namespace minuet {
@@ -166,7 +162,7 @@ class BlockCtx {
     bytes_written_ += bytes;
     // bytes - 1 wraps for a zero-byte write, which therefore falls through.
     if (start < DeviceMemory::kReserveBytes && bytes - 1 <= line_mask_ - (start & line_mask_)) {
-      L2Line(start >> line_shift_);
+      CountL2(l2_->AccessLine(start >> line_shift_));
       return;
     }
     AccessLines(addr, bytes, /*is_read=*/false);
@@ -197,9 +193,13 @@ class BlockCtx {
   BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block);
 
   void AccessLines(const void* addr, size_t bytes, bool is_read);
-  // One post-L1 line for the L2: looked up now, or, while the launch holds
-  // the walk pool, pushed to its chunk for a sharded walk.
-  void L2Line(uint64_t line);
+  // Adds one L2 lookup's outcome without a branch on it, as CacheSim's own
+  // counters do.
+  void CountL2(bool hit) {
+    const uint64_t hit_count = hit;
+    line_hits_ += hit_count;
+    line_misses_ += 1 - hit_count;
+  }
   // GlobalReadRepeated's repeats of a range that was just read.
   void CountRepeatedL1Hits(const void* addr, size_t bytes, uint64_t repeats);
 
@@ -210,7 +210,6 @@ class BlockCtx {
   // The device's L2, arena base and line geometry, copied for the inline
   // paths.
   CacheSim* l2_;
-  LineChunk* chunk_ = nullptr;  // the launch's chunk while it holds the walk pool
   uintptr_t arena_base_;
   int line_shift_;
   uint64_t line_mask_;  // line_bytes - 1
@@ -239,12 +238,6 @@ struct LaunchDims {
 
 class Device {
  public:
-  // A launch looks up its first kSerialLines post-L1 lines itself, then takes
-  // the walk pool if it is free and pushes every further line to it for
-  // walks sharded by set (walk_pool.h). Launches below it make no pool call
-  // and pay no synchronisation. Results never depend on it.
-  static constexpr uint64_t kSerialLines = 16384;
-
   explicit Device(const DeviceConfig& config);
 
   // A device for running kernels over this device's memory on another
@@ -254,8 +247,7 @@ class Device {
   // would here from a flushed L2. It shares no mutable state with this
   // device, and its launches never reach this device's totals. This device
   // must outlive the fork and keep what the fork's kernels read allocated
-  // and unwritten while they run. A fork never takes the walk pool: forks
-  // run on worker threads that already occupy the host's cores.
+  // and unwritten while they run.
   Device Fork() const;
 
   const DeviceConfig& config() const { return config_; }
@@ -323,14 +315,6 @@ class Device {
 
  private:
   friend class BlockCtx;
-  friend struct DevicePeer;  // tests: the serial-walk threshold
-
-  // What close_wave reads of one block of the current wave, besides its L2
-  // counts.
-  struct WaveBlock {
-    double compute = 0.0;  // lane-op and shared-memory issue cycles
-    uint64_t l1_hits = 0;
-  };
 
   // A device reading the arena at `arena_base`, owning none.
   Device(const DeviceConfig& config, uintptr_t arena_base);
@@ -342,10 +326,6 @@ class Device {
   uintptr_t arena_base_ = 0;              // base of the arena kernels read
   CacheSim l2_;
   int line_shift_ = 0;  // log2(config.line_bytes)
-  uint64_t serial_lines_ = kSerialLines;
-  WalkPool* walk_ = nullptr;  // held for the running launch, or null
-  std::vector<WaveBlock> wave_blocks_;
-  std::vector<LineCounts> wave_counts_;  // the wave's blocks' L2 hits and misses
   KernelStats totals_;
   // Aggregates indexed by KernelId; the name-keyed map is a lazily rebuilt
   // view so the public API (and its iteration order) is unchanged.
@@ -365,21 +345,6 @@ inline BlockCtx::BlockCtx(Device* device, int64_t block_index, int64_t num_block
       line_shift_(device->line_shift_),
       line_mask_((uint64_t{1} << device->line_shift_) - 1) {
   l1_tags_.fill(UINT64_MAX);
-}
-
-inline void BlockCtx::L2Line(uint64_t line) {
-  if (chunk_ != nullptr) {
-    if (chunk_->Push(static_cast<uint32_t>(line))) {
-      device_->walk_->ChunkFull();
-      chunk_ = &device_->walk_->filling();
-    }
-    return;
-  }
-  if (l2_->AccessLine(line)) {
-    ++line_hits_;
-  } else {
-    ++line_misses_;
-  }
 }
 
 }  // namespace minuet

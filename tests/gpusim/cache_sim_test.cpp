@@ -8,11 +8,14 @@
 
 #include "src/gpusim/device.h"
 #include "src/gpusim/device_config.h"
-#include "src/gpusim/walk_pool.h"
 
 namespace minuet {
 
 struct CacheSimPeer {
+  // Sends 16-way updates down the way search and shift, as on a host
+  // without AVX2.
+  static void UseGenericPath(CacheSim& cache) { cache.sixteen_way_avx2_ = false; }
+  static bool UsesAvx2(const CacheSim& cache) { return cache.sixteen_way_avx2_; }
   static std::vector<uint32_t> Tags(const CacheSim& cache) {
     return {cache.tags_, cache.tags_ + cache.num_sets_ * static_cast<size_t>(cache.ways_)};
   }
@@ -244,6 +247,45 @@ TEST(CacheSimTest, EveryAssociativityMatchesReferenceSequence) {
   }
 }
 
+TEST(CacheSimTest, SixteenWayPathsMakeTheSameUpdates) {
+  // The AVX2 update (when this host runs it) and the generic one, access for
+  // access and tag for tag, on every preset geometry: one set filled, then
+  // hit at every recency position and missed; then a recorded sequence.
+  for (const DeviceConfig& config : AllDeviceConfigs()) {
+    SCOPED_TRACE(config.name);
+    ASSERT_EQ(config.l2_ways, 16);
+    CacheSim fast(config.l2_bytes, config.l2_ways, config.line_bytes);
+    CacheSim generic(config.l2_bytes, config.l2_ways, config.line_bytes);
+    CacheSimPeer::UseGenericPath(generic);
+    EXPECT_FALSE(CacheSimPeer::UsesAvx2(generic));
+    std::vector<uint64_t> lines;
+    const uint64_t sets = fast.num_sets();
+    for (uint64_t line = 0; lines.size() < 17; line += 1) {
+      if ((line * 0x9e3779b97f4a7c15ULL) % sets == 0) {  // set 0, as ReferenceLru maps it
+        lines.push_back(line);
+      }
+    }
+    std::vector<uint64_t> sequence(lines.begin(), lines.begin() + 16);
+    for (int way = 0; way < 16; ++way) {
+      sequence.push_back(lines[static_cast<size_t>(15 - way)]);
+    }
+    sequence.push_back(lines[16]);
+    const std::vector<uint64_t> recorded = RecordedLineSequence(
+        200000, 2 * config.l2_bytes / static_cast<size_t>(config.line_bytes));
+    sequence.insert(sequence.end(), recorded.begin(), recorded.end());
+    for (size_t i = 0; i < sequence.size(); ++i) {
+      if (i == 33) {
+        ASSERT_EQ(fast.hits(), 16u) << "one hit at each of the 16 recency positions";
+      }
+      ASSERT_EQ(fast.AccessLine(sequence[i]), generic.AccessLine(sequence[i]))
+          << "diverged at access " << i;
+    }
+    EXPECT_EQ(CacheSimPeer::Tags(fast), CacheSimPeer::Tags(generic));
+    EXPECT_GT(fast.hits(), 0u);
+    EXPECT_GT(fast.misses(), 0u);
+  }
+}
+
 TEST(CacheSimDeathTest, DeviceRejectsLinesBeyondThirtyTwoBitTags) {
   // 16-byte lines split the 64 GiB arena into 2^32 lines, so the last line
   // number would equal the empty-way tag.
@@ -254,85 +296,6 @@ TEST(CacheSimDeathTest, DeviceRejectsLinesBeyondThirtyTwoBitTags) {
   config.line_bytes = 32;
   Device device(config);
   EXPECT_EQ(device.l2().line_bytes(), 32);
-}
-
-// Walks `lines` through AccessLines in chunks of `chunk_lines`, each split
-// into runs of 1 to 300 lines that straddle chunk boundaries as a block's
-// lines straddle a launch's drains, at `width` shards. Each run's hits must
-// equal the reference's decisions summed over the run, the counters must
-// match, and the final tags must equal those of one AccessLine per line.
-void ExpectBatchWalkMatchesReference(size_t capacity, int ways,
-                                     const std::vector<uint64_t>& lines, int width,
-                                     size_t chunk_lines) {
-  SCOPED_TRACE(testing::Message() << capacity << " bytes, " << ways << " ways, width "
-                                  << width << ", " << lines.size() << " lines");
-  CacheSim batch(capacity, ways, 128);
-  CacheSim serial(capacity, ways, 128);
-  ReferenceLru ref(capacity, ways, 128);
-  WalkPool* pool = width > 1 ? WalkPool::TryAcquire() : nullptr;
-  ASSERT_TRUE(width == 1 || pool != nullptr);
-  std::vector<bool> run_starts(lines.size());
-  for (size_t at = 0, r = 0; at < lines.size(); at += 1 + (r++ * 37) % 300) {
-    run_starts[at] = true;
-  }
-  std::vector<uint32_t> chunk;
-  std::vector<uint32_t> run_ends;
-  std::vector<uint64_t> expected;
-  for (size_t start = 0; start < lines.size(); start += chunk_lines) {
-    const size_t end = std::min(lines.size(), start + chunk_lines);
-    chunk.clear();
-    run_ends.clear();
-    expected.assign(1, 0);
-    for (size_t i = start; i < end; ++i) {
-      if (i != start && run_starts[i]) {
-        run_ends.push_back(static_cast<uint32_t>(chunk.size()));
-        expected.push_back(0);
-      }
-      chunk.push_back(static_cast<uint32_t>(lines[i]));
-      expected.back() += ref.AccessLine(lines[i]);
-      serial.AccessLine(lines[i]);
-    }
-    run_ends.push_back(static_cast<uint32_t>(chunk.size()));
-    std::vector<uint64_t> hits(run_ends.size(), ~uint64_t{0});
-    batch.AccessLines(chunk, run_ends, hits, pool, width);
-    ASSERT_EQ(hits, expected) << "chunk at line " << start;
-  }
-  if (pool != nullptr) {
-    pool->Release();
-  }
-  EXPECT_EQ(batch.hits(), serial.hits());
-  EXPECT_EQ(batch.misses(), serial.misses());
-  EXPECT_EQ(CacheSimPeer::Tags(batch), CacheSimPeer::Tags(serial));
-}
-
-TEST(CacheSimTest, BatchWalkMatchesReferenceAtEveryWidth) {
-  // Every preset geometry (mask and modulo set counts), and 1-, 4- and
-  // 16-way caches over 64, 48 and 44 sets; streams shorter than, equal to
-  // and far longer than sets x ways.
-  struct Geometry {
-    size_t capacity;
-    int ways;
-    size_t longest;  // the far-longer length, in multiples of sets x ways
-  };
-  std::vector<Geometry> geometries;
-  for (const DeviceConfig& config : AllDeviceConfigs()) {
-    geometries.push_back({config.l2_bytes, config.l2_ways, 3});
-  }
-  for (size_t sets : {size_t{64}, size_t{48}, size_t{44}}) {
-    for (int ways : {1, 4, 16}) {
-      geometries.push_back({sets * static_cast<size_t>(ways) * 128, ways, 16});
-    }
-  }
-  for (const Geometry& g : geometries) {
-    const size_t capacity_lines = g.capacity / 128;
-    for (size_t length : {capacity_lines / 2, capacity_lines, g.longest * capacity_lines}) {
-      const std::vector<uint64_t> lines = RecordedLineSequence(length, 2 * capacity_lines + 64);
-      for (int width : {1, 2, 4}) {
-        ExpectBatchWalkMatchesReference(g.capacity, g.ways, lines, width,
-                                        /*chunk_lines=*/5000);
-      }
-    }
-  }
 }
 
 TEST(CacheSimTest, ResetCountersKeepsContents) {

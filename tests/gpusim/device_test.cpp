@@ -8,9 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/gpusim/device_config.h"
-#include "src/gpusim/walk_pool.h"
 #include "src/trace/trace.h"
-#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace minuet {
@@ -26,11 +24,6 @@ struct BlockCtxPeer {
     ctx.bytes_written_ += bytes;
     ctx.AccessLines(addr, bytes, /*is_read=*/false);
   }
-};
-
-// The launch threshold above which a device walks its L2 lines sharded.
-struct DevicePeer {
-  static void SetSerialLines(Device& device, uint64_t lines) { device.serial_lines_ = lines; }
 };
 
 namespace {
@@ -434,119 +427,6 @@ TEST(DeviceTest, SharedTrafficCostsCycles) {
   KernelStats some = dev.Launch("k", LaunchDims{1, 128, 0},
                                 [](BlockCtx& ctx) { ctx.SharedRead(1 << 20); });
   EXPECT_GT(some.cycles, none.cycles);
-}
-
-// Four kernel shapes over one device's buffers, each well past a chunk of
-// lines and a wave of blocks on the RTX 3090: a memset (one-line writes and
-// multi-line writes), a gather (row reads through the L1), a scatter (random
-// 8-byte writes) and a forward search (binary searches over sorted keys).
-// Returns every launch's stats and the device totals.
-std::vector<KernelStats> RunKernelShapes(uint64_t serial_lines) {
-  Device dev(MakeRtx3090());
-  DevicePeer::SetSerialLines(dev, serial_lines);
-  DeviceVector<uint8_t> buffer(4 << 20, dev.memory());
-  DeviceVector<uint64_t> keys(1 << 16, dev.memory());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = 3 * i;
-  }
-  const int64_t lines = static_cast<int64_t>(buffer.size()) / 128;
-  std::vector<KernelStats> stats;
-  stats.push_back(dev.Launch("memset", LaunchDims{2500, 128, 0}, [&](BlockCtx& ctx) {
-    const int64_t first = ctx.block_index() * 24 % lines;
-    for (int64_t line = first; line < std::min(lines, first + 16); ++line) {
-      ctx.GlobalWrite(buffer.data() + line * 128, 128);
-    }
-    const int64_t start = std::min(lines - 8, first + 16) * 128;
-    ctx.GlobalWrite(buffer.data() + start, 1000);
-  }));
-  stats.push_back(dev.Launch("gather", LaunchDims{1500, 128, 0}, [&](BlockCtx& ctx) {
-    Pcg32 rng(static_cast<uint64_t>(ctx.block_index()));
-    for (int row = 0; row < 48; ++row) {
-      const size_t at = rng.NextBounded(static_cast<uint32_t>(buffer.size() / 256)) * 256;
-      ctx.GlobalRead(buffer.data() + at, 256);
-      ctx.GlobalRead(buffer.data() + at + 64, 8);
-      ctx.Compute(64);
-    }
-  }));
-  stats.push_back(dev.Launch("scatter", LaunchDims{1500, 256, 4096}, [&](BlockCtx& ctx) {
-    Pcg32 rng(1000 + static_cast<uint64_t>(ctx.block_index()));
-    for (int item = 0; item < 40; ++item) {
-      ctx.GlobalWrite(buffer.data() + rng.NextBounded(static_cast<uint32_t>(buffer.size() / 8)) * 8,
-                      8);
-      ctx.SharedWrite(8);
-    }
-  }));
-  stats.push_back(dev.Launch("forward_search", LaunchDims{1200, 128, 0}, [&](BlockCtx& ctx) {
-    Pcg32 rng(7 + static_cast<uint64_t>(ctx.block_index()));
-    for (int query = 0; query < 24; ++query) {
-      const uint64_t key = rng.NextBounded(static_cast<uint32_t>(3 * keys.size()));
-      size_t lo = 0;
-      size_t hi = keys.size();
-      while (lo < hi) {
-        const size_t mid = (lo + hi) / 2;
-        ctx.GlobalRead(&keys[mid], sizeof(uint64_t));
-        (keys[mid] < key ? lo : hi) = keys[mid] < key ? mid + 1 : mid;
-      }
-      ctx.GlobalWrite(buffer.data() + lo % buffer.size(), 4);
-    }
-  }));
-  stats.push_back(dev.totals());
-  return stats;
-}
-
-TEST(DeviceTest, ShardedWalkMatchesSerialWalk) {
-  const std::vector<KernelStats> serial = RunKernelShapes(UINT64_MAX);
-  ASSERT_GT(serial[0].l2_hits + serial[0].l2_misses, 3 * (LineChunk::kMaxShards * LineChunk::kShardLines));
-  ASSERT_GT(serial[1].num_waves, 1);
-  // From the first block, and from part way into each launch.
-  for (uint64_t serial_lines : {uint64_t{0}, uint64_t{5000}, Device::kSerialLines}) {
-    SCOPED_TRACE(serial_lines);
-    const std::vector<KernelStats> sharded = RunKernelShapes(serial_lines);
-    ASSERT_EQ(sharded.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      SCOPED_TRACE(serial[i].name);
-      ExpectSameStats(sharded[i], serial[i]);
-    }
-  }
-}
-
-TEST(DeviceTest, ForksWalkSeriallyWhileTheParentHoldsThePool) {
-  Device dev(MakeRtx3090());
-  DevicePeer::SetSerialLines(dev, 0);
-  DeviceVector<uint8_t> buffer(2 << 20, dev.memory());
-  auto probe = [&](BlockCtx& ctx) {
-    Pcg32 rng(static_cast<uint64_t>(ctx.block_index()));
-    for (int row = 0; row < 32; ++row) {
-      ctx.GlobalRead(buffer.data() + rng.NextBounded(static_cast<uint32_t>(buffer.size() / 512)) *
-                                         512,
-                     512);
-    }
-  };
-  const LaunchDims dims{1000, 128, 0};
-  const KernelStats expected = dev.Fork().Launch("probe", dims, probe);
-  ASSERT_GT(expected.l2_hits + expected.l2_misses, (LineChunk::kMaxShards * LineChunk::kShardLines));
-
-  // Forks that would take the pool at once, launching on ParallelFor
-  // threads: inside the parent's launch, which holds the pool, and then with
-  // the pool free, when they race for it.
-  constexpr int kForks = 6;
-  auto launch_forks = [&] {
-    std::vector<KernelStats> forked(kForks);
-    ParallelFor(kForks, [&](int, int64_t i) {
-      Device fork = dev.Fork();
-      DevicePeer::SetSerialLines(fork, 0);
-      forked[static_cast<size_t>(i)] = fork.Launch("probe", dims, probe);
-    });
-    for (const KernelStats& stats : forked) {
-      ExpectSameStats(stats, expected);
-    }
-  };
-  dev.Launch("holder", LaunchDims{1, 128, 0}, [&](BlockCtx& ctx) {
-    EXPECT_EQ(WalkPool::TryAcquire(), nullptr);
-    launch_forks();
-    ctx.GlobalRead(buffer.data(), 128);
-  });
-  launch_forks();
 }
 
 }  // namespace
