@@ -41,9 +41,9 @@ class FeatureMatrix {
 
   // A rows x cols matrix in `memory` whose contents are indeterminate until
   // written: for buffers every element of which is defined before it is read
-  // (in functional mode ClearBuffer defines the GMaS staging buffers and
-  // Scatter the outputs), and for every payload of a timing-only run, which
-  // reads none. Skips the zero fill, and arena pages nothing writes are never
+  // (in functional mode gather and the GEMM define the GMaS staging buffers'
+  // real rows, no one reads their padding rows, and Scatter defines the
+  // outputs), and for every payload of a timing-only run, which reads none. Skips the zero fill, and arena pages nothing writes are never
   // committed.
   static FeatureMatrix Uninitialized(int64_t rows, int64_t cols, DeviceMemory* memory) {
     return FeatureMatrix(rows, cols,

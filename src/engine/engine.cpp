@@ -720,7 +720,8 @@ void Engine::RunState::Conv(const Instr& instr) {
       if (functional()) {
         BlockedGemm(target.features.data(),
                     engine.conv_weights_[static_cast<size_t>(conv_index)].per_offset[0].data(),
-                    out.data(), target.features.rows(), conv.c_in, conv.c_out);
+                    out.data(), target.features.rows(), conv.c_in, conv.c_out,
+                    GemmWrite::kOverwrite);
       }
     };
     AccumulateKernel(layer, &StepBreakdown::gemm,
@@ -961,7 +962,8 @@ void Engine::RunState::Linear(const Instr& instr) {
   static const KernelId kLinearHead = KernelId::Intern("engine/gemm/linear_head");
   auto multiply = [&] {
     if (functional()) {
-      BlockedGemm(act.features.data(), w->data(), out.data(), rows, c_in, instr.linear_out);
+      BlockedGemm(act.features.data(), w->data(), out.data(), rows, c_in, instr.linear_out,
+                  GemmWrite::kOverwrite);
     }
   };
   AccumulateKernel(result.total, &StepBreakdown::gemm,

@@ -35,9 +35,11 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   const int64_t c_out = output.cols();
 
   WorkspacePool* pool = scratch != nullptr ? scratch->pool : nullptr;
-  // The staging buffers start indeterminate in both modes. Functional runs
-  // get ClearBuffer's zeroes; timing-only runs read no payload, so nothing
-  // needs defining and untouched arena pages stay uncommitted.
+  // The staging buffers start indeterminate in both modes, and their padding
+  // rows stay so: gather writes every real row of in_buffer, the GEMM
+  // overwrites every real row of out_buffer, and no one reads a padding row.
+  // Timing-only runs read no payload, so untouched arena pages stay
+  // uncommitted.
   auto make_buffer = [&](int64_t rows, int64_t cols) {
     if (pool != nullptr) {
       return FeatureMatrix(rows, cols,
@@ -87,10 +89,8 @@ GmasResult RunGatherGemmScatter(Device& device, const KernelMap& map,
   FeatureMatrix out_buffer = make_buffer(plan.buffer_rows, c_out);
   {
     trace::Span span("gmas/buffer", "step");
-    result.stats.buffer_setup +=
-        ClearBuffer(device, in_buffer, element_bytes, config.functional);
-    result.stats.buffer_setup +=
-        ClearBuffer(device, out_buffer, element_bytes, config.functional);
+    result.stats.buffer_setup += ClearBuffer(device, in_buffer, element_bytes);
+    result.stats.buffer_setup += ClearBuffer(device, out_buffer, element_bytes);
   }
 
   TileKernelConfig gather_cfg;
@@ -190,7 +190,7 @@ GmasResult RunPerOffsetFused(Device& device, const KernelMap& map,
             ctx.GlobalWrite(out_row, static_cast<size_t>(c_out) * sizeof(float));
             ctx.Compute(static_cast<uint64_t>(c_in + c_out));
             if (functional) {
-              BlockedGemm(in_row, w, out_row, 1, c_in, c_out);
+              BlockedGemm(in_row, w, out_row, 1, c_in, c_out, GemmWrite::kAccumulate);
             }
           }
         });

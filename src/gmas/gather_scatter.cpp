@@ -45,8 +45,7 @@ std::vector<int> CandidateTileSizes(int64_t channels) {
   return tiles;
 }
 
-KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes,
-                        bool functional) {
+KernelStats ClearBuffer(Device& device, const FeatureMatrix& buffer, int element_bytes) {
   constexpr int64_t kRowsPerBlock = 256;
   const int64_t rows = buffer.rows();
   const int64_t blocks = std::max<int64_t>(1, (rows + kRowsPerBlock - 1) / kRowsPerBlock);
@@ -58,13 +57,8 @@ KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes
     if (begin >= end) {
       return;
     }
-    float* dst = buffer.data() + begin * buffer.cols();
-    if (functional) {
-      std::memset(dst, 0,
-                  static_cast<size_t>((end - begin) * buffer.cols()) * sizeof(float));
-    }
     size_t device_bytes = static_cast<size_t>((end - begin) * row_bytes);
-    ctx.GlobalWrite(dst, device_bytes);
+    ctx.GlobalWrite(buffer.data() + begin * buffer.cols(), device_bytes);
     ctx.Compute(device_bytes / 16);
   });
 }

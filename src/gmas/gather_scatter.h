@@ -23,11 +23,12 @@ struct TileKernelConfig {
   int element_bytes = 4;
 };
 
-// Zero-fills `buffer` (rows x cols floats) and charges it as a memset launch
-// of rows x cols x element_bytes device bytes. Timing-only (`functional`
-// false) charges the same launch and leaves the host data untouched.
-KernelStats ClearBuffer(Device& device, FeatureMatrix& buffer, int element_bytes = 4,
-                        bool functional = true);
+// Charges a memset of `buffer` (rows x cols elements) as a launch that
+// writes rows x cols x element_bytes device bytes. The host data is left
+// untouched: no reader needs it defined (gather writes every real row of a
+// GMaS input buffer, the GEMM overwrites every real row of an output buffer,
+// and padding rows are never read).
+KernelStats ClearBuffer(Device& device, const FeatureMatrix& buffer, int element_bytes = 4);
 
 // features (|P| x C_in) -> buffer (buffer_rows x C_in) via tables.imt.
 KernelStats GatherKernel(Device& device, const MetadataTables& tables,

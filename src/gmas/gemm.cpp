@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/util/check.h"
+#include "src/util/parallel.h"
 
 namespace minuet {
 
@@ -25,8 +26,8 @@ constexpr int kTileVecs = 2;
 // where the A value is zero. Tile shape, column tail and instruction set
 // therefore never change a single output bit.
 
-// C[0, Rows) x [0, Vecs * 8) += A[0, Rows) x B[:, 0, Vecs * 8).
-template <int Rows, int Vecs>
+// C[0, Rows) x [0, Vecs * 8) (+)= A[0, Rows) x B[:, 0, Vecs * 8).
+template <bool Overwrite, int Rows, int Vecs>
 [[gnu::always_inline]] inline void MicroTile(const float* a, const float* b, float* c,
                                              int64_t k, int64_t n) {
   Lanes acc[Rows][Vecs];
@@ -34,7 +35,11 @@ template <int Rows, int Vecs>
   for (int r = 0; r < Rows; ++r) {
 #pragma GCC unroll 8
     for (int v = 0; v < Vecs; ++v) {
-      std::memcpy(&acc[r][v], c + r * n + v * kLaneWidth, sizeof(Lanes));
+      if constexpr (Overwrite) {
+        acc[r][v] = Lanes{};
+      } else {
+        std::memcpy(&acc[r][v], c + r * n + v * kLaneWidth, sizeof(Lanes));
+      }
     }
   }
   for (int64_t p = 0; p < k; ++p) {
@@ -67,19 +72,19 @@ template <int Rows, int Vecs>
 
 // Rows [0, Rows) of C: full micro-tiles, then one-vector tiles, then the
 // last n % 8 columns one element at a time.
-template <int Rows>
+template <bool Overwrite, int Rows>
 [[gnu::always_inline]] inline void RowPanel(const float* a, const float* b, float* c, int64_t k,
                                             int64_t n) {
   int64_t j = 0;
   for (; j + kTileVecs * kLaneWidth <= n; j += kTileVecs * kLaneWidth) {
-    MicroTile<Rows, kTileVecs>(a, b + j, c + j, k, n);
+    MicroTile<Overwrite, Rows, kTileVecs>(a, b + j, c + j, k, n);
   }
   for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    MicroTile<Rows, 1>(a, b + j, c + j, k, n);
+    MicroTile<Overwrite, Rows, 1>(a, b + j, c + j, k, n);
   }
   for (int r = 0; r < Rows; ++r) {
     for (int64_t jj = j; jj < n; ++jj) {
-      float sum = c[r * n + jj];
+      float sum = Overwrite ? 0.0f : c[r * n + jj];
       for (int64_t p = 0; p < k; ++p) {
         const float av = a[r * k + p];
         if (av == 0.0f) {
@@ -93,6 +98,30 @@ template <int Rows>
   }
 }
 
+template <bool Overwrite>
+[[gnu::always_inline]] inline void Gemm(const float* a, const float* b, float* c, int64_t m,
+                                        int64_t k, int64_t n) {
+  int64_t i = 0;
+  for (; i + kTileRows <= m; i += kTileRows) {
+    RowPanel<Overwrite, kTileRows>(a + i * k, b, c + i * n, k, n);
+  }
+  for (; i < m; ++i) {
+    RowPanel<Overwrite, 1>(a + i * k, b, c + i * n, k, n);
+  }
+}
+
+// A grouped launch's functional arithmetic is split into tasks of this many
+// rows of one offset, a multiple of the micro-tile height so that only an
+// offset's last task has a row tail. Each task writes its own C rows.
+constexpr int64_t kRowsPerTask = 256;
+static_assert(kRowsPerTask % kTileRows == 0);
+
+struct GemmTask {
+  uint32_t offset;
+  int64_t begin;  // rows [begin, end) of the offset's slice of the buffers
+  int64_t end;
+};
+
 }  // namespace
 
 // x86-64 GCC builds carry an AVX2 clone next to the baseline one, picked once
@@ -104,13 +133,12 @@ template <int Rows>
     !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
-  int64_t i = 0;
-  for (; i + kTileRows <= m; i += kTileRows) {
-    RowPanel<kTileRows>(a + i * k, b, c + i * n, k, n);
-  }
-  for (; i < m; ++i) {
-    RowPanel<1>(a + i * k, b, c + i * n, k, n);
+void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
+                 GemmWrite write) {
+  if (write == GemmWrite::kOverwrite) {
+    Gemm<true>(a, b, c, m, k, n);
+  } else {
+    Gemm<false>(a, b, c, m, k, n);
   }
 }
 
@@ -148,25 +176,34 @@ BatchedGemmResult ExecuteGroupedGemms(Device& device, const GroupingPlan& plan,
 
   BatchedGemmResult result;
   StreamPool pool(num_streams, device.config().launch_overhead_cycles);
+  std::vector<GemmTask> tasks;  // one launch's, reused across launches
   for (const GemmGroup& group : plan.groups) {
     // The functional arithmetic runs inside the launch's span, so the span's
-    // host time covers it.
+    // host time covers it: wall time, across every worker.
     auto multiply = [&] {
       if (!functional) {
         return;
       }
+      tasks.clear();
       for (uint32_t k : group.offset_indices) {
         const FeatureMatrix& w = weights[k];
         MINUET_CHECK_EQ(w.rows(), c_in);
         MINUET_CHECK_EQ(w.cols(), c_out);
-        int64_t base = plan.buffer_base[k];
-        MINUET_CHECK_GE(base, 0);
-        // Padding rows are zero; multiplying them is pure waste, so the
-        // functional path computes only the real rows (the launch below
-        // charges for the padded height).
-        BlockedGemm(in_buffer.data() + base * c_in, w.data(), out_buffer.data() + base * c_out,
-                    sizes[k], c_in, c_out);
+        MINUET_CHECK_GE(plan.buffer_base[k], 0);
+        // Only the real rows: the launch below charges for the padded
+        // height, but no one reads a padding row, so none is computed.
+        for (int64_t begin = 0; begin < sizes[k]; begin += kRowsPerTask) {
+          tasks.push_back(GemmTask{k, begin, std::min(begin + kRowsPerTask, sizes[k])});
+        }
       }
+      // One call per launch, not per offset: each call wakes the pool.
+      ParallelFor(static_cast<int64_t>(tasks.size()), [&](int, int64_t t) {
+        const GemmTask& task = tasks[static_cast<size_t>(t)];
+        const int64_t row = plan.buffer_base[task.offset] + task.begin;
+        BlockedGemm(in_buffer.data() + row * c_in, weights[task.offset].data(),
+                    out_buffer.data() + row * c_out, task.end - task.begin, c_in, c_out,
+                    GemmWrite::kOverwrite);
+      });
     };
     static const KernelId kGroupedBatch = KernelId::Intern("gmas/gemm/grouped_batch");
     KernelStats stats = device.LaunchGemm(

@@ -16,11 +16,21 @@
 
 namespace minuet {
 
-// C (m x n) += A (m x k) * B (k x n), all row-major. Each C element adds its
-// products a[i][p] * b[p][j] in ascending p, one rounded multiply and one
-// rounded add each, skipping p where a[i][p] == 0: the result is bit-identical
-// to that scalar loop for any shape.
-void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n);
+// What BlockedGemm does with C's prior contents.
+enum class GemmWrite {
+  kAccumulate,  // C += A * B
+  kOverwrite,   // C = A * B; C's prior contents are never read
+};
+
+// C (m x n) += or = A (m x k) * B (k x n), all row-major. Each C element
+// starts from its prior value (kAccumulate) or from +0.0f (kOverwrite) and
+// adds its products a[i][p] * b[p][j] in ascending p, one rounded multiply and
+// one rounded add each, skipping p where a[i][p] == 0: the result is
+// bit-identical to that scalar loop for any shape, so kOverwrite equals
+// kAccumulate into a C of +0.0f bit for bit. Rows are independent: splitting
+// the m rows into any row ranges computes the same bits.
+void BlockedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
+                 GemmWrite write);
 
 // Models a pool of CUDA streams. Concurrent kernels do not multiply device
 // throughput — each GEMM alone saturates the GPU — so what streams actually
@@ -49,9 +59,12 @@ struct BatchedGemmResult {
 };
 
 // Executes one GEMM kernel launch per group: for every offset k in a group,
-// out_buffer[base_k .. base_k+n_k) += in_buffer[rows] * weights[k].
-// weights[k] is C_in x C_out. If `functional` is false only the cost model
-// runs: no buffer or weight is touched, and `weights` may be empty.
+// out_buffer[base_k .. base_k+n_k) = in_buffer[base_k .. base_k+n_k) *
+// weights[k]. weights[k] is C_in x C_out. Only these real rows are read and
+// written; padding rows are neither. A launch's arithmetic runs as one
+// ParallelFor over (offset, row range) tasks. If `functional` is false only
+// the cost model runs: no buffer or weight is touched, and `weights` may be
+// empty.
 // `efficiency` is forwarded to the device GEMM model.
 BatchedGemmResult ExecuteGroupedGemms(Device& device, const GroupingPlan& plan,
                                       const std::vector<int64_t>& sizes,

@@ -1,5 +1,9 @@
 // Full-network functional equivalence at small scale: the paper's two
 // evaluation networks, all three engines, bit-for-bit comparable outputs.
+#include <cstring>
+#include <limits>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/data/generators.h"
@@ -57,6 +61,51 @@ TEST(FullNetworkTest, SparseResNet21AllEnginesAgree) {
       reference = std::move(got.features);
     } else {
       EXPECT_LT(MaxAbsDiff(got.features, reference), 5e-3f) << EngineKindName(kind);
+    }
+  }
+}
+
+TEST(FullNetworkTest, SessionOnNaNDirtiedMemoryMatchesFreshSession) {
+  // The GMaS staging buffers are never cleared on the host: gather writes
+  // their real input rows, the GEMM overwrites their real output rows, and
+  // no one reads a padding row. So a session whose every workspace slab is
+  // carved from NaN-filled device pages must give the logits of a fresh
+  // session bit for bit, cold and warm. (An anchor allocation keeps the arena
+  // from emptying, which would drop the NaN pages.)
+  const std::pair<Network, PointCloud> cases[] = {
+      {MakeMinkUNet42(4), MakeCloud(500, 3)},
+      {MakeSparseResNet21(4, 20), MakeCloud(700, 5)},
+  };
+  for (const auto& [net, cloud] : cases) {
+    for (EngineKind kind :
+         {EngineKind::kMinuet, EngineKind::kTorchSparse, EngineKind::kMinkowski}) {
+      SCOPED_TRACE(testing::Message() << net.name << " on " << EngineKindName(kind));
+      EngineConfig config;
+      config.kind = kind;
+      Engine clean(config, MakeA100());
+      clean.Prepare(net, 7);
+      RunSession fresh(clean);
+      const RunResult want = fresh.Run(cloud);
+
+      Engine engine(config, MakeA100());
+      engine.Prepare(net, 7);
+      const FeatureMatrix anchor(1, 1, 0.0f, engine.device().memory());
+      {
+        FeatureMatrix nan(int64_t{1} << 23, 1, std::numeric_limits<float>::quiet_NaN(),
+                          engine.device().memory());
+      }
+      RunSession dirty(engine);
+      for (const char* pass : {"cold", "warm"}) {
+        const RunResult got = dirty.Run(cloud);
+        ASSERT_EQ(got.features.rows(), want.features.rows()) << pass;
+        ASSERT_EQ(got.features.cols(), want.features.cols()) << pass;
+        EXPECT_EQ(std::memcmp(got.features.data(), want.features.data(),
+                              static_cast<size_t>(want.features.rows() * want.features.cols()) *
+                                  sizeof(float)),
+                  0)
+            << pass;
+      }
+      EXPECT_EQ(dirty.stats().warm_runs, 1u);
     }
   }
 }

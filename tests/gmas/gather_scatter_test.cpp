@@ -1,5 +1,7 @@
 // Unit tests for the tiled Gather/Scatter kernels against hand-built
 // metadata, plus accounting properties (tile trade-off, coverage).
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -117,16 +119,31 @@ TEST(GatherScatterUnitTest, GatherResultIndependentOfTileSize) {
   }
 }
 
-TEST(GatherScatterUnitTest, ClearBufferZeroes) {
-  Device dev(MakeRtx3090());
-  FeatureMatrix buffer(100, 7, 3.0f, dev.memory());
-  KernelStats stats = ClearBuffer(dev, buffer);
-  for (int64_t i = 0; i < buffer.rows(); ++i) {
-    for (int64_t j = 0; j < buffer.cols(); ++j) {
-      ASSERT_EQ(buffer.At(i, j), 0.0f);
+TEST(GatherScatterUnitTest, ClearBufferChargesAMemsetAndLeavesHostData) {
+  // The launch writes rows x cols x element_bytes device bytes, whatever the
+  // buffer holds, and leaves every host value as it was.
+  for (int element_bytes : {4, 2}) {
+    SCOPED_TRACE(element_bytes);
+    Device dirty_dev(MakeRtx3090());
+    FeatureMatrix dirty(100, 7, std::numeric_limits<float>::quiet_NaN(), dirty_dev.memory());
+    const KernelStats dirty_stats = ClearBuffer(dirty_dev, dirty, element_bytes);
+    Device dev(MakeRtx3090());
+    FeatureMatrix buffer(100, 7, 3.0f, dev.memory());
+    const KernelStats stats = ClearBuffer(dev, buffer, element_bytes);
+    for (int64_t i = 0; i < buffer.rows(); ++i) {
+      for (int64_t j = 0; j < buffer.cols(); ++j) {
+        ASSERT_EQ(buffer.At(i, j), 3.0f);
+        ASSERT_TRUE(std::isnan(dirty.At(i, j)));
+      }
     }
+    EXPECT_EQ(stats.global_bytes_written, 100u * 7u * static_cast<unsigned>(element_bytes));
+    EXPECT_EQ(stats.name, "gmas/buffer/memset");
+    EXPECT_EQ(stats.num_launches, 1);
+    EXPECT_EQ(stats.cycles, dirty_stats.cycles);
+    EXPECT_EQ(stats.global_bytes_written, dirty_stats.global_bytes_written);
+    EXPECT_EQ(stats.l2_hits, dirty_stats.l2_hits);
+    EXPECT_EQ(stats.l2_misses, dirty_stats.l2_misses);
   }
-  EXPECT_EQ(stats.global_bytes_written, 100u * 7u * sizeof(float));
 }
 
 TEST(GatherScatterUnitTest, TileSizeMustDivideChannels) {

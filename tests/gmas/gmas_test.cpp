@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "src/gmas/executor.h"
 #include "src/gmas/metadata.h"
 #include "src/gpusim/device_config.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace minuet {
@@ -72,7 +74,7 @@ TEST(BlockedGemmTest, MatchesNaive) {
   }
   std::vector<float> c_blocked(static_cast<size_t>(m * n), 0.0f);
   std::vector<float> c_naive(static_cast<size_t>(m * n), 0.0f);
-  BlockedGemm(a.data(), b.data(), c_blocked.data(), m, k, n);
+  BlockedGemm(a.data(), b.data(), c_blocked.data(), m, k, n, GemmWrite::kAccumulate);
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t p = 0; p < k; ++p) {
       for (int64_t j = 0; j < n; ++j) {
@@ -127,9 +129,116 @@ TEST(BlockedGemmTest, BitIdenticalToScalarDefinition) {
     b[0] = std::numeric_limits<float>::infinity();
     std::vector<float> want = c;
     ScalarGemm(a.data(), b.data(), want.data(), m, k, n);
-    BlockedGemm(a.data(), b.data(), c.data(), m, k, n);
+    BlockedGemm(a.data(), b.data(), c.data(), m, k, n, GemmWrite::kAccumulate);
     EXPECT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)), 0)
         << "m=" << m << " k=" << k << " n=" << n;
+  }
+}
+
+TEST(BlockedGemmTest, OverwriteEqualsAccumulateIntoPositiveZero) {
+  // The BitIdenticalToScalarDefinition shapes. Every fourth A row is all
+  // zero, so its C row is +0.0f, never left as it was; elsewhere some
+  // products underflow to -0.0f, which the +0.0f start absorbs the same way
+  // in both forms.
+  const int64_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},   {4, 16, 16}, {5, 3, 8},
+                               {7, 29, 20}, {9, 64, 33}, {37, 29, 23}, {66, 128, 96}};
+  Pcg32 rng(11);
+  for (const auto& shape : shapes) {
+    const int64_t m = shape[0], k = shape[1], n = shape[2];
+    std::vector<float> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(k * n));
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t p = 0; p < k; ++p) {
+        float& v = a[static_cast<size_t>(i * k + p)];
+        if (i % 4 == 3) {
+          v = 0.0f;
+        } else if (rng.NextInt(0, 3) == 0) {
+          v = -1e-30f;  // times a B value of 1e-30f: rounds to -0.0f
+        } else {
+          v = rng.NextInt(0, 3) == 0 ? 0.0f : static_cast<float>(rng.NextGaussian());
+        }
+      }
+    }
+    for (auto& v : b) {
+      v = rng.NextInt(0, 2) == 0 ? 1e-30f : static_cast<float>(rng.NextGaussian());
+    }
+    std::vector<float> accumulated(static_cast<size_t>(m * n), 0.0f);
+    BlockedGemm(a.data(), b.data(), accumulated.data(), m, k, n, GemmWrite::kAccumulate);
+    std::vector<float> overwritten(static_cast<size_t>(m * n),
+                                   std::numeric_limits<float>::quiet_NaN());
+    BlockedGemm(a.data(), b.data(), overwritten.data(), m, k, n, GemmWrite::kOverwrite);
+    EXPECT_EQ(std::memcmp(overwritten.data(), accumulated.data(),
+                          accumulated.size() * sizeof(float)),
+              0)
+        << "m=" << m << " k=" << k << " n=" << n;
+    std::vector<float> want(static_cast<size_t>(m * n), 0.0f);
+    ScalarGemm(a.data(), b.data(), want.data(), m, k, n);
+    EXPECT_EQ(std::memcmp(overwritten.data(), want.data(), want.size() * sizeof(float)), 0)
+        << "m=" << m << " k=" << k << " n=" << n;
+  }
+  // A product that rounds to -0.0f leaves the +0.0f start as it is.
+  const float a = -1e-30f, b = 1e-30f;
+  float c = std::numeric_limits<float>::quiet_NaN();
+  BlockedGemm(&a, &b, &c, 1, 1, 1, GemmWrite::kOverwrite);
+  EXPECT_FALSE(std::signbit(c));
+  EXPECT_EQ(c, 0.0f);
+}
+
+TEST(ExecuteGroupedGemmsTest, PoolSplitMatchesInlineRunBitForBit) {
+  // Offsets of several row tasks each, tails included, an empty offset and
+  // groups with padding. The launch on the pool splits the rows across
+  // workers; the same launch from inside a ParallelFor item runs inline on
+  // one thread. Both write NaN-filled output buffers, whose padding rows
+  // they must leave alone.
+  const std::vector<int64_t> sizes = {700, 1029, 0, 5, 513, 256, 37, 900};
+  const int64_t c_in = 24, c_out = 40;
+  const GroupingPlan plan = PlanGemmGroups(sizes, GroupingStrategy::kSortedOrder, 0.5);
+  ASSERT_GT(plan.padded_rows(), 0);
+  const std::vector<FeatureMatrix> weights = RandomWeights(sizes.size(), c_in, c_out, 3);
+  FeatureMatrix in_buffer(plan.buffer_rows, c_in);
+  Pcg32 rng(5);
+  for (int64_t i = 0; i < in_buffer.rows(); ++i) {
+    for (int64_t j = 0; j < c_in; ++j) {
+      in_buffer.At(i, j) = rng.NextInt(0, 4) == 0 ? 0.0f : static_cast<float>(rng.NextGaussian());
+    }
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto run = [&](FeatureMatrix& out) {
+    Device device(MakeA100());
+    ExecuteGroupedGemms(device, plan, sizes, in_buffer, weights, out, /*num_streams=*/4,
+                        /*functional=*/true);
+  };
+  FeatureMatrix parallel(plan.buffer_rows, c_out, nan);
+  run(parallel);
+  FeatureMatrix inline_run(plan.buffer_rows, c_out, nan);
+  ParallelFor(2, [&](int, int64_t i) {
+    if (i == 0) {
+      run(inline_run);
+    }
+  });
+  EXPECT_EQ(std::memcmp(parallel.data(), inline_run.data(),
+                        static_cast<size_t>(plan.buffer_rows * c_out) * sizeof(float)),
+            0);
+  // Real rows hold the product, each through BlockedGemm's own definition;
+  // padding rows keep their NaN.
+  std::vector<bool> real(static_cast<size_t>(plan.buffer_rows), false);
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    if (sizes[k] == 0) {
+      continue;
+    }
+    const int64_t base = plan.buffer_base[k];
+    std::fill_n(real.begin() + base, sizes[k], true);
+    std::vector<float> want(static_cast<size_t>(sizes[k] * c_out), 0.0f);
+    ScalarGemm(in_buffer.data() + base * c_in, weights[k].data(), want.data(), sizes[k], c_in,
+               c_out);
+    EXPECT_EQ(std::memcmp(parallel.data() + base * c_out, want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "offset " << k;
+  }
+  for (int64_t i = 0; i < plan.buffer_rows; ++i) {
+    if (!real[static_cast<size_t>(i)]) {
+      ASSERT_TRUE(std::isnan(parallel.At(i, 0))) << "padding row " << i;
+    }
   }
 }
 

@@ -1,11 +1,11 @@
-// minuet_data: generate, inspect and export the synthetic datasets.
+// minuet_dataset: generate, inspect and export the synthetic datasets.
 //
-//   minuet_data gen  --dataset kitti --points 100000 --seed 1 --out scan.mnpc
-//   minuet_data info --in scan.mnpc
-//   minuet_data stats [--points N]       (sparsity table for all datasets)
-//   minuet_data sequence gen    --frames N --points N --churn F --out seq.json
-//   minuet_data sequence info   --in seq.json
-//   minuet_data sequence replay --in seq.json [--out seq2.json]
+//   minuet_dataset gen  --dataset kitti --points 100000 --seed 1 --out scan.mnpc
+//   minuet_dataset info --in scan.mnpc
+//   minuet_dataset stats [--points N]       (sparsity table for all datasets)
+//   minuet_dataset sequence gen    --frames N --points N --churn F --out seq.json
+//   minuet_dataset sequence info   --in seq.json
+//   minuet_dataset sequence replay --in seq.json [--out seq2.json]
 //
 // `sequence` handles the streaming LiDAR-style workloads (src/data/
 // sequence.h): gen writes a structural sequence trace, info re-materialises
@@ -24,17 +24,19 @@
 namespace minuet {
 namespace {
 
-[[noreturn]] void Usage() {
-  std::fprintf(stderr,
-               "usage: minuet_data gen --dataset <name> [--points N] [--seed N] --out FILE\n"
-               "       minuet_data info --in FILE\n"
-               "       minuet_data stats [--points N]\n"
-               "       minuet_data sequence gen [--dataset <name>] [--points N] [--seed N]\n"
-               "                                [--frames N] [--channels N] [--churn F]\n"
-               "                                [--max-step N] --out seq.json\n"
-               "       minuet_data sequence info --in seq.json\n"
-               "       minuet_data sequence replay --in seq.json [--out seq2.json]\n");
-  std::exit(2);
+// --help prints this to stdout and exits 0; a usage error prints it to
+// stderr and exits 2.
+[[noreturn]] void Usage(int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
+               "usage: minuet_dataset gen --dataset <name> [--points N] [--seed N] --out FILE\n"
+               "       minuet_dataset info --in FILE\n"
+               "       minuet_dataset stats [--points N]\n"
+               "       minuet_dataset sequence gen [--dataset <name>] [--points N] [--seed N]\n"
+               "                                   [--frames N] [--channels N] [--churn F]\n"
+               "                                   [--max-step N] --out seq.json\n"
+               "       minuet_dataset sequence info --in seq.json\n"
+               "       minuet_dataset sequence replay --in seq.json [--out seq2.json]\n");
+  std::exit(status);
 }
 
 DatasetKind ParseDataset(const std::string& name) {
@@ -174,6 +176,11 @@ int SequenceMain(int argc, char** argv) {
 int Main(int argc, char** argv) {
   if (argc < 2) {
     Usage();
+  }
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      Usage(0);
+    }
   }
   std::string command = argv[1];
   if (command == "sequence") {

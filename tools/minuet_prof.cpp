@@ -61,8 +61,10 @@ using minuet::ReadJsonFile;
 using minuet::WriteTextFile;
 namespace prof = minuet::prof;
 
-int Usage() {
-  std::fprintf(stderr,
+// --help prints this to stdout and returns 0; a usage error prints it to
+// stderr and returns 2.
+int Usage(int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: minuet_prof report RUN.json [--top N]\n"
                "       minuet_prof diff BEFORE.json AFTER.json [--threshold F] [--min-ms M]\n"
                "       minuet_prof make-baseline [--out FILE] REPORT.json...\n"
@@ -71,7 +73,7 @@ int Usage() {
                "       minuet_prof explain DUMP.jsonl [OTHER.jsonl] [--worst N] [--slo-us S]\n"
                "       minuet_prof RUN.json            (report)\n"
                "       minuet_prof BEFORE.json AFTER.json   (diff)\n");
-  return 2;
+  return status;
 }
 
 bool ParseDoubleFlag(const std::string& arg, const char* name, double* out) {
@@ -337,6 +339,11 @@ int RunExplain(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return Usage(0);
+    }
+  }
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     return Usage();

@@ -40,8 +40,10 @@ struct Options {
   std::string metrics;     // metrics snapshot JSON; empty: off
 };
 
-[[noreturn]] void Usage() {
-  std::fprintf(stderr,
+// --help prints this to stdout and exits 0; a usage error prints it to
+// stderr and exits 2.
+[[noreturn]] void Usage(int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: minuet_run [--engine minuet|torchsparse|minkowski|all]\n"
                "                  [--network unet42|resnet21|tiny]\n"
                "                  [--dataset kitti|s3dis|sem3d|shapenet|random]\n"
@@ -59,7 +61,7 @@ struct Options {
                "  --reuse      serve repeats through a persistent RunSession\n"
                "               (cached plans + pooled workspaces; warm runs skip\n"
                "               the Map step and allocate nothing)\n");
-  std::exit(2);
+  std::exit(status);
 }
 
 Options Parse(int argc, char** argv) {
@@ -83,7 +85,9 @@ Options Parse(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--engine") {
+    if (arg == "--help") {
+      Usage(0);
+    } else if (arg == "--engine") {
       opts.engine = next();
     } else if (arg == "--network") {
       opts.network = next();

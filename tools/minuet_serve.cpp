@@ -103,9 +103,11 @@ std::unique_ptr<serve::ServeTelemetry> MakeTelemetry(const Options& opts) {
   return telemetry;
 }
 
-[[noreturn]] void Usage() {
+// --help prints this to stdout and exits 0; a usage error prints it to
+// stderr and exits 2.
+[[noreturn]] void Usage(int status = 2) {
   std::fprintf(
-      stderr,
+      status == 0 ? stdout : stderr,
       "usage: minuet_serve [--gpu 2070s|2080ti|3090|a100] [--network unet42|resnet21|tiny]\n"
       "                    [--engine minuet|torchsparse|minkowski] [--precision fp32|fp16]\n"
       "                    [--autotune 0|1]\n"
@@ -156,7 +158,7 @@ std::unique_ptr<serve::ServeTelemetry> MakeTelemetry(const Options& opts) {
       "                        recording is always on (the segment-sum invariant is\n"
       "                        CHECKed every run — see bench/hostperf serve_reqtrace_*\n"
       "                        for the per-request cost), the flag only writes the file\n");
-  std::exit(2);
+  std::exit(status);
 }
 
 Options Parse(int argc, char** argv) {
@@ -180,7 +182,9 @@ Options Parse(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--gpu") {
+    if (arg == "--help") {
+      Usage(0);
+    } else if (arg == "--gpu") {
       opts.gpu = next();
     } else if (arg == "--network") {
       opts.network = next();
