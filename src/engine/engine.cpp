@@ -39,7 +39,8 @@ KernelStats ApplyBnRelu(Device& device, FeatureMatrix& features, bool functional
   const int64_t rows = features.rows();
   const int64_t blocks = std::max<int64_t>(1, (rows + kRowsPerBlock - 1) / kRowsPerBlock);
   static const KernelId kBnRelu = KernelId::Intern("engine/elementwise/bn_relu");
-  return device.Launch(kBnRelu, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+  const LaunchDims dims{blocks, 128, 0, /*independent_blocks=*/true};
+  return device.Launch(kBnRelu, dims, [&](BlockCtx& ctx) {
     int64_t begin = ctx.block_index() * kRowsPerBlock;
     int64_t end = std::min(begin + kRowsPerBlock, rows);
     if (begin >= end) {
@@ -66,7 +67,8 @@ KernelStats AddInto(Device& device, FeatureMatrix& dst, const FeatureMatrix& src
   const int64_t rows = dst.rows();
   const int64_t blocks = std::max<int64_t>(1, (rows + kRowsPerBlock - 1) / kRowsPerBlock);
   static const KernelId kResidualAdd = KernelId::Intern("engine/elementwise/residual_add");
-  return device.Launch(kResidualAdd, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+  const LaunchDims dims{blocks, 128, 0, /*independent_blocks=*/true};
+  return device.Launch(kResidualAdd, dims, [&](BlockCtx& ctx) {
     int64_t begin = ctx.block_index() * kRowsPerBlock;
     int64_t end = std::min(begin + kRowsPerBlock, rows);
     if (begin >= end) {
@@ -96,7 +98,8 @@ KernelStats CopyColumns(Device& device, const FeatureMatrix& src, FeatureMatrix&
   const int64_t rows = src.rows();
   const int64_t blocks = std::max<int64_t>(1, (rows + kRowsPerBlock - 1) / kRowsPerBlock);
   static const KernelId kCopyFeatures = KernelId::Intern("engine/elementwise/copy_features");
-  return device.Launch(kCopyFeatures, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+  const LaunchDims dims{blocks, 128, 0, /*independent_blocks=*/true};
+  return device.Launch(kCopyFeatures, dims, [&](BlockCtx& ctx) {
     int64_t begin = ctx.block_index() * kRowsPerBlock;
     int64_t end = std::min(begin + kRowsPerBlock, rows);
     for (int64_t i = begin; i < end; ++i) {
@@ -603,12 +606,17 @@ struct Engine::RunState {
   // no payload, so theirs stay indeterminate and untouched; the device
   // allocation sequence is the same in both modes.
   FeatureMatrix NewMatrix(int64_t rows, int64_t cols) {
+    return Allocate(rows, cols, functional());
+  }
+  // A matrix its producer writes in full (a GEMM's overwrite, the scatter,
+  // a copy): never zero-filled, in either mode.
+  FeatureMatrix NewOutput(int64_t rows, int64_t cols) { return Allocate(rows, cols, false); }
+  FeatureMatrix Allocate(int64_t rows, int64_t cols, bool zero) {
     if (ctx.pool != nullptr) {
-      return FeatureMatrix(rows, cols,
-                           ctx.pool->Acquire(static_cast<size_t>(rows * cols), functional()));
+      return FeatureMatrix(rows, cols, ctx.pool->Acquire(static_cast<size_t>(rows * cols), zero));
     }
-    return functional() ? FeatureMatrix(rows, cols, 0.0f, dev.memory())
-                        : FeatureMatrix::Uninitialized(rows, cols, dev.memory());
+    return zero ? FeatureMatrix(rows, cols, 0.0f, dev.memory())
+                : FeatureMatrix::Uninitialized(rows, cols, dev.memory());
   }
   void Recycle(FeatureMatrix& m) {
     if (ctx.pool != nullptr && m.rows() * m.cols() > 0) {
@@ -714,7 +722,7 @@ void Engine::RunState::Conv(const Instr& instr) {
 
   if (IsPlainGemm(conv)) {
     trace::Span span("engine/conv1x1", "step");
-    FeatureMatrix out = NewMatrix(target.features.rows(), conv.c_out);
+    FeatureMatrix out = NewOutput(target.features.rows(), conv.c_out);
     static const KernelId kConv1x1 = KernelId::Intern("engine/gemm/conv1x1");
     auto multiply = [&] {
       if (functional()) {
@@ -818,7 +826,7 @@ FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix
     }
     // Move the result into pooled storage so the recycle chain stays
     // pool-owned throughout.
-    FeatureMatrix out = NewMatrix(num_outputs, conv.c_out);
+    FeatureMatrix out = NewOutput(num_outputs, conv.c_out);
     if (functional()) {
       std::copy(fused.data(), fused.data() + num_outputs * conv.c_out, out.data());
     }
@@ -848,7 +856,7 @@ FeatureMatrix Engine::RunState::Gmas(const ConvParams& conv, const FeatureMatrix
   scratch.plan = step.grouping.get();  // set only on a warm replay
   scratch.tables = step.tables.get();
   scratch.record_tables = ctx.record != nullptr;
-  FeatureMatrix out = NewMatrix(num_outputs, conv.c_out);
+  FeatureMatrix out = NewOutput(num_outputs, conv.c_out);
   GmasResult gmas =
       RunGatherGemmScatter(dev, *step.kernel_map, in, weights, out, gmas_cfg, &scratch);
   AccumulateKernel(layer, &StepBreakdown::metadata, gmas.stats.metadata);
@@ -958,7 +966,7 @@ void Engine::RunState::Linear(const Instr& instr) {
     MINUET_CHECK_EQ(w->rows(), c_in);
     MINUET_CHECK_EQ(w->cols(), instr.linear_out);
   }
-  FeatureMatrix out = NewMatrix(rows, instr.linear_out);
+  FeatureMatrix out = NewOutput(rows, instr.linear_out);
   static const KernelId kLinearHead = KernelId::Intern("engine/gemm/linear_head");
   auto multiply = [&] {
     if (functional()) {

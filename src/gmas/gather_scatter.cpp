@@ -51,7 +51,8 @@ KernelStats ClearBuffer(Device& device, const FeatureMatrix& buffer, int element
   const int64_t blocks = std::max<int64_t>(1, (rows + kRowsPerBlock - 1) / kRowsPerBlock);
   const int64_t row_bytes = buffer.cols() * static_cast<int64_t>(element_bytes);
   static const KernelId kMemset = KernelId::Intern("gmas/buffer/memset");
-  return device.Launch(kMemset, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+  const LaunchDims dims{blocks, 128, 0, /*independent_blocks=*/true};
+  return device.Launch(kMemset, dims, [&](BlockCtx& ctx) {
     int64_t begin = ctx.block_index() * kRowsPerBlock;
     int64_t end = std::min(begin + kRowsPerBlock, rows);
     if (begin >= end) {
@@ -80,8 +81,9 @@ KernelStats GatherKernel(Device& device, const MetadataTables& tables,
   const int64_t tile_bytes = config.tile_size * static_cast<int64_t>(config.element_bytes);
 
   static const KernelId kTileCopy = KernelId::Intern("gmas/gather/tile_copy");
+  const LaunchDims dims{blocks, kThreadsPerBlock, 0, /*independent_blocks=*/true};
   return device.Launch(
-      kTileCopy, LaunchDims{blocks, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
+      kTileCopy, dims, [&](BlockCtx& ctx) {
         int64_t begin = ctx.block_index() * kThreadsPerBlock;
         int64_t end = std::min(begin + kThreadsPerBlock, total_threads);
         ForEachPointSpan(begin, end, tiles_per_row, [&](const ThreadSpan& span) {
@@ -133,8 +135,9 @@ KernelStats ScatterKernel(Device& device, const FeatureMatrix& buffer,
   const int64_t tile_bytes = config.tile_size * static_cast<int64_t>(config.element_bytes);
 
   static const KernelId kTileReduce = KernelId::Intern("gmas/scatter/tile_reduce");
+  const LaunchDims dims{blocks, kThreadsPerBlock, 0, /*independent_blocks=*/true};
   return device.Launch(
-      kTileReduce, LaunchDims{blocks, kThreadsPerBlock, 0}, [&](BlockCtx& ctx) {
+      kTileReduce, dims, [&](BlockCtx& ctx) {
         int64_t begin = ctx.block_index() * kThreadsPerBlock;
         int64_t end = std::min(begin + kThreadsPerBlock, total_threads);
         ForEachPointSpan(begin, end, tiles_per_row, [&](const ThreadSpan& span) {

@@ -37,8 +37,9 @@ MetadataTables BuildMetadataTables(Device& device, const KernelMap& map,
   }
 
   static const KernelId kBuildTables = KernelId::Intern("gmas/metadata/build_tables");
+  const LaunchDims dims{blocks, 128, 0, /*independent_blocks=*/true};
   KernelStats launch = device.Launch(
-      kBuildTables, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+      kBuildTables, dims, [&](BlockCtx& ctx) {
         int64_t begin = ctx.block_index() * kEntriesPerBlock;
         int64_t end = std::min(begin + kEntriesPerBlock, total_entries);
         if (begin >= end) {

@@ -41,9 +41,8 @@ int FindWayVector(const uint32_t* tags, int ways, uint32_t tag) {
   return ways - 1;
 }
 
-// The LRU update of one set of `ways` for `tag`; true on a hit. Out of line,
-// so that AccessLine's AVX2 dispatch saves no registers.
-__attribute__((noinline)) bool TouchSet(uint32_t* tags, int ways, uint32_t tag) {
+// The LRU update of one set of `ways` for `tag`; true on a hit.
+bool TouchSet(uint32_t* tags, int ways, uint32_t tag) {
   // The tag's way on a hit, the last (least recent) way on a miss. Either
   // way, the ways in front of it move down one and the tag goes first.
   uint32_t* way = ways % 4 == 0 ? tags + FindWayVector(tags, ways, tag)
@@ -54,7 +53,7 @@ __attribute__((noinline)) bool TouchSet(uint32_t* tags, int ways, uint32_t tag) 
   return hit;
 }
 
-// Whether AccessLineSixteenWaysAvx2 can run here: checked once per cache, without
+// Whether WalkBatchSixteenWaysAvx2 can run here: checked once per cache, without
 // an ifunc resolver, which ThreadSanitizer builds cannot run.
 bool HostHasAvx2() {
 #if MINUET_CACHE_SIM_AVX2
@@ -87,51 +86,76 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   tags_ = storage_.data() + (misalignment == 0 ? 0 : (64 - misalignment) / sizeof(uint32_t));
 }
 
-bool CacheSim::AccessLine(uint64_t line) {
-  MINUET_DCHECK(line < kEmpty);
+uint64_t CacheSim::AccessLines(std::span<const uint32_t> lines) {
+  uint64_t hits = 0;
+  uint32_t* sets[kBatch];
+  for (size_t begin = 0; begin < lines.size(); begin += kBatch) {
+    const size_t count = std::min(kBatch, lines.size() - begin);
+    const uint32_t* batch = lines.data() + begin;
+    for (size_t i = 0; i < count; ++i) {
+      MINUET_DCHECK(batch[i] != kEmpty);
+      sets[i] = &tags_[SetOf(batch[i]) * static_cast<size_t>(ways_)];
+      __builtin_prefetch(sets[i], /*rw=*/1);
+    }
 #if MINUET_CACHE_SIM_AVX2
-  if (sixteen_way_avx2_) {
-    return AccessLineSixteenWaysAvx2(line);
-  }
+    if (sixteen_way_avx2_) {
+      hits += WalkBatchSixteenWaysAvx2(sets, batch, count);
+      continue;
+    }
 #endif
-  const bool hit = TouchSet(&tags_[SetOf(line) * static_cast<size_t>(ways_)], ways_,
-                            static_cast<uint32_t>(line));
-  Count(hit);
-  return hit;
+    hits += WalkBatch(sets, batch, count);
+  }
+  hits_ += hits;
+  misses_ += lines.size() - hits;
+  return hits;
+}
+
+uint64_t CacheSim::WalkBatch(uint32_t* const* sets, const uint32_t* lines, size_t count) const {
+  uint64_t hits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    hits += TouchSet(sets[i], ways_, lines[i]);
+  }
+  return hits;
 }
 
 #if MINUET_CACHE_SIM_AVX2
-// AccessLine for a 16-way set (every preset's L2), without a branch, in two
+// The update of a 16-way set (every preset's L2), without a branch, in two
 // AVX2 registers: the set is one 64-byte host line. The tag's way is the
 // lowest of the 16 lane matches, or way 15 (the least recent) on a miss.
 // Ways [0, way] then take the tag of the way in front of them (way 0 takes
 // the new tag) and the ways behind keep theirs: the generic path's
 // shift-and-insert. Ways 1-7's front neighbours are a lane permute of ways
 // 0-7; ways 8-15's are an unaligned load one tag back, still inside the set.
-__attribute__((target("avx2"))) bool CacheSim::AccessLineSixteenWaysAvx2(uint64_t line) {
-  uint32_t* tags = &tags_[SetOf(line) * 16];
-  auto* const front_ways = reinterpret_cast<__m256i*>(tags);
-  auto* const back_ways = reinterpret_cast<__m256i*>(tags + 8);
-  const __m256i front = _mm256_load_si256(front_ways);
-  const __m256i back = _mm256_load_si256(back_ways);
-  const __m256i needle = _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(line)));
-  const unsigned front_matches = static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(front, needle))));
-  const unsigned back_matches = static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(back, needle))));
-  const unsigned matches = front_matches | back_matches << 8;
-  const __m256i way = _mm256_set1_epi32(std::countr_zero(matches | 0x8000u));
-  const __m256i front_shifted = _mm256_blend_epi32(
-      _mm256_permutevar8x32_epi32(front, _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6)), needle, 1);
-  const __m256i back_shifted = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + 7));
-  const __m256i keep_front = _mm256_cmpgt_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), way);
-  const __m256i keep_back =
-      _mm256_cmpgt_epi32(_mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15), way);
-  _mm256_store_si256(front_ways, _mm256_blendv_epi8(front_shifted, front, keep_front));
-  _mm256_store_si256(back_ways, _mm256_blendv_epi8(back_shifted, back, keep_back));
-  const bool hit = matches != 0;
-  Count(hit);
-  return hit;
+// Hits are summed without a branch: whether a line hits is as unpredictable
+// as the stream, and a mispredict costs more than the set update.
+__attribute__((target("avx2"))) uint64_t CacheSim::WalkBatchSixteenWaysAvx2(
+    uint32_t* const* sets, const uint32_t* lines, size_t count) {
+  uint64_t hits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    uint32_t* tags = sets[i];
+    auto* const front_ways = reinterpret_cast<__m256i*>(tags);
+    auto* const back_ways = reinterpret_cast<__m256i*>(tags + 8);
+    const __m256i front = _mm256_load_si256(front_ways);
+    const __m256i back = _mm256_load_si256(back_ways);
+    const __m256i needle = _mm256_set1_epi32(static_cast<int>(lines[i]));
+    const unsigned front_matches = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(front, needle))));
+    const unsigned back_matches = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(back, needle))));
+    const unsigned matches = front_matches | back_matches << 8;
+    const __m256i way = _mm256_set1_epi32(std::countr_zero(matches | 0x8000u));
+    const __m256i front_shifted = _mm256_blend_epi32(
+        _mm256_permutevar8x32_epi32(front, _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6)), needle,
+        1);
+    const __m256i back_shifted = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + 7));
+    const __m256i keep_front = _mm256_cmpgt_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), way);
+    const __m256i keep_back =
+        _mm256_cmpgt_epi32(_mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15), way);
+    _mm256_store_si256(front_ways, _mm256_blendv_epi8(front_shifted, front, keep_front));
+    _mm256_store_si256(back_ways, _mm256_blendv_epi8(back_shifted, back, keep_back));
+    hits += matches != 0;
+  }
+  return hits;
 }
 #endif
 

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace minuet {
@@ -38,10 +39,17 @@ class CacheSim {
   bool Access(uint64_t addr) { return AccessLine(addr >> line_shift_); }
 
   // Touches line `line` (= addr >> log2(line_bytes), below kEmpty) directly.
-  // The device's access loops already hold line numbers, so this skips the
-  // round trip through a byte address. Identical hit/miss behaviour to
-  // Access().
-  bool AccessLine(uint64_t line);
+  // Identical hit/miss behaviour to Access().
+  bool AccessLine(uint64_t line) {
+    const uint32_t tag = static_cast<uint32_t>(line);
+    return AccessLines({&tag, 1}) != 0;
+  }
+
+  // Touches every line of `lines` (each below kEmpty) in order, making the
+  // same updates as that many AccessLine calls, and returns how many hit.
+  // The device records each block's post-L1 lines and walks them here, so
+  // the per-line work is one tight loop over a buffer.
+  uint64_t AccessLines(std::span<const uint32_t> lines);
 
   // Drops all cached lines and resets hit/miss counters.
   void Flush();
@@ -66,16 +74,16 @@ class CacheSim {
     return set_mask_ != 0 ? static_cast<size_t>(mixed & set_mask_)
                           : static_cast<size_t>(mixed % num_sets_);
   }
-  // Adds one lookup to the counters without a branch on it: whether a line
-  // hits is as unpredictable as the stream, and a mispredict costs more than
-  // the set update.
-  void Count(bool hit) {
-    const uint64_t hit_count = hit;
-    hits_ += hit_count;
-    misses_ += 1 - hit_count;
-  }
-  // AccessLine when sixteen_way_avx2_ is set; compiled for AVX2.
-  bool AccessLineSixteenWaysAvx2(uint64_t line);
+  // AccessLines' update of `count` lines whose sets start at `sets[i]`: the
+  // way search and shift, or (when sixteen_way_avx2_ is set) the AVX2
+  // update. Each returns the hits.
+  uint64_t WalkBatch(uint32_t* const* sets, const uint32_t* lines, size_t count) const;
+  static uint64_t WalkBatchSixteenWaysAvx2(uint32_t* const* sets, const uint32_t* lines,
+                                           size_t count);
+
+  // AccessLines computes the sets of this many lines, and prefetches their
+  // tags, before updating any of them.
+  static constexpr size_t kBatch = 32;
 
   size_t num_sets_;
   // num_sets_ - 1 when the set count is a power of two, else 0. The mixed

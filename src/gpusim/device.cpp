@@ -1,12 +1,16 @@
 #include "src/gpusim/device.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
+#include "src/util/parallel.h"
 
 namespace minuet {
 
@@ -122,7 +126,6 @@ void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
   const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
   MINUET_CHECK(start < DeviceMemory::kReserveBytes && bytes <= DeviceMemory::kReserveBytes - start)
       << "global access outside device memory";
-  CacheSim& l2 = device_->l2_;
   const uint64_t first = start >> line_shift_;
   const uint64_t last = (start + bytes - 1) >> line_shift_;
   if (is_read) {
@@ -133,11 +136,11 @@ void BlockCtx::AccessLines(const void* addr, size_t bytes, bool is_read) {
         continue;
       }
       l1_tags_[slot] = line;
-      CountL2(l2.AccessLine(line));
+      RecordLine(line);
     }
   } else {
     for (uint64_t line = first; line <= last; ++line) {
-      CountL2(l2.AccessLine(line));
+      RecordLine(line);
     }
   }
 }
@@ -151,6 +154,339 @@ void BlockCtx::CountRepeatedL1Hits(const void* addr, size_t bytes, uint64_t repe
   l1_hits_ += repeats * lines;
 }
 
+namespace {
+
+// The wave arithmetic of one launch, fed each block's counts in block order.
+class WaveAccumulator {
+ public:
+  WaveAccumulator(const DeviceConfig& config, const LaunchDims& dims, int64_t concurrent)
+      : config_(config),
+        dims_(dims),
+        concurrent_(concurrent),
+        // Device-wide line throughput: misses are bound by DRAM bandwidth,
+        // hits by L2 bandwidth (modelled at 4x DRAM). A wave takes the longer
+        // of its critical block and its aggregate bandwidth demand — without
+        // this cap, a kernel with enough blocks could stream unlimited bytes
+        // per cycle.
+        dram_lines_per_cycle_(config.dram_gbps / config.clock_ghz /
+                              static_cast<double>(config.line_bytes)),
+        l2_lines_per_cycle_(4.0 * dram_lines_per_cycle_),
+        // Threads needed to saturate memory bandwidth: roughly 8 warps per SM
+        // with reasonable ILP. Below that, achieved bandwidth scales with
+        // resident threads ("limited execution parallelism", Shortcoming #2).
+        saturation_threads_(static_cast<double>(config.num_sms) * 256.0),
+        total_cycles_(config.launch_overhead_cycles) {
+    stats_.num_blocks = dims.num_blocks;
+    stats_.num_launches = 1;
+    stats_.launch_cycles = config.launch_overhead_cycles;
+  }
+
+  void AddBlock(const BlockCounts& block) {
+    double block_compute =
+        static_cast<double>(block.lane_ops) / config_.lane_ops_per_cycle +
+        static_cast<double>(block.shared_bytes) / config_.shared_bytes_per_cycle;
+    double block_memory =
+        static_cast<double>(block.l1_hits) * 1.0 +
+        static_cast<double>(block.line_hits) * config_.l2_hit_cycles_per_line +
+        static_cast<double>(block.line_misses) * config_.l2_miss_cycles_per_line;
+    double block_cycles = block_compute + block_memory;
+    if (block_cycles > wave_max_) {
+      wave_max_ = block_cycles;
+      wave_max_compute_ = block_compute;
+      wave_max_memory_ = block_memory;
+    }
+    wave_hits_ += block.line_hits;
+    wave_misses_ += block.line_misses;
+    if (++in_wave_ == concurrent_) {
+      CloseWave();
+    }
+
+    stats_.l2_hits += block.line_hits;
+    stats_.l2_misses += block.line_misses;
+    stats_.global_bytes_read += block.bytes_read;
+    stats_.global_bytes_written += block.bytes_written;
+    stats_.shared_bytes += block.shared_bytes;
+    stats_.lane_ops += block.lane_ops;
+    stats_.dram_bytes += block.line_misses * static_cast<uint64_t>(config_.line_bytes);
+  }
+
+  // The launch's stats, once every block has been added.
+  KernelStats Finish(const std::string& name) {
+    if (in_wave_ > 0) {
+      CloseWave();
+    }
+    stats_.name = name;
+    stats_.cycles = total_cycles_;
+    stats_.millis = config_.CyclesToMillis(total_cycles_);
+    return stats_;
+  }
+
+ private:
+  void CloseWave() {
+    double wave_threads =
+        static_cast<double>(in_wave_) * static_cast<double>(dims_.threads_per_block);
+    double occupancy = std::min(1.0, wave_threads / saturation_threads_);
+    double dram_demand = static_cast<double>(wave_misses_) / (dram_lines_per_cycle_ * occupancy);
+    double l2_demand = static_cast<double>(wave_hits_) / (l2_lines_per_cycle_ * occupancy);
+    double bandwidth_cycles = std::max(dram_demand, l2_demand);
+    double wave_cycles = std::max(wave_max_, bandwidth_cycles);
+    total_cycles_ += wave_cycles;
+    // Attribute the wave to whichever resource set its duration: aggregate
+    // bandwidth demand (DRAM or L2), or the critical block's own critical
+    // path (compute issue vs per-line memory latency).
+    if (bandwidth_cycles >= wave_max_) {
+      (dram_demand >= l2_demand ? stats_.dram_cycles : stats_.l2_cycles) += wave_cycles;
+    } else if (wave_max_compute_ >= wave_max_memory_) {
+      stats_.compute_cycles += wave_cycles;
+    } else {
+      (wave_misses_ > 0 ? stats_.dram_cycles : stats_.l2_cycles) += wave_cycles;
+    }
+    ++stats_.num_waves;
+    stats_.block_slots += concurrent_;
+    wave_max_ = 0.0;
+    wave_max_compute_ = 0.0;
+    wave_max_memory_ = 0.0;
+    wave_hits_ = 0;
+    wave_misses_ = 0;
+    in_wave_ = 0;
+  }
+
+  const DeviceConfig& config_;
+  const LaunchDims& dims_;
+  const int64_t concurrent_;
+  const double dram_lines_per_cycle_;
+  const double l2_lines_per_cycle_;
+  const double saturation_threads_;
+  KernelStats stats_;
+  double total_cycles_;
+  double wave_max_ = 0.0;
+  // The critical (slowest) block's cost split into compute issue vs memory
+  // latency, for attributing latency-bound waves to a roofline class.
+  double wave_max_compute_ = 0.0;
+  double wave_max_memory_ = 0.0;
+  uint64_t wave_hits_ = 0;
+  uint64_t wave_misses_ = 0;
+  int64_t in_wave_ = 0;
+};
+
+// One step of a spin-wait: a pause hint where the CPU has one.
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
+
+// The state of a parallel launch: a ring of slots, each holding one chunk of
+// consecutive blocks' recorded lines and counts. Workers claim chunks in
+// order and fill chunk c into slot c % kSlots once chunk c - kSlots has been
+// walked. Whoever holds the walk flag walks finished chunks strictly in chunk
+// order through the L2 and the wave arithmetic; a worker that finishes a
+// chunk, or waits for a slot, tries to. A chunk whose lines overflow its slot
+// waits for its turn in the walk order and then walks what it has.
+//
+// The device keeps the ring across launches and sizes it on the calling
+// thread, so pool threads allocate nothing. The walk flag, the finished
+// marks, the walk cursor and the sleeper count are sequentially consistent
+// atomics: a worker that finishes a chunk while another holds the flag is
+// then certain that the holder sees the chunk before it lets go, and a
+// worker that goes to sleep is certain to be woken by the next change.
+struct LaunchRing {
+  // A chunk is 8 blocks and a slot holds 4,096 lines (16 KiB), so the ring
+  // is 128 KiB. Gather, scatter and the forward search record about 100
+  // lines a block and fit; the elementwise kernels, the memset and the table
+  // build (900 to 2,300) overflow, and their cost is the serial walk anyway.
+  static constexpr int64_t kSlots = 8;
+  static constexpr int64_t kChunkBlocks = 8;
+  static constexpr size_t kSlotLines = 4096;
+  // Spin-wait steps (pause hints, a few microseconds) before a wait sleeps.
+  static constexpr int kSpins = 2000;
+
+  // One finished block: its counts, with the hits of the lines an overflow
+  // walked (`lines_walked` of them), and its `lines` pending lines, which
+  // start at `first_line` of the slot's buffer.
+  struct BlockRecord {
+    BlockCounts counts;
+    uint64_t lines_walked = 0;
+    size_t first_line = 0;
+    size_t lines = 0;
+  };
+
+  struct Slot {
+    std::vector<uint32_t> lines;
+    BlockRecord blocks[kChunkBlocks];
+    int64_t num_blocks = 0;     // blocks recorded
+    int64_t walked_blocks = 0;  // of them, walked by an overflow
+    std::atomic<int64_t> finished_chunk{-1};
+  };
+
+  // Per launch.
+  Device* device = nullptr;
+  const LaunchDims* dims = nullptr;
+  const FunctionRef<void(BlockCtx&)>* body = nullptr;
+  WaveAccumulator* waves = nullptr;
+  int64_t num_chunks = 0;
+  std::atomic<int64_t> next_chunk{0};
+  std::atomic<int64_t> walked_chunks{0};
+
+  Slot slots[kSlots];
+  std::atomic<bool> walking{false};
+  std::atomic<int> sleepers{0};
+  std::mutex mu;
+  std::condition_variable wake;
+
+  void Begin(Device* dev, const LaunchDims& launch_dims, const FunctionRef<void(BlockCtx&)>& fn,
+             WaveAccumulator* acc, size_t slot_lines) {
+    device = dev;
+    dims = &launch_dims;
+    body = &fn;
+    waves = acc;
+    num_chunks = (launch_dims.num_blocks + kChunkBlocks - 1) / kChunkBlocks;
+    next_chunk.store(0);
+    walked_chunks.store(0);
+    for (Slot& slot : slots) {
+      slot.lines.resize(slot_lines);
+      slot.finished_chunk.store(-1);
+    }
+  }
+
+  // One worker: claims chunks until none is left.
+  void Work() {
+    for (int64_t c = next_chunk.fetch_add(1); c < num_chunks; c = next_chunk.fetch_add(1)) {
+      RunChunk(c);
+    }
+  }
+
+  void RunChunk(int64_t c) {
+    Await([&] { return walked_chunks.load() > c - kSlots; });
+    Slot& slot = slots[c % kSlots];
+    slot.num_blocks = 0;
+    slot.walked_blocks = 0;
+    uint32_t* const lines = slot.lines.data();
+    uint32_t* cursor = lines;
+    const int64_t first = c * kChunkBlocks;
+    const int64_t last = std::min(first + kChunkBlocks, dims->num_blocks);
+    for (int64_t b = first; b < last; ++b) {
+      BlockCtx ctx(device, b, dims->num_blocks, dims->threads_per_block, cursor,
+                   lines + slot.lines.size(), this, c);
+      (*body)(ctx);
+      BlockRecord& record = slot.blocks[slot.num_blocks++];
+      record.counts = ctx.Counts();
+      record.lines_walked = ctx.lines_walked_;
+      record.first_line = static_cast<size_t>(ctx.block_lines_ - lines);
+      record.lines = static_cast<size_t>(ctx.line_cursor_ - ctx.block_lines_);
+      cursor = ctx.line_cursor_;
+    }
+    slot.finished_chunk.store(c);
+    TryWalk();
+  }
+
+  // Walks the slot's recorded blocks from walked_blocks on. Under the flag.
+  void WalkBlocks(Slot& slot) {
+    CacheSim& l2 = device->l2_;
+    for (; slot.walked_blocks < slot.num_blocks; ++slot.walked_blocks) {
+      BlockRecord& record = slot.blocks[slot.walked_blocks];
+      BlockCounts counts = record.counts;
+      counts.line_hits += l2.AccessLines({slot.lines.data() + record.first_line, record.lines});
+      counts.line_misses = record.lines_walked + record.lines - counts.line_hits;
+      waves->AddBlock(counts);
+    }
+  }
+
+  bool NextChunkFinished() {
+    const int64_t c = walked_chunks.load();
+    return c < num_chunks && slots[c % kSlots].finished_chunk.load() == c;
+  }
+
+  // Walks finished chunks in order while it can take the flag; true if it
+  // walked any.
+  bool TryWalk() {
+    bool walked = false;
+    while (NextChunkFinished() && !walking.exchange(true)) {
+      for (int64_t c = walked_chunks.load();
+           c < num_chunks && slots[c % kSlots].finished_chunk.load() == c; ++c) {
+        WalkBlocks(slots[c % kSlots]);
+        walked_chunks.store(c + 1);
+        Notify();
+        walked = true;
+      }
+      walking.store(false);
+      Notify();
+    }
+    return walked;
+  }
+
+  // Called by a block whose chunk's slot is full: waits until every earlier
+  // chunk is walked, then walks the chunk's finished blocks and the block's
+  // own pending lines, and empties the slot.
+  void Overflow(BlockCtx& ctx) {
+    const int64_t chunk = ctx.chunk_;
+    for (;;) {
+      Await([&] { return walked_chunks.load() == chunk && !walking.load(); });
+      if (!walking.exchange(true)) {
+        break;
+      }
+    }
+    Slot& slot = slots[chunk % kSlots];
+    WalkBlocks(slot);
+    ctx.line_hits_ += device->l2_.AccessLines({ctx.block_lines_, ctx.line_cursor_});
+    ctx.lines_walked_ += static_cast<uint64_t>(ctx.line_cursor_ - ctx.block_lines_);
+    walking.store(false);
+    Notify();
+    // The chunk's earlier blocks are walked, so the buffer restarts at its
+    // beginning; the block's later lines are recorded there.
+    ctx.block_lines_ = ctx.line_cursor_ = slot.lines.data();
+  }
+
+  // Returns once `done()` holds, walking whatever it can meanwhile. With
+  // nothing to walk it spins for a few microseconds, since a chunk or a walk
+  // usually ends sooner than a sleeping thread wakes, and then sleeps.
+  template <typename Done>
+  void Await(Done done) {
+    while (!done()) {
+      if (TryWalk()) {
+        continue;
+      }
+      const auto can_go_on = [&] {
+        return done() || (!walking.load() && NextChunkFinished());
+      };
+      bool ready = false;
+      for (int spin = 0; spin < kSpins && !ready; ++spin) {
+        CpuRelax();
+        ready = can_go_on();
+      }
+      if (ready) {
+        continue;
+      }
+      std::unique_lock<std::mutex> lock(mu);
+      sleepers.fetch_add(1);
+      wake.wait(lock, can_go_on);
+      sleepers.fetch_sub(1);
+    }
+  }
+
+  // Wakes the sleepers after a change that may let them go on: a chunk
+  // walked, or the flag released. Taking the mutex first means a sleeper
+  // that checked its condition before the change is already waiting.
+  void Notify() {
+    if (sleepers.load() > 0) {
+      { std::lock_guard<std::mutex> lock(mu); }
+      wake.notify_all();
+    }
+  }
+};
+
+void BlockCtx::WalkPendingLines() {
+  if (ring_ != nullptr) {
+    ring_->Overflow(*this);
+    return;
+  }
+  line_hits_ += device_->l2_.AccessLines({block_lines_, line_cursor_});
+  lines_walked_ += static_cast<uint64_t>(line_cursor_ - block_lines_);
+  line_cursor_ = block_lines_;
+}
+
 Device::Device(const DeviceConfig& config) : Device(config, /*arena_base=*/0) {
   memory_ = std::make_unique<DeviceMemory>();
   arena_base_ = memory_->base();
@@ -159,7 +495,8 @@ Device::Device(const DeviceConfig& config) : Device(config, /*arena_base=*/0) {
 Device::Device(const DeviceConfig& config, uintptr_t arena_base)
     : config_(config),
       arena_base_(arena_base),
-      l2_(config.l2_bytes, config.l2_ways, config.line_bytes) {
+      l2_(config.l2_bytes, config.l2_ways, config.line_bytes),
+      serial_lines_(kSerialLines) {
   // CacheSim's constructor already insists line_bytes is a power of two.
   line_shift_ = std::countr_zero(static_cast<unsigned>(config.line_bytes));
   // The L2 stores 32-bit line tags with UINT32_MAX as its empty marker, so
@@ -169,6 +506,10 @@ Device::Device(const DeviceConfig& config, uintptr_t arena_base)
   MINUET_CHECK_LE(DeviceMemory::kReserveBytes >> line_shift_, uint64_t{CacheSim::kEmpty})
       << "line_bytes " << config.line_bytes << " gives more lines than 32-bit L2 tags hold";
 }
+
+Device::Device(Device&&) noexcept = default;
+Device& Device::operator=(Device&&) noexcept = default;
+Device::~Device() = default;
 
 Device Device::Fork() const { return Device(config_, arena_base_); }
 
@@ -189,108 +530,51 @@ int64_t Device::ConcurrentBlocks(const LaunchDims& dims) const {
   return per_sm * config_.num_sms;
 }
 
+int Device::LaunchWorkers(const LaunchDims& dims) const {
+  if (!dims.independent_blocks || dims.num_blocks < parallel_min_blocks_ ||
+      InsideParallelFor()) {
+    return 0;
+  }
+  if (parallel_workers_ > 0) {
+    return parallel_workers_;
+  }
+  const int workers = ParallelWorkers((dims.num_blocks + LaunchRing::kChunkBlocks - 1) /
+                                      LaunchRing::kChunkBlocks);
+  return workers > 1 ? workers : 0;
+}
+
 KernelStats Device::Launch(KernelId kernel, const LaunchDims& dims,
                            FunctionRef<void(BlockCtx&)> body) {
   MINUET_CHECK_GE(dims.num_blocks, 0);
   const std::string& name = kernel.name();
   trace::Tracer* tracer = trace::Tracer::Get();
   const int64_t span_id = tracer != nullptr ? tracer->OpenSpan(name, "kernel") : -1;
-  KernelStats stats;
-  stats.name = name;
-  stats.num_blocks = dims.num_blocks;
-  stats.num_launches = 1;
-
-  const int64_t concurrent = ConcurrentBlocks(dims);
-  // Device-wide line throughput: misses are bound by DRAM bandwidth, hits by
-  // L2 bandwidth (modelled at 4x DRAM). A wave takes the longer of its
-  // critical block and its aggregate bandwidth demand — without this cap, a
-  // kernel with enough blocks could stream unlimited bytes per cycle.
-  const double dram_lines_per_cycle =
-      config_.dram_gbps / config_.clock_ghz / static_cast<double>(config_.line_bytes);
-  const double l2_lines_per_cycle = 4.0 * dram_lines_per_cycle;
-
-  double total_cycles = config_.launch_overhead_cycles;
-  stats.launch_cycles = config_.launch_overhead_cycles;
-  double wave_max = 0.0;
-  // The critical (slowest) block's cost split into compute issue vs memory
-  // latency, for attributing latency-bound waves to a roofline class.
-  double wave_max_compute = 0.0;
-  double wave_max_memory = 0.0;
-  uint64_t wave_hits = 0;
-  uint64_t wave_misses = 0;
-  int64_t in_wave = 0;
-  // Threads needed to saturate memory bandwidth: roughly 8 warps per SM with
-  // reasonable ILP. Below that, achieved bandwidth scales with resident
-  // threads ("limited execution parallelism", Shortcoming #2).
-  const double saturation_threads = static_cast<double>(config_.num_sms) * 256.0;
-
-  auto close_wave = [&] {
-    double wave_threads =
-        static_cast<double>(in_wave) * static_cast<double>(dims.threads_per_block);
-    double occupancy = std::min(1.0, wave_threads / saturation_threads);
-    double dram_demand = static_cast<double>(wave_misses) / (dram_lines_per_cycle * occupancy);
-    double l2_demand = static_cast<double>(wave_hits) / (l2_lines_per_cycle * occupancy);
-    double bandwidth_cycles = std::max(dram_demand, l2_demand);
-    double wave_cycles = std::max(wave_max, bandwidth_cycles);
-    total_cycles += wave_cycles;
-    // Attribute the wave to whichever resource set its duration: aggregate
-    // bandwidth demand (DRAM or L2), or the critical block's own critical
-    // path (compute issue vs per-line memory latency).
-    if (bandwidth_cycles >= wave_max) {
-      (dram_demand >= l2_demand ? stats.dram_cycles : stats.l2_cycles) += wave_cycles;
-    } else if (wave_max_compute >= wave_max_memory) {
-      stats.compute_cycles += wave_cycles;
-    } else {
-      (wave_misses > 0 ? stats.dram_cycles : stats.l2_cycles) += wave_cycles;
+  WaveAccumulator waves(config_, dims, ConcurrentBlocks(dims));
+  const int workers = LaunchWorkers(dims);
+  if (workers > 0) {
+    if (ring_ == nullptr) {
+      ring_ = std::make_unique<LaunchRing>();
     }
-    ++stats.num_waves;
-    stats.block_slots += concurrent;
-    wave_max = 0.0;
-    wave_max_compute = 0.0;
-    wave_max_memory = 0.0;
-    wave_hits = 0;
-    wave_misses = 0;
-    in_wave = 0;
-  };
-
-  for (int64_t b = 0; b < dims.num_blocks; ++b) {
-    BlockCtx ctx(this, b, dims.num_blocks, dims.threads_per_block);
-    body(ctx);
-
-    double block_compute =
-        static_cast<double>(ctx.lane_ops_) / config_.lane_ops_per_cycle +
-        static_cast<double>(ctx.shared_bytes_) / config_.shared_bytes_per_cycle;
-    double block_memory =
-        static_cast<double>(ctx.l1_hits_) * 1.0 +
-        static_cast<double>(ctx.line_hits_) * config_.l2_hit_cycles_per_line +
-        static_cast<double>(ctx.line_misses_) * config_.l2_miss_cycles_per_line;
-    double block_cycles = block_compute + block_memory;
-    if (block_cycles > wave_max) {
-      wave_max = block_cycles;
-      wave_max_compute = block_compute;
-      wave_max_memory = block_memory;
+    ring_->Begin(this, dims, body, &waves,
+                 ring_slot_lines_ != 0 ? ring_slot_lines_ : LaunchRing::kSlotLines);
+    ParallelFor(workers, [&](int, int64_t) { ring_->Work(); });
+    // Every chunk is finished; walk what the workers left.
+    ring_->TryWalk();
+    MINUET_CHECK_EQ(ring_->walked_chunks.load(), ring_->num_chunks);
+  } else {
+    uint32_t* const lines = serial_lines_.data();
+    for (int64_t b = 0; b < dims.num_blocks; ++b) {
+      BlockCtx ctx(this, b, dims.num_blocks, dims.threads_per_block, lines,
+                   lines + serial_lines_.size(), /*ring=*/nullptr, /*chunk=*/0);
+      body(ctx);
+      ctx.WalkPendingLines();
+      BlockCounts counts = ctx.Counts();
+      counts.line_misses = ctx.lines_walked_ - ctx.line_hits_;
+      waves.AddBlock(counts);
     }
-    wave_hits += ctx.line_hits_;
-    wave_misses += ctx.line_misses_;
-    if (++in_wave == concurrent) {
-      close_wave();
-    }
-
-    stats.l2_hits += ctx.line_hits_;
-    stats.l2_misses += ctx.line_misses_;
-    stats.global_bytes_read += ctx.bytes_read_;
-    stats.global_bytes_written += ctx.bytes_written_;
-    stats.shared_bytes += ctx.shared_bytes_;
-    stats.lane_ops += ctx.lane_ops_;
-    stats.dram_bytes +=
-        ctx.line_misses_ * static_cast<uint64_t>(config_.line_bytes);
-  }
-  if (in_wave > 0) {
-    close_wave();
   }
 
-  stats.cycles = total_cycles;
-  stats.millis = config_.CyclesToMillis(total_cycles);
+  KernelStats stats = waves.Finish(name);
   totals_ += stats;
   Record(kernel, stats);
   if (tracer != nullptr) {

@@ -17,18 +17,27 @@
 // and bank conflicts. See DESIGN.md for why the paper's comparisons survive
 // these simplifications.
 //
-// Host performance (DESIGN.md "Host performance"): a device runs on one
-// thread at a time, and its host loop is the bound on every bench and serving
-// trace. The hot path is therefore allocation- and hash-free: kernel names
-// are interned to KernelId once per call site, kernel bodies are passed as
-// non-owning FunctionRef (no std::function allocation per launch), per-kernel
-// aggregates are vector-indexed, a global access is one subtraction and one
-// range check away from its line numbers, and a read that hits the block's
-// L1 on one line, or a write to one line, never leaves the header. All of it
-// under one invariant: simulated statistics are byte-identical to the
-// straightforward implementations they replaced. Independent probes over one
-// device's tables (Autotune's candidates) run on forks of it (Fork()), one per
-// worker thread.
+// Host performance (DESIGN.md "Host performance"): the host loop is the bound
+// on every bench and serving trace. The hot path is therefore allocation- and
+// hash-free: kernel names are interned to KernelId once per call site, kernel
+// bodies are passed as non-owning FunctionRef (no std::function allocation per
+// launch), per-kernel aggregates are vector-indexed, a global access is one
+// subtraction and one range check away from its line numbers, and a read that
+// hits the block's L1 on one line, or a write to one line, never leaves the
+// header. A block appends its post-L1 lines to a buffer, which the L2 walks in
+// one batch (CacheSim::AccessLines) at block end. All of it under one
+// invariant: simulated statistics are byte-identical to the straightforward
+// implementations they replaced.
+//
+// Threads. A device is driven by one thread at a time. A launch whose kernel
+// declares independent blocks (LaunchDims::independent_blocks) and is large
+// enough runs its block bodies on the ParallelFor pool, in fixed chunks whose
+// lines and per-block counts go into a ring of slots the device owns; the
+// chunks are walked through the L2, and fed to the wave arithmetic, strictly
+// in block order, so the L2 sees the serial sequence and the statistics are
+// those of the serial loop. Independent probes over one device's tables
+// (Autotune's candidates) run on forks of it (Fork()), one per worker thread;
+// launches inside a ParallelFor stay serial.
 #ifndef SRC_GPUSIM_DEVICE_H_
 #define SRC_GPUSIM_DEVICE_H_
 
@@ -119,6 +128,18 @@ struct KernelStats {
 };
 
 class Device;
+struct LaunchRing;
+
+// What the wave formula reads of one finished block.
+struct BlockCounts {
+  uint64_t l1_hits = 0;
+  uint64_t line_hits = 0;
+  uint64_t line_misses = 0;
+  uint64_t bytes_read = 0;
+  uint64_t bytes_written = 0;
+  uint64_t shared_bytes = 0;
+  uint64_t lane_ops = 0;
+};
 
 // Accounting handle passed to a kernel body, one per thread block.
 class BlockCtx {
@@ -139,7 +160,8 @@ class BlockCtx {
   // inline: it counts exactly what AccessLines would (the bytes and one L1
   // hit). A line can only be in the L1 if AccessLines range-CHECKed it, and
   // the fast path also requires start < kReserveBytes; every other read takes
-  // the out-of-line path and its CHECK.
+  // the out-of-line path and its CHECK. Reads that miss the L1, and all
+  // writes, are recorded for the L2 walk.
   void GlobalRead(const void* addr, size_t bytes) {
     const uint64_t start = reinterpret_cast<uintptr_t>(addr) - arena_base_;
     const uint64_t line = start >> line_shift_;
@@ -154,7 +176,7 @@ class BlockCtx {
   }
 
   // A write that fits one line is resolved inline too: it adds its bytes and
-  // makes the one L2 access AccessLines would. start < kReserveBytes is the
+  // records the one line AccessLines would. start < kReserveBytes is the
   // whole range check there, since the arena is a whole number of lines.
   // Every other write takes the out-of-line path and its CHECK.
   void GlobalWrite(const void* addr, size_t bytes) {
@@ -162,7 +184,7 @@ class BlockCtx {
     bytes_written_ += bytes;
     // bytes - 1 wraps for a zero-byte write, which therefore falls through.
     if (start < DeviceMemory::kReserveBytes && bytes - 1 <= line_mask_ - (start & line_mask_)) {
-      CountL2(l2_->AccessLine(start >> line_shift_));
+      RecordLine(start >> line_shift_);
       return;
     }
     AccessLines(addr, bytes, /*is_read=*/false);
@@ -189,38 +211,58 @@ class BlockCtx {
 
  private:
   friend class Device;
+  friend struct LaunchRing;
   friend struct BlockCtxPeer;  // tests: the out-of-line access path on its own
-  BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block);
+  BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block,
+           uint32_t* lines, uint32_t* lines_limit, LaunchRing* ring, int64_t chunk);
 
   void AccessLines(const void* addr, size_t bytes, bool is_read);
-  // Adds one L2 lookup's outcome without a branch on it, as CacheSim's own
-  // counters do.
-  void CountL2(bool hit) {
-    const uint64_t hit_count = hit;
-    line_hits_ += hit_count;
-    line_misses_ += 1 - hit_count;
+  // Appends one post-L1 line for the L2 walk, walking what is pending first
+  // when the buffer is full.
+  void RecordLine(uint64_t line) {
+    if (line_cursor_ == lines_limit_) {
+      WalkPendingLines();
+    }
+    *line_cursor_++ = static_cast<uint32_t>(line);
   }
+  // Walks this block's pending lines through the L2 and empties the buffer:
+  // at once on a serial launch; on a parallel one (ring_ set), in the
+  // chunk's turn, after the chunk's earlier blocks.
+  void WalkPendingLines();
   // GlobalReadRepeated's repeats of a range that was just read.
   void CountRepeatedL1Hits(const void* addr, size_t bytes, uint64_t repeats);
+  // The counts the wave formula reads, with the hits walked so far and no
+  // misses yet.
+  BlockCounts Counts() const {
+    return BlockCounts{l1_hits_,       line_hits_,     0,        bytes_read_,
+                       bytes_written_, shared_bytes_, lane_ops_};
+  }
 
   Device* device_;
   int64_t block_index_;
   int64_t num_blocks_;
   int threads_per_block_;
-  // The device's L2, arena base and line geometry, copied for the inline
-  // paths.
-  CacheSim* l2_;
+  // The device's arena base and line geometry, copied for the inline paths.
   uintptr_t arena_base_;
   int line_shift_;
   uint64_t line_mask_;  // line_bytes - 1
+
+  // The block's pending lines are [block_lines_, line_cursor_) of a buffer
+  // that ends at lines_limit_: the device's own on a serial launch, the
+  // chunk's ring slot on a parallel one.
+  uint32_t* block_lines_;
+  uint32_t* line_cursor_;
+  uint32_t* lines_limit_;
+  LaunchRing* ring_;  // null on a serial launch
+  int64_t chunk_;     // the block's chunk on a parallel launch
 
   // Direct-mapped per-block L1: 128 lines x 128B = 16 KiB.
   static constexpr size_t kL1Lines = 128;
   std::array<uint64_t, kL1Lines> l1_tags_;
 
   uint64_t l1_hits_ = 0;
-  uint64_t line_hits_ = 0;
-  uint64_t line_misses_ = 0;
+  uint64_t lines_walked_ = 0;  // L2 lookups walked so far
+  uint64_t line_hits_ = 0;     // hits among them
   uint64_t bytes_read_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t shared_bytes_ = 0;
@@ -234,11 +276,19 @@ struct LaunchDims {
   int64_t num_blocks = 1;
   int threads_per_block = kThreadsPerBlock;
   size_t shared_bytes_per_block = 0;
+  // A property of the kernel, not a setting: its block bodies share no
+  // mutable host state (a reduction goes into per-block slots), write
+  // disjoint payload and do not throw, so they may run on several threads at
+  // once. The statistics do not depend on it.
+  bool independent_blocks = false;
 };
 
 class Device {
  public:
   explicit Device(const DeviceConfig& config);
+  Device(Device&&) noexcept;
+  Device& operator=(Device&&) noexcept;
+  ~Device();
 
   // A device for running kernels over this device's memory on another
   // thread: the same config, an empty L2 and zero totals. A fork owns no
@@ -315,17 +365,39 @@ class Device {
 
  private:
   friend class BlockCtx;
+  friend struct LaunchRing;
+  friend struct DevicePeer;  // tests: the parallel-launch threshold, workers and slot size
 
   // A device reading the arena at `arena_base`, owning none.
   Device(const DeviceConfig& config, uintptr_t arena_base);
 
+  // How many workers run a launch of `dims` through the ring: 0 when it
+  // stays serial.
+  int LaunchWorkers(const LaunchDims& dims) const;
   void Record(KernelId kernel, const KernelStats& stats);
+
+  // A launch with at least this many blocks (four chunks) of a kernel that
+  // declares independent blocks runs on the worker pool. Chosen from the
+  // four perfbench workloads' launch sizes: 32 and 16 ran fleet-warm and
+  // lidar-stream faster than 64 and 128, whose launches there are mostly
+  // 4 to 50 blocks (ROADMAP item 11).
+  static constexpr int64_t kParallelLaunchMinBlocks = 32;
+  // Post-L1 lines a serial launch buffers before walking them mid-block.
+  static constexpr size_t kSerialLines = 4096;
 
   DeviceConfig config_;
   std::unique_ptr<DeviceMemory> memory_;  // null on a fork
   uintptr_t arena_base_ = 0;              // base of the arena kernels read
   CacheSim l2_;
   int line_shift_ = 0;  // log2(config.line_bytes)
+  std::vector<uint32_t> serial_lines_;  // a serial launch's line buffer
+  // Made by the first parallel launch, on the calling thread, and kept.
+  std::unique_ptr<LaunchRing> ring_;
+  // Tests lower the threshold to 0 or raise it out of reach, fix the worker
+  // count (0 = ParallelWorkers of the chunk count) and shrink the slots.
+  int64_t parallel_min_blocks_ = kParallelLaunchMinBlocks;
+  int parallel_workers_ = 0;
+  size_t ring_slot_lines_ = 0;  // 0 = LaunchRing's default
   KernelStats totals_;
   // Aggregates indexed by KernelId; the name-keyed map is a lazily rebuilt
   // view so the public API (and its iteration order) is unchanged.
@@ -335,15 +407,20 @@ class Device {
 };
 
 inline BlockCtx::BlockCtx(Device* device, int64_t block_index, int64_t num_blocks,
-                          int threads_per_block)
+                          int threads_per_block, uint32_t* lines, uint32_t* lines_limit,
+                          LaunchRing* ring, int64_t chunk)
     : device_(device),
       block_index_(block_index),
       num_blocks_(num_blocks),
       threads_per_block_(threads_per_block),
-      l2_(&device->l2_),
       arena_base_(device->arena_base_),
       line_shift_(device->line_shift_),
-      line_mask_((uint64_t{1} << device->line_shift_) - 1) {
+      line_mask_((uint64_t{1} << device->line_shift_) - 1),
+      block_lines_(lines),
+      line_cursor_(lines),
+      lines_limit_(lines_limit),
+      ring_(ring),
+      chunk_(chunk) {
   l1_tags_.fill(UINT64_MAX);
 }
 

@@ -285,9 +285,13 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
       tail_length == block_b ? full_steps : step_table(tail_length);
   const size_t shared_bytes = static_cast<size_t>(block_b) * sizeof(uint64_t);
   static const KernelId kForwardSearch = KernelId::Intern("map/query/forward_search");
+  // Each block's comparisons go into its own slot, summed after the launch,
+  // so that blocks may run on several threads.
+  std::vector<uint64_t> block_comparisons(tasks.size());
+  const LaunchDims dims{static_cast<int64_t>(tasks.size()), kThreadsPerBlock, shared_bytes,
+                        /*independent_blocks=*/true};
   KernelStats forward = device.Launch(
-      kForwardSearch,
-      LaunchDims{static_cast<int64_t>(tasks.size()), kThreadsPerBlock, shared_bytes},
+      kForwardSearch, dims,
       [&](BlockCtx& ctx) {
         const QueryBlockTask& task = tasks[static_cast<size_t>(ctx.block_index())];
         ctx.GlobalRead(&tasks[static_cast<size_t>(ctx.block_index())], sizeof(QueryBlockTask));
@@ -330,9 +334,12 @@ MapBuildResult MinuetMapBuilder::Build(Device& device, const MapBuildInput& inpu
         }
         // Charged once per block: the counters are additive.
         ctx.SharedRead(block_steps * sizeof(uint64_t));
-        comparisons += block_steps;
+        block_comparisons[static_cast<size_t>(ctx.block_index())] = block_steps;
         ctx.Compute(16 * static_cast<uint64_t>(task.query_end - task.query_begin));
       });
+  for (uint64_t steps : block_comparisons) {
+    comparisons += steps;
+  }
   result.query_stats += forward;
   result.lookup_stats = forward;
   result.comparisons = comparisons;

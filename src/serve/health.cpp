@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "src/util/check.h"
 #include "src/util/json_writer.h"
@@ -23,6 +24,33 @@ std::string Num(double value) {
   return buf;
 }
 
+// One multi-window burn-rate rule: fires when the burn rate over the last
+// `long_windows` closed windows AND over the last `short_windows` both
+// exceed `threshold`; resolves when either drops back under.
+struct BurnRule {
+  const char* name;
+  int long_windows;  // sliding lengths, in closed windows
+  int short_windows;
+  double threshold;  // x budget
+};
+
+// "page": a fast, severe burn — 1.4% of traffic failing on a 0.1% budget,
+// visible within 3 windows. "ticket": a slow leak at 2x budget sustained
+// over 24 windows. Long/short ratios follow the SRE workbook (~4:1).
+constexpr BurnRule kBurnRules[] = {
+    {"page", /*long_windows=*/12, /*short_windows=*/3, /*threshold=*/14.0},
+    {"ticket", /*long_windows=*/24, /*short_windows=*/6, /*threshold=*/2.0},
+};
+constexpr size_t kNumBurnRules = std::size(kBurnRules);
+// The longest rule window: the history each scope keeps.
+constexpr size_t kMaxHistory =
+    static_cast<size_t>(std::max(kBurnRules[0].long_windows, kBurnRules[1].long_windows));
+
+// Replica state thresholds, evaluated per closed window.
+constexpr double kDegradedQueueFrac = 0.5;  // queue high-water / capacity
+constexpr double kSaturatedQueueFrac = 0.9;
+constexpr double kDegradedUtil = 0.85;  // busy_us / interval_us
+
 }  // namespace
 
 const char* HealthStateName(HealthState state) {
@@ -35,16 +63,6 @@ const char* HealthStateName(HealthState state) {
       return "saturated";
   }
   return "unknown";
-}
-
-std::vector<BurnRule> DefaultBurnRules() {
-  // "page": a fast, severe burn — 1.4% of traffic failing on a 0.1% budget,
-  // visible within 3 windows. "ticket": a slow leak at 2x budget sustained
-  // over 24 windows. Long/short ratios follow the SRE workbook (~4:1).
-  return {
-      {"page", /*long_windows=*/12, /*short_windows=*/3, /*threshold=*/14.0},
-      {"ticket", /*long_windows=*/24, /*short_windows=*/6, /*threshold=*/2.0},
-  };
 }
 
 std::string AlertJson(const AlertEvent& alert) {
@@ -71,21 +89,8 @@ HealthEngine::HealthEngine(const HealthConfig& config, int num_devices,
   MINUET_CHECK_GT(interval_us, 0.0);
   MINUET_CHECK_GT(config_.slo_target, 0.0);
   MINUET_CHECK_LT(config_.slo_target, 1.0);
-  if (config_.rules.empty()) {
-    config_.rules = DefaultBurnRules();
-  }
-  max_history_ = 1;
-  for (const BurnRule& rule : config_.rules) {
-    MINUET_CHECK_GE(rule.long_windows, rule.short_windows)
-        << "burn rule '" << rule.name << "': the long window proves the burn is "
-        << "sustained and cannot be shorter than the short window";
-    MINUET_CHECK_GT(rule.short_windows, 0);
-    MINUET_CHECK_GT(rule.threshold, 0.0);
-    max_history_ = std::max(max_history_, static_cast<size_t>(rule.long_windows));
-  }
   history_.resize(static_cast<size_t>(NumScopes()));
-  firing_.assign(static_cast<size_t>(NumScopes()),
-                 std::vector<bool>(config_.rules.size(), false));
+  firing_.assign(static_cast<size_t>(NumScopes()), std::vector<bool>(kNumBurnRules, false));
   states_.assign(static_cast<size_t>(num_devices), HealthState::kHealthy);
 }
 
@@ -116,7 +121,7 @@ void HealthEngine::OnWindow(const trace::TimeWindow& window, std::vector<AlertEv
     counts.bad = std::max(0.0, counts.finished - slo_ok);
     auto& history = history_[static_cast<size_t>(scope)];
     history.push_back(counts);
-    while (history.size() > max_history_) {
+    while (history.size() > kMaxHistory) {
       history.pop_front();
     }
   }
@@ -128,8 +133,8 @@ void HealthEngine::Evaluate(const trace::TimeWindow& window, std::vector<AlertEv
 
   // Burn-rate rules: rule-major, fleet scope before replicas, so the event
   // order within one window close is fixed.
-  for (size_t r = 0; r < config_.rules.size(); ++r) {
-    const BurnRule& rule = config_.rules[r];
+  for (size_t r = 0; r < kNumBurnRules; ++r) {
+    const BurnRule& rule = kBurnRules[r];
     for (int scope = 0; scope < NumScopes(); ++scope) {
       const int device = scope - 1;
       const double burn_long = BurnRate(device, rule.long_windows);
@@ -144,7 +149,7 @@ void HealthEngine::Evaluate(const trace::TimeWindow& window, std::vector<AlertEv
       alert.t_us = t_us;
       alert.window = window.index;
       alert.device = device;
-      alert.kind = "burn:" + rule.name;
+      alert.kind = std::string("burn:") + rule.name;
       alert.firing = now_firing;
       alert.value = burn_short;
       alert.detail = std::string(now_firing ? "burn" : "recovered") + " long=" +
@@ -167,9 +172,9 @@ void HealthEngine::Evaluate(const trace::TimeWindow& window, std::vector<AlertEv
     const double shed = window.CounterOr(prefix + "shed", 0.0);
 
     HealthState next = HealthState::kHealthy;
-    if (shed > 0.0 || queue_frac >= config_.saturated_queue_frac) {
+    if (shed > 0.0 || queue_frac >= kSaturatedQueueFrac) {
       next = HealthState::kSaturated;
-    } else if (queue_frac >= config_.degraded_queue_frac || util >= config_.degraded_util) {
+    } else if (queue_frac >= kDegradedQueueFrac || util >= kDegradedUtil) {
       next = HealthState::kDegraded;
     }
     HealthState& current = states_[static_cast<size_t>(k)];

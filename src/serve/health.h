@@ -19,14 +19,15 @@
 //   when both a long and a short sliding window exceed its threshold — the
 //   long window proves the problem is sustained, the short window proves it
 //   is still happening, and the pair resolves quickly once traffic recovers.
-//   Two default rules: "page" (short windows, high threshold — a fast,
+//   Two fixed rules: "page" (short windows, high threshold — a fast,
 //   severe burn) and "ticket" (long windows, low threshold — a slow leak).
 //   Every rule is evaluated fleet-wide and per replica.
 //
 //   Health states. Each replica is healthy / degraded / saturated per
 //   window, from its queue-depth high-water mark (fraction of capacity),
-//   utilization (busy-us over the window), and whether it shed. State
-//   transitions emit events just like burn alerts.
+//   utilization (busy-us over the window), and whether it shed: saturated
+//   when it shed or its queue reached 90% of capacity, degraded at 50% or at
+//   85% utilization. State transitions emit events just like burn alerts.
 //
 // Determinism: the engine is fed closed windows in index order from a
 // deterministic timeline, holds no wall-clock state, and appends events in a
@@ -50,27 +51,9 @@ enum class HealthState { kHealthy, kDegraded, kSaturated };
 
 const char* HealthStateName(HealthState state);
 
-// One multi-window burn-rate rule: fires when the burn rate over the last
-// `long_windows` closed windows AND over the last `short_windows` both
-// exceed `threshold`; resolves when either drops back under.
-struct BurnRule {
-  std::string name;        // "page", "ticket", ...
-  int long_windows = 12;   // sliding lengths, in closed windows
-  int short_windows = 3;
-  double threshold = 1.0;  // x budget
-};
-
 struct HealthConfig {
   double slo_target = 0.999;  // fraction of finished requests inside SLO
-  std::vector<BurnRule> rules;  // empty -> DefaultBurnRules()
-  // Replica state thresholds, evaluated per closed window.
-  double degraded_queue_frac = 0.5;   // queue high-water / capacity
-  double saturated_queue_frac = 0.9;
-  double degraded_util = 0.85;        // busy_us / interval_us
 };
-
-// The "page" (fast, severe) and "ticket" (slow leak) rule pair.
-std::vector<BurnRule> DefaultBurnRules();
 
 // A first-class timestamped event in the deterministic serving event
 // stream: a burn-rate rule firing/resolving or a replica health transition.
@@ -118,7 +101,6 @@ class HealthEngine {
   int num_devices_;
   int64_t queue_capacity_;
   double interval_us_;
-  size_t max_history_;
   // Per scope: per-window finished/bad history, newest at the back, trimmed
   // to the longest rule window.
   std::vector<std::deque<WindowCounts>> history_;

@@ -47,6 +47,7 @@ struct Job {
 };
 
 thread_local bool tls_pool_thread = false;
+thread_local int tls_calls = 0;  // ParallelFor calls running on this thread
 
 // Cores() - 1 threads; thread t is worker t of every call it joins. They
 // start with the first call that needs them and are joined at exit.
@@ -137,8 +138,14 @@ class WorkerPool {
 
 int ParallelWorkers(int64_t n) { return static_cast<int>(std::clamp<int64_t>(n, 1, Cores())); }
 
+bool InsideParallelFor() { return tls_pool_thread || tls_calls > 0; }
+
 void ParallelFor(int64_t n, FunctionRef<void(int worker, int64_t i)> fn) {
   MINUET_CHECK_GE(n, 0);
+  struct CallScope {
+    CallScope() { ++tls_calls; }
+    ~CallScope() { --tls_calls; }
+  } scope;
   const int workers = ParallelWorkers(n);
   if (workers > 1 && !tls_pool_thread) {
     Job job(fn, n, workers);

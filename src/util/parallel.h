@@ -35,6 +35,10 @@ int ParallelWorkers(int64_t n);
 
 void ParallelFor(int64_t n, FunctionRef<void(int worker, int64_t i)> fn);
 
+// True on a pool thread, and on a thread while a ParallelFor it called runs:
+// there a further ParallelFor would run inline.
+bool InsideParallelFor();
+
 }  // namespace minuet
 
 #endif  // SRC_UTIL_PARALLEL_H_

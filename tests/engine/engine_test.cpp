@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -14,6 +16,7 @@
 #include "src/data/generators.h"
 #include "src/gpusim/device_config.h"
 #include "src/util/rng.h"
+#include "tests/gpusim/device_peer.h"
 
 namespace minuet {
 namespace {
@@ -485,6 +488,44 @@ TEST(StepBreakdownTest, PaddingOverheadMatchesFigure5Convention) {
   EXPECT_DOUBLE_EQ(b.PaddingOverhead(), 0.5);
   StepBreakdown empty;
   EXPECT_DOUBLE_EQ(empty.PaddingOverhead(), 0.0);  // no 0/0 NaN on empty runs
+}
+
+TEST(ParallelLaunchTest, EveryDeclaredKernelMatchesSerialInEveryMode) {
+  // A functional MinkUNet42 run on Minuet reaches every kernel that declares
+  // independent blocks. In every launch mode its logits, the device's totals,
+  // per-kernel aggregates and L2 counters must be the serial run's.
+  const Network net = MakeMinkUNet42(4);
+  GeneratorConfig gen;
+  gen.target_points = 500;
+  gen.channels = 4;
+  gen.seed = 21;
+  const PointCloud cloud = GenerateCloud(DatasetKind::kKitti, gen);
+  auto run = [&](const LaunchMode& mode) {
+    auto engine = std::make_unique<Engine>(EngineConfig{}, MakeRtx3090());
+    ApplyLaunchMode(engine->device(), mode);
+    engine->Prepare(net, 7);
+    RunResult result = engine->Run(cloud);
+    return std::make_pair(std::move(engine), std::move(result));
+  };
+  const std::vector<LaunchMode> modes = ParallelLaunchModes();
+  const auto [serial, want] = run(modes[0]);
+  for (const char* kernel :
+       {"gmas/buffer/memset", "gmas/gather/tile_copy", "gmas/scatter/tile_reduce",
+        "gmas/metadata/build_tables", "map/query/forward_search", "engine/elementwise/bn_relu",
+        "engine/elementwise/residual_add", "engine/elementwise/copy_features"}) {
+    ASSERT_EQ(serial->device().kernel_aggregates().count(kernel), 1u) << kernel;
+  }
+  for (size_t m = 1; m < modes.size(); ++m) {
+    SCOPED_TRACE(modes[m].name);
+    const auto [engine, got] = run(modes[m]);
+    ASSERT_EQ(got.features.rows(), want.features.rows());
+    ASSERT_EQ(got.features.cols(), want.features.cols());
+    EXPECT_EQ(std::memcmp(got.features.data(), want.features.data(),
+                          static_cast<size_t>(want.features.rows() * want.features.cols()) *
+                              sizeof(float)),
+              0);
+    ExpectSameDeviceState(engine->device(), serial->device());
+  }
 }
 
 }  // namespace

@@ -286,6 +286,90 @@ TEST(CacheSimTest, SixteenWayPathsMakeTheSameUpdates) {
   }
 }
 
+// Replays `lines` through AccessLines in spans whose lengths cycle through
+// `span_lengths`, and through the reference one access at a time: each span
+// must return the reference's hit count, and the counters must add up. With
+// `flush_at` < lines.size() both are flushed before the span holding that
+// access.
+void ExpectSpansMatchReference(CacheSim& cache, ReferenceLru& ref,
+                               const std::vector<uint64_t>& lines,
+                               const std::vector<size_t>& span_lengths,
+                               size_t flush_at = SIZE_MAX) {
+  const std::vector<uint32_t> tags(lines.begin(), lines.end());
+  uint64_t hits = 0;
+  uint64_t accesses = 0;
+  bool flushed = false;
+  size_t begin = 0;
+  for (size_t span = 0; begin < tags.size(); ++span) {
+    const size_t end = std::min(tags.size(), begin + span_lengths[span % span_lengths.size()]);
+    if (!flushed && end > flush_at) {
+      cache.Flush();
+      ref.Flush();
+      hits = 0;
+      accesses = 0;
+      flushed = true;
+    }
+    uint64_t want = 0;
+    for (size_t i = begin; i < end; ++i) {
+      want += ref.AccessLine(lines[i]);
+    }
+    ASSERT_EQ(cache.AccessLines({tags.data() + begin, end - begin}), want)
+        << "diverged in the span [" << begin << ", " << end << ")";
+    hits += want;
+    accesses += end - begin;
+    begin = end;
+  }
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), accesses - hits);
+}
+
+// Span lengths around the internal batch (32 lines) and far beyond it.
+const std::vector<size_t> kSpanLengths = {1, 7, 31, 32, 33, 64, 100, 1000, 5000, 20000};
+
+TEST(CacheSimTest, AccessLinesMatchesReferenceOnEveryPreset) {
+  for (const DeviceConfig& config : AllDeviceConfigs()) {
+    SCOPED_TRACE(config.name);
+    CacheSim cache(config.l2_bytes, config.l2_ways, config.line_bytes);
+    ReferenceLru ref(config.l2_bytes, config.l2_ways, config.line_bytes);
+    const size_t capacity_lines = cache.num_sets() * static_cast<size_t>(config.l2_ways);
+    const std::vector<uint64_t> lines =
+        RecordedLineSequence(3 * capacity_lines, 2 * capacity_lines);
+    ExpectSpansMatchReference(cache, ref, lines, kSpanLengths, /*flush_at=*/lines.size() / 2);
+    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.misses(), capacity_lines / 2);
+  }
+}
+
+TEST(CacheSimTest, AccessLinesMatchesReferenceAtEveryAssociativity) {
+  // 1- to 32-way sets over mask-path (64) and modulo-path (48) set counts,
+  // flushed halfway; spans are one whole sequence, then cycled lengths.
+  for (size_t sets : {size_t{64}, size_t{48}}) {
+    for (int ways = 1; ways <= 32; ++ways) {
+      SCOPED_TRACE(testing::Message() << sets << " sets, " << ways << " ways");
+      const size_t capacity = sets * static_cast<size_t>(ways) * 128;
+      const size_t capacity_lines = sets * static_cast<size_t>(ways);
+      const std::vector<uint64_t> lines =
+          RecordedLineSequence(6 * capacity_lines + 4000, 2 * capacity_lines + 64);
+      {
+        CacheSim cache(capacity, ways, 128);
+        ReferenceLru ref(capacity, ways, 128);
+        ExpectSpansMatchReference(cache, ref, lines, {lines.size()});
+      }
+      CacheSim cache(capacity, ways, 128);
+      ReferenceLru ref(capacity, ways, 128);
+      ExpectSpansMatchReference(cache, ref, lines, kSpanLengths, /*flush_at=*/lines.size() / 2);
+      EXPECT_GT(cache.hits(), 0u);
+      EXPECT_GT(cache.misses(), 0u);
+    }
+  }
+}
+
+TEST(CacheSimTest, AccessLinesOfAnEmptySpanChangesNothing) {
+  CacheSim cache(1 << 16, 8, 128);
+  EXPECT_EQ(cache.AccessLines({}), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+}
+
 TEST(CacheSimDeathTest, DeviceRejectsLinesBeyondThirtyTwoBitTags) {
   // 16-byte lines split the 64 GiB arena into 2^32 lines, so the last line
   // number would equal the empty-way tag.

@@ -1,6 +1,7 @@
 #include "src/gpusim/device.h"
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,7 +10,9 @@
 
 #include "src/gpusim/device_config.h"
 #include "src/trace/trace.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/gpusim/device_peer.h"
 
 namespace minuet {
 
@@ -427,6 +430,95 @@ TEST(DeviceTest, SharedTrafficCostsCycles) {
   KernelStats some = dev.Launch("k", LaunchDims{1, 128, 0},
                                 [](BlockCtx& ctx) { ctx.SharedRead(1 << 20); });
   EXPECT_GT(some.cycles, none.cycles);
+}
+
+// A kernel whose block b makes a block-dependent number of reads over a
+// 4 MiB source (single-line, straddling, repeated and long ones, so the L2
+// both hits and misses) and writes its own 64-word slice of `dst`. Block 5
+// makes a burst of 5,000 lines, longer than a ring slot's default.
+KernelStats RunMixedKernel(Device& dev, const DeviceVector<uint32_t>& src,
+                           DeviceVector<uint32_t>& dst, int64_t blocks, bool independent) {
+  const LaunchDims dims{blocks, 128, 0, independent};
+  return dev.Launch("mixed", dims, [&](BlockCtx& ctx) {
+    const int64_t b = ctx.block_index();
+    const size_t n = src.size();
+    const int reads = static_cast<int>(b % 7) * 20 + 5;
+    for (int i = 0; i < reads; ++i) {
+      const size_t at = (static_cast<size_t>(b) * 7919 + static_cast<size_t>(i) * 131) % (n - 512);
+      ctx.GlobalRead(&src[at], static_cast<size_t>(i % 5) * 40 + 4);
+      ctx.GlobalReadRepeated(&src[at / 2], 8, i % 3);
+    }
+    if (b == 5) {
+      ctx.GlobalRead(&src[0], 5000 * 128);
+    }
+    uint32_t* slice = &dst[static_cast<size_t>(b) * 64];
+    for (int i = 0; i < 64; ++i) {
+      slice[i] = static_cast<uint32_t>(b * 64 + i);
+    }
+    ctx.GlobalWrite(slice, 64 * sizeof(uint32_t));
+    ctx.Compute(static_cast<uint64_t>(reads) * 3);
+    ctx.SharedWrite(static_cast<size_t>(b % 4) * 64);
+  });
+}
+
+// Three launches on one device, so each starts from the L2 the last left:
+// a declared one with a partial last chunk, an undeclared one and a declared
+// one of one chunk.
+struct MixedRun {
+  std::vector<KernelStats> stats;
+  std::vector<uint32_t> payload;
+};
+
+MixedRun RunMixedLaunches(Device& dev) {
+  DeviceVector<uint32_t> src(size_t{1} << 20, 1u, dev.memory());
+  DeviceVector<uint32_t> dst(size_t{301} * 64, 0u, dev.memory());
+  MixedRun run;
+  run.stats.push_back(RunMixedKernel(dev, src, dst, 301, /*independent=*/true));
+  run.stats.push_back(RunMixedKernel(dev, src, dst, 60, /*independent=*/false));
+  run.stats.push_back(RunMixedKernel(dev, src, dst, 8, /*independent=*/true));
+  run.payload.assign(dst.begin(), dst.end());
+  return run;
+}
+
+TEST(ParallelLaunchTest, DeclaredKernelMatchesSerialInEveryMode) {
+  Device serial(TinyConfig());
+  DevicePeer::SetParallelMinBlocks(serial, std::numeric_limits<int64_t>::max());
+  const MixedRun want = RunMixedLaunches(serial);
+  EXPECT_GT(want.stats[0].l2_hits, 0u);
+  EXPECT_GT(want.stats[0].l2_misses, 0u);
+  for (const LaunchMode& mode : ParallelLaunchModes()) {
+    SCOPED_TRACE(mode.name);
+    Device dev(TinyConfig());
+    ApplyLaunchMode(dev, mode);
+    const MixedRun got = RunMixedLaunches(dev);
+    for (size_t i = 0; i < want.stats.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "launch " << i);
+      ExpectSameKernelStats(got.stats[i], want.stats[i]);
+    }
+    ExpectSameDeviceState(dev, serial);
+    EXPECT_EQ(got.payload, want.payload);
+  }
+}
+
+// The thread that ran each block of a 64-block launch.
+std::vector<std::thread::id> BlockThreads(Device& dev, bool independent) {
+  std::vector<std::thread::id> threads(64);
+  const LaunchDims dims{64, 128, 0, independent};
+  dev.Launch("where", dims, [&](BlockCtx& ctx) {
+    threads[static_cast<size_t>(ctx.block_index())] = std::this_thread::get_id();
+  });
+  return threads;
+}
+
+TEST(ParallelLaunchTest, UndeclaredAndNestedLaunchesRunOnTheCaller) {
+  Device dev(TinyConfig());
+  DevicePeer::SetParallelMinBlocks(dev, 0);
+  const std::vector<std::thread::id> caller(64, std::this_thread::get_id());
+  EXPECT_EQ(BlockThreads(dev, /*independent=*/false), caller);
+  // Inside a ParallelFor, even a declared launch stays on its thread.
+  std::vector<std::thread::id> nested;
+  ParallelFor(1, [&](int, int64_t) { nested = BlockThreads(dev, /*independent=*/true); });
+  EXPECT_EQ(nested, caller);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // stats contract.
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "src/gpusim/device_config.h"
 #include "src/map/minuet_map.h"
 #include "src/util/rng.h"
+#include "tests/gpusim/device_peer.h"
 
 namespace minuet {
 namespace {
@@ -422,6 +425,51 @@ TEST_P(MinuetMapDensitySweep, MatchesReferenceAcrossDensities) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, MinuetMapDensitySweep,
                          ::testing::Values(5, 8, 15, 40, 120, 500));
+
+TEST(ParallelLaunchTest, ForwardSearchMatchesSerialInEveryMode) {
+  // The forward search declares independent blocks; its comparison count is
+  // a per-block reduction. Positions, comparisons, stats and the device's
+  // state must be the serial loop's in every launch mode, with a builder
+  // that clamps queries (unsorted outputs) and one that trusts them.
+  const std::vector<uint64_t> source = RandomSortedKeys(6000, 40, 11);
+  std::vector<uint64_t> output = RandomSortedKeys(5000, 40, 12);
+  for (bool sorted_outputs : {true, false}) {
+    SCOPED_TRACE(sorted_outputs ? "sorted outputs" : "unsorted outputs");
+    if (!sorted_outputs) {
+      std::reverse(output.begin(), output.end());
+    }
+    auto build = [&](Device& dev) {
+      auto source_keys = ToDevice(dev.memory(), source);
+      auto output_keys = ToDevice(dev.memory(), output);
+      const std::vector<Coord3> offsets = MakeWeightOffsets(3, 1);
+      MapBuildInput in;
+      in.source_keys = source_keys;
+      in.output_keys = output_keys;
+      in.offsets = offsets;
+      in.source_sorted = true;
+      in.output_sorted = sorted_outputs;
+      MapBuildResult result = MinuetMapBuilder().Build(dev, in);
+      std::vector<uint32_t> positions(result.table.positions.begin(),
+                                      result.table.positions.end());
+      return std::make_pair(std::move(result), std::move(positions));
+    };
+    Device serial(MakeRtx3090());
+    DevicePeer::SetParallelMinBlocks(serial, std::numeric_limits<int64_t>::max());
+    const auto [want, want_positions] = build(serial);
+    ASSERT_GT(want.lookup_stats.num_blocks, 64);
+    for (const LaunchMode& mode : ParallelLaunchModes()) {
+      SCOPED_TRACE(mode.name);
+      Device dev(MakeRtx3090());
+      ApplyLaunchMode(dev, mode);
+      const auto [got, got_positions] = build(dev);
+      EXPECT_EQ(got.comparisons, want.comparisons);
+      EXPECT_EQ(got_positions, want_positions);
+      ExpectSameKernelStats(got.lookup_stats, want.lookup_stats);
+      ExpectSameKernelStats(got.query_stats, want.query_stats);
+      ExpectSameDeviceState(dev, serial);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace minuet
