@@ -14,12 +14,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "src/util/flags.h"
 #include "src/util/json_writer.h"
 
 namespace minuet {
@@ -46,107 +46,53 @@ inline void Rule() {
   std::printf("----------------------------------------------------------------\n");
 }
 
-// Command-line flags a bench binary may declare. Each takes one value, given
-// as `--flag=V` or `--flag V`.
+// Command-line flags a bench binary may declare, parsed by the shared table
+// parser (src/util/flags.h): `--help` prints usage and exits 0; an unknown
+// flag, a flag without a value, or a bad --warmup count prints usage to
+// stderr and exits 2 before the bench does any work.
 enum class Flag { kJson, kMetrics, kTrace, kTimeline, kWarmup };
 
-struct FlagInfo {
-  const char* name;   // without the leading "--"
-  const char* value;  // placeholder in the usage text
-  bool count;         // the value must be a non-negative integer
-  const char* help;
-};
-
-// Indexed by Flag.
-inline constexpr FlagInfo kFlagTable[] = {
-    {"json", "FILE", false, "mirror the printed table as a JSON report"},
-    {"metrics", "FILE", false, "write a metrics-registry snapshot"},
-    {"trace", "FILE", false, "write a Chrome span trace"},
-    {"timeline", "FILE", false, "write the representative sweep cell's telemetry JSONL"},
-    {"warmup", "N", true, "unmeasured warm runs before the measured loop"},
-};
-
-// A bench's command line, checked against the flags the bench declares before
-// it does any work: `--help` prints usage and exits 0; an unknown flag, a flag
-// without a value, or a count that is not a non-negative integer prints usage
-// to stderr and exits 2.
 class Flags {
  public:
   Flags(std::string bench, std::initializer_list<Flag> declared, int argc, char** argv)
-      : bench_(std::move(bench)), declared_(declared) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help") {
-        PrintUsage(stdout);
-        std::exit(0);
-      }
-      const size_t eq = arg.find('=');
-      const Flag* flag = Find(arg.substr(0, eq));
-      if (flag == nullptr) {
-        Fail("unknown flag " + arg);
-      }
-      const FlagInfo& info = Info(*flag);
-      std::string value;
-      if (eq != std::string::npos) {
-        value = arg.substr(eq + 1);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      }
-      if (value.empty() || value.rfind("--", 0) == 0) {
-        Fail(std::string("--") + info.name + " needs a value");
-      }
-      if (info.count &&
-          (value.size() > 9 || value.find_first_not_of("0123456789") != std::string::npos)) {
-        Fail(std::string("--") + info.name + " takes a non-negative integer, not " + value);
-      }
-      values_[static_cast<size_t>(*flag)] = value;
+      : bench_(std::move(bench)) {
+    FlagCommand command{bench_ + " [flags]", {}};
+    for (Flag flag : declared) {
+      command.flags.push_back(Declare(flag));
+    }
+    const ParsedFlags parsed = ParseFlags(command, {argv + 1, argv + argc});
+    if (!parsed.ok()) {
+      std::exit(FlagExit(command, parsed));
     }
   }
 
   const std::string& bench() const { return bench_; }
 
-  // The flag's value; empty when it was not given.
-  const std::string& Get(Flag flag) const { return values_[static_cast<size_t>(flag)]; }
+  // A file flag's value; empty when it was not given.
+  const std::string& Get(Flag flag) const { return files_[static_cast<size_t>(flag)]; }
 
-  // A count flag's value, or `fallback` when it was not given.
-  int Count(Flag flag, int fallback) const {
-    const std::string& value = Get(flag);
-    return value.empty() ? fallback : std::atoi(value.c_str());
-  }
+  // --warmup's value, or `fallback` when it was not given.
+  int Warmup(int fallback) const { return warmup_ < 0 ? fallback : warmup_; }
 
  private:
-  static const FlagInfo& Info(Flag flag) { return kFlagTable[static_cast<size_t>(flag)]; }
-
-  const Flag* Find(const std::string& arg) const {
-    for (const Flag& flag : declared_) {
-      if (arg == std::string("--") + Info(flag).name) {
-        return &flag;
-      }
+  FlagSpec Declare(Flag flag) {
+    if (flag == Flag::kWarmup) {
+      return {"warmup", "N", "unmeasured warm runs before the measured loop", &warmup_,
+              FlagMin::kZero};
     }
-    return nullptr;
-  }
-
-  void PrintUsage(std::FILE* out) const {
-    std::fprintf(out, "usage: %s", bench_.c_str());
-    for (Flag flag : declared_) {
-      std::fprintf(out, " [--%s=%s]", Info(flag).name, Info(flag).value);
-    }
-    std::fprintf(out, "\n");
-    for (Flag flag : declared_) {
-      const std::string spelled = std::string("--") + Info(flag).name + "=" + Info(flag).value;
-      std::fprintf(out, "  %-16s %s\n", spelled.c_str(), Info(flag).help);
-    }
-  }
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    std::fprintf(stderr, "%s: %s\n", bench_.c_str(), message.c_str());
-    PrintUsage(stderr);
-    std::exit(2);
+    static constexpr const char* kFiles[][2] = {
+        {"json", "mirror the printed table as a JSON report"},
+        {"metrics", "write a metrics-registry snapshot"},
+        {"trace", "write a Chrome span trace"},
+        {"timeline", "write the representative sweep cell's telemetry JSONL"},
+    };
+    const size_t i = static_cast<size_t>(flag);
+    return {kFiles[i][0], "FILE", kFiles[i][1], &files_[i]};
   }
 
   std::string bench_;
-  std::vector<Flag> declared_;
-  std::array<std::string, std::size(kFlagTable)> values_;
+  std::array<std::string, 4> files_;  // indexed by the file flags
+  int warmup_ = -1;                   // not given
 };
 
 // Machine-readable twin of the printed table. A bench constructs one report,

@@ -179,7 +179,7 @@ int Main(int argc, char** argv) {
   Options opts;
   opts.metrics = flags.Get(bench::Flag::kMetrics);
   opts.trace = flags.Get(bench::Flag::kTrace);
-  opts.warmup = flags.Count(bench::Flag::kWarmup, opts.warmup);
+  opts.warmup = flags.Warmup(opts.warmup);
   bench::JsonReport report(flags);
 
   bench::PrintTitle("serve_warm_loop",

@@ -298,6 +298,17 @@ const char* DatasetName(DatasetKind kind) {
   return "unknown";
 }
 
+bool ParseDatasetName(const std::string& name, DatasetKind* out) {
+  for (DatasetKind kind : {DatasetKind::kKitti, DatasetKind::kS3dis, DatasetKind::kSem3d,
+                           DatasetKind::kShapenet, DatasetKind::kRandom}) {
+    if (name == DatasetName(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<DatasetKind> AllRealDatasets() {
   return {DatasetKind::kKitti, DatasetKind::kS3dis, DatasetKind::kSem3d, DatasetKind::kShapenet};
 }

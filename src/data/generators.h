@@ -27,6 +27,9 @@ namespace minuet {
 enum class DatasetKind { kKitti, kS3dis, kSem3d, kShapenet, kRandom };
 
 const char* DatasetName(DatasetKind kind);
+// The kind DatasetName spells `name`; false (and `*out` left alone) for any
+// other name.
+bool ParseDatasetName(const std::string& name, DatasetKind* out);
 std::vector<DatasetKind> AllRealDatasets();  // the four "real" ones
 
 struct GeneratorConfig {

@@ -14,17 +14,6 @@ namespace minuet {
 
 namespace {
 
-bool ParseDatasetName(const std::string& name, DatasetKind* out) {
-  for (DatasetKind kind : {DatasetKind::kKitti, DatasetKind::kS3dis, DatasetKind::kSem3d,
-                           DatasetKind::kShapenet, DatasetKind::kRandom}) {
-    if (name == DatasetName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 // Applies (motion, deleted, inserted) to `prev`, producing the next frame's
 // cloud. This is the single definition of the frame recurrence: generation
 // and replay both call it, which is what makes a structural dump replay

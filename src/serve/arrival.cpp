@@ -17,17 +17,6 @@ double Exponential(Pcg32& rng, double mean) {
   return -std::log(1.0 - rng.NextDouble()) * mean;
 }
 
-bool ParseDatasetName(const std::string& name, DatasetKind* out) {
-  for (DatasetKind kind : {DatasetKind::kKitti, DatasetKind::kS3dis, DatasetKind::kSem3d,
-                           DatasetKind::kShapenet, DatasetKind::kRandom}) {
-    if (name == DatasetName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 const char* AdmissionPolicyName(AdmissionPolicy policy) {

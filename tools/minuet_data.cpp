@@ -1,4 +1,5 @@
 // minuet_dataset: generate, inspect and export the synthetic datasets.
+// `minuet_dataset --help` lists the subcommands and their flags.
 //
 //   minuet_dataset gen  --dataset kitti --points 100000 --seed 1 --out scan.mnpc
 //   minuet_dataset info --in scan.mnpc
@@ -12,43 +13,27 @@
 // and summarises it, replay round-trips the file and (with --out) re-dumps
 // it — dumps of one sequence are byte-identical, which the CI stream smoke
 // relies on.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/core/voxelizer.h"
 #include "src/data/generators.h"
 #include "src/data/sequence.h"
 #include "src/io/serialization.h"
+#include "src/util/flags.h"
 
 namespace minuet {
 namespace {
 
-// --help prints this to stdout and exits 0; a usage error prints it to
-// stderr and exits 2.
-[[noreturn]] void Usage(int status = 2) {
-  std::fprintf(status == 0 ? stdout : stderr,
-               "usage: minuet_dataset gen --dataset <name> [--points N] [--seed N] --out FILE\n"
-               "       minuet_dataset info --in FILE\n"
-               "       minuet_dataset stats [--points N]\n"
-               "       minuet_dataset sequence gen [--dataset <name>] [--points N] [--seed N]\n"
-               "                                   [--frames N] [--channels N] [--churn F]\n"
-               "                                   [--max-step N] --out seq.json\n"
-               "       minuet_dataset sequence info --in seq.json\n"
-               "       minuet_dataset sequence replay --in seq.json [--out seq2.json]\n");
-  std::exit(status);
-}
-
-DatasetKind ParseDataset(const std::string& name) {
-  for (DatasetKind kind : {DatasetKind::kKitti, DatasetKind::kS3dis, DatasetKind::kSem3d,
-                           DatasetKind::kShapenet, DatasetKind::kRandom}) {
-    if (name == DatasetName(kind)) {
-      return kind;
-    }
-  }
-  std::fprintf(stderr, "unknown dataset: %s\n", name.c_str());
-  Usage();
-}
+struct Options {
+  DatasetKind dataset = DatasetKind::kKitti;
+  GeneratorConfig gen;      // gen and stats
+  SequenceConfig sequence;  // sequence gen
+  std::string in_path;
+  std::string out_path;
+};
 
 void PrintCloudInfo(const PointCloud& cloud) {
   Coord3 lo = cloud.coords.empty() ? Coord3{} : cloud.coords.front();
@@ -86,177 +71,157 @@ void PrintSequenceInfo(const Sequence& sequence) {
               sequence.frames.size());
 }
 
-int SequenceMain(int argc, char** argv) {
-  if (argc < 3) {
-    Usage();
+int RunGen(const Options& o) {
+  PointCloud cloud = GenerateCloud(o.dataset, o.gen);
+  if (!SavePointCloud(cloud, o.out_path)) {
+    std::fprintf(stderr, "cannot write %s\n", o.out_path.c_str());
+    return 1;
   }
-  std::string command = argv[2];
-  SequenceConfig config;
-  config.base_points = 4096;
-  std::string in_path;
-  std::string out_path;
-  std::string dataset = "random";
-  for (int i = 3; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        Usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--dataset") {
-      dataset = next();
-    } else if (arg == "--points") {
-      config.base_points = std::atoll(next().c_str());
-    } else if (arg == "--seed") {
-      config.seed = static_cast<uint64_t>(std::atoll(next().c_str()));
-    } else if (arg == "--frames") {
-      config.num_frames = std::atoll(next().c_str());
-    } else if (arg == "--channels") {
-      config.channels = std::atoll(next().c_str());
-    } else if (arg == "--churn") {
-      config.churn_rate = std::atof(next().c_str());
-    } else if (arg == "--max-step") {
-      config.max_step = std::atoi(next().c_str());
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--in") {
-      in_path = next();
-    } else {
-      Usage();
-    }
-  }
+  std::printf("wrote %s:\n", o.out_path.c_str());
+  PrintCloudInfo(cloud);
+  return 0;
+}
 
-  if (command == "gen") {
-    if (out_path.empty()) {
-      Usage();
-    }
-    config.dataset = ParseDataset(dataset);
-    Sequence sequence = GenerateSequence(config);
-    if (!WriteSequenceTrace(sequence, out_path)) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s:\n", out_path.c_str());
-    PrintSequenceInfo(sequence);
+int RunInfo(const Options& o) {
+  PointCloud cloud;
+  if (!LoadPointCloud(o.in_path, &cloud)) {
+    std::fprintf(stderr, "cannot read %s\n", o.in_path.c_str());
+    return 1;
+  }
+  PrintCloudInfo(cloud);
+  return 0;
+}
+
+int RunStats(const Options& o) {
+  std::printf("%-10s %10s %12s   (paper: kitti 0.04%%, s3dis 2%%, sem3d 0.03%%,"
+              " shapenet 10%%)\n",
+              "dataset", "points", "sparsity");
+  for (DatasetKind kind : AllRealDatasets()) {
+    PointCloud cloud = GenerateCloud(kind, o.gen);
+    std::printf("%-10s %10lld %11.4f%%\n", DatasetName(kind),
+                static_cast<long long>(cloud.num_points()), 100.0 * Sparsity(cloud.coords));
+  }
+  return 0;
+}
+
+int RunSequenceGen(const Options& o) {
+  Sequence sequence = GenerateSequence(o.sequence);
+  if (!WriteSequenceTrace(sequence, o.out_path)) {
+    std::fprintf(stderr, "cannot write %s\n", o.out_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s:\n", o.out_path.c_str());
+  PrintSequenceInfo(sequence);
+  return 0;
+}
+
+// Reads --in; prints the error and returns false when it cannot.
+bool ReadSequence(const Options& o, Sequence* sequence) {
+  std::string error;
+  if (!ReadSequenceTraceFile(o.in_path, sequence, &error)) {
+    std::fprintf(stderr, "cannot read %s: %s\n", o.in_path.c_str(), error.c_str());
+    return false;
+  }
+  return true;
+}
+
+int RunSequenceInfo(const Options& o) {
+  Sequence sequence;
+  if (!ReadSequence(o, &sequence)) {
+    return 1;
+  }
+  PrintSequenceInfo(sequence);
+  return 0;
+}
+
+// The parsed sequence re-dumps byte-identically (the dump is structural and
+// the frames re-materialise from the shared recurrence).
+int RunSequenceReplay(const Options& o) {
+  Sequence sequence;
+  if (!ReadSequence(o, &sequence)) {
+    return 1;
+  }
+  if (o.out_path.empty()) {
+    std::printf("replayed %s (%zu frames re-materialised)\n", o.in_path.c_str(),
+                sequence.frames.size());
     return 0;
   }
-  if (command == "info" || command == "replay") {
-    if (in_path.empty()) {
-      Usage();
-    }
-    Sequence sequence;
-    std::string error;
-    if (!ReadSequenceTraceFile(in_path, &sequence, &error)) {
-      std::fprintf(stderr, "cannot read %s: %s\n", in_path.c_str(), error.c_str());
-      return 1;
-    }
-    if (command == "info") {
-      PrintSequenceInfo(sequence);
-      return 0;
-    }
-    // replay: the parsed sequence re-dumps byte-identically (the dump is
-    // structural and the frames re-materialise from the shared recurrence).
-    if (!out_path.empty()) {
-      if (!WriteSequenceTrace(sequence, out_path)) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-      }
-      std::printf("replayed %s -> %s (%zu frames re-materialised)\n", in_path.c_str(),
-                  out_path.c_str(), sequence.frames.size());
-    } else {
-      std::printf("replayed %s (%zu frames re-materialised)\n", in_path.c_str(),
-                  sequence.frames.size());
-    }
-    return 0;
+  if (!WriteSequenceTrace(sequence, o.out_path)) {
+    std::fprintf(stderr, "cannot write %s\n", o.out_path.c_str());
+    return 1;
   }
-  Usage();
+  std::printf("replayed %s -> %s (%zu frames re-materialised)\n", o.in_path.c_str(),
+              o.out_path.c_str(), sequence.frames.size());
+  return 0;
+}
+
+struct Subcommand {
+  const char* name;
+  FlagCommand command;
+  int (*run)(const Options&);
+};
+
+std::vector<Subcommand> Subcommands(Options* o) {
+  const std::string datasets = "kitti|s3dis|sem3d|shapenet|random";
+  const FlagSpec in{"in", "FILE", "file to read", &o->in_path, FlagMin::kNone, true};
+  const FlagSpec out{"out", "FILE", "file to write", &o->out_path, FlagMin::kNone, true};
+  const FlagSpec seed{"seed", "N", "generator seed (default 1)", &o->gen.seed};
+  const FlagSpec points{"points", "N", "target point count (default 100000)",
+                        &o->gen.target_points, FlagMin::kPositive};
+  SequenceConfig& q = o->sequence;
+  return {
+      {"gen",
+       {"minuet_dataset gen --out=FILE [flags]",
+        {{"dataset", datasets, "dataset (default kitti)", Choice(ParseDatasetName, &o->dataset)},
+         points, seed, out}},
+       RunGen},
+      {"info", {"minuet_dataset info --in=FILE", {in}}, RunInfo},
+      {"stats", {"minuet_dataset stats [flags]", {points, seed}}, RunStats},
+      {"sequence gen",
+       {"minuet_dataset sequence gen --out=FILE [flags]",
+        {{"dataset", datasets, "dataset (default random)", Choice(ParseDatasetName, &q.dataset)},
+         {"points", "N", "points per frame (default 4096)", &q.base_points, FlagMin::kZero},
+         {"seed", "N", "generator seed (default 1)", &q.seed},
+         {"frames", "N", "frames (default 16)", &q.num_frames, FlagMin::kPositive},
+         {"channels", "N", "feature channels (default 4)", &q.channels, FlagMin::kPositive},
+         {"churn", "F", "fraction of voxels replaced per frame, in [0, 1] (default 0.05)",
+          &q.churn_rate, FlagMin::kZero},
+         {"max-step", "N", "per-axis rigid motion bound per frame (default 2)", &q.max_step,
+          FlagMin::kZero},
+         out}},
+       RunSequenceGen},
+      {"sequence info", {"minuet_dataset sequence info --in=FILE", {in}}, RunSequenceInfo},
+      {"sequence replay",
+       {"minuet_dataset sequence replay --in=FILE [--out=FILE]",
+        {in, {"out", "FILE", "re-dump the sequence here", &o->out_path}}},
+       RunSequenceReplay},
+  };
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2) {
-    Usage();
+  Options o;
+  const std::vector<Subcommand> subcommands = Subcommands(&o);
+  // A subcommand is one word, or two after "sequence".
+  int rest = 2;
+  std::string name = argc > 1 ? argv[1] : "";
+  if (name == "sequence" && argc > 2) {
+    name += std::string(" ") + argv[rest++];
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      Usage(0);
+  const auto match = std::find_if(subcommands.begin(), subcommands.end(),
+                                  [&](const Subcommand& s) { return name == s.name; });
+  if (match == subcommands.end()) {
+    const bool help = std::any_of(argv + 1, argv + argc,
+                                  [](const char* arg) { return arg == std::string("--help"); });
+    for (const Subcommand& s : subcommands) {
+      std::fputs(FlagUsage(s.command).c_str(), help ? stdout : stderr);
     }
+    return help ? 0 : 2;
   }
-  std::string command = argv[1];
-  if (command == "sequence") {
-    return SequenceMain(argc, argv);
+  const ParsedFlags parsed = ParseFlags(match->command, {argv + rest, argv + argc});
+  if (!parsed.ok()) {
+    return FlagExit(match->command, parsed);
   }
-  std::string dataset = "kitti";
-  std::string in_path;
-  std::string out_path;
-  int64_t points = 100000;
-  uint64_t seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        Usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--dataset") {
-      dataset = next();
-    } else if (arg == "--points") {
-      points = std::atoll(next().c_str());
-    } else if (arg == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next().c_str()));
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--in") {
-      in_path = next();
-    } else {
-      Usage();
-    }
-  }
-
-  if (command == "gen") {
-    if (out_path.empty()) {
-      Usage();
-    }
-    GeneratorConfig gen;
-    gen.target_points = points;
-    gen.seed = seed;
-    PointCloud cloud = GenerateCloud(ParseDataset(dataset), gen);
-    if (!SavePointCloud(cloud, out_path)) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s:\n", out_path.c_str());
-    PrintCloudInfo(cloud);
-    return 0;
-  }
-  if (command == "info") {
-    if (in_path.empty()) {
-      Usage();
-    }
-    PointCloud cloud;
-    if (!LoadPointCloud(in_path, &cloud)) {
-      std::fprintf(stderr, "cannot read %s\n", in_path.c_str());
-      return 1;
-    }
-    PrintCloudInfo(cloud);
-    return 0;
-  }
-  if (command == "stats") {
-    std::printf("%-10s %10s %12s   (paper: kitti 0.04%%, s3dis 2%%, sem3d 0.03%%,"
-                " shapenet 10%%)\n",
-                "dataset", "points", "sparsity");
-    for (DatasetKind kind : AllRealDatasets()) {
-      GeneratorConfig gen;
-      gen.target_points = points;
-      gen.seed = seed;
-      PointCloud cloud = GenerateCloud(kind, gen);
-      std::printf("%-10s %10lld %11.4f%%\n", DatasetName(kind),
-                  static_cast<long long>(cloud.num_points()), 100.0 * Sparsity(cloud.coords));
-    }
-    return 0;
-  }
-  Usage();
+  return match->run(o);
 }
 
 }  // namespace

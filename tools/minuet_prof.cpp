@@ -43,50 +43,25 @@
 // = diff. Exit codes: 0 ok, 1 regression/violation, 2 usage or input error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/prof/explain.h"
 #include "src/prof/profile.h"
 #include "src/prof/timeline.h"
+#include "src/util/flags.h"
 #include "src/util/json_reader.h"
 #include "src/util/json_writer.h"
 
 namespace {
 
+using minuet::FlagCommand;
 using minuet::JsonValue;
 using minuet::ReadJsonFile;
 using minuet::WriteTextFile;
 namespace prof = minuet::prof;
 
-// --help prints this to stdout and returns 0; a usage error prints it to
-// stderr and returns 2.
-int Usage(int status = 2) {
-  std::fprintf(status == 0 ? stdout : stderr,
-               "usage: minuet_prof report RUN.json [--top N]\n"
-               "       minuet_prof diff BEFORE.json AFTER.json [--threshold F] [--min-ms M]\n"
-               "       minuet_prof make-baseline [--out FILE] REPORT.json...\n"
-               "       minuet_prof check-baseline BASELINE.json REPORT.json...\n"
-               "       minuet_prof timeline RUN.jsonl [OTHER.jsonl]\n"
-               "       minuet_prof explain DUMP.jsonl [OTHER.jsonl] [--worst N] [--slo-us S]\n"
-               "       minuet_prof RUN.json            (report)\n"
-               "       minuet_prof BEFORE.json AFTER.json   (diff)\n");
-  return status;
-}
-
-bool ParseDoubleFlag(const std::string& arg, const char* name, double* out) {
-  std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  *out = std::atof(arg.c_str() + prefix.size());
-  return true;
-}
-
 struct Args {
-  std::string command;
   std::vector<std::string> files;
   int top = 15;
   double threshold = 0.05;
@@ -94,79 +69,6 @@ struct Args {
   std::string out_path;
   prof::ExplainOptions explain;
 };
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  std::vector<std::string> raw(argv + 1, argv + argc);
-  for (size_t i = 0; i < raw.size(); ++i) {
-    std::string arg = raw[i];
-    auto next = [&](double* out) {
-      if (i + 1 >= raw.size()) {
-        return false;
-      }
-      *out = std::atof(raw[++i].c_str());
-      return true;
-    };
-    if (arg == "--top") {
-      double v;
-      if (!next(&v)) {
-        return false;
-      }
-      args->top = static_cast<int>(v);
-    } else if (double scratch; ParseDoubleFlag(arg, "--top", &scratch)) {
-      args->top = static_cast<int>(scratch);
-    } else if (arg == "--threshold") {
-      if (!next(&args->threshold)) {
-        return false;
-      }
-    } else if (ParseDoubleFlag(arg, "--threshold", &args->threshold)) {
-    } else if (arg == "--min-ms") {
-      if (!next(&args->min_ms)) {
-        return false;
-      }
-    } else if (ParseDoubleFlag(arg, "--min-ms", &args->min_ms)) {
-    } else if (arg == "--worst") {
-      double v;
-      if (!next(&v)) {
-        return false;
-      }
-      args->explain.worst_k = static_cast<int64_t>(v);
-    } else if (double scratch; ParseDoubleFlag(arg, "--worst", &scratch)) {
-      args->explain.worst_k = static_cast<int64_t>(scratch);
-    } else if (arg == "--slo-us") {
-      if (!next(&args->explain.slo_us)) {
-        return false;
-      }
-    } else if (ParseDoubleFlag(arg, "--slo-us", &args->explain.slo_us)) {
-    } else if (arg == "--out") {
-      if (i + 1 >= raw.size()) {
-        return false;
-      }
-      args->out_path = raw[++i];
-    } else if (arg.rfind("--out=", 0) == 0) {
-      args->out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "minuet_prof: unknown flag %s\n", arg.c_str());
-      return false;
-    } else if (args->command.empty() &&
-               (arg == "report" || arg == "diff" || arg == "make-baseline" ||
-                arg == "check-baseline" || arg == "timeline" || arg == "explain")) {
-      args->command = arg;
-    } else {
-      args->files.push_back(arg);
-    }
-  }
-  if (args->command.empty()) {
-    // Bare form: one file = report, two files = diff.
-    if (args->files.size() == 1) {
-      args->command = "report";
-    } else if (args->files.size() == 2) {
-      args->command = "diff";
-    } else {
-      return false;
-    }
-  }
-  return !args->files.empty();
-}
 
 int RunReport(const Args& args) {
   JsonValue doc;
@@ -195,9 +97,6 @@ int RunReport(const Args& args) {
 }
 
 int RunDiff(const Args& args) {
-  if (args.files.size() != 2) {
-    return Usage();
-  }
   prof::RunProfile before, after;
   std::string error;
   if (!prof::LoadRunProfileFile(args.files[0], &before, &error) ||
@@ -250,9 +149,6 @@ int RunMakeBaseline(const Args& args) {
 }
 
 int RunCheckBaseline(const Args& args) {
-  if (args.files.size() < 2) {
-    return Usage();
-  }
   std::vector<JsonValue> docs;
   if (!ReadJsonFiles(args.files, &docs)) {
     return 2;
@@ -288,9 +184,6 @@ int RunCheckBaseline(const Args& args) {
 }
 
 int RunTimeline(const Args& args) {
-  if (args.files.empty() || args.files.size() > 2) {
-    return Usage();
-  }
   prof::Timeline first;
   std::string error;
   if (!prof::LoadTimelineFile(args.files[0], &first, &error)) {
@@ -312,9 +205,6 @@ int RunTimeline(const Args& args) {
 }
 
 int RunExplain(const Args& args) {
-  if (args.files.empty() || args.files.size() > 2) {
-    return Usage();
-  }
   prof::RequestDump first;
   std::string error;
   if (!prof::LoadRequestDumpFile(args.files[0], &first, &error)) {
@@ -336,35 +226,79 @@ int RunExplain(const Args& args) {
   return 0;
 }
 
+struct Subcommand {
+  const char* name;
+  FlagCommand command;
+  int (*run)(const Args&);
+};
+
+std::vector<Subcommand> Subcommands(Args* a) {
+  constexpr size_t kAny = minuet::kAnyPositionals;
+  return {
+      {"report",
+       {"minuet_prof report RUN.json [flags]",
+        {{"top", "N", "kernels in the table, 0 for all (default 15)", &a->top}},
+        1,
+        1},
+       RunReport},
+      {"diff",
+       {"minuet_prof diff BEFORE.json AFTER.json [flags]",
+        {{"threshold", "F", "slowdown that counts as a regression (default 0.05)",
+          &a->threshold},
+         {"min-ms", "M", "and by at least this many simulated ms (default 0.0005)",
+          &a->min_ms}},
+        2,
+        2},
+       RunDiff},
+      {"make-baseline",
+       {"minuet_prof make-baseline REPORT.json... [flags]",
+        {{"out", "FILE", "write the baseline here, not to stdout", &a->out_path}},
+        1,
+        kAny},
+       RunMakeBaseline},
+      {"check-baseline", {"minuet_prof check-baseline BASELINE.json REPORT.json...", {}, 2, kAny},
+       RunCheckBaseline},
+      {"timeline", {"minuet_prof timeline RUN.jsonl [OTHER.jsonl]", {}, 1, 2}, RunTimeline},
+      {"explain",
+       {"minuet_prof explain DUMP.jsonl [OTHER.jsonl] [flags]",
+        {{"worst", "N", "blame the worst N requests, not the above-SLO tail",
+          &a->explain.worst_k},
+         {"slo-us", "S", "SLO for the tail (default: the dump's)", &a->explain.slo_us}},
+        1,
+        2},
+       RunExplain},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return Usage(0);
+  Args args;
+  const std::vector<Subcommand> subcommands = Subcommands(&args);
+  const std::string first = argc > 1 ? argv[1] : "";
+  auto match = std::find_if(subcommands.begin(), subcommands.end(),
+                            [&](const Subcommand& s) { return first == s.name; });
+  int rest = 2;
+  if (match == subcommands.end() && !first.empty() && first != "--help") {
+    // Bare forms: one file is a report, two are a diff.
+    rest = 1;
+    match = subcommands.begin();
+    if (!minuet::ParseFlags(match->command, {argv + 1, argv + argc}).error.empty()) {
+      ++match;
     }
   }
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    return Usage();
+  if (match == subcommands.end()) {
+    std::FILE* out = first == "--help" ? stdout : stderr;
+    for (const Subcommand& s : subcommands) {
+      std::fputs(minuet::FlagUsage(s.command).c_str(), out);
+    }
+    std::fputs("usage: minuet_prof RUN.json | BEFORE.json AFTER.json   (report | diff)\n", out);
+    return first == "--help" ? 0 : 2;
   }
-  if (args.command == "report") {
-    return RunReport(args);
+  const minuet::ParsedFlags parsed = minuet::ParseFlags(match->command, {argv + rest, argv + argc});
+  if (!parsed.ok()) {
+    return minuet::FlagExit(match->command, parsed);
   }
-  if (args.command == "diff") {
-    return RunDiff(args);
-  }
-  if (args.command == "make-baseline") {
-    return RunMakeBaseline(args);
-  }
-  if (args.command == "check-baseline") {
-    return RunCheckBaseline(args);
-  }
-  if (args.command == "timeline") {
-    return RunTimeline(args);
-  }
-  if (args.command == "explain") {
-    return RunExplain(args);
-  }
-  return Usage();
+  args.files = parsed.positionals;
+  return match->run(args);
 }

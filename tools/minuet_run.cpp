@@ -1,33 +1,32 @@
-// minuet_run: command-line driver for the engines.
-//
-//   minuet_run [--engine minuet|torchsparse|minkowski|all]
-//              [--network unet42|resnet21|tiny] [--dataset kitti|s3dis|sem3d|
-//              shapenet|random] [--points N] [--gpu 2070s|2080ti|3090|a100]
-//              [--seed N] [--functional 0|1] [--autotune 0|1] [--layers]
+// minuet_run: command-line driver for the engines. `minuet_run --help` lists
+// the flags.
 //
 // Prints the simulated end-to-end time and per-step breakdown; with --layers,
 // a per-conv-layer table.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/data/generators.h"
 #include "src/engine/engine.h"
 #include "src/gpusim/device_config.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
-#include "src/util/check.h"
+#include "src/util/flags.h"
 #include "src/util/timer.h"
 
 namespace minuet {
 namespace {
 
+constexpr EngineKind kAllEngines[] = {EngineKind::kMinkowski, EngineKind::kTorchSparse,
+                                      EngineKind::kMinuet};
+
 struct Options {
-  std::string engine = "all";
-  std::string network = "unet42";
-  std::string dataset = "kitti";
-  std::string gpu = "3090";
+  std::vector<EngineKind> engines{std::begin(kAllEngines), std::end(kAllEngines)};
+  Network net = MakeMinkUNet42(4);
+  DatasetKind dataset = DatasetKind::kKitti;
+  DeviceConfig device = MakeRtx3090();
   int64_t points = 50000;
   uint64_t seed = 1;
   bool functional = false;
@@ -40,131 +39,57 @@ struct Options {
   std::string metrics;     // metrics snapshot JSON; empty: off
 };
 
-// --help prints this to stdout and exits 0; a usage error prints it to
-// stderr and exits 2.
-[[noreturn]] void Usage(int status = 2) {
-  std::fprintf(status == 0 ? stdout : stderr,
-               "usage: minuet_run [--engine minuet|torchsparse|minkowski|all]\n"
-               "                  [--network unet42|resnet21|tiny]\n"
-               "                  [--dataset kitti|s3dis|sem3d|shapenet|random]\n"
-               "                  [--gpu 2070s|2080ti|3090|a100] [--points N]\n"
-               "                  [--seed N] [--functional 0|1] [--autotune 0|1] [--layers]\n"
-               "                  [--precision fp32|fp16] [--repeat N] [--reuse]\n"
-               "                  [--trace=out.json] [--metrics=out.json]\n"
-               "\n"
-               "  --trace FILE     write a Chrome trace-event JSON (open in Perfetto /\n"
-               "                   chrome://tracing): nested run/layer/step/kernel spans\n"
-               "                   on a host-clock track and a simulated-device track\n"
-               "  --metrics FILE   write a metrics-registry snapshot (device kernel\n"
-               "                   aggregates, per-layer padding, session counters)\n"
-               "  --repeat N   run each engine N times on the same cloud\n"
-               "  --reuse      serve repeats through a persistent RunSession\n"
-               "               (cached plans + pooled workspaces; warm runs skip\n"
-               "               the Map step and allocate nothing)\n");
-  std::exit(status);
-}
-
-Options Parse(int argc, char** argv) {
-  Options opts;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Both "--flag value" and "--flag=value" spellings are accepted.
-    std::string inline_value;
-    bool has_inline_value = false;
-    if (size_t eq = arg.find('='); eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inline_value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_inline_value = true;
-    }
-    auto next = [&]() -> std::string {
-      if (has_inline_value) {
-        return inline_value;
-      }
-      if (i + 1 >= argc) {
-        Usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      Usage(0);
-    } else if (arg == "--engine") {
-      opts.engine = next();
-    } else if (arg == "--network") {
-      opts.network = next();
-    } else if (arg == "--dataset") {
-      opts.dataset = next();
-    } else if (arg == "--gpu") {
-      opts.gpu = next();
-    } else if (arg == "--points") {
-      opts.points = std::atoll(next().c_str());
-    } else if (arg == "--seed") {
-      opts.seed = static_cast<uint64_t>(std::atoll(next().c_str()));
-    } else if (arg == "--functional") {
-      opts.functional = std::atoi(next().c_str()) != 0;
-    } else if (arg == "--autotune") {
-      opts.autotune = std::atoi(next().c_str()) != 0;
-    } else if (arg == "--layers") {
-      opts.layers = true;
-    } else if (arg == "--repeat") {
-      opts.repeat = std::atoi(next().c_str());
-      if (opts.repeat < 1) {
-        Usage();
-      }
-    } else if (arg == "--reuse") {
-      opts.reuse = true;
-    } else if (arg == "--trace") {
-      opts.trace_json = next();
-    } else if (arg == "--metrics") {
-      opts.metrics = next();
-    } else if (arg == "--precision") {
-      std::string p = next();
-      if (p == "fp16") {
-        opts.fp16 = true;
-      } else if (p != "fp32") {
-        std::fprintf(stderr, "unknown precision: %s\n", p.c_str());
-        Usage();
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
-    }
-  }
-  return opts;
-}
-
-DatasetKind ParseDataset(const std::string& name) {
-  for (DatasetKind kind : {DatasetKind::kKitti, DatasetKind::kS3dis, DatasetKind::kSem3d,
-                           DatasetKind::kShapenet, DatasetKind::kRandom}) {
-    if (name == DatasetName(kind)) {
-      return kind;
-    }
-  }
-  std::fprintf(stderr, "unknown dataset: %s\n", name.c_str());
-  Usage();
-}
-
-DeviceConfig ParseGpu(const std::string& name) {
-  DeviceConfig device;
-  if (!DeviceConfigForPreset(name, &device)) {
-    std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
-    Usage();
-  }
-  return device;
-}
-
-Network ParseNetwork(const std::string& name) {
-  Network net;
-  if (!NetworkForPreset(name, &net)) {
-    std::fprintf(stderr, "unknown network: %s\n", name.c_str());
-    Usage();
-  }
-  return net;
+FlagCommand Command(Options* o) {
+  return {"minuet_run [flags]",
+          {{"engine", "minuet|torchsparse|minkowski|all", "engines to run (default all)",
+            [o](const std::string& name) {
+              EngineKind kind = EngineKind::kMinuet;
+              if (name == "all") {
+                o->engines.assign(std::begin(kAllEngines), std::end(kAllEngines));
+              } else if (EngineKindForPreset(name, &kind)) {
+                o->engines = {kind};
+              } else {
+                return false;
+              }
+              return true;
+            }},
+           {"network", "unet42|resnet21|tiny", "network (default unet42)",
+            Choice(NetworkForPreset, &o->net)},
+           {"dataset", "kitti|s3dis|sem3d|shapenet|random", "dataset (default kitti)",
+            Choice(ParseDatasetName, &o->dataset)},
+           {"gpu", "2070s|2080ti|3090|a100", "simulated device (default 3090)",
+            Choice(DeviceConfigForPreset, &o->device)},
+           {"points", "N", "target point count (default 50000)", &o->points, FlagMin::kPositive},
+           {"seed", "N", "cloud and weight seed (default 1)", &o->seed},
+           {"functional", "0|1", "compute features, not only time (default 0)",
+            FlagBit{&o->functional}},
+           {"autotune", "0|1", "autotune Minuet's tiles first (default 1)", FlagBit{&o->autotune}},
+           {"layers", "", "print a per-conv-layer table", FlagSwitch{&o->layers}},
+           {"precision", "fp32|fp16", "arithmetic precision (default fp32)",
+            [o](const std::string& name) {
+              o->fp16 = name == "fp16";
+              return o->fp16 || name == "fp32";
+            }},
+           {"repeat", "N", "run each engine N times on the same cloud", &o->repeat,
+            FlagMin::kPositive},
+           {"reuse", "",
+            "serve repeats through a persistent RunSession (cached plans + pooled\n"
+            "workspaces; warm runs skip the Map step and allocate nothing)",
+            FlagSwitch{&o->reuse}},
+           {"trace", "FILE",
+            "write a Chrome trace-event JSON (Perfetto / chrome://tracing): nested\n"
+            "run/layer/step/kernel spans on a host-clock and a simulated-device track",
+            &o->trace_json},
+           {"metrics", "FILE",
+            "write a metrics-registry snapshot (device kernel aggregates, per-layer\n"
+            "padding, session counters)",
+            &o->metrics}}};
 }
 
 // Suffixes `path` with the engine name when several engines share one flag
 // value (--engine all), so each writes its own file.
 std::string PerEnginePath(const std::string& path, const Options& opts, EngineKind kind) {
-  if (opts.engine != "all") {
+  if (opts.engines.size() == 1) {
     return path;
   }
   return path + "." + EngineKindName(kind);
@@ -288,36 +213,32 @@ bool RunOne(EngineKind kind, const Options& opts, const Network& net, const Poin
 }
 
 int Main(int argc, char** argv) {
-  Options opts = Parse(argc, argv);
-  DeviceConfig device = ParseGpu(opts.gpu);
-  Network net = ParseNetwork(opts.network);
-  DatasetKind dataset = ParseDataset(opts.dataset);
+  Options opts;
+  const FlagCommand command = Command(&opts);
+  const ParsedFlags parsed = ParseFlags(command, {argv + 1, argv + argc});
+  if (!parsed.ok()) {
+    return FlagExit(command, parsed);
+  }
+  const DeviceConfig& device = opts.device;
+  const Network& net = opts.net;
 
   GeneratorConfig gen;
   gen.target_points = opts.points;
   gen.channels = net.in_channels;
   gen.seed = opts.seed;
-  PointCloud cloud = GenerateCloud(dataset, gen);
+  PointCloud cloud = GenerateCloud(opts.dataset, gen);
   GeneratorConfig tune = gen;
   tune.seed = opts.seed + 1;
   tune.target_points = std::max<int64_t>(opts.points / 4, 1000);
-  PointCloud sample = GenerateCloud(dataset, tune);
+  PointCloud sample = GenerateCloud(opts.dataset, tune);
 
   std::printf("network %s | dataset %s (%lld points) | %s | %s mode\n", net.name.c_str(),
-              DatasetName(dataset), static_cast<long long>(cloud.num_points()),
+              DatasetName(opts.dataset), static_cast<long long>(cloud.num_points()),
               device.name.c_str(), opts.functional ? "functional" : "timing-only");
 
   bool ok = true;
-  EngineKind kind = EngineKind::kMinuet;
-  if (opts.engine == "all") {
-    for (EngineKind each :
-         {EngineKind::kMinkowski, EngineKind::kTorchSparse, EngineKind::kMinuet}) {
-      ok = RunOne(each, opts, net, cloud, sample, device) && ok;
-    }
-  } else if (EngineKindForPreset(opts.engine, &kind)) {
-    ok = RunOne(kind, opts, net, cloud, sample, device);
-  } else {
-    Usage();
+  for (EngineKind kind : opts.engines) {
+    ok = RunOne(kind, opts, net, cloud, sample, device) && ok;
   }
   return ok ? 0 : 1;
 }

@@ -1,14 +1,6 @@
 // minuet_serve: serving driver — replays or generates a request arrival
 // trace against a deployment of one or more simulated devices and reports
-// SLO accounting.
-//
-//   minuet_serve [--gpu 3090 | --pool 3090,a100,2080ti] [--routing least-loaded]
-//                [--network tiny] [--engine minuet]
-//                [--process poisson|mmpp|closed] [--rate RPS] [--requests N]
-//                [--policy fifo|sjf|priority] [--queue-capacity N]
-//                [--max-batch N] [--max-delay-us D] [--slo-us S] [--seed N]
-//                [--arrivals in.json] [--dump-arrivals out.json]
-//                [--json report.json] [--trace trace.json] [--metrics m.json]
+// SLO accounting. `minuet_serve --help` lists the flags.
 //
 // Every deployment is a fleet (src/serve/fleet.h): --pool lists one device
 // preset per replica, routed by --routing, and --gpu X is the one-replica
@@ -28,8 +20,6 @@
 // across invocations of the same command line, whatever other sinks are on.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -48,18 +38,20 @@
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
+#include "src/util/flags.h"
 #include "src/util/json_writer.h"
 
 namespace minuet {
 namespace {
 
 struct Options {
-  std::string gpu = "3090";
-  std::string network = "tiny";
-  std::string engine = "minuet";
+  DeviceConfig gpu = MakeRtx3090();
+  Network net = MakeTinyUNet(4);
+  EngineKind engine = EngineKind::kMinuet;
   bool fp16 = false;
   bool autotune = false;
-  std::string pool;  // comma-separated gpu presets; non-empty = fleet mode
+  std::vector<DeviceConfig> pool;  // one per replica; non-empty = fleet mode
+  std::string pool_list;           // --pool as given
   serve::RoutingPolicy routing = serve::RoutingPolicy::kLeastLoaded;
   serve::TraceConfig arrival;
   serve::SchedulerConfig scheduler;
@@ -103,214 +95,6 @@ std::unique_ptr<serve::ServeTelemetry> MakeTelemetry(const Options& opts) {
   return telemetry;
 }
 
-// --help prints this to stdout and exits 0; a usage error prints it to
-// stderr and exits 2.
-[[noreturn]] void Usage(int status = 2) {
-  std::fprintf(
-      status == 0 ? stdout : stderr,
-      "usage: minuet_serve [--gpu 2070s|2080ti|3090|a100] [--network unet42|resnet21|tiny]\n"
-      "                    [--engine minuet|torchsparse|minkowski] [--precision fp32|fp16]\n"
-      "                    [--autotune 0|1]\n"
-      "                    [--pool gpu[,gpu...]] "
-      "[--routing round-robin|least-loaded|affinity|sjf-spillover]\n"
-      "                    [--process poisson|mmpp|closed] [--rate RPS] [--requests N]\n"
-      "                    [--seed N] [--burst-mult M] [--base-dwell-us D]\n"
-      "                    [--burst-dwell-us D] [--clients N] [--think-us D]\n"
-      "                    [--policy fifo|sjf|priority] [--queue-capacity N]\n"
-      "                    [--max-batch N] [--max-delay-us D] [--slo-us S]\n"
-      "                    [--arrivals in.json] [--dump-arrivals out.json]\n"
-      "                    [--stream seq.json] [--streams N] [--frame-period-us P]\n"
-      "                    [--frame-deadline-us D] [--drop-slo F] [--incremental 0|1]\n"
-      "                    [--rebuild-threshold F]\n"
-      "                    [--json report.json] [--trace trace.json] [--metrics m.json]\n"
-      "                    [--timeline out.jsonl] [--incident out.json]\n"
-      "                    [--dump-requests out.jsonl]\n"
-      "                    [--telemetry-interval-us W] [--slo-target F]\n"
-      "\n"
-      "  --stream FILE         video-rate mode: replay a sequence trace (see\n"
-      "                        minuet_dataset sequence) as N closed-loop frame streams\n"
-      "                        with incremental kernel maps; frames whose execution\n"
-      "                        cannot start within the deadline are dropped and the\n"
-      "                        stream's incremental chain rebuilds\n"
-      "  --streams N           concurrent streams, pinned stream%%replicas (default 1)\n"
-      "  --frame-period-us P   sensor frame period (default 100000 = 10 Hz)\n"
-      "  --frame-deadline-us D max start delay before a frame is dropped (default P)\n"
-      "  --drop-slo F          frames-dropped SLO as a fraction (default 0.01)\n"
-      "  --incremental 0|1     0 = full rebuild every frame (ablation; default 1)\n"
-      "  --rebuild-threshold F churn fraction above which a frame full-rebuilds\n"
-      "  --gpu PRESET          serve on one device: the one-replica pool --pool PRESET\n"
-      "  --pool LIST           serve on a fleet of replicas, one per preset (overrides\n"
-      "                        --gpu; see --routing)\n"
-      "  --routing POLICY      fleet router; default least-loaded\n"
-      "  --arrivals FILE       replay a recorded arrival trace (overrides --process)\n"
-      "  --dump-arrivals FILE  write the generated arrival trace and exit\n"
-      "  --json FILE           serving report (summary, per-request records, batches,\n"
-      "                        embedded device metrics) — deterministic, diffable\n"
-      "  --trace FILE          Chrome trace with the serving-clock track (tid 2)\n"
-      "  --metrics FILE        metrics-registry snapshot (serve/* + device kernels)\n"
-      "  --timeline FILE       streaming telemetry timeline, one JSON window per line\n"
-      "  --incident FILE       flight-recorder incident dump (first firing alert, or a\n"
-      "                        synthetic run-end/SIGINT trigger when none fired)\n"
-      "  --telemetry-interval-us W  time-series window width (default 10000)\n"
-      "  --slo-target F        burn-rate error budget target (default 0.999)\n"
-      "  --dump-requests FILE  per-request causal phase traces, one JSON object per\n"
-      "                        line (minuet_prof explain reads this). Off by default;\n"
-      "                        recording is always on (the segment-sum invariant is\n"
-      "                        CHECKed every run — see bench/hostperf serve_reqtrace_*\n"
-      "                        for the per-request cost), the flag only writes the file\n");
-  std::exit(status);
-}
-
-Options Parse(int argc, char** argv) {
-  Options opts;
-  bool deadline_set = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string inline_value;
-    bool has_inline_value = false;
-    if (size_t eq = arg.find('='); eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inline_value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_inline_value = true;
-    }
-    auto next = [&]() -> std::string {
-      if (has_inline_value) {
-        return inline_value;
-      }
-      if (i + 1 >= argc) {
-        Usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      Usage(0);
-    } else if (arg == "--gpu") {
-      opts.gpu = next();
-    } else if (arg == "--network") {
-      opts.network = next();
-    } else if (arg == "--engine") {
-      opts.engine = next();
-    } else if (arg == "--precision") {
-      std::string p = next();
-      if (p == "fp16") {
-        opts.fp16 = true;
-      } else if (p != "fp32") {
-        Usage();
-      }
-    } else if (arg == "--autotune") {
-      opts.autotune = std::atoi(next().c_str()) != 0;
-    } else if (arg == "--pool") {
-      opts.pool = next();
-    } else if (arg == "--routing") {
-      if (!serve::ParseRoutingPolicy(next(), &opts.routing)) {
-        Usage();
-      }
-    } else if (arg == "--process") {
-      if (!serve::ParseArrivalProcess(next(), &opts.arrival.process)) {
-        Usage();
-      }
-    } else if (arg == "--rate") {
-      opts.arrival.rate_rps = std::atof(next().c_str());
-    } else if (arg == "--requests") {
-      opts.arrival.num_requests = std::atoll(next().c_str());
-    } else if (arg == "--seed") {
-      opts.arrival.seed = static_cast<uint64_t>(std::atoll(next().c_str()));
-      opts.scheduler.seed = opts.arrival.seed;
-    } else if (arg == "--burst-mult") {
-      opts.arrival.burst_multiplier = std::atof(next().c_str());
-    } else if (arg == "--base-dwell-us") {
-      opts.arrival.base_dwell_us = std::atof(next().c_str());
-    } else if (arg == "--burst-dwell-us") {
-      opts.arrival.burst_dwell_us = std::atof(next().c_str());
-    } else if (arg == "--clients") {
-      opts.arrival.num_clients = std::atoi(next().c_str());
-    } else if (arg == "--think-us") {
-      opts.arrival.think_time_us = std::atof(next().c_str());
-    } else if (arg == "--policy") {
-      if (!serve::ParseAdmissionPolicy(next(), &opts.scheduler.policy)) {
-        Usage();
-      }
-    } else if (arg == "--queue-capacity") {
-      opts.scheduler.queue_capacity = std::atoll(next().c_str());
-    } else if (arg == "--max-batch") {
-      opts.scheduler.max_batch_size = std::atoll(next().c_str());
-    } else if (arg == "--max-delay-us") {
-      opts.scheduler.max_queue_delay_us = std::atof(next().c_str());
-    } else if (arg == "--slo-us") {
-      opts.scheduler.slo_us = std::atof(next().c_str());
-    } else if (arg == "--arrivals") {
-      opts.arrivals_in = next();
-    } else if (arg == "--dump-arrivals") {
-      opts.dump_arrivals = next();
-    } else if (arg == "--stream") {
-      opts.stream_in = next();
-    } else if (arg == "--streams") {
-      opts.stream.num_streams = std::atoll(next().c_str());
-    } else if (arg == "--frame-period-us") {
-      opts.stream.frame_period_us = std::atof(next().c_str());
-    } else if (arg == "--frame-deadline-us") {
-      opts.stream.frame_deadline_us = std::atof(next().c_str());
-      deadline_set = true;
-    } else if (arg == "--drop-slo") {
-      opts.stream.drop_slo = std::atof(next().c_str());
-    } else if (arg == "--incremental") {
-      opts.stream.incremental = std::atoi(next().c_str()) != 0;
-    } else if (arg == "--rebuild-threshold") {
-      opts.stream.rebuild_threshold = std::atof(next().c_str());
-    } else if (arg == "--json") {
-      opts.report_json = next();
-    } else if (arg == "--trace") {
-      opts.trace_json = next();
-    } else if (arg == "--metrics") {
-      opts.metrics_json = next();
-    } else if (arg == "--timeline") {
-      opts.timeline_jsonl = next();
-    } else if (arg == "--incident") {
-      opts.incident_json = next();
-    } else if (arg == "--dump-requests") {
-      opts.dump_requests = next();
-    } else if (arg == "--telemetry-interval-us") {
-      opts.telemetry_interval_us = std::atof(next().c_str());
-    } else if (arg == "--slo-target") {
-      opts.slo_target = std::atof(next().c_str());
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
-    }
-  }
-  if (!deadline_set) {
-    opts.stream.frame_deadline_us = opts.stream.frame_period_us;
-  }
-  return opts;
-}
-
-DeviceConfig ParseGpu(const std::string& name) {
-  DeviceConfig device;
-  if (!DeviceConfigForPreset(name, &device)) {
-    std::fprintf(stderr, "unknown gpu: %s\n", name.c_str());
-    Usage();
-  }
-  return device;
-}
-
-Network ParseNetwork(const std::string& name) {
-  Network net;
-  if (!NetworkForPreset(name, &net)) {
-    std::fprintf(stderr, "unknown network: %s\n", name.c_str());
-    Usage();
-  }
-  return net;
-}
-
-EngineKind ParseEngine(const std::string& name) {
-  EngineKind kind = EngineKind::kMinuet;
-  if (!EngineKindForPreset(name, &kind)) {
-    std::fprintf(stderr, "unknown engine: %s\n", name.c_str());
-    Usage();
-  }
-  return kind;
-}
-
 std::vector<std::string> SplitCommaList(const std::string& list) {
   std::vector<std::string> parts;
   size_t begin = 0;
@@ -327,6 +111,109 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
   return parts;
 }
 
+FlagCommand Command(Options* o) {
+  serve::TraceConfig& a = o->arrival;
+  serve::SchedulerConfig& q = o->scheduler;
+  serve::StreamServeConfig& st = o->stream;
+  return {
+      "minuet_serve [flags]",
+      {{"gpu", "2070s|2080ti|3090|a100",
+        "serve on one device: the one-replica pool --pool PRESET (default 3090)",
+        Choice(DeviceConfigForPreset, &o->gpu)},
+       {"network", "unet42|resnet21|tiny", "network (default tiny)",
+        Choice(NetworkForPreset, &o->net)},
+       {"engine", "minuet|torchsparse|minkowski", "engine (default minuet)",
+        Choice(EngineKindForPreset, &o->engine)},
+       {"precision", "fp32|fp16", "arithmetic precision (default fp32)",
+        [o](const std::string& name) {
+          o->fp16 = name == "fp16";
+          return o->fp16 || name == "fp32";
+        }},
+       {"autotune", "0|1", "autotune Minuet's tiles on each replica (default 0)",
+        FlagBit{&o->autotune}},
+       {"pool", "2070s|2080ti|3090|a100[,...]",
+        "serve on a fleet of replicas, one per preset (overrides --gpu)",
+        [o](const std::string& list) {
+          o->pool.clear();
+          o->pool_list = list;
+          for (const std::string& preset : SplitCommaList(list)) {
+            DeviceConfig device;
+            if (!DeviceConfigForPreset(preset, &device)) {
+              return false;
+            }
+            o->pool.push_back(device);
+          }
+          return !o->pool.empty();
+        }},
+       {"routing", "round-robin|least-loaded|affinity|sjf-spillover",
+        "fleet router (default least-loaded)", Choice(serve::ParseRoutingPolicy, &o->routing)},
+       {"process", "poisson|mmpp|closed", "arrival process (default poisson)",
+        Choice(serve::ParseArrivalProcess, &a.process)},
+       {"rate", "RPS", "open-loop mean arrival rate", &a.rate_rps, FlagMin::kPositive},
+       {"requests", "N", "requests to serve", &a.num_requests, FlagMin::kZero},
+       {"seed", "N", "arrival and closed-loop client seed", &a.seed},
+       {"burst-mult", "M", "mmpp burst-state rate multiplier", &a.burst_multiplier,
+        FlagMin::kPositive},
+       {"base-dwell-us", "D", "mmpp mean dwell in the base state", &a.base_dwell_us,
+        FlagMin::kPositive},
+       {"burst-dwell-us", "D", "mmpp mean dwell in the burst state", &a.burst_dwell_us,
+        FlagMin::kPositive},
+       {"clients", "N", "closed-loop clients", &a.num_clients, FlagMin::kPositive},
+       {"think-us", "D", "closed-loop mean think time per client", &a.think_time_us,
+        FlagMin::kPositive},
+       {"policy", "fifo|sjf|priority", "admission policy (default fifo)",
+        Choice(serve::ParseAdmissionPolicy, &q.policy)},
+       {"queue-capacity", "N", "pending requests held; later arrivals are shed",
+        &q.queue_capacity, FlagMin::kZero},
+       {"max-batch", "N", "largest batch", &q.max_batch_size, FlagMin::kPositive},
+       {"max-delay-us", "D", "partial-batch dispatch timer", &q.max_queue_delay_us,
+        FlagMin::kZero},
+       {"slo-us", "S", "end-to-end latency target for goodput", &q.slo_us},
+       {"arrivals", "FILE", "replay a recorded arrival trace (overrides --process)",
+        &o->arrivals_in},
+       {"dump-arrivals", "FILE", "write the generated arrival trace and exit",
+        &o->dump_arrivals},
+       {"stream", "FILE",
+        "video-rate mode: replay a sequence trace (see minuet_dataset sequence)\n"
+        "as N closed-loop frame streams with incremental kernel maps; frames\n"
+        "whose execution cannot start within the deadline are dropped and the\n"
+        "stream's incremental chain rebuilds",
+        &o->stream_in},
+       {"streams", "N", "concurrent streams, pinned stream%replicas (default 1)",
+        &st.num_streams, FlagMin::kPositive},
+       {"frame-period-us", "P", "sensor frame period (default 100000 = 10 Hz)",
+        &st.frame_period_us, FlagMin::kPositive},
+       {"frame-deadline-us", "D", "max start delay before a frame is dropped (default P)",
+        &st.frame_deadline_us, FlagMin::kZero},
+       {"drop-slo", "F", "frames-dropped SLO as a fraction (default 0.01)", &st.drop_slo,
+        FlagMin::kZero},
+       {"incremental", "0|1", "0 = full rebuild every frame (ablation; default 1)",
+        FlagBit{&st.incremental}},
+       {"rebuild-threshold", "F", "churn fraction above which a frame full-rebuilds",
+        &st.rebuild_threshold, FlagMin::kZero},
+       {"json", "FILE",
+        "serving report (summary, per-request records, batches, embedded\n"
+        "device metrics): deterministic, diffable",
+        &o->report_json},
+       {"trace", "FILE", "Chrome trace with the serving-clock track (tid 2)", &o->trace_json},
+       {"metrics", "FILE", "metrics-registry snapshot (serve/* + device kernels)",
+        &o->metrics_json},
+       {"timeline", "FILE", "streaming telemetry timeline, one JSON window per line",
+        &o->timeline_jsonl},
+       {"incident", "FILE",
+        "flight-recorder incident dump (first firing alert, or a synthetic\n"
+        "run-end/SIGINT trigger when none fired)",
+        &o->incident_json},
+       {"dump-requests", "FILE",
+        "per-request causal phase traces, one JSON object per line (minuet_prof\n"
+        "explain reads this); recording is always on, the flag writes the file",
+        &o->dump_requests},
+       {"telemetry-interval-us", "W", "time-series window width (default 10000)",
+        &o->telemetry_interval_us, FlagMin::kPositive},
+       {"slo-target", "F", "burn-rate error budget target (default 0.999)", &o->slo_target,
+        FlagMin::kPositive}}};
+}
+
 // The engines a run serves on: one Prepare()d engine per device preset of
 // --pool, or of --gpu when --pool is absent (a one-replica pool).
 struct Deployment {
@@ -335,22 +222,19 @@ struct Deployment {
   std::vector<Engine*> raw;
 };
 
-Deployment BuildEngines(const Options& opts, const Network& net, EngineKind kind,
-                        uint64_t seed, bool autotune) {
-  const std::vector<std::string> presets =
-      opts.pool.empty() ? std::vector<std::string>{opts.gpu} : SplitCommaList(opts.pool);
-  if (presets.empty()) {
-    std::fprintf(stderr, "--pool needs at least one device preset\n");
-    Usage();
-  }
+Deployment BuildEngines(const Options& opts, uint64_t seed, bool autotune) {
+  const std::vector<DeviceConfig> devices =
+      opts.pool.empty() ? std::vector<DeviceConfig>{opts.gpu} : opts.pool;
+  const Network& net = opts.net;
+  const EngineKind kind = opts.engine;
   EngineConfig config;
   config.kind = kind;
   config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
   config.functional = false;  // serving measures time; skip the arithmetic
 
   Deployment d;
-  for (const std::string& preset : presets) {
-    d.engines.push_back(std::make_unique<Engine>(config, ParseGpu(preset)));
+  for (const DeviceConfig& device : devices) {
+    d.engines.push_back(std::make_unique<Engine>(config, device));
     Engine& engine = *d.engines.back();
     engine.Prepare(net, seed);
     if (autotune && kind == EngineKind::kMinuet) {
@@ -363,7 +247,7 @@ Deployment BuildEngines(const Options& opts, const Network& net, EngineKind kind
     d.raw.push_back(&engine);
   }
   // A lone replica is "the device" and goes by its DeviceConfig name.
-  d.context.device = presets.size() == 1 ? d.engines[0]->device().config().name : opts.pool;
+  d.context.device = devices.size() == 1 ? d.engines[0]->device().config().name : opts.pool_list;
   d.context.network = net.name;
   d.context.engine = EngineKindName(kind);
   d.context.precision = opts.fp16 ? "fp16" : "fp32";
@@ -428,9 +312,8 @@ bool WriteSinks(const Options& opts, const trace::Tracer& tracer,
 
 // Request mode: serve a generated or replayed arrival trace on the fleet.
 int FleetMain(Options opts) {
-  const Network net = ParseNetwork(opts.network);
-  Deployment d =
-      BuildEngines(opts, net, ParseEngine(opts.engine), opts.arrival.seed, opts.autotune);
+  const Network& net = opts.net;
+  Deployment d = BuildEngines(opts, opts.arrival.seed, opts.autotune);
 
   trace::Tracer tracer;
   if (!opts.trace_json.empty()) {
@@ -511,19 +394,18 @@ int StreamMain(const Options& opts) {
     std::fprintf(stderr, "could not read %s: %s\n", opts.stream_in.c_str(), error.c_str());
     return 1;
   }
-  if (opts.engine != "minuet") {
+  if (opts.engine != EngineKind::kMinuet) {
     std::fprintf(stderr, "--stream requires --engine minuet (incremental kernel maps)\n");
     return 2;
   }
-  const Network net = ParseNetwork(opts.network);
+  const Network& net = opts.net;
   if (net.in_channels != sequence.config.channels) {
     std::fprintf(stderr, "network %s expects %lld input channels; sequence has %lld\n",
                  net.name.c_str(), static_cast<long long>(net.in_channels),
                  static_cast<long long>(sequence.config.channels));
     return 2;
   }
-  Deployment d =
-      BuildEngines(opts, net, EngineKind::kMinuet, sequence.config.seed, /*autotune=*/false);
+  Deployment d = BuildEngines(opts, sequence.config.seed, /*autotune=*/false);
 
   trace::Tracer tracer;
   if (!opts.trace_json.empty()) {
@@ -576,7 +458,17 @@ int StreamMain(const Options& opts) {
 }
 
 int Main(int argc, char** argv) {
-  Options opts = Parse(argc, argv);
+  Options opts;
+  opts.stream.frame_deadline_us = -1.0;  // not given: one frame period
+  const FlagCommand command = Command(&opts);
+  const ParsedFlags parsed = ParseFlags(command, {argv + 1, argv + argc});
+  if (!parsed.ok()) {
+    return FlagExit(command, parsed);
+  }
+  opts.scheduler.seed = opts.arrival.seed;  // --seed sets both
+  if (opts.stream.frame_deadline_us < 0.0) {
+    opts.stream.frame_deadline_us = opts.stream.frame_period_us;
+  }
   if (!opts.stream_in.empty()) {
     return StreamMain(opts);
   }
