@@ -78,7 +78,7 @@ class Flags {
   FlagSpec Declare(Flag flag) {
     if (flag == Flag::kWarmup) {
       return {"warmup", "N", "unmeasured warm runs before the measured loop", &warmup_,
-              FlagMin::kZero};
+              FlagBound::kZero};
     }
     static constexpr const char* kFiles[][2] = {
         {"json", "mirror the printed table as a JSON report"},

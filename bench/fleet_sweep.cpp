@@ -136,7 +136,6 @@ void BenchPool(const Pool& pool, const Network& net, bench::JsonReport& report,
           load == 3.0) {
         serve::TelemetryConfig tcfg;
         tcfg.interval_us = 2.0 * service_us;
-        tcfg.dump_on_alert = false;  // this bench exports a timeline, not incidents
         telemetry = std::make_unique<serve::ServeTelemetry>(tcfg);
         fleet.AttachTelemetry(telemetry.get());
       }

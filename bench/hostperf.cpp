@@ -204,7 +204,6 @@ Scenario RunLaunchChurn(const char* name, int launches) {
 Scenario RunServeTelemetry(const char* name, bool attached, int64_t requests) {
   serve::TelemetryConfig tcfg;
   tcfg.interval_us = 1000.0;
-  tcfg.dump_on_alert = false;
   serve::ServeTelemetry telemetry(tcfg);
   serve::ServeTelemetry* t = attached ? &telemetry : nullptr;
   serve::SchedulerConfig sched;

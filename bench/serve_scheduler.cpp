@@ -117,7 +117,6 @@ void BenchDevice(const DeviceConfig& device, const Network& net, bench::JsonRepo
         // Scale the window to the deployment so the ~60-service-time run
         // spans a few dozen windows instead of one or two.
         tcfg.interval_us = 2.0 * service_us;
-        tcfg.dump_on_alert = false;  // this bench exports a timeline, not incidents
         telemetry = std::make_unique<serve::ServeTelemetry>(tcfg);
         scheduler.AttachTelemetry(telemetry.get());
       }

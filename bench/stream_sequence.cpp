@@ -87,7 +87,7 @@ double MapLevelRow(int64_t points, double churn, bench::JsonReport& report) {
   const double speedup = incr_ms > 0.0 ? full_ms / incr_ms : 0.0;
   bench::Row("%-8.2f %10lld %12.4f %12.4f %9.2fx %6lld/%lld", churn,
              static_cast<long long>(points), full_ms, incr_ms, speedup,
-             static_cast<long long>(incr_builder.frames_incremental()),
+             static_cast<long long>(incr_builder.chain().frames_incremental()),
              static_cast<long long>(steady_frames));
   report.AddRow();
   report.Set("table", std::string("map_build"));
@@ -96,8 +96,8 @@ double MapLevelRow(int64_t points, double churn, bench::JsonReport& report) {
   report.Set("full_sort_ms", full_ms);
   report.Set("delta_merge_ms", incr_ms);
   report.Set("speedup", speedup);
-  report.Set("frames_incremental", incr_builder.frames_incremental());
-  report.Set("frames_rebuilt", incr_builder.frames_rebuilt() - 1);  // minus frame 0
+  report.Set("frames_incremental", incr_builder.chain().frames_incremental());
+  report.Set("frames_rebuilt", incr_builder.chain().frames_rebuilt() - 1);  // minus frame 0
   return speedup;
 }
 
@@ -113,9 +113,7 @@ void EngineLevelRow(int64_t points, double churn, bool incremental,
   Engine engine(config, device_config);
   engine.Prepare(MakeTinyUNet(sequence.config.channels), sequence.config.seed);
 
-  SequenceSessionConfig session_config;
-  session_config.incremental = incremental;
-  SequenceSession session(engine, session_config);
+  SequenceSession session(engine, incremental);
 
   double total_cycles = 0.0;
   double map_cycles = 0.0;
@@ -139,8 +137,8 @@ void EngineLevelRow(int64_t points, double churn, bool incremental,
   bench::Row("%-14s %10lld %10.3f %10.4f %10.4f %8lld %8lld",
              incremental ? "incremental" : "full-sort", static_cast<long long>(points),
              frame_ms, map_ms, delta_ms,
-             static_cast<long long>(session.frames_incremental()),
-             static_cast<long long>(session.frames_rebuilt()));
+             static_cast<long long>(session.chain().frames_incremental()),
+             static_cast<long long>(session.chain().frames_rebuilt()));
   report.AddRow();
   report.Set("table", std::string("engine_frame"));
   report.Set("mode", std::string(incremental ? "incremental" : "full_sort"));
@@ -148,8 +146,8 @@ void EngineLevelRow(int64_t points, double churn, bool incremental,
   report.Set("frame_ms", frame_ms);
   report.Set("map_ms", map_ms);
   report.Set("map_delta_ms", delta_ms);
-  report.Set("frames_incremental", session.frames_incremental());
-  report.Set("frames_rebuilt", session.frames_rebuilt());
+  report.Set("frames_incremental", session.chain().frames_incremental());
+  report.Set("frames_rebuilt", session.chain().frames_rebuilt());
 }
 
 int Main(int argc, char** argv) {

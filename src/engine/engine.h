@@ -114,9 +114,6 @@ struct RunResult {
   std::vector<Coord3> coords;   // coordinates of the final activation
   StepBreakdown total;
   std::vector<LayerRecord> layers;
-  double TotalMillis(const DeviceConfig& config) const {
-    return config.CyclesToMillis(total.TotalCycles());
-  }
 };
 
 class Engine {

@@ -8,19 +8,15 @@
 
 namespace minuet {
 
-SequenceSession::SequenceSession(Engine& engine, const SequenceSessionConfig& config)
-    : engine_(&engine), config_(config), session_(engine) {
+SequenceSession::SequenceSession(Engine& engine, bool incremental)
+    : engine_(&engine), incremental_(incremental), session_(engine) {
   MINUET_CHECK(engine.config().kind == EngineKind::kMinuet &&
                engine.config().features.segmented_sorting)
       << "SequenceSession requires the sorted-map engine (incremental maps "
          "maintain the sorted coordinate array)";
-  MINUET_CHECK_GE(config.rebuild_threshold, 0.0);
 }
 
-void SequenceSession::ResetChain() {
-  keys_ = DeviceVector<uint64_t>();  // frees the device storage too
-  has_chain_ = false;
-}
+void SequenceSession::ResetChain() { chain_.Reset(); }
 
 FrameRunResult SequenceSession::RunFrame(const PointCloud& cloud) {
   ResetChain();
@@ -30,42 +26,31 @@ FrameRunResult SequenceSession::RunFrame(const PointCloud& cloud) {
 FrameRunResult SequenceSession::RunFrame(const PointCloud& cloud, const Coord3& motion,
                                          std::span<const Coord3> deleted,
                                          std::span<const Coord3> inserted) {
-  std::vector<uint64_t> expected = PackCoords(cloud.coords);
+  const std::vector<uint64_t> expected = PackCoords(cloud.coords);
   MINUET_CHECK(std::is_sorted(expected.begin(), expected.end()))
       << "sequence frames must arrive key-sorted";
 
-  const int64_t n = static_cast<int64_t>(keys_.size());
-  const int64_t growth = static_cast<int64_t>(std::max(deleted.size(), inserted.size()));
-  FrameRunResult result;
-  if (!has_chain_ || n == 0) {
-    result.churn = growth > 0 || !has_chain_ ? 1.0 : 0.0;
+  Device& device = engine_->device();
+  ChainStep step;
+  if (incremental_) {
+    step = chain_.Advance(device, PackDelta(motion), PackCoords(deleted), PackCoords(inserted),
+                          expected);
   } else {
-    result.churn = static_cast<double>(growth) / static_cast<double>(n);
+    chain_.Adopt(device, expected);
   }
-
-  if (config_.incremental && has_chain_ && result.churn <= config_.rebuild_threshold) {
-    KernelStats delta = ChargeDeltaMerge(engine_->device(), keys_, PackDelta(motion),
-                                         PackCoords(deleted), PackCoords(inserted));
-    MINUET_CHECK(std::ranges::equal(keys_, expected))
-        << "incremental merge diverged from the frame's key set (was the "
-           "delta not derived from the previous RunFrame cloud?)";
-    auto root = std::make_shared<CoordLevel>();
-    root->tensor_stride = 1;
-    root->coords = cloud.coords;
-    root->keys = keys_;
-    result.run =
-        session_.RunIncremental(cloud, std::move(root), delta.cycles, delta.num_launches);
-    result.incremental = true;
-    ++frames_incremental_;
+  FrameRunResult result;
+  if (!step.incremental) {
+    // Full path: the engine charges its own input sort.
+    result.run = session_.Run(cloud);
     return result;
   }
-
-  // Full path: the engine charges its own input sort; adopt the frame's keys
-  // as the new chain state.
-  keys_ = ToDevice(engine_->device().memory(), expected);
-  has_chain_ = true;
-  result.run = session_.Run(cloud);
-  ++frames_rebuilt_;
+  auto root = std::make_shared<CoordLevel>();
+  root->tensor_stride = 1;
+  root->coords = cloud.coords;
+  root->keys = chain_.keys();
+  result.run = session_.RunIncremental(cloud, std::move(root), step.delta_stats.cycles,
+                                       step.delta_stats.num_launches);
+  result.incremental = true;
   return result;
 }
 

@@ -5,17 +5,18 @@
 // A video stream never repeats exactly — every frame's coordinates drift —
 // but frame t is frame t-1 under a rigid motion plus small churn, so the
 // sorted stride-1 root that the Minuet engine needs can be *maintained*
-// instead of re-sorted: SequenceSession keeps the previous frame's sorted key
-// array, advances it with the delta-merge kernels (src/map/incremental.h),
-// and hands the resulting root to the engine through SessionCtx. The input
-// radix sort — the dominant per-frame map-build cost — drops out; the far
-// cheaper maintenance cost is attributed to StepBreakdown::map_delta so the
-// serving layer can blame map reuse (and its misses) explicitly.
+// instead of re-sorted: SequenceSession holds a SortedKeyChain
+// (src/map/incremental.h), which advances the previous frame's sorted key
+// array with the delta-merge kernels, and hands the resulting root to the
+// engine through SessionCtx. The input radix sort — the dominant per-frame
+// map-build cost — drops out; the far cheaper maintenance cost is attributed
+// to StepBreakdown::map_delta so the serving layer can blame map reuse (and
+// its misses) explicitly.
 //
 // The chain breaks on the first frame, after ResetChain() (e.g. the serving
 // loop dropped a frame and the retained state no longer matches), or when
-// churn exceeds the rebuild threshold; those frames take the full path and
-// count as frames_rebuilt() — the "map reuse miss" counter.
+// churn exceeds kRebuildChurn; those frames take the full path and count as
+// chain().frames_rebuilt() — the "map reuse miss" counter.
 //
 // Correctness invariant, CHECK-enforced every frame: the maintained root is
 // bit-identical to what sorting the frame from scratch would produce, so
@@ -33,24 +34,16 @@
 
 namespace minuet {
 
-struct SequenceSessionConfig {
-  // false: every frame pays the full input sort (the comparison baseline —
-  // identical results, different charges).
-  bool incremental = true;
-  // Churn fraction max(deleted, inserted) / previous size above which the
-  // frame takes the full path.
-  double rebuild_threshold = 0.5;
-};
-
 struct FrameRunResult {
   RunResult run;
   bool incremental = false;  // delta path taken for this frame
-  double churn = 0.0;        // max(deleted, inserted) / previous size
 };
 
 class SequenceSession {
  public:
-  explicit SequenceSession(Engine& engine, const SequenceSessionConfig& config = {});
+  // incremental=false: every frame pays the full input sort (the comparison
+  // baseline — identical results, different charges).
+  explicit SequenceSession(Engine& engine, bool incremental = true);
 
   // Runs one frame. `cloud` must be key-sorted; `motion`/`deleted`/`inserted`
   // describe its derivation from the cloud of the previous RunFrame call
@@ -68,20 +61,14 @@ class SequenceSession {
   // Drops the retained key array; the next frame rebuilds from scratch.
   void ResetChain();
 
-  bool has_chain() const { return has_chain_; }
-  int64_t frames_incremental() const { return frames_incremental_; }
-  int64_t frames_rebuilt() const { return frames_rebuilt_; }
+  const SortedKeyChain& chain() const { return chain_; }
   RunSession& session() { return session_; }
-  const SequenceSessionConfig& config() const { return config_; }
 
  private:
   Engine* engine_;
-  SequenceSessionConfig config_;
+  bool incremental_;
   RunSession session_;
-  DeviceVector<uint64_t> keys_;  // previous frame's sorted key array
-  bool has_chain_ = false;
-  int64_t frames_incremental_ = 0;
-  int64_t frames_rebuilt_ = 0;
+  SortedKeyChain chain_;  // the previous frame's sorted key array
 };
 
 }  // namespace minuet

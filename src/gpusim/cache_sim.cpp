@@ -71,7 +71,6 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   MINUET_CHECK_GT(ways, 0);
   MINUET_CHECK_GT(line_bytes, 0);
   MINUET_CHECK(std::has_single_bit(static_cast<unsigned>(line_bytes)));
-  line_shift_ = std::countr_zero(static_cast<unsigned>(line_bytes));
   size_t lines = capacity_bytes / static_cast<size_t>(line_bytes);
   MINUET_CHECK_GE(lines, static_cast<size_t>(ways));
   num_sets_ = lines / static_cast<size_t>(ways);

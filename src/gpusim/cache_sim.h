@@ -35,18 +35,8 @@ class CacheSim {
   CacheSim(CacheSim&&) = default;
   CacheSim& operator=(CacheSim&&) = default;
 
-  // Touches the line containing byte address `addr`. Returns true on hit.
-  bool Access(uint64_t addr) { return AccessLine(addr >> line_shift_); }
-
-  // Touches line `line` (= addr >> log2(line_bytes), below kEmpty) directly.
-  // Identical hit/miss behaviour to Access().
-  bool AccessLine(uint64_t line) {
-    const uint32_t tag = static_cast<uint32_t>(line);
-    return AccessLines({&tag, 1}) != 0;
-  }
-
-  // Touches every line of `lines` (each below kEmpty) in order, making the
-  // same updates as that many AccessLine calls, and returns how many hit.
+  // Touches every line of `lines` (each = addr >> log2(line_bytes), below
+  // kEmpty) in order, and returns how many hit.
   // The device records each block's post-L1 lines and walks them here, so
   // the per-line work is one tight loop over a buffer.
   uint64_t AccessLines(std::span<const uint32_t> lines);
@@ -98,7 +88,6 @@ class CacheSim {
   bool sixteen_way_avx2_ = false;
   int ways_;
   int line_bytes_;
-  int line_shift_;
   // The tags, num_sets_ x ways_ with the most recent first, start at the
   // first 64-byte boundary in storage_. An ordinary allocation with slack
   // rather than an aligned operator new, which under glibc raised the peak

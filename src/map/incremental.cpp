@@ -164,30 +164,68 @@ KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint6
   return stats;
 }
 
-IncrementalMapBuilder::IncrementalMapBuilder(const IncrementalMapConfig& config)
-    : config_(config), inner_(config.map) {
-  MINUET_CHECK_GE(config.rebuild_threshold, 0.0);
+ChainStep SortedKeyChain::Advance(Device& device, uint64_t motion_delta,
+                                  std::span<const uint64_t> deleted,
+                                  std::span<const uint64_t> inserted,
+                                  std::span<const uint64_t> keys) {
+  const int64_t n = static_cast<int64_t>(keys_.size());
+  const int64_t growth = static_cast<int64_t>(std::max(deleted.size(), inserted.size()));
+  ChainStep step;
+  if (!chained_ || n == 0) {
+    step.churn = growth > 0 || !chained_ ? 1.0 : 0.0;
+  } else {
+    step.churn = static_cast<double>(growth) / static_cast<double>(n);
+  }
+  if (!chained_ || step.churn > kRebuildChurn) {
+    Adopt(device, keys);
+    return step;
+  }
+
+  step.incremental = true;
+  step.delta_stats = ChargeDeltaMerge(device, keys_, motion_delta, deleted, inserted);
+  ++frames_incremental_;
+  // The correctness invariant: the maintained array IS the frame's sorted key
+  // array, bit for bit; everything derived from it follows.
+  MINUET_CHECK(std::ranges::equal(keys_, keys))
+      << "incremental merge diverged from the frame's key set (was the delta not "
+         "derived from the previous frame?)";
+  return step;
 }
 
-void IncrementalMapBuilder::Reset() {
+void SortedKeyChain::Adopt(Device& device, std::span<const uint64_t> keys) {
+  keys_ = ToDevice(device.memory(), keys);
+  chained_ = true;
+  ++frames_rebuilt_;
+}
+
+void SortedKeyChain::Reset() {
   keys_ = DeviceVector<uint64_t>();  // frees the device storage too
-  has_state_ = false;
+  chained_ = false;
+}
+
+KernelStats IncrementalMapBuilder::SortKeys(Device& device) {
+  DeviceVector<uint64_t>& keys = chain_.keys();
+  if (keys.empty()) {
+    return {};
+  }
+  DeviceVector<uint32_t> vals(keys.size(), device.memory());
+  std::iota(vals.begin(), vals.end(), 0u);
+  return RadixSortCoordPairs(device, keys, vals).kernels;
+}
+
+MapBuildResult IncrementalMapBuilder::BuildMap(Device& device, std::span<const Coord3> offsets) {
+  const DeviceVector<uint64_t>& keys = chain_.keys();
+  return inner_.Build(
+      device, MapBuildInput{keys, keys, offsets, /*source_sorted=*/true, /*output_sorted=*/true});
 }
 
 IncrementalBuildResult IncrementalMapBuilder::BuildFull(Device& device,
                                                         std::span<const uint64_t> keys,
                                                         std::span<const Coord3> offsets) {
+  chain_.Adopt(device, keys);
   IncrementalBuildResult result;
-  keys_ = ToDevice(device.memory(), keys);
-  if (!keys_.empty()) {
-    DeviceVector<uint32_t> vals(keys_.size(), device.memory());
-    std::iota(vals.begin(), vals.end(), 0u);
-    result.delta_stats = RadixSortCoordPairs(device, keys_, vals).kernels;
-  }
-  has_state_ = true;
-  ++frames_rebuilt_;
-  result.map = inner_.Build(
-      device, MapBuildInput{keys_, keys_, offsets, /*source_sorted=*/true, /*output_sorted=*/true});
+  result.delta_stats = SortKeys(device);
+  result.map = BuildMap(device, offsets);
   return result;
 }
 
@@ -196,36 +234,12 @@ IncrementalBuildResult IncrementalMapBuilder::BuildDelta(Device& device, uint64_
                                                          std::span<const uint64_t> inserted,
                                                          std::span<const uint64_t> expected_keys,
                                                          std::span<const Coord3> offsets) {
-  const int64_t n = static_cast<int64_t>(keys_.size());
-  const int64_t growth = static_cast<int64_t>(std::max(deleted.size(), inserted.size()));
-  double churn = 0.0;
-  if (!has_state_ || n == 0) {
-    churn = growth > 0 || !has_state_ ? 1.0 : 0.0;
-  } else {
-    churn = static_cast<double>(growth) / static_cast<double>(n);
-  }
-  if (!has_state_ || churn > config_.rebuild_threshold) {
-    IncrementalBuildResult result = BuildFull(device, expected_keys, offsets);
-    result.churn = churn;
-    return result;
-  }
-
+  const ChainStep step = chain_.Advance(device, motion_delta, deleted, inserted, expected_keys);
   IncrementalBuildResult result;
-  result.incremental = true;
-  result.churn = churn;
-  result.delta_stats =
-      ChargeDeltaMerge(device, keys_, motion_delta, deleted, inserted);
-  ++frames_incremental_;
-
-  // The correctness invariant: the maintained array IS the frame's sorted key
-  // array, bit for bit; everything the map build derives from it follows.
-  MINUET_CHECK_EQ(keys_.size(), expected_keys.size())
-      << "incremental merge diverged from the frame's key set";
-  MINUET_CHECK(std::equal(keys_.begin(), keys_.end(), expected_keys.begin()))
-      << "incremental merge diverged from the frame's key set";
-
-  result.map = inner_.Build(
-      device, MapBuildInput{keys_, keys_, offsets, /*source_sorted=*/true, /*output_sorted=*/true});
+  result.incremental = step.incremental;
+  result.churn = step.churn;
+  result.delta_stats = step.incremental ? step.delta_stats : SortKeys(device);
+  result.map = BuildMap(device, offsets);
   return result;
 }
 

@@ -12,15 +12,16 @@
 //   * churn:        deletions and insertions are tiny sorted lists, folded in
 //                   with one linear merge pass.
 //
-// IncrementalMapBuilder persists the sorted key array across frames and
-// charges exactly those kernels (map/delta/rebias, map/delta/sort_inserts,
-// map/delta/merge) instead of the full sort; map building itself is delegated
-// to MinuetMapBuilder with source_sorted/output_sorted set, so the
-// MapBuildResult is bit-identical to a from-scratch build over the same
-// (sorted) coordinates — the correctness invariant, CHECK-enforced against
-// the caller-supplied expected key array every frame. Past a churn threshold
-// the delta pass stops paying for itself and the builder falls back to the
-// full rebuild.
+// SortedKeyChain persists the sorted key array across frames and is the one
+// place that decides, per frame, whether the delta kernels
+// (map/delta/rebias, map/delta/sort_inserts, map/delta/merge) maintain it or
+// the frame starts over: past kRebuildChurn the delta pass stops paying for
+// itself. Every delta frame is CHECK-verified bit-identical to the frame's
+// own sorted key array, so whatever is derived from the array is the same
+// either way. Its two users keep only what differs between them:
+// IncrementalMapBuilder charges the full coordinate sort on a rebuild and
+// builds the map with MinuetMapBuilder (source_sorted/output_sorted set);
+// the engine's SequenceSession hands the array to the engine as its root.
 #ifndef SRC_MAP_INCREMENTAL_H_
 #define SRC_MAP_INCREMENTAL_H_
 
@@ -32,11 +33,47 @@
 
 namespace minuet {
 
-struct IncrementalMapConfig {
-  MinuetMapConfig map;
-  // Churn fraction max(deleted, inserted) / previous size above which the
-  // delta merge is abandoned for a full re-sort.
-  double rebuild_threshold = 0.5;
+// Churn fraction max(deleted, inserted) / previous size up to which a frame
+// takes the delta path; above it the frame rebuilds.
+inline constexpr double kRebuildChurn = 0.5;
+
+// What advancing the chain by one frame did.
+struct ChainStep {
+  bool incremental = false;  // delta path taken
+  double churn = 0.0;        // max(deleted, inserted) / previous size
+  KernelStats delta_stats;   // the delta kernels; empty on a rebuild
+};
+
+class SortedKeyChain {
+ public:
+  // Advances the retained array to the frame whose true sorted key array is
+  // `keys`. With a retained array and churn <= kRebuildChurn: rebias by
+  // `motion_delta` (PackDelta of the rigid motion; caller guarantees no voxel
+  // leaves the lattice), drop `deleted`, fold in `inserted` (both sorted
+  // post-motion key lists) and CHECK the result against `keys`. Otherwise
+  // Adopt(keys). With no retained array, or an empty one that grows, churn
+  // is 1.0.
+  ChainStep Advance(Device& device, uint64_t motion_delta, std::span<const uint64_t> deleted,
+                    std::span<const uint64_t> inserted, std::span<const uint64_t> keys);
+
+  // Rebuild: copies `keys` to the device as the retained array and counts a
+  // rebuilt frame.
+  void Adopt(Device& device, std::span<const uint64_t> keys);
+
+  // Drops the retained array; the next frame rebuilds.
+  void Reset();
+
+  bool chained() const { return chained_; }
+  const DeviceVector<uint64_t>& keys() const { return keys_; }
+  DeviceVector<uint64_t>& keys() { return keys_; }
+  int64_t frames_incremental() const { return frames_incremental_; }
+  int64_t frames_rebuilt() const { return frames_rebuilt_; }
+
+ private:
+  DeviceVector<uint64_t> keys_;
+  bool chained_ = false;
+  int64_t frames_incremental_ = 0;
+  int64_t frames_rebuilt_ = 0;
 };
 
 struct IncrementalBuildResult {
@@ -52,20 +89,13 @@ struct IncrementalBuildResult {
 
 class IncrementalMapBuilder {
  public:
-  explicit IncrementalMapBuilder(const IncrementalMapConfig& config = {});
-
   // Adopts `keys` as the new frame (need not be sorted), charging the full
-  // coordinate sort. Used for frame 0 and as the high-churn fallback.
+  // coordinate sort. Used for frame 0 and by the full-sort comparison.
   IncrementalBuildResult BuildFull(Device& device, std::span<const uint64_t> keys,
                                    std::span<const Coord3> offsets);
 
-  // Advances the retained array by one frame: rebias by `motion_delta`
-  // (PackDelta of the rigid motion; caller guarantees no voxel leaves the
-  // lattice), drop `deleted`, fold in `inserted` (both sorted post-motion key
-  // lists), then build the map. `expected_keys` is the frame's true sorted
-  // key array; the merged state is CHECK-verified against it. Falls back to
-  // BuildFull(expected_keys) when there is no retained state or the churn
-  // exceeds the threshold.
+  // Advances the chain by one frame (SortedKeyChain::Advance), charging the
+  // full coordinate sort when it rebuilds, then builds the map.
   IncrementalBuildResult BuildDelta(Device& device, uint64_t motion_delta,
                                     std::span<const uint64_t> deleted,
                                     std::span<const uint64_t> inserted,
@@ -73,27 +103,21 @@ class IncrementalMapBuilder {
                                     std::span<const Coord3> offsets);
 
   // Drops the retained array; the next build must be full.
-  void Reset();
+  void Reset() { chain_.Reset(); }
 
-  bool has_state() const { return has_state_; }
-  std::span<const uint64_t> keys() const { return keys_; }
-  int64_t frames_incremental() const { return frames_incremental_; }
-  int64_t frames_rebuilt() const { return frames_rebuilt_; }
-  const IncrementalMapConfig& config() const { return config_; }
+  const SortedKeyChain& chain() const { return chain_; }
 
  private:
-  IncrementalMapConfig config_;
+  // Charges the full coordinate sort of the adopted array, sorting it in place.
+  KernelStats SortKeys(Device& device);
+  MapBuildResult BuildMap(Device& device, std::span<const Coord3> offsets);
+
+  SortedKeyChain chain_;
   MinuetMapBuilder inner_;
-  DeviceVector<uint64_t> keys_;
-  bool has_state_ = false;
-  int64_t frames_incremental_ = 0;
-  int64_t frames_rebuilt_ = 0;
 };
 
 // The delta maintenance kernels alone (no map build): rebias `keys` by
-// `motion_delta`, then merge out `deleted` and in `inserted`. Exposed for the
-// engine's sequence session, which owns its own coordinate levels and only
-// needs the sorted-array maintenance + its simulated cost. `keys` lives in
+// `motion_delta`, then merge out `deleted` and in `inserted`. `keys` lives in
 // `device`'s memory; the delta lists are copied in.
 KernelStats ChargeDeltaMerge(Device& device, DeviceVector<uint64_t>& keys, uint64_t motion_delta,
                              std::span<const uint64_t> deleted,

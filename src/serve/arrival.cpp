@@ -76,12 +76,9 @@ std::vector<RequestShape> DefaultShapes() {
   return shapes;
 }
 
-RequestSampler::RequestSampler(const TraceConfig& config)
-    : shapes_(config.shapes.empty() ? DefaultShapes() : config.shapes) {
-  MINUET_CHECK(!shapes_.empty());
+RequestSampler::RequestSampler() : shapes_(DefaultShapes()) {
   double total = 0.0;
   for (const RequestShape& shape : shapes_) {
-    MINUET_CHECK_GT(shape.weight, 0.0) << "shape weights must be positive";
     total += shape.weight;
   }
   cumulative_.reserve(shapes_.size());
@@ -118,7 +115,7 @@ std::vector<Request> GenerateArrivalTrace(const TraceConfig& config) {
   MINUET_CHECK_GT(config.rate_rps, 0.0);
   MINUET_CHECK_GE(config.num_requests, 0);
 
-  RequestSampler sampler(config);
+  RequestSampler sampler;
   // Independent streams for arrival timing and body sampling, so adding a
   // shape never perturbs the arrival pattern.
   Pcg32 timing_rng(config.seed, /*stream=*/0x5e71fe);

@@ -59,24 +59,20 @@ struct TraceConfig {
   // Closed loop.
   int num_clients = 4;
   double think_time_us = 1000.0;  // mean think time per client
-  // Request population; empty means DefaultShapes().
-  std::vector<RequestShape> shapes;
 };
 
-// The default population: a small/medium/large mix of kRandom clouds, one
+// The request population: a small/medium/large mix of kRandom clouds, one
 // priority class, one batch class.
 std::vector<RequestShape> DefaultShapes();
 
-// Weighted shape sampling shared by the open-loop generator and the
-// scheduler's closed-loop clients.
+// Weighted sampling from DefaultShapes(), shared by the open-loop generator
+// and the scheduler's closed-loop clients.
 class RequestSampler {
  public:
-  explicit RequestSampler(const TraceConfig& config);
+  RequestSampler();
 
   // Fills everything but arrival/client from the shape population.
   Request Sample(int64_t id, double arrival_us, Pcg32& rng) const;
-
-  const std::vector<RequestShape>& shapes() const { return shapes_; }
 
  private:
   std::vector<RequestShape> shapes_;

@@ -265,7 +265,7 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
   // pool is fleet-wide — clients do not pin to replicas; the router decides.
   Pcg32 timing_rng(closed != nullptr ? closed->seed : 0, /*stream=*/0x5e73aa);
   Pcg32 body_rng(closed != nullptr ? closed->seed : 0, /*stream=*/0x5e73bb);
-  RequestSampler sampler(closed != nullptr ? *closed : TraceConfig{});
+  RequestSampler sampler;
   int64_t issued = 0;
   auto issue = [&](int client, int64_t not_before_ns) {
     if (closed == nullptr || issued >= closed->num_requests) {

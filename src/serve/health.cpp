@@ -79,16 +79,12 @@ std::string AlertJson(const AlertEvent& alert) {
   return w.TakeString();
 }
 
-HealthEngine::HealthEngine(const HealthConfig& config, int num_devices,
-                           int64_t queue_capacity, double interval_us)
-    : config_(config),
-      num_devices_(num_devices),
+HealthEngine::HealthEngine(int num_devices, int64_t queue_capacity, double interval_us)
+    : num_devices_(num_devices),
       queue_capacity_(queue_capacity),
       interval_us_(interval_us) {
   MINUET_CHECK_GT(num_devices, 0);
   MINUET_CHECK_GT(interval_us, 0.0);
-  MINUET_CHECK_GT(config_.slo_target, 0.0);
-  MINUET_CHECK_LT(config_.slo_target, 1.0);
   history_.resize(static_cast<size_t>(NumScopes()));
   firing_.assign(static_cast<size_t>(NumScopes()), std::vector<bool>(kNumBurnRules, false));
   states_.assign(static_cast<size_t>(num_devices), HealthState::kHealthy);
@@ -106,7 +102,7 @@ double HealthEngine::BurnRate(int device, int windows) const {
   if (finished <= 0.0) {
     return 0.0;
   }
-  return (bad / finished) / (1.0 - config_.slo_target);
+  return (bad / finished) / (1.0 - kSloTarget);
 }
 
 void HealthEngine::OnWindow(const trace::TimeWindow& window, std::vector<AlertEvent>* out) {

@@ -4,12 +4,12 @@
 // (src/trace/timeseries.h); this engine consumes each closed window, in
 // order, and turns the per-window counters into operator-facing signals:
 //
-//   Burn rate. An SLO target of 0.999 leaves an error budget of 0.1% of
-//   requests. The burn rate of a sliding window is how fast that budget is
-//   being spent relative to plan:
+//   Burn rate. The SLO target, kSloTarget = 0.999, leaves an error budget
+//   of 0.1% of requests. The burn rate of a sliding window is how fast that
+//   budget is being spent relative to plan:
 //
 //       bad_fraction = (finished - slo_ok) / finished    over the window
-//       burn         = bad_fraction / (1 - slo_target)
+//       burn         = bad_fraction / (1 - kSloTarget)
 //
 //   where finished counts completions *and* sheds (a shed request missed its
 //   SLO by any reasonable definition). burn == 1 means exactly on budget;
@@ -51,9 +51,8 @@ enum class HealthState { kHealthy, kDegraded, kSaturated };
 
 const char* HealthStateName(HealthState state);
 
-struct HealthConfig {
-  double slo_target = 0.999;  // fraction of finished requests inside SLO
-};
+// Fraction of finished requests that must land inside the SLO.
+inline constexpr double kSloTarget = 0.999;
 
 // A first-class timestamped event in the deterministic serving event
 // stream: a burn-rate rule firing/resolving or a replica health transition.
@@ -76,8 +75,7 @@ class HealthEngine {
  public:
   // `num_devices` replicas; `queue_capacity` and `interval_us` scale the
   // queue-fraction and utilization thresholds.
-  HealthEngine(const HealthConfig& config, int num_devices, int64_t queue_capacity,
-               double interval_us);
+  HealthEngine(int num_devices, int64_t queue_capacity, double interval_us);
 
   // Consumes the next closed window (must be fed densely, ascending) and
   // appends any alert edges to *out in deterministic order.
@@ -97,7 +95,6 @@ class HealthEngine {
   int NumScopes() const { return 1 + num_devices_; }
   void Evaluate(const trace::TimeWindow& window, std::vector<AlertEvent>* out);
 
-  HealthConfig config_;
   int num_devices_;
   int64_t queue_capacity_;
   double interval_us_;

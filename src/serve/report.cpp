@@ -245,7 +245,7 @@ std::string StreamReportJson(const StreamServeResult& result,
   w.KV("frame_deadline_us", result.config.frame_deadline_us);
   w.KV("drop_slo", result.config.drop_slo);
   w.KV("incremental", result.config.incremental);
-  w.KV("rebuild_threshold", result.config.rebuild_threshold);
+  w.KV("rebuild_threshold", kRebuildChurn);
   w.EndObject();
 
   WriteSummary(w, result.summary.serve);

@@ -24,14 +24,11 @@ StreamScheduler::StreamScheduler(std::vector<Engine*> engines,
     MINUET_CHECK_EQ(engine->network().in_channels, engines_[0]->network().in_channels)
         << "stream replicas must share an input-channel count";
   }
-  SequenceSessionConfig session_config;
-  session_config.incremental = config.incremental;
-  session_config.rebuild_threshold = config.rebuild_threshold;
   for (int64_t s = 0; s < config.num_streams; ++s) {
     Stream stream;
     stream.device = static_cast<int>(s % static_cast<int64_t>(engines_.size()));
     stream.session = std::make_unique<SequenceSession>(
-        *engines_[static_cast<size_t>(stream.device)], session_config);
+        *engines_[static_cast<size_t>(stream.device)], config.incremental);
     streams_.push_back(std::move(stream));
   }
 }

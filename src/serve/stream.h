@@ -70,7 +70,6 @@ struct StreamServeConfig {
   // false: every frame pays the full input sort — the ablation baseline with
   // identical simulated results and different charges.
   bool incremental = true;
-  double rebuild_threshold = 0.5;  // SequenceSessionConfig::rebuild_threshold
 };
 
 // Per-stream accounting over one run.

@@ -26,13 +26,13 @@ void ServeTelemetry::BeginRun(int num_devices, const SchedulerConfig& scheduler)
       << "a ServeTelemetry instance covers exactly one run: its windows and "
       << "alert state are cumulative and cannot restart from clock zero";
   num_devices_ = num_devices;
-  health_ = std::make_unique<HealthEngine>(config_.health, num_devices,
-                                           scheduler.queue_capacity, config_.interval_us);
+  health_ = std::make_unique<HealthEngine>(num_devices, scheduler.queue_capacity,
+                                           config_.interval_us);
   JsonWriter w;
   w.BeginObject();
   w.KV("num_devices", static_cast<int64_t>(num_devices));
   w.KV("interval_us", config_.interval_us);
-  w.KV("slo_target", config_.health.slo_target);
+  w.KV("slo_target", kSloTarget);
   w.KV("policy", AdmissionPolicyName(scheduler.policy));
   w.KV("queue_capacity", scheduler.queue_capacity);
   w.KV("max_batch_size", scheduler.max_batch_size);
@@ -59,7 +59,7 @@ void ServeTelemetry::IngestClosed(size_t begin, size_t end) {
       event.id = edge.window;
       event.value = edge.firing ? 1.0 : 0.0;
       recorder_.RecordEvent(std::move(event));
-      if (edge.firing && config_.dump_on_alert && incident_json_.empty()) {
+      if (edge.firing && incident_json_.empty()) {
         incident_json_ = recorder_.IncidentJson(edge, config_json_);
       }
       alerts_.push_back(std::move(edge));

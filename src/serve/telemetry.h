@@ -17,7 +17,7 @@
 // before the event at t is processed: windows close on clock boundaries,
 // each closed window feeds the health engine, and any alert edges join the
 // run's deterministic event stream (and the flight ring). The first firing
-// alert freezes the recorder into `incident_json` when dump_on_alert is set.
+// alert freezes the recorder into `incident_json`.
 //
 // Stop requests: RequestStop() is async-signal-safe (one relaxed atomic
 // store), so a SIGINT handler may call it. The scheduler polls
@@ -49,8 +49,6 @@ struct SchedulerConfig;
 
 struct TelemetryConfig {
   double interval_us = 10000.0;  // time-series window width
-  HealthConfig health;
-  bool dump_on_alert = true;     // freeze incident_json at the first firing alert
 };
 
 class ServeTelemetry {
@@ -90,8 +88,7 @@ class ServeTelemetry {
   const trace::TimeSeriesRegistry& series() const { return series_; }
   const FlightRecorder& recorder() const { return recorder_; }
   const std::vector<AlertEvent>& alerts() const { return alerts_; }
-  // Incident frozen at the first firing alert; empty when none fired (or
-  // dump_on_alert is off).
+  // Incident frozen at the first firing alert; empty when none fired.
   const std::string& incident_json() const { return incident_json_; }
   // Incident with a synthetic trigger ("sigint", "run_end", ...) over the
   // rings as they stand now.

@@ -88,7 +88,6 @@ class MetricsRegistry {
   bool HasCounter(const std::string& name) const { return counters_.count(name) != 0; }
   bool HasGauge(const std::string& name) const { return gauges_.count(name) != 0; }
   bool HasLabel(const std::string& name) const { return labels_.count(name) != 0; }
-  bool HasHistogram(const std::string& name) const { return histograms_.count(name) != 0; }
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }

@@ -121,11 +121,6 @@ const GaugeWindow* TimeWindow::Gauge(const std::string& name) const {
   return it == gauges.end() ? nullptr : &it->second;
 }
 
-const WindowDigest* TimeWindow::Dist(const std::string& name) const {
-  auto it = dists.find(name);
-  return it == dists.end() ? nullptr : &it->second;
-}
-
 double TimeWindow::CounterOr(const std::string& name, double fallback) const {
   const double* value = Counter(name);
   return value != nullptr ? *value : fallback;

@@ -101,7 +101,6 @@ struct TimeWindow {
 
   const double* Counter(const std::string& name) const;
   const GaugeWindow* Gauge(const std::string& name) const;
-  const WindowDigest* Dist(const std::string& name) const;
   // Counter value or 0.0 when the series did not record in this window.
   double CounterOr(const std::string& name, double fallback) const;
 };

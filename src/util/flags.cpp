@@ -10,9 +10,9 @@
 namespace minuet {
 namespace {
 
-// The whole of `text` as a T of at least `min`.
+// The whole of `text` as a T within `bound`.
 template <typename T>
-bool ParseNumber(const std::string& text, FlagMin min, T* out) {
+bool ParseNumber(const std::string& text, FlagBound bound, T* out) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
@@ -25,8 +25,9 @@ bool ParseNumber(const std::string& text, FlagMin min, T* out) {
     }
   }
   const double signed_value = static_cast<double>(value);
-  if ((min == FlagMin::kZero && signed_value < 0) ||
-      (min == FlagMin::kPositive && signed_value <= 0)) {
+  if ((bound == FlagBound::kZero && signed_value < 0) ||
+      (bound == FlagBound::kPositive && signed_value <= 0) ||
+      (bound == FlagBound::kFraction && (signed_value < 0 || signed_value > 1))) {
     return false;
   }
   *out = value;
@@ -41,16 +42,16 @@ bool Set(const FlagSpec& flag, const std::string& value) {
     return true;
   }
   if (auto* const* i = std::get_if<int*>(&flag.target)) {
-    return ParseNumber(value, flag.min, *i);
+    return ParseNumber(value, flag.bound, *i);
   }
   if (auto* const* i = std::get_if<int64_t*>(&flag.target)) {
-    return ParseNumber(value, flag.min, *i);
+    return ParseNumber(value, flag.bound, *i);
   }
   if (auto* const* u = std::get_if<uint64_t*>(&flag.target)) {
-    return ParseNumber(value, flag.min, *u);
+    return ParseNumber(value, flag.bound, *u);
   }
   if (auto* const* d = std::get_if<double*>(&flag.target)) {
-    return ParseNumber(value, flag.min, *d);
+    return ParseNumber(value, flag.bound, *d);
   }
   if (const auto* bit = std::get_if<FlagBit>(&flag.target)) {
     if (value != "0" && value != "1") {
@@ -64,9 +65,10 @@ bool Set(const FlagSpec& flag, const std::string& value) {
 
 // What a rejected value should have been, for the error message.
 std::string Expected(const FlagSpec& flag) {
-  const std::string bound = flag.min == FlagMin::kPositive ? " > 0"
-                            : flag.min == FlagMin::kZero   ? " >= 0"
-                                                           : "";
+  const std::string bound = flag.bound == FlagBound::kPositive   ? " > 0"
+                            : flag.bound == FlagBound::kZero     ? " >= 0"
+                            : flag.bound == FlagBound::kFraction ? " in [0, 1]"
+                                                                 : "";
   if (std::holds_alternative<double*>(flag.target)) {
     return "a number" + bound;
   }

@@ -4,13 +4,13 @@
 // text and the field it sets. ParseFlags reads `--name=V` or `--name V` (a
 // switch takes no value), sets the fields, and collects every argument that
 // does not start with "--" as a positional, wherever it stands. A number must
-// parse in full and fit its field, and a bound rejects values below it.
+// parse in full and fit its field, and a bound rejects values outside it.
 // Parsing does no I/O and never exits; the first error comes back naming the
 // flag, and main hands the result to FlagExit:
 //
 //   Options opts;
 //   const FlagCommand command{"minuet_run [flags]", {
-//       {"points", "N", "target point count", &opts.points, FlagMin::kPositive},
+//       {"points", "N", "target point count", &opts.points, FlagBound::kPositive},
 //       {"layers", "", "print a per-layer table", FlagSwitch{&opts.layers}},
 //   }};
 //   const ParsedFlags parsed = ParseFlags(command, {argv + 1, argv + argc});
@@ -52,15 +52,15 @@ FlagChoice Choice(bool (*lookup)(const std::string&, T*), T* out) {
 using FlagTarget = std::variant<std::string*, int*, int64_t*, uint64_t*, double*, FlagBit,
                                 FlagSwitch, FlagChoice>;
 
-// Lower bound on a numeric flag: none, >= 0, or > 0.
-enum class FlagMin { kNone, kZero, kPositive };
+// Bound on a numeric flag: none, >= 0, > 0, or within [0, 1].
+enum class FlagBound { kNone, kZero, kPositive, kFraction };
 
 struct FlagSpec {
   std::string name;   // without the leading "--"
   std::string value;  // placeholder in the usage text; unused by a switch
   std::string help;
   FlagTarget target;
-  FlagMin min = FlagMin::kNone;
+  FlagBound bound = FlagBound::kNone;
   bool required = false;
 };
 

@@ -18,7 +18,6 @@ class WallTimer {
   }
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

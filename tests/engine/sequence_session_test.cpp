@@ -60,10 +60,8 @@ TEST(SequenceSessionTest, IncrementalMatchesFullSortBitExactly) {
   TestEngine full_engine(sequence.config.channels, 3);
   TestEngine incr_engine(sequence.config.channels, 3);
 
-  SequenceSessionConfig full_config;
-  full_config.incremental = false;
-  SequenceSession full(full_engine.engine, full_config);
-  SequenceSession incr(incr_engine.engine, SequenceSessionConfig{});
+  SequenceSession full(full_engine.engine, /*incremental=*/false);
+  SequenceSession incr(incr_engine.engine);
 
   for (const SequenceFrame& frame : sequence.frames) {
     FrameRunResult a = RunSequenceFrame(full, frame);
@@ -79,10 +77,10 @@ TEST(SequenceSessionTest, IncrementalMatchesFullSortBitExactly) {
       EXPECT_LT(b.run.total.MapCycles() + b.run.total.map_delta, a.run.total.MapCycles());
     }
   }
-  EXPECT_EQ(full.frames_incremental(), 0);
-  EXPECT_EQ(full.frames_rebuilt(), static_cast<int64_t>(sequence.frames.size()));
-  EXPECT_EQ(incr.frames_incremental(), static_cast<int64_t>(sequence.frames.size()) - 1);
-  EXPECT_EQ(incr.frames_rebuilt(), 1);
+  EXPECT_EQ(full.chain().frames_incremental(), 0);
+  EXPECT_EQ(full.chain().frames_rebuilt(), static_cast<int64_t>(sequence.frames.size()));
+  EXPECT_EQ(incr.chain().frames_incremental(), static_cast<int64_t>(sequence.frames.size()) - 1);
+  EXPECT_EQ(incr.chain().frames_rebuilt(), 1);
 }
 
 // ResetChain simulates a dropped frame: the next frame takes the full path,
@@ -91,42 +89,35 @@ TEST(SequenceSessionTest, ResetChainRebuildsThenResumes) {
   Sequence sequence = GenerateSequence(MakeSequenceConfig());
   TestEngine engine(sequence.config.channels, 3);
   TestEngine ref_engine(sequence.config.channels, 3);
-  SequenceSession session(engine.engine, SequenceSessionConfig{});
-  SequenceSessionConfig ref_config;
-  ref_config.incremental = false;
-  SequenceSession ref(ref_engine.engine, ref_config);
+  SequenceSession session(engine.engine);
+  SequenceSession ref(ref_engine.engine, /*incremental=*/false);
 
   ASSERT_GE(sequence.frames.size(), 4u);
   for (size_t f = 0; f < sequence.frames.size(); ++f) {
     if (f == 2) {
       session.ResetChain();
-      EXPECT_FALSE(session.has_chain());
+      EXPECT_FALSE(session.chain().chained());
     }
     FrameRunResult got = RunSequenceFrame(session, sequence.frames[f]);
     FrameRunResult want = RunSequenceFrame(ref, sequence.frames[f]);
     ExpectSameRun(got.run, want.run);
     EXPECT_EQ(got.incremental, f != 0 && f != 2);
   }
-  EXPECT_EQ(session.frames_rebuilt(), 2);  // frame 0 and the post-reset frame
+  EXPECT_EQ(session.chain().frames_rebuilt(), 2);  // frame 0 and the post-reset frame
 }
 
-// Churn above the session's rebuild threshold takes the full path for that
-// frame, then the chain continues.
+// Churn above kRebuildChurn takes the full path for that frame, then the
+// chain continues.
 TEST(SequenceSessionTest, HighChurnFallsBackPerFrame) {
-  Sequence sequence = GenerateSequence(MakeSequenceConfig(/*churn=*/0.3));
+  Sequence sequence = GenerateSequence(MakeSequenceConfig(/*churn=*/0.8));
   TestEngine engine(sequence.config.channels, 3);
-  SequenceSessionConfig config;
-  config.rebuild_threshold = 0.1;
-  SequenceSession session(engine.engine, config);
+  SequenceSession session(engine.engine);
   for (const SequenceFrame& frame : sequence.frames) {
-    FrameRunResult result = RunSequenceFrame(session, frame);
-    EXPECT_FALSE(result.incremental);
-    if (frame.frame > 0) {
-      EXPECT_GT(result.churn, config.rebuild_threshold);
-    }
+    EXPECT_FALSE(RunSequenceFrame(session, frame).incremental);
   }
-  EXPECT_EQ(session.frames_incremental(), 0);
-  EXPECT_TRUE(session.has_chain());  // the fallback still retains the frame
+  EXPECT_EQ(session.chain().frames_incremental(), 0);
+  EXPECT_EQ(session.chain().frames_rebuilt(), static_cast<int64_t>(sequence.frames.size()));
+  EXPECT_TRUE(session.chain().chained());  // the fallback still retains the frame
 }
 
 // A second pass over the same sequence must restart the chain through the
@@ -136,7 +127,7 @@ TEST(SequenceSessionTest, HighChurnFallsBackPerFrame) {
 TEST(SequenceSessionTest, SecondPassRestartsCleanly) {
   Sequence sequence = GenerateSequence(MakeSequenceConfig());
   TestEngine engine(sequence.config.channels, 3);
-  SequenceSession session(engine.engine, SequenceSessionConfig{});
+  SequenceSession session(engine.engine);
   std::vector<FrameRunResult> first_pass;
   for (const SequenceFrame& frame : sequence.frames) {
     first_pass.push_back(RunSequenceFrame(session, frame));
@@ -146,7 +137,7 @@ TEST(SequenceSessionTest, SecondPassRestartsCleanly) {
     ExpectSameRun(result.run, first_pass[f].run);
     EXPECT_EQ(result.incremental, f != 0);
   }
-  EXPECT_EQ(session.frames_rebuilt(), 2);  // frame 0 of each pass
+  EXPECT_EQ(session.chain().frames_rebuilt(), 2);  // frame 0 of each pass
 }
 
 }  // namespace

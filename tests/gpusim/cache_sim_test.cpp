@@ -23,6 +23,16 @@ struct CacheSimPeer {
 
 namespace {
 
+// One-line AccessLines spans: line `line`, or the line holding byte `addr`.
+bool TouchLine(CacheSim& cache, uint64_t line) {
+  const uint32_t tag = static_cast<uint32_t>(line);
+  return cache.AccessLines({&tag, 1}) != 0;
+}
+
+bool Touch(CacheSim& cache, uint64_t addr) {
+  return TouchLine(cache, addr / static_cast<uint64_t>(cache.line_bytes()));
+}
+
 // Straight-line reference for the golden-sequence tests below: the documented
 // model (multiplicative tag mix, modulo set selection, LRU by stamp) with no
 // fast paths. CacheSim's recency-ordered sets, its power-of-two mask path and
@@ -106,17 +116,17 @@ void ExpectMatchesReference(CacheSim& cache, ReferenceLru& ref,
       cache.Flush();
       ref.Flush();
     }
-    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
+    ASSERT_EQ(TouchLine(cache, lines[i]), ref.AccessLine(lines[i]))
         << "diverged at access " << i << " (line " << lines[i] << ")";
   }
 }
 
 TEST(CacheSimTest, FirstAccessMissesSecondHits) {
   CacheSim cache(1 << 20, 16, 128);
-  EXPECT_FALSE(cache.Access(0));
-  EXPECT_TRUE(cache.Access(0));
-  EXPECT_TRUE(cache.Access(64));  // same 128B line
-  EXPECT_FALSE(cache.Access(128));
+  EXPECT_FALSE(Touch(cache, 0));
+  EXPECT_TRUE(Touch(cache, 0));
+  EXPECT_TRUE(Touch(cache, 64));  // same 128B line
+  EXPECT_FALSE(Touch(cache, 128));
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
 }
@@ -124,10 +134,10 @@ TEST(CacheSimTest, FirstAccessMissesSecondHits) {
 TEST(CacheSimTest, HitRatio) {
   CacheSim cache(1 << 20, 16, 128);
   EXPECT_EQ(cache.HitRatio(), 0.0);
-  cache.Access(0);
-  cache.Access(0);
-  cache.Access(0);
-  cache.Access(0);
+  Touch(cache, 0);
+  Touch(cache, 0);
+  Touch(cache, 0);
+  Touch(cache, 0);
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 0.75);
 }
 
@@ -136,7 +146,7 @@ TEST(CacheSimTest, WorkingSetWithinCapacityAlwaysHitsOnSecondPass) {
   CacheSim cache(64 << 10, 16, 128);
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t addr = 0; addr < (16 << 10); addr += 128) {
-      cache.Access(addr);
+      Touch(cache, addr);
     }
   }
   EXPECT_EQ(cache.misses(), 128u);  // only the first pass
@@ -150,7 +160,7 @@ TEST(CacheSimTest, WorkingSetBeyondCapacityThrashes) {
   size_t span = 64 << 10;
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t addr = 0; addr < span; addr += 128) {
-      cache.Access(addr);
+      Touch(cache, addr);
     }
   }
   EXPECT_LT(cache.HitRatio(), 0.05);
@@ -161,22 +171,22 @@ TEST(CacheSimTest, LruEvictsOldest) {
   // tag, but with exactly one set every line maps there.
   CacheSim cache(256, 2, 128);
   EXPECT_EQ(cache.num_sets(), 1u);
-  EXPECT_FALSE(cache.Access(0));      // A miss -> {A}
-  EXPECT_FALSE(cache.Access(128));    // B miss -> {A, B}
-  EXPECT_TRUE(cache.Access(0));       // A hit  -> B is LRU
-  EXPECT_FALSE(cache.Access(256));    // C miss, evicts B -> {A, C}
-  EXPECT_TRUE(cache.Access(0));       // A still resident
-  EXPECT_FALSE(cache.Access(128));    // B was evicted
+  EXPECT_FALSE(Touch(cache, 0));      // A miss -> {A}
+  EXPECT_FALSE(Touch(cache, 128));    // B miss -> {A, B}
+  EXPECT_TRUE(Touch(cache, 0));       // A hit  -> B is LRU
+  EXPECT_FALSE(Touch(cache, 256));    // C miss, evicts B -> {A, C}
+  EXPECT_TRUE(Touch(cache, 0));       // A still resident
+  EXPECT_FALSE(Touch(cache, 128));    // B was evicted
 }
 
 TEST(CacheSimTest, FlushClearsEverything) {
   CacheSim cache(1 << 16, 8, 128);
-  cache.Access(0);
-  cache.Access(0);
+  Touch(cache, 0);
+  Touch(cache, 0);
   cache.Flush();
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_FALSE(cache.Access(0));
+  EXPECT_FALSE(Touch(cache, 0));
 }
 
 // Golden sequence for a preset's L2 geometry. The line space is twice the
@@ -277,7 +287,7 @@ TEST(CacheSimTest, SixteenWayPathsMakeTheSameUpdates) {
       if (i == 33) {
         ASSERT_EQ(fast.hits(), 16u) << "one hit at each of the 16 recency positions";
       }
-      ASSERT_EQ(fast.AccessLine(sequence[i]), generic.AccessLine(sequence[i]))
+      ASSERT_EQ(TouchLine(fast, sequence[i]), TouchLine(generic, sequence[i]))
           << "diverged at access " << i;
     }
     EXPECT_EQ(CacheSimPeer::Tags(fast), CacheSimPeer::Tags(generic));
@@ -384,9 +394,9 @@ TEST(CacheSimDeathTest, DeviceRejectsLinesBeyondThirtyTwoBitTags) {
 
 TEST(CacheSimTest, ResetCountersKeepsContents) {
   CacheSim cache(1 << 16, 8, 128);
-  cache.Access(0);
+  Touch(cache, 0);
   cache.ResetCounters();
-  EXPECT_TRUE(cache.Access(0));
+  EXPECT_TRUE(Touch(cache, 0));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 0u);
 }

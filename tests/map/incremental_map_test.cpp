@@ -1,4 +1,5 @@
-// Equivalence and cost tests for the incremental map builder: the delta path
+// Tests for the sorted-key chain's rebuild rule, and equivalence and cost
+// tests for the incremental map builder: the delta path
 // must produce a MapBuildResult bit-identical to a from-scratch build over
 // the same frame, at every churn rate, and must be meaningfully cheaper at
 // streaming churn levels.
@@ -48,6 +49,55 @@ void ExpectSameMap(const MapBuildResult& got, const MapBuildResult& want) {
   EXPECT_EQ(got.comparisons, want.comparisons);
 }
 
+// The sorted keys of row y = `y` of the lattice, x in [begin, end).
+std::vector<uint64_t> Row(int y, int begin, int end) {
+  std::vector<Coord3> coords;
+  for (int x = begin; x < end; ++x) {
+    coords.push_back(Coord3{x, y, 0});
+  }
+  std::vector<uint64_t> keys = PackCoords(coords);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+std::vector<uint64_t> SortedUnion(std::vector<uint64_t> a, const std::vector<uint64_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  return a;
+}
+
+// The rebuild rule, pinned once: no chain rebuilds, churn exactly
+// kRebuildChurn takes the delta path, and churn just above it rebuilds.
+TEST(SortedKeyChainTest, RebuildRuleBoundary) {
+  Device device(MakeRtx3090());
+  SortedKeyChain chain;
+  const std::vector<uint64_t> first = Row(0, 0, 1000);
+  ChainStep step = chain.Advance(device, 0, {}, {}, first);
+  EXPECT_FALSE(step.incremental);
+  EXPECT_DOUBLE_EQ(step.churn, 1.0);
+  EXPECT_TRUE(chain.chained());
+
+  // 500 of 1000 keys replaced: churn 0.5.
+  const std::vector<uint64_t> second = SortedUnion(Row(0, 500, 1000), Row(1, 0, 500));
+  step = chain.Advance(device, 0, Row(0, 0, 500), Row(1, 0, 500), second);
+  EXPECT_DOUBLE_EQ(step.churn, kRebuildChurn);
+  EXPECT_TRUE(step.incremental);
+  EXPECT_GT(step.delta_stats.num_launches, 0);
+  EXPECT_TRUE(std::ranges::equal(chain.keys(), second));
+
+  // 501 of 1000: churn 0.501.
+  const std::vector<uint64_t> third = SortedUnion(Row(1, 1, 500), Row(2, 0, 501));
+  step = chain.Advance(device, 0, SortedUnion(Row(0, 500, 1000), Row(1, 0, 1)), Row(2, 0, 501),
+                       third);
+  EXPECT_GT(step.churn, kRebuildChurn);
+  EXPECT_FALSE(step.incremental);
+  EXPECT_EQ(step.delta_stats.num_launches, 0);
+  EXPECT_TRUE(std::ranges::equal(chain.keys(), third));
+
+  EXPECT_EQ(chain.frames_incremental(), 1);
+  EXPECT_EQ(chain.frames_rebuilt(), 2);
+}
+
 class IncrementalChurnTest : public ::testing::TestWithParam<double> {};
 
 // At every churn rate the delta path's map (and its retained key array) is
@@ -65,7 +115,7 @@ TEST_P(IncrementalChurnTest, MapsMatchFromScratchEveryFrame) {
             ? builder.BuildFull(device, keys, offsets)
             : builder.BuildDelta(device, PackDelta(frame.motion), PackCoords(frame.deleted),
                                  PackCoords(frame.inserted), keys, offsets);
-    EXPECT_TRUE(std::ranges::equal(builder.keys(), keys)) << "frame " << frame.frame;
+    EXPECT_TRUE(std::ranges::equal(builder.chain().keys(), keys)) << "frame " << frame.frame;
     ExpectSameMap(result.map, ReferenceBuild(keys, offsets));
   }
 }
@@ -73,14 +123,12 @@ TEST_P(IncrementalChurnTest, MapsMatchFromScratchEveryFrame) {
 INSTANTIATE_TEST_SUITE_P(Churn, IncrementalChurnTest,
                          ::testing::Values(0.0, 0.05, 0.50, 1.0));
 
-// Churn above the threshold falls back to the full path (and still matches).
+// Churn above kRebuildChurn falls back to the full path (and still matches).
 TEST(IncrementalMapTest, ThresholdFallback) {
-  Sequence sequence = GenerateSequence(MakeConfig(0.30, /*points=*/1000));
+  Sequence sequence = GenerateSequence(MakeConfig(0.80, /*points=*/1000));
   const std::vector<Coord3> offsets = MakeWeightOffsets(3, 1);
   Device device(MakeRtx3090());
-  IncrementalMapConfig config;
-  config.rebuild_threshold = 0.1;  // below the sequence's 30% churn
-  IncrementalMapBuilder builder(config);
+  IncrementalMapBuilder builder;
   for (const SequenceFrame& frame : sequence.frames) {
     const std::vector<uint64_t> keys = PackCoords(frame.cloud.coords);
     IncrementalBuildResult result =
@@ -90,12 +138,12 @@ TEST(IncrementalMapTest, ThresholdFallback) {
                                  PackCoords(frame.inserted), keys, offsets);
     EXPECT_FALSE(result.incremental);
     if (frame.frame > 0) {
-      EXPECT_GT(result.churn, config.rebuild_threshold);
+      EXPECT_GT(result.churn, kRebuildChurn);
     }
     ExpectSameMap(result.map, ReferenceBuild(keys, offsets));
   }
-  EXPECT_EQ(builder.frames_incremental(), 0);
-  EXPECT_EQ(builder.frames_rebuilt(), static_cast<int64_t>(sequence.frames.size()));
+  EXPECT_EQ(builder.chain().frames_incremental(), 0);
+  EXPECT_EQ(builder.chain().frames_rebuilt(), static_cast<int64_t>(sequence.frames.size()));
 }
 
 // Full turnover (every voxel deleted, a disjoint set inserted) is churn 1.0:
@@ -117,7 +165,7 @@ TEST(IncrementalMapTest, FullTurnoverRebuilds) {
       builder.BuildDelta(device, /*motion_delta=*/0, first, second, second, offsets);
   EXPECT_FALSE(result.incremental);
   EXPECT_DOUBLE_EQ(result.churn, 1.0);
-  EXPECT_TRUE(std::ranges::equal(builder.keys(), second));
+  EXPECT_TRUE(std::ranges::equal(builder.chain().keys(), second));
   ExpectSameMap(result.map, ReferenceBuild(second, offsets));
 }
 
@@ -151,7 +199,7 @@ TEST(IncrementalMapTest, EmptyPreviousFrameRebuilds) {
   std::sort(keys.begin(), keys.end());
   IncrementalBuildResult result = builder.BuildDelta(device, 0, {}, keys, keys, offsets);
   EXPECT_FALSE(result.incremental);
-  EXPECT_TRUE(std::ranges::equal(builder.keys(), keys));
+  EXPECT_TRUE(std::ranges::equal(builder.chain().keys(), keys));
 }
 
 // Reset drops the retained array; the next delta takes the full path.
@@ -162,14 +210,14 @@ TEST(IncrementalMapTest, ResetForcesRebuild) {
   IncrementalMapBuilder builder;
   builder.BuildFull(device, PackCoords(sequence.frames[0].cloud.coords), offsets);
   builder.Reset();
-  EXPECT_FALSE(builder.has_state());
+  EXPECT_FALSE(builder.chain().chained());
   const SequenceFrame& frame = sequence.frames[1];
   const std::vector<uint64_t> keys = PackCoords(frame.cloud.coords);
   IncrementalBuildResult result =
       builder.BuildDelta(device, PackDelta(frame.motion), PackCoords(frame.deleted),
                          PackCoords(frame.inserted), keys, offsets);
   EXPECT_FALSE(result.incremental);
-  EXPECT_TRUE(std::ranges::equal(builder.keys(), keys));
+  EXPECT_TRUE(std::ranges::equal(builder.chain().keys(), keys));
 }
 
 // The acceptance line of the streaming PR: at 5% churn the per-frame
@@ -201,7 +249,7 @@ TEST(IncrementalMapTest, DeltaPathAtLeastTwiceCheaperAtLowChurn) {
   const double incr_per_frame = incr_cycles / (frames - 1.0);
   EXPECT_GE(full_per_frame, 2.0 * incr_per_frame)
       << "full " << full_per_frame << " vs incremental " << incr_per_frame;
-  EXPECT_EQ(incr_builder.frames_incremental(), static_cast<int64_t>(sequence.frames.size()) - 1);
+  EXPECT_EQ(incr_builder.chain().frames_incremental(), static_cast<int64_t>(sequence.frames.size()) - 1);
 }
 
 }  // namespace

@@ -32,10 +32,10 @@ struct Fields {
 FlagCommand Command(Fields* f, size_t max_positionals = 0) {
   return {"tool [flags]",
           {{"json", "FILE", "write a report", &f->file},
-           {"warmup", "N", "unmeasured runs", &f->count, FlagMin::kZero},
-           {"points", "N", "point count", &f->points, FlagMin::kPositive},
+           {"warmup", "N", "unmeasured runs", &f->count, FlagBound::kZero},
+           {"points", "N", "point count", &f->points, FlagBound::kPositive},
            {"seed", "N", "seed", &f->seed},
-           {"rate", "RPS", "arrival rate", &f->rate, FlagMin::kPositive},
+           {"rate", "RPS", "arrival rate", &f->rate, FlagBound::kPositive},
            {"functional", "0|1", "compute features", FlagBit{&f->bit}},
            {"layers", "", "print layers", FlagSwitch{&f->on}},
            {"color", "red|blue", "a choice", Choice(ParseColor, &f->color)}},
@@ -149,6 +149,19 @@ TEST(FlagsTest, LowerBoundsAreEnforced) {
   EXPECT_EQ(f.rate, 1e-3);
 }
 
+TEST(FlagsTest, FractionBoundIsEnforced) {
+  double churn = 0.5;
+  const FlagCommand command{
+      "tool [flags]", {{"churn", "F", "a fraction", &churn, FlagBound::kFraction}}};
+  EXPECT_EQ(ParseFlags(command, {"--churn=2"}).error, "--churn takes a number in [0, 1], not 2");
+  EXPECT_EQ(ParseFlags(command, {"--churn=-0.1"}).error,
+            "--churn takes a number in [0, 1], not -0.1");
+  ASSERT_TRUE(ParseFlags(command, {"--churn=1"}).ok());
+  EXPECT_EQ(churn, 1.0);
+  ASSERT_TRUE(ParseFlags(command, {"--churn=0"}).ok());
+  EXPECT_EQ(churn, 0.0);
+}
+
 TEST(FlagsTest, UnknownFlagIsAnError) {
   Fields f;
   EXPECT_EQ(ParseFlags(Command(&f), {"--no-such-flag"}).error, "unknown flag --no-such-flag");
@@ -172,7 +185,7 @@ TEST(FlagsTest, HelpAnywhereWinsOverErrors) {
 TEST(FlagsTest, RequiredFlagMustBeGiven) {
   std::string out;
   const FlagCommand command{"tool gen --out=FILE",
-                            {{"out", "FILE", "file to write", &out, FlagMin::kNone, true}}};
+                            {{"out", "FILE", "file to write", &out, FlagBound::kNone, true}}};
   EXPECT_EQ(ParseFlags(command, {}).error, "--out is required");
   ASSERT_TRUE(ParseFlags(command, {"--out=x"}).ok());
   EXPECT_EQ(out, "x");

@@ -163,11 +163,11 @@ struct Subcommand {
 
 std::vector<Subcommand> Subcommands(Options* o) {
   const std::string datasets = "kitti|s3dis|sem3d|shapenet|random";
-  const FlagSpec in{"in", "FILE", "file to read", &o->in_path, FlagMin::kNone, true};
-  const FlagSpec out{"out", "FILE", "file to write", &o->out_path, FlagMin::kNone, true};
+  const FlagSpec in{"in", "FILE", "file to read", &o->in_path, FlagBound::kNone, true};
+  const FlagSpec out{"out", "FILE", "file to write", &o->out_path, FlagBound::kNone, true};
   const FlagSpec seed{"seed", "N", "generator seed (default 1)", &o->gen.seed};
   const FlagSpec points{"points", "N", "target point count (default 100000)",
-                        &o->gen.target_points, FlagMin::kPositive};
+                        &o->gen.target_points, FlagBound::kPositive};
   SequenceConfig& q = o->sequence;
   return {
       {"gen",
@@ -180,14 +180,14 @@ std::vector<Subcommand> Subcommands(Options* o) {
       {"sequence gen",
        {"minuet_dataset sequence gen --out=FILE [flags]",
         {{"dataset", datasets, "dataset (default random)", Choice(ParseDatasetName, &q.dataset)},
-         {"points", "N", "points per frame (default 4096)", &q.base_points, FlagMin::kZero},
+         {"points", "N", "points per frame (default 4096)", &q.base_points, FlagBound::kZero},
          {"seed", "N", "generator seed (default 1)", &q.seed},
-         {"frames", "N", "frames (default 16)", &q.num_frames, FlagMin::kPositive},
-         {"channels", "N", "feature channels (default 4)", &q.channels, FlagMin::kPositive},
+         {"frames", "N", "frames (default 16)", &q.num_frames, FlagBound::kPositive},
+         {"channels", "N", "feature channels (default 4)", &q.channels, FlagBound::kPositive},
          {"churn", "F", "fraction of voxels replaced per frame, in [0, 1] (default 0.05)",
-          &q.churn_rate, FlagMin::kZero},
+          &q.churn_rate, FlagBound::kFraction},
          {"max-step", "N", "per-axis rigid motion bound per frame (default 2)", &q.max_step,
-          FlagMin::kZero},
+          FlagBound::kZero},
          out}},
        RunSequenceGen},
       {"sequence info", {"minuet_dataset sequence info --in=FILE", {in}}, RunSequenceInfo},

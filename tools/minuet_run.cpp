@@ -59,7 +59,7 @@ FlagCommand Command(Options* o) {
             Choice(ParseDatasetName, &o->dataset)},
            {"gpu", "2070s|2080ti|3090|a100", "simulated device (default 3090)",
             Choice(DeviceConfigForPreset, &o->device)},
-           {"points", "N", "target point count (default 50000)", &o->points, FlagMin::kPositive},
+           {"points", "N", "target point count (default 50000)", &o->points, FlagBound::kPositive},
            {"seed", "N", "cloud and weight seed (default 1)", &o->seed},
            {"functional", "0|1", "compute features, not only time (default 0)",
             FlagBit{&o->functional}},
@@ -71,7 +71,7 @@ FlagCommand Command(Options* o) {
               return o->fp16 || name == "fp32";
             }},
            {"repeat", "N", "run each engine N times on the same cloud", &o->repeat,
-            FlagMin::kPositive},
+            FlagBound::kPositive},
            {"reuse", "",
             "serve repeats through a persistent RunSession (cached plans + pooled\n"
             "workspaces; warm runs skip the Map step and allocate nothing)",

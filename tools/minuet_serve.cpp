@@ -65,8 +65,7 @@ struct Options {
   std::string timeline_jsonl;  // streaming telemetry timeline (JSONL)
   std::string incident_json;   // flight-recorder incident dump
   std::string dump_requests;   // per-request causal-trace dump (JSONL)
-  double telemetry_interval_us = 10000.0;
-  double slo_target = 0.999;  // burn-rate error budget
+  serve::TelemetryConfig telemetry;
 };
 
 // SIGINT requests a cooperative stop through the run's telemetry: the
@@ -86,10 +85,7 @@ std::unique_ptr<serve::ServeTelemetry> MakeTelemetry(const Options& opts) {
   if (opts.timeline_jsonl.empty() && opts.incident_json.empty()) {
     return nullptr;
   }
-  serve::TelemetryConfig config;
-  config.interval_us = opts.telemetry_interval_us;
-  config.health.slo_target = opts.slo_target;
-  auto telemetry = std::make_unique<serve::ServeTelemetry>(config);
+  auto telemetry = std::make_unique<serve::ServeTelemetry>(opts.telemetry);
   g_stop_target = telemetry.get();
   std::signal(SIGINT, HandleSigint);
   return telemetry;
@@ -149,25 +145,25 @@ FlagCommand Command(Options* o) {
         "fleet router (default least-loaded)", Choice(serve::ParseRoutingPolicy, &o->routing)},
        {"process", "poisson|mmpp|closed", "arrival process (default poisson)",
         Choice(serve::ParseArrivalProcess, &a.process)},
-       {"rate", "RPS", "open-loop mean arrival rate", &a.rate_rps, FlagMin::kPositive},
-       {"requests", "N", "requests to serve", &a.num_requests, FlagMin::kZero},
+       {"rate", "RPS", "open-loop mean arrival rate", &a.rate_rps, FlagBound::kPositive},
+       {"requests", "N", "requests to serve", &a.num_requests, FlagBound::kZero},
        {"seed", "N", "arrival and closed-loop client seed", &a.seed},
        {"burst-mult", "M", "mmpp burst-state rate multiplier", &a.burst_multiplier,
-        FlagMin::kPositive},
+        FlagBound::kPositive},
        {"base-dwell-us", "D", "mmpp mean dwell in the base state", &a.base_dwell_us,
-        FlagMin::kPositive},
+        FlagBound::kPositive},
        {"burst-dwell-us", "D", "mmpp mean dwell in the burst state", &a.burst_dwell_us,
-        FlagMin::kPositive},
-       {"clients", "N", "closed-loop clients", &a.num_clients, FlagMin::kPositive},
+        FlagBound::kPositive},
+       {"clients", "N", "closed-loop clients", &a.num_clients, FlagBound::kPositive},
        {"think-us", "D", "closed-loop mean think time per client", &a.think_time_us,
-        FlagMin::kPositive},
+        FlagBound::kPositive},
        {"policy", "fifo|sjf|priority", "admission policy (default fifo)",
         Choice(serve::ParseAdmissionPolicy, &q.policy)},
        {"queue-capacity", "N", "pending requests held; later arrivals are shed",
-        &q.queue_capacity, FlagMin::kZero},
-       {"max-batch", "N", "largest batch", &q.max_batch_size, FlagMin::kPositive},
+        &q.queue_capacity, FlagBound::kZero},
+       {"max-batch", "N", "largest batch", &q.max_batch_size, FlagBound::kPositive},
        {"max-delay-us", "D", "partial-batch dispatch timer", &q.max_queue_delay_us,
-        FlagMin::kZero},
+        FlagBound::kZero},
        {"slo-us", "S", "end-to-end latency target for goodput", &q.slo_us},
        {"arrivals", "FILE", "replay a recorded arrival trace (overrides --process)",
         &o->arrivals_in},
@@ -180,17 +176,17 @@ FlagCommand Command(Options* o) {
         "stream's incremental chain rebuilds",
         &o->stream_in},
        {"streams", "N", "concurrent streams, pinned stream%replicas (default 1)",
-        &st.num_streams, FlagMin::kPositive},
+        &st.num_streams, FlagBound::kPositive},
        {"frame-period-us", "P", "sensor frame period (default 100000 = 10 Hz)",
-        &st.frame_period_us, FlagMin::kPositive},
+        &st.frame_period_us, FlagBound::kPositive},
        {"frame-deadline-us", "D", "max start delay before a frame is dropped (default P)",
-        &st.frame_deadline_us, FlagMin::kZero},
+        &st.frame_deadline_us, FlagBound::kZero},
        {"drop-slo", "F", "frames-dropped SLO as a fraction (default 0.01)", &st.drop_slo,
-        FlagMin::kZero},
-       {"incremental", "0|1", "0 = full rebuild every frame (ablation; default 1)",
+        FlagBound::kZero},
+       {"incremental", "0|1",
+        "1 = delta path while churn <= 0.5, 0 = full rebuild every frame\n"
+        "(ablation; default 1)",
         FlagBit{&st.incremental}},
-       {"rebuild-threshold", "F", "churn fraction above which a frame full-rebuilds",
-        &st.rebuild_threshold, FlagMin::kZero},
        {"json", "FILE",
         "serving report (summary, per-request records, batches, embedded\n"
         "device metrics): deterministic, diffable",
@@ -209,9 +205,7 @@ FlagCommand Command(Options* o) {
         "explain reads this); recording is always on, the flag writes the file",
         &o->dump_requests},
        {"telemetry-interval-us", "W", "time-series window width (default 10000)",
-        &o->telemetry_interval_us, FlagMin::kPositive},
-       {"slo-target", "F", "burn-rate error budget target (default 0.999)", &o->slo_target,
-        FlagMin::kPositive}}};
+        &o->telemetry.interval_us, FlagBound::kPositive}}};
 }
 
 // The engines a run serves on: one Prepare()d engine per device preset of
