@@ -14,6 +14,16 @@ namespace minuet {
 
 namespace {
 
+// True iff c + d lies in the lattice. The sum is taken in int64, since a
+// motion of up to max_step per axis can pass INT32_MAX when added.
+bool ShiftInRange(const Coord3& c, const Coord3& d) {
+  const auto in_range = [](int32_t a, int32_t b) {
+    const int64_t sum = int64_t{a} + b;
+    return sum >= kCoordMin && sum <= kCoordMax;
+  };
+  return in_range(c.x, d.x) && in_range(c.y, d.y) && in_range(c.z, d.z);
+}
+
 // Applies (motion, deleted, inserted) to `prev`, producing the next frame's
 // cloud. This is the single definition of the frame recurrence: generation
 // and replay both call it, which is what makes a structural dump replay
@@ -219,7 +229,7 @@ Sequence GenerateSequence(const SequenceConfig& config) {
         lo = Coord3{std::min(lo.x, c.x), std::min(lo.y, c.y), std::min(lo.z, c.z)};
         hi = Coord3{std::max(hi.x, c.x), std::max(hi.y, c.y), std::max(hi.z, c.z)};
       }
-      if (!CoordInRange(lo + frame.motion) || !CoordInRange(hi + frame.motion)) {
+      if (!ShiftInRange(lo, frame.motion) || !ShiftInRange(hi, frame.motion)) {
         frame.motion = Coord3{};
       }
     }

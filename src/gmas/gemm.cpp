@@ -152,7 +152,6 @@ void StreamPool::Submit(double kernel_cycles) {
   double exec = std::max(0.0, kernel_cycles - launch_overhead_);
   exec_cycles_ += exec;
   ++num_kernels_;
-  sum_cycles_ += kernel_cycles;
 }
 
 double StreamPool::ElapsedCycles() const {

@@ -43,14 +43,12 @@ class StreamPool {
   // `kernel_cycles` must include the launch overhead (as KernelStats does).
   void Submit(double kernel_cycles);
   double ElapsedCycles() const;
-  double SumCycles() const { return sum_cycles_; }
 
  private:
   int num_streams_;
   double launch_overhead_;
   int64_t num_kernels_ = 0;
   double exec_cycles_ = 0.0;
-  double sum_cycles_ = 0.0;
 };
 
 struct BatchedGemmResult {

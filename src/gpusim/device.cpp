@@ -278,25 +278,30 @@ void CpuRelax() {
 
 }  // namespace
 
-// The state of a parallel launch: a ring of slots, each holding one chunk of
+// The state of a launch: a ring of slots, each holding one chunk of
 // consecutive blocks' recorded lines and counts. Workers claim chunks in
-// order and fill chunk c into slot c % kSlots once chunk c - kSlots has been
-// walked. Whoever holds the walk flag walks finished chunks strictly in chunk
-// order through the L2 and the wave arithmetic; a worker that finishes a
-// chunk, or waits for a slot, tries to. A chunk whose lines overflow its slot
-// waits for its turn in the walk order and then walks what it has.
+// order and fill chunk c into slot c % num_slots once chunk c - num_slots has
+// been walked. Whoever holds the walk flag walks finished chunks strictly in
+// chunk order through the L2 and the wave arithmetic; a worker that finishes
+// a chunk, or waits for a slot, tries to. A chunk whose lines overflow its
+// slot waits for its turn in the walk order and then walks what it has. A
+// launch on one worker walks each chunk as soon as it finishes, so it uses
+// one slot: chunk c + 1 starts only after chunk c is walked.
 //
-// The device keeps the ring across launches and sizes it on the calling
-// thread, so pool threads allocate nothing. The walk flag, the finished
-// marks, the walk cursor and the sleeper count are sequentially consistent
-// atomics: a worker that finishes a chunk while another holds the flag is
-// then certain that the holder sees the chunk before it lets go, and a
-// worker that goes to sleep is certain to be woken by the next change.
+// A device makes its ring, with slot 0 sized, on the thread that constructs
+// it, and a launch on several workers sizes the other slots on the calling
+// thread, so pool threads allocate nothing: Autotune makes its forks on the
+// caller and runs their one-worker launches on pool threads. The walk flag,
+// the finished marks, the walk cursor and the sleeper count are sequentially
+// consistent atomics: a worker that finishes a chunk while another holds the
+// flag is then certain that the holder sees the chunk before it lets go, and
+// a worker that goes to sleep is certain to be woken by the next change.
 struct LaunchRing {
   // A chunk is 8 blocks and a slot holds 4,096 lines (16 KiB), so the ring
-  // is 128 KiB. Gather, scatter and the forward search record about 100
-  // lines a block and fit; the elementwise kernels, the memset and the table
-  // build (900 to 2,300) overflow, and their cost is the serial walk anyway.
+  // is 128 KiB once a launch has run on several workers, and 16 KiB until
+  // then. Gather, scatter and the forward search record about 100 lines a
+  // block and fit; the elementwise kernels, the memset and the table build
+  // (900 to 2,300) overflow, and their cost is the one-thread walk anyway.
   static constexpr int64_t kSlots = 8;
   static constexpr int64_t kChunkBlocks = 8;
   static constexpr size_t kSlotLines = 4096;
@@ -327,6 +332,7 @@ struct LaunchRing {
   const FunctionRef<void(BlockCtx&)>* body = nullptr;
   WaveAccumulator* waves = nullptr;
   int64_t num_chunks = 0;
+  int64_t num_slots = 0;  // 1 on one worker, else kSlots
   std::atomic<int64_t> next_chunk{0};
   std::atomic<int64_t> walked_chunks{0};
 
@@ -336,18 +342,21 @@ struct LaunchRing {
   std::mutex mu;
   std::condition_variable wake;
 
+  LaunchRing() { slots[0].lines.resize(kSlotLines); }
+
   void Begin(Device* dev, const LaunchDims& launch_dims, const FunctionRef<void(BlockCtx&)>& fn,
-             WaveAccumulator* acc, size_t slot_lines) {
+             WaveAccumulator* acc, int workers, size_t slot_lines) {
     device = dev;
     dims = &launch_dims;
     body = &fn;
     waves = acc;
     num_chunks = (launch_dims.num_blocks + kChunkBlocks - 1) / kChunkBlocks;
+    num_slots = workers == 1 ? 1 : kSlots;
     next_chunk.store(0);
     walked_chunks.store(0);
-    for (Slot& slot : slots) {
-      slot.lines.resize(slot_lines);
-      slot.finished_chunk.store(-1);
+    for (int64_t s = 0; s < num_slots; ++s) {
+      slots[s].lines.resize(slot_lines);
+      slots[s].finished_chunk.store(-1);
     }
   }
 
@@ -359,8 +368,8 @@ struct LaunchRing {
   }
 
   void RunChunk(int64_t c) {
-    Await([&] { return walked_chunks.load() > c - kSlots; });
-    Slot& slot = slots[c % kSlots];
+    Await([&] { return walked_chunks.load() > c - num_slots; });
+    Slot& slot = slots[c % num_slots];
     slot.num_blocks = 0;
     slot.walked_blocks = 0;
     uint32_t* const lines = slot.lines.data();
@@ -368,7 +377,7 @@ struct LaunchRing {
     const int64_t first = c * kChunkBlocks;
     const int64_t last = std::min(first + kChunkBlocks, dims->num_blocks);
     for (int64_t b = first; b < last; ++b) {
-      BlockCtx ctx(device, b, dims->num_blocks, dims->threads_per_block, cursor,
+      BlockCtx ctx(*device, b, dims->num_blocks, dims->threads_per_block, cursor,
                    lines + slot.lines.size(), this, c);
       (*body)(ctx);
       BlockRecord& record = slot.blocks[slot.num_blocks++];
@@ -396,7 +405,7 @@ struct LaunchRing {
 
   bool NextChunkFinished() {
     const int64_t c = walked_chunks.load();
-    return c < num_chunks && slots[c % kSlots].finished_chunk.load() == c;
+    return c < num_chunks && slots[c % num_slots].finished_chunk.load() == c;
   }
 
   // Walks finished chunks in order while it can take the flag; true if it
@@ -405,8 +414,8 @@ struct LaunchRing {
     bool walked = false;
     while (NextChunkFinished() && !walking.exchange(true)) {
       for (int64_t c = walked_chunks.load();
-           c < num_chunks && slots[c % kSlots].finished_chunk.load() == c; ++c) {
-        WalkBlocks(slots[c % kSlots]);
+           c < num_chunks && slots[c % num_slots].finished_chunk.load() == c; ++c) {
+        WalkBlocks(slots[c % num_slots]);
         walked_chunks.store(c + 1);
         Notify();
         walked = true;
@@ -428,7 +437,7 @@ struct LaunchRing {
         break;
       }
     }
-    Slot& slot = slots[chunk % kSlots];
+    Slot& slot = slots[chunk % num_slots];
     WalkBlocks(slot);
     ctx.line_hits_ += device->l2_.AccessLines({ctx.block_lines_, ctx.line_cursor_});
     ctx.lines_walked_ += static_cast<uint64_t>(ctx.line_cursor_ - ctx.block_lines_);
@@ -477,15 +486,7 @@ struct LaunchRing {
   }
 };
 
-void BlockCtx::WalkPendingLines() {
-  if (ring_ != nullptr) {
-    ring_->Overflow(*this);
-    return;
-  }
-  line_hits_ += device_->l2_.AccessLines({block_lines_, line_cursor_});
-  lines_walked_ += static_cast<uint64_t>(line_cursor_ - block_lines_);
-  line_cursor_ = block_lines_;
-}
+void BlockCtx::WalkPendingLines() { ring_->Overflow(*this); }
 
 Device::Device(const DeviceConfig& config) : Device(config, /*arena_base=*/0) {
   memory_ = std::make_unique<DeviceMemory>();
@@ -496,7 +497,7 @@ Device::Device(const DeviceConfig& config, uintptr_t arena_base)
     : config_(config),
       arena_base_(arena_base),
       l2_(config.l2_bytes, config.l2_ways, config.line_bytes),
-      serial_lines_(kSerialLines) {
+      ring_(std::make_unique<LaunchRing>()) {
   // CacheSim's constructor already insists line_bytes is a power of two.
   line_shift_ = std::countr_zero(static_cast<unsigned>(config.line_bytes));
   // The L2 stores 32-bit line tags with UINT32_MAX as its empty marker, so
@@ -533,14 +534,13 @@ int64_t Device::ConcurrentBlocks(const LaunchDims& dims) const {
 int Device::LaunchWorkers(const LaunchDims& dims) const {
   if (!dims.independent_blocks || dims.num_blocks < parallel_min_blocks_ ||
       InsideParallelFor()) {
-    return 0;
+    return 1;
   }
   if (parallel_workers_ > 0) {
     return parallel_workers_;
   }
-  const int workers = ParallelWorkers((dims.num_blocks + LaunchRing::kChunkBlocks - 1) /
-                                      LaunchRing::kChunkBlocks);
-  return workers > 1 ? workers : 0;
+  return ParallelWorkers((dims.num_blocks + LaunchRing::kChunkBlocks - 1) /
+                         LaunchRing::kChunkBlocks);
 }
 
 KernelStats Device::Launch(KernelId kernel, const LaunchDims& dims,
@@ -551,28 +551,18 @@ KernelStats Device::Launch(KernelId kernel, const LaunchDims& dims,
   const int64_t span_id = tracer != nullptr ? tracer->OpenSpan(name, "kernel") : -1;
   WaveAccumulator waves(config_, dims, ConcurrentBlocks(dims));
   const int workers = LaunchWorkers(dims);
-  if (workers > 0) {
-    if (ring_ == nullptr) {
-      ring_ = std::make_unique<LaunchRing>();
-    }
-    ring_->Begin(this, dims, body, &waves,
-                 ring_slot_lines_ != 0 ? ring_slot_lines_ : LaunchRing::kSlotLines);
+  ring_->Begin(this, dims, body, &waves, workers,
+               ring_slot_lines_ != 0 ? ring_slot_lines_ : LaunchRing::kSlotLines);
+  if (workers == 1) {
+    // On the caller and outside any ParallelFor, so that InsideParallelFor()
+    // reads in the block bodies as it does around the launch.
+    ring_->Work();
+  } else {
     ParallelFor(workers, [&](int, int64_t) { ring_->Work(); });
     // Every chunk is finished; walk what the workers left.
     ring_->TryWalk();
-    MINUET_CHECK_EQ(ring_->walked_chunks.load(), ring_->num_chunks);
-  } else {
-    uint32_t* const lines = serial_lines_.data();
-    for (int64_t b = 0; b < dims.num_blocks; ++b) {
-      BlockCtx ctx(this, b, dims.num_blocks, dims.threads_per_block, lines,
-                   lines + serial_lines_.size(), /*ring=*/nullptr, /*chunk=*/0);
-      body(ctx);
-      ctx.WalkPendingLines();
-      BlockCounts counts = ctx.Counts();
-      counts.line_misses = ctx.lines_walked_ - ctx.line_hits_;
-      waves.AddBlock(counts);
-    }
   }
+  MINUET_CHECK_EQ(ring_->walked_chunks.load(), ring_->num_chunks);
 
   KernelStats stats = waves.Finish(name);
   totals_ += stats;
@@ -673,13 +663,6 @@ const std::map<std::string, KernelStats>& Device::kernel_aggregates() const {
     aggregates_view_dirty_ = false;
   }
   return aggregates_view_;
-}
-
-void Device::ResetTotals() {
-  totals_ = KernelStats{};
-  aggregates_by_id_.clear();
-  aggregates_view_.clear();
-  aggregates_view_dirty_ = false;
 }
 
 void Device::PublishMetrics(trace::MetricsRegistry& registry, const std::string& prefix) const {

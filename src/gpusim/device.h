@@ -29,15 +29,17 @@
 // invariant: simulated statistics are byte-identical to the straightforward
 // implementations they replaced.
 //
-// Threads. A device is driven by one thread at a time. A launch whose kernel
-// declares independent blocks (LaunchDims::independent_blocks) and is large
-// enough runs its block bodies on the ParallelFor pool, in fixed chunks whose
-// lines and per-block counts go into a ring of slots the device owns; the
-// chunks are walked through the L2, and fed to the wave arithmetic, strictly
-// in block order, so the L2 sees the serial sequence and the statistics are
-// those of the serial loop. Independent probes over one device's tables
-// (Autotune's candidates) run on forks of it (Fork()), one per worker thread;
-// launches inside a ParallelFor stay serial.
+// Threads. A device is driven by one thread at a time. Every launch runs its
+// blocks in fixed chunks whose lines and per-block counts go into a ring of
+// slots the device owns; the chunks are walked through the L2, and fed to the
+// wave arithmetic, strictly in block order, so the L2 sees the blocks' line
+// sequence in index order and the statistics do not depend on how many
+// workers ran the bodies. A launch whose kernel declares independent blocks
+// (LaunchDims::independent_blocks) and is large enough fills the ring from
+// the ParallelFor pool; every other launch fills it on the calling thread
+// alone. Independent probes over one device's tables (Autotune's candidates)
+// run on forks of it (Fork()), one per worker thread; launches inside a
+// ParallelFor stay on their thread.
 #ifndef SRC_GPUSIM_DEVICE_H_
 #define SRC_GPUSIM_DEVICE_H_
 
@@ -210,11 +212,11 @@ class BlockCtx {
   void Compute(uint64_t lane_ops) { lane_ops_ += lane_ops; }
 
  private:
-  friend class Device;
   friend struct LaunchRing;
   friend struct BlockCtxPeer;  // tests: the out-of-line access path on its own
-  BlockCtx(Device* device, int64_t block_index, int64_t num_blocks, int threads_per_block,
-           uint32_t* lines, uint32_t* lines_limit, LaunchRing* ring, int64_t chunk);
+  BlockCtx(const Device& device, int64_t block_index, int64_t num_blocks,
+           int threads_per_block, uint32_t* lines, uint32_t* lines_limit, LaunchRing* ring,
+           int64_t chunk);
 
   void AccessLines(const void* addr, size_t bytes, bool is_read);
   // Appends one post-L1 line for the L2 walk, walking what is pending first
@@ -225,9 +227,8 @@ class BlockCtx {
     }
     *line_cursor_++ = static_cast<uint32_t>(line);
   }
-  // Walks this block's pending lines through the L2 and empties the buffer:
-  // at once on a serial launch; on a parallel one (ring_ set), in the
-  // chunk's turn, after the chunk's earlier blocks.
+  // Walks this block's pending lines through the L2 in the chunk's turn,
+  // after the chunk's earlier blocks, and empties the buffer.
   void WalkPendingLines();
   // GlobalReadRepeated's repeats of a range that was just read.
   void CountRepeatedL1Hits(const void* addr, size_t bytes, uint64_t repeats);
@@ -238,7 +239,6 @@ class BlockCtx {
                        bytes_written_, shared_bytes_, lane_ops_};
   }
 
-  Device* device_;
   int64_t block_index_;
   int64_t num_blocks_;
   int threads_per_block_;
@@ -247,14 +247,13 @@ class BlockCtx {
   int line_shift_;
   uint64_t line_mask_;  // line_bytes - 1
 
-  // The block's pending lines are [block_lines_, line_cursor_) of a buffer
-  // that ends at lines_limit_: the device's own on a serial launch, the
-  // chunk's ring slot on a parallel one.
+  // The block's pending lines are [block_lines_, line_cursor_) of its
+  // chunk's ring slot, which ends at lines_limit_.
   uint32_t* block_lines_;
   uint32_t* line_cursor_;
   uint32_t* lines_limit_;
-  LaunchRing* ring_;  // null on a serial launch
-  int64_t chunk_;     // the block's chunk on a parallel launch
+  LaunchRing* ring_;
+  int64_t chunk_;
 
   // Direct-mapped per-block L1: 128 lines x 128B = 16 KiB.
   static constexpr size_t kL1Lines = 128;
@@ -339,11 +338,10 @@ class Device {
   CacheSim& l2() { return l2_; }
   const CacheSim& l2() const { return l2_; }
 
-  // Cumulative stats since construction or the last ResetTotals().
+  // Cumulative stats since construction.
   const KernelStats& totals() const { return totals_; }
-  void ResetTotals();
 
-  // Per-kernel-name aggregates since construction or ResetTotals(). With the
+  // Per-kernel-name aggregates since construction. With the
   // structured naming convention (phase/step/kernel, e.g. map/query/
   // ss_search) this is the per-kernel breakdown a profiler would show.
   // Internally the device aggregates into a KernelId-indexed vector; the map
@@ -371,8 +369,8 @@ class Device {
   // A device reading the arena at `arena_base`, owning none.
   Device(const DeviceConfig& config, uintptr_t arena_base);
 
-  // How many workers run a launch of `dims` through the ring: 0 when it
-  // stays serial.
+  // How many workers fill the ring for a launch of `dims`; 1 runs it on the
+  // calling thread alone.
   int LaunchWorkers(const LaunchDims& dims) const;
   void Record(KernelId kernel, const KernelStats& stats);
 
@@ -382,19 +380,15 @@ class Device {
   // lidar-stream faster than 64 and 128, whose launches there are mostly
   // 4 to 50 blocks (ROADMAP item 11).
   static constexpr int64_t kParallelLaunchMinBlocks = 32;
-  // Post-L1 lines a serial launch buffers before walking them mid-block.
-  static constexpr size_t kSerialLines = 4096;
 
   DeviceConfig config_;
   std::unique_ptr<DeviceMemory> memory_;  // null on a fork
   uintptr_t arena_base_ = 0;              // base of the arena kernels read
   CacheSim l2_;
   int line_shift_ = 0;  // log2(config.line_bytes)
-  std::vector<uint32_t> serial_lines_;  // a serial launch's line buffer
-  // Made by the first parallel launch, on the calling thread, and kept.
-  std::unique_ptr<LaunchRing> ring_;
-  // Tests lower the threshold to 0 or raise it out of reach, fix the worker
-  // count (0 = ParallelWorkers of the chunk count) and shrink the slots.
+  std::unique_ptr<LaunchRing> ring_;  // made with the device, on its thread
+  // Tests lower the threshold to 0, fix the worker count (0 =
+  // ParallelWorkers of the chunk count) and shrink the slots.
   int64_t parallel_min_blocks_ = kParallelLaunchMinBlocks;
   int parallel_workers_ = 0;
   size_t ring_slot_lines_ = 0;  // 0 = LaunchRing's default
@@ -406,16 +400,15 @@ class Device {
   mutable bool aggregates_view_dirty_ = false;
 };
 
-inline BlockCtx::BlockCtx(Device* device, int64_t block_index, int64_t num_blocks,
+inline BlockCtx::BlockCtx(const Device& device, int64_t block_index, int64_t num_blocks,
                           int threads_per_block, uint32_t* lines, uint32_t* lines_limit,
                           LaunchRing* ring, int64_t chunk)
-    : device_(device),
-      block_index_(block_index),
+    : block_index_(block_index),
       num_blocks_(num_blocks),
       threads_per_block_(threads_per_block),
-      arena_base_(device->arena_base_),
-      line_shift_(device->line_shift_),
-      line_mask_((uint64_t{1} << device->line_shift_) - 1),
+      arena_base_(device.arena_base_),
+      line_shift_(device.line_shift_),
+      line_mask_((uint64_t{1} << device.line_shift_) - 1),
       block_lines_(lines),
       line_cursor_(lines),
       lines_limit_(lines_limit),

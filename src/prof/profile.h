@@ -4,10 +4,16 @@
 // either observability artifact the CLI writes:
 //   - a metrics snapshot (minuet_run --metrics=...)  — "metrics" source
 //   - a Chrome trace     (minuet_run --trace=...)    — "trace" source
-// Both carry the per-kernel aggregates the simulator attributes (simulated
-// time, occupancy, DRAM bandwidth utilisation, arithmetic intensity, roofline
-// class), so reports and diffs are identical regardless of which artifact the
-// user kept around.
+// Both carry the per-kernel aggregates the simulator attributes, and the two
+// profiles of one run agree on the run total and on each kernel's simulated
+// time, launches, L2 lookups and hit ratio, bandwidth utilisation and
+// roofline class (EngineTraceTest pins them). Three columns are defined
+// differently and can differ: a kernel's occupancy (the device aggregate in a
+// snapshot, a duration-weighted mean over launches in a trace), the
+// arithmetic intensity of a kernel that moved no DRAM bytes ("-" from a
+// snapshot's null, "inf" from a trace), and a layer's sim ms (net of the
+// stream-pool overlap in a snapshot, the layer span's serial duration in a
+// trace). Host columns come from a trace only.
 //
 // The baseline half of this header implements the bench regression gate:
 // MakeBaselineJson records one `--json` report per bench, and CheckBaseline

@@ -29,13 +29,6 @@ FixedHistogram& MetricsRegistry::GetHistogram(const std::string& name, double lo
   return ref;
 }
 
-void MetricsRegistry::Clear() {
-  counters_.clear();
-  gauges_.clear();
-  labels_.clear();
-  histograms_.clear();
-}
-
 std::string MetricsRegistry::SnapshotJson() const {
   JsonWriter w;
   w.BeginObject();

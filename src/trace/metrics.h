@@ -42,7 +42,6 @@ namespace trace {
 class Counter {
  public:
   void Add(int64_t delta) { value_ += delta; }
-  void Increment() { Add(1); }
   void Set(int64_t value) { value_ = value; }
   int64_t value() const { return value_; }
 
@@ -76,7 +75,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Fetch-or-create. References stay valid until Clear().
+  // Fetch-or-create. References stay valid for the registry's lifetime.
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Label& GetLabel(const std::string& name);
@@ -95,8 +94,6 @@ class MetricsRegistry {
   const std::map<std::string, std::unique_ptr<FixedHistogram>>& histograms() const {
     return histograms_;
   }
-
-  void Clear();
 
   // The full registry as JSON (schema in the file comment).
   std::string SnapshotJson() const;

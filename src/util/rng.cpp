@@ -34,8 +34,9 @@ uint32_t Pcg32::NextBounded(uint32_t bound) {
 
 int32_t Pcg32::NextInt(int32_t lo, int32_t hi) {
   MINUET_CHECK_LE(lo, hi);
+  // In int64: hi - lo, and lo plus a draw, can pass INT32_MAX.
   uint32_t span = static_cast<uint32_t>(static_cast<int64_t>(hi) - lo + 1);
-  return lo + static_cast<int32_t>(NextBounded(span));
+  return static_cast<int32_t>(lo + static_cast<int64_t>(NextBounded(span)));
 }
 
 double Pcg32::NextDouble() { return Next() * (1.0 / 4294967296.0); }

@@ -39,16 +39,6 @@ double Median(std::vector<double> values) {
   return 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-double MaxValue(const std::vector<double>& values) {
-  MINUET_CHECK(!values.empty());
-  return *std::max_element(values.begin(), values.end());
-}
-
-double MinValue(const std::vector<double>& values) {
-  MINUET_CHECK(!values.empty());
-  return *std::min_element(values.begin(), values.end());
-}
-
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) {
     return kEmptyPercentile;
@@ -97,18 +87,6 @@ void FixedHistogram::Add(double value) {
 
 double FixedHistogram::BucketLower(int i) const {
   return lower_ + static_cast<double>(i) * bucket_width_;
-}
-
-std::string HumanCount(uint64_t count) {
-  char buf[32];
-  if (count >= 1000000) {
-    std::snprintf(buf, sizeof(buf), "%.2fM", static_cast<double>(count) / 1e6);
-  } else if (count >= 1000) {
-    std::snprintf(buf, sizeof(buf), "%.1fK", static_cast<double>(count) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(count));
-  }
-  return buf;
 }
 
 void Appendf(std::string& out, const char* fmt, ...) {

@@ -12,12 +12,10 @@ namespace minuet {
 double Mean(const std::vector<double>& values);
 double GeoMean(const std::vector<double>& values);
 double Median(std::vector<double> values);
-double MaxValue(const std::vector<double>& values);
-double MinValue(const std::vector<double>& values);
 
 // p-th percentile (p in [0, 100]) with linear interpolation between order
 // statistics (the same convention as numpy.percentile's default). p=50
-// matches Median; p=0/100 match MinValue/MaxValue.
+// matches Median; p=0/100 are the smallest and the largest value.
 //
 // An empty sample set returns kEmptyPercentile (0.0) instead of aborting:
 // all-shed serving runs legitimately produce empty latency populations, and
@@ -70,9 +68,6 @@ class FixedHistogram {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-// "12.3K", "4.56M" style humanisation for point counts in bench tables.
-std::string HumanCount(uint64_t count);
 
 // printf-style append to `out` (one formatted line of a text report; output
 // past 511 bytes per call is truncated).

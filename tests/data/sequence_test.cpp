@@ -3,6 +3,7 @@
 // features included — bit-identically.
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,6 +76,17 @@ TEST(SequenceTest, FramesKeepInvariants) {
       EXPECT_LE(std::abs(frame.motion.y), sequence.config.max_step);
       EXPECT_LE(std::abs(frame.motion.z), sequence.config.max_step);
     }
+  }
+}
+
+// A motion bound of INT32_MAX draws steps that leave the lattice, so every
+// frame's motion is zeroed; the range check itself must not overflow.
+TEST(SequenceTest, MaxStepAtInt32MaxYieldsNoMotion) {
+  SequenceConfig config = MakeConfig();
+  config.max_step = std::numeric_limits<int32_t>::max();
+  const Sequence sequence = GenerateSequence(config);
+  for (const SequenceFrame& frame : sequence.frames) {
+    EXPECT_EQ(frame.motion, Coord3{}) << "frame " << frame.frame;
   }
 }
 

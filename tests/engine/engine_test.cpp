@@ -493,31 +493,30 @@ TEST(StepBreakdownTest, PaddingOverheadMatchesFigure5Convention) {
 TEST(ParallelLaunchTest, EveryDeclaredKernelMatchesSerialInEveryMode) {
   // A functional MinkUNet42 run on Minuet reaches every kernel that declares
   // independent blocks. In every launch mode its logits, the device's totals,
-  // per-kernel aggregates and L2 counters must be the serial run's.
+  // per-kernel aggregates and L2 counters must be a one-worker run's.
   const Network net = MakeMinkUNet42(4);
   GeneratorConfig gen;
   gen.target_points = 500;
   gen.channels = 4;
   gen.seed = 21;
   const PointCloud cloud = GenerateCloud(DatasetKind::kKitti, gen);
-  auto run = [&](const LaunchMode& mode) {
+  auto run = [&](auto set_up_device) {
     auto engine = std::make_unique<Engine>(EngineConfig{}, MakeRtx3090());
-    ApplyLaunchMode(engine->device(), mode);
+    set_up_device(engine->device());
     engine->Prepare(net, 7);
     RunResult result = engine->Run(cloud);
     return std::make_pair(std::move(engine), std::move(result));
   };
-  const std::vector<LaunchMode> modes = ParallelLaunchModes();
-  const auto [serial, want] = run(modes[0]);
+  const auto [serial, want] = run(MakeOneWorker);
   for (const char* kernel :
        {"gmas/buffer/memset", "gmas/gather/tile_copy", "gmas/scatter/tile_reduce",
         "gmas/metadata/build_tables", "map/query/forward_search", "engine/elementwise/bn_relu",
         "engine/elementwise/residual_add", "engine/elementwise/copy_features"}) {
     ASSERT_EQ(serial->device().kernel_aggregates().count(kernel), 1u) << kernel;
   }
-  for (size_t m = 1; m < modes.size(); ++m) {
-    SCOPED_TRACE(modes[m].name);
-    const auto [engine, got] = run(modes[m]);
+  for (const LaunchMode& mode : ParallelLaunchModes()) {
+    SCOPED_TRACE(mode.name);
+    const auto [engine, got] = run([&](Device& device) { ApplyLaunchMode(device, mode); });
     ASSERT_EQ(got.features.rows(), want.features.rows());
     ASSERT_EQ(got.features.cols(), want.features.cols());
     EXPECT_EQ(std::memcmp(got.features.data(), want.features.data(),

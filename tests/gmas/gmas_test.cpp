@@ -249,7 +249,6 @@ TEST(StreamPoolTest, HidesLaunchOverheadAcrossStreams) {
   for (int i = 0; i < 8; ++i) {
     pool.Submit(100.0);
   }
-  EXPECT_DOUBLE_EQ(pool.SumCycles(), 800.0);
   EXPECT_DOUBLE_EQ(pool.ElapsedCycles(), 480.0 + 2 * 40.0);
 }
 

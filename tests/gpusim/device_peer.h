@@ -1,12 +1,12 @@
 // Test access to a Device's parallel-launch settings, which are not public
 // (the block threshold, the worker count and the ring's slot size), and the
 // launch modes the parallel-launch tests compare. Every mode must give the
-// serial loop's statistics, L2 state and payload.
+// statistics, L2 state and payload of a device that runs every launch on one
+// worker (MakeOneWorker).
 #ifndef TESTS_GPUSIM_DEVICE_PEER_H_
 #define TESTS_GPUSIM_DEVICE_PEER_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +26,10 @@ struct DevicePeer {
   static void SetRingSlotLines(Device& device, size_t lines) { device.ring_slot_lines_ = lines; }
 };
 
+// The reference of the launch modes: default threshold and slots, and every
+// launch on the calling thread.
+inline void MakeOneWorker(Device& device) { DevicePeer::SetParallelWorkers(device, 1); }
+
 struct LaunchMode {
   const char* name;
   int64_t min_blocks;
@@ -33,13 +37,10 @@ struct LaunchMode {
   size_t slot_lines;  // 0 = the default
 };
 
-// Serial (threshold out of reach), then threshold 0 on one worker and on
-// four, each also with slots of 64 lines, which every block of a real kernel
-// overflows.
+// Threshold 0 on one worker and on four, each also with slots of 64 lines,
+// which every block of a real kernel overflows.
 inline std::vector<LaunchMode> ParallelLaunchModes() {
-  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
   return {
-      {"serial", kNever, 0, 0},
       {"threshold 0, 1 worker", 0, 1, 0},
       {"threshold 0, 4 workers", 0, 4, 0},
       {"threshold 0, 1 worker, 64-line slots", 0, 1, 64},

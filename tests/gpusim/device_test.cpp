@@ -1,7 +1,6 @@
 #include "src/gpusim/device.h"
 
 #include <chrono>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,8 +327,6 @@ TEST(DeviceTest, TotalsAccumulateAcrossLaunches) {
   dev.Launch("b", LaunchDims{1, 128, 0}, [](BlockCtx& ctx) { ctx.Compute(100); });
   EXPECT_EQ(dev.totals().num_launches, 2);
   EXPECT_EQ(dev.totals().lane_ops, 200u);
-  dev.ResetTotals();
-  EXPECT_EQ(dev.totals().num_launches, 0);
 }
 
 TEST(DeviceTest, GemmCostScalesWithM) {
@@ -482,7 +479,7 @@ MixedRun RunMixedLaunches(Device& dev) {
 
 TEST(ParallelLaunchTest, DeclaredKernelMatchesSerialInEveryMode) {
   Device serial(TinyConfig());
-  DevicePeer::SetParallelMinBlocks(serial, std::numeric_limits<int64_t>::max());
+  MakeOneWorker(serial);
   const MixedRun want = RunMixedLaunches(serial);
   EXPECT_GT(want.stats[0].l2_hits, 0u);
   EXPECT_GT(want.stats[0].l2_misses, 0u);

@@ -3,7 +3,6 @@
 // stats contract.
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -429,7 +428,7 @@ INSTANTIATE_TEST_SUITE_P(Densities, MinuetMapDensitySweep,
 TEST(ParallelLaunchTest, ForwardSearchMatchesSerialInEveryMode) {
   // The forward search declares independent blocks; its comparison count is
   // a per-block reduction. Positions, comparisons, stats and the device's
-  // state must be the serial loop's in every launch mode, with a builder
+  // state must be a one-worker run's in every launch mode, with a builder
   // that clamps queries (unsorted outputs) and one that trusts them.
   const std::vector<uint64_t> source = RandomSortedKeys(6000, 40, 11);
   std::vector<uint64_t> output = RandomSortedKeys(5000, 40, 12);
@@ -454,7 +453,7 @@ TEST(ParallelLaunchTest, ForwardSearchMatchesSerialInEveryMode) {
       return std::make_pair(std::move(result), std::move(positions));
     };
     Device serial(MakeRtx3090());
-    DevicePeer::SetParallelMinBlocks(serial, std::numeric_limits<int64_t>::max());
+    MakeOneWorker(serial);
     const auto [want, want_positions] = build(serial);
     ASSERT_GT(want.lookup_stats.num_blocks, 64);
     for (const LaunchMode& mode : ParallelLaunchModes()) {

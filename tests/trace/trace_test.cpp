@@ -4,6 +4,7 @@
 // recorded stream-pool overlap) with the layer's reported simulated time.
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,10 @@
 #include "src/data/generators.h"
 #include "src/engine/engine.h"
 #include "src/gpusim/device_config.h"
+#include "src/prof/profile.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
+#include "src/util/json_reader.h"
 
 namespace minuet {
 namespace {
@@ -266,7 +269,7 @@ TEST(ChromeTraceTest, ServeSpansGetAThirdTrack) {
 TEST(MetricsTest, CountersAndGaugesRoundTrip) {
   MetricsRegistry registry;
   registry.GetCounter("plan_cache/hits").Add(3);
-  registry.GetCounter("plan_cache/hits").Increment();
+  registry.GetCounter("plan_cache/hits").Add(1);
   registry.GetGauge("engine/layer0/padding_ratio").Set(0.125);
   EXPECT_EQ(registry.GetCounter("plan_cache/hits").value(), 4);
   EXPECT_TRUE(registry.HasCounter("plan_cache/hits"));
@@ -275,8 +278,6 @@ TEST(MetricsTest, CountersAndGaugesRoundTrip) {
   EXPECT_TRUE(BalancedJson(json)) << json;
   EXPECT_NE(json.find("\"plan_cache/hits\":4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"engine/layer0/padding_ratio\":0.125"), std::string::npos) << json;
-  registry.Clear();
-  EXPECT_FALSE(registry.HasCounter("plan_cache/hits"));
 }
 
 TEST(MetricsTest, HistogramSnapshot) {
@@ -480,6 +481,74 @@ TEST(DeviceMetricsTest, KernelAggregatesPublish) {
   PublishRunMetrics(result, device_config, registry);
   EXPECT_TRUE(registry.HasGauge("engine/layer0/padding_ratio"));
   EXPECT_TRUE(registry.HasGauge("engine/run/sim_ms"));
+}
+
+// The two artifacts of one run, a Chrome trace and a metrics snapshot, give
+// the same profile in every column both define the same way: the run total,
+// and per kernel its simulated ms, cycles, launches, blocks, waves, L2
+// lookups and hit ratio, DRAM bandwidth utilisation and roofline class, and
+// per layer its padding, launches and GEMM count. Three columns differ by
+// definition and are not pinned: a kernel's occupancy (the device aggregate
+// against a duration-weighted mean over launches), the arithmetic intensity
+// of a kernel with no DRAM bytes (null in the snapshot, +inf summed from the
+// spans) and a layer's sim ms (net of the stream-pool overlap in the
+// snapshot, the layer span's serial duration in the trace).
+TEST(EngineTraceTest, TraceAndMetricsArtifactsGiveTheSameProfile) {
+  const DeviceConfig device_config = MakeRtx3090();
+  EngineConfig config;
+  config.kind = EngineKind::kMinuet;
+  config.functional = false;
+  Engine engine(config, device_config);
+  engine.Prepare(MakeTinyUNet(4), 1);
+  ScopedTracer scoped;
+  const RunResult result = engine.Run(TestCloud(1500, 4));
+  Tracer::Install(nullptr);
+  MetricsRegistry registry;
+  engine.device().PublishMetrics(registry);
+  PublishRunMetrics(result, device_config, registry);
+
+  auto load = [](const std::string& text) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(ParseJson(text, &doc, &error)) << error;
+    prof::RunProfile profile;
+    EXPECT_TRUE(prof::LoadRunProfile(doc, &profile, &error)) << error;
+    return profile;
+  };
+  const prof::RunProfile traced = load(trace::ChromeTraceJson(scoped.get()));
+  const prof::RunProfile metrics = load(registry.SnapshotJson());
+  ASSERT_EQ(traced.source, "trace");
+  ASSERT_EQ(metrics.source, "metrics");
+
+  EXPECT_NEAR(traced.total_ms, metrics.total_ms, 1e-9);
+  // Kernels of equal sim ms may list in either order; match them by name.
+  std::map<std::string, const prof::KernelProfile*> traced_kernels;
+  for (const prof::KernelProfile& k : traced.kernels) {
+    traced_kernels[k.name] = &k;
+  }
+  ASSERT_EQ(traced_kernels.size(), metrics.kernels.size());
+  for (const prof::KernelProfile& m : metrics.kernels) {
+    SCOPED_TRACE(m.name);
+    ASSERT_EQ(traced_kernels.count(m.name), 1u);
+    const prof::KernelProfile& t = *traced_kernels[m.name];
+    EXPECT_NEAR(t.millis, m.millis, 1e-9);
+    EXPECT_NEAR(t.cycles, m.cycles, 1e-6);
+    EXPECT_EQ(t.launches, m.launches);
+    EXPECT_EQ(t.blocks, m.blocks);
+    EXPECT_EQ(t.waves, m.waves);
+    EXPECT_EQ(t.l2_lookups, m.l2_lookups);
+    EXPECT_DOUBLE_EQ(t.l2_hit_ratio, m.l2_hit_ratio);
+    EXPECT_NEAR(t.dram_bw_util, m.dram_bw_util, 1e-9);
+    EXPECT_EQ(t.roofline, m.roofline);
+  }
+  ASSERT_EQ(traced.layers.size(), metrics.layers.size());
+  for (size_t i = 0; i < metrics.layers.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "conv" << metrics.layers[i].conv_index);
+    EXPECT_EQ(traced.layers[i].conv_index, metrics.layers[i].conv_index);
+    EXPECT_DOUBLE_EQ(traced.layers[i].padding_ratio, metrics.layers[i].padding_ratio);
+    EXPECT_EQ(traced.layers[i].launches, metrics.layers[i].launches);
+    EXPECT_EQ(traced.layers[i].gemm_kernels, metrics.layers[i].gemm_kernels);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -72,6 +73,23 @@ TEST(RngTest, NextIntInclusiveRange) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
+TEST(RngTest, NextIntCoversTheSymmetricInt32Range) {
+  // hi - lo is 2^32 - 2, and lo plus a draw passes INT32_MAX on the way: the
+  // sum must be formed without signed overflow and land in range.
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  Pcg32 rng(10);
+  bool negative = false;
+  bool positive = false;
+  for (int i = 0; i < 1000; ++i) {
+    const int32_t v = rng.NextInt(-kMax, kMax);
+    EXPECT_GE(v, -kMax);
+    negative |= v < 0;
+    positive |= v > 0;
+  }
+  EXPECT_TRUE(negative);
+  EXPECT_TRUE(positive);
+}
+
 TEST(RngTest, NextDoubleInUnitInterval) {
   Pcg32 rng(10);
   double sum = 0.0;
@@ -111,8 +129,6 @@ TEST(SummaryTest, MeanMedianMinMax) {
   std::vector<double> v = {4.0, 1.0, 3.0, 2.0};
   EXPECT_DOUBLE_EQ(Mean(v), 2.5);
   EXPECT_DOUBLE_EQ(Median(v), 2.5);
-  EXPECT_DOUBLE_EQ(MinValue(v), 1.0);
-  EXPECT_DOUBLE_EQ(MaxValue(v), 4.0);
   EXPECT_DOUBLE_EQ(Median({5.0, 1.0, 9.0}), 5.0);
 }
 
@@ -122,16 +138,10 @@ TEST(SummaryTest, GeoMean) {
   EXPECT_DEATH(GeoMean({1.0, 0.0}), "");
 }
 
-TEST(SummaryTest, HumanCount) {
-  EXPECT_EQ(HumanCount(999), "999");
-  EXPECT_EQ(HumanCount(1500), "1.5K");
-  EXPECT_EQ(HumanCount(2500000), "2.50M");
-}
-
 TEST(SummaryTest, PercentileMatchesOrderStatistics) {
   std::vector<double> v = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0.0), MinValue(v));
-  EXPECT_DOUBLE_EQ(Percentile(v, 100.0), MaxValue(v));
+  EXPECT_DOUBLE_EQ(Percentile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(Percentile(v, 100.0), 4.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 50.0), Median(v));
   EXPECT_DOUBLE_EQ(Percentile({5.0, 1.0, 9.0}, 50.0), 5.0);
   EXPECT_DOUBLE_EQ(Percentile({7.0}, 95.0), 7.0);
